@@ -80,6 +80,7 @@ from .oracles import (
 from .barnes_functions import (
     MethodChoice,
     Route,
+    evaluate,
     gamma_dq,
     log_gamma_B,
     log_rho,
@@ -109,6 +110,6 @@ __all__ = [
     "EulerMaclaurinControls", "direct_sum", "direct_sum_bh", "hurwitz_zeta",
     "hurwitz_zeta_ds", "isotropic_reduction", "log_gamma_ref",
     "log_gamma_rep_checks", "rational_d2_reduction",
-    "MethodChoice", "Route", "gamma_dq", "log_gamma_B", "log_rho",
+    "MethodChoice", "Route", "evaluate", "gamma_dq", "log_gamma_B", "log_rho",
     "multiple_gamma", "psi_B",
 ]

@@ -1,7 +1,13 @@
-"""The derived Gamma-family functions: log of the lattice Gamma function,
-multiple Gamma, the generalized digamma family, the gamma modular forms.
+"""The route registry and the derived Gamma-family functions.
 
-These are thin compositions over the representation modules:
+ROUTES maps each quantity (the zeta function, its finite parts at the
+poles, its derivative at zero), inhomogeneous or homogeneous, and each
+route name to its route function; `evaluate` is the one dispatch path
+through it, for the Gamma family below and for the command-line interface.
+
+The Gamma family -- log of the lattice Gamma function, multiple Gamma, the
+generalized digamma family, the gamma modular forms -- are thin
+compositions over it:
 
     log rho(w)        = -zeta_bh'(0|w)
     log Gamma_B(a|w)  = zeta_B'(0,a|w) + log rho(w)
@@ -29,12 +35,14 @@ from .foundations import (
     validate_weights,
 )
 from .integral_rep import (
+    barnes_zeta_integral,
     deriv0_barnes_integral,
     deriv0_bh_integral,
     fp_barnes_integral,
     fp_bh_integral,
     residue,
     residue_bh,
+    zeta_bh_integral,
 )
 from .limit_rep import (
     deriv0_barnes_limit,
@@ -42,11 +50,15 @@ from .limit_rep import (
     fp_barnes_limit,
     fp_bh_limit,
 )
+from .oracles import _reduction_eval, direct_sum, direct_sum_bh
 from .series_rep import (
+    SeriesControls,
+    barnes_zeta_series,
     deriv0_barnes_series,
     deriv0_bh_series,
     fp_barnes_series,
     fp_bh_series,
+    zeta_bh_series,
 )
 
 
@@ -64,58 +76,92 @@ class MethodChoice:
     route: Route = Route.BEST
 
 
-def _as_route(method: MethodChoice | Route | str | None) -> Route:
+# Every route of every quantity: ROUTES[quantity][homogeneous][route].  A
+# route takes (alpha, params) for "zeta", (q, params) for "fp" and (params,)
+# for "deriv0", where params is a BarnesParams, or the weights when
+# homogeneous; all but the zeta series take `config=` as a keyword.
+ROUTES = {
+    "zeta": {
+        False: {"series": barnes_zeta_series, "integral": barnes_zeta_integral,
+                "direct": direct_sum, "reduction": _reduction_eval},
+        True: {"series": zeta_bh_series, "integral": zeta_bh_integral,
+               "direct": direct_sum_bh},
+    },
+    "fp": {
+        False: {"series": fp_barnes_series, "integral": fp_barnes_integral,
+                "limit": fp_barnes_limit},
+        True: {"series": fp_bh_series, "integral": fp_bh_integral, "limit": fp_bh_limit},
+    },
+    "deriv0": {
+        False: {"series": deriv0_barnes_series, "integral": deriv0_barnes_integral,
+                "limit": deriv0_barnes_limit},
+        True: {"series": deriv0_bh_series, "integral": deriv0_bh_integral,
+               "limit": deriv0_bh_limit},
+    },
+}
+
+
+def _route_name(method: MethodChoice | Route | str | None) -> str:
     if method is None:
-        return Route.BEST
+        return Route.BEST.value
     if isinstance(method, MethodChoice):
-        return method.route
-    return Route(method)
+        method = method.route
+    return str(getattr(method, "value", method))
 
 
-_FP = {
-    False: {Route.SERIES: fp_barnes_series, Route.LIMIT: fp_barnes_limit,
-            Route.INTEGRAL: fp_barnes_integral},
-    True: {Route.SERIES: fp_bh_series, Route.LIMIT: fp_bh_limit,
-           Route.INTEGRAL: fp_bh_integral},
-}
-_DERIV0 = {
-    False: {Route.SERIES: deriv0_barnes_series, Route.LIMIT: deriv0_barnes_limit,
-            Route.INTEGRAL: deriv0_barnes_integral},
-    True: {Route.SERIES: deriv0_bh_series, Route.LIMIT: deriv0_bh_limit,
-           Route.INTEGRAL: deriv0_bh_integral},
-}
+def _run(quantity: str, routes: dict, route: str, args: tuple, cfg: EvalConfig) -> EvalResult:
+    if quantity == "zeta" and route == "series":
+        return routes[route](*args, SeriesControls(config=cfg))
+    return routes[route](*args, config=cfg)
 
 
-def _dispatch(table, route: Route, args, cfg: EvalConfig) -> EvalResult:
-    if route is Route.BEST:
-        primary = table[Route.SERIES](*args, cfg)
-        check = table[Route.INTEGRAL](*args, cfg)
+def evaluate(quantity: str, params, at=None, method: MethodChoice | Route | str | None = None,
+             config: EvalConfig | None = None, *, homogeneous: bool = False) -> EvalResult:
+    """Evaluate a quantity of the ROUTES registry by one of its routes.
+
+    quantity is "zeta" (at = alpha), "fp" (at = q) or "deriv0" (no `at`);
+    params is a BarnesParams, or the weights when homogeneous.  The method
+    "best" (the default) runs the series with an integral cross-check.  A
+    combination that is not in the registry raises DomainError.
+    """
+    cfg = config or DEFAULT_CONFIG
+    route = _route_name(method)
+    if quantity not in ROUTES:
+        raise DomainError(f"unknown quantity {quantity!r}; expected one of {sorted(ROUTES)}")
+    if (at is None) != (quantity == "deriv0"):
+        raise DomainError(f"{quantity} needs {'no' if at is not None else 'an'} evaluation point")
+    routes = ROUTES[quantity][bool(homogeneous)]
+    args = (params,) if at is None else (at, params)
+    if route == Route.BEST.value:
+        primary = _run(quantity, routes, "series", args, cfg)
+        check = _run(quantity, routes, "integral", args, cfg)
         delta = abs(primary.value - check.value)
         diag = dict(primary.diagnostics)
         diag["cross_check_delta"] = delta
         return EvalResult(primary.value, max(primary.abs_error_estimate, delta),
                           primary.method, diag)
-    return table[route](*args, cfg)
+    if route not in routes:
+        if route in ROUTES[quantity][not homogeneous]:
+            kind = "inhomogeneous" if homogeneous else "homogeneous"
+            raise DomainError(f"{route} method applies to the {kind} function")
+        raise DomainError(f"{quantity} has no route {route!r}; expected one of "
+                          f"{[*routes, Route.BEST.value]}")
+    return _run(quantity, routes, route, args, cfg)
 
 
 def log_rho(w, method: MethodChoice | Route | str | None = None,
             config: EvalConfig | None = None) -> EvalResult:
     """Log of the modular constant: -(homogeneous derivative at zero)."""
-    cfg = config or DEFAULT_CONFIG
-    wt = validate_weights(w)
-    route = _as_route(method)
-    res = _dispatch(_DERIV0[True], route, (wt,), cfg)
+    res = evaluate("deriv0", validate_weights(w), None, method, config, homogeneous=True)
     return EvalResult(-res.value, res.abs_error_estimate, res.method, res.diagnostics)
 
 
 def log_gamma_B(p: BarnesParams, method: MethodChoice | Route | str | None = None,
                 config: EvalConfig | None = None) -> EvalResult:
     """log Gamma_B(a|w) = zeta'(0,a|w) + log rho(w) (Barnes normalization)."""
-    cfg = config or DEFAULT_CONFIG
     validate_params(p)
-    route = _as_route(method)
-    dv = _dispatch(_DERIV0[False], route, (p,), cfg)
-    lr = log_rho(p.w, method, cfg)
+    dv = evaluate("deriv0", p, None, method, config)
+    lr = log_rho(p.w, method, config)
     return EvalResult(dv.value + lr.value,
                       dv.abs_error_estimate + lr.abs_error_estimate,
                       dv.method, {"deriv0": dv.diagnostics, "log_rho": lr.diagnostics})
@@ -124,12 +170,10 @@ def log_gamma_B(p: BarnesParams, method: MethodChoice | Route | str | None = Non
 def psi_B(q: int, p: BarnesParams, method: MethodChoice | Route | str | None = None,
           config: EvalConfig | None = None) -> EvalResult:
     """Generalized digamma value Psi^(q)(a|w), q = 1..d, from the finite part."""
-    cfg = config or DEFAULT_CONFIG
     validate_params(p)
     if not 1 <= q <= p.d:
         raise DomainError(f"psi_B is defined through the poles q = 1..{p.d}, got {q}")
-    route = _as_route(method)
-    fp = _dispatch(_FP[False], route, (q, p), cfg)
+    fp = evaluate("fp", p, q, method, config)
     res = residue(q, p)
     scale = (-1.0) ** q * factorial(q - 1)
     value = scale * (fp.value + harmonic_float(q - 1) * res)
@@ -140,13 +184,11 @@ def psi_B(q: int, p: BarnesParams, method: MethodChoice | Route | str | None = N
 def gamma_dq(q: int, w, method: MethodChoice | Route | str | None = None,
              config: EvalConfig | None = None) -> EvalResult:
     """q-th gamma modular form, from the homogeneous finite part at q."""
-    cfg = config or DEFAULT_CONFIG
     wt = validate_weights(w)
     d = len(wt)
     if not 1 <= q <= d:
         raise DomainError(f"gamma_dq is defined for q = 1..{d}, got {q}")
-    route = _as_route(method)
-    fp = _dispatch(_FP[True], route, (q, wt), cfg)
+    fp = evaluate("fp", wt, q, method, config, homogeneous=True)
     res = residue_bh(q, wt)
     scale = (-1.0) ** (q - 1) * factorial(q - 1)
     value = scale * (fp.value + harmonic_float(q - 1) * res)

@@ -11,6 +11,7 @@ prod_i w_i; that convention is *not* used here.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -142,19 +143,13 @@ def bernoullian_dS(m: int, w: Iterable[complex]) -> complex:
     for _ in range(d - 1):
         coeffs = [l * c for l, c in enumerate(coeffs)][1:]
     value_at_0 = coeffs[0] if coeffs else complex(0.0)
-    prod_w = complex(1.0)
-    for wi in wt:
-        prod_w *= wi
-    return factorial(m) / factorial(n) / prod_w * value_at_0
+    return factorial(m) / factorial(n) / math.prod(wt) * value_at_0
 
 
 def bernoullian_dS_closed(m: int, w: Iterable[complex]) -> complex:
     """Closed form B_m(w)/prod(w_i) that bernoullian_dS must collapse to."""
     wt = as_weights(w)
-    prod_w = complex(1.0)
-    for wi in wt:
-        prod_w *= wi
-    return bernoulli_numbers(wt, m).numbers[m] / prod_w
+    return bernoulli_numbers(wt, m).numbers[m] / math.prod(wt)
 
 
 def ds_values(w: Sequence[complex], count: int) -> list[complex]:

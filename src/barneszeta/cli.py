@@ -1,6 +1,12 @@
 """Command-line interface: evaluate any quantity by any route, emit JSON or
 CSV, and run cross-representation comparison reports.
 
+Dispatch: `eval`, `fp` and `deriv0` are one handler that builds the config
+and resolves --a / --homogeneous once, then calls
+`barnes_functions.evaluate`; `table` and `compare` loop over the same
+`barnes_functions.ROUTES` registry, and every --method choice list is read
+from it.  No route function is imported here.
+
 Conventions:
   * complex scalars are written RE or RE,IM (e.g. --alpha 2.5,1);
   * weights are a comma list of reals (e.g. --w 1,1.41421356);
@@ -22,7 +28,17 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .barnes_functions import Route, gamma_dq, log_gamma_B, log_rho, multiple_gamma, psi_B
+from .barnes_functions import (
+    ROUTES,
+    evaluate,
+    gamma_dq,
+    log_gamma_B,
+    log_rho,
+    multiple_gamma,
+    psi_B,
+    residue,
+    residue_bh,
+)
 from .foundations import (
     BarnesParams,
     BarnesZetaError,
@@ -35,26 +51,6 @@ from .foundations import (
     QuadratureError,
     validate_params,
     validate_weights,
-)
-from .integral_rep import (
-    barnes_zeta_integral,
-    deriv0_barnes_integral,
-    deriv0_bh_integral,
-    fp_barnes_integral,
-    fp_bh_integral,
-    residue,
-    residue_bh,
-    zeta_bh_integral,
-)
-from .limit_rep import deriv0_barnes_limit, deriv0_bh_limit, fp_barnes_limit, fp_bh_limit
-from .oracles import direct_sum, direct_sum_bh, isotropic_reduction, rational_d2_reduction
-from .series_rep import (
-    barnes_zeta_series,
-    deriv0_barnes_series,
-    deriv0_bh_series,
-    fp_barnes_series,
-    fp_bh_series,
-    zeta_bh_series,
 )
 
 EXIT_OK = 0
@@ -143,116 +139,57 @@ def _pole_hint(exc: PoleError, args) -> str:
         return str(exc)
 
 
+def _methods(*quantities: str) -> list[str]:
+    """Route names of the registry for these quantities, in registry order."""
+    return list(dict.fromkeys(route for q in quantities for homog in (False, True)
+                              for route in ROUTES[q][homog]))
+
+
+def _params(args):
+    """The params argument of a route: the weights when --homogeneous, else (a, w)."""
+    wt = validate_weights(args.w)
+    if args.homogeneous:
+        return wt
+    if args.a is None:
+        raise DomainError("--a is required unless --homogeneous is given")
+    p = BarnesParams(args.a, wt)
+    validate_params(p)
+    return p
+
+
 # ---------------------------------------------------------------------------
-# eval
-
-
-def _reduction_eval(alpha: complex, a: complex, w: tuple[complex, ...]) -> EvalResult:
-    d = len(w)
-    if all(wi == w[0] for wi in w):
-        value = isotropic_reduction(alpha, a, w[0], d)
-    elif d == 2 and w[0] == 1 and w[1].imag == 0 and float(w[1].real).is_integer() and w[1].real >= 1:
-        value = rational_d2_reduction(alpha, a, int(w[1].real))
-    else:
-        raise DomainError(
-            "reduction method needs equal weights or d = 2 with w = (1, n), n a positive integer"
-        )
-    return EvalResult(value, 1e-13 * (1 + abs(value)), Method.REDUCTION, {})
+# eval / fp / deriv0 / gamma
 
 
 def cmd_eval(args) -> int:
+    """eval, fp and deriv0: one quantity by one route of the registry."""
     cfg = build_config(args)
-    wt = validate_weights(args.w)
-    if args.homogeneous:
-        table = {
-            "series": lambda: zeta_bh_series(args.alpha, wt, None if args.tol is None else _sc(cfg)),
-            "integral": lambda: zeta_bh_integral(args.alpha, wt, None, cfg),
-            "direct": lambda: direct_sum_bh(args.alpha, wt, cfg),
-        }
-        if args.method == "reduction":
-            raise DomainError("reduction method applies to the inhomogeneous function")
-    else:
-        if args.a is None:
-            raise DomainError("--a is required unless --homogeneous is given")
-        p = BarnesParams(args.a, wt)
-        validate_params(p)
-        table = {
-            "series": lambda: barnes_zeta_series(args.alpha, p, None if args.tol is None else _sc(cfg)),
-            "integral": lambda: barnes_zeta_integral(args.alpha, p, None, cfg),
-            "direct": lambda: direct_sum(args.alpha, p, cfg),
-            "reduction": lambda: _reduction_eval(args.alpha, p.a, wt),
-        }
-    res = table[args.method]()
-    emit_result(res, args.json)
-    return EXIT_OK
-
-
-def _sc(cfg: EvalConfig):
-    from .series_rep import SeriesControls
-
-    return SeriesControls(config=cfg)
-
-
-# ---------------------------------------------------------------------------
-# fp / deriv0 / gamma
-
-
-def cmd_fp(args) -> int:
-    cfg = build_config(args)
-    wt = validate_weights(args.w)
-    if args.homogeneous:
-        fns = {"series": fp_bh_series, "integral": fp_bh_integral, "limit": fp_bh_limit}
-        res = fns[args.method](args.q, wt, cfg)
-    else:
-        if args.a is None:
-            raise DomainError("--a is required unless --homogeneous is given")
-        p = BarnesParams(args.a, wt)
-        fns = {"series": fp_barnes_series, "integral": fp_barnes_integral,
-               "limit": fp_barnes_limit}
-        res = fns[args.method](args.q, p, cfg)
-    emit_result(res, args.json)
-    return EXIT_OK
-
-
-def cmd_deriv0(args) -> int:
-    cfg = build_config(args)
-    wt = validate_weights(args.w)
-    if args.homogeneous:
-        fns = {"series": deriv0_bh_series, "integral": deriv0_bh_integral,
-               "limit": deriv0_bh_limit}
-        res = fns[args.method](wt, cfg)
-    else:
-        if args.a is None:
-            raise DomainError("--a is required unless --homogeneous is given")
-        p = BarnesParams(args.a, wt)
-        fns = {"series": deriv0_barnes_series, "integral": deriv0_barnes_integral,
-               "limit": deriv0_barnes_limit}
-        res = fns[args.method](p, cfg)
+    res = evaluate(args.quantity, _params(args), args.at, args.method, cfg,
+                   homogeneous=args.homogeneous)
     emit_result(res, args.json)
     return EXIT_OK
 
 
 def cmd_gamma(args) -> int:
     cfg = build_config(args)
-    route = Route(args.method)
     if args.fn == "multigamma":
         if args.a is None or args.d is None:
             raise DomainError("multigamma needs --a and --d")
-        res = multiple_gamma(args.a, args.d, route, cfg)
+        res = multiple_gamma(args.a, args.d, args.method, cfg)
     elif args.fn == "logrho":
-        res = log_rho(validate_weights(args.w), route, cfg)
+        res = log_rho(validate_weights(args.w), args.method, cfg)
     elif args.fn == "gammadq":
         if args.q is None:
             raise DomainError("gammadq needs --q")
-        res = gamma_dq(args.q, validate_weights(args.w), route, cfg)
+        res = gamma_dq(args.q, validate_weights(args.w), args.method, cfg)
     elif args.fn == "loggammaB":
         if args.a is None:
             raise DomainError("loggammaB needs --a")
-        res = log_gamma_B(BarnesParams(args.a, validate_weights(args.w)), route, cfg)
+        res = log_gamma_B(BarnesParams(args.a, validate_weights(args.w)), args.method, cfg)
     else:  # psiB
         if args.a is None or args.q is None:
             raise DomainError("psiB needs --a and --q")
-        res = psi_B(args.q, BarnesParams(args.a, validate_weights(args.w)), route, cfg)
+        res = psi_B(args.q, BarnesParams(args.a, validate_weights(args.w)), args.method, cfg)
     emit_result(res, args.json)
     return EXIT_OK
 
@@ -283,17 +220,18 @@ class ComparisonReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["quantity", "series_re", "series_im", "integral_re", "integral_im",
-                         "limit_re", "limit_im", "max_delta", "pass"])
+        routes = _methods("fp", "deriv0")
+        writer.writerow(["quantity", *(f"{r}_{part}" for r in routes for part in ("re", "im")),
+                         "max_delta", "pass"])
         by_name: dict[str, dict[str, complex]] = {}
         for item in self.quantities:
             by_name.setdefault(item["name"], {})[item["route"]] = complex(*item["value"])
-        for name, routes in by_name.items():
+        for name, values in by_name.items():
             delta = self.agreement_matrix[name]
-            scale = 1.0 + abs(routes.get("series", 0.0))
+            scale = 1.0 + abs(values.get("series", 0.0))
             row = [name]
-            for route in ("series", "integral", "limit"):
-                v = routes.get(route)
+            for route in routes:
+                v = values.get(route)
                 row.extend(["", ""] if v is None else [fmt17(v.real), fmt17(v.imag)])
             row.append(fmt17(delta))
             row.append(str(delta <= self.tolerance * scale).lower())
@@ -301,31 +239,15 @@ class ComparisonReport:
         return buf.getvalue()
 
 
-def _compare_quantities(p: BarnesParams, cfg: EvalConfig):
-    d = p.d
-    wt = p.w
+def _compare_quantities(p: BarnesParams):
+    """(name, quantity, at, params, homogeneous) of every finite part and of
+    both derivatives at zero."""
     spec = []
-    for q in range(1, d + 1):
-        spec.append((f"fp_q{q}", {
-            "series": lambda q=q: fp_barnes_series(q, p, cfg),
-            "integral": lambda q=q: fp_barnes_integral(q, p, cfg),
-            "limit": lambda q=q: fp_barnes_limit(q, p, cfg),
-        }))
-        spec.append((f"fp_bh_q{q}", {
-            "series": lambda q=q: fp_bh_series(q, wt, cfg),
-            "integral": lambda q=q: fp_bh_integral(q, wt, cfg),
-            "limit": lambda q=q: fp_bh_limit(q, wt, cfg),
-        }))
-    spec.append(("deriv0", {
-        "series": lambda: deriv0_barnes_series(p, cfg),
-        "integral": lambda: deriv0_barnes_integral(p, cfg),
-        "limit": lambda: deriv0_barnes_limit(p, cfg),
-    }))
-    spec.append(("deriv0_bh", {
-        "series": lambda: deriv0_bh_series(wt, cfg),
-        "integral": lambda: deriv0_bh_integral(wt, cfg),
-        "limit": lambda: deriv0_bh_limit(wt, cfg),
-    }))
+    for q in range(1, p.d + 1):
+        spec.append((f"fp_q{q}", "fp", q, p, False))
+        spec.append((f"fp_bh_q{q}", "fp", q, p.w, True))
+    spec.append(("deriv0", "deriv0", None, p, False))
+    spec.append(("deriv0_bh", "deriv0", None, p.w, True))
     return spec
 
 
@@ -338,10 +260,10 @@ def cmd_compare(args) -> int:
     quantities = []
     agreement = {}
     passed = True
-    for name, routes in _compare_quantities(p, cfg):
+    for name, quantity, at, params, homog in _compare_quantities(p):
         values = {}
-        for route, fn in routes.items():
-            res = fn()
+        for route in ROUTES[quantity][homog]:
+            res = evaluate(quantity, params, at, route, cfg, homogeneous=homog)
             values[route] = res.value
             quantities.append({
                 "name": name,
@@ -390,7 +312,7 @@ def parse_grid(text: str) -> tuple[float, float, int]:
 
 def cmd_table(args) -> int:
     cfg = build_config(args)
-    wt = validate_weights(args.w)
+    params = _params(args)
     start, stop, num = args.alpha_grid
     alphas = [start] if num == 1 else [start + i * (stop - start) / (num - 1) for i in range(num)]
     rows = []
@@ -399,18 +321,8 @@ def cmd_table(args) -> int:
     for ar in alphas:
         alpha = complex(ar, args.alpha_im)
         try:
-            if args.homogeneous:
-                fns = {"series": lambda: zeta_bh_series(alpha, wt),
-                       "integral": lambda: zeta_bh_integral(alpha, wt, None, cfg),
-                       "direct": lambda: direct_sum_bh(alpha, wt, cfg)}
-                res = fns[args.method]()
-            else:
-                p = BarnesParams(args.a, wt)
-                fns = {"series": lambda: barnes_zeta_series(alpha, p),
-                       "integral": lambda: barnes_zeta_integral(alpha, p, None, cfg),
-                       "direct": lambda: direct_sum(alpha, p, cfg),
-                       "reduction": lambda: _reduction_eval(alpha, p.a, wt)}
-                res = fns[args.method]()
+            res = evaluate("zeta", params, alpha, args.method, cfg,
+                           homogeneous=args.homogeneous)
             rows.append((alpha, res.value, res.abs_error_estimate, res.method.value))
         except PoleError:
             saw_pole = True
@@ -440,16 +352,12 @@ def cmd_table(args) -> int:
 # parser
 
 
-def _add_common(sub, need_alpha=False, methods=None, homog=True):
+def _add_common(sub, methods):
     sub.add_argument("--a", type=parse_complex, default=None, help="offset a as RE or RE,IM")
     sub.add_argument("--w", type=parse_weights, required=True, help="weights, comma list")
-    if need_alpha:
-        sub.add_argument("--alpha", type=parse_complex, required=True, help="argument alpha")
-    if methods:
-        sub.add_argument("--method", choices=methods, default=methods[0])
-    if homog:
-        sub.add_argument("--homogeneous", action="store_true",
-                         help="evaluate the a = 0, origin-excluded variant")
+    sub.add_argument("--method", choices=methods, default=methods[0])
+    sub.add_argument("--homogeneous", action="store_true",
+                     help="evaluate the a = 0, origin-excluded variant")
     sub.add_argument("--tol", type=float, default=None, help="relative tolerance")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
@@ -461,18 +369,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
+    # eval, fp and deriv0 share one handler; --alpha and --q both land in `at`.
     p_eval = subs.add_parser("eval", help="evaluate the zeta function itself")
-    _add_common(p_eval, need_alpha=True, methods=["series", "integral", "direct", "reduction"])
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.add_argument("--alpha", dest="at", metavar="ALPHA", type=parse_complex,
+                        required=True, help="argument alpha")
+    _add_common(p_eval, _methods("zeta"))
+    p_eval.set_defaults(func=cmd_eval, quantity="zeta")
 
     p_fp = subs.add_parser("fp", help="finite part at a pole alpha = q")
-    p_fp.add_argument("--q", type=int, required=True)
-    _add_common(p_fp, methods=["series", "integral", "limit"])
-    p_fp.set_defaults(func=cmd_fp)
+    p_fp.add_argument("--q", dest="at", metavar="Q", type=int, required=True)
+    _add_common(p_fp, _methods("fp"))
+    p_fp.set_defaults(func=cmd_eval, quantity="fp")
 
     p_d0 = subs.add_parser("deriv0", help="derivative at alpha = 0")
-    _add_common(p_d0, methods=["series", "integral", "limit"])
-    p_d0.set_defaults(func=cmd_deriv0)
+    _add_common(p_d0, _methods("deriv0"))
+    p_d0.set_defaults(func=cmd_eval, quantity="deriv0", at=None)
 
     p_g = subs.add_parser("gamma", help="Gamma-family functions")
     p_g.add_argument("--fn", choices=["loggammaB", "psiB", "logrho", "gammadq", "multigamma"],
@@ -481,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_g.add_argument("--d", type=int, default=None)
     p_g.add_argument("--w", type=parse_weights, default=(1.0 + 0j,))
     p_g.add_argument("--a", type=parse_complex, default=None)
-    p_g.add_argument("--method", choices=["series", "integral", "limit", "best"],
+    p_g.add_argument("--method", choices=[*_methods("fp", "deriv0"), "best"],
                      default="series")
     p_g.add_argument("--tol", type=float, default=None)
     p_g.add_argument("--json", action="store_true")
@@ -498,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = subs.add_parser("table", help="CSV table over an alpha grid")
     p_tab.add_argument("--alpha-grid", type=parse_grid, required=True, metavar="START:STOP:N")
     p_tab.add_argument("--alpha-im", type=float, default=0.0)
-    _add_common(p_tab, methods=["series", "integral", "direct", "reduction"])
+    _add_common(p_tab, _methods("zeta"))
     p_tab.add_argument("--out", default=None)
     p_tab.set_defaults(func=cmd_table)
 

@@ -62,6 +62,27 @@ def compensated_total(values: Iterable[complex]) -> complex:
     return acc.value
 
 
+def neville_in_reciprocal(Ms: Sequence[int], vals: Sequence[complex]) -> tuple[complex, float]:
+    """Extrapolate vals(1/M) to 1/M = 0 with a Neville tableau.
+
+    Returns the extrapolant and the gap between the last two diagonal
+    entries (inf for a single value) as its error estimate.
+    """
+    xs = [1.0 / m for m in Ms]
+    rows = [list(vals)]
+    while len(rows[-1]) > 1:
+        prev = rows[-1]
+        level = len(rows)
+        nxt = []
+        for i in range(len(prev) - 1):
+            x0, x1 = xs[i], xs[i + level]
+            nxt.append((x0 * prev[i + 1] - x1 * prev[i]) / (x0 - x1))
+        rows.append(nxt)
+    diag = [row[0] for row in rows]
+    est = abs(diag[-1] - diag[-2]) if len(diag) >= 2 else float("inf")
+    return diag[-1], est
+
+
 @lru_cache(maxsize=64)
 def subset_index_lists(d: int, include_empty: bool) -> tuple[tuple[int, ...], ...]:
     """All subsets of {0..d-1}, ordered by size then lexicographically."""
@@ -74,8 +95,8 @@ def subset_index_lists(d: int, include_empty: bool) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-def _subset_terms(w: tuple[complex, ...], include_empty: bool):
-    """Pairs (sign, sigma) with sign = (-1)^{d-|S|}, sigma = sum of w over S."""
+def subset_terms(w: tuple[complex, ...], include_empty: bool):
+    """Triples (idx, sign, sigma) with sign = (-1)^{d-|S|}, sigma = sum of w over S."""
     d = len(w)
     terms = []
     for idx in subset_index_lists(d, include_empty):
@@ -96,7 +117,7 @@ def f_symbol(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) 
     wt = as_weights(w)
     a = complex(a)
     acc = CompensatedSum()
-    for idx, sign, sigma in _subset_terms(wt, include_empty=False):
+    for idx, sign, sigma in subset_terms(wt, include_empty=False):
         try:
             val = f(a + sigma)
         except Exception as exc:
@@ -213,6 +234,8 @@ def cube_bracket_sum(
     The left side is the explicit telescoping sum over (M+1)^d lattice
     points (kept for testing); the right side is a single bracket at the
     far corner.  ResourceError if the explicit side would exceed `budget`.
+    Neighbouring brackets share corners, so the explicit side evaluates u
+    once per point of {0..M+1}^d.
     """
     if M < 0:
         raise DomainError("M must be >= 0")
@@ -225,9 +248,16 @@ def cube_bracket_sum(
             raise ResourceError(
                 f"explicit cube sum needs {npoints} points, budget is {budget}"
             )
+        seen: dict[tuple[int, ...], complex] = {}
+
+        def u_once(n):
+            if n not in seen:
+                seen[n] = u(n)
+            return seen[n]
+
         acc = CompensatedSum()
         for point in cube_indices(M, d):
-            acc.add(bracket_sum(u, point, ones))
+            acc.add(bracket_sum(u_once, point, ones))
         lhs = acc.value
     return CubeBracketSum(rhs=rhs, lhs=lhs)
 

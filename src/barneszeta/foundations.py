@@ -113,6 +113,14 @@ class BarnesParams:
         return len(self.w)
 
 
+def check_pole(alpha: complex, d: int, what: str = "lattice zeta") -> None:
+    """Raise PoleError if alpha is one of the simple poles 1..d."""
+    if alpha.imag == 0 and float(alpha.real).is_integer():
+        q = int(alpha.real)
+        if 1 <= q <= d:
+            raise PoleError(f"{what} has a pole at alpha = {q}", q=q)
+
+
 def validate_params(p: BarnesParams) -> None:
     """Check Re(a) > 0 and Re(w_i) > 0; raise DomainError naming the offender."""
     if not p.a.real > 0:
@@ -129,11 +137,10 @@ class EvalConfig:
     limit_M_schedule: tuple[int, ...] = (1000, 2000, 4000)
     quad_rel_tol: float = 1e-12
     quad_split_point: float = 1.0
-    alpha_step: float = 1e-4
 
     def __post_init__(self):
         object.__setattr__(self, "limit_M_schedule", tuple(int(m) for m in self.limit_M_schedule))
-        for name in ("rel_tol", "quad_rel_tol", "quad_split_point", "alpha_step"):
+        for name in ("rel_tol", "quad_rel_tol", "quad_split_point"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"EvalConfig.{name} must be positive")
         if self.max_shells < 1:
@@ -174,3 +181,11 @@ def harmonic(k: int) -> Fraction:
 
 def harmonic_float(k: int) -> float:
     return float(harmonic(k))
+
+
+def rising_factorial(s: complex, n: int) -> complex:
+    """Pochhammer symbol s(s+1)...(s+n-1)."""
+    out = complex(1.0)
+    for i in range(n):
+        out *= s + i
+    return out

@@ -36,9 +36,10 @@ from .foundations import (
     EvalConfig,
     EvalResult,
     Method,
-    PoleError,
     QuadratureError,
+    check_pole,
     harmonic_float,
+    rising_factorial,
     validate_params,
     validate_weights,
 )
@@ -222,13 +223,6 @@ def quad_semiinfinite(prob: QuadratureProblem, *, split: float = 1.0,
 # ---------------------------------------------------------------------------
 # Regularized integrands
 
-def _prod_w(w: tuple[complex, ...]) -> complex:
-    out = complex(1.0)
-    for wi in w:
-        out *= wi
-    return out
-
-
 def _heat_product(w: tuple[complex, ...], t: np.ndarray) -> np.ndarray:
     out = np.ones_like(t, dtype=np.complex128)
     for wi in w:
@@ -282,7 +276,7 @@ def _alternating_bernoulli_coeffs(w: tuple[complex, ...], shift: complex, kmax: 
 def _inhom_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.ndarray]:
     """1/prod(1-e^{-w t}) minus its first M+1 expansion terms; O(t^{M+1-d})."""
     d = len(w)
-    pw = _prod_w(w)
+    pw = math.prod(w)
     coeffs = _alternating_bernoulli_coeffs(w, 0.0, M + _SERIES_EXTRA)
     t0 = _small_t_threshold(w)
 
@@ -309,7 +303,7 @@ def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.n
         + e^{-ct} * sum_{k=0}^{M-d} (ct)^k/k!
     """
     d = len(w)
-    pw = _prod_w(w)
+    pw = math.prod(w)
     coeffs = _alternating_bernoulli_coeffs(w, -c, M + _SERIES_EXTRA)
     t0 = _small_t_threshold(w)
     n_exp = M - d   # highest k of the counter-exponential partial sum
@@ -360,20 +354,6 @@ def _rho_ratio(alpha: complex, d: int, k: int) -> complex:
     return out
 
 
-def _poch(alpha: complex, k: int) -> complex:
-    out = complex(1.0)
-    for j in range(k):
-        out *= alpha + j
-    return out
-
-
-def _check_alpha(alpha: complex, d: int) -> None:
-    if alpha.imag == 0 and float(alpha.real).is_integer():
-        q = int(alpha.real)
-        if 1 <= q <= d:
-            raise PoleError(f"lattice zeta has a pole at alpha = {q}", q=q)
-
-
 def _auto_M(alpha: complex, d: int) -> int:
     return max(0, math.ceil(d - alpha.real - 1)) + 2
 
@@ -400,12 +380,12 @@ def barnes_zeta_integral(alpha: complex, p: BarnesParams,
     validate_params(p)
     alpha = complex(alpha)
     d = p.d
-    _check_alpha(alpha, d)
+    check_pole(alpha, d)
     M = ctl.M if ctl.M is not None else _auto_M(alpha, d)
     if not alpha.real > d - M - 1:
         raise DomainError(f"need Re(alpha) > d - M - 1 = {d - M - 1}; increase M")
     numbers = bernoulli_numbers(p.w, M).numbers
-    pw = _prod_w(p.w)
+    pw = math.prod(p.w)
     pref = CompensatedSum()
     for k in range(M + 1):
         pref.add((-1.0) ** k * numbers[k] * _rho_ratio(alpha, d, k)
@@ -441,7 +421,7 @@ def fp_barnes_integral(q: int, p: BarnesParams, config: EvalConfig | None = None
         raise DomainError(f"finite parts exist for q = 1..{d}, got {q}")
     M = d - q
     numbers = bernoulli_numbers(p.w, M).numbers
-    pw = _prod_w(p.w)
+    pw = math.prod(p.w)
     la = cmath.log(p.a)
     closed = CompensatedSum()
     s = (-1.0) ** (d - q) / (pw * factorial(q - 1))
@@ -467,25 +447,40 @@ def fp_barnes_integral(q: int, p: BarnesParams, config: EvalConfig | None = None
 
 
 def deriv0_barnes_integral(p: BarnesParams, config: EvalConfig | None = None) -> EvalResult:
-    """Derivative at alpha = 0 by Richardson-combined central differences.
+    """Derivative at alpha = 0: closed polynomial-log term + I_d(0).
 
-    Central differences at steps h and h/2 on the line-integral continuation
-    (subtraction order M = d+1); documented accuracy target is 1e-6.
+    With subtraction order M = d the prefactor holds only the k <= d terms,
+    whose alpha-derivatives at zero give the closed sum of
+    (-1)^d B_k(w) a^(d-k) (H_(d-k) - log a) / (prod w k! (d-k)!); since
+    1/Gamma(alpha) = alpha + O(alpha^2), the integral term contributes its
+    own value at zero, the t^(-1)-weighted line integral.
     """
     cfg = config or DEFAULT_CONFIG
     validate_params(p)
-    M = p.d + 1
-    h = cfg.alpha_step
+    d = p.d
+    numbers = bernoulli_numbers(p.w, d).numbers
+    pw = math.prod(p.w)
+    la = cmath.log(p.a)
+    closed = CompensatedSum()
+    s = (-1.0) ** d / pw
+    for k in range(d + 1):
+        closed.add(s * numbers[k] * p.a ** (d - k) / (factorial(k) * factorial(d - k))
+                   * (harmonic_float(d - k) - la))
+    bracket = _inhom_bracket(p.w, d)
 
-    def val(x: float) -> complex:
-        return barnes_zeta_integral(x, p, IntegralControls(M=M), cfg).value
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return np.exp(-p.a * t) * bracket(t) / t
 
-    d_h = (val(h) - val(-h)) / (2 * h)
-    d_h2 = (val(h / 2) - val(-h / 2)) / h
-    value = (4 * d_h2 - d_h) / 3
-    est = abs(d_h2 - d_h) / 3 + cfg.quad_rel_tol * (1 + abs(value)) / h
-    return EvalResult(value, est, Method.INTEGRAL,
-                      {"M": M, "alpha_step": h})
+    prob = QuadratureProblem(
+        integrand=integrand,
+        small_t_order=0.0,
+        decay_rate=p.a.real,
+        rel_tol=cfg.quad_rel_tol,
+        poly_growth=float(d),
+    )
+    integral, err, evals = quad_semiinfinite(prob, split=cfg.quad_split_point)
+    return EvalResult(closed.value + integral, err, Method.INTEGRAL,
+                      {"M": d, "quad_evals": evals})
 
 
 def zeta_bh_integral(alpha: complex, w: Sequence[complex],
@@ -503,17 +498,17 @@ def zeta_bh_integral(alpha: complex, w: Sequence[complex],
     alpha = complex(alpha)
     d = len(wt)
     c = ctl.c
-    _check_alpha(alpha, d)
+    check_pole(alpha, d)
     M = ctl.M if ctl.M is not None else _auto_M(alpha, d)
     if not alpha.real > d - M - 1:
         raise DomainError(f"need Re(alpha) > d - M - 1 = {d - M - 1}; increase M")
-    pw = _prod_w(wt)
+    pw = math.prod(wt)
     pref = CompensatedSum()
     for k in range(M + 1):
         pref.add((-1.0) ** k * bernoulli_poly(k, -c, wt) * _rho_ratio(alpha, d, k)
                  * c ** (d - k - alpha) / (factorial(k) * pw))
     for k in range(M - d + 1):
-        pref.add(-(c ** (-alpha)) * _poch(alpha, k) / factorial(k))
+        pref.add(-(c ** (-alpha)) * rising_factorial(alpha, k) / factorial(k))
     rg = _reciprocal_gamma(alpha)
     if rg == 0:
         return EvalResult(pref.value, 0.0, Method.INTEGRAL,
@@ -551,7 +546,7 @@ def fp_bh_integral(q: int, w: Sequence[complex], config: EvalConfig | None = Non
         raise DomainError(f"finite parts exist for q = 1..{d}, got {q}")
     M = d - q
     numbers = bernoulli_numbers(wt, max(M, 0)).numbers
-    pw = _prod_w(wt)
+    pw = math.prod(wt)
     closed = CompensatedSum()
     lead = 1.0 / (pw * factorial(q - 1))
     closed.add(lead * (-1.0) ** (d - q + 1) * numbers[d - q] * harmonic_float(q - 1)
@@ -584,7 +579,7 @@ def deriv0_bh_integral(w: Sequence[complex], config: EvalConfig | None = None) -
     wt = validate_weights(w)
     d = len(wt)
     numbers = bernoulli_numbers(wt, d).numbers
-    pw = _prod_w(wt)
+    pw = math.prod(wt)
     closed = CompensatedSum()
     for j in range(d):
         closed.add((-1.0) ** (j + 1) * numbers[j]
@@ -616,7 +611,7 @@ def _residue_core(q: int, a: complex, w: tuple[complex, ...]) -> complex:
     if not 1 <= q <= d:
         raise DomainError(f"poles sit at q = 1..{d}, got {q}")
     return ((-1.0) ** (d - q) * bernoulli_poly(d - q, a, w)
-            / (factorial(q - 1) * factorial(d - q) * _prod_w(w)))
+            / (factorial(q - 1) * factorial(d - q) * math.prod(w)))
 
 
 def residue(q: int, p: BarnesParams) -> complex:

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .bernoulli import ds_values
-from .combinatorics import CompensatedSum, f_symbol, shell_values
+from .combinatorics import CompensatedSum, f_symbol, neville_in_reciprocal, shell_values
 from .foundations import (
     BarnesParams,
     ConvergenceError,
@@ -83,24 +83,6 @@ def _effective_schedule(cfg: EvalConfig, d: int) -> tuple[int, ...]:
     for m in scaled[1:]:
         out.append(max(m, out[-1] + 1))
     return tuple(out)
-
-
-def _neville(Ms: Sequence[int], vals: Sequence[complex]) -> tuple[complex, float]:
-    """Extrapolate to 1/M = 0; returns (value, |last two diagonals' gap|)."""
-    xs = [1.0 / m for m in Ms]
-    rows = [list(vals)]
-    while len(rows[-1]) > 1:
-        prev = rows[-1]
-        level = len(rows)
-        nxt = []
-        for i in range(len(prev) - 1):
-            x0, x1 = xs[i], xs[i + level]
-            nxt.append((x0 * prev[i + 1] - x1 * prev[i]) / (x0 - x1))
-        rows.append(nxt)
-    diag = [row[0] for row in rows]
-    value = diag[-1]
-    est = abs(diag[-1] - diag[-2]) if len(diag) >= 2 else float("inf")
-    return value, est
 
 
 def _is_monotone(vals: Sequence[complex]) -> bool:
@@ -253,7 +235,7 @@ def _deriv0_edge_homog(w: tuple[complex, ...], M: int, dS) -> complex:
 def _run_limit(brackets, const: complex, cfg: EvalConfig, Ms: tuple[int, ...],
                d: int) -> EvalResult:
     approx = tuple(b + const for b in brackets)
-    value, est = _neville(Ms, approx)
+    value, est = neville_in_reciprocal(Ms, approx)
     # Attainable accuracy shrinks with the rescaled d >= 3 schedules; 1e-5 is
     # the documented cancellation budget for d <= 2 at M = 4000.
     floor = 1e-5 if d <= 2 else 1e-3

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .bernoulli import classical_bernoulli
-from .combinatorics import CompensatedSum, shell_values
+from .combinatorics import CompensatedSum, neville_in_reciprocal, shell_values
 from .foundations import (
     BarnesParams,
     ConvergenceError,
@@ -27,6 +27,7 @@ from .foundations import (
     DEFAULT_CONFIG,
     Method,
     PoleError,
+    rising_factorial,
     validate_params,
     validate_weights,
 )
@@ -50,14 +51,6 @@ class EulerMaclaurinControls:
 
 
 _DEFAULT_EM = EulerMaclaurinControls()
-
-
-def _poch(s: complex, n: int) -> complex:
-    """Rising factorial s(s+1)...(s+n-1)."""
-    out = complex(1.0)
-    for i in range(n):
-        out *= s + i
-    return out
 
 
 def _poch_ds(s: complex, n: int) -> complex:
@@ -91,7 +84,7 @@ def hurwitz_zeta(s: complex, a: complex, controls: EulerMaclaurinControls | None
     bern = classical_bernoulli(2 * J)
     for j in range(1, J + 1):
         coeff = float(bern[2 * j]) / math.factorial(2 * j)
-        acc.add(coeff * _poch(s, 2 * j - 1) * x ** (-s - 2 * j + 1))
+        acc.add(coeff * rising_factorial(s, 2 * j - 1) * x ** (-s - 2 * j + 1))
     return acc.value
 
 
@@ -117,7 +110,7 @@ def hurwitz_zeta_ds(s: complex, a: complex, controls: EulerMaclaurinControls | N
     for j in range(1, J + 1):
         coeff = float(bern[2 * j]) / math.factorial(2 * j)
         n = 2 * j - 1
-        acc.add(coeff * (_poch_ds(s, n) - _poch(s, n) * lx) * x ** (-s - n))
+        acc.add(coeff * (_poch_ds(s, n) - rising_factorial(s, n) * lx) * x ** (-s - n))
     return acc.value
 
 
@@ -281,6 +274,27 @@ def rational_d2_reduction(alpha: complex, a: complex, n: int) -> complex:
     return n ** (-alpha) * total
 
 
+def _reduction_eval(alpha: complex, p: BarnesParams,
+                    config: EvalConfig | None = None) -> EvalResult:
+    """The lattice zeta by whichever exact reduction applies to the weights.
+
+    Equal weights go through isotropic_reduction, d = 2 with w = (1, n)
+    through rational_d2_reduction.  `config` is accepted so that every
+    route shares one signature; the reductions have no tolerance.
+    """
+    validate_params(p)
+    w = p.w
+    if all(wi == w[0] for wi in w):
+        value = isotropic_reduction(alpha, p.a, w[0], p.d)
+    elif p.d == 2 and w[0] == 1 and w[1].imag == 0 and float(w[1].real).is_integer() and w[1].real >= 1:
+        value = rational_d2_reduction(alpha, p.a, int(w[1].real))
+    else:
+        raise DomainError(
+            "reduction method needs equal weights or d = 2 with w = (1, n), n a positive integer"
+        )
+    return EvalResult(value, 1e-13 * (1 + abs(value)), Method.REDUCTION, {})
+
+
 @dataclass(frozen=True)
 class LogGammaRepReport:
     """Three routes to log Gamma(a) plus the Lerch-based reference value."""
@@ -327,21 +341,8 @@ def _log_gamma_limit(a: complex, schedule: Sequence[int] = (1000, 2000, 4000, 80
         n = np.arange(M, dtype=np.float64)
         logs = complex(np.sum(np.log(a + n)))
         vals.append(-M + (a + M - 0.5) * cmath.log(a + M) - logs)
-    ext = _neville_in_reciprocal(schedule, vals)
+    ext, _ = neville_in_reciprocal(schedule, vals)
     return 0.5 * LOG_2PI - a + ext
-
-
-def _neville_in_reciprocal(Ms: Sequence[int], vals: Sequence[complex]) -> complex:
-    xs = [1.0 / m for m in Ms]
-    tab = list(vals)
-    k = len(tab)
-    for level in range(1, k):
-        nxt = []
-        for i in range(k - level):
-            x0, x1 = xs[i], xs[i + level]
-            nxt.append((x0 * tab[i + 1] - x1 * tab[i]) / (x0 - x1))
-        tab = nxt
-    return tab[0]
 
 
 def _log_gamma_hurwitz_series(a: complex, max_terms: int = 400) -> complex:

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .bernoulli import ds_values
-from .combinatorics import CompensatedSum, shell_values, subset_index_lists
+from .combinatorics import CompensatedSum, shell_values, subset_terms
 from .foundations import (
     BarnesParams,
     ConvergenceError,
@@ -39,7 +39,7 @@ from .foundations import (
     EvalConfig,
     EvalResult,
     Method,
-    PoleError,
+    check_pole,
     harmonic_float,
     validate_params,
     validate_weights,
@@ -115,14 +115,6 @@ def _gamma_ratio(alpha: complex, d: int, m: int) -> complex:
     return out
 
 
-def _is_pole_alpha(alpha: complex, d: int) -> int | None:
-    if alpha.imag == 0 and float(alpha.real).is_integer():
-        q = int(alpha.real)
-        if 1 <= q <= d:
-            return q
-    return None
-
-
 @dataclass(frozen=True)
 class _Plan:
     """One shell summand: base(y) + const + sum_m coeff_m * G_m(y)."""
@@ -139,16 +131,6 @@ class _Plan:
     @property
     def any_log(self) -> bool:
         return any(self.logflags)
-
-
-def _subset_sigma_sign(w: tuple[complex, ...], include_empty: bool):
-    d = len(w)
-    out = []
-    for idx in subset_index_lists(d, include_empty):
-        sigma = sum((w[i] for i in idx), complex(0.0))
-        sign = -1.0 if (d - len(idx)) % 2 else 1.0
-        out.append((sign, sigma))
-    return out
 
 
 def _plan_generic(alpha: complex, w: tuple[complex, ...], k: int) -> _Plan:
@@ -223,7 +205,7 @@ def _eval_shell(plan: _Plan, subsets, y: np.ndarray) -> tuple[complex, float]:
         t = t + plan.const
     noise = 0.0
     first = True
-    for sign, sigma in subsets:
+    for _, sign, sigma in subsets:
         z = y + sigma
         logz = np.log(z) if plan.any_log else None
         zp = np.power(z, plan.e_start)
@@ -244,7 +226,7 @@ def _closed_homogeneous(plan: _Plan, w: tuple[complex, ...], const: complex) -> 
     """Closed lattice-free part of the homogeneous forms: const + F-symbol ladder."""
     acc = CompensatedSum()
     acc.add(const)
-    for sign, sigma in _subset_sigma_sign(w, include_empty=False):
+    for _, sign, sigma in subset_terms(w, include_empty=False):
         zp = sigma ** plan.e_start
         logz = cmath.log(sigma) if plan.any_log else 0.0
         for coeff, islog in zip(plan.coeffs, plan.logflags):
@@ -256,7 +238,7 @@ def _closed_homogeneous(plan: _Plan, w: tuple[complex, ...], const: complex) -> 
 
 def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfig,
                 stop_count: int, homog: bool, scale_hint: float = 0.0) -> tuple[complex, float, dict]:
-    subsets = _subset_sigma_sign(w, include_empty=True)
+    subsets = subset_terms(w, include_empty=True)
     acc = CompensatedSum()
     recent: deque[float] = deque(maxlen=stop_count)
     recent_noise: deque[float] = deque(maxlen=stop_count)
@@ -310,9 +292,7 @@ def barnes_zeta_series(alpha: complex, p: BarnesParams,
     validate_params(p)
     alpha = complex(alpha)
     d = p.d
-    q = _is_pole_alpha(alpha, d)
-    if q is not None:
-        raise PoleError(f"lattice zeta has a pole at alpha = {q}", q=q)
+    check_pole(alpha, d)
     k = ctl.k if ctl.k is not None else _auto_k(alpha.real, d, _min_abs_lattice(p.a, p.w, False))
     if k <= -d:
         raise DomainError(f"shift parameter k = {k} must exceed -d = {-d}")
@@ -405,9 +385,7 @@ def zeta_bh_series(alpha: complex, w: Sequence[complex],
     wt = validate_weights(w)
     alpha = complex(alpha)
     d = len(wt)
-    q = _is_pole_alpha(alpha, d)
-    if q is not None:
-        raise PoleError(f"homogeneous lattice zeta has a pole at alpha = {q}", q=q)
+    check_pole(alpha, d, "homogeneous lattice zeta")
     k = ctl.k if ctl.k is not None else _auto_k(alpha.real, d, _min_abs_lattice(0, wt, True))
     if k <= -d:
         raise DomainError(f"shift parameter k = {k} must exceed -d = {-d}")

@@ -18,6 +18,7 @@ from barneszeta import (
     psi_B,
     residue,
 )
+from barneszeta.barnes_functions import ROUTES, evaluate
 from barneszeta.oracles import digamma_ref
 
 from conftest import scaled_err
@@ -119,3 +120,39 @@ class TestMultipleGamma:
         s = multiple_gamma(a, 2, Route.SERIES).value
         i = multiple_gamma(a, 2, Route.INTEGRAL).value
         assert scaled_err(s, i) <= 1e-6
+
+
+class TestEvaluate:
+    def test_every_route_is_reachable(self, d2_params):
+        for quantity, at in (("zeta", 0.5), ("fp", 1), ("deriv0", None)):
+            for homog, params in ((False, d2_params), (True, d2_params.w)):
+                for route in ROUTES[quantity][homog]:
+                    if route == "reduction":
+                        continue      # needs equal weights or w = (1, n)
+                    point = 5.0 if route == "direct" else at   # direct needs Re(alpha) > d
+                    res = evaluate(quantity, params, point, route, homogeneous=homog)
+                    assert res.method.value == route
+
+    def test_matches_route_function(self, d2_params):
+        got = evaluate("fp", d2_params, 2, "series").value
+        assert got == fp_barnes_series(2, d2_params).value
+
+    def test_reduction_route(self):
+        res = evaluate("zeta", BarnesParams(1.0, (1.0, 2.0)), 5.0, "reduction")
+        assert res.method.value == "reduction"
+
+    @pytest.mark.parametrize("quantity, params, at, method, homog", [
+        ("zeta", (1.0, 1.0), 5.0, "reduction", True),
+        ("fp", BarnesParams(1.0, (1.0,)), 1, "direct", False),
+        ("deriv0", (1.0,), None, "bogus", True),
+        ("theta", (1.0,), None, "series", True),
+        ("fp", BarnesParams(1.0, (1.0,)), None, "series", False),
+        ("deriv0", BarnesParams(1.0, (1.0,)), 0.5, "series", False),
+    ])
+    def test_unknown_combination_is_domain_error(self, quantity, params, at, method, homog):
+        with pytest.raises(DomainError):
+            evaluate(quantity, params, at, method, homogeneous=homog)
+
+    def test_gamma_family_rejects_unknown_route(self):
+        with pytest.raises(DomainError):
+            log_rho((1.0,), "direct")

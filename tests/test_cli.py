@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from barneszeta.cli import canonical_json, main
+from barneszeta.barnes_functions import ROUTES
+from barneszeta.cli import build_parser, canonical_json, main
 
 
 @pytest.fixture
@@ -139,6 +140,20 @@ class TestTable:
         assert len(rows) == 4
         assert "nan" in rows[2]
 
+    def test_homogeneous_reduction_is_usage_error(self, run):
+        code, out, err = run(["table", "--alpha-grid", "3:5:3", "--w", "1,1",
+                              "--homogeneous", "--method", "reduction"])
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
+
+    def test_missing_a_is_usage_error(self, run):
+        code, out, err = run(["table", "--alpha-grid", "3:5:3", "--w", "1,1",
+                              "--method", "series"])
+        assert code == 2
+        assert err.startswith("error:") and "--a" in err
+        assert out == ""
+
     def test_float_formatting_17_digits(self, run):
         code, out, err = run(["table", "--alpha-grid", "5:5:1", "--a", "1", "--w", "1,1",
                               "--method", "series"])
@@ -159,9 +174,59 @@ class TestEnvironment:
         tight = json.loads(out)["diagnostics"]["shells"]
         assert loose < tight
 
+    def test_env_tolerance_reaches_series(self, run, monkeypatch):
+        argv = ["eval", "--alpha", "0.5", "--a", "1", "--w", "1,1", "--method", "series", "--json"]
+        monkeypatch.setenv("BARNES_ZETA_TOL", "1e-3")
+        code, out, err = run(argv)
+        assert code == 0
+        loose = json.loads(out)["diagnostics"]["shells"]
+        monkeypatch.setenv("BARNES_ZETA_TOL", "1e-12")
+        code, out, err = run(argv)
+        tight = json.loads(out)["diagnostics"]["shells"]
+        assert loose < tight
+
+    def test_table_series_honours_tol(self, run):
+        argv = ["table", "--alpha-grid", "0.5:0.7:2", "--a", "1", "--w", "1,1",
+                "--method", "series"]
+        code, loose, _ = run(argv + ["--tol", "1e-3"])
+        assert code == 0
+        code, tight, _ = run(argv + ["--tol", "1e-12"])
+        assert code == 0
+        est = [[float(row.split(",")[4]) for row in out.splitlines()[1:]] for out in (loose, tight)]
+        assert all(t < l for l, t in zip(*est))
+
     def test_flag_overrides_env(self, run, monkeypatch):
         monkeypatch.setenv("BARNES_ZETA_TOL", "1e-3")
         code, out, err = run(["eval", "--alpha", "4", "--a", "1", "--w", "1,1",
                               "--method", "direct", "--tol", "1e-9", "--json"])
         shells = json.loads(out)["diagnostics"]["shells"]
         assert shells > 100
+
+
+class TestMethodChoices:
+    @staticmethod
+    def _choices(command):
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        action = next(a for a in sub._actions if a.dest == "method")
+        return action.choices, action.default
+
+    @staticmethod
+    def _routes(*quantities):
+        out = []
+        for q in quantities:
+            for homog in (False, True):
+                out += [r for r in ROUTES[q][homog] if r not in out]
+        return out
+
+    @pytest.mark.parametrize("command, quantity", [
+        ("eval", "zeta"), ("table", "zeta"), ("fp", "fp"), ("deriv0", "deriv0"),
+    ])
+    def test_choices_are_registry_routes(self, command, quantity):
+        choices, default = self._choices(command)
+        assert choices == self._routes(quantity)
+        assert default == "series"
+
+    def test_gamma_choices(self):
+        choices, default = self._choices("gamma")
+        assert choices == self._routes("fp", "deriv0") + ["best"]
+        assert default == "series"

@@ -16,7 +16,7 @@ from barneszeta import (
     g_symbol,
     shell_indices,
 )
-from barneszeta.combinatorics import CompensatedSum, shell_values
+from barneszeta.combinatorics import CompensatedSum, neville_in_reciprocal, shell_values
 
 complex_small = st.complex_numbers(
     min_magnitude=0.1, max_magnitude=3.0, allow_nan=False, allow_infinity=False
@@ -130,6 +130,22 @@ class TestCubeBracket:
         with pytest.raises(ResourceError):
             cube_bracket_sum(lambda n: 1.0, 1000, 3, budget=100)
 
+    def test_explicit_side_evaluates_each_point_once(self):
+        seen = []
+
+        def u(n):
+            seen.append(n)
+            return math.exp(0.1 * n[0] - 0.2 * n[1] + 0.05 * n[2])
+
+        M, d = 3, 3
+        cube_bracket_sum(u, M, d, explicit=False)
+        corner_calls = len(seen)
+        seen.clear()
+        res = cube_bracket_sum(u, M, d)
+        # (M+2)^d distinct points on the explicit side, plus the 2^d corners
+        assert len(seen) == (M + 2) ** d + corner_calls
+        assert abs(res.lhs - res.rhs) <= 1e-12 * (1 + abs(res.rhs))
+
     def test_shell_decomposition_identity(self):
         # sum over S_k of [u(n)]_1 = [u(0)]_{(k+1)1} - [u(0)]_{k1}
         u = lambda n: math.exp(0.15 * n[0] + 0.05 * n[1] + 0.1 * n[2])
@@ -176,6 +192,21 @@ class TestShellValues:
 
     def test_skip_origin(self):
         assert shell_values(0.0, (1.0,), 0, skip_origin=True).size == 0
+
+
+class TestNeville:
+    def test_exact_on_polynomials_in_reciprocal(self):
+        Ms = (10, 20, 40)
+        vals = [2.5 - 3.0 / m + 7.0 / m**2 for m in Ms]
+        value, est = neville_in_reciprocal(Ms, vals)
+        assert abs(value - 2.5) <= 1e-12
+        # the estimate is the gap to the linear extrapolant of the first two
+        x0, x1 = 1 / Ms[0], 1 / Ms[1]
+        linear = (x0 * vals[1] - x1 * vals[0]) / (x0 - x1)
+        assert est == pytest.approx(abs(value - linear), rel=1e-12)
+
+    def test_single_value_has_infinite_estimate(self):
+        assert neville_in_reciprocal((10,), [1.5]) == (1.5, float("inf"))
 
 
 class TestCompensatedSum:

@@ -9,9 +9,11 @@ from barneszeta import (
     EvalConfig,
     EvalResult,
     Method,
+    PoleError,
     harmonic,
     validate_params,
 )
+from barneszeta.foundations import check_pole, rising_factorial
 
 
 class TestValidateParams:
@@ -68,6 +70,26 @@ class TestEvalConfig:
         with pytest.raises(DomainError):
             EvalConfig(limit_M_schedule=(1000, 1000, 2000))
 
+    def test_has_no_alpha_step(self):
+        assert not hasattr(EvalConfig(), "alpha_step")
+
     def test_negative_error_estimate_rejected(self):
         with pytest.raises(DomainError):
             EvalResult(1.0, -1.0, Method.SERIES)
+
+
+class TestSmallHelpers:
+    def test_rising_factorial(self):
+        assert rising_factorial(3.0, 0) == 1
+        assert rising_factorial(3.0, 4) == 3 * 4 * 5 * 6
+        assert rising_factorial(-2.0, 3) == 0
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_pole_check_raises_at_poles(self, alpha):
+        with pytest.raises(PoleError) as exc:
+            check_pole(complex(alpha), 3)
+        assert exc.value.q == alpha
+
+    @pytest.mark.parametrize("alpha", [0, 4, 1.5, complex(2, 1e-9), -1])
+    def test_pole_check_passes_elsewhere(self, alpha):
+        check_pole(complex(alpha), 3)

@@ -20,10 +20,12 @@ from barneszeta import (
     residue_bh,
     zeta_bh_integral,
 )
+from barneszeta import integral_rep
 from barneszeta.bernoulli import bernoulli_poly
 from barneszeta.integral_rep import _homog_bracket, _inhom_bracket
+from barneszeta.series_rep import deriv0_barnes_series
 
-from conftest import rel_err
+from conftest import rel_err, scaled_err
 
 EULER_GAMMA = 0.57721566490153286
 LOG_2PI = math.log(2 * math.pi)
@@ -141,6 +143,23 @@ class TestDerivative:
     def test_homogeneous_scaling(self):
         res = deriv0_bh_integral((2.0,))
         assert abs(res.value - (0.5 * math.log(2) - 0.5 * LOG_2PI)) <= 1e-10
+
+    @pytest.mark.parametrize("params", ["d2_params", "d3_params"])
+    def test_one_quadrature_matches_series(self, params, request, monkeypatch):
+        p = request.getfixturevalue(params)
+        calls = []
+        quad = integral_rep.quad_semiinfinite
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(integral_rep, "quad_semiinfinite", counted)
+        res = deriv0_barnes_integral(p)
+        assert len(calls) == 1
+        assert res.diagnostics["M"] == p.d and res.diagnostics["quad_evals"] > 0
+        assert "alpha_step" not in res.diagnostics
+        assert scaled_err(res.value, deriv0_barnes_series(p).value) <= 1e-10
 
 
 class TestResidues:
