@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .foundations import DomainError, TruncationError, as_weights
 
-MAX_TABLE = 256
+MAX_TABLE = 170            # 171! no longer fits in a float
 _CLASSICAL_CAP = 320
 
 
@@ -49,14 +49,15 @@ def classical_bernoulli(n: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class BernoulliTable:
-    """Pure function of (w, N): the numbers B_0(w)..B_N(w)."""
+    """Pure function of (sorted w, N): the numbers B_0(w)..B_N(w), and B_n(w)/n!."""
 
     w: tuple[complex, ...]
     N: int
     numbers: tuple[complex, ...]
+    scaled: tuple[complex, ...]
 
     def __post_init__(self):
-        if len(self.numbers) != self.N + 1:
+        if len(self.numbers) != self.N + 1 or len(self.scaled) != self.N + 1:
             raise DomainError("table length must be N + 1")
 
 
@@ -84,44 +85,37 @@ def _table_cached(w: tuple[complex, ...], N: int) -> BernoulliTable:
             nxt[n] = s
         prod = nxt
     numbers = tuple(prod[n] * factorial(n) for n in range(N + 1))
-    return BernoulliTable(w=w, N=N, numbers=numbers)
+    return BernoulliTable(w=w, N=N, numbers=numbers, scaled=tuple(prod))
 
 
 def bernoulli_numbers(w: Iterable[complex], N: int) -> BernoulliTable:
-    """Table of higher-order Bernoulli numbers B_0(w)..B_N(w).
+    """Table of higher-order Bernoulli numbers B_0(w)..B_N(w), one per lattice:
+    the weights are sorted first, so every order of them gets the same table.
 
     Computed as the Cauchy product of the d classical one-weight expansions,
-    each held exactly in rationals and scaled by w_i^n/n! before convolving.
-    """
+    each held exactly in rationals and scaled by w_i^n/n! before convolving."""
     if N < 0:
         raise DomainError("N must be >= 0")
     if N > MAX_TABLE:
         raise TruncationError(f"Bernoulli table size capped at N = {MAX_TABLE}")
-    return _table_cached(as_weights(w), N)
+    return _table_cached(tuple(sorted(as_weights(w), key=lambda z: (z.real, z.imag))), N)
+
+
+def bernoulli_taylor(a: complex, w: Iterable[complex], N: int) -> list[complex]:
+    """B_n(a|w)/n!, n = 0..N: one table of B_n(w)/n! in one Cauchy product
+    with e^{az}, the Taylor coefficients of the generating function."""
+    scaled = bernoulli_numbers(w, N).scaled
+    a = complex(a)
+    exp_a = [a ** l / factorial(l) for l in range(N + 1)]
+    return [sum((exp_a[l] * scaled[n - l] for l in range(n + 1)), complex(0.0))
+            for n in range(N + 1)]
 
 
 def bernoulli_poly(n: int, a: complex, w: Iterable[complex]) -> complex:
-    """Higher-order Bernoulli polynomial B_n(a|w), degree n in a.
-
-    Uses the binomial expansion B_n(a|w) = sum_l C(n, l) a^l B_{n-l}(w).
-    """
+    """Higher-order Bernoulli polynomial B_n(a|w), degree n in a."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    wt = as_weights(w)
-    a = complex(a)
-    numbers = bernoulli_numbers(wt, n).numbers
-    acc = complex(0.0)
-    pa = complex(1.0)
-    for l in range(n + 1):
-        acc += comb(n, l) * pa * numbers[n - l]
-        pa *= a
-    return acc
-
-
-def _poly_coeffs(n: int, w: tuple[complex, ...]) -> list[complex]:
-    """Coefficients c_l of B_n(a|w) = sum_l c_l a^l."""
-    numbers = bernoulli_numbers(w, n).numbers
-    return [comb(n, l) * numbers[n - l] for l in range(n + 1)]
+    return factorial(n) * bernoulli_taylor(a, w, n)[n]
 
 
 def bernoullian_dS(m: int, w: Iterable[complex]) -> complex:
@@ -131,15 +125,16 @@ def bernoullian_dS(m: int, w: Iterable[complex]) -> complex:
     multiple of B_{m+d-1}(a|w); differentiating that relation d-1 more
     times in a (term by term on the polynomial coefficients, using
     d/da B_n = n B_{n-1}) and evaluating at a = 0 yields this value.
-    It collapses algebraically to B_m(w)/prod(w_i); the collapse is
-    asserted in the test suite rather than assumed here.
+    It collapses algebraically to B_m(w)/prod(w_i), the value ds_values
+    returns; this path is the reference the test suite checks that against.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
     wt = as_weights(w)
     d = len(wt)
     n = m + d - 1
-    coeffs = _poly_coeffs(n, wt)
+    numbers = bernoulli_numbers(wt, n).numbers
+    coeffs = [comb(n, l) * numbers[n - l] for l in range(n + 1)]   # B_n(a|w) in powers of a
     for _ in range(d - 1):
         coeffs = [l * c for l, c in enumerate(coeffs)][1:]
     value_at_0 = coeffs[0] if coeffs else complex(0.0)
@@ -148,10 +143,11 @@ def bernoullian_dS(m: int, w: Iterable[complex]) -> complex:
 
 def bernoullian_dS_closed(m: int, w: Iterable[complex]) -> complex:
     """Closed form B_m(w)/prod(w_i) that bernoullian_dS must collapse to."""
-    wt = as_weights(w)
-    return bernoulli_numbers(wt, m).numbers[m] / math.prod(wt)
+    return ds_values(w, m + 1)[m]
 
 
 def ds_values(w: Sequence[complex], count: int) -> list[complex]:
-    """First `count` Bernoullian derivative values, index m = 0..count-1."""
-    return [bernoullian_dS(m, w) for m in range(count)]
+    """Bernoullian derivative values B_m(w)/prod(w_i), m = 0..count-1, from one table."""
+    wt = as_weights(w)
+    pw = math.prod(wt)
+    return [b / pw for b in bernoulli_numbers(wt, count - 1).numbers]

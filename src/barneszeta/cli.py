@@ -359,7 +359,6 @@ def _add_common(sub, methods):
     sub.add_argument("--homogeneous", action="store_true",
                      help="evaluate the a = 0, origin-excluded variant")
     sub.add_argument("--tol", type=float, default=None, help="relative tolerance")
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,6 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_d0 = subs.add_parser("deriv0", help="derivative at alpha = 0")
     _add_common(p_d0, _methods("deriv0"))
     p_d0.set_defaults(func=cmd_eval, quantity="deriv0", at=None)
+    for sub in (p_eval, p_fp, p_d0):
+        sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p_g = subs.add_parser("gamma", help="Gamma-family functions")
     p_g.add_argument("--fn", choices=["loggammaB", "psiB", "logrho", "gammadq", "multigamma"],

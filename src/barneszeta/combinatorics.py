@@ -55,13 +55,6 @@ class CompensatedSum:
         return complex(self._sr + self._cr, self._si + self._ci)
 
 
-def compensated_total(values: Iterable[complex]) -> complex:
-    acc = CompensatedSum()
-    for v in values:
-        acc.add(v)
-    return acc.value
-
-
 def neville_in_reciprocal(Ms: Sequence[int], vals: Sequence[complex]) -> tuple[complex, float]:
     """Extrapolate vals(1/M) to 1/M = 0 with a Neville tableau.
 

@@ -25,9 +25,8 @@ from math import factorial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import rgamma as _rgamma
 
-from .bernoulli import bernoulli_numbers, bernoulli_poly
+from .bernoulli import bernoulli_numbers, bernoulli_poly, bernoulli_taylor
 from .combinatorics import CompensatedSum
 from .foundations import (
     BarnesParams,
@@ -43,6 +42,7 @@ from .foundations import (
     validate_params,
     validate_weights,
 )
+from .oracles import log_gamma_ref
 
 _SERIES_EXTRA = 60          # tail-series terms kept in the small-t branch
 _SMALL_T_FRACTION = 0.35    # threshold t0 as a fraction of the expansion radius
@@ -267,10 +267,7 @@ def _horner(coeffs: Sequence[complex], t: np.ndarray) -> np.ndarray:
 
 def _alternating_bernoulli_coeffs(w: tuple[complex, ...], shift: complex, kmax: int) -> list[complex]:
     """Coefficients (-1)^k B_k(shift|w)/k! of the small-t heat-kernel expansion."""
-    if shift == 0:
-        numbers = bernoulli_numbers(w, kmax).numbers
-        return [(-1.0) ** k * numbers[k] / factorial(k) for k in range(kmax + 1)]
-    return [(-1.0) ** k * bernoulli_poly(k, shift, w) / factorial(k) for k in range(kmax + 1)]
+    return [(-1.0) ** k * b for k, b in enumerate(bernoulli_taylor(shift, w, kmax))]
 
 
 def _inhom_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -359,7 +356,19 @@ def _auto_M(alpha: complex, d: int) -> int:
 
 
 def _reciprocal_gamma(alpha: complex) -> complex:
-    return complex(_rgamma(complex(alpha)))
+    """1/Gamma(alpha), exactly 0 at alpha = 0, -1, ...; reflected below Re = 1/2
+    with sin(pi alpha) = (-1)^k sin(pi (alpha - k)), k the nearest integer."""
+    alpha = complex(alpha)
+    k = round(alpha.real)
+    if alpha == k and k <= 0:
+        return 0j
+    try:
+        if alpha.real >= 0.5:
+            return cmath.exp(-log_gamma_ref(alpha))
+        sin_pi = (-1) ** k * cmath.sin(math.pi * (alpha - k))
+        return sin_pi / math.pi * cmath.exp(log_gamma_ref(1 - alpha))
+    except OverflowError:
+        raise DomainError(f"1/Gamma(alpha) overflows a double at alpha = {alpha}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +512,11 @@ def zeta_bh_integral(alpha: complex, w: Sequence[complex],
     if not alpha.real > d - M - 1:
         raise DomainError(f"need Re(alpha) > d - M - 1 = {d - M - 1}; increase M")
     pw = math.prod(wt)
+    taylor = bernoulli_taylor(-c, wt, M)
     pref = CompensatedSum()
     for k in range(M + 1):
-        pref.add((-1.0) ** k * bernoulli_poly(k, -c, wt) * _rho_ratio(alpha, d, k)
-                 * c ** (d - k - alpha) / (factorial(k) * pw))
+        pref.add((-1.0) ** k * taylor[k] * _rho_ratio(alpha, d, k)
+                 * c ** (d - k - alpha) / pw)
     for k in range(M - d + 1):
         pref.add(-(c ** (-alpha)) * rising_factorial(alpha, k) / factorial(k))
     rg = _reciprocal_gamma(alpha)

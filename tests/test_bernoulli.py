@@ -1,16 +1,21 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from barneszeta import (
+    BarnesParams,
     TruncationError,
     bernoulli_numbers,
     bernoulli_poly,
     bernoullian_dS,
     classical_bernoulli,
+    log_gamma_B,
+    psi_B,
 )
-from barneszeta.bernoulli import bernoullian_dS_closed
+from barneszeta import bernoulli
+from barneszeta.bernoulli import bernoulli_taylor, bernoullian_dS_closed, ds_values
 
 weights = st.lists(
     st.floats(min_value=0.2, max_value=3.0).map(lambda x: complex(round(x, 3))),
@@ -53,6 +58,16 @@ class TestNumbers:
     def test_cap(self):
         with pytest.raises(TruncationError):
             bernoulli_numbers((1.0,), 257)
+
+    @pytest.mark.parametrize("N", [171, 256])
+    def test_cap_below_old_limit(self, N):
+        # 171! does not fit in a float; the cap must say so, not overflow
+        with pytest.raises(TruncationError):
+            bernoulli_numbers((1.0, 1.0), N)
+
+    def test_largest_table(self):
+        numbers = bernoulli_numbers((1.0,), 170).numbers
+        assert numbers[170] == pytest.approx(float(classical_bernoulli(170)[170]), rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(weights)
@@ -114,3 +129,36 @@ class TestBernoullianDerivatives:
         got = bernoullian_dS(m, tuple(w))
         want = bernoullian_dS_closed(m, tuple(w))
         assert abs(got - want) <= 1e-13 * (1 + abs(want))
+
+
+def _table_misses(fn) -> int:
+    bernoulli._table_cached.cache_clear()
+    fn()
+    return bernoulli._table_cached.cache_info().misses
+
+
+class TestOneTable:
+    @settings(max_examples=30, deadline=None)
+    @given(weights, st.complex_numbers(max_magnitude=3.0))
+    def test_taylor_matches_binomial_expansion(self, w, a):
+        taylor = bernoulli_taylor(a, tuple(w), 8)
+        numbers = bernoulli_numbers(tuple(w), 8).numbers
+        for n in range(9):
+            terms = [math.comb(n, l) * a**l * numbers[n - l] for l in range(n + 1)]
+            # both sides cancel the same terms, so the error scales with their size
+            scale = sum(abs(t) for t in terms)
+            assert abs(taylor[n] * math.factorial(n) - sum(terms)) <= 1e-13 * scale + 1e-300
+
+    def test_ds_values_is_one_lookup(self):
+        bernoulli._table_cached.cache_clear()
+        ds_values((1.0, 2 ** 0.5, 0.3), 12)
+        info = bernoulli._table_cached.cache_info()
+        assert info.hits + info.misses == 1
+
+    @pytest.mark.parametrize("params", [
+        BarnesParams(0.7, (1.0, 2 ** 0.5)),
+        BarnesParams(0.9, (1.0, 2 ** 0.5, math.pi / 4)),
+    ])
+    def test_cold_gamma_family_builds_few_tables(self, params):
+        assert _table_misses(lambda: log_gamma_B(params, "best")) <= 3
+        assert _table_misses(lambda: psi_B(1, params, "best")) <= 3

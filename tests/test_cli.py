@@ -62,6 +62,15 @@ class TestEval:
         code, out, err = run(["eval", "--alpha", "5", "--w", "1,1", "--method", "series"])
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [["--a", "1"], ["--homogeneous"]])
+    def test_table_cap_is_usage_error(self, run, extra):
+        # alpha = -110.5 needs a Bernoulli table beyond N = 170
+        code, out, err = run(["eval", "--alpha=-110.5", "--w", "1,1",
+                              "--method", "integral", *extra])
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
+
 
 class TestFpDerivGamma:
     def test_fp_series_euler(self, run):
@@ -152,6 +161,12 @@ class TestTable:
                               "--method", "series"])
         assert code == 2
         assert err.startswith("error:") and "--a" in err
+        assert out == ""
+
+    def test_json_is_rejected(self, run):
+        code, out, err = run(["table", "--alpha-grid", "3:4:2", "--a", "1", "--w", "1,1",
+                              "--method", "series", "--json"])
+        assert code == 2
         assert out == ""
 
     def test_float_formatting_17_digits(self, run):

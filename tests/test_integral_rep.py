@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from barneszeta import (
 )
 from barneszeta import integral_rep
 from barneszeta.bernoulli import bernoulli_poly
-from barneszeta.integral_rep import _homog_bracket, _inhom_bracket
+from barneszeta.integral_rep import _homog_bracket, _inhom_bracket, _reciprocal_gamma
 from barneszeta.series_rep import deriv0_barnes_series
 
 from conftest import rel_err, scaled_err
@@ -208,3 +211,46 @@ class TestIntegrandRegularity:
         expected = t ** (M + 1 - d) if M >= d else max(t ** (M + 1 - d), 1.0)
         assert val <= 1e3 * expected
         assert val <= 1e-4 * t ** (-d)
+
+
+class TestReciprocalGamma:
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        # The |Im| <= 30 bound is about four ulps of log Gamma; on a finer grid
+        # (step 0.1) this and scipy's rgamma both reach 5.5e-14 to 6.2e-14.
+        worst = {30: 0.0, 100: 0.0}
+        points = [complex(-25.5 + 0.5 * i, sign * im)
+                  for i in range(112) for im in (0, 0.3, 1, 3, 10, 30, 60, 100)
+                  for sign in (1, -1)]
+        for n in range(25):
+            for eps in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+                points += [complex(-n + eps), complex(-n - eps), complex(-n, eps)]
+        for z in points:
+            want = complex(mpmath.rgamma(mpmath.mpc(z.real, z.imag)))
+            got = _reciprocal_gamma(z)
+            if want == 0:
+                assert got == 0j
+                continue
+            key = 30 if abs(z.imag) <= 30 else 100
+            worst[key] = max(worst[key], abs(got - want) / abs(want))
+        assert worst[30] <= 5e-14
+        assert worst[100] <= 2e-13
+
+    def test_exact_zero_at_poles(self):
+        for n in range(30):
+            assert _reciprocal_gamma(-n) == 0j
+            assert _reciprocal_gamma(complex(-n, 0.0)) == 0j
+
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError):
+            _reciprocal_gamma(0.5 + 500j)
+        with pytest.raises(DomainError):
+            barnes_zeta_integral(0.5 + 500j, BarnesParams(1.0, (1.0, 1.0)))
+
+    def test_import_pulls_in_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(integral_rep.__file__))
+        code = ("import sys, barneszeta; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
