@@ -1,4 +1,4 @@
-"""Shared domain types, parameter validation, and small exact helpers.
+"""Shared domain types, parameter validation, and small numeric helpers.
 
 Branch convention used throughout the package: every logarithm and power is
 taken on the principal branch, arg z in (-pi, pi], with z**s defined as
@@ -8,11 +8,14 @@ exp(s*log z) for z != 0.  All parameters live in the right half-plane
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
+
+import numpy as np
 
 
 class BarnesZetaError(Exception):
@@ -86,11 +89,11 @@ def as_weights(w: Iterable[complex]) -> tuple[complex, ...]:
 
 
 def validate_weights(w: Iterable[complex]) -> tuple[complex, ...]:
-    """Normalize and check Re(w_i) > 0 for every weight."""
+    """Normalize and check that every weight is finite with Re(w_i) > 0."""
     wt = as_weights(w)
     for i, wi in enumerate(wt, start=1):
-        if not wi.real > 0:
-            raise DomainError(f"weight w_{i} = {wi} violates Re(w_i) > 0")
+        if not (cmath.isfinite(wi) and wi.real > 0):
+            raise DomainError(f"weight w_{i} = {wi} must be finite with Re(w_i) > 0")
     return wt
 
 
@@ -114,7 +117,9 @@ class BarnesParams:
 
 
 def check_pole(alpha: complex, d: int, what: str = "lattice zeta") -> None:
-    """Raise PoleError if alpha is one of the simple poles 1..d."""
+    """Raise DomainError for a non-finite alpha and PoleError at the poles 1..d."""
+    if not cmath.isfinite(alpha):
+        raise DomainError(f"alpha = {alpha} is not finite")
     if alpha.imag == 0 and float(alpha.real).is_integer():
         q = int(alpha.real)
         if 1 <= q <= d:
@@ -122,9 +127,9 @@ def check_pole(alpha: complex, d: int, what: str = "lattice zeta") -> None:
 
 
 def validate_params(p: BarnesParams) -> None:
-    """Check Re(a) > 0 and Re(w_i) > 0; raise DomainError naming the offender."""
-    if not p.a.real > 0:
-        raise DomainError(f"parameter a = {p.a} violates Re(a) > 0")
+    """Check that a and every w_i are finite with Re > 0; DomainError names the offender."""
+    if not (cmath.isfinite(p.a) and p.a.real > 0):
+        raise DomainError(f"parameter a = {p.a} must be finite with Re(a) > 0")
     validate_weights(p.w)
 
 
@@ -188,4 +193,16 @@ def rising_factorial(s: complex, n: int) -> complex:
     out = complex(1.0)
     for i in range(n):
         out *= s + i
+    return out
+
+
+def horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray | float:
+    """sum_m coeffs[m] * x^m by Horner's rule, in place, in the wider dtype
+    of coeffs and x; 0 for no coefficients."""
+    if not coeffs.size:
+        return 0.0
+    out = np.full(x.shape, coeffs[-1], dtype=np.result_type(coeffs, x))
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
     return out

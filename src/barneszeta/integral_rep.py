@@ -38,6 +38,7 @@ from .foundations import (
     QuadratureError,
     check_pole,
     harmonic_float,
+    horner,
     rising_factorial,
     validate_params,
     validate_weights,
@@ -258,16 +259,10 @@ def _small_t_threshold(w: tuple[complex, ...]) -> float:
     return _SMALL_T_FRACTION * radius
 
 
-def _horner(coeffs: Sequence[complex], t: np.ndarray) -> np.ndarray:
-    out = np.full_like(t, complex(coeffs[-1]), dtype=np.complex128)
-    for c in reversed(coeffs[:-1]):
-        out = out * t + c
-    return out
-
-
-def _alternating_bernoulli_coeffs(w: tuple[complex, ...], shift: complex, kmax: int) -> list[complex]:
+def _alternating_bernoulli_coeffs(w: tuple[complex, ...], shift: complex, kmax: int) -> np.ndarray:
     """Coefficients (-1)^k B_k(shift|w)/k! of the small-t heat-kernel expansion."""
-    return [(-1.0) ** k * b for k, b in enumerate(bernoulli_taylor(shift, w, kmax))]
+    return np.array([(-1.0) ** k * b for k, b in enumerate(bernoulli_taylor(shift, w, kmax))],
+                    dtype=np.complex128)
 
 
 def _inhom_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -283,10 +278,10 @@ def _inhom_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.
         small = t < t0
         if np.any(small):
             ts = t[small]
-            out[small] = ts ** (M + 1 - d) / pw * _horner(coeffs[M + 1:], ts)
+            out[small] = ts ** (M + 1 - d) / pw * horner(coeffs[M + 1:], ts)
         if np.any(~small):
             tl = t[~small]
-            sub = tl ** (-d) / pw * _horner(coeffs[: M + 1], tl)
+            sub = tl ** (-d) / pw * horner(coeffs[: M + 1], tl)
             out[~small] = _heat_product(w, tl) - sub
         return out
 
@@ -304,6 +299,10 @@ def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.n
     coeffs = _alternating_bernoulli_coeffs(w, -c, M + _SERIES_EXTRA)
     t0 = _small_t_threshold(w)
     n_exp = M - d   # highest k of the counter-exponential partial sum
+    if n_exp >= 0:
+        exp_tail_coeffs = np.array([c ** (n_exp + 1 + j) / factorial(n_exp + 1 + j)
+                                    for j in range(_SERIES_EXTRA)], dtype=np.complex128)
+        partial = np.array([c ** k / factorial(k) for k in range(n_exp + 1)], dtype=np.complex128)
 
     def bracket(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -312,22 +311,19 @@ def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.n
         if np.any(small):
             ts = t[small]
             ect = np.exp(-c * ts)
-            piece = ts ** (M + 1 - d) * ect / pw * _horner(coeffs[M + 1:], ts)
+            piece = ts ** (M + 1 - d) * ect / pw * horner(coeffs[M + 1:], ts)
             if n_exp >= 0:
-                exp_tail_coeffs = [c ** (n_exp + 1 + j) / factorial(n_exp + 1 + j)
-                                   for j in range(_SERIES_EXTRA)]
-                piece = piece - ect * ts ** (n_exp + 1) * _horner(exp_tail_coeffs, ts)
+                piece = piece - ect * ts ** (n_exp + 1) * horner(exp_tail_coeffs, ts)
             else:
                 piece = piece - 1.0
             out[small] = piece
         if np.any(~small):
             tl = t[~small]
             ect = np.exp(-c * tl)
-            sub = tl ** (-d) * ect / pw * _horner(coeffs[: M + 1], tl)
+            sub = tl ** (-d) * ect / pw * horner(coeffs[: M + 1], tl)
             val = _heat_product_minus_one(w, tl) - sub
             if n_exp >= 0:
-                partial = [c ** k / factorial(k) for k in range(n_exp + 1)]
-                val = val + ect * _horner(partial, tl)
+                val = val + ect * horner(partial, tl)
             out[~small] = val
         return out
 

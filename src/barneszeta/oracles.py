@@ -27,6 +27,7 @@ from .foundations import (
     DEFAULT_CONFIG,
     Method,
     PoleError,
+    check_pole,
     rising_factorial,
     validate_params,
     validate_weights,
@@ -167,6 +168,7 @@ _DIRECT_WORST_REL = 1e-2
 
 def _direct_shells(alpha, a, w, cfg, skip_origin):
     d = len(w)
+    check_pole(alpha, d)
     if alpha.real <= d + 0.5:
         raise ConvergenceError(
             f"direct summation needs Re(alpha) > d + 0.5 = {d + 0.5}, got {alpha.real}"
@@ -283,6 +285,7 @@ def _reduction_eval(alpha: complex, p: BarnesParams,
     route shares one signature; the reductions have no tolerance.
     """
     validate_params(p)
+    check_pole(complex(alpha), p.d)
     w = p.w
     if all(wi == w[0] for wi in w):
         value = isotropic_reduction(alpha, p.a, w[0], p.d)

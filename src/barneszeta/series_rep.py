@@ -16,6 +16,10 @@ value of the analytic continuation is independent of k.
 At the poles alpha = q and at alpha = 0 the removable singularities of the
 ladder are expanded analytically (log-weighted G symbols and harmonic
 numbers); the 0*inf products are never formed numerically.
+
+Each shell goes through one stacked kernel: z = y + sigma for all 2^d
+subsets at once, the ladder as z^e0 (P(1/z) + log z P_log(1/z)) with Horner
+polynomials P and P_log, in float64 when a, w and alpha are real.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .foundations import (
     Method,
     check_pole,
     harmonic_float,
+    horner,
     validate_params,
     validate_weights,
 )
@@ -54,6 +59,10 @@ _K_TARGET = 13
 # Cap on |y_min|^(1-k): larger k inflates the intermediate ladder terms at
 # the innermost lattice points like |y_min|^(1-k), which is pure cancellation.
 _GROWTH_CAP_DIGITS = 8.0
+
+# Largest 2^d x points block the shell kernel holds at once; it bounds the
+# stacked temporaries, and so the peak memory, whatever the shell size.
+_BLOCK_ELEMS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -195,31 +204,45 @@ def _plan_deriv0(w: tuple[complex, ...], k: int) -> _Plan:
     )
 
 
-def _eval_shell(plan: _Plan, subsets, y: np.ndarray) -> tuple[complex, float]:
-    """Summand total over one shell, plus a rounding-noise estimate."""
-    if plan.base == "pow":
-        t = np.power(y, -plan.base_expo)
-    else:
-        t = -np.log(y)
-    if plan.const != 0:
-        t = t + plan.const
-    noise = 0.0
-    first = True
-    for _, sign, sigma in subsets:
-        z = y + sigma
-        logz = np.log(z) if plan.any_log else None
-        zp = np.power(z, plan.e_start)
-        if first:
-            noise = _EPS * float(np.sum(np.abs(zp)))
-            first = False
-        for coeff, islog in zip(plan.coeffs, plan.logflags):
-            if coeff != 0:
-                if islog:
-                    t = t + (sign * coeff) * (zp * logz)
-                else:
-                    t = t + (sign * coeff) * zp
-            zp = zp / z
-    return complex(np.sum(t)), noise
+def _stack(plan: _Plan, a0: complex, w: tuple[complex, ...]) -> tuple[np.ndarray, ...]:
+    """Shell-kernel inputs, built once per call: the subset signs (empty
+    subset first), the subset sums as a column, the plain and the log-flagged
+    ladder coefficients with trailing zeros dropped, then e0, base_expo and
+    const; float64 when a, w and the plan are real, else complex128."""
+    subsets = subset_terms(w, include_empty=True)
+    flags = np.array(plan.logflags)
+    parts = [np.asarray(v, dtype=np.complex128) for v in (
+        [s for _, s, _ in subsets], [[x] for _, _, x in subsets],
+        np.where(flags, 0, plan.coeffs), np.where(flags, plan.coeffs, 0),
+        plan.e_start, plan.base_expo, plan.const)]
+    if complex(a0).imag == 0 and not any(v.imag.any() for v in parts):
+        parts = [v.real.copy() for v in parts]
+    parts[2:4] = [np.trim_zeros(v, "b") for v in parts[2:4]]
+    return tuple(parts)
+
+
+def _eval_shell(plan: _Plan, stack: tuple[np.ndarray, ...], y: np.ndarray) -> tuple[complex, float]:
+    """Summand total over one shell, plus the noise estimate eps * sum |y^e0|.
+
+    Blocks of points are shifted by every subset sum at once, z = y + sigma of
+    shape (2^d, points); the ladder sum_m c_m z^(e0-m) (log z) is evaluated as
+    z^e0 (P(1/z) + log z P_log(1/z)) and `signs @` takes the subset sum."""
+    signs, sigmas, plain, logc, e0, base_expo, const = stack
+    y = y.real if signs.dtype == np.float64 else y
+    total = noise = 0.0
+    step = max(1, _BLOCK_ELEMS // signs.size)
+    for lo in range(0, y.size, step):
+        yb = y[lo:lo + step]
+        z = yb + sigmas
+        zp = np.power(z, e0)
+        noise += float(np.sum(np.abs(zp[0])))
+        inv = 1.0 / z
+        ladder = horner(plain, inv)
+        if logc.size:
+            ladder = ladder + np.log(z) * horner(logc, inv)
+        t = np.power(yb, -base_expo) if plan.base == "pow" else -np.log(yb)
+        total += np.sum(t + const + signs @ (zp * ladder))
+    return complex(total), _EPS * noise
 
 
 def _closed_homogeneous(plan: _Plan, w: tuple[complex, ...], const: complex) -> complex:
@@ -238,35 +261,35 @@ def _closed_homogeneous(plan: _Plan, w: tuple[complex, ...], const: complex) -> 
 
 def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfig,
                 stop_count: int, homog: bool, scale_hint: float = 0.0) -> tuple[complex, float, dict]:
-    subsets = subset_terms(w, include_empty=True)
+    stack = _stack(plan, a0, w)
     acc = CompensatedSum()
     recent: deque[float] = deque(maxlen=stop_count)
     recent_noise: deque[float] = deque(maxlen=stop_count)
     noise_total = 0.0
-    points = 0
-    shells_used = 0
+    diag = {"shells": 0, "points": 0, "k": plan.k_used}
     for j in range(cfg.max_shells + 1):
         y = shell_values(a0, w, j, skip_origin=homog)
+        diag["shells"] = j + 1
         if y.size:
-            s, noise = _eval_shell(plan, subsets, y)
+            s, noise = _eval_shell(plan, stack, y)
+            diag["points"] += int(y.size)
+            if not cmath.isfinite(s):
+                raise ConvergenceError(f"shell {j} sums to {s}; the series cannot converge",
+                                       diagnostics=diag)
             acc.add(s)
             noise_total += noise
-            points += int(y.size)
             recent.append(abs(s))
             recent_noise.append(noise)
-        shells_used = j + 1
         if j >= max(stop_count, 2) and len(recent) == stop_count:
             scale = max(abs(acc.value), scale_hint, 1e-300)
             # Below 4x the per-shell rounding noise further shells add no
             # information; stop there even if rel_tol has not been reached.
             floor = 4.0 * max(recent_noise)
             if max(recent) <= max(cfg.rel_tol * scale, floor):
-                est = sum(recent) + noise_total
-                diag = {"shells": shells_used, "points": points, "k": plan.k_used}
-                return acc.value, est, diag
+                return acc.value, sum(recent) + noise_total, diag
     raise ConvergenceError(
         "shell summation hit max_shells without meeting the stopping rule",
-        diagnostics={"shells": shells_used, "points": points, "k": plan.k_used},
+        diagnostics=diag,
     )
 
 

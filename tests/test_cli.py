@@ -72,6 +72,29 @@ class TestEval:
         assert out == ""
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--a", "inf", "--w", "1,1", "--alpha", "0.5"],
+        ["eval", "--alpha", "inf", "--a", "1", "--w", "1,1", "--method", "integral"],
+        ["eval", "--w", "1,inf", "--a", "1", "--alpha", "0.5"],
+        ["eval", "--alpha", "0.5,inf", "--a", "1", "--w", "1,1", "--method", "series"],
+        ["eval", "--alpha", "nan", "--a", "1", "--w", "1,1"],
+        ["eval", "--alpha", "inf", "--a", "1", "--w", "1,1", "--method", "direct"],
+        ["eval", "--alpha", "nan", "--a", "1", "--w", "1,1", "--method", "reduction"],
+        ["deriv0", "--a", "1", "--w", "1,nan", "--method", "series"],
+    ])
+    def test_input_is_usage_error(self, run, argv):
+        code, out, err = run(argv)
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+
+    def test_nan_shell_is_convergence_error(self, run):
+        code, out, err = run(["eval", "--alpha", "0.5,1e300", "--a", "1", "--w", "1,1",
+                              "--method", "series"])
+        assert code == 3
+        assert "shell 0" in err and out == ""
+
+
 class TestFpDerivGamma:
     def test_fp_series_euler(self, run):
         code, out, err = run(["fp", "--q", "1", "--a", "1", "--w", "1",

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +14,7 @@ from barneszeta import (
     harmonic,
     validate_params,
 )
-from barneszeta.foundations import check_pole, rising_factorial
+from barneszeta.foundations import check_pole, horner, rising_factorial, validate_weights
 
 
 class TestValidateParams:
@@ -27,6 +28,16 @@ class TestValidateParams:
     def test_bad_weight_rejected_with_index(self):
         with pytest.raises(DomainError, match="w_2"):
             validate_params(BarnesParams(1.0, (1.0, -2.0 + 0.1j)))
+
+    @pytest.mark.parametrize("a", [float("inf"), float("nan"), complex(1.0, float("inf"))])
+    def test_non_finite_a_rejected(self, a):
+        with pytest.raises(DomainError, match="a = .*finite"):
+            validate_params(BarnesParams(a, (1.0,)))
+
+    @pytest.mark.parametrize("wi", [float("inf"), float("nan"), complex(1.0, float("-inf"))])
+    def test_non_finite_weight_rejected(self, wi):
+        with pytest.raises(DomainError, match="w_2 = .*finite"):
+            validate_weights((1.0, wi))
 
     def test_dimension_is_derived(self):
         p = BarnesParams(1.0, (1.0, 2.0, 3.0))
@@ -84,6 +95,14 @@ class TestSmallHelpers:
         assert rising_factorial(3.0, 4) == 3 * 4 * 5 * 6
         assert rising_factorial(-2.0, 3) == 0
 
+    @pytest.mark.parametrize("coeffs", [[2.0, -1.0, 0.5], [1 + 2j, 0.0, -3j, 0.25]])
+    def test_horner_matches_polyval(self, coeffs):
+        x = np.linspace(-2.0, 3.0, 7).reshape(7, 1)
+        got = horner(np.array(coeffs), x)
+        assert got.shape == x.shape and got.dtype == np.result_type(np.array(coeffs), x)
+        assert np.allclose(got, np.polynomial.polynomial.polyval(x, coeffs), rtol=1e-15, atol=1e-14)
+        assert horner(np.array([]), x) == 0.0
+
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     def test_pole_check_raises_at_poles(self, alpha):
         with pytest.raises(PoleError) as exc:
@@ -93,3 +112,9 @@ class TestSmallHelpers:
     @pytest.mark.parametrize("alpha", [0, 4, 1.5, complex(2, 1e-9), -1])
     def test_pole_check_passes_elsewhere(self, alpha):
         check_pole(complex(alpha), 3)
+
+    @pytest.mark.parametrize("alpha", [float("inf"), float("-inf"), float("nan"),
+                                       complex(0.5, float("inf")), complex(float("nan"), 1.0)])
+    def test_pole_check_rejects_non_finite(self, alpha):
+        with pytest.raises(DomainError, match="not finite"):
+            check_pole(complex(alpha), 3)

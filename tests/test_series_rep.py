@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from barneszeta import (
     BarnesParams,
+    ConvergenceError,
     DomainError,
     EvalConfig,
     PoleError,
@@ -17,6 +19,8 @@ from barneszeta import (
     residue,
     zeta_bh_series,
 )
+from barneszeta import series_rep as sr
+from barneszeta.combinatorics import shell_values, subset_terms
 
 from conftest import neville_to_zero, rel_err, scaled_err
 
@@ -156,3 +160,123 @@ class TestHomogeneousBridges:
         ext = neville_to_zero(self.AVALS, vals)
         target = deriv0_bh_series(w).value
         assert abs(ext - target) <= 1e-5 * (1 + abs(target))
+
+
+def reference_shell(plan, subsets, y):
+    """The per-subset, per-coefficient loop that the stacked kernel replaced.
+
+    Returns the shell total, the noise estimate eps * sum |y^e0| and the sum
+    of the absolute values of every term added, the scale of the rounding.
+    """
+    t = np.power(y, -plan.base_expo) if plan.base == "pow" else -np.log(y)
+    t = t + plan.const
+    size = np.abs(t)
+    noise = None
+    for _, sign, sigma in subsets:
+        z = y + sigma
+        logz = np.log(z)
+        zp = np.power(z, plan.e_start)
+        if noise is None:
+            noise = np.finfo(np.float64).eps * float(np.sum(np.abs(zp)))
+        for coeff, islog in zip(plan.coeffs, plan.logflags):
+            term = (sign * coeff) * (zp * logz if islog else zp)
+            t = t + term
+            size = size + np.abs(term)
+            zp = zp / z
+    return complex(np.sum(t)), noise, float(np.sum(size))
+
+
+D2W = (1.0, 2 ** 0.5)
+D3W = (1.0, 2 ** 0.5, math.pi / 4)
+D4W = (1.0, 1.3, 1.7, 2.1)
+CPLXW = (1.0, 1.2 + 0.2j)
+D4CW = (1.0, 1.3, 1.7, 2.1 + 0.4j)
+
+
+class TestStackedKernel:
+    """The stacked Horner kernel against the loop it replaced.
+
+    Each case uses a small shift k and an inner shell, so the shell total is
+    at least 100x the tolerance and a lost subset row or point block fails.
+    """
+
+    # (plan, a0, w, shell index, homogeneous, runs in float64)
+    CASES = {
+        "pow real": (lambda: sr._plan_generic(0.5, D2W, 2), 0.7, D2W, 2, False, True),
+        "pow complex alpha": (lambda: sr._plan_generic(0.5 + 3j, D2W, 2), 0.7, D2W, 2, False, False),
+        "pow negative alpha": (lambda: sr._plan_generic(-3.5, D3W, 5), 0.9, D3W, 2, False, True),
+        "pow complex lattice": (lambda: sr._plan_generic(2.5, CPLXW, 1), 1 + 0.3j, CPLXW, 3, False, False),
+        "pow homogeneous": (lambda: sr._plan_generic(-1.5, D3W, 3), 0.0, D3W, 2, True, True),
+        "fp q=1 real": (lambda: sr._plan_fp(1, D3W, 1), 0.9, D3W, 2, False, True),
+        "fp q=2 complex lattice": (lambda: sr._plan_fp(2, CPLXW, 1), 1 + 0.3j, CPLXW, 3, False, False),
+        "fp homogeneous": (lambda: sr._plan_fp(2, D3W, 2), 0.0, D3W, 1, True, True),
+        "neglog real": (lambda: sr._plan_deriv0(D2W, 2), 0.7, D2W, 2, False, True),
+        "neglog complex lattice": (lambda: sr._plan_deriv0(CPLXW, 1), 1 + 0.3j, CPLXW, 2, False, False),
+        "d4 pow, several blocks": (lambda: sr._plan_generic(0.5, D4W, 0), 0.3, D4W, 7, False, True),
+        "d4 fp, several blocks": (lambda: sr._plan_fp(2, D4W, -1), 0.3, D4W, 7, False, True),
+        "d4 fp complex, several blocks": (lambda: sr._plan_fp(2, D4CW, -1), 0.0, D4CW, 7, True, False),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_loop(self, name):
+        make, a0, w, j, homog, _ = self.CASES[name]
+        plan = make()
+        y = shell_values(a0, w, j, skip_origin=homog)
+        got, noise = sr._eval_shell(plan, sr._stack(plan, a0, w), y)
+        want, want_noise, size = reference_shell(plan, subset_terms(w, include_empty=True), y)
+        assert abs(want) >= 100 * 1e-13 * size
+        assert abs(got - want) <= 1e-13 * size
+        assert abs(noise - want_noise) <= 1e-13 * want_noise
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_dtype_follows_data(self, name):
+        make, a0, w, _, _, real = self.CASES[name]
+        stack = sr._stack(make(), a0, w)
+        want = np.float64 if real else np.complex128
+        assert {v.dtype for v in stack} == {np.dtype(want)}
+
+    def test_trailing_zeros_dropped(self):
+        signs, sigmas, plain, logc, *_ = sr._stack(sr._plan_fp(2, D3W, 8), 0.9, D3W)
+        assert len(logc) == 3 - 2 + 1
+        assert len(plain) == 8 + 3 and plain[: len(logc)].tolist() == [0.0] * len(logc)
+        assert signs.shape == (8,) and sigmas.shape == (8, 1)
+
+    def test_multi_block_cases_span_blocks(self):
+        for name in ("d4 pow, several blocks", "d4 fp, several blocks", "d4 fp complex, several blocks"):
+            _, a0, w, j, homog, _ = self.CASES[name]
+            assert shell_values(a0, w, j, skip_origin=homog).size > sr._BLOCK_ELEMS // 2 ** len(w)
+
+
+class TestPointCounts:
+    """The stopping rule, pinned through the lattice points each call sums."""
+
+    D2 = BarnesParams(0.7, D2W)
+    D3 = BarnesParams(0.9, D3W)
+    D4 = BarnesParams(1.0, D4W)
+
+    @pytest.mark.parametrize("call, shells, points", [
+        (lambda c: barnes_zeta_series(0.5, c.D2), 9, 81),
+        (lambda c: zeta_bh_series(0.5 + 3j, D2W), 11, 120),
+        (lambda c: fp_barnes_series(1, c.D3), 11, 1331),
+        (lambda c: fp_bh_series(2, D3W), 13, 2196),
+        (lambda c: barnes_zeta_series(-1.5, c.D4), 5, 625),
+        (lambda c: deriv0_barnes_series(c.D4), 7, 2401),
+        (lambda c: deriv0_bh_series(D4W), 8, 4095),
+    ])
+    def test_points(self, call, shells, points):
+        diag = call(self).diagnostics
+        assert (diag["shells"], diag["points"]) == (shells, points)
+
+
+class TestNonFiniteShell:
+    """A shell that sums to NaN stops the route at once."""
+
+    def test_inhomogeneous(self):
+        with pytest.raises(ConvergenceError) as exc:
+            barnes_zeta_series(0.5 + 1e300j, BarnesParams(1.0, (1.0, 1.0)))
+        assert exc.value.diagnostics == {"shells": 1, "points": 1, "k": 11}
+
+    def test_homogeneous(self):
+        with pytest.raises(ConvergenceError) as exc:
+            zeta_bh_series(0.5 + 1e300j, (1.0, 1.0))
+        assert exc.value.diagnostics == {"shells": 2, "points": 3, "k": 11}
