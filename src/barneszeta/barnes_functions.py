@@ -26,6 +26,7 @@ from math import factorial
 
 from .foundations import (
     BarnesParams,
+    ConvergenceError,
     DEFAULT_CONFIG,
     DomainError,
     EvalConfig,
@@ -62,6 +63,9 @@ from .series_rep import (
 )
 
 
+_ULP8 = 8 * 2.0 ** -52     # rounding slack of the best-route agreement test
+
+
 class Route(str, Enum):
     SERIES = "series"
     LIMIT = "limit"
@@ -71,7 +75,8 @@ class Route(str, Enum):
 
 @dataclass(frozen=True)
 class MethodChoice:
-    """Route selector; BEST runs the series with an integral cross-check."""
+    """Route selector; BEST runs the series and the integral route and returns
+    the one with the smaller error estimate (see `evaluate`)."""
 
     route: Route = Route.BEST
 
@@ -121,7 +126,12 @@ def evaluate(quantity: str, params, at=None, method: MethodChoice | Route | str 
 
     quantity is "zeta" (at = alpha), "fp" (at = q) or "deriv0" (no `at`);
     params is a BarnesParams, or the weights when homogeneous.  The method
-    "best" (the default) runs the series with an integral cross-check.  A
+    "best" (the default) runs the series and the integral route and returns
+    the one whose own error estimate is smaller, with that estimate and that
+    route's method; diagnostics add `cross_check_delta` = |series - integral|
+    and `best_route`.  If the two values differ by more than the sum of
+    their estimates plus 8 ulp of (1 + |value|), at least one estimate is
+    dishonest and ConvergenceError is raised with both values.  A
     combination that is not in the registry raises DomainError.
     """
     cfg = config or DEFAULT_CONFIG
@@ -133,13 +143,19 @@ def evaluate(quantity: str, params, at=None, method: MethodChoice | Route | str 
     routes = ROUTES[quantity][bool(homogeneous)]
     args = (params,) if at is None else (at, params)
     if route == Route.BEST.value:
-        primary = _run(quantity, routes, "series", args, cfg)
-        check = _run(quantity, routes, "integral", args, cfg)
-        delta = abs(primary.value - check.value)
-        diag = dict(primary.diagnostics)
-        diag["cross_check_delta"] = delta
-        return EvalResult(primary.value, max(primary.abs_error_estimate, delta),
-                          primary.method, diag)
+        runs = {name: _run(quantity, routes, name, args, cfg) for name in ("series", "integral")}
+        name = min(runs, key=lambda r: runs[r].abs_error_estimate)
+        best = runs[name]
+        delta = abs(runs["series"].value - runs["integral"].value)
+        diag = {**best.diagnostics, "cross_check_delta": delta, "best_route": name}
+        claimed = sum(r.abs_error_estimate for r in runs.values())
+        if delta > claimed + _ULP8 * (1.0 + abs(best.value)):
+            for r, res in runs.items():
+                diag[r] = {"value": [res.value.real, res.value.imag],
+                           "abs_error_estimate": res.abs_error_estimate}
+            raise ConvergenceError(f"{quantity}: series and integral routes differ by "
+                                   f"{delta:.3e}, beyond their estimates ({claimed:.3e})", diag)
+        return EvalResult(best.value, best.abs_error_estimate, best.method, diag)
     if route not in routes:
         if route in ROUTES[quantity][not homogeneous]:
             kind = "inhomogeneous" if homogeneous else "homogeneous"

@@ -28,13 +28,15 @@ MAX_DIM = 16
 
 
 class CompensatedSum:
-    """Neumaier compensated accumulator for complex values."""
+    """Neumaier compensated accumulator for complex values; `mass` is the
+    sum of the added magnitudes, the scale of the terms' own rounding."""
 
-    __slots__ = ("_sr", "_cr", "_si", "_ci")
+    __slots__ = ("_sr", "_cr", "_si", "_ci", "mass")
 
     def __init__(self):
         self._sr = self._cr = 0.0
         self._si = self._ci = 0.0
+        self.mass = 0.0
 
     @staticmethod
     def _step(s: float, c: float, x: float) -> tuple[float, float]:
@@ -47,6 +49,7 @@ class CompensatedSum:
 
     def add(self, z: complex) -> None:
         z = complex(z)
+        self.mass += abs(z)
         self._sr, self._cr = self._step(self._sr, self._cr, z.real)
         self._si, self._ci = self._step(self._si, self._ci, z.imag)
 

@@ -43,7 +43,8 @@ class ConvergenceError(BarnesZetaError, ArithmeticError):
 
 
 class QuadratureError(BarnesZetaError, ArithmeticError):
-    """Adaptive quadrature could not meet the requested tolerance."""
+    """The quadrature rule did not settle within its level cap, or met a
+    non-finite integrand value."""
 
     def __init__(self, message: str, achieved: float = float("inf")):
         super().__init__(message)
@@ -141,11 +142,10 @@ class EvalConfig:
     max_shells: int = 100_000
     limit_M_schedule: tuple[int, ...] = (1000, 2000, 4000)
     quad_rel_tol: float = 1e-12
-    quad_split_point: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "limit_M_schedule", tuple(int(m) for m in self.limit_M_schedule))
-        for name in ("rel_tol", "quad_rel_tol", "quad_split_point"):
+        for name in ("rel_tol", "quad_rel_tol"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"EvalConfig.{name} must be positive")
         if self.max_shells < 1:

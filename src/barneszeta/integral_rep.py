@@ -13,12 +13,17 @@ Below a threshold t0 (a fixed fraction of the expansion radius
 2*pi/max|w_i|) the regularized integrand is evaluated from its own tail
 series instead of by subtracting nearly equal quantities; direct
 subtraction there would lose all significant digits as t -> 0.
+
+Every line integral goes through one exp-sinh rule on (0, inf), whose
+nodes cluster double-exponentially at the t^s origin and thin out along the
+exponential tail, so the domain is never split.  The error estimate of a
+route is its quadrature estimate, scaled by the route's Gamma factor, plus
+the rounding of its closed Bernoulli sum (eps times the summed term sizes).
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass
 from math import factorial
@@ -47,6 +52,7 @@ from .oracles import log_gamma_ref
 
 _SERIES_EXTRA = 60          # tail-series terms kept in the small-t branch
 _SMALL_T_FRACTION = 0.35    # threshold t0 as a fraction of the expansion radius
+_HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,8 @@ class QuadratureProblem:
     def __post_init__(self):
         if not self.decay_rate > 0:
             raise DomainError("decay_rate must be positive")
+        if not self.small_t_order > -1:
+            raise DomainError("small_t_order must exceed -1 for the integral to converge")
         if not self.rel_tol > 0:
             raise DomainError("rel_tol must be positive")
 
@@ -86,84 +94,12 @@ class IntegralControls:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod 7-15 adaptive quadrature (complex-valued)
+# Exp-sinh quadrature on (0, inf)
 
-_XGK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
-
-
-def _gk15(f, a: float, b: float) -> tuple[complex, float]:
-    half = 0.5 * (b - a)
-    center = 0.5 * (a + b)
-    x = center + half * _XGK
-    fv = np.asarray(f(x), dtype=np.complex128)
-    ik = half * complex(np.sum(_WGK * fv))
-    ig = half * complex(np.sum(_WG * fv[1::2]))
-    return ik, abs(ik - ig)
-
-
-def _adaptive(f, a: float, b: float, rel_tol: float, budget: int,
-              abs_floor: float = 0.0) -> tuple[complex, float, int]:
-    """Bisection-adaptive GK15 on [a, b]; deterministic final reduction order."""
-    value, err = _gk15(f, a, b)
-    segments = {(a, b): (value, err)}
-    heap = [(-err, a, b)]
-    evals = 15
-    total = value
-    total_err = err
-    abs_mass = abs(value)          # scale for the rounding-noise floor
-    while heap:
-        floor = max(rel_tol * max(abs(total), 1e-300), 32 * 1e-16 * abs_mass, abs_floor)
-        if total_err <= floor:
-            break
-        if evals >= budget:
-            raise QuadratureError(
-                f"node budget {budget} exhausted with error {total_err:.3e}",
-                achieved=total_err,
-            )
-        neg_err, sa, sb = heapq.heappop(heap)
-        if (sa, sb) not in segments or segments[(sa, sb)][1] != -neg_err:
-            continue
-        v_old, e_old = segments.pop((sa, sb))
-        mid = 0.5 * (sa + sb)
-        if mid <= sa or mid >= sb:          # interval at float resolution
-            segments[(sa, sb)] = (v_old, e_old)
-            break
-        total -= v_old
-        total_err -= e_old
-        abs_mass -= abs(v_old)
-        for lo, hi in ((sa, mid), (mid, sb)):
-            v, e = _gk15(f, lo, hi)
-            segments[(lo, hi)] = (v, e)
-            heapq.heappush(heap, (-e, lo, hi))
-            total += v
-            total_err += e
-            abs_mass += abs(v)
-        evals += 30
-    acc = CompensatedSum()
-    for key in sorted(segments):
-        acc.add(segments[key][0])
-    total_err = math.fsum(e for _, e in segments.values())
-    return acc.value, total_err, evals
+_H0 = 0.5          # step of the first level in x
+_LEVELS = 8        # levels h0, h0/2, ..., h0/2^7 before QuadratureError
+_EPS = 2.0 ** -52
+_NOISE = 32 * _EPS         # rounding floor per unit of summed |w_k f(t_k)|
 
 
 class QuadratureOutcome(NamedTuple):
@@ -172,53 +108,65 @@ class QuadratureOutcome(NamedTuple):
     evaluations: int
 
 
-def quad_semiinfinite(prob: QuadratureProblem, *, split: float = 1.0,
-                      node_budget: int = 10**6) -> QuadratureOutcome:
-    """Integrate prob.integrand over (0, inf).
+def quad_semiinfinite(prob: QuadratureProblem) -> QuadratureOutcome:
+    """Integrate prob.integrand over (0, inf) by the exp-sinh rule
+    (Takahasi and Mori, Publ. RIMS 9, 1974): trapezoidal sums in x, with
+    t = exp((pi/2) sinh x)/decay_rate and dt/dx as weight.
 
-    The finite head (0, split] uses adaptive bisection; the tail is mapped
-    by t = split - log(1-u)/decay_rate onto u in [0, u_end) and integrated
-    there, with the truncated remainder beyond
-    T_max = split + (-log(rel_tol)+5)/decay_rate bounded via the decay rate.
+    x runs from where (decay_rate t)^(small_t_order + 1) = eps * rel_tol to
+    T_max, where the decay has paid for -log(rel_tol) + 5 e-folds on top of
+    t^poly_growth.  Each level halves the step and evaluates only its new
+    nodes, in one call; the rule stops when two levels agree to rel_tol or
+    to the rounding floor 32 eps h sum|w_k f(t_k)|.  The estimate is the
+    last level difference (and the one before it, when the floor stopped
+    the rule) plus that floor plus the remainders beyond both ends.  A
+    non-finite integrand value, or no agreement after _LEVELS
+    levels, raises QuadratureError.
     """
     lam = prob.decay_rate
-    f = prob.integrand
-    head, err_head, n_head = _adaptive(f, 0.0, split, prob.rel_tol, node_budget)
-    # Truncation point: solve lam*t - p*log(t) = -log(rel_tol) + 5 by iteration,
-    # so polynomial growth t^p on top of the decay is paid for.
     target = -math.log(prob.rel_tol) + 5.0
-    t_extra = target / lam
+    t_max = target / lam
     for _ in range(4):
-        t_extra = (target + prob.poly_growth * math.log(max(split + t_extra, 2.0))) / lam
-    t_max = split + t_extra
-    # Exponential substitution at the natural rate: u_end stays representably
-    # below 1 out to t_reach = split + 30/lam; anything left between t_reach
-    # and T_max (relative weight < e^-30) is swept by dyadic panels in t.
-    t_reach = min(t_max, split + 30.0 / lam)
-    u_end = -math.expm1(-lam * (t_reach - split))
+        t_max = (target + prob.poly_growth * math.log(max(t_max, 2.0))) / lam
+    s1 = prob.small_t_order + 1.0
+    x_lo = math.asinh(math.log(_EPS * prob.rel_tol) / (s1 * _HALF_PI))
+    x_hi = math.asinh(math.log(lam * t_max) / _HALF_PI)
+    n = math.ceil((x_hi - x_lo) / _H0)
+    h = (x_hi - x_lo) / n
 
-    def g(u: np.ndarray) -> np.ndarray:
-        one_minus = 1.0 - u
-        t = split - np.log(one_minus) / lam
-        return np.asarray(f(t), dtype=np.complex128) / (lam * one_minus)
+    def weighted(x: np.ndarray) -> np.ndarray:
+        """w(x) f(t(x)) with w = dt/dx, checked finite."""
+        t = np.exp(_HALF_PI * np.sinh(x)) / lam
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.asarray(prob.integrand(t), dtype=np.complex128) * (_HALF_PI * np.cosh(x) * t)
+        if not np.all(np.isfinite(g)):
+            raise QuadratureError(f"integrand is not finite at t = {t[~np.isfinite(g)][0]:.3e}")
+        return g
 
-    tail, err_tail, n_tail = _adaptive(g, 0.0, u_end, prob.rel_tol,
-                                       max(1000, node_budget - n_head))
-    value = head + tail
-    err = err_head + err_tail
-    evals = n_head + n_tail
-    scale = abs(head) + abs(tail)
-    lo = t_reach
-    while lo < t_max:
-        hi = min(2.0 * lo, t_max)
-        v, e, n = _adaptive(f, lo, hi, prob.rel_tol, 50_000,
-                            abs_floor=prob.rel_tol * scale)
-        value += v
-        err += e
-        evals += n
-        lo = hi
-    remainder = float(np.abs(f(np.array([t_max])))[0]) / lam
-    return QuadratureOutcome(value, err + remainder, evals)
+    g = weighted(x_lo + h * np.arange(n + 1))
+    remainder = float(abs(g[0]) / (_HALF_PI * math.cosh(x_lo) * s1)
+                      + abs(g[-1]) / (_HALF_PI * math.cosh(x_hi) * lam * t_max))
+    g[[0, -1]] *= 0.5
+    total, mass, evals = complex(g.sum()), float(np.abs(g).sum()), n + 1
+    value, diff = h * total, math.inf
+    for _ in range(1, _LEVELS):
+        h *= 0.5
+        n *= 2
+        g = weighted(x_lo + h * np.arange(1, n, 2))
+        total += complex(g.sum())
+        mass += float(np.abs(g).sum())
+        evals += g.size
+        prev, diff, value = diff, abs(h * total - value), h * total
+        floor = _NOISE * h * mass
+        if diff <= prob.rel_tol * abs(value):
+            return QuadratureOutcome(value, diff + floor + remainder, evals)
+        if diff <= floor:
+            # Noise regime: diff is one sample of the integrand's rounding
+            # noise; the previous difference, which exceeded the floor, is
+            # another, and bounds the discretization error of its level.
+            return QuadratureOutcome(value, diff + prev + floor + remainder, evals)
+    raise QuadratureError(f"exp-sinh rule did not settle in {_LEVELS} levels "
+                          f"(last difference {diff:.3e})", achieved=diff)
 
 
 # ---------------------------------------------------------------------------
@@ -397,23 +345,18 @@ def barnes_zeta_integral(alpha: complex, p: BarnesParams,
                  * p.a ** (d - k - alpha) / (factorial(k) * pw))
     rg = _reciprocal_gamma(alpha)
     if rg == 0:
-        return EvalResult(pref.value, 0.0, Method.INTEGRAL,
+        return EvalResult(pref.value, _EPS * pref.mass, Method.INTEGRAL,
                           {"M": M, "quad_evals": 0, "integral_skipped": True})
     bracket = _inhom_bracket(p.w, M)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.exp(-p.a * t) * t ** (alpha - 1) * bracket(t)
 
-    prob = QuadratureProblem(
-        integrand=integrand,
-        small_t_order=alpha.real + M - d,
-        decay_rate=p.a.real,
-        rel_tol=cfg.quad_rel_tol,
-        poly_growth=max(0.0, alpha.real - 1.0) + M,
-    )
-    integral, err, evals = quad_semiinfinite(prob, split=cfg.quad_split_point)
+    integral, err, evals = quad_semiinfinite(QuadratureProblem(
+        integrand, small_t_order=alpha.real + M - d, decay_rate=p.a.real,
+        rel_tol=cfg.quad_rel_tol, poly_growth=max(0.0, alpha.real - 1.0) + M))
     value = pref.value + rg * integral
-    return EvalResult(value, abs(rg) * err, Method.INTEGRAL,
+    return EvalResult(value, abs(rg) * err + _EPS * pref.mass, Method.INTEGRAL,
                       {"M": M, "quad_evals": evals})
 
 
@@ -438,17 +381,12 @@ def fp_barnes_integral(q: int, p: BarnesParams, config: EvalConfig | None = None
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.exp(-p.a * t) * t ** (q - 1) * bracket(t)
 
-    prob = QuadratureProblem(
-        integrand=integrand,
-        small_t_order=float(q + M - d),
-        decay_rate=p.a.real,
-        rel_tol=cfg.quad_rel_tol,
-        poly_growth=float(q - 1 + M),
-    )
-    integral, err, evals = quad_semiinfinite(prob, split=cfg.quad_split_point)
+    integral, err, evals = quad_semiinfinite(QuadratureProblem(
+        integrand, small_t_order=float(q + M - d), decay_rate=p.a.real,
+        rel_tol=cfg.quad_rel_tol, poly_growth=float(q - 1 + M)))
     rg = 1.0 / factorial(q - 1)
-    return EvalResult(closed.value + rg * integral, rg * err, Method.INTEGRAL,
-                      {"M": M, "quad_evals": evals})
+    return EvalResult(closed.value + rg * integral, rg * err + _EPS * closed.mass,
+                      Method.INTEGRAL, {"M": M, "quad_evals": evals})
 
 
 def deriv0_barnes_integral(p: BarnesParams, config: EvalConfig | None = None) -> EvalResult:
@@ -476,15 +414,10 @@ def deriv0_barnes_integral(p: BarnesParams, config: EvalConfig | None = None) ->
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.exp(-p.a * t) * bracket(t) / t
 
-    prob = QuadratureProblem(
-        integrand=integrand,
-        small_t_order=0.0,
-        decay_rate=p.a.real,
-        rel_tol=cfg.quad_rel_tol,
-        poly_growth=float(d),
-    )
-    integral, err, evals = quad_semiinfinite(prob, split=cfg.quad_split_point)
-    return EvalResult(closed.value + integral, err, Method.INTEGRAL,
+    integral, err, evals = quad_semiinfinite(QuadratureProblem(
+        integrand, small_t_order=0.0, decay_rate=p.a.real,
+        rel_tol=cfg.quad_rel_tol, poly_growth=float(d)))
+    return EvalResult(closed.value + integral, err + _EPS * closed.mass, Method.INTEGRAL,
                       {"M": d, "quad_evals": evals})
 
 
@@ -517,7 +450,7 @@ def zeta_bh_integral(alpha: complex, w: Sequence[complex],
         pref.add(-(c ** (-alpha)) * rising_factorial(alpha, k) / factorial(k))
     rg = _reciprocal_gamma(alpha)
     if rg == 0:
-        return EvalResult(pref.value, 0.0, Method.INTEGRAL,
+        return EvalResult(pref.value, _EPS * pref.mass, Method.INTEGRAL,
                           {"M": M, "c": [c.real, c.imag], "quad_evals": 0,
                            "integral_skipped": True})
     bracket = _homog_bracket(wt, M, c)
@@ -526,16 +459,11 @@ def zeta_bh_integral(alpha: complex, w: Sequence[complex],
         return t ** (alpha - 1) * bracket(t)
 
     decay = min(min(wi.real for wi in wt), c.real)
-    prob = QuadratureProblem(
-        integrand=integrand,
-        small_t_order=alpha.real + M - d,
-        decay_rate=decay,
-        rel_tol=cfg.quad_rel_tol,
-        poly_growth=max(0.0, alpha.real - 1.0) + M,
-    )
-    integral, err, evals = quad_semiinfinite(prob, split=cfg.quad_split_point)
+    integral, err, evals = quad_semiinfinite(QuadratureProblem(
+        integrand, small_t_order=alpha.real + M - d, decay_rate=decay,
+        rel_tol=cfg.quad_rel_tol, poly_growth=max(0.0, alpha.real - 1.0) + M))
     value = pref.value + rg * integral
-    return EvalResult(value, abs(rg) * err, Method.INTEGRAL,
+    return EvalResult(value, abs(rg) * err + _EPS * pref.mass, Method.INTEGRAL,
                       {"M": M, "c": [c.real, c.imag], "quad_evals": evals})
 
 
@@ -566,17 +494,12 @@ def fp_bh_integral(q: int, w: Sequence[complex], config: EvalConfig | None = Non
         return t ** (q - 1) * bracket(t)
 
     decay = min(min(wi.real for wi in wt), 1.0)
-    prob = QuadratureProblem(
-        integrand=integrand,
-        small_t_order=float(q + M - d),
-        decay_rate=decay,
-        rel_tol=cfg.quad_rel_tol,
-        poly_growth=float(q - 1 + M),
-    )
-    integral, err, evals = quad_semiinfinite(prob, split=cfg.quad_split_point)
+    integral, err, evals = quad_semiinfinite(QuadratureProblem(
+        integrand, small_t_order=float(q + M - d), decay_rate=decay,
+        rel_tol=cfg.quad_rel_tol, poly_growth=float(q - 1 + M)))
     rg = 1.0 / factorial(q - 1)
-    return EvalResult(closed.value + rg * integral, rg * err, Method.INTEGRAL,
-                      {"M": M, "quad_evals": evals})
+    return EvalResult(closed.value + rg * integral, rg * err + _EPS * closed.mass,
+                      Method.INTEGRAL, {"M": M, "quad_evals": evals})
 
 
 def deriv0_bh_integral(w: Sequence[complex], config: EvalConfig | None = None) -> EvalResult:
@@ -596,15 +519,10 @@ def deriv0_bh_integral(w: Sequence[complex], config: EvalConfig | None = None) -
         return bracket(t) / t
 
     decay = min(min(wi.real for wi in wt), 1.0)
-    prob = QuadratureProblem(
-        integrand=integrand,
-        small_t_order=0.0,
-        decay_rate=decay,
-        rel_tol=cfg.quad_rel_tol,
-        poly_growth=float(d),
-    )
-    integral, err, evals = quad_semiinfinite(prob, split=cfg.quad_split_point)
-    return EvalResult(closed.value + integral, err, Method.INTEGRAL,
+    integral, err, evals = quad_semiinfinite(QuadratureProblem(
+        integrand, small_t_order=0.0, decay_rate=decay,
+        rel_tol=cfg.quad_rel_tol, poly_growth=float(d)))
+    return EvalResult(closed.value + integral, err + _EPS * closed.mass, Method.INTEGRAL,
                       {"M": d, "quad_evals": evals})
 
 

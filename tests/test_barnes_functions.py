@@ -5,7 +5,10 @@ import pytest
 
 from barneszeta import (
     BarnesParams,
+    ConvergenceError,
     DomainError,
+    EvalResult,
+    Method,
     MethodChoice,
     Route,
     fp_barnes_series,
@@ -152,6 +155,35 @@ class TestEvaluate:
     def test_unknown_combination_is_domain_error(self, quantity, params, at, method, homog):
         with pytest.raises(DomainError):
             evaluate(quantity, params, at, method, homogeneous=homog)
+
+    def test_best_raises_when_routes_disagree(self, d2_params, monkeypatch):
+        honest = ROUTES["zeta"][False]["integral"]
+
+        def wrong(alpha, p, config=None):
+            res = honest(alpha, p, config=config)
+            return EvalResult(res.value + 1e-6, 1e-15, Method.INTEGRAL, res.diagnostics)
+
+        monkeypatch.setitem(ROUTES["zeta"][False], "integral", wrong)
+        with pytest.raises(ConvergenceError) as exc:
+            evaluate("zeta", d2_params, 0.5)
+        diag = exc.value.diagnostics
+        assert set(diag["series"]) == {"value", "abs_error_estimate"}
+        want = complex(*diag["series"]["value"]) - complex(*diag["integral"]["value"])
+        assert diag["cross_check_delta"] == pytest.approx(abs(want))
+
+    @pytest.mark.parametrize("params", ["d2_params", "d3_params"])
+    def test_best_returns_the_integral_value(self, params, request):
+        p = request.getfixturevalue(params)
+        calls = [("zeta", 0.5)] + [("fp", q) for q in range(1, p.d + 1)] + [("deriv0", None)]
+        for homog, arg in ((False, p), (True, p.w)):
+            for quantity, at in calls:
+                best = evaluate(quantity, arg, at, homogeneous=homog)
+                integral = evaluate(quantity, arg, at, "integral", homogeneous=homog)
+                assert best.diagnostics["best_route"] == "integral"
+                assert best.method is Method.INTEGRAL
+                assert best.value == integral.value
+                assert best.abs_error_estimate == integral.abs_error_estimate <= 1e-12
+                assert "cross_check_delta" in best.diagnostics
 
     def test_gamma_family_rejects_unknown_route(self):
         with pytest.raises(DomainError):

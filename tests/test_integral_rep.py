@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,9 +9,11 @@ import pytest
 
 from barneszeta import (
     BarnesParams,
+    BarnesZetaError,
     DomainError,
     IntegralControls,
     PoleError,
+    QuadratureError,
     QuadratureProblem,
     barnes_zeta_integral,
     deriv0_barnes_integral,
@@ -57,6 +60,50 @@ class TestQuadEngine:
     def test_invalid_decay(self):
         with pytest.raises(DomainError):
             QuadratureProblem(lambda t: t, 0.0, 0.0, 1e-10)
+
+
+class TestExpSinhRule:
+    def test_divergent_origin_order_is_domain_error(self):
+        with pytest.raises(DomainError):
+            QuadratureProblem(lambda t: 1 / t, -1.0, 1.0, 1e-12)
+
+    def test_each_level_is_one_call_on_new_nodes(self):
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size)
+            return np.exp(-t) * np.cos(t)
+
+        v, e, n = quad_semiinfinite(QuadratureProblem(f, 0.0, 1.0, 1e-12))
+        assert abs(v - 0.5) <= e <= 1e-11
+        assert n == sum(sizes)
+        assert all(b == 2 * a for a, b in zip(sizes[1:], sizes[2:]))
+        assert sizes[1] == sizes[0] - 1
+
+    def test_near_divergent_origin(self):
+        # t^(-0.9) e^(-t) integrates to Gamma(0.1)
+        prob = QuadratureProblem(lambda t: t ** -0.9 * np.exp(-t), -0.9, 1.0, 1e-12)
+        v, e, _ = quad_semiinfinite(prob)
+        want = math.gamma(0.1)
+        assert abs(v - want) <= e + 8 * 2.0 ** -52 * want
+        assert e <= 1e-10 * want
+
+    def test_level_cap_raises(self):
+        # A cusp at t = 1 defeats the double-exponential decay of the error.
+        prob = QuadratureProblem(lambda t: np.abs(t - 1.0) * np.exp(-t), 0.0, 1.0, 1e-14)
+        with pytest.raises(QuadratureError):
+            quad_semiinfinite(prob)
+
+    def test_non_finite_integrand_raises_at_once(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.where(t > 3.0, np.inf, np.exp(-t))
+
+        with pytest.raises(QuadratureError):
+            quad_semiinfinite(QuadratureProblem(f, 0.0, 1.0, 1e-12))
+        assert len(calls) == 1
 
 
 class TestContinuation:
@@ -254,3 +301,93 @@ class TestReciprocalGamma:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Honest or raise, against exact references
+
+ULP8 = 8 * 2.0 ** -52
+EXACT_ALPHAS = [0.5, 2.5, -1.5, -7.5, -0.5, 3.5, 0.5 + 3j, 0.5 + 10j, 0.5 + 20j,
+                2.5 + 40j, 1.5 - 5j, -3.5 + 7j]
+
+
+def _mp_zeta(mpmath, s: complex, a=1):
+    return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), a))
+
+
+EXACT_CASES = {
+    # name: (integral route, exact value through the Riemann / Hurwitz zeta)
+    "a=1, w=(1,1)": (lambda al: barnes_zeta_integral(al, BarnesParams(1.0, (1.0, 1.0))),
+                     lambda mp, al: _mp_zeta(mp, al - 1)),
+    "a=1, w=(1,1,1)": (lambda al: barnes_zeta_integral(al, BarnesParams(1.0, (1.0, 1.0, 1.0))),
+                       lambda mp, al: (_mp_zeta(mp, al - 2) + _mp_zeta(mp, al - 1)) / 2),
+    "w=(1,1)": (lambda al: zeta_bh_integral(al, (1.0, 1.0)),
+                lambda mp, al: _mp_zeta(mp, al - 1) + _mp_zeta(mp, al)),
+    "a=0.3, w=(1,)": (lambda al: barnes_zeta_integral(al, BarnesParams(0.3, (1.0,))),
+                      lambda mp, al: _mp_zeta(mp, al, mp.mpf("0.3"))),
+}
+
+
+def assert_honest_or_raises(route, want: complex):
+    """The value is within its estimate plus 8 ulp of (1 + |want|), or the
+    route raises a BarnesZetaError."""
+    try:
+        res = route()
+    except BarnesZetaError:
+        return
+    err = abs(res.value - want)
+    assert err <= res.abs_error_estimate + ULP8 * (1 + abs(want)), (
+        f"error {err:.3e} against estimate {res.abs_error_estimate:.3e}")
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+@pytest.mark.parametrize("alpha", EXACT_ALPHAS, ids=str)
+def test_integral_route_honest_against_exact(case, alpha):
+    mpmath = pytest.importorskip("mpmath")
+    route, exact = EXACT_CASES[case]
+    alpha = complex(alpha)
+    with mpmath.workdps(30):
+        want = exact(mpmath, alpha)
+    assert_honest_or_raises(lambda: route(alpha), want)
+
+
+def _mp_zeta2(mpmath, s: float, a: float, w2: float) -> complex:
+    """sum over n in N_0^2 of (a + n_1 + n_2 w2)^-s, origin excluded when
+    a = 0: a Hurwitz zeta in n_1, Euler-Maclaurin in n_2, at 60 digits."""
+    with mpmath.workdps(60):
+        s, a, w2 = mpmath.mpf(s), mpmath.mpf(a), mpmath.mpf(w2)
+        acc = mpmath.zeta(s) if a == 0 else mpmath.mpf(0)
+        acc += sum(mpmath.zeta(s, a + n * w2) for n in range(1 if a == 0 else 0, 20))
+        x = a + 20 * w2
+        acc += mpmath.zeta(s - 1, x) / ((s - 1) * w2) + mpmath.zeta(s, x) / 2
+        for k in range(1, 21):
+            acc -= (mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * (-w2) ** (2 * k - 1)
+                    * mpmath.rf(s, 2 * k - 1) * mpmath.zeta(s + 2 * k - 1, x))
+        return complex(acc)
+
+
+class TestNoGrind:
+    """Strongly negative alpha used to exhaust a 10^6-node budget before
+    raising; the level cap ends it within one rule's worth of nodes."""
+
+    @pytest.mark.parametrize("alpha, a", [(-7.5, None), (-7.5, 0.7), (-20.5, 0.7)])
+    def test_honest_or_raises_within_level_cap(self, alpha, a, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        w = (1.0, 2 ** 0.5)
+        nodes = []
+        quad = integral_rep.quad_semiinfinite
+
+        def counted(prob):
+            def integrand(t):
+                nodes.append(t.size)
+                return prob.integrand(t)
+            return quad(dataclasses.replace(prob, integrand=integrand))
+
+        monkeypatch.setattr(integral_rep, "quad_semiinfinite", counted)
+        if a is None:
+            route = lambda: zeta_bh_integral(alpha, w)
+        else:
+            route = lambda: barnes_zeta_integral(alpha, BarnesParams(a, w))
+        assert_honest_or_raises(route, _mp_zeta2(mpmath, alpha, a or 0.0, w[1]))
+        # At most 14 first-level intervals here, doubled at each later level.
+        assert 0 < sum(nodes) <= 14 * 2 ** (integral_rep._LEVELS - 1) + 1

@@ -1,0 +1,39 @@
+"""The benchmark's tracing shim (bench/layertrace.py) still covers the package.
+
+The shim wraps every public function of every layer and refuses to run
+(TraceCoverageError) if a reference to one escapes it; its counters read the
+route diagnostics and `quad_semiinfinite`'s outcome.  A change under src/ that
+breaks either would otherwise show only in the benchmark's own tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CODE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("layertrace", sys.argv[1])
+layertrace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layertrace)
+tracer = layertrace.Tracer()
+tracer.install()
+from barneszeta import BarnesParams, log_gamma_B
+log_gamma_B(BarnesParams(0.7, (1.0, 2 ** 0.5)), "best")
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_traced_best_call_counts_every_layer():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", CODE, str(ROOT / "bench" / "layertrace.py")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert "TraceCoverageError" not in out.stderr
+    assert out.returncode == 0, out.stderr
+    metrics = json.loads(out.stdout.strip().splitlines()[-1])
+    assert metrics["integral_rep.quad_evals"] > 0
+    assert metrics["integral_rep.quad_calls"] > 0
+    assert metrics["series_rep.points"] > 0
