@@ -8,9 +8,10 @@ structure on the integer lattice, and sums of [u(n)]_1 over the cube
 {0..M}^d telescope down to a single bracket at the far corner.
 
 Finite differences of smooth functions at a large argument y lose roughly
-d*log10|y| digits to cancellation, which is the dominant error source in
-the lattice series of this package; all scalar accumulations here therefore
-use error-free-transformation (Neumaier) summation.
+d*log10|y| digits to cancellation.  The lattice series forms them only at
+the 2^d far corners of each box, once per shell, and the limit route in its
+edge terms at x = M*w; all scalar accumulations here use
+error-free-transformation (Neumaier) summation.
 """
 
 from __future__ import annotations

@@ -17,9 +17,12 @@ At the poles alpha = q and at alpha = 0 the removable singularities of the
 ladder are expanded analytically (log-weighted G symbols and harmonic
 numbers); the 0*inf products are never formed numerically.
 
-Each shell goes through one stacked kernel: z = y + sigma for all 2^d
-subsets at once, the ladder as z^e0 (P(1/z) + log z P_log(1/z)) with Horner
-polynomials P and P_log, in float64 when a, w and alpha are real.
+G composes the d forward differences with steps w_1..w_d, so by the
+telescoping lemma the ladder part G[f](y), f(z) = z^e0 (P(1/z) + log z
+P_log(1/z)), sums over the box {0..j}^d to its far corners, C(j) =
+sum_S (-1)^(d-|S|) f(a + (j+1) sigma_S).  Shell j costs base(y) + const per
+point and one ladder call on 2^d corners, C(j) - C(j-1).  The points run in
+float64 on a real lattice, the corners when a, w and alpha are all real.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .foundations import (
     Method,
     check_pole,
     harmonic_float,
-    horner,
     validate_params,
     validate_weights,
 )
@@ -59,10 +61,6 @@ _K_TARGET = 13
 # Cap on |y_min|^(1-k): larger k inflates the intermediate ladder terms at
 # the innermost lattice points like |y_min|^(1-k), which is pure cancellation.
 _GROWTH_CAP_DIGITS = 8.0
-
-# Largest 2^d x points block the shell kernel holds at once; it bounds the
-# stacked temporaries, and so the peak memory, whatever the shell size.
-_BLOCK_ELEMS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -137,10 +135,6 @@ class _Plan:
     const: complex = 0.0        # added once per lattice point
     k_used: int = 0
 
-    @property
-    def any_log(self) -> bool:
-        return any(self.logflags)
-
 
 def _plan_generic(alpha: complex, w: tuple[complex, ...], k: int) -> _Plan:
     d = len(w)
@@ -205,14 +199,14 @@ def _plan_deriv0(w: tuple[complex, ...], k: int) -> _Plan:
 
 
 def _stack(plan: _Plan, a0: complex, w: tuple[complex, ...]) -> tuple[np.ndarray, ...]:
-    """Shell-kernel inputs, built once per call: the subset signs (empty
-    subset first), the subset sums as a column, the plain and the log-flagged
-    ladder coefficients with trailing zeros dropped, then e0, base_expo and
-    const; float64 when a, w and the plan are real, else complex128."""
+    """Kernel inputs, built once per call: the subset signs (empty subset
+    first), the subset sums, the plain and the log-flagged ladder
+    coefficients with trailing zeros dropped, then e0, base_expo and const;
+    float64 when a, w and the plan are real, else complex128."""
     subsets = subset_terms(w, include_empty=True)
     flags = np.array(plan.logflags)
     parts = [np.asarray(v, dtype=np.complex128) for v in (
-        [s for _, s, _ in subsets], [[x] for _, _, x in subsets],
+        [s for _, s, _ in subsets], [x for _, _, x in subsets],
         np.where(flags, 0, plan.coeffs), np.where(flags, plan.coeffs, 0),
         plan.e_start, plan.base_expo, plan.const)]
     if complex(a0).imag == 0 and not any(v.imag.any() for v in parts):
@@ -221,72 +215,89 @@ def _stack(plan: _Plan, a0: complex, w: tuple[complex, ...]) -> tuple[np.ndarray
     return tuple(parts)
 
 
+def _ladder(stack: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
+    """The ladder f(z) = sum_m c_m z^(e0-m) (log z) at every entry of z, from
+    one table of the powers z^e0 (1/z)^m and one product per coefficient row."""
+    _, _, plain, logc, e0, _, _ = stack
+    m = np.arange(max(plain.size, logc.size))
+    zp = np.power(z, e0)[:, None] * np.power(1.0 / z[:, None], m)
+    out = zp[:, :plain.size] @ plain
+    if logc.size:
+        out = out + np.log(z) * (zp[:, :logc.size] @ logc)
+    return out
+
+
+def _corner_sum(stack: tuple[np.ndarray, ...], a0: complex, j: int, homog: bool) -> complex:
+    """C(j), the ladder part of the box {0..j}^d; the homogeneous forms drop
+    the empty subset, whose f(0) is the same in every C(j).  A non-finite C(j)
+    is left to the caller's check on the shell total."""
+    signs, sigmas = stack[:2]
+    a0 = complex(a0).real if sigmas.dtype == np.float64 else complex(a0)
+    lo = 1 if homog else 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(signs[lo:] @ _ladder(stack, a0 + (j + 1) * sigmas[lo:]))
+
+
 def _eval_shell(plan: _Plan, stack: tuple[np.ndarray, ...], y: np.ndarray) -> tuple[complex, float]:
-    """Summand total over one shell, plus the noise estimate eps * sum |y^e0|.
-
-    Blocks of points are shifted by every subset sum at once, z = y + sigma of
-    shape (2^d, points); the ladder sum_m c_m z^(e0-m) (log z) is evaluated as
-    z^e0 (P(1/z) + log z P_log(1/z)) and `signs @` takes the subset sum."""
-    signs, sigmas, plain, logc, e0, base_expo, const = stack
-    y = y.real if signs.dtype == np.float64 else y
-    total = noise = 0.0
-    step = max(1, _BLOCK_ELEMS // signs.size)
-    for lo in range(0, y.size, step):
-        yb = y[lo:lo + step]
-        z = yb + sigmas
-        zp = np.power(z, e0)
-        noise += float(np.sum(np.abs(zp[0])))
-        inv = 1.0 / z
-        ladder = horner(plain, inv)
-        if logc.size:
-            ladder = ladder + np.log(z) * horner(logc, inv)
-        t = np.power(yb, -base_expo) if plan.base == "pow" else -np.log(yb)
-        total += np.sum(t + const + signs @ (zp * ladder))
-    return complex(total), _EPS * noise
-
-
-def _closed_homogeneous(plan: _Plan, w: tuple[complex, ...], const: complex) -> complex:
-    """Closed lattice-free part of the homogeneous forms: const + F-symbol ladder."""
-    acc = CompensatedSum()
-    acc.add(const)
-    for _, sign, sigma in subset_terms(w, include_empty=False):
-        zp = sigma ** plan.e_start
-        logz = cmath.log(sigma) if plan.any_log else 0.0
-        for coeff, islog in zip(plan.coeffs, plan.logflags):
-            if coeff != 0:
-                acc.add(sign * coeff * (zp * logz if islog else zp))
-            zp = zp / sigma
-    return acc.value
+    """Per-point part of one shell: the sum of base(y) + const, and the noise
+    estimate eps * sum |y^e0|.  On a real lattice y arrives as float64: a
+    complex alpha then costs one complex exp per point, and |y^e0| = y^Re(e0)."""
+    e0, base_expo, const = stack[4:]
+    real = y.dtype == np.float64
+    if plan.base == "neglog":
+        t = -np.log(y)
+    elif real and base_expo.dtype == np.complex128:
+        t = np.exp(-base_expo * np.log(y))
+    else:
+        t = np.power(y, -base_expo)
+    noise = np.abs(np.power(y, e0.real if real else e0))
+    return complex(np.sum(t) + const * y.size), _EPS * float(np.sum(noise))
 
 
 def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfig,
-                stop_count: int, homog: bool, scale_hint: float = 0.0) -> tuple[complex, float, dict]:
+                stop_count: int, homog: bool, closed: complex) -> EvalResult:
+    """Lattice sum of the plan's summand plus the closed term, shell by shell:
+    shell j adds its per-point part and C(j) - C(j-1).  The value is the
+    compensated per-point sum plus the last C(j), never a running sum of corner
+    differences.  Homogeneous forms pass only their constant: the F-symbol
+    part of their closed term is C(0), which the shells subtract again."""
     stack = _stack(plan, a0, w)
+    real = complex(a0).imag == 0 and not any(complex(x).imag for x in w)
     acc = CompensatedSum()
     recent: deque[float] = deque(maxlen=stop_count)
     recent_noise: deque[float] = deque(maxlen=stop_count)
     noise_total = 0.0
+    first = prev = 0.0
     diag = {"shells": 0, "points": 0, "k": plan.k_used}
     for j in range(cfg.max_shells + 1):
+        corner = _corner_sum(stack, a0, j, homog)
         y = shell_values(a0, w, j, skip_origin=homog)
         diag["shells"] = j + 1
         if y.size:
-            s, noise = _eval_shell(plan, stack, y)
+            part, noise = _eval_shell(plan, stack, y.real if real else y)
+            s = part + (corner - prev)
             diag["points"] += int(y.size)
             if not cmath.isfinite(s):
                 raise ConvergenceError(f"shell {j} sums to {s}; the series cannot converge",
                                        diagnostics=diag)
-            acc.add(s)
+            acc.add(part)
             noise_total += noise
             recent.append(abs(s))
             recent_noise.append(noise)
+        else:
+            first = corner
+        prev = corner
         if j >= max(stop_count, 2) and len(recent) == stop_count:
-            scale = max(abs(acc.value), scale_hint, 1e-300)
+            scale = max(abs(acc.value + (corner - first)), abs(closed + first), 1e-300)
             # Below 4x the per-shell rounding noise further shells add no
             # information; stop there even if rel_tol has not been reached.
+            # eps * sum|y^e0| is the rounding a per-point ladder would leave;
+            # the corner sums leave far less, so it is a conservative
+            # stand-in, kept so that the stopping rule does not move.
             floor = 4.0 * max(recent_noise)
             if max(recent) <= max(cfg.rel_tol * scale, floor):
-                return acc.value, sum(recent) + noise_total, diag
+                return EvalResult(acc.value + corner + closed, sum(recent) + noise_total,
+                                  Method.SERIES, diag)
     raise ConvergenceError(
         "shell summation hit max_shells without meeting the stopping rule",
         diagnostics=diag,
@@ -326,9 +337,7 @@ def barnes_zeta_series(alpha: complex, p: BarnesParams,
     sign_d = -1.0 if d % 2 else 1.0
     for m, coeff in enumerate(plan.coeffs):
         closed.add(-sign_d * coeff * p.a ** (d - alpha - m))
-    series, est, diag = _sum_shells(plan, p.a, p.w, cfg, ctl.shell_stop_count,
-                                    homog=False, scale_hint=abs(closed.value))
-    return EvalResult(series + closed.value, est, Method.SERIES, diag)
+    return _sum_shells(plan, p.a, p.w, cfg, ctl.shell_stop_count, False, closed.value)
 
 
 def fp_barnes_series(q: int, p: BarnesParams, config: EvalConfig | None = None,
@@ -363,9 +372,7 @@ def fp_barnes_series(q: int, p: BarnesParams, config: EvalConfig | None = None,
     for m in range(d - q + 1, keff + d):
         closed.add(sign_d * (dS[m] / factorial(m)) * _gamma_ratio(complex(q), d, m)
                    * p.a ** (d - q - m))
-    series, est, diag = _sum_shells(plan, p.a, p.w, cfg, 3, homog=False,
-                                    scale_hint=abs(closed.value))
-    return EvalResult(series + closed.value, est, Method.SERIES, diag)
+    return _sum_shells(plan, p.a, p.w, cfg, 3, False, closed.value)
 
 
 def deriv0_barnes_series(p: BarnesParams, config: EvalConfig | None = None,
@@ -391,9 +398,7 @@ def deriv0_barnes_series(p: BarnesParams, config: EvalConfig | None = None,
     for m in range(d + 1, keff + d):
         closed.add(sign_d * (dS[m] / factorial(m)) * (-1.0) ** (m - d)
                    * factorial(m - d - 1) * p.a ** (d - m))
-    series, est, diag = _sum_shells(plan, p.a, p.w, cfg, 3, homog=False,
-                                    scale_hint=abs(closed.value))
-    return EvalResult(series + closed.value, est, Method.SERIES, diag)
+    return _sum_shells(plan, p.a, p.w, cfg, 3, False, closed.value)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +420,7 @@ def zeta_bh_series(alpha: complex, w: Sequence[complex],
     if not alpha.real > -k:
         raise DomainError(f"series representation needs Re(alpha) > -k = {-k}")
     plan = _plan_generic(alpha, wt, k)
-    closed = _closed_homogeneous(plan, wt, const=0.0)
-    series, est, diag = _sum_shells(plan, 0.0, wt, cfg, ctl.shell_stop_count,
-                                    homog=True, scale_hint=abs(closed))
-    return EvalResult(series + closed, est, Method.SERIES, diag)
+    return _sum_shells(plan, 0.0, wt, cfg, ctl.shell_stop_count, True, 0.0)
 
 
 def fp_bh_series(q: int, w: Sequence[complex], config: EvalConfig | None = None,
@@ -436,10 +438,7 @@ def fp_bh_series(q: int, w: Sequence[complex], config: EvalConfig | None = None,
     dS = ds_values(wt, keff + d)
     hq_const = (dS[d - q] * (-1.0) ** (d + q + 1) / (factorial(q - 1) * factorial(d - q))
                 * harmonic_float(q - 1))
-    closed = _closed_homogeneous(plan, wt, const=hq_const)
-    series, est, diag = _sum_shells(plan, 0.0, wt, cfg, 3, homog=True,
-                                    scale_hint=abs(closed))
-    return EvalResult(series + closed, est, Method.SERIES, diag)
+    return _sum_shells(plan, 0.0, wt, cfg, 3, True, hq_const)
 
 
 def deriv0_bh_series(w: Sequence[complex], config: EvalConfig | None = None,
@@ -452,7 +451,4 @@ def deriv0_bh_series(w: Sequence[complex], config: EvalConfig | None = None,
     if keff < 1:
         raise DomainError("the derivative form needs k >= 1")
     plan = _plan_deriv0(wt, keff)
-    closed = _closed_homogeneous(plan, wt, const=-harmonic_float(d))
-    series, est, diag = _sum_shells(plan, 0.0, wt, cfg, 3, homog=True,
-                                    scale_hint=abs(closed))
-    return EvalResult(series + closed, est, Method.SERIES, diag)
+    return _sum_shells(plan, 0.0, wt, cfg, 3, True, -harmonic_float(d))

@@ -162,14 +162,15 @@ class TestHomogeneousBridges:
         assert abs(ext - target) <= 1e-5 * (1 + abs(target))
 
 
-def reference_shell(plan, subsets, y):
-    """The per-subset, per-coefficient loop that the stacked kernel replaced.
+def reference_shell(plan, subsets, y, base=True):
+    """The per-point loop over every subset and every ladder coefficient.
 
     Returns the shell total, the noise estimate eps * sum |y^e0| and the sum
     of the absolute values of every term added, the scale of the rounding.
+    With base=False the total is the ladder part sum_y G[f](y) alone.
     """
     t = np.power(y, -plan.base_expo) if plan.base == "pow" else -np.log(y)
-    t = t + plan.const
+    t = t + plan.const if base else np.zeros_like(t)
     size = np.abs(t)
     noise = None
     for _, sign, sigma in subsets:
@@ -193,14 +194,27 @@ CPLXW = (1.0, 1.2 + 0.2j)
 D4CW = (1.0, 1.3, 1.7, 2.1 + 0.4j)
 
 
+def kernel_shell(plan, a0, w, j, homog):
+    """Shell total as the series sums it: the per-point part plus C(j) - C(j-1).
+
+    A shell with no imaginary part goes through the float64 per-point path."""
+    stack = sr._stack(plan, a0, w)
+    y = shell_values(a0, w, j, skip_origin=homog)
+    part, noise = sr._eval_shell(plan, stack, y if y.imag.any() else y.real)
+    corners = sr._corner_sum(stack, a0, j, homog) - sr._corner_sum(stack, a0, j - 1, homog)
+    return part + corners, noise
+
+
 class TestStackedKernel:
-    """The stacked Horner kernel against the loop it replaced.
+    """The shell kernel, per-point part plus far-corner difference, against
+    the per-point loop over every subset.
 
     Each case uses a small shift k and an inner shell, so the shell total is
-    at least 100x the tolerance and a lost subset row or point block fails.
+    at least 100x the tolerance and a lost subset, log factor or coefficient
+    fails.  The d = 4 shells hold over a thousand points each.
     """
 
-    # (plan, a0, w, shell index, homogeneous, runs in float64)
+    # (plan, a0, w, shell index, homogeneous, corner kernel runs in float64)
     CASES = {
         "pow real": (lambda: sr._plan_generic(0.5, D2W, 2), 0.7, D2W, 2, False, True),
         "pow complex alpha": (lambda: sr._plan_generic(0.5 + 3j, D2W, 2), 0.7, D2W, 2, False, False),
@@ -221,8 +235,8 @@ class TestStackedKernel:
     def test_matches_loop(self, name):
         make, a0, w, j, homog, _ = self.CASES[name]
         plan = make()
+        got, noise = kernel_shell(plan, a0, w, j, homog)
         y = shell_values(a0, w, j, skip_origin=homog)
-        got, noise = sr._eval_shell(plan, sr._stack(plan, a0, w), y)
         want, want_noise, size = reference_shell(plan, subset_terms(w, include_empty=True), y)
         assert abs(want) >= 100 * 1e-13 * size
         assert abs(got - want) <= 1e-13 * size
@@ -239,12 +253,83 @@ class TestStackedKernel:
         signs, sigmas, plain, logc, *_ = sr._stack(sr._plan_fp(2, D3W, 8), 0.9, D3W)
         assert len(logc) == 3 - 2 + 1
         assert len(plain) == 8 + 3 and plain[: len(logc)].tolist() == [0.0] * len(logc)
-        assert signs.shape == (8,) and sigmas.shape == (8, 1)
+        assert signs.shape == sigmas.shape == (8,)
 
-    def test_multi_block_cases_span_blocks(self):
-        for name in ("d4 pow, several blocks", "d4 fp, several blocks", "d4 fp complex, several blocks"):
-            _, a0, w, j, homog, _ = self.CASES[name]
-            assert shell_values(a0, w, j, skip_origin=homog).size > sr._BLOCK_ELEMS // 2 ** len(w)
+
+D1W = (1.3,)
+D3CW = (1.0, 1.2 + 0.2j, 0.8)
+
+
+class TestBoxIdentity:
+    """The telescoping lemma for the series ladder: the ladder part of every
+    shell up to J, summed point by point, is C(J) (less C(0) for the
+    homogeneous forms, which skip the origin)."""
+
+    # (plan, a0, w, J, homogeneous)
+    CASES = {
+        "d1 pow real": (lambda: sr._plan_generic(0.5, D1W, 2), 0.3, D1W, 9, False),
+        "d1 neglog homogeneous": (lambda: sr._plan_deriv0(D1W, 2), 0.0, D1W, 9, True),
+        "d1 fp complex lattice": (lambda: sr._plan_fp(1, (1.1 + 0.4j,), 1), 0.6 + 0.2j, (1.1 + 0.4j,), 9, False),
+        "d2 pow complex alpha homogeneous": (lambda: sr._plan_generic(0.5 + 3j, D2W, 2), 0.0, D2W, 6, True),
+        "d2 fp complex lattice": (lambda: sr._plan_fp(1, CPLXW, 1), 1 + 0.3j, CPLXW, 6, False),
+        "d2 neglog real": (lambda: sr._plan_deriv0(D2W, 2), 0.7, D2W, 6, False),
+        "d3 pow complex lattice": (lambda: sr._plan_generic(-1.5, D3CW, 3), 0.9 + 0.1j, D3CW, 5, False),
+        "d3 fp homogeneous": (lambda: sr._plan_fp(2, D3W, 2), 0.0, D3W, 5, True),
+        "d3 neglog complex homogeneous": (lambda: sr._plan_deriv0(D3CW, 2), 0.0, D3CW, 5, True),
+        "d4 pow real": (lambda: sr._plan_generic(0.5, D4W, 0), 0.3, D4W, 7, False),
+        "d4 fp real": (lambda: sr._plan_fp(2, D4W, -1), 0.3, D4W, 7, False),
+        "d4 fp complex homogeneous": (lambda: sr._plan_fp(2, D4CW, -1), 0.0, D4CW, 7, True),
+        "d4 neglog complex lattice": (lambda: sr._plan_deriv0(D4CW, 1), 0.5 + 0.2j, D4CW, 5, False),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_box_sum_is_far_corner(self, name):
+        make, a0, w, J, homog = self.CASES[name]
+        plan = make()
+        subsets = subset_terms(w, include_empty=True)
+        want = size = 0.0
+        for j in range(J + 1):
+            y = shell_values(a0, w, j, skip_origin=homog)
+            if y.size:
+                total, _, sz = reference_shell(plan, subsets, y, base=False)
+                want, size = want + total, size + sz
+        stack = sr._stack(plan, a0, w)
+        got = sr._corner_sum(stack, a0, J, homog)
+        if homog:
+            got -= sr._corner_sum(stack, a0, 0, homog)
+        assert abs(want) >= 100 * 1e-13 * size
+        assert abs(got - want) <= 1e-13 * size
+
+
+class TestLadderWork:
+    """The ladder runs on the 2^d far corners of each shell, never per point,
+    and the per-point part of a real lattice stays real at complex alpha."""
+
+    def test_at_most_two_to_the_d_per_shell(self, monkeypatch):
+        sizes = []
+        ladder = sr._ladder
+
+        def counted(stack, z):
+            sizes.append(z.size)
+            return ladder(stack, z)
+
+        monkeypatch.setattr(sr, "_ladder", counted)
+        diag = deriv0_bh_series(D4W).diagnostics
+        assert diag["points"] == 4095
+        assert len(sizes) <= diag["shells"] and max(sizes) <= 2 ** 4
+
+    def test_real_lattice_points_stay_float64(self, monkeypatch):
+        dtypes = set()
+        eval_shell = sr._eval_shell
+
+        def seen(plan, stack, y):
+            dtypes.add(y.dtype)
+            return eval_shell(plan, stack, y)
+
+        monkeypatch.setattr(sr, "_eval_shell", seen)
+        barnes_zeta_series(0.5 + 3j, BarnesParams(0.7, D2W))
+        zeta_bh_series(0.5 + 3j, D3W)
+        assert dtypes == {np.dtype(np.float64)}
 
 
 class TestPointCounts:
