@@ -7,6 +7,8 @@ Convention: B_n(a|w) is the coefficient of z^n/n! in
 
 and B_k(w) = B_k(0|w).  (Some references rescale these objects by
 prod_i w_i; that convention is *not* used here.)
+Tables are numpy convolutions of cached B_n/n! arrays scaled by w_i^n, in
+float64 when every w_i (and, for the polynomials, a) is real.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .foundations import DomainError, TruncationError, as_weights
+import numpy as np
+
+from .foundations import DomainError, TruncationError, as_weights, narrow
 
 MAX_TABLE = 170            # 171! no longer fits in a float
 _CLASSICAL_CAP = 320
@@ -49,7 +53,8 @@ def classical_bernoulli(n: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class BernoulliTable:
-    """Pure function of (sorted w, N): the numbers B_0(w)..B_N(w), and B_n(w)/n!."""
+    """Pure function of (sorted w, N): the numbers B_0(w)..B_N(w), and B_n(w)/n!;
+    floats when every w_i is real."""
 
     w: tuple[complex, ...]
     N: int
@@ -61,39 +66,43 @@ class BernoulliTable:
             raise DomainError("table length must be N + 1")
 
 
+@lru_cache(maxsize=None)
+def _unit_series(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """B_n/n! and n!, n = 0..N, each rounded once from its exact value; the
+    same for every lattice."""
+    classical = classical_bernoulli(N)
+    unit = np.array([float(classical[n] / factorial(n)) for n in range(N + 1)])
+    fact = np.array([float(factorial(n)) for n in range(N + 1)])
+    unit.flags.writeable = fact.flags.writeable = False
+    return unit, fact
+
+
 @lru_cache(maxsize=512)
 def _table_cached(w: tuple[complex, ...], N: int) -> BernoulliTable:
-    d = len(w)
-    classical = classical_bernoulli(N)
-    # One-weight coefficient arrays for w_i*z/(e^{w_i z}-1) = sum B_n w_i^n z^n/n!.
-    coeffs = []
-    for wi in w:
-        c = []
-        pw = complex(1.0)
-        for n in range(N + 1):
-            c.append(complex(classical[n]) * pw / factorial(n))
-            pw *= wi
-        coeffs.append(c)
-    prod = coeffs[0]
-    for i in range(1, d):
-        nxt = [complex(0.0)] * (N + 1)
-        ci = coeffs[i]
-        for n in range(N + 1):
-            s = complex(0.0)
-            for l in range(n + 1):
-                s += prod[l] * ci[n - l]
-            nxt[n] = s
-        prod = nxt
-    numbers = tuple(prod[n] * factorial(n) for n in range(N + 1))
-    return BernoulliTable(w=w, N=N, numbers=numbers, scaled=tuple(prod))
+    # Rows w_i z/(e^{w_i z}-1) = sum B_n w_i^n z^n/n!.  A trailing zero keeps the
+    # kept entries on the leading ramp of np.convolve, whose summation order
+    # depends on n alone, so B_n(w) is the same in every table size N.  Huge
+    # weights overflow to inf silently; a route fed such a table raises.
+    unit, fact = _unit_series(N)
+    wa = np.array([narrow(x) for x in w])
+    rows = np.zeros((len(w), N + 2), dtype=wa.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[:, :-1] = unit * wa[:, None] ** np.arange(N + 1)
+        scaled = rows[0]
+        for row in rows[1:]:
+            scaled = np.convolve(scaled, row)[: N + 2]
+        scaled = scaled[:-1]
+        numbers = scaled * fact
+    return BernoulliTable(w=w, N=N, numbers=tuple(numbers.tolist()), scaled=tuple(scaled.tolist()))
 
 
 def bernoulli_numbers(w: Iterable[complex], N: int) -> BernoulliTable:
     """Table of higher-order Bernoulli numbers B_0(w)..B_N(w), one per lattice:
     the weights are sorted first, so every order of them gets the same table.
 
-    Computed as the Cauchy product of the d classical one-weight expansions,
-    each held exactly in rationals and scaled by w_i^n/n! before convolving."""
+    Computed as the Cauchy product of the d classical one-weight expansions:
+    each is the cached B_n/n! times w_i^n, and the product is d - 1 calls of
+    np.convolve, in float64 when every w_i is real."""
     if N < 0:
         raise DomainError("N must be >= 0")
     if N > MAX_TABLE:
@@ -101,21 +110,20 @@ def bernoulli_numbers(w: Iterable[complex], N: int) -> BernoulliTable:
     return _table_cached(tuple(sorted(as_weights(w), key=lambda z: (z.real, z.imag))), N)
 
 
-def bernoulli_taylor(a: complex, w: Iterable[complex], N: int) -> list[complex]:
-    """B_n(a|w)/n!, n = 0..N: one table of B_n(w)/n! in one Cauchy product
-    with e^{az}, the Taylor coefficients of the generating function."""
+def bernoulli_taylor(a: complex, w: Iterable[complex], N: int) -> np.ndarray:
+    """B_n(a|w)/n!, n = 0..N: one table of B_n(w)/n! in one convolution with
+    the e^{az} coefficients a^l/l!, the Taylor coefficients of the generating
+    function; float64 when a and w are real."""
     scaled = bernoulli_numbers(w, N).scaled
-    a = complex(a)
-    exp_a = [a ** l / factorial(l) for l in range(N + 1)]
-    return [sum((exp_a[l] * scaled[n - l] for l in range(n + 1)), complex(0.0))
-            for n in range(N + 1)]
+    exp_a = narrow(a) ** np.arange(N + 1) / _unit_series(N)[1]
+    return np.convolve(exp_a, scaled)[: N + 1]
 
 
 def bernoulli_poly(n: int, a: complex, w: Iterable[complex]) -> complex:
     """Higher-order Bernoulli polynomial B_n(a|w), degree n in a."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    return factorial(n) * bernoulli_taylor(a, w, n)[n]
+    return complex(factorial(n) * bernoulli_taylor(a, w, n)[n])
 
 
 def bernoullian_dS(m: int, w: Iterable[complex]) -> complex:

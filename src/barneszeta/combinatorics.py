@@ -12,6 +12,9 @@ d*log10|y| digits to cancellation.  The lattice series forms them only at
 the 2^d far corners of each box, once per shell, and the limit route in its
 edge terms at x = M*w; all scalar accumulations here use
 error-free-transformation (Neumaier) summation.
+
+The shell S_k of points with max coordinate k is built as d faces in a few
+numpy calls each, in float64 when a and every w_i are real.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .foundations import DomainError, EvaluationError, ResourceError, as_weights
+from .foundations import DomainError, EvaluationError, ResourceError, as_weights, narrow
 
 MAX_DIM = 16
 
@@ -97,11 +100,8 @@ def subset_terms(w: tuple[complex, ...], include_empty: bool):
     d = len(w)
     terms = []
     for idx in subset_index_lists(d, include_empty):
-        sigma = complex(0.0)
-        for i in idx:
-            sigma += w[i]
         sign = -1.0 if (d - len(idx)) % 2 else 1.0
-        terms.append((idx, sign, sigma))
+        terms.append((idx, sign, sum((w[i] for i in idx), 0.0)))
     return terms
 
 
@@ -260,26 +260,24 @@ def cube_bracket_sum(
 
 
 def shell_values(a: complex, w: Sequence[complex], k: int, skip_origin: bool = False) -> np.ndarray:
-    """Values a + n.w on the shell S_k as a flat complex array.
+    """Values a + n.w on the shell S_k as a flat array, float64 when a and
+    every w_i are real, else complex128.
 
-    Faces are enumerated by the set of coordinates pinned at k (ordered by
-    size then lexicographically) and each face is laid out in C order, so
-    the output ordering is reproducible bit for bit.
+    S_k splits into d disjoint faces by the first coordinate that equals k:
+    the coordinates before it run over 0..k-1, those after it over 0..k.
+    The faces come in the order of that coordinate and each is laid out in
+    C order, so the output ordering is reproducible bit for bit.
     """
-    wt = tuple(complex(x) for x in w)
-    d = len(wt)
-    a = complex(a)
+    wt = [narrow(x) for x in w]
+    a = narrow(a)
     if k == 0:
-        if skip_origin:
-            return np.empty(0, dtype=np.complex128)
-        return np.array([a], dtype=np.complex128)
-    faces = []
-    for idx in subset_index_lists(d, include_empty=False):
-        base = a + k * sum(wt[i] for i in idx)
-        arr = np.array([base], dtype=np.complex128)
-        for i in range(d):
-            if i in idx:
-                continue
-            arr = (arr[:, None] + wt[i] * np.arange(k, dtype=np.float64)[None, :]).ravel()
-        faces.append(arr)
-    return np.concatenate(faces) if faces else np.empty(0, dtype=np.complex128)
+        return np.array([] if skip_origin else [a], dtype=np.result_type(a, *wt))
+    d = len(wt)
+    n = np.arange(k + 1.0)
+    # before[i]: coordinates 0..i-1, each in 0..k-1; after[j]: the last j, each in 0..k
+    before, after = [np.zeros(1)], [np.zeros(1)]
+    for i in range(d - 1):
+        before.append((before[-1][:, None] + wt[i] * n[:k]).ravel())
+        after.append((wt[d - 1 - i] * n[:, None] + after[-1]).ravel())
+    return np.concatenate([((a + k * wt[i]) + before[i][:, None] + after[d - 1 - i]).ravel()
+                           for i in range(d)])

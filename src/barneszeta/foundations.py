@@ -196,6 +196,12 @@ def rising_factorial(s: complex, n: int) -> complex:
     return out
 
 
+def narrow(z: complex) -> complex | float:
+    """z as a float when its imaginary part is zero: numpy then stays in float64."""
+    z = complex(z)
+    return z.real if z.imag == 0 else z
+
+
 def horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray | float:
     """sum_m coeffs[m] * x^m by Horner's rule, in place, in the wider dtype
     of coeffs and x; 0 for no coefficients."""

@@ -19,6 +19,8 @@ nodes cluster double-exponentially at the t^s origin and thin out along the
 exponential tail, so the domain is never split.  The error estimate of a
 route is its quadrature estimate, scaled by the route's Gamma factor, plus
 the rounding of its closed Bernoulli sum (eps times the summed term sizes).
+The brackets run in float64 when w (and c) are real, the integrands when a
+and alpha are real as well.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bernoulli import bernoulli_numbers, bernoulli_poly, bernoulli_taylor
-from .combinatorics import CompensatedSum
+from .combinatorics import CompensatedSum, subset_terms
 from .foundations import (
     BarnesParams,
     DEFAULT_CONFIG,
@@ -44,6 +46,7 @@ from .foundations import (
     check_pole,
     harmonic_float,
     horner,
+    narrow,
     rising_factorial,
     validate_params,
     validate_weights,
@@ -138,7 +141,7 @@ def quad_semiinfinite(prob: QuadratureProblem) -> QuadratureOutcome:
         """w(x) f(t(x)) with w = dt/dx, checked finite."""
         t = np.exp(_HALF_PI * np.sinh(x)) / lam
         with np.errstate(over="ignore", invalid="ignore"):
-            g = np.asarray(prob.integrand(t), dtype=np.complex128) * (_HALF_PI * np.cosh(x) * t)
+            g = prob.integrand(t) * (_HALF_PI * np.cosh(x) * t)
         if not np.all(np.isfinite(g)):
             raise QuadratureError(f"integrand is not finite at t = {t[~np.isfinite(g)][0]:.3e}")
         return g
@@ -173,33 +176,20 @@ def quad_semiinfinite(prob: QuadratureProblem) -> QuadratureOutcome:
 # Regularized integrands
 
 def _heat_product(w: tuple[complex, ...], t: np.ndarray) -> np.ndarray:
-    out = np.ones_like(t, dtype=np.complex128)
-    for wi in w:
-        out = out / (-np.expm1(-wi * t))
-    return out
+    """prod 1/(1-e^{-w_i t}), in the dtype of w."""
+    return 1.0 / np.prod(-np.expm1(-np.multiply.outer(t, w)), axis=-1)
 
 
-def _heat_product_minus_one(w: tuple[complex, ...], t: np.ndarray) -> np.ndarray:
+def _heat_product_minus_one(sigmas: np.ndarray, signs: np.ndarray,
+                            w: tuple[complex, ...], t: np.ndarray) -> np.ndarray:
     """prod 1/(1-e^{-w_i t}) - 1 without cancellation at large t.
 
     Uses (1 - prod(1-e_i))/prod(1-e_i) with the numerator expanded over
-    nonempty subsets, so the result keeps full relative accuracy when the
-    e_i = e^{-w_i t} are at or below machine epsilon.
+    the nonempty subsets S, as sum of signs_S e^{-sigma_S t}, so the result
+    keeps full relative accuracy when the e_i = e^{-w_i t} are at or below
+    machine epsilon.
     """
-    exps = [np.exp(-wi * t) for wi in w]
-    num = np.zeros_like(t, dtype=np.complex128)
-    for mask in range(1, 1 << len(w)):
-        term = np.ones_like(t, dtype=np.complex128)
-        bits = 0
-        for i, e in enumerate(exps):
-            if mask >> i & 1:
-                term = term * e
-                bits += 1
-        num += -term if bits % 2 == 0 else term
-    den = np.ones_like(t, dtype=np.complex128)
-    for wi in w:
-        den = den * (-np.expm1(-wi * t))
-    return num / den
+    return (np.exp(-np.multiply.outer(t, sigmas)) @ signs) * _heat_product(w, t)
 
 
 def _small_t_threshold(w: tuple[complex, ...]) -> float:
@@ -209,20 +199,19 @@ def _small_t_threshold(w: tuple[complex, ...]) -> float:
 
 def _alternating_bernoulli_coeffs(w: tuple[complex, ...], shift: complex, kmax: int) -> np.ndarray:
     """Coefficients (-1)^k B_k(shift|w)/k! of the small-t heat-kernel expansion."""
-    return np.array([(-1.0) ** k * b for k, b in enumerate(bernoulli_taylor(shift, w, kmax))],
-                    dtype=np.complex128)
+    return bernoulli_taylor(shift, w, kmax) * (-1.0) ** np.arange(kmax + 1)
 
 
 def _inhom_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.ndarray]:
     """1/prod(1-e^{-w t}) minus its first M+1 expansion terms; O(t^{M+1-d})."""
+    w = tuple(map(narrow, w))
     d = len(w)
     pw = math.prod(w)
     coeffs = _alternating_bernoulli_coeffs(w, 0.0, M + _SERIES_EXTRA)
     t0 = _small_t_threshold(w)
 
     def bracket(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        out = np.empty(t.shape, dtype=np.complex128)
+        out = np.empty(t.shape, dtype=coeffs.dtype)
         small = t < t0
         if np.any(small):
             ts = t[small]
@@ -242,37 +231,35 @@ def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.n
         1/prod(1-e^{-w t}) - 1 - t^{-d}e^{-ct}/prod(w) * [first M+1 terms]
         + e^{-ct} * sum_{k=0}^{M-d} (ct)^k/k!
     """
+    w, c = tuple(map(narrow, w)), narrow(c)
     d = len(w)
     pw = math.prod(w)
     coeffs = _alternating_bernoulli_coeffs(w, -c, M + _SERIES_EXTRA)
     t0 = _small_t_threshold(w)
+    _, signs, sigmas = zip(*subset_terms(w, include_empty=False))
+    sigmas, signs = np.array(sigmas), (-1.0) ** (d + 1) * np.array(signs)
     n_exp = M - d   # highest k of the counter-exponential partial sum
+    partial = np.array([c ** k / factorial(k) for k in range(n_exp + 1)])
+    # Below t0 both series carry e^{-ct} t^(M+1-d); for M >= d the
+    # counter-exponential tail c^(M+1-d+j)/(M+1-d+j)! folds into one Horner row.
+    tail = coeffs[M + 1:] / pw
     if n_exp >= 0:
-        exp_tail_coeffs = np.array([c ** (n_exp + 1 + j) / factorial(n_exp + 1 + j)
-                                    for j in range(_SERIES_EXTRA)], dtype=np.complex128)
-        partial = np.array([c ** k / factorial(k) for k in range(n_exp + 1)], dtype=np.complex128)
+        tail = tail - np.array([c ** (n_exp + 1 + j) / factorial(n_exp + 1 + j)
+                                for j in range(_SERIES_EXTRA)])
 
     def bracket(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        out = np.empty(t.shape, dtype=np.complex128)
+        out = np.empty(t.shape, dtype=coeffs.dtype)
         small = t < t0
         if np.any(small):
             ts = t[small]
-            ect = np.exp(-c * ts)
-            piece = ts ** (M + 1 - d) * ect / pw * horner(coeffs[M + 1:], ts)
-            if n_exp >= 0:
-                piece = piece - ect * ts ** (n_exp + 1) * horner(exp_tail_coeffs, ts)
-            else:
-                piece = piece - 1.0
-            out[small] = piece
+            piece = ts ** (M + 1 - d) * np.exp(-c * ts) * horner(tail, ts)
+            out[small] = piece if n_exp >= 0 else piece - 1.0
         if np.any(~small):
             tl = t[~small]
             ect = np.exp(-c * tl)
             sub = tl ** (-d) * ect / pw * horner(coeffs[: M + 1], tl)
-            val = _heat_product_minus_one(w, tl) - sub
-            if n_exp >= 0:
-                val = val + ect * horner(partial, tl)
-            out[~small] = val
+            out[~small] = (_heat_product_minus_one(sigmas, signs, w, tl) - sub
+                           + ect * horner(partial, tl))
         return out
 
     return bracket
@@ -348,9 +335,10 @@ def barnes_zeta_integral(alpha: complex, p: BarnesParams,
         return EvalResult(pref.value, _EPS * pref.mass, Method.INTEGRAL,
                           {"M": M, "quad_evals": 0, "integral_skipped": True})
     bracket = _inhom_bracket(p.w, M)
+    a, expo = narrow(p.a), narrow(alpha - 1)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(-p.a * t) * t ** (alpha - 1) * bracket(t)
+        return np.exp(-a * t) * t ** expo * bracket(t)
 
     integral, err, evals = quad_semiinfinite(QuadratureProblem(
         integrand, small_t_order=alpha.real + M - d, decay_rate=p.a.real,
@@ -377,9 +365,10 @@ def fp_barnes_integral(q: int, p: BarnesParams, config: EvalConfig | None = None
         closed.add(s * p.a ** (d - q - k) * numbers[k] / (factorial(k) * factorial(d - q - k))
                    * (harmonic_float(d - q - k) - harmonic_float(q - 1) - la))
     bracket = _inhom_bracket(p.w, M)
+    a = narrow(p.a)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(-p.a * t) * t ** (q - 1) * bracket(t)
+        return np.exp(-a * t) * t ** (q - 1) * bracket(t)
 
     integral, err, evals = quad_semiinfinite(QuadratureProblem(
         integrand, small_t_order=float(q + M - d), decay_rate=p.a.real,
@@ -410,9 +399,10 @@ def deriv0_barnes_integral(p: BarnesParams, config: EvalConfig | None = None) ->
         closed.add(s * numbers[k] * p.a ** (d - k) / (factorial(k) * factorial(d - k))
                    * (harmonic_float(d - k) - la))
     bracket = _inhom_bracket(p.w, d)
+    a = narrow(p.a)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(-p.a * t) * bracket(t) / t
+        return np.exp(-a * t) * bracket(t) / t
 
     integral, err, evals = quad_semiinfinite(QuadratureProblem(
         integrand, small_t_order=0.0, decay_rate=p.a.real,
@@ -454,9 +444,10 @@ def zeta_bh_integral(alpha: complex, w: Sequence[complex],
                           {"M": M, "c": [c.real, c.imag], "quad_evals": 0,
                            "integral_skipped": True})
     bracket = _homog_bracket(wt, M, c)
+    expo = narrow(alpha - 1)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return t ** (alpha - 1) * bracket(t)
+        return t ** expo * bracket(t)
 
     decay = min(min(wi.real for wi in wt), c.real)
     integral, err, evals = quad_semiinfinite(QuadratureProblem(

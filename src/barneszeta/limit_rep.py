@@ -38,6 +38,7 @@ from .foundations import (
     EvalResult,
     Method,
     harmonic_float,
+    narrow,
     validate_params,
     validate_weights,
 )
@@ -102,13 +103,7 @@ def _cube_chunks(a0: complex, w: tuple[complex, ...], M: int, homog: bool):
     the first chunk in the homogeneous case.
     """
     d = len(w)
-    real = a0.imag == 0 and all(wi.imag == 0 for wi in w)
-    if real:
-        a_val = a0.real
-        ws = [wi.real for wi in w]
-    else:
-        a_val = a0
-        ws = list(w)
+    a_val, ws = narrow(a0), [narrow(wi) for wi in w]
     if d == 1:
         n = np.arange(1 if homog else 0, M)
         yield a_val + ws[0] * n

@@ -28,6 +28,7 @@ from .foundations import (
     Method,
     PoleError,
     check_pole,
+    narrow,
     rising_factorial,
     validate_params,
     validate_weights,
@@ -180,7 +181,7 @@ def _direct_shells(alpha, a, w, cfg, skip_origin):
     for k in range(cfg.max_shells + 1):
         y = shell_values(a, w, k, skip_origin=skip_origin)
         if y.size:
-            acc.add(complex(np.sum(y ** (-alpha))))
+            acc.add(complex(np.sum(y ** -narrow(alpha))))
             points += int(y.size)
         # Tail bound:  sum_{j>k} (count of S_j) * (min |y| on S_j)^(-Re alpha)
         # with count <= d*(j+1)^(d-1) and |y| >= a_re + j*wmin, compared

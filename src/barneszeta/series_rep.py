@@ -262,7 +262,6 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
     differences.  Homogeneous forms pass only their constant: the F-symbol
     part of their closed term is C(0), which the shells subtract again."""
     stack = _stack(plan, a0, w)
-    real = complex(a0).imag == 0 and not any(complex(x).imag for x in w)
     acc = CompensatedSum()
     recent: deque[float] = deque(maxlen=stop_count)
     recent_noise: deque[float] = deque(maxlen=stop_count)
@@ -274,7 +273,7 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
         y = shell_values(a0, w, j, skip_origin=homog)
         diag["shells"] = j + 1
         if y.size:
-            part, noise = _eval_shell(plan, stack, y.real if real else y)
+            part, noise = _eval_shell(plan, stack, y)
             s = part + (corner - prev)
             diag["points"] += int(y.size)
             if not cmath.isfinite(s):

@@ -162,3 +162,35 @@ class TestOneTable:
     def test_cold_gamma_family_builds_few_tables(self, params):
         assert _table_misses(lambda: log_gamma_B(params, "best")) <= 3
         assert _table_misses(lambda: psi_B(1, params, "best")) <= 3
+
+
+class TestTableAgainstMpmath:
+    """Every entry of a 64-term table against the same Cauchy product at 50
+    digits, bounded by 1e-14 of the summed term sizes: the product of the d
+    series of |B_n w_i^n/n!|."""
+
+    W = {"real": (1.0, 2 ** 0.5, math.pi / 4, 2.7), "complex": (1.0 + 0.3j, 1.9 - 0.4j, 0.6, 2.2 + 1j)}
+
+    @staticmethod
+    def _cauchy(mpmath, series, N):
+        out = series[0]
+        for s in series[1:]:
+            out = [mpmath.fsum(out[l] * s[n - l] for l in range(n + 1)) for n in range(N + 1)]
+        return out
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_entries(self, kind, d):
+        mpmath = pytest.importorskip("mpmath")
+        N, w = 64, self.W[kind][:d]
+        table = bernoulli_numbers(w, N)
+        with mpmath.workdps(50):
+            unit = [mpmath.bernoulli(n) / mpmath.factorial(n) for n in range(N + 1)]
+            series = [[unit[n] * mpmath.mpc(wi) ** n for n in range(N + 1)] for wi in w]
+            want = self._cauchy(mpmath, series, N)
+            size = self._cauchy(mpmath, [[abs(c) for c in s] for s in series], N)
+            for n in range(N + 1):
+                bound = 1e-14 * size[n]
+                assert abs(table.scaled[n] - want[n]) <= bound, n
+                assert abs(table.numbers[n] - want[n] * mpmath.factorial(n)) <= bound * mpmath.factorial(n), n
+        assert all(isinstance(x, float if kind == "real" else complex) for x in table.numbers)

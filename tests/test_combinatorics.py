@@ -193,6 +193,31 @@ class TestShellValues:
     def test_skip_origin(self):
         assert shell_values(0.0, (1.0,), 0, skip_origin=True).size == 0
 
+    # Dyadic a and w make every a + n.w exact, so the faces must reproduce
+    # the brute-force multiset bit for bit; 3 * 1.0 = 4 * 0.75 adds repeats.
+    DYADIC = {"real": (0.375, (1.0, 0.75, 2.5, 1.25)),
+              "complex": (0.375 + 0.125j, (1.0 + 0.5j, 0.75, 2.5 - 0.25j, 1.25 + 1j))}
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("skip_origin", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_faces_are_the_shell(self, kind, skip_origin, d, k):
+        a, w = self.DYADIC[kind]
+        w = w[:d]
+        got = shell_values(a, w, k, skip_origin=skip_origin)
+        want = [] if skip_origin and k == 0 else [
+            a + sum(n_i * w_i for n_i, w_i in zip(n, w)) for n in shell_indices(k, d)]
+        assert got.size == (k + 1) ** d - k**d - (skip_origin and k == 0)
+        key = lambda z: (complex(z).real, complex(z).imag)
+        assert sorted(map(complex, got), key=key) == sorted(map(complex, want), key=key)
+        real = kind == "real"
+        assert got.dtype == np.dtype(np.float64 if real else np.complex128)
+
+    def test_complex_a_on_real_weights_is_complex(self):
+        assert shell_values(0.5 + 0.1j, (1.0, 2.0), 2).dtype == np.complex128
+        assert shell_values(0.5 + 0j, (1.0 + 0j, 2.0), 2).dtype == np.float64
+
 
 class TestNeville:
     def test_exact_on_polynomials_in_reciprocal(self):

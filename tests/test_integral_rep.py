@@ -391,3 +391,67 @@ class TestNoGrind:
         assert_honest_or_raises(route, _mp_zeta2(mpmath, alpha, a or 0.0, w[1]))
         # At most 14 first-level intervals here, doubled at each later level.
         assert 0 < sum(nodes) <= 14 * 2 ** (integral_rep._LEVELS - 1) + 1
+
+
+class TestBracketDtype:
+    """A real lattice at real alpha keeps the brackets and every array that
+    reaches quad_semiinfinite in float64; complex w or c makes them complex."""
+
+    W = (1.0, 2 ** 0.5)
+    CW = (1.0 + 0.2j, 1.5 - 0.1j)
+
+    def _dtypes(self, monkeypatch, route):
+        seen = {"bracket": set(), "integrand": set()}
+        quad = integral_rep.quad_semiinfinite
+
+        def watched(make):
+            def build(*args):
+                bracket = make(*args)
+
+                def watched_bracket(t):
+                    out = bracket(t)
+                    seen["bracket"].add(out.dtype)
+                    return out
+                return watched_bracket
+            return build
+
+        def counted(prob):
+            def integrand(t):
+                out = prob.integrand(t)
+                seen["integrand"].add(out.dtype)
+                return out
+            return quad(dataclasses.replace(prob, integrand=integrand))
+
+        monkeypatch.setattr(integral_rep, "_inhom_bracket", watched(_inhom_bracket))
+        monkeypatch.setattr(integral_rep, "_homog_bracket", watched(_homog_bracket))
+        monkeypatch.setattr(integral_rep, "quad_semiinfinite", counted)
+        route()
+        return seen
+
+    def _routes(self, w, a):
+        p = BarnesParams(a, w)
+        return [lambda: barnes_zeta_integral(0.5, p), lambda: fp_barnes_integral(1, p),
+                lambda: deriv0_barnes_integral(p), lambda: zeta_bh_integral(-1.5, w),
+                lambda: fp_bh_integral(2, w), lambda: deriv0_bh_integral(w)]
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_real_lattice_runs_in_float64(self, i, monkeypatch):
+        seen = self._dtypes(monkeypatch, self._routes(self.W, 0.7 + 0j)[i])
+        assert seen == {"bracket": {np.dtype(np.float64)}, "integrand": {np.dtype(np.float64)}}
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_complex_weights_run_in_complex128(self, i, monkeypatch):
+        seen = self._dtypes(monkeypatch, self._routes(self.CW, 0.7)[i])
+        assert seen == {"bracket": {np.dtype(np.complex128)},
+                        "integrand": {np.dtype(np.complex128)}}
+
+    def test_complex_c_runs_in_complex128(self, monkeypatch):
+        seen = self._dtypes(monkeypatch, lambda: zeta_bh_integral(
+            0.5, self.W, IntegralControls(c=1.0 + 0.5j)))
+        assert seen == {"bracket": {np.dtype(np.complex128)},
+                        "integrand": {np.dtype(np.complex128)}}
+
+    def test_complex_alpha_keeps_the_bracket_real(self, monkeypatch):
+        seen = self._dtypes(monkeypatch, lambda: barnes_zeta_integral(
+            0.5 + 3j, BarnesParams(0.7, self.W)))
+        assert seen == {"bracket": {np.dtype(np.float64)}, "integrand": {np.dtype(np.complex128)}}

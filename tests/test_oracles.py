@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from barneszeta import (
@@ -17,6 +18,7 @@ from barneszeta import (
     log_gamma_rep_checks,
     rational_d2_reduction,
 )
+from barneszeta.combinatorics import CompensatedSum, shell_values
 from barneszeta.oracles import EulerMaclaurinControls, digamma_ref
 
 from conftest import rel_err
@@ -88,6 +90,18 @@ class TestDirectSum:
     def test_homogeneous(self):
         res = direct_sum_bh(4.0, (1.0,), EvalConfig(rel_tol=1e-12))
         assert rel_err(res.value, math.pi**4 / 90) <= 1e-11
+
+    @pytest.mark.parametrize("homog", [False, True])
+    def test_real_power_matches_complex_power(self, homog):
+        # At real alpha on a real lattice the sum takes the float power; the
+        # complex power over the same shells must agree to rounding.
+        alpha, a, w = 6.5, 0.7, (1.0, 2 ** 0.5)
+        res = direct_sum_bh(alpha, w) if homog else direct_sum(alpha, BarnesParams(a, w))
+        acc = CompensatedSum()
+        for k in range(res.diagnostics["shells"]):
+            y = shell_values(0.0 if homog else a, w, k, skip_origin=homog)
+            acc.add(complex(np.sum(y.astype(np.complex128) ** complex(-alpha))))
+        assert rel_err(res.value, acc.value) <= 1e-15
 
 
 class TestReductions:
