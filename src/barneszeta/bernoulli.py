@@ -28,19 +28,24 @@ MAX_TABLE = 170            # 171! no longer fits in a float
 _CLASSICAL_CAP = 320
 
 
+_CLASSICAL = [Fraction(1)]     # B_0, B_1, ... as far as any call has needed
+
+
 @lru_cache(maxsize=None)
 def classical_bernoulli(n: int) -> tuple[Fraction, ...]:
     """Classical Bernoulli numbers B_0..B_n (B_1 = -1/2) as exact rationals.
 
     Uses the defining recurrence sum_{r=0}^{m} C(m+1, r) B_r = 0 for m >= 1,
-    which produces the z/(e^z - 1) expansion coefficients directly.
+    which produces the z/(e^z - 1) expansion coefficients directly.  One
+    table grows in place, so each B_m is computed once per process, and each
+    n returns the same tuple.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     if n > _CLASSICAL_CAP:
         raise TruncationError(f"classical Bernoulli table capped at {_CLASSICAL_CAP}")
-    out = [Fraction(1)]
-    for m in range(1, n + 1):
+    out = _CLASSICAL
+    for m in range(len(out), n + 1):
         if m > 2 and m % 2 == 1:
             out.append(Fraction(0))
             continue
@@ -48,7 +53,7 @@ def classical_bernoulli(n: int) -> tuple[Fraction, ...]:
         for r in range(m):
             acc += comb(m + 1, r) * out[r]
         out.append(-acc / (m + 1))
-    return tuple(out)
+    return tuple(out[: n + 1])
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ the 2^d far corners of each box, once per shell, and the limit route in its
 edge terms at x = M*w; all scalar accumulations here use
 error-free-transformation (Neumaier) summation.
 
-The shell S_k of points with max coordinate k is built as d faces in a few
-numpy calls each, in float64 when a and every w_i are real.
+The values a + n.w on a shell S_k (the points with max coordinate k) are one
+product of the weights with the shell's integer coordinate grid, cached per
+dimension and bounded in size; larger shells are built as d faces.  Both run
+in float64 when a and every w_i are real.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import numpy as np
 from .foundations import DomainError, EvaluationError, ResourceError, as_weights, narrow
 
 MAX_DIM = 16
+_GRID_POINTS = 2 ** 16     # shells with (k+1)^d <= this come from the cached grid
+_GRIDS: dict[int, tuple[np.ndarray, int]] = {}   # d -> (grid, shells written)
 
 
 class CompensatedSum:
@@ -259,6 +263,32 @@ def cube_bracket_sum(
     return CubeBracketSum(rhs=rhs, lhs=lhs)
 
 
+def _shell_grid(d: int, k: int) -> np.ndarray:
+    """Integer coordinates of the shell S_k as a (d, |S_k|) array, in the face
+    order of `shell_values`: a view of the cached grid of dimension d, which
+    lists the shells S_0, S_1, ... one after another, so that S_k is its
+    columns k^d .. (k+1)^d - 1.
+
+    Shells are written once each, on first request, face by face.  The
+    caller keeps (k+1)^d <= _GRID_POINTS, so a dimension's grid never holds
+    more than _GRID_POINTS points; it is allocated at that size, in the
+    smallest unsigned dtype (one byte from d = 2 on, two at d = 1), and its
+    memory becomes resident only as shells are written.
+    """
+    grid, written = _GRIDS.get(d, (None, 0))
+    if grid is None:
+        grid = np.empty((d, _GRID_POINTS), np.min_scalar_type(round(_GRID_POINTS ** (1.0 / d)) - 1))
+    for j in range(written, k + 1):
+        at = j ** d
+        for i in range(d):      # face i: coordinate i is j, those before it below j
+            face = np.indices((j,) * i + (1,) + (j + 1,) * (d - 1 - i), grid.dtype).reshape(d, -1)
+            face[i] = j
+            grid[:, at:at + face.shape[1]] = face
+            at += face.shape[1]
+    _GRIDS[d] = grid, max(written, k + 1)
+    return grid[:, k ** d:(k + 1) ** d]
+
+
 def shell_values(a: complex, w: Sequence[complex], k: int, skip_origin: bool = False) -> np.ndarray:
     """Values a + n.w on the shell S_k as a flat array, float64 when a and
     every w_i are real, else complex128.
@@ -267,12 +297,23 @@ def shell_values(a: complex, w: Sequence[complex], k: int, skip_origin: bool = F
     the coordinates before it run over 0..k-1, those after it over 0..k.
     The faces come in the order of that coordinate and each is laid out in
     C order, so the output ordering is reproducible bit for bit.
+
+    While (k+1)^d <= _GRID_POINTS the values are one product w @ G_k of the
+    weights with the shell's cached integer grid (see `_shell_grid`), so
+    each dimension's cache holds at most 2^16 points, 2^16 * d bytes.  The
+    grid pays where the call overhead of the face build dominates, on the
+    many small shells of the series; larger shells -- the long d = 2 walks
+    of the direct sum, the limit route's cubes at d >= 4 -- are built face
+    by face in a few numpy calls each: their cost is the points themselves,
+    and a grid for them would hold megabytes that are read once.
     """
     wt = [narrow(x) for x in w]
     a = narrow(a)
     if k == 0:
         return np.array([] if skip_origin else [a], dtype=np.result_type(a, *wt))
     d = len(wt)
+    if (k + 1) ** d <= _GRID_POINTS:
+        return a + np.array(wt) @ _shell_grid(d, k)
     n = np.arange(k + 1.0)
     # before[i]: coordinates 0..i-1, each in 0..k-1; after[j]: the last j, each in 0..k
     before, after = [np.zeros(1)], [np.zeros(1)]

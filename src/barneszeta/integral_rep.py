@@ -12,7 +12,11 @@ arise.
 Below a threshold t0 (a fixed fraction of the expansion radius
 2*pi/max|w_i|) the regularized integrand is evaluated from its own tail
 series instead of by subtracting nearly equal quantities; direct
-subtraction there would lose all significant digits as t -> 0.
+subtraction there would lose all significant digits as t -> 0.  The tail
+series is one product of the nodes' power table (np.vander) with its
+coefficient row.  Above t0 the few subtracted terms keep Horner's rule: a
+power table there rounds differently at large t, enough to turn honest
+values at negative complex alpha dishonest.
 
 Every line integral goes through one exp-sinh rule on (0, inf), whose
 nodes cluster double-exponentially at the t^s origin and thin out along the
@@ -208,6 +212,7 @@ def _inhom_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.
     d = len(w)
     pw = math.prod(w)
     coeffs = _alternating_bernoulli_coeffs(w, 0.0, M + _SERIES_EXTRA)
+    tail = coeffs[M + 1:]
     t0 = _small_t_threshold(w)
 
     def bracket(t: np.ndarray) -> np.ndarray:
@@ -215,7 +220,8 @@ def _inhom_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.
         small = t < t0
         if np.any(small):
             ts = t[small]
-            out[small] = ts ** (M + 1 - d) / pw * horner(coeffs[M + 1:], ts)
+            tail_sum = np.vander(ts, tail.size, increasing=True) @ tail
+            out[small] = ts ** (M + 1 - d) / pw * tail_sum
         if np.any(~small):
             tl = t[~small]
             sub = tl ** (-d) / pw * horner(coeffs[: M + 1], tl)
@@ -241,7 +247,7 @@ def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.n
     n_exp = M - d   # highest k of the counter-exponential partial sum
     partial = np.array([c ** k / factorial(k) for k in range(n_exp + 1)])
     # Below t0 both series carry e^{-ct} t^(M+1-d); for M >= d the
-    # counter-exponential tail c^(M+1-d+j)/(M+1-d+j)! folds into one Horner row.
+    # counter-exponential tail c^(M+1-d+j)/(M+1-d+j)! folds into one tail row.
     tail = coeffs[M + 1:] / pw
     if n_exp >= 0:
         tail = tail - np.array([c ** (n_exp + 1 + j) / factorial(n_exp + 1 + j)
@@ -252,7 +258,8 @@ def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.n
         small = t < t0
         if np.any(small):
             ts = t[small]
-            piece = ts ** (M + 1 - d) * np.exp(-c * ts) * horner(tail, ts)
+            tail_sum = np.vander(ts, tail.size, increasing=True) @ tail
+            piece = ts ** (M + 1 - d) * np.exp(-c * ts) * tail_sum
             out[small] = piece if n_exp >= 0 else piece - 1.0
         if np.any(~small):
             tl = t[~small]

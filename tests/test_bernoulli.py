@@ -42,6 +42,26 @@ class TestClassical:
         assert b[12] == Fraction(-691, 2730)
 
 
+class TestClassicalTable:
+    """One table grows in place: a shorter request is a prefix of a longer
+    one, in either order, and shares its entries."""
+
+    @pytest.mark.parametrize("n, m", [(0, 1), (7, 30), (64, 65), (40, 170), (100, 320)])
+    def test_prefix_of_longer_table(self, n, m):
+        short = classical_bernoulli(n)
+        long = classical_bernoulli(m)
+        assert len(short) == n + 1 and len(long) == m + 1
+        assert short == long[: n + 1]
+        assert all(x is y for x, y in zip(short, long))
+        assert classical_bernoulli(n) == short
+
+    def test_errors(self):
+        with pytest.raises(TruncationError):
+            classical_bernoulli(bernoulli._CLASSICAL_CAP + 1)
+        with pytest.raises(bernoulli.DomainError):
+            classical_bernoulli(-1)
+
+
 class TestNumbers:
     def test_single_weight_matches_classical(self):
         t = bernoulli_numbers((1.0,), 2)

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from barneszeta import (
+    BarnesParams,
     DomainError,
     EvaluationError,
     ResourceError,
     bracket_sum,
     cube_bracket_sum,
     cube_indices,
+    direct_sum,
     f_symbol,
     g_symbol,
     shell_indices,
 )
+from barneszeta import combinatorics
 from barneszeta.combinatorics import CompensatedSum, neville_in_reciprocal, shell_values
 
 complex_small = st.complex_numbers(
@@ -195,14 +198,11 @@ class TestShellValues:
 
     # Dyadic a and w make every a + n.w exact, so the faces must reproduce
     # the brute-force multiset bit for bit; 3 * 1.0 = 4 * 0.75 adds repeats.
-    DYADIC = {"real": (0.375, (1.0, 0.75, 2.5, 1.25)),
-              "complex": (0.375 + 0.125j, (1.0 + 0.5j, 0.75, 2.5 - 0.25j, 1.25 + 1j))}
+    DYADIC = {"real": (0.375, (1.0, 0.75, 2.5, 1.25, 0.5, 1.75)),
+              "complex": (0.375 + 0.125j, (1.0 + 0.5j, 0.75, 2.5 - 0.25j, 1.25 + 1j,
+                                           0.5 - 0.75j, 1.75))}
 
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    @pytest.mark.parametrize("skip_origin", [False, True])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-    def test_faces_are_the_shell(self, kind, skip_origin, d, k):
+    def check_shell(self, kind, skip_origin, d, k):
         a, w = self.DYADIC[kind]
         w = w[:d]
         got = shell_values(a, w, k, skip_origin=skip_origin)
@@ -213,6 +213,65 @@ class TestShellValues:
         assert sorted(map(complex, got), key=key) == sorted(map(complex, want), key=key)
         real = kind == "real"
         assert got.dtype == np.dtype(np.float64 if real else np.complex128)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("skip_origin", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_faces_are_the_shell(self, kind, skip_origin, d, k):
+        self.check_shell(kind, skip_origin, d, k)
+
+    @staticmethod
+    def last_grid_shell(d):
+        """The largest k whose shell still comes from the cached grid."""
+        k = 0
+        while (k + 2) ** d <= combinatorics._GRID_POINTS:
+            k += 1
+        return k
+
+    # Both sides of the grid bound: the last cached shell and the first one
+    # built face by face (at d = 2 the long direct-sum walk, at d = 4 the
+    # limit route's cubes), and d = 5, 6 at small k.
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("d, past", [(2, 0), (2, 1), (4, 0), (4, 1)])
+    def test_faces_are_the_shell_at_the_grid_bound(self, kind, d, past):
+        k = self.last_grid_shell(d) + past
+        assert ((k + 1) ** d > combinatorics._GRID_POINTS) == bool(past)
+        self.check_shell(kind, False, d, k)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("skip_origin", [False, True])
+    @pytest.mark.parametrize("d", [5, 6])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_faces_are_the_shell_in_higher_dimensions(self, kind, skip_origin, d, k):
+        self.check_shell(kind, skip_origin, d, k)
+
+    @pytest.mark.parametrize("d, k", [(1, 3), (2, 1), (2, 5), (3, 4), (4, 3), (4, 22), (2, 512)])
+    def test_face_order(self, d, k):
+        # Weights 1000^i spell each point's coordinates out exactly, so the
+        # output must list the faces in order, each in C order, whether it
+        # comes from the grid or, past the bound (the last two), face by face.
+        got = shell_values(0.0, tuple(1000.0 ** (d - 1 - i) for i in range(d)), k)
+        face = lambda n: (n.index(k), n)
+        want = [sum(n_i * 1000 ** (d - 1 - i) for i, n_i in enumerate(n))
+                for n in sorted(shell_indices(k, d), key=face)]
+        assert got.tolist() == want
+
+    def test_grid_cache_stays_bounded(self):
+        # A d = 2 direct sum near its abscissa walks thousands of shells, far
+        # past the grid bound; a d = 4 walk fills its grid to the bound and
+        # then goes on face by face.  No grid passes 2^16 points.
+        combinatorics._GRIDS.clear()
+        res = direct_sum(3.0, BarnesParams(1.0, (1.0, 1.5)))
+        assert res.diagnostics["shells"] > 2 * self.last_grid_shell(2)
+        for k in range(31):
+            shell_values(0.5, (1.0, 1.5, 2.0, 2.5), k)
+        for d in (2, 4):
+            assert combinatorics._GRIDS[d][1] == self.last_grid_shell(d) + 1
+        for d, (grid, written) in combinatorics._GRIDS.items():
+            assert grid.shape == (d, combinatorics._GRID_POINTS) and written ** d <= grid.shape[1]
+            assert grid.nbytes <= combinatorics._GRID_POINTS * d * (2 if d == 1 else 1)
+
 
     def test_complex_a_on_real_weights_is_complex(self):
         assert shell_values(0.5 + 0.1j, (1.0, 2.0), 2).dtype == np.complex128

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -258,6 +259,80 @@ class TestIntegrandRegularity:
         expected = t ** (M + 1 - d) if M >= d else max(t ** (M + 1 - d), 1.0)
         assert val <= 1e3 * expected
         assert val <= 1e-4 * t ** (-d)
+
+
+class TestSmallTBracketAgainstMpmath:
+    """Below t0 both brackets are their own Bernoulli tail series.  Compare
+    them with a 50-digit evaluation of the same regularized bracket, built
+    from mpmath's classical Bernoulli numbers: the heat kernel minus the
+    first M + 1 terms of its expansion.  The bound is a few eps times the
+    summed tail-term sizes (majorized through |coefficients|), so a dropped
+    or shifted tail coefficient, which errs by about one term, fails."""
+
+    WEIGHTS = {"real": (1.0, 2 ** 0.5, math.pi / 4, 2.1),
+               "complex": (1.0 + 0.25j, 1.5 - 0.5j, 0.75 + 0.1j, 2.0 - 0.3j)}
+    FRACTIONS = (1e-3, 0.1, 0.5, 0.9, 0.999)     # of t0
+    N_TERMS = 70                                  # past M + 1 + the package's 60 tail terms
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def laurent(kind, d, homog):
+        """t^d prod(w) e^{ct} / prod(1 - e^{-w_i t}) = sum_k c_k t^k, k < N_TERMS,
+        with c = 1 when homog and c = 0 otherwise, and the same Cauchy products
+        of |terms|, the rounding scale of each c_k; at 50 digits."""
+        import mpmath
+        n = TestSmallTBracketAgainstMpmath.N_TERMS
+        with mpmath.workdps(50):
+            mp = mpmath.mp
+            c, size = [mp.mpf(1)] + [mp.mpf(0)] * (n - 1), [mp.mpf(1)] + [mp.mpf(0)] * (n - 1)
+            rows = [[(-1) ** m * mp.bernoulli(m) * mp.mpc(wi.real, wi.imag) ** m / mp.factorial(m)
+                     for m in range(n)]    # x/(1 - e^{-x}) = sum (-1)^m B_m x^m/m!, B_1 = -1/2
+                    for wi in map(complex, TestSmallTBracketAgainstMpmath.WEIGHTS[kind][:d])]
+            if homog:
+                rows.append([1 / mp.factorial(m) for m in range(n)])
+            for row in rows:
+                c = [mp.fsum(c[j] * row[k - j] for j in range(k + 1)) for k in range(n)]
+                size = [mp.fsum(size[j] * abs(row[k - j]) for j in range(k + 1)) for k in range(n)]
+        return c, size
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("homog", [False, True], ids=["inhom", "homog"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m_shift", [None, 0, 2], ids=["M=0", "M=d", "M=d+2"])
+    def test_tail_series(self, kind, homog, d, m_shift):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        w = self.WEIGHTS[kind][:d]
+        M = 0 if m_shift is None else d + m_shift
+        t0 = integral_rep._small_t_threshold(tuple(map(complex, w)))
+        ts = np.array([f * t0 for f in self.FRACTIONS])
+        bracket = _homog_bracket(w, M, 1.0 + 0j) if homog else _inhom_bracket(w, M)
+        got = bracket(ts)
+        c, size = self.laurent(kind, d, homog)
+        n, eps = self.N_TERMS, 2.0 ** -52
+        with mpmath.workdps(50):
+            pw = mp.fprod(mp.mpc(wi.real, wi.imag) for wi in map(complex, w))
+            for t, g in zip(ts, got):
+                t = mp.mpf(t)
+                heat = mp.fprod(1 / (1 - mp.exp(-mp.mpc(wi.real, wi.imag) * t))
+                                for wi in map(complex, w))
+                head = mp.fsum(c[k] * t ** k for k in range(M + 1)) / (pw * t ** d)
+                tail = mp.fsum(size[k] * t ** k for k in range(M + 1, n)) / abs(pw * t ** d)
+                if not homog:
+                    want, scale = heat - head, tail
+                elif M >= d:
+                    ect = mp.exp(-t)
+                    want = (heat - 1 - ect * head
+                            + ect * mp.fsum(t ** k / mp.factorial(k) for k in range(M - d + 1)))
+                    scale = ect * (tail + mp.fsum(t ** k / mp.factorial(k)
+                                                  for k in range(M - d + 1, n)))
+                else:   # the counter-exponential sum is empty and -1 remains
+                    ect = mp.exp(-t)
+                    want, scale = heat - 1 - ect * head, ect * tail + 1
+                err = abs(complex(g) - complex(want))
+                assert err <= 8 * eps * float(scale), (
+                    f"t = {float(t):.3e}: error {err:.3e}, {err / (eps * float(scale)):.1f} eps "
+                    f"of the tail-term sizes {float(scale):.3e}")
 
 
 class TestReciprocalGamma:

@@ -37,3 +37,5 @@ def test_traced_best_call_counts_every_layer():
     assert metrics["integral_rep.quad_evals"] > 0
     assert metrics["integral_rep.quad_calls"] > 0
     assert metrics["series_rep.points"] > 0
+    # every lattice point the series sums passes through shell_values
+    assert metrics["combinatorics.shell_points"] == metrics["series_rep.points"]
