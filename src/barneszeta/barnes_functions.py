@@ -20,8 +20,6 @@ convention); the alternative convention divides it out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from math import factorial
 
 from .foundations import (
@@ -31,6 +29,7 @@ from .foundations import (
     DomainError,
     EvalConfig,
     EvalResult,
+    Method,
     harmonic_float,
     validate_params,
     validate_weights,
@@ -53,7 +52,6 @@ from .limit_rep import (
 )
 from .oracles import _reduction_eval, direct_sum, direct_sum_bh
 from .series_rep import (
-    SeriesControls,
     barnes_zeta_series,
     deriv0_barnes_series,
     deriv0_bh_series,
@@ -66,25 +64,12 @@ from .series_rep import (
 _ULP8 = 8 * 2.0 ** -52     # rounding slack of the best-route agreement test
 
 
-class Route(str, Enum):
-    SERIES = "series"
-    LIMIT = "limit"
-    INTEGRAL = "integral"
-    BEST = "best"
-
-
-@dataclass(frozen=True)
-class MethodChoice:
-    """Route selector; BEST runs the series and the integral route and returns
-    the one with the smaller error estimate (see `evaluate`)."""
-
-    route: Route = Route.BEST
-
-
 # Every route of every quantity: ROUTES[quantity][homogeneous][route].  A
 # route takes (alpha, params) for "zeta", (q, params) for "fp" and (params,)
 # for "deriv0", where params is a BarnesParams, or the weights when
-# homogeneous; all but the zeta series take `config=` as a keyword.
+# homogeneous, and then only keywords: `config=`, and any knob of its own
+# (the series shift k, the integral's subtraction order M and regulator c),
+# which `evaluate` never passes.
 ROUTES = {
     "zeta": {
         False: {"series": barnes_zeta_series, "integral": barnes_zeta_integral,
@@ -106,44 +91,31 @@ ROUTES = {
 }
 
 
-def _route_name(method: MethodChoice | Route | str | None) -> str:
-    if method is None:
-        return Route.BEST.value
-    if isinstance(method, MethodChoice):
-        method = method.route
-    return str(getattr(method, "value", method))
-
-
-def _run(quantity: str, routes: dict, route: str, args: tuple, cfg: EvalConfig) -> EvalResult:
-    if quantity == "zeta" and route == "series":
-        return routes[route](*args, SeriesControls(config=cfg))
-    return routes[route](*args, config=cfg)
-
-
-def evaluate(quantity: str, params, at=None, method: MethodChoice | Route | str | None = None,
+def evaluate(quantity: str, params, at=None, method: Method | str = "best",
              config: EvalConfig | None = None, *, homogeneous: bool = False) -> EvalResult:
     """Evaluate a quantity of the ROUTES registry by one of its routes.
 
     quantity is "zeta" (at = alpha), "fp" (at = q) or "deriv0" (no `at`);
-    params is a BarnesParams, or the weights when homogeneous.  The method
-    "best" (the default) runs the series and the integral route and returns
-    the one whose own error estimate is smaller, with that estimate and that
-    route's method; diagnostics add `cross_check_delta` = |series - integral|
-    and `best_route`.  If the two values differ by more than the sum of
-    their estimates plus 8 ulp of (1 + |value|), at least one estimate is
-    dishonest and ConvergenceError is raised with both values.  A
-    combination that is not in the registry raises DomainError.
+    params is a BarnesParams, or the weights when homogeneous; method is a
+    Method or its name.  The method "best" (the default) runs the series and
+    the integral route and returns the one whose own error estimate is
+    smaller, with that estimate and that route's method; diagnostics add
+    `cross_check_delta` = |series - integral| and `best_route`.  If the two
+    values differ by more than the sum of their estimates plus 8 ulp of
+    (1 + |value|), at least one estimate is dishonest and ConvergenceError is
+    raised with both values.  A combination that is not in the registry
+    raises DomainError.
     """
     cfg = config or DEFAULT_CONFIG
-    route = _route_name(method)
+    route = method.value if isinstance(method, Method) else method
     if quantity not in ROUTES:
         raise DomainError(f"unknown quantity {quantity!r}; expected one of {sorted(ROUTES)}")
     if (at is None) != (quantity == "deriv0"):
         raise DomainError(f"{quantity} needs {'no' if at is not None else 'an'} evaluation point")
     routes = ROUTES[quantity][bool(homogeneous)]
     args = (params,) if at is None else (at, params)
-    if route == Route.BEST.value:
-        runs = {name: _run(quantity, routes, name, args, cfg) for name in ("series", "integral")}
+    if route == "best":
+        runs = {name: routes[name](*args, config=cfg) for name in ("series", "integral")}
         name = min(runs, key=lambda r: runs[r].abs_error_estimate)
         best = runs[name]
         delta = abs(runs["series"].value - runs["integral"].value)
@@ -161,18 +133,18 @@ def evaluate(quantity: str, params, at=None, method: MethodChoice | Route | str 
             kind = "inhomogeneous" if homogeneous else "homogeneous"
             raise DomainError(f"{route} method applies to the {kind} function")
         raise DomainError(f"{quantity} has no route {route!r}; expected one of "
-                          f"{[*routes, Route.BEST.value]}")
-    return _run(quantity, routes, route, args, cfg)
+                          f"{[*routes, 'best']}")
+    return routes[route](*args, config=cfg)
 
 
-def log_rho(w, method: MethodChoice | Route | str | None = None,
+def log_rho(w, method: Method | str = "best",
             config: EvalConfig | None = None) -> EvalResult:
     """Log of the modular constant: -(homogeneous derivative at zero)."""
     res = evaluate("deriv0", validate_weights(w), None, method, config, homogeneous=True)
     return EvalResult(-res.value, res.abs_error_estimate, res.method, res.diagnostics)
 
 
-def log_gamma_B(p: BarnesParams, method: MethodChoice | Route | str | None = None,
+def log_gamma_B(p: BarnesParams, method: Method | str = "best",
                 config: EvalConfig | None = None) -> EvalResult:
     """log Gamma_B(a|w) = zeta'(0,a|w) + log rho(w) (Barnes normalization)."""
     validate_params(p)
@@ -183,36 +155,37 @@ def log_gamma_B(p: BarnesParams, method: MethodChoice | Route | str | None = Non
                       dv.method, {"deriv0": dv.diagnostics, "log_rho": lr.diagnostics})
 
 
-def psi_B(q: int, p: BarnesParams, method: MethodChoice | Route | str | None = None,
+def _from_finite_part(q: int, params, sign: float, method: Method | str,
+                      config: EvalConfig | None, homogeneous: bool) -> EvalResult:
+    """sign (q-1)! (FP at q + H_(q-1) * residue at q), the form shared by
+    psi_B and gamma_dq."""
+    fp = evaluate("fp", params, q, method, config, homogeneous=homogeneous)
+    res = residue_bh(q, params) if homogeneous else residue(q, params)
+    scale = sign * factorial(q - 1)
+    value = scale * (fp.value + harmonic_float(q - 1) * res)
+    return EvalResult(value, abs(scale) * fp.abs_error_estimate, fp.method,
+                      {"fp": fp.diagnostics, "residue": [res.real, res.imag]})
+
+
+def psi_B(q: int, p: BarnesParams, method: Method | str = "best",
           config: EvalConfig | None = None) -> EvalResult:
     """Generalized digamma value Psi^(q)(a|w), q = 1..d, from the finite part."""
     validate_params(p)
     if not 1 <= q <= p.d:
         raise DomainError(f"psi_B is defined through the poles q = 1..{p.d}, got {q}")
-    fp = evaluate("fp", p, q, method, config)
-    res = residue(q, p)
-    scale = (-1.0) ** q * factorial(q - 1)
-    value = scale * (fp.value + harmonic_float(q - 1) * res)
-    return EvalResult(value, abs(scale) * fp.abs_error_estimate, fp.method,
-                      {"fp": fp.diagnostics, "residue": [res.real, res.imag]})
+    return _from_finite_part(q, p, (-1.0) ** q, method, config, False)
 
 
-def gamma_dq(q: int, w, method: MethodChoice | Route | str | None = None,
+def gamma_dq(q: int, w, method: Method | str = "best",
              config: EvalConfig | None = None) -> EvalResult:
     """q-th gamma modular form, from the homogeneous finite part at q."""
     wt = validate_weights(w)
-    d = len(wt)
-    if not 1 <= q <= d:
-        raise DomainError(f"gamma_dq is defined for q = 1..{d}, got {q}")
-    fp = evaluate("fp", wt, q, method, config, homogeneous=True)
-    res = residue_bh(q, wt)
-    scale = (-1.0) ** (q - 1) * factorial(q - 1)
-    value = scale * (fp.value + harmonic_float(q - 1) * res)
-    return EvalResult(value, abs(scale) * fp.abs_error_estimate, fp.method,
-                      {"fp": fp.diagnostics, "residue": [res.real, res.imag]})
+    if not 1 <= q <= len(wt):
+        raise DomainError(f"gamma_dq is defined for q = 1..{len(wt)}, got {q}")
+    return _from_finite_part(q, wt, (-1.0) ** (q - 1), method, config, True)
 
 
-def multiple_gamma(a: complex, d: int, method: MethodChoice | Route | str | None = None,
+def multiple_gamma(a: complex, d: int, method: Method | str = "best",
                    config: EvalConfig | None = None) -> EvalResult:
     """log of the multiple Gamma function: log Gamma_B with unit weights."""
     if d < 1:

@@ -131,34 +131,6 @@ def bernoulli_poly(n: int, a: complex, w: Iterable[complex]) -> complex:
     return complex(factorial(n) * bernoulli_taylor(a, w, n)[n])
 
 
-def bernoullian_dS(m: int, w: Iterable[complex]) -> complex:
-    """The d-th derivative at zero of the m-th Bernoullian function.
-
-    The Bernoullian functions S are pinned down by S'(a) being a known
-    multiple of B_{m+d-1}(a|w); differentiating that relation d-1 more
-    times in a (term by term on the polynomial coefficients, using
-    d/da B_n = n B_{n-1}) and evaluating at a = 0 yields this value.
-    It collapses algebraically to B_m(w)/prod(w_i), the value ds_values
-    returns; this path is the reference the test suite checks that against.
-    """
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    wt = as_weights(w)
-    d = len(wt)
-    n = m + d - 1
-    numbers = bernoulli_numbers(wt, n).numbers
-    coeffs = [comb(n, l) * numbers[n - l] for l in range(n + 1)]   # B_n(a|w) in powers of a
-    for _ in range(d - 1):
-        coeffs = [l * c for l, c in enumerate(coeffs)][1:]
-    value_at_0 = coeffs[0] if coeffs else complex(0.0)
-    return factorial(m) / factorial(n) / math.prod(wt) * value_at_0
-
-
-def bernoullian_dS_closed(m: int, w: Iterable[complex]) -> complex:
-    """Closed form B_m(w)/prod(w_i) that bernoullian_dS must collapse to."""
-    return ds_values(w, m + 1)[m]
-
-
 def ds_values(w: Sequence[complex], count: int) -> list[complex]:
     """Bernoullian derivative values B_m(w)/prod(w_i), m = 0..count-1, from one table."""
     wt = as_weights(w)

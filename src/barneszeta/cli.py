@@ -5,7 +5,7 @@ Dispatch: `eval`, `fp` and `deriv0` are one handler that builds the config
 and resolves --a / --homogeneous once, then calls
 `barnes_functions.evaluate`; `table` and `compare` loop over the same
 `barnes_functions.ROUTES` registry, and every --method choice list is read
-from it.  No route function is imported here.
+from it, plus "best".  No route function is imported here.
 
 Conventions:
   * complex scalars are written RE or RE,IM (e.g. --alpha 2.5,1);
@@ -46,7 +46,6 @@ from .foundations import (
     DomainError,
     EvalConfig,
     EvalResult,
-    Method,
     PoleError,
     QuadratureError,
     validate_params,
@@ -87,8 +86,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, Method):
-        return obj.value
     return obj
 
 
@@ -352,10 +349,15 @@ def cmd_table(args) -> int:
 # parser
 
 
-def _add_common(sub, methods):
+def _add_method(sub, *quantities: str) -> None:
+    """--method: the registry routes of these quantities, then "best"."""
+    sub.add_argument("--method", choices=[*_methods(*quantities), "best"], default="series")
+
+
+def _add_common(sub, quantity: str):
     sub.add_argument("--a", type=parse_complex, default=None, help="offset a as RE or RE,IM")
     sub.add_argument("--w", type=parse_weights, required=True, help="weights, comma list")
-    sub.add_argument("--method", choices=methods, default=methods[0])
+    _add_method(sub, quantity)
     sub.add_argument("--homogeneous", action="store_true",
                      help="evaluate the a = 0, origin-excluded variant")
     sub.add_argument("--tol", type=float, default=None, help="relative tolerance")
@@ -372,16 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = subs.add_parser("eval", help="evaluate the zeta function itself")
     p_eval.add_argument("--alpha", dest="at", metavar="ALPHA", type=parse_complex,
                         required=True, help="argument alpha")
-    _add_common(p_eval, _methods("zeta"))
+    _add_common(p_eval, "zeta")
     p_eval.set_defaults(func=cmd_eval, quantity="zeta")
 
     p_fp = subs.add_parser("fp", help="finite part at a pole alpha = q")
     p_fp.add_argument("--q", dest="at", metavar="Q", type=int, required=True)
-    _add_common(p_fp, _methods("fp"))
+    _add_common(p_fp, "fp")
     p_fp.set_defaults(func=cmd_eval, quantity="fp")
 
     p_d0 = subs.add_parser("deriv0", help="derivative at alpha = 0")
-    _add_common(p_d0, _methods("deriv0"))
+    _add_common(p_d0, "deriv0")
     p_d0.set_defaults(func=cmd_eval, quantity="deriv0", at=None)
     for sub in (p_eval, p_fp, p_d0):
         sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -393,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_g.add_argument("--d", type=int, default=None)
     p_g.add_argument("--w", type=parse_weights, default=(1.0 + 0j,))
     p_g.add_argument("--a", type=parse_complex, default=None)
-    p_g.add_argument("--method", choices=[*_methods("fp", "deriv0"), "best"],
-                     default="series")
+    _add_method(p_g, "fp", "deriv0")
     p_g.add_argument("--tol", type=float, default=None)
     p_g.add_argument("--json", action="store_true")
     p_g.set_defaults(func=cmd_gamma)
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = subs.add_parser("table", help="CSV table over an alpha grid")
     p_tab.add_argument("--alpha-grid", type=parse_grid, required=True, metavar="START:STOP:N")
     p_tab.add_argument("--alpha-im", type=float, default=0.0)
-    _add_common(p_tab, _methods("zeta"))
+    _add_common(p_tab, "zeta")
     p_tab.add_argument("--out", default=None)
     p_tab.set_defaults(func=cmd_table)
 

@@ -129,24 +129,6 @@ def f_symbol(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) 
     return acc.value
 
 
-def g_symbol(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) -> complex:
-    """G[f(a+x)]_{x=w} = (-1)^d f(a) + F[f(a+x)]_{x=w}.
-
-    Equals the d-fold forward difference of f with steps w_1..w_d at a, so
-    G of any polynomial of degree < d vanishes and G[(c+x)^d] = d! prod(w_i).
-    """
-    wt = as_weights(w)
-    a = complex(a)
-    try:
-        empty_val = f(a)
-    except Exception as exc:
-        raise EvaluationError("function evaluation failed at subset ()", subset=()) from exc
-    acc = CompensatedSum()
-    acc.add((-1.0 if len(wt) % 2 else 1.0) * complex(empty_val))
-    acc.add(f_symbol(f, a, wt))
-    return acc.value
-
-
 def _masked(n: Sequence[int], v: Sequence[int], idx: tuple[int, ...]) -> tuple[int, ...]:
     out = list(n)
     for i in idx:

@@ -72,7 +72,8 @@ class EvaluationError(BarnesZetaError, RuntimeError):
 
 
 class Method(str, Enum):
-    """Which computational route produced a value."""
+    """A computational route: the one `evaluate` runs, and the one that
+    produced a value (`EvalResult.method`)."""
 
     SERIES = "series"
     LIMIT = "limit"

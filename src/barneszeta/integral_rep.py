@@ -85,21 +85,6 @@ class QuadratureProblem:
             raise DomainError("rel_tol must be positive")
 
 
-@dataclass(frozen=True)
-class IntegralControls:
-    """Subtraction order M and the homogeneous regulator constant c."""
-
-    M: int | None = None
-    c: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", complex(self.c))
-        if self.M is not None and self.M < 0:
-            raise DomainError("subtraction order M must be >= 0")
-        if not self.c.real > 0:
-            raise DomainError("regulator constant must have Re(c) > 0")
-
-
 # ---------------------------------------------------------------------------
 # Exp-sinh quadrature on (0, inf)
 
@@ -289,10 +274,6 @@ def _rho_ratio(alpha: complex, d: int, k: int) -> complex:
     return out
 
 
-def _auto_M(alpha: complex, d: int) -> int:
-    return max(0, math.ceil(d - alpha.real - 1)) + 2
-
-
 def _reciprocal_gamma(alpha: complex) -> complex:
     """1/Gamma(alpha), exactly 0 at alpha = 0, -1, ...; reflected below Re = 1/2
     with sin(pi alpha) = (-1)^k sin(pi (alpha - k)), k the nearest integer."""
@@ -313,24 +294,33 @@ def _reciprocal_gamma(alpha: complex) -> complex:
 # Operations
 
 
-def barnes_zeta_integral(alpha: complex, p: BarnesParams,
-                         controls: IntegralControls | None = None,
-                         config: EvalConfig | None = None) -> EvalResult:
+def _subtraction_order(M: int | None, alpha: complex, d: int) -> int:
+    """The subtraction order: M as given, or by default two above the
+    smallest order whose continuation reaches alpha."""
+    if M is None:
+        M = max(0, math.ceil(d - alpha.real - 1)) + 2
+    if not alpha.real > d - M - 1:
+        raise DomainError(f"need Re(alpha) > d - M - 1 = {d - M - 1}; increase M")
+    return M
+
+
+def barnes_zeta_integral(alpha: complex, p: BarnesParams, *, config: EvalConfig | None = None,
+                         M: int | None = None) -> EvalResult:
     """Analytic continuation of the lattice zeta by prefactor + line integral.
 
-    Valid for Re(alpha) > d - M - 1 under Re(a) > 0, Re(w_i) > 0.  At
+    Valid for Re(alpha) > d - M - 1 under Re(a) > 0, Re(w_i) > 0, where the
+    subtraction order M (M >= 0) defaults to two above the least such.  At
     non-positive integer alpha the integral term carries the factor
     1/Gamma(alpha) = 0 and the prefactor alone gives the (regular) value.
     """
+    if M is not None and M < 0:
+        raise DomainError("subtraction order M must be >= 0")
     cfg = config or DEFAULT_CONFIG
-    ctl = controls or IntegralControls()
     validate_params(p)
     alpha = complex(alpha)
     d = p.d
     check_pole(alpha, d)
-    M = ctl.M if ctl.M is not None else _auto_M(alpha, d)
-    if not alpha.real > d - M - 1:
-        raise DomainError(f"need Re(alpha) > d - M - 1 = {d - M - 1}; increase M")
+    M = _subtraction_order(M, alpha, d)
     numbers = bernoulli_numbers(p.w, M).numbers
     pw = math.prod(p.w)
     pref = CompensatedSum()
@@ -355,7 +345,7 @@ def barnes_zeta_integral(alpha: complex, p: BarnesParams,
                       {"M": M, "quad_evals": evals})
 
 
-def fp_barnes_integral(q: int, p: BarnesParams, config: EvalConfig | None = None) -> EvalResult:
+def fp_barnes_integral(q: int, p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
     """Finite part at alpha = q: closed polynomial-log term + I_{d-q}(q)."""
     cfg = config or DEFAULT_CONFIG
     validate_params(p)
@@ -385,7 +375,7 @@ def fp_barnes_integral(q: int, p: BarnesParams, config: EvalConfig | None = None
                       Method.INTEGRAL, {"M": M, "quad_evals": evals})
 
 
-def deriv0_barnes_integral(p: BarnesParams, config: EvalConfig | None = None) -> EvalResult:
+def deriv0_barnes_integral(p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
     """Derivative at alpha = 0: closed polynomial-log term + I_d(0).
 
     With subtraction order M = d the prefactor holds only the k <= d terms,
@@ -418,25 +408,25 @@ def deriv0_barnes_integral(p: BarnesParams, config: EvalConfig | None = None) ->
                       {"M": d, "quad_evals": evals})
 
 
-def zeta_bh_integral(alpha: complex, w: Sequence[complex],
-                     controls: IntegralControls | None = None,
-                     config: EvalConfig | None = None) -> EvalResult:
+def zeta_bh_integral(alpha: complex, w: Sequence[complex], *, config: EvalConfig | None = None,
+                     M: int | None = None, c: complex = 1.0 + 0.0j) -> EvalResult:
     """Homogeneous lattice zeta by regulated prefactors + line integral.
 
     The regulator e^{ct} (any Re(c) > 0, default c = 1) makes the origin
     subtraction possible with a = 0; the continuation is valid for
     Re(alpha) > d - M - 1 and the value is independent of c.
     """
+    c = complex(c)
+    if M is not None and M < 0:
+        raise DomainError("subtraction order M must be >= 0")
+    if not c.real > 0:
+        raise DomainError("regulator constant must have Re(c) > 0")
     cfg = config or DEFAULT_CONFIG
-    ctl = controls or IntegralControls()
     wt = validate_weights(w)
     alpha = complex(alpha)
     d = len(wt)
-    c = ctl.c
     check_pole(alpha, d)
-    M = ctl.M if ctl.M is not None else _auto_M(alpha, d)
-    if not alpha.real > d - M - 1:
-        raise DomainError(f"need Re(alpha) > d - M - 1 = {d - M - 1}; increase M")
+    M = _subtraction_order(M, alpha, d)
     pw = math.prod(wt)
     taylor = bernoulli_taylor(-c, wt, M)
     pref = CompensatedSum()
@@ -465,7 +455,7 @@ def zeta_bh_integral(alpha: complex, w: Sequence[complex],
                       {"M": M, "c": [c.real, c.imag], "quad_evals": evals})
 
 
-def fp_bh_integral(q: int, w: Sequence[complex], config: EvalConfig | None = None) -> EvalResult:
+def fp_bh_integral(q: int, w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
     """Homogeneous finite part at alpha = q, with the c = 1 regulator.
 
     Closed part uses the binomially simplified coefficients: the H_{q-1}
@@ -500,7 +490,7 @@ def fp_bh_integral(q: int, w: Sequence[complex], config: EvalConfig | None = Non
                       Method.INTEGRAL, {"M": M, "quad_evals": evals})
 
 
-def deriv0_bh_integral(w: Sequence[complex], config: EvalConfig | None = None) -> EvalResult:
+def deriv0_bh_integral(w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
     """Homogeneous derivative at zero: closed Bernoulli sum + t^{-1} integral."""
     cfg = config or DEFAULT_CONFIG
     wt = validate_weights(w)

@@ -1,5 +1,5 @@
 """Limit (M -> infinity) representations of the finite parts and of the
-derivative at zero, including the explicit two-dimensional fast path.
+derivative at zero, for the inhomogeneous and the homogeneous function.
 
 Each quantity is written as  lim_M [ edge terms at x = M*w + cube sum over
 {0..M-1}^d ] + closed constant.  The bracket is evaluated on a schedule of
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import factorial
 from typing import Sequence
@@ -32,7 +30,6 @@ from .foundations import (
     BarnesParams,
     ConvergenceError,
     DEFAULT_CONFIG,
-    DimensionError,
     DomainError,
     EvalConfig,
     EvalResult,
@@ -47,30 +44,6 @@ from .foundations import (
 # schedule (1000, 2000, 4000) was sized for d <= 2 and would need 6.4e10
 # lattice points at d = 3.
 _CUBE_POINT_BUDGET = 3.2e7
-
-
-@dataclass(frozen=True)
-class LimitDiagnostics:
-    """Per-M values and the extrapolation summary of one limit evaluation."""
-
-    M_values: tuple[int, ...]
-    raw_values: tuple[complex, ...]
-    extrapolated: complex
-    est_error: float
-
-    def as_dict(self) -> dict:
-        return {
-            "M_values": list(self.M_values),
-            "raw_values": [[v.real, v.imag] for v in self.raw_values],
-            "extrapolated": [self.extrapolated.real, self.extrapolated.imag],
-            "est_error": self.est_error,
-        }
-
-
-class FastPathKind(str, Enum):
-    FP1 = "fp1"
-    FP2 = "fp2"
-    DERIV0 = "deriv0"
 
 
 def _effective_schedule(cfg: EvalConfig, d: int) -> tuple[int, ...]:
@@ -161,65 +134,32 @@ def _cube_log(a0: complex, w: tuple[complex, ...], M: int, homog: bool) -> compl
 # Edge terms
 
 
-def _fp_edge_inhom(q: int, a: complex, w: tuple[complex, ...], M: int, dS) -> complex:
+def _edge(q: int, a: complex, w: tuple[complex, ...], M: int, dS, homog: bool) -> complex:
+    """Edge terms at x = M*w of the finite part at q, or of the derivative at
+    zero for q = 0: sum_m s dS_m / (m! e!) F[t^e log t], e = d - q - m, with
+    s = (-1)^q/(q-1)! (1 for the derivative).  The homogeneous forms scale
+    F[...](0|w) by M^e and add the log M term of the origin."""
     d = len(w)
-    sq = (-1.0) ** q / factorial(q - 1)
+    qf = factorial(q - 1) if q else 1
+    s = (-1.0) ** q / qf
     mw = tuple(M * wi for wi in w)
     acc = CompensatedSum()
+    if q == 0:
+        if homog:
+            acc.add(float(M) ** d * (math.log(M) - harmonic_float(d)))
+        else:
+            acc.add(-harmonic_float(d) * float(M) ** d)
     for m in range(d - q + 1):
         e = d - q - m
 
         def f(t, e=e):
             return t**e * cmath.log(t)
 
-        acc.add(sq * dS[m] / (factorial(m) * factorial(d - q - m)) * f_symbol(f, a, mw))
-    return acc.value
-
-
-def _deriv0_edge_inhom(a: complex, w: tuple[complex, ...], M: int, dS) -> complex:
-    d = len(w)
-    mw = tuple(M * wi for wi in w)
-    acc = CompensatedSum()
-    acc.add(-harmonic_float(d) * float(M) ** d)
-    for m in range(d + 1):
-        e = d - m
-
-        def f(t, e=e):
-            return t**e * cmath.log(t)
-
-        acc.add(dS[m] / (factorial(m) * factorial(d - m)) * f_symbol(f, a, mw))
-    return acc.value
-
-
-def _fp_edge_homog(q: int, w: tuple[complex, ...], M: int, dS) -> complex:
-    d = len(w)
-    sq = (-1.0) ** q / factorial(q - 1)
-    acc = CompensatedSum()
-    for m in range(d - q + 1):
-        e = d - q - m
-
-        def f(t, e=e):
-            return t**e * cmath.log(t)
-
-        acc.add(sq * dS[m] / (factorial(m) * factorial(d - q - m))
-                * f_symbol(f, 0.0, w) * float(M) ** e)
-    acc.add(dS[d - q] * (-1.0) ** (d + q + 1) / (factorial(q - 1) * factorial(d - q))
-            * math.log(M))
-    return acc.value
-
-
-def _deriv0_edge_homog(w: tuple[complex, ...], M: int, dS) -> complex:
-    d = len(w)
-    acc = CompensatedSum()
-    acc.add(float(M) ** d * (math.log(M) - harmonic_float(d)))
-    for m in range(d + 1):
-        e = d - m
-
-        def f(t, e=e):
-            return t**e * cmath.log(t)
-
-        acc.add(dS[m] / (factorial(m) * factorial(d - m)) * f_symbol(f, 0.0, w) * float(M) ** e)
-    acc.add((-1.0) ** (d - 1) * dS[d] / factorial(d) * math.log(M))
+        term = s * dS[m] / (factorial(m) * factorial(e))
+        acc.add(term * f_symbol(f, 0.0, w) * float(M) ** e if homog
+                else term * f_symbol(f, a, mw))
+    if homog:
+        acc.add(dS[d - q] * (-1.0) ** (d + q + 1) / (qf * factorial(d - q)) * math.log(M))
     return acc.value
 
 
@@ -235,18 +175,18 @@ def _run_limit(brackets, const: complex, cfg: EvalConfig, Ms: tuple[int, ...],
     # the documented cancellation budget for d <= 2 at M = 4000.
     floor = 1e-5 if d <= 2 else 1e-3
     tol = 10.0 * max(cfg.rel_tol, floor) * (1.0 + abs(value))
-    diag = LimitDiagnostics(M_values=Ms, raw_values=approx, extrapolated=value, est_error=est)
+    diag = {"M_values": list(Ms), "raw_values": [[v.real, v.imag] for v in approx],
+            "extrapolated": [value.real, value.imag], "est_error": est}
     if est > tol:
         raise ConvergenceError(
             f"limit extrapolants disagree by {est:.3e} (allowed {tol:.3e})",
-            diagnostics=diag.as_dict(),
+            diagnostics=diag,
         )
-    d = diag.as_dict()
-    d["monotone"] = _is_monotone(approx)
-    return EvalResult(value, est, Method.LIMIT, d)
+    diag["monotone"] = _is_monotone(approx)
+    return EvalResult(value, est, Method.LIMIT, diag)
 
 
-def fp_barnes_limit(q: int, p: BarnesParams, config: EvalConfig | None = None) -> EvalResult:
+def fp_barnes_limit(q: int, p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
     """Finite part at alpha = q by edge terms at M*w plus a cube sum."""
     cfg = config or DEFAULT_CONFIG
     validate_params(p)
@@ -256,7 +196,7 @@ def fp_barnes_limit(q: int, p: BarnesParams, config: EvalConfig | None = None) -
     Ms = _effective_schedule(cfg, d)
     dS = ds_values(p.w, d + 1)
     brackets = [
-        _fp_edge_inhom(q, p.a, p.w, M, dS) + _cube_pow(p.a, p.w, M, q, False) for M in Ms
+        _edge(q, p.a, p.w, M, dS, False) + _cube_pow(p.a, p.w, M, q, False) for M in Ms
     ]
     s1 = (-1.0) ** (d - q + 1) / factorial(q - 1)
     const = CompensatedSum()
@@ -266,7 +206,7 @@ def fp_barnes_limit(q: int, p: BarnesParams, config: EvalConfig | None = None) -
     return _run_limit(brackets, const.value, cfg, Ms, d)
 
 
-def deriv0_barnes_limit(p: BarnesParams, config: EvalConfig | None = None) -> EvalResult:
+def deriv0_barnes_limit(p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
     """Derivative at zero by edge terms at M*w plus a cube log sum."""
     cfg = config or DEFAULT_CONFIG
     validate_params(p)
@@ -274,7 +214,7 @@ def deriv0_barnes_limit(p: BarnesParams, config: EvalConfig | None = None) -> Ev
     Ms = _effective_schedule(cfg, d)
     dS = ds_values(p.w, d + 1)
     brackets = [
-        _deriv0_edge_inhom(p.a, p.w, M, dS) - _cube_log(p.a, p.w, M, False) for M in Ms
+        _edge(0, p.a, p.w, M, dS, False) - _cube_log(p.a, p.w, M, False) for M in Ms
     ]
     sign_d = -1.0 if d % 2 else 1.0
     const = CompensatedSum()
@@ -284,7 +224,7 @@ def deriv0_barnes_limit(p: BarnesParams, config: EvalConfig | None = None) -> Ev
     return _run_limit(brackets, const.value, cfg, Ms, d)
 
 
-def fp_bh_limit(q: int, w: Sequence[complex], config: EvalConfig | None = None) -> EvalResult:
+def fp_bh_limit(q: int, w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
     """Homogeneous finite part at alpha = q in limit form (origin excluded)."""
     cfg = config or DEFAULT_CONFIG
     wt = validate_weights(w)
@@ -294,14 +234,14 @@ def fp_bh_limit(q: int, w: Sequence[complex], config: EvalConfig | None = None) 
     Ms = _effective_schedule(cfg, d)
     dS = ds_values(wt, d + 1)
     brackets = [
-        _fp_edge_homog(q, wt, M, dS) + _cube_pow(0j, wt, M, q, True) for M in Ms
+        _edge(q, 0j, wt, M, dS, True) + _cube_pow(0j, wt, M, q, True) for M in Ms
     ]
     const = (dS[d - q] * (-1.0) ** (d + q + 1) / (factorial(q - 1) * factorial(d - q))
              * harmonic_float(q - 1))
     return _run_limit(brackets, const, cfg, Ms, d)
 
 
-def deriv0_bh_limit(w: Sequence[complex], config: EvalConfig | None = None) -> EvalResult:
+def deriv0_bh_limit(w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
     """Homogeneous derivative at zero in limit form (origin excluded)."""
     cfg = config or DEFAULT_CONFIG
     wt = validate_weights(w)
@@ -309,55 +249,6 @@ def deriv0_bh_limit(w: Sequence[complex], config: EvalConfig | None = None) -> E
     Ms = _effective_schedule(cfg, d)
     dS = ds_values(wt, d + 1)
     brackets = [
-        _deriv0_edge_homog(wt, M, dS) - _cube_log(0j, wt, M, True) for M in Ms
+        _edge(0, 0j, wt, M, dS, True) - _cube_log(0j, wt, M, True) for M in Ms
     ]
     return _run_limit(brackets, 0.0, cfg, Ms, d)
-
-
-# ---------------------------------------------------------------------------
-# Explicit d = 2 fast path
-
-
-def d2_fast_path(kind: FastPathKind | str, p: BarnesParams,
-                 config: EvalConfig | None = None) -> EvalResult:
-    """Specialized two-dimensional limit formulas (must match the generic ops).
-
-    The cube sums are shared (cached) with the generic operations, so on a
-    common M schedule the two routes differ only in their edge-term algebra.
-    """
-    cfg = config or DEFAULT_CONFIG
-    validate_params(p)
-    if p.d != 2:
-        raise DimensionError(f"fast path is d = 2 only, got d = {p.d}")
-    kind = FastPathKind(kind)
-    a = p.a
-    w1, w2 = p.w
-    Ms = _effective_schedule(cfg, 2)
-    lsum = cmath.log(w1 + w2)
-    l1 = lsum - cmath.log(w1)   # log((w1+w2)/w1)
-    l2 = lsum - cmath.log(w2)
-    lprod = lsum - cmath.log(w1) - cmath.log(w2)   # log((w1+w2)/(w1*w2))
-    if kind is FastPathKind.FP2:
-        brackets = [
-            -math.log(M) / (w1 * w2) + _cube_pow(a, p.w, M, 2, False) for M in Ms
-        ]
-        const = (-1 + lprod) / (w1 * w2)
-    elif kind is FastPathKind.FP1:
-        slope = l1 / w2 + l2 / w1
-        coef = ((w1 + w2) / 2 - a) / (w1 * w2)
-        brackets = [
-            -slope * M - coef * math.log(M) + _cube_pow(a, p.w, M, 1, False) for M in Ms
-        ]
-        const = coef * lprod
-    else:
-        quad = a * a - (w1 + w2) * a + ((w1 + w2) ** 2 + w1 * w2) / 6
-        c2 = w1 / (2 * w2) * l1 + w2 / (2 * w1) * l2 + lsum - 1.5
-        c1 = (2 * a - w1 - w2) / (2 * w2) * l1 + (2 * a - w1 - w2) / (2 * w1) * l2
-        c0 = quad / (2 * w1 * w2)
-        brackets = [
-            (M * M) * math.log(M) + c2 * (M * M) + c1 * M - c0 * math.log(M)
-            - _cube_log(a, p.w, M, False)
-            for M in Ms
-        ]
-        const = c0 * lprod
-    return _run_limit(brackets, const, cfg, Ms, 2)

@@ -143,7 +143,8 @@ def log_gamma_ref(a: complex) -> complex:
     return hurwitz_zeta_ds(0.0, a) + 0.5 * LOG_2PI
 
 
-def direct_sum(alpha: complex, p: BarnesParams, config: EvalConfig | None = None) -> EvalResult:
+def direct_sum(alpha: complex, p: BarnesParams, *,
+               config: EvalConfig | None = None) -> EvalResult:
     """Brute-force lattice sum sum_n (a + n.w)^(-alpha), shell by shell.
 
     Requires Re(alpha) > d + 0.5 for a practical tail; stops once the
@@ -155,7 +156,8 @@ def direct_sum(alpha: complex, p: BarnesParams, config: EvalConfig | None = None
     return _direct_shells(alpha, p.a, p.w, cfg, skip_origin=False)
 
 
-def direct_sum_bh(alpha: complex, w: Sequence[complex], config: EvalConfig | None = None) -> EvalResult:
+def direct_sum_bh(alpha: complex, w: Sequence[complex], *,
+                  config: EvalConfig | None = None) -> EvalResult:
     """Homogeneous counterpart of direct_sum (origin excluded, a = 0)."""
     cfg = config or DEFAULT_CONFIG
     wt = validate_weights(w)
@@ -277,7 +279,7 @@ def rational_d2_reduction(alpha: complex, a: complex, n: int) -> complex:
     return n ** (-alpha) * total
 
 
-def _reduction_eval(alpha: complex, p: BarnesParams,
+def _reduction_eval(alpha: complex, p: BarnesParams, *,
                     config: EvalConfig | None = None) -> EvalResult:
     """The lattice zeta by whichever exact reduction applies to the weights.
 

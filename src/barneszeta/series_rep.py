@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
 
@@ -62,18 +62,8 @@ _K_TARGET = 13
 # the innermost lattice points like |y_min|^(1-k), which is pure cancellation.
 _GROWTH_CAP_DIGITS = 8.0
 
-
-@dataclass(frozen=True)
-class SeriesControls:
-    """Shift parameter and stopping rule for the shell-wise summation."""
-
-    k: int | None = None
-    shell_stop_count: int = 3
-    config: EvalConfig = field(default_factory=EvalConfig)
-
-    def __post_init__(self):
-        if self.shell_stop_count < 1:
-            raise DomainError("shell_stop_count must be >= 1")
+# Consecutive shells that must all pass the stopping rule.
+_STOP_COUNT = 3
 
 
 def _k_growth_limit(y_min: float) -> int:
@@ -255,7 +245,7 @@ def _eval_shell(plan: _Plan, stack: tuple[np.ndarray, ...], y: np.ndarray) -> tu
 
 
 def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfig,
-                stop_count: int, homog: bool, closed: complex) -> EvalResult:
+                homog: bool, closed: complex) -> EvalResult:
     """Lattice sum of the plan's summand plus the closed term, shell by shell:
     shell j adds its per-point part and C(j) - C(j-1).  The value is the
     compensated per-point sum plus the last C(j), never a running sum of corner
@@ -263,8 +253,8 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
     part of their closed term is C(0), which the shells subtract again."""
     stack = _stack(plan, a0, w)
     acc = CompensatedSum()
-    recent: deque[float] = deque(maxlen=stop_count)
-    recent_noise: deque[float] = deque(maxlen=stop_count)
+    recent: deque[float] = deque(maxlen=_STOP_COUNT)
+    recent_noise: deque[float] = deque(maxlen=_STOP_COUNT)
     noise_total = 0.0
     first = prev = 0.0
     diag = {"shells": 0, "points": 0, "k": plan.k_used}
@@ -286,7 +276,7 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
         else:
             first = corner
         prev = corner
-        if j >= max(stop_count, 2) and len(recent) == stop_count:
+        if j >= _STOP_COUNT and len(recent) == _STOP_COUNT:
             scale = max(abs(acc.value + (corner - first)), abs(closed + first), 1e-300)
             # Below 4x the per-shell rounding noise further shells add no
             # information; stop there even if rel_tol has not been reached.
@@ -313,20 +303,20 @@ def _min_abs_lattice(a0: complex, w: tuple[complex, ...], homog: bool) -> float:
 # Inhomogeneous operations
 
 
-def barnes_zeta_series(alpha: complex, p: BarnesParams,
-                       controls: SeriesControls | None = None) -> EvalResult:
+def barnes_zeta_series(alpha: complex, p: BarnesParams, *, config: EvalConfig | None = None,
+                       k: int | None = None) -> EvalResult:
     """Analytic continuation of the lattice zeta by the shifted series.
 
     Valid for Re(alpha) > -k off the poles alpha = 1..d; the closed term
     outside the lattice sum carries the whole pole structure.
     """
-    ctl = controls or SeriesControls()
-    cfg = ctl.config
+    cfg = config or DEFAULT_CONFIG
     validate_params(p)
     alpha = complex(alpha)
     d = p.d
     check_pole(alpha, d)
-    k = ctl.k if ctl.k is not None else _auto_k(alpha.real, d, _min_abs_lattice(p.a, p.w, False))
+    if k is None:
+        k = _auto_k(alpha.real, d, _min_abs_lattice(p.a, p.w, False))
     if k <= -d:
         raise DomainError(f"shift parameter k = {k} must exceed -d = {-d}")
     if not alpha.real > -k:
@@ -336,11 +326,11 @@ def barnes_zeta_series(alpha: complex, p: BarnesParams,
     sign_d = -1.0 if d % 2 else 1.0
     for m, coeff in enumerate(plan.coeffs):
         closed.add(-sign_d * coeff * p.a ** (d - alpha - m))
-    return _sum_shells(plan, p.a, p.w, cfg, ctl.shell_stop_count, False, closed.value)
+    return _sum_shells(plan, p.a, p.w, cfg, False, closed.value)
 
 
-def fp_barnes_series(q: int, p: BarnesParams, config: EvalConfig | None = None,
-                     *, k: int | None = None) -> EvalResult:
+def fp_barnes_series(q: int, p: BarnesParams, *, config: EvalConfig | None = None,
+                     k: int | None = None) -> EvalResult:
     """Finite part at the pole alpha = q, 1 <= q <= d, in series form.
 
     The ladder terms with m <= d-q are the log-weighted G symbols arising
@@ -371,11 +361,11 @@ def fp_barnes_series(q: int, p: BarnesParams, config: EvalConfig | None = None,
     for m in range(d - q + 1, keff + d):
         closed.add(sign_d * (dS[m] / factorial(m)) * _gamma_ratio(complex(q), d, m)
                    * p.a ** (d - q - m))
-    return _sum_shells(plan, p.a, p.w, cfg, 3, False, closed.value)
+    return _sum_shells(plan, p.a, p.w, cfg, False, closed.value)
 
 
-def deriv0_barnes_series(p: BarnesParams, config: EvalConfig | None = None,
-                         *, k: int | None = None) -> EvalResult:
+def deriv0_barnes_series(p: BarnesParams, *, config: EvalConfig | None = None,
+                         k: int | None = None) -> EvalResult:
     """alpha-derivative at zero of the lattice zeta, in series form."""
     cfg = config or DEFAULT_CONFIG
     validate_params(p)
@@ -397,33 +387,33 @@ def deriv0_barnes_series(p: BarnesParams, config: EvalConfig | None = None,
     for m in range(d + 1, keff + d):
         closed.add(sign_d * (dS[m] / factorial(m)) * (-1.0) ** (m - d)
                    * factorial(m - d - 1) * p.a ** (d - m))
-    return _sum_shells(plan, p.a, p.w, cfg, 3, False, closed.value)
+    return _sum_shells(plan, p.a, p.w, cfg, False, closed.value)
 
 
 # ---------------------------------------------------------------------------
 # Homogeneous operations (a = 0, origin excluded from the lattice)
 
 
-def zeta_bh_series(alpha: complex, w: Sequence[complex],
-                   controls: SeriesControls | None = None) -> EvalResult:
+def zeta_bh_series(alpha: complex, w: Sequence[complex], *, config: EvalConfig | None = None,
+                   k: int | None = None) -> EvalResult:
     """Analytic continuation of the homogeneous lattice zeta in series form."""
-    ctl = controls or SeriesControls()
-    cfg = ctl.config
+    cfg = config or DEFAULT_CONFIG
     wt = validate_weights(w)
     alpha = complex(alpha)
     d = len(wt)
     check_pole(alpha, d, "homogeneous lattice zeta")
-    k = ctl.k if ctl.k is not None else _auto_k(alpha.real, d, _min_abs_lattice(0, wt, True))
+    if k is None:
+        k = _auto_k(alpha.real, d, _min_abs_lattice(0, wt, True))
     if k <= -d:
         raise DomainError(f"shift parameter k = {k} must exceed -d = {-d}")
     if not alpha.real > -k:
         raise DomainError(f"series representation needs Re(alpha) > -k = {-k}")
     plan = _plan_generic(alpha, wt, k)
-    return _sum_shells(plan, 0.0, wt, cfg, ctl.shell_stop_count, True, 0.0)
+    return _sum_shells(plan, 0.0, wt, cfg, True, 0.0)
 
 
-def fp_bh_series(q: int, w: Sequence[complex], config: EvalConfig | None = None,
-                 *, k: int | None = None) -> EvalResult:
+def fp_bh_series(q: int, w: Sequence[complex], *, config: EvalConfig | None = None,
+                 k: int | None = None) -> EvalResult:
     """Finite part of the homogeneous lattice zeta at alpha = q, series form."""
     cfg = config or DEFAULT_CONFIG
     wt = validate_weights(w)
@@ -437,11 +427,11 @@ def fp_bh_series(q: int, w: Sequence[complex], config: EvalConfig | None = None,
     dS = ds_values(wt, keff + d)
     hq_const = (dS[d - q] * (-1.0) ** (d + q + 1) / (factorial(q - 1) * factorial(d - q))
                 * harmonic_float(q - 1))
-    return _sum_shells(plan, 0.0, wt, cfg, 3, True, hq_const)
+    return _sum_shells(plan, 0.0, wt, cfg, True, hq_const)
 
 
-def deriv0_bh_series(w: Sequence[complex], config: EvalConfig | None = None,
-                     *, k: int | None = None) -> EvalResult:
+def deriv0_bh_series(w: Sequence[complex], *, config: EvalConfig | None = None,
+                     k: int | None = None) -> EvalResult:
     """alpha-derivative at zero of the homogeneous lattice zeta, series form."""
     cfg = config or DEFAULT_CONFIG
     wt = validate_weights(w)
@@ -450,4 +440,4 @@ def deriv0_bh_series(w: Sequence[complex], config: EvalConfig | None = None,
     if keff < 1:
         raise DomainError("the derivative form needs k >= 1")
     plan = _plan_deriv0(wt, keff)
-    return _sum_shells(plan, 0.0, wt, cfg, 3, True, -harmonic_float(d))
+    return _sum_shells(plan, 0.0, wt, cfg, True, -harmonic_float(d))

@@ -13,38 +13,34 @@ from math import factorial
 from barneszeta import (
     BarnesParams,
     EvalConfig,
-    IntegralControls,
-    SeriesControls,
-    barnes_zeta_integral,
-    barnes_zeta_series,
-    cube_bracket_sum,
-    d2_fast_path,
-    deriv0_barnes_integral,
-    deriv0_barnes_limit,
-    deriv0_barnes_series,
-    deriv0_bh_integral,
-    deriv0_bh_limit,
-    deriv0_bh_series,
-    fp_barnes_integral,
-    fp_barnes_limit,
-    fp_barnes_series,
-    fp_bh_integral,
-    fp_bh_limit,
-    fp_bh_series,
-    g_symbol,
     gamma_dq,
-    harmonic,
-    hurwitz_zeta,
-    log_gamma_ref,
-    log_gamma_rep_checks,
     rational_d2_reduction,
     residue,
     residue_bh,
+)
+from barneszeta.combinatorics import cube_bracket_sum
+from barneszeta.foundations import harmonic
+from barneszeta.integral_rep import (
+    _residue_core,
+    barnes_zeta_integral,
+    deriv0_barnes_integral,
+    deriv0_bh_integral,
+    fp_barnes_integral,
+    fp_bh_integral,
     zeta_bh_integral,
 )
-from barneszeta.integral_rep import _residue_core
+from barneszeta.limit_rep import deriv0_barnes_limit, deriv0_bh_limit, fp_barnes_limit, fp_bh_limit
+from barneszeta.oracles import hurwitz_zeta, log_gamma_ref, log_gamma_rep_checks
+from barneszeta.series_rep import (
+    barnes_zeta_series,
+    deriv0_barnes_series,
+    deriv0_bh_series,
+    fp_barnes_series,
+    fp_bh_series,
+)
 
 from conftest import neville_to_zero, rel_err, scaled_err
+from references import d2_fast_path, g_symbol
 
 EULER_GAMMA = 0.57721566490153286
 LOG_2PI = math.log(2 * math.pi)
@@ -68,8 +64,8 @@ def test_criterion_01_hurwitz_collapse():
         for a in avals:
             p = BarnesParams(a, (1.0,))
             want = hurwitz_zeta(alpha, a)
-            got_s = barnes_zeta_series(alpha, p, SeriesControls(config=cfg)).value
-            got_i = barnes_zeta_integral(alpha, p, None, cfg).value
+            got_s = barnes_zeta_series(alpha, p, config=cfg).value
+            got_i = barnes_zeta_integral(alpha, p, config=cfg).value
             worst = max(worst, rel_err(got_s, want), rel_err(got_i, want))
             assert rel_err(got_s, want) <= 1e-10
             assert rel_err(got_i, want) <= 1e-10
@@ -114,9 +110,9 @@ def test_criterion_03_d2_fast_path():
     for _ in range(20):
         p = BarnesParams(rng.uniform(0.3, 2.5),
                          (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)))
-        for kind, generic in (("fp1", lambda: fp_barnes_limit(1, p, cfg)),
-                              ("fp2", lambda: fp_barnes_limit(2, p, cfg)),
-                              ("deriv0", lambda: deriv0_barnes_limit(p, cfg))):
+        for kind, generic in (("fp1", lambda: fp_barnes_limit(1, p, config=cfg)),
+                              ("fp2", lambda: fp_barnes_limit(2, p, config=cfg)),
+                              ("deriv0", lambda: deriv0_barnes_limit(p, config=cfg))):
             fast = d2_fast_path(kind, p, cfg).value
             gen = generic().value
             worst = max(worst, scaled_err(fast, gen))
@@ -180,19 +176,19 @@ def test_criterion_06_representation_parameter_invariance():
     for alpha in (0.5, -1.25, 2.5 + 1j):
         for p in (BarnesParams(1.0, (1.0, 1.0)), D2):
             k0 = max(1, math.ceil(-complex(alpha).real) + 1) + 6
-            v1 = barnes_zeta_series(alpha, p, SeriesControls(k=k0)).value
-            v2 = barnes_zeta_series(alpha, p, SeriesControls(k=k0 + 2)).value
+            v1 = barnes_zeta_series(alpha, p, k=k0).value
+            v2 = barnes_zeta_series(alpha, p, k=k0 + 2).value
             worst_k = max(worst_k, rel_err(v1, v2))
             assert rel_err(v1, v2) <= 1e-9
     # integral subtraction order and regulator constant
     worst_m = worst_c = 0.0
     for alpha in (0.5, 3.5):
-        v1 = barnes_zeta_integral(alpha, D2, IntegralControls(M=3)).value
-        v2 = barnes_zeta_integral(alpha, D2, IntegralControls(M=5)).value
+        v1 = barnes_zeta_integral(alpha, D2, M=3).value
+        v2 = barnes_zeta_integral(alpha, D2, M=5).value
         worst_m = max(worst_m, rel_err(v1, v2))
         assert rel_err(v1, v2) <= 1e-8
-        u1 = zeta_bh_integral(alpha, D2.w, IntegralControls(M=3, c=1.0)).value
-        u2 = zeta_bh_integral(alpha, D2.w, IntegralControls(M=3, c=2.0)).value
+        u1 = zeta_bh_integral(alpha, D2.w, M=3, c=1.0).value
+        u2 = zeta_bh_integral(alpha, D2.w, M=3, c=2.0).value
         worst_c = max(worst_c, rel_err(u1, u2))
         assert rel_err(u1, u2) <= 1e-8
     _report(6, f"parameter invariance: k {worst_k:.2e}, M {worst_m:.2e}, c {worst_c:.2e}")

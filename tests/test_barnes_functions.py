@@ -1,3 +1,4 @@
+import inspect
 import math
 from math import factorial
 
@@ -9,20 +10,17 @@ from barneszeta import (
     DomainError,
     EvalResult,
     Method,
-    MethodChoice,
-    Route,
-    fp_barnes_series,
     gamma_dq,
-    harmonic,
     log_gamma_B,
-    log_gamma_ref,
     log_rho,
     multiple_gamma,
     psi_B,
     residue,
 )
 from barneszeta.barnes_functions import ROUTES, evaluate
-from barneszeta.oracles import digamma_ref
+from barneszeta.foundations import harmonic
+from barneszeta.oracles import digamma_ref, log_gamma_ref
+from barneszeta.series_rep import fp_barnes_series
 
 from conftest import scaled_err
 
@@ -32,53 +30,53 @@ LOG_2PI = math.log(2 * math.pi)
 
 class TestLogRho:
     def test_unit_weight(self):
-        assert abs(log_rho((1.0,), Route.SERIES).value - 0.5 * LOG_2PI) <= 1e-12
+        assert abs(log_rho((1.0,), Method.SERIES).value - 0.5 * LOG_2PI) <= 1e-12
 
     def test_scaled_weight(self):
-        assert abs(log_rho((2.0,), Route.SERIES).value - 0.5 * math.log(math.pi)) <= 1e-12
+        assert abs(log_rho((2.0,), Method.SERIES).value - 0.5 * math.log(math.pi)) <= 1e-12
 
     def test_routes_agree_d2(self):
-        s = log_rho((1.0, 1.0), Route.SERIES).value
-        i = log_rho((1.0, 1.0), Route.INTEGRAL).value
+        s = log_rho((1.0, 1.0), Method.SERIES).value
+        i = log_rho((1.0, 1.0), Method.INTEGRAL).value
         assert scaled_err(s, i) <= 1e-6
 
 
 class TestLogGammaB:
     def test_d1_at_one(self):
-        assert abs(log_gamma_B(BarnesParams(1.0, (1.0,)), Route.SERIES).value) <= 1e-12
+        assert abs(log_gamma_B(BarnesParams(1.0, (1.0,)), Method.SERIES).value) <= 1e-12
 
     def test_d1_at_three(self):
-        got = log_gamma_B(BarnesParams(3.0, (1.0,)), Route.SERIES).value
+        got = log_gamma_B(BarnesParams(3.0, (1.0,)), Method.SERIES).value
         assert abs(got - math.log(2)) <= 1e-12
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 3.7])
     def test_d1_collapse_to_reference(self, a):
-        got = log_gamma_B(BarnesParams(a, (1.0,)), Route.SERIES).value
+        got = log_gamma_B(BarnesParams(a, (1.0,)), Method.SERIES).value
         assert abs(got - log_gamma_ref(a)) <= 1e-9
 
     def test_best_route_carries_cross_check(self):
-        res = log_gamma_B(BarnesParams(2.0, (1.0, 1.0)), MethodChoice(Route.BEST))
+        res = log_gamma_B(BarnesParams(2.0, (1.0, 1.0)), "best")
         assert "cross_check_delta" in res.diagnostics["deriv0"]
 
 
 class TestPsi:
     def test_digamma_at_one(self):
-        got = psi_B(1, BarnesParams(1.0, (1.0,)), Route.SERIES).value
+        got = psi_B(1, BarnesParams(1.0, (1.0,)), Method.SERIES).value
         assert abs(got + EULER_GAMMA) <= 1e-12
 
     def test_digamma_at_half(self):
-        got = psi_B(1, BarnesParams(0.5, (1.0,)), Route.SERIES).value
+        got = psi_B(1, BarnesParams(0.5, (1.0,)), Method.SERIES).value
         assert abs(got - (-EULER_GAMMA - 2 * math.log(2))) <= 1e-12
 
     @pytest.mark.parametrize("a", [0.5, 1.3, 2.2])
     def test_d1_matches_termwise_digamma(self, a):
-        got = psi_B(1, BarnesParams(a, (1.0,)), Route.SERIES).value
+        got = psi_B(1, BarnesParams(a, (1.0,)), Method.SERIES).value
         assert abs(got - digamma_ref(a)) <= 1e-9
 
     def test_routes_agree(self, d2_params):
-        s = psi_B(2, d2_params, Route.SERIES).value
-        i = psi_B(2, d2_params, Route.INTEGRAL).value
-        l = psi_B(2, d2_params, Route.LIMIT).value
+        s = psi_B(2, d2_params, Method.SERIES).value
+        i = psi_B(2, d2_params, Method.INTEGRAL).value
+        l = psi_B(2, d2_params, Method.LIMIT).value
         assert scaled_err(s, i) <= 1e-6
         assert scaled_err(s, l) <= 1e-4
 
@@ -98,30 +96,30 @@ class TestPsi:
 
 class TestGammaModularForms:
     def test_euler_constant(self):
-        got = gamma_dq(1, (1.0,), Route.SERIES).value
+        got = gamma_dq(1, (1.0,), Method.SERIES).value
         assert abs(got - EULER_GAMMA) <= 1e-12
 
     def test_scaled_weight(self):
-        got = gamma_dq(1, (2.0,), Route.SERIES).value
+        got = gamma_dq(1, (2.0,), Method.SERIES).value
         assert abs(got - (EULER_GAMMA - math.log(2)) / 2) <= 1e-12
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_routes_agree_d2(self, q):
-        s = gamma_dq(q, (1.0, 1.0), Route.SERIES).value
-        i = gamma_dq(q, (1.0, 1.0), Route.INTEGRAL).value
+        s = gamma_dq(q, (1.0, 1.0), Method.SERIES).value
+        i = gamma_dq(q, (1.0, 1.0), Method.INTEGRAL).value
         assert scaled_err(s, i) <= 1e-6
 
 
 class TestMultipleGamma:
     def test_d1_is_ordinary_gamma(self):
-        assert abs(multiple_gamma(3.0, 1, Route.SERIES).value - math.log(2)) <= 1e-12
-        got = multiple_gamma(0.5, 1, Route.SERIES).value
+        assert abs(multiple_gamma(3.0, 1, Method.SERIES).value - math.log(2)) <= 1e-12
+        got = multiple_gamma(0.5, 1, Method.SERIES).value
         assert abs(got - 0.5 * math.log(math.pi)) <= 1e-12
 
     @pytest.mark.parametrize("a", [1.0, 2.0])
     def test_d2_routes_agree(self, a):
-        s = multiple_gamma(a, 2, Route.SERIES).value
-        i = multiple_gamma(a, 2, Route.INTEGRAL).value
+        s = multiple_gamma(a, 2, Method.SERIES).value
+        i = multiple_gamma(a, 2, Method.INTEGRAL).value
         assert scaled_err(s, i) <= 1e-6
 
 
@@ -139,6 +137,22 @@ class TestEvaluate:
     def test_matches_route_function(self, d2_params):
         got = evaluate("fp", d2_params, 2, "series").value
         assert got == fp_barnes_series(2, d2_params).value
+
+    def test_method_member_or_name(self, d2_params):
+        by_member = evaluate("zeta", d2_params, 0.5, Method.SERIES)
+        by_name = evaluate("zeta", d2_params, 0.5, "series")
+        assert by_member == by_name
+
+    @pytest.mark.parametrize("quantity, homog, route", [
+        (q, h, r) for q in ROUTES for h in (False, True) for r in ROUTES[q][h]])
+    def test_one_route_signature(self, quantity, homog, route):
+        params = inspect.signature(ROUTES[quantity][homog][route]).parameters
+        positional = [p for p in params.values() if p.kind is p.POSITIONAL_OR_KEYWORD]
+        assert len(positional) == (1 if quantity == "deriv0" else 2)
+        config = params["config"]
+        assert config.kind is config.KEYWORD_ONLY and config.default is None
+        rest = [p for p in params.values() if p not in positional]
+        assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty for p in rest)
 
     def test_reduction_route(self):
         res = evaluate("zeta", BarnesParams(1.0, (1.0, 2.0)), 5.0, "reduction")

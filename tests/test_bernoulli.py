@@ -7,15 +7,19 @@ from hypothesis import given, settings, strategies as st
 from barneszeta import (
     BarnesParams,
     TruncationError,
-    bernoulli_numbers,
-    bernoulli_poly,
-    bernoullian_dS,
-    classical_bernoulli,
     log_gamma_B,
     psi_B,
 )
 from barneszeta import bernoulli
-from barneszeta.bernoulli import bernoulli_taylor, bernoullian_dS_closed, ds_values
+from barneszeta.bernoulli import (
+    bernoulli_numbers,
+    bernoulli_poly,
+    bernoulli_taylor,
+    classical_bernoulli,
+    ds_values,
+)
+
+from references import bernoullian_dS, bernoullian_dS_closed
 
 weights = st.lists(
     st.floats(min_value=0.2, max_value=3.0).map(lambda x: complex(round(x, 3))),

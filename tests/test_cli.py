@@ -54,6 +54,14 @@ class TestEval:
         payload = json.loads(out)
         assert payload["method"] == "reduction"
 
+    def test_best_route(self, run):
+        code, out, err = run(["eval", "--alpha", "0.5", "--a", "1", "--w", "1,1",
+                              "--method", "best", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["diagnostics"]["best_route"] in ("series", "integral")
+        assert payload["method"] == payload["diagnostics"]["best_route"]
+
     def test_usage_error(self, run):
         code, out, err = run(["eval", "--alpha", "5", "--a", "1", "--w", "oops"])
         assert code == 2
@@ -261,7 +269,7 @@ class TestMethodChoices:
     ])
     def test_choices_are_registry_routes(self, command, quantity):
         choices, default = self._choices(command)
-        assert choices == self._routes(quantity)
+        assert choices == self._routes(quantity) + ["best"]
         assert default == "series"
 
     def test_gamma_choices(self):

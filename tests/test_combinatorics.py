@@ -10,16 +10,19 @@ from barneszeta import (
     DomainError,
     EvaluationError,
     ResourceError,
+    direct_sum,
+)
+from barneszeta.combinatorics import (
     bracket_sum,
     cube_bracket_sum,
     cube_indices,
-    direct_sum,
     f_symbol,
-    g_symbol,
     shell_indices,
 )
 from barneszeta import combinatorics
 from barneszeta.combinatorics import CompensatedSum, neville_in_reciprocal, shell_values
+
+from references import g_symbol
 
 complex_small = st.complex_numbers(
     min_magnitude=0.1, max_magnitude=3.0, allow_nan=False, allow_infinity=False

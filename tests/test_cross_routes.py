@@ -7,18 +7,22 @@ import pytest
 
 from barneszeta import (
     BarnesParams,
-    barnes_zeta_integral,
-    barnes_zeta_series,
-    deriv0_barnes_integral,
-    deriv0_barnes_series,
-    deriv0_bh_integral,
-    deriv0_bh_series,
-    fp_barnes_integral,
-    fp_barnes_limit,
-    fp_barnes_series,
-    fp_bh_integral,
-    fp_bh_series,
     isotropic_reduction,
+)
+from barneszeta.integral_rep import (
+    barnes_zeta_integral,
+    deriv0_barnes_integral,
+    deriv0_bh_integral,
+    fp_barnes_integral,
+    fp_bh_integral,
+)
+from barneszeta.limit_rep import fp_barnes_limit
+from barneszeta.series_rep import (
+    barnes_zeta_series,
+    deriv0_barnes_series,
+    deriv0_bh_series,
+    fp_barnes_series,
+    fp_bh_series,
 )
 
 from conftest import rel_err, scaled_err

@@ -11,10 +11,15 @@ from barneszeta import (
     EvalResult,
     Method,
     PoleError,
-    harmonic,
-    validate_params,
 )
-from barneszeta.foundations import check_pole, horner, rising_factorial, validate_weights
+from barneszeta.foundations import (
+    check_pole,
+    harmonic,
+    horner,
+    rising_factorial,
+    validate_params,
+    validate_weights,
+)
 
 
 class TestValidateParams:

@@ -12,21 +12,22 @@ from barneszeta import (
     BarnesParams,
     BarnesZetaError,
     DomainError,
-    IntegralControls,
     PoleError,
     QuadratureError,
+    residue,
+    residue_bh,
+)
+from barneszeta.integral_rep import (
     QuadratureProblem,
     barnes_zeta_integral,
     deriv0_barnes_integral,
     deriv0_bh_integral,
     fp_barnes_integral,
     fp_bh_integral,
-    hurwitz_zeta,
     quad_semiinfinite,
-    residue,
-    residue_bh,
     zeta_bh_integral,
 )
+from barneszeta.oracles import hurwitz_zeta
 from barneszeta import integral_rep
 from barneszeta.bernoulli import bernoulli_poly
 from barneszeta.integral_rep import _homog_bracket, _inhom_bracket, _reciprocal_gamma
@@ -109,15 +110,15 @@ class TestExpSinhRule:
 
 class TestContinuation:
     def test_unit_d2_at_5(self):
-        res = barnes_zeta_integral(5.0, BarnesParams(1.0, (1.0, 1.0)), IntegralControls(M=0))
+        res = barnes_zeta_integral(5.0, BarnesParams(1.0, (1.0, 1.0)), M=0)
         assert rel_err(res.value, ZETA4) <= 1e-11
 
     def test_below_abscissa(self):
-        res = barnes_zeta_integral(0.5, BarnesParams(1.0, (1.0, 1.0)), IntegralControls(M=2))
+        res = barnes_zeta_integral(0.5, BarnesParams(1.0, (1.0, 1.0)), M=2)
         assert rel_err(res.value, hurwitz_zeta(-0.5, 1.0)) <= 1e-11
 
     def test_hurwitz_collapse(self):
-        res = barnes_zeta_integral(-1.5, BarnesParams(0.3, (1.0,)), IntegralControls(M=3))
+        res = barnes_zeta_integral(-1.5, BarnesParams(0.3, (1.0,)), M=3)
         assert rel_err(res.value, hurwitz_zeta(-1.5, 0.3)) <= 1e-10
 
     def test_pole(self):
@@ -126,38 +127,38 @@ class TestContinuation:
 
     def test_region_guard(self):
         with pytest.raises(DomainError):
-            barnes_zeta_integral(-0.5, BarnesParams(1.0, (1.0,)), IntegralControls(M=0))
+            barnes_zeta_integral(-0.5, BarnesParams(1.0, (1.0,)), M=0)
 
     def test_M_independence(self, d2_params):
-        v1 = barnes_zeta_integral(0.5, d2_params, IntegralControls(M=2)).value
-        v2 = barnes_zeta_integral(0.5, d2_params, IntegralControls(M=4)).value
+        v1 = barnes_zeta_integral(0.5, d2_params, M=2).value
+        v2 = barnes_zeta_integral(0.5, d2_params, M=4).value
         assert rel_err(v1, v2) <= 1e-9
 
     def test_nonpositive_integer_alpha_prefactor_only(self):
         # at alpha = 0 the 1/Gamma factor kills the integral and the
         # prefactor carries the exact value: zeta_H(0, a) = 1/2 - a
-        res = barnes_zeta_integral(0.0, BarnesParams(0.7, (1.0,)), IntegralControls(M=4))
+        res = barnes_zeta_integral(0.0, BarnesParams(0.7, (1.0,)), M=4)
         assert res.diagnostics.get("integral_skipped") is True
         assert abs(res.value - (0.5 - 0.7)) <= 1e-12
 
 
 class TestHomogeneous:
     def test_unit_d2_at_5(self):
-        res = zeta_bh_integral(5.0, (1.0, 1.0), IntegralControls(M=0))
+        res = zeta_bh_integral(5.0, (1.0, 1.0), M=0)
         assert rel_err(res.value, ZETA4 + ZETA5) <= 1e-10
 
     def test_d1_is_riemann(self):
-        res = zeta_bh_integral(2.0, (1.0,), IntegralControls(M=0))
+        res = zeta_bh_integral(2.0, (1.0,), M=0)
         assert rel_err(res.value, ZETA2) <= 1e-12
 
     def test_c_independence(self):
-        v1 = zeta_bh_integral(0.5, (1.0, 1.0), IntegralControls(M=2, c=1.0)).value
-        v2 = zeta_bh_integral(0.5, (1.0, 1.0), IntegralControls(M=2, c=2.0)).value
+        v1 = zeta_bh_integral(0.5, (1.0, 1.0), M=2, c=1.0).value
+        v2 = zeta_bh_integral(0.5, (1.0, 1.0), M=2, c=2.0).value
         assert rel_err(v1, v2) <= 1e-8
 
     def test_regulator_domain(self):
         with pytest.raises(DomainError):
-            IntegralControls(c=-1.0)
+            zeta_bh_integral(0.5, (1.0, 1.0), c=-1.0)
 
 
 class TestFiniteParts:
@@ -522,7 +523,7 @@ class TestBracketDtype:
 
     def test_complex_c_runs_in_complex128(self, monkeypatch):
         seen = self._dtypes(monkeypatch, lambda: zeta_bh_integral(
-            0.5, self.W, IntegralControls(c=1.0 + 0.5j)))
+            0.5, self.W, c=1.0 + 0.5j))
         assert seen == {"bracket": {np.dtype(np.complex128)},
                         "integrand": {np.dtype(np.complex128)}}
 

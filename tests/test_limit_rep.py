@@ -5,20 +5,15 @@ import pytest
 from barneszeta import (
     BarnesParams,
     ConvergenceError,
-    DimensionError,
     EvalConfig,
-    FastPathKind,
-    d2_fast_path,
-    deriv0_barnes_limit,
-    deriv0_barnes_series,
-    deriv0_bh_limit,
-    fp_barnes_limit,
-    fp_bh_limit,
-    fp_bh_series,
-    log_gamma_ref,
 )
+from barneszeta.foundations import DimensionError
+from barneszeta.limit_rep import deriv0_barnes_limit, deriv0_bh_limit, fp_barnes_limit, fp_bh_limit
+from barneszeta.oracles import log_gamma_ref
+from barneszeta.series_rep import deriv0_barnes_series, fp_bh_series
 
 from conftest import scaled_err
+from references import FastPathKind, d2_fast_path
 
 EULER_GAMMA = 0.57721566490153286
 LOG_2PI = math.log(2 * math.pi)
@@ -68,7 +63,7 @@ class TestDerivative:
 class TestDiagnostics:
     def test_schedule_and_raw_values_recorded(self):
         cfg = EvalConfig(limit_M_schedule=(500, 1000, 2000))
-        res = fp_barnes_limit(1, BarnesParams(1.0, (1.0,)), cfg)
+        res = fp_barnes_limit(1, BarnesParams(1.0, (1.0,)), config=cfg)
         assert res.diagnostics["M_values"] == [500, 1000, 2000]
         assert len(res.diagnostics["raw_values"]) == 3
         assert "monotone" in res.diagnostics
@@ -86,7 +81,7 @@ class TestDiagnostics:
     def test_unusable_schedule_raises(self):
         cfg = EvalConfig(limit_M_schedule=(1, 2, 3))
         with pytest.raises(ConvergenceError):
-            deriv0_barnes_limit(BarnesParams(0.7, (1.0, 2**0.5)), cfg)
+            deriv0_barnes_limit(BarnesParams(0.7, (1.0, 2**0.5)), config=cfg)
 
 
 class TestHomogeneousBridgeLimitForm:
@@ -117,5 +112,5 @@ class TestFastPath:
     def test_deriv0_matches_generic(self, d2_params):
         cfg = EvalConfig(limit_M_schedule=(30, 60, 120, 240, 480))
         fast = d2_fast_path("deriv0", d2_params, cfg)
-        generic = deriv0_barnes_limit(d2_params, cfg)
+        generic = deriv0_barnes_limit(d2_params, config=cfg)
         assert scaled_err(fast.value, generic.value) <= 1e-8

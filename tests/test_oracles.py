@@ -11,15 +11,18 @@ from barneszeta import (
     PoleError,
     direct_sum,
     direct_sum_bh,
-    hurwitz_zeta,
-    hurwitz_zeta_ds,
     isotropic_reduction,
-    log_gamma_ref,
-    log_gamma_rep_checks,
     rational_d2_reduction,
 )
 from barneszeta.combinatorics import CompensatedSum, shell_values
-from barneszeta.oracles import EulerMaclaurinControls, digamma_ref
+from barneszeta.oracles import (
+    EulerMaclaurinControls,
+    digamma_ref,
+    hurwitz_zeta,
+    hurwitz_zeta_ds,
+    log_gamma_ref,
+    log_gamma_rep_checks,
+)
 
 from conftest import rel_err
 
@@ -76,11 +79,11 @@ class TestDirectSum:
         assert abs(res.value - math.pi**4 / 90) <= 2 * res.abs_error_estimate
 
     def test_d2_alpha3_within_estimate(self):
-        res = direct_sum(3.0, BarnesParams(1.0, (1.0, 1.0)), EvalConfig(rel_tol=1e-6))
+        res = direct_sum(3.0, BarnesParams(1.0, (1.0, 1.0)), config=EvalConfig(rel_tol=1e-6))
         assert abs(res.value - math.pi**2 / 6) <= 2 * res.abs_error_estimate
 
     def test_hurwitz_shift(self):
-        res = direct_sum(4.0, BarnesParams(2.0, (1.0,)), EvalConfig(rel_tol=1e-12))
+        res = direct_sum(4.0, BarnesParams(2.0, (1.0,)), config=EvalConfig(rel_tol=1e-12))
         assert rel_err(res.value, math.pi**4 / 90 - 1.0) <= 1e-11
 
     def test_near_abscissa_rejected(self):
@@ -88,7 +91,7 @@ class TestDirectSum:
             direct_sum(2.4, BarnesParams(1.0, (1.0, 1.0)))
 
     def test_homogeneous(self):
-        res = direct_sum_bh(4.0, (1.0,), EvalConfig(rel_tol=1e-12))
+        res = direct_sum_bh(4.0, (1.0,), config=EvalConfig(rel_tol=1e-12))
         assert rel_err(res.value, math.pi**4 / 90) <= 1e-11
 
     @pytest.mark.parametrize("homog", [False, True])
@@ -130,7 +133,7 @@ class TestReductions:
 
     def test_rational_n2_matches_direct(self):
         got = rational_d2_reduction(6.5, 1.0, 2)
-        res = direct_sum(6.5, BarnesParams(1.0, (1.0, 2.0)), EvalConfig(rel_tol=1e-13))
+        res = direct_sum(6.5, BarnesParams(1.0, (1.0, 2.0)), config=EvalConfig(rel_tol=1e-13))
         assert rel_err(got, res.value) <= 1e-12
 
     def test_pairwise_consistency_d2(self):
@@ -138,14 +141,14 @@ class TestReductions:
         alpha, a = 6.5, 0.8
         iso = isotropic_reduction(alpha, a, 1.0, 2)
         rat = rational_d2_reduction(alpha, a, 1)
-        direct = direct_sum(alpha, BarnesParams(a, (1.0, 1.0)), EvalConfig(rel_tol=1e-13)).value
+        direct = direct_sum(alpha, BarnesParams(a, (1.0, 1.0)), config=EvalConfig(rel_tol=1e-13)).value
         assert rel_err(iso, rat) <= 1e-12
         assert rel_err(iso, direct) <= 1e-12
 
     def test_pairwise_consistency_d3(self):
         alpha, a = 8.5, 1.2
         iso = isotropic_reduction(alpha, a, 1.0, 3)
-        direct = direct_sum(alpha, BarnesParams(a, (1.0, 1.0, 1.0)), EvalConfig(rel_tol=1e-12)).value
+        direct = direct_sum(alpha, BarnesParams(a, (1.0, 1.0, 1.0)), config=EvalConfig(rel_tol=1e-12)).value
         assert rel_err(iso, direct) <= 1e-11
 
 

@@ -9,14 +9,15 @@ from barneszeta import (
     DomainError,
     EvalConfig,
     PoleError,
-    SeriesControls,
+    residue,
+)
+from barneszeta.oracles import hurwitz_zeta
+from barneszeta.series_rep import (
     barnes_zeta_series,
     deriv0_barnes_series,
     deriv0_bh_series,
     fp_barnes_series,
     fp_bh_series,
-    hurwitz_zeta,
-    residue,
     zeta_bh_series,
 )
 from barneszeta import series_rep as sr
@@ -50,14 +51,14 @@ class TestContinuation:
 
     def test_region_guard(self):
         with pytest.raises(DomainError):
-            barnes_zeta_series(-0.5, BarnesParams(1.0, (1.0,)), SeriesControls(k=0))
+            barnes_zeta_series(-0.5, BarnesParams(1.0, (1.0,)), k=0)
 
     @pytest.mark.parametrize("alpha", [0.5, -1.25, 2.5 + 1j])
     def test_k_independence(self, alpha):
         p = BarnesParams(0.7, (1.0, 2**0.5))
         base = max(1, math.ceil(-alpha.real if isinstance(alpha, complex) else -alpha) + 1) + 6
-        v1 = barnes_zeta_series(alpha, p, SeriesControls(k=base)).value
-        v2 = barnes_zeta_series(alpha, p, SeriesControls(k=base + 2)).value
+        v1 = barnes_zeta_series(alpha, p, k=base).value
+        v2 = barnes_zeta_series(alpha, p, k=base + 2).value
         assert rel_err(v1, v2) <= 1e-9
 
 
@@ -144,7 +145,7 @@ class TestHomogeneousBridges:
     def test_fp_bridge(self, q, d2_params):
         w = d2_params.w
         vals = [
-            fp_barnes_series(q, BarnesParams(a, w), self.CFG).value - a ** (-q)
+            fp_barnes_series(q, BarnesParams(a, w), config=self.CFG).value - a ** (-q)
             for a in self.AVALS
         ]
         ext = neville_to_zero(self.AVALS, vals)
@@ -154,7 +155,7 @@ class TestHomogeneousBridges:
     def test_deriv_bridge(self, d2_params):
         w = d2_params.w
         vals = [
-            deriv0_barnes_series(BarnesParams(a, w), self.CFG).value + math.log(a)
+            deriv0_barnes_series(BarnesParams(a, w), config=self.CFG).value + math.log(a)
             for a in self.AVALS
         ]
         ext = neville_to_zero(self.AVALS, vals)

@@ -39,3 +39,35 @@ def test_traced_best_call_counts_every_layer():
     assert metrics["series_rep.points"] > 0
     # every lattice point the series sums passes through shell_values
     assert metrics["combinatorics.shell_points"] == metrics["series_rep.points"]
+
+
+# Every registry entry once, on a lattice that every route accepts: w = (1, 2)
+# has a reduction, alpha = 6.5 is inside the direct sum's region, and a short
+# M schedule keeps the limit routes' cubes small.  The first lines of CODE
+# install the shim.
+EVERY_ROUTE = CODE.split("from barneszeta")[0] + """
+from barneszeta import ROUTES, BarnesParams, EvalConfig
+p = BarnesParams(0.7, (1.0, 2.0))
+cfg = EvalConfig(limit_M_schedule=(100, 200, 400))
+at = {"zeta": 6.5, "fp": 1, "deriv0": None}
+for quantity, forms in ROUTES.items():
+    for homog, routes in forms.items():
+        params = p.w if homog else p
+        args = (params,) if at[quantity] is None else (at[quantity], params)
+        for fn in routes.values():
+            fn(*args, config=cfg)
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_traced_call_of_every_route():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", EVERY_ROUTE,
+                          str(ROOT / "bench" / "layertrace.py")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert "TraceCoverageError" not in out.stderr
+    assert out.returncode == 0, out.stderr
+    metrics = json.loads(out.stdout.strip().splitlines()[-1])
+    for layer in ("series_rep", "integral_rep", "limit_rep", "oracles"):
+        assert metrics[f"{layer}.calls"] > 0, layer
+    assert metrics["oracles.direct_points"] > 0
