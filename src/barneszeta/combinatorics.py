@@ -1,11 +1,11 @@
-"""Alternating subset symbols, lattice brackets, and hypercubic shells.
+"""Alternating subset symbols, hypercubic shells and extrapolation in 1/M.
 
 The F symbol is an alternating sum of a function over nonempty subset sums
 of the weights; G adds the empty subset and is then the composition of the
 d forward-difference operators with steps w_1..w_d, so it annihilates every
-polynomial of degree < d.  The bracket [u(n)]_v is the same alternating
-structure on the integer lattice, and sums of [u(n)]_1 over the cube
-{0..M}^d telescope down to a single bracket at the far corner.
+polynomial of degree < d.  On the integer lattice the same alternating
+structure telescopes: its sum over the boxes of the cube {0..M}^d is one
+alternating sum over the 2^d far corners.
 
 Finite differences of smooth functions at a large argument y lose roughly
 d*log10|y| digits to cancellation.  The lattice series forms them only at
@@ -21,14 +21,14 @@ in float64 when a and every w_i are real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .foundations import DomainError, EvaluationError, ResourceError, as_weights, narrow
+from .foundations import DomainError, EvaluationError, as_weights, narrow
 
 MAX_DIM = 16
 _GRID_POINTS = 2 ** 16     # shells with (k+1)^d <= this come from the cached grid
@@ -72,6 +72,19 @@ def neville_in_reciprocal(Ms: Sequence[int], vals: Sequence[complex]) -> tuple[c
     Returns the extrapolant and the gap between the last two diagonal
     entries (inf for a single value) as its error estimate.
     """
+    diag, _ = neville_diagonal(Ms, vals)
+    return diag[-1], abs(diag[-1] - diag[-2]) if len(diag) >= 2 else float("inf")
+
+
+def neville_diagonal(Ms: Sequence[int], vals: Sequence[complex]) -> tuple[list[complex], float]:
+    """The diagonal of the Neville tableau of vals(1/M) at 1/M = 0, and the
+    Lebesgue constant of its nodes.
+
+    Entry j of the diagonal is the polynomial in 1/M through the first j + 1
+    values, evaluated at 0.  The last entry is sum_i l_i(0) vals_i, with l_i
+    the Lagrange basis on the nodes 1/M; the Lebesgue constant sum_i |l_i(0)|
+    bounds how much it amplifies an error in the values.
+    """
     xs = [1.0 / m for m in Ms]
     rows = [list(vals)]
     while len(rows[-1]) > 1:
@@ -82,9 +95,9 @@ def neville_in_reciprocal(Ms: Sequence[int], vals: Sequence[complex]) -> tuple[c
             x0, x1 = xs[i], xs[i + level]
             nxt.append((x0 * prev[i + 1] - x1 * prev[i]) / (x0 - x1))
         rows.append(nxt)
-    diag = [row[0] for row in rows]
-    est = abs(diag[-1] - diag[-2]) if len(diag) >= 2 else float("inf")
-    return diag[-1], est
+    lebesgue = sum(abs(math.prod(xj / (xj - xi) for j, xj in enumerate(xs) if j != i))
+                   for i, xi in enumerate(xs))
+    return [row[0] for row in rows], lebesgue
 
 
 @lru_cache(maxsize=64)
@@ -115,6 +128,12 @@ def f_symbol(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) 
     sum over nonempty S of (-1)^{d-|S|} f(a + sum_{i in S} w_i), evaluated
     in subset-size-then-lexicographic order with compensated accumulation.
     """
+    return f_symbol_sum(f, a, w).value
+
+
+def f_symbol_sum(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) -> CompensatedSum:
+    """The accumulator of `f_symbol`: its `value` is F[f(a+x)]_{x=w}, its
+    `mass` the summed size of the 2^d - 1 terms."""
     wt = as_weights(w)
     a = complex(a)
     acc = CompensatedSum()
@@ -126,123 +145,7 @@ def f_symbol(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) 
                 f"function evaluation failed at subset {idx}", subset=idx
             ) from exc
         acc.add(sign * complex(val))
-    return acc.value
-
-
-def _masked(n: Sequence[int], v: Sequence[int], idx: tuple[int, ...]) -> tuple[int, ...]:
-    out = list(n)
-    for i in idx:
-        out[i] += v[i]
-    return tuple(out)
-
-
-def bracket_sum(
-    u: Callable[[tuple[int, ...]], complex],
-    n: Sequence[int],
-    v: Sequence[int],
-) -> complex:
-    """Lattice bracket [u(n)]_v: alternating sum over masked additions of v.
-
-    [u(n)]_v = sum over all S of (-1)^{d-|S|} u(n + v restricted to S).
-    """
-    n = tuple(int(x) for x in n)
-    v = tuple(int(x) for x in v)
-    if len(n) != len(v):
-        raise DomainError("n and v must have the same length")
-    d = len(n)
-    if d < 1 or d > MAX_DIM:
-        raise DomainError(f"dimension must be in 1..{MAX_DIM}")
-    acc = CompensatedSum()
-    for idx in subset_index_lists(d, include_empty=True):
-        sign = -1.0 if (d - len(idx)) % 2 else 1.0
-        try:
-            val = u(_masked(n, v, idx))
-        except Exception as exc:
-            raise EvaluationError(
-                f"lattice function failed at subset {idx}", subset=idx
-            ) from exc
-        acc.add(sign * complex(val))
-    return acc.value
-
-
-def shell_indices(k: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Lattice points with max coordinate exactly k, lexicographic order."""
-    if k < 0:
-        raise DomainError("shell index must be >= 0")
-    if k == 0:
-        yield (0,) * d
-        return
-    for point in product(range(k + 1), repeat=d):
-        if max(point) == k:
-            yield point
-
-
-def cube_indices(M: int, d: int, exclude_origin: bool = False) -> Iterator[tuple[int, ...]]:
-    """All points of {0..M}^d, grouped in hypercubic shells S_0, S_1, ...
-
-    Within each shell the order is lexicographic, so iteration is fully
-    deterministic.  With exclude_origin the single point of S_0 is skipped.
-    """
-    if M < 0:
-        raise DomainError("M must be >= 0")
-    if d < 1 or d > MAX_DIM:
-        raise DomainError(f"dimension must be in 1..{MAX_DIM}")
-    for k in range(M + 1):
-        if k == 0 and exclude_origin:
-            continue
-        yield from shell_indices(k, d)
-
-
-@dataclass(frozen=True)
-class CubeBracketSum:
-    """Both sides of the telescoping identity; `value` is the closed side."""
-
-    rhs: complex
-    lhs: complex | None
-
-    @property
-    def value(self) -> complex:
-        return self.rhs
-
-
-def cube_bracket_sum(
-    u: Callable[[tuple[int, ...]], complex],
-    M: int,
-    d: int,
-    explicit: bool = True,
-    budget: int = 2_000_000,
-) -> CubeBracketSum:
-    """sum_{n in C_M} [u(n)]_1 together with its closed form [u(0)]_{(M+1)1}.
-
-    The left side is the explicit telescoping sum over (M+1)^d lattice
-    points (kept for testing); the right side is a single bracket at the
-    far corner.  ResourceError if the explicit side would exceed `budget`.
-    Neighbouring brackets share corners, so the explicit side evaluates u
-    once per point of {0..M+1}^d.
-    """
-    if M < 0:
-        raise DomainError("M must be >= 0")
-    ones = (1,) * d
-    rhs = bracket_sum(u, (0,) * d, ((M + 1),) * d)
-    lhs: complex | None = None
-    if explicit:
-        npoints = (M + 1) ** d
-        if npoints > budget:
-            raise ResourceError(
-                f"explicit cube sum needs {npoints} points, budget is {budget}"
-            )
-        seen: dict[tuple[int, ...], complex] = {}
-
-        def u_once(n):
-            if n not in seen:
-                seen[n] = u(n)
-            return seen[n]
-
-        acc = CompensatedSum()
-        for point in cube_indices(M, d):
-            acc.add(bracket_sum(u_once, point, ones))
-        lhs = acc.value
-    return CubeBracketSum(rhs=rhs, lhs=lhs)
+    return acc
 
 
 def _shell_grid(d: int, k: int) -> np.ndarray:

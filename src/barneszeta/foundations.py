@@ -141,7 +141,7 @@ class EvalConfig:
 
     rel_tol: float = 1e-10
     max_shells: int = 100_000
-    limit_M_schedule: tuple[int, ...] = (1000, 2000, 4000)
+    limit_M_schedule: tuple[int, ...] = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
     quad_rel_tol: float = 1e-12
 
     def __post_init__(self):

@@ -2,14 +2,23 @@
 derivative at zero, for the inhomogeneous and the homogeneous function.
 
 Each quantity is written as  lim_M [ edge terms at x = M*w + cube sum over
-{0..M-1}^d ] + closed constant.  The bracket is evaluated on a schedule of
-M values and extrapolated to 1/M -> 0 with a Neville tableau (the leading
-error is empirically c/M).  The bracket holds terms of size M^d log M that
-cancel to an O(1) result, so double precision limits the attainable
-accuracy to roughly 1e-5 at M = 4000 in d = 2; the reported est_error is
-the difference of the last two extrapolants.
+{0..M-1}^d ] + closed constant.  The bracket is evaluated on a short
+geometric ladder of M and extrapolated to 1/M -> 0 with a Neville tableau.
+The cube {0..M-1}^d is the shells S_0..S_{M-1}, so one walk of the shells
+up to the largest M gives the cube sum at every rung as a running sum.
 
-Cube sums are cached by (a, w, M), so two routes comparing the same
+Of EvalConfig.limit_M_schedule the route keeps the _RUNGS largest rungs
+whose cube holds at most _CUBE_POINTS points; the default ladder gives
+M = 64..256 at d <= 2, 24..96 at d = 3, 8..32 at d = 4 and 4..16 at d = 5.
+Smaller rungs are further from the asymptotic regime and spoil the tableau
+on anisotropic weights.  The bracket holds terms of size M^d log M that cancel to an O(1)
+result, so each rung carries a rounding error of about eps times its summed
+term size, which the tableau amplifies by at most the Lebesgue constant of
+its nodes 1/M.  The reported est_error is the larger of the last two gaps
+along the tableau's diagonal, built from the largest M down, plus that
+rounding term.
+
+Cube sums are cached by (a, w, schedule), so two routes comparing the same
 parameters share bit-identical lattice contributions and differ only in
 their edge-term algebra.
 """
@@ -20,12 +29,12 @@ import cmath
 import math
 from functools import lru_cache
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .bernoulli import ds_values
-from .combinatorics import CompensatedSum, f_symbol, neville_in_reciprocal, shell_values
+from .combinatorics import CompensatedSum, f_symbol_sum, neville_diagonal, shell_values
 from .foundations import (
     BarnesParams,
     ConvergenceError,
@@ -34,29 +43,23 @@ from .foundations import (
     EvalConfig,
     EvalResult,
     Method,
+    ResourceError,
     harmonic_float,
-    narrow,
     validate_params,
     validate_weights,
 )
 
-# Largest cube size kept when rescaling a schedule for d >= 3; the default
-# schedule (1000, 2000, 4000) was sized for d <= 2 and would need 6.4e10
-# lattice points at d = 3.
-_CUBE_POINT_BUDGET = 3.2e7
+_CUBE_POINTS = 2 ** 20   # largest cube {0..M-1}^d a rung may hold
+_RUNGS = 5               # rungs kept: the largest that fit
 
 
-def _effective_schedule(cfg: EvalConfig, d: int) -> tuple[int, ...]:
-    sched = cfg.limit_M_schedule
-    if d <= 2 or max(sched) ** d <= _CUBE_POINT_BUDGET:
-        return sched
-    shrink = (_CUBE_POINT_BUDGET / max(sched) ** d) ** (1.0 / d)
-    scaled = tuple(max(4, int(round(m * shrink))) for m in sched)
-    # keep strict monotonicity after rounding
-    out = [scaled[0]]
-    for m in scaled[1:]:
-        out.append(max(m, out[-1] + 1))
-    return tuple(out)
+def _rungs_kept(schedule: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """The last _RUNGS entries of the schedule whose cube fits in _CUBE_POINTS."""
+    Ms = tuple(M for M in schedule if M ** d <= _CUBE_POINTS)[-_RUNGS:]
+    if not Ms:
+        raise ResourceError(f"no M of the limit schedule has a cube of at most "
+                            f"{_CUBE_POINTS} points at d = {d}")
+    return Ms
 
 
 def _is_monotone(vals: Sequence[complex]) -> bool:
@@ -70,112 +73,111 @@ def _is_monotone(vals: Sequence[complex]) -> bool:
 
 
 def _cube_chunks(a0: complex, w: tuple[complex, ...], M: int, homog: bool):
-    """Yield the values a0 + n.w over {0..M-1}^d as flat arrays.
-
-    Real parameters stay in float64 for speed; the origin is dropped from
-    the first chunk in the homogeneous case.
-    """
-    d = len(w)
-    a_val, ws = narrow(a0), [narrow(wi) for wi in w]
-    if d == 1:
-        n = np.arange(1 if homog else 0, M)
-        yield a_val + ws[0] * n
-        return
-    if d == 2:
-        block = max(1, int(4_000_000 // max(M, 1)))
-        base2 = ws[1] * np.arange(M)
-        for start in range(0, M, block):
-            n1 = np.arange(start, min(start + block, M))
-            y = (a_val + ws[0] * n1)[:, None] + base2[None, :]
-            y = y.ravel()
-            if homog and start == 0:
-                y = y[1:]
-            yield y
-        return
-    if d == 3:
-        base2 = ws[1] * np.arange(M)
-        base3 = ws[2] * np.arange(M)
-        grid = base2[:, None] + base3[None, :]
-        for n1 in range(M):
-            y = (a_val + ws[0] * n1) + grid
-            y = y.ravel()
-            if homog and n1 == 0:
-                y = y[1:]
-            yield y
-        return
-    # generic dimension: shell enumeration (slower, used only for d >= 4)
+    """Yield the values a0 + n.w on the shells S_0..S_{M-1} of {0..M-1}^d,
+    one array per shell; the homogeneous S_0 is empty (origin dropped)."""
     for k in range(M):
-        y = shell_values(a0, w, k, skip_origin=homog)
-        if y.size:
-            yield y
+        yield shell_values(a0, w, k, skip_origin=homog)
+
+
+def _prefix_sums(a0: complex, w: tuple[complex, ...], schedule: tuple[int, ...], homog: bool,
+                 term: Callable[[np.ndarray], np.ndarray]) -> tuple[tuple[int, complex, float], ...]:
+    """(M, sum, summed term size) of term(a0 + n.w) over {0..M-1}^d for each
+    kept rung M, from one walk of the shells up to the largest."""
+    Ms = _rungs_kept(schedule, len(w))
+    acc, mass, out = CompensatedSum(), 0.0, []
+    for k, y in enumerate(_cube_chunks(a0, w, Ms[-1], homog)):
+        t = term(y)
+        acc.add(complex(np.sum(t)))
+        mass += float(np.sum(np.abs(t)))
+        if k + 1 in Ms:
+            out.append((k + 1, acc.value, mass))
+    return tuple(out)
 
 
 @lru_cache(maxsize=512)
-def _cube_pow(a0: complex, w: tuple[complex, ...], M: int, q: int, homog: bool) -> complex:
-    acc = CompensatedSum()
-    for y in _cube_chunks(a0, w, M, homog):
-        inv = 1.0 / y
-        out = inv
-        for _ in range(q - 1):
-            out = out * inv
-        acc.add(complex(np.sum(out)))
-    return acc.value
+def _cube_pow(a0: complex, w: tuple[complex, ...], schedule: tuple[int, ...], q: int,
+              homog: bool) -> tuple[tuple[int, complex, float], ...]:
+    return _prefix_sums(a0, w, schedule, homog, lambda y: y ** -q)
 
 
 @lru_cache(maxsize=512)
-def _cube_log(a0: complex, w: tuple[complex, ...], M: int, homog: bool) -> complex:
-    acc = CompensatedSum()
-    for y in _cube_chunks(a0, w, M, homog):
-        acc.add(complex(np.sum(np.log(y))))
-    return acc.value
+def _cube_log(a0: complex, w: tuple[complex, ...], schedule: tuple[int, ...],
+              homog: bool) -> tuple[tuple[int, complex, float], ...]:
+    return _prefix_sums(a0, w, schedule, homog, np.log)
 
 
 # ---------------------------------------------------------------------------
 # Edge terms
 
 
-def _edge(q: int, a: complex, w: tuple[complex, ...], M: int, dS, homog: bool) -> complex:
+def _edge(q: int, a: complex, w: tuple[complex, ...], M: int, dS,
+          homog: bool) -> tuple[complex, float]:
     """Edge terms at x = M*w of the finite part at q, or of the derivative at
     zero for q = 0: sum_m s dS_m / (m! e!) F[t^e log t], e = d - q - m, with
     s = (-1)^q/(q-1)! (1 for the derivative).  The homogeneous forms scale
-    F[...](0|w) by M^e and add the log M term of the origin."""
+    F[...](0|w) by M^e and add the log M term of the origin.  Returns the sum
+    and its summed term size, each F symbol counted by its own terms."""
     d = len(w)
     qf = factorial(q - 1) if q else 1
     s = (-1.0) ** q / qf
     mw = tuple(M * wi for wi in w)
-    acc = CompensatedSum()
+    terms = []   # (value, summed term size)
     if q == 0:
-        if homog:
-            acc.add(float(M) ** d * (math.log(M) - harmonic_float(d)))
-        else:
-            acc.add(-harmonic_float(d) * float(M) ** d)
+        lead = float(M) ** d * ((math.log(M) if homog else 0.0) - harmonic_float(d))
+        terms.append((lead, abs(lead)))
     for m in range(d - q + 1):
         e = d - q - m
 
         def f(t, e=e):
             return t**e * cmath.log(t)
 
-        term = s * dS[m] / (factorial(m) * factorial(e))
-        acc.add(term * f_symbol(f, 0.0, w) * float(M) ** e if homog
-                else term * f_symbol(f, a, mw))
+        scale = s * dS[m] / (factorial(m) * factorial(e)) * (float(M) ** e if homog else 1.0)
+        F = f_symbol_sum(f, 0.0, w) if homog else f_symbol_sum(f, a, mw)
+        terms.append((scale * F.value, abs(scale) * F.mass))
     if homog:
-        acc.add(dS[d - q] * (-1.0) ** (d + q + 1) / (qf * factorial(d - q)) * math.log(M))
-    return acc.value
+        tail = dS[d - q] * (-1.0) ** (d + q + 1) / (qf * factorial(d - q)) * math.log(M)
+        terms.append((tail, abs(tail)))
+    acc = CompensatedSum()
+    for value, _ in terms:
+        acc.add(value)
+    return acc.value, sum(size for _, size in terms)
+
+
+def _rungs(q: int, a: complex, w: tuple[complex, ...], dS, homog: bool,
+           cfg: EvalConfig) -> list[tuple[int, complex, float]]:
+    """(M, bracket, summed term size) of each rung: the edge terms at M*w
+    plus the cube sum of (a + n.w)^-q, or minus the cube log sum for q = 0."""
+    if q:
+        cube, sign = _cube_pow(a, w, cfg.limit_M_schedule, q, homog), 1.0
+    else:
+        cube, sign = _cube_log(a, w, cfg.limit_M_schedule, homog), -1.0
+    out = []
+    for M, c, c_mass in cube:
+        e, e_mass = _edge(q, a, w, M, dS, homog)
+        out.append((M, e + sign * c, e_mass + c_mass))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Shared assembly
 
 
-def _run_limit(brackets, const: complex, cfg: EvalConfig, Ms: tuple[int, ...],
+def _run_limit(rungs: Sequence[tuple[int, complex, float]], const: complex, cfg: EvalConfig,
                d: int) -> EvalResult:
-    approx = tuple(b + const for b in brackets)
-    value, est = neville_in_reciprocal(Ms, approx)
-    # Attainable accuracy shrinks with the rescaled d >= 3 schedules; 1e-5 is
-    # the documented cancellation budget for d <= 2 at M = 4000.
+    Ms = [M for M, _, _ in rungs]
+    approx = [b + const for _, b, _ in rungs]
+    # from the largest M down: entry j extrapolates through the j + 1 largest
+    tableau, lebesgue = neville_diagonal(Ms[::-1], approx[::-1])
+    value = tableau[-1]
+    gaps = [abs(tableau[j] - tableau[j - 1]) for j in range(max(1, len(tableau) - 2), len(tableau))]
+    rounding = float(np.finfo(float).eps) * max(m for _, _, m in rungs) * lebesgue
+    est = max(gaps, default=math.inf) + rounding
+    # Raise above 10x a floor of 1e-5 relative for d <= 2, and of 1e-3 from
+    # d = 3 on, where the cubes that fit are smaller and the rungs less
+    # asymptotic.
     floor = 1e-5 if d <= 2 else 1e-3
     tol = 10.0 * max(cfg.rel_tol, floor) * (1.0 + abs(value))
-    diag = {"M_values": list(Ms), "raw_values": [[v.real, v.imag] for v in approx],
+    diag = {"M_values": Ms, "raw_values": [[v.real, v.imag] for v in approx],
             "extrapolated": [value.real, value.imag], "est_error": est}
     if est > tol:
         raise ConvergenceError(
@@ -193,17 +195,13 @@ def fp_barnes_limit(q: int, p: BarnesParams, *, config: EvalConfig | None = None
     d = p.d
     if not 1 <= q <= d:
         raise DomainError(f"finite parts exist for q = 1..{d}, got {q}")
-    Ms = _effective_schedule(cfg, d)
     dS = ds_values(p.w, d + 1)
-    brackets = [
-        _edge(q, p.a, p.w, M, dS, False) + _cube_pow(p.a, p.w, M, q, False) for M in Ms
-    ]
     s1 = (-1.0) ** (d - q + 1) / factorial(q - 1)
     const = CompensatedSum()
     for m in range(d - q + 1):
         const.add(s1 * dS[m] * p.a ** (d - q - m) / (factorial(m) * factorial(d - q - m))
                   * (harmonic_float(q - 1) - harmonic_float(d - q - m)))
-    return _run_limit(brackets, const.value, cfg, Ms, d)
+    return _run_limit(_rungs(q, p.a, p.w, dS, False, cfg), const.value, cfg, d)
 
 
 def deriv0_barnes_limit(p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
@@ -211,17 +209,13 @@ def deriv0_barnes_limit(p: BarnesParams, *, config: EvalConfig | None = None) ->
     cfg = config or DEFAULT_CONFIG
     validate_params(p)
     d = p.d
-    Ms = _effective_schedule(cfg, d)
     dS = ds_values(p.w, d + 1)
-    brackets = [
-        _edge(0, p.a, p.w, M, dS, False) - _cube_log(p.a, p.w, M, False) for M in Ms
-    ]
     sign_d = -1.0 if d % 2 else 1.0
     const = CompensatedSum()
     for m in range(d + 1):
         const.add(sign_d * dS[m] * harmonic_float(d - m) * p.a ** (d - m)
                   / (factorial(m) * factorial(d - m)))
-    return _run_limit(brackets, const.value, cfg, Ms, d)
+    return _run_limit(_rungs(0, p.a, p.w, dS, False, cfg), const.value, cfg, d)
 
 
 def fp_bh_limit(q: int, w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
@@ -231,14 +225,10 @@ def fp_bh_limit(q: int, w: Sequence[complex], *, config: EvalConfig | None = Non
     d = len(wt)
     if not 1 <= q <= d:
         raise DomainError(f"finite parts exist for q = 1..{d}, got {q}")
-    Ms = _effective_schedule(cfg, d)
     dS = ds_values(wt, d + 1)
-    brackets = [
-        _edge(q, 0j, wt, M, dS, True) + _cube_pow(0j, wt, M, q, True) for M in Ms
-    ]
     const = (dS[d - q] * (-1.0) ** (d + q + 1) / (factorial(q - 1) * factorial(d - q))
              * harmonic_float(q - 1))
-    return _run_limit(brackets, const, cfg, Ms, d)
+    return _run_limit(_rungs(q, 0j, wt, dS, True, cfg), const, cfg, d)
 
 
 def deriv0_bh_limit(w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
@@ -246,9 +236,5 @@ def deriv0_bh_limit(w: Sequence[complex], *, config: EvalConfig | None = None) -
     cfg = config or DEFAULT_CONFIG
     wt = validate_weights(w)
     d = len(wt)
-    Ms = _effective_schedule(cfg, d)
     dS = ds_values(wt, d + 1)
-    brackets = [
-        _edge(0, 0j, wt, M, dS, True) - _cube_log(0j, wt, M, True) for M in Ms
-    ]
-    return _run_limit(brackets, 0.0, cfg, Ms, d)
+    return _run_limit(_rungs(0, 0j, wt, dS, True, cfg), 0.0, cfg, d)

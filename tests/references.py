@@ -9,18 +9,24 @@ test compares against.
   identities the tests check against `combinatorics.f_symbol`.
 * `d2_fast_path` holds the explicit d = 2 limit formulas, a cross-check of
   the generic limit route on the same cached cube sums.
+* `bracket_sum` is the lattice bracket [u(n)]_v, and `cube_bracket_sum`
+  both sides of the telescoping identity: the explicit sum of [u(n)]_1 over
+  {0..M}^d, point by point from `cube_indices`, and its closed form, one
+  bracket at the far corner.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from math import comb, factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from barneszeta.bernoulli import bernoulli_numbers, ds_values
-from barneszeta.combinatorics import CompensatedSum, f_symbol
+from barneszeta.combinatorics import MAX_DIM, CompensatedSum, f_symbol, subset_index_lists
 from barneszeta.foundations import (
     DEFAULT_CONFIG,
     BarnesParams,
@@ -29,10 +35,11 @@ from barneszeta.foundations import (
     EvalConfig,
     EvalResult,
     EvaluationError,
+    ResourceError,
     as_weights,
     validate_params,
 )
-from barneszeta.limit_rep import _cube_log, _cube_pow, _effective_schedule, _run_limit
+from barneszeta.limit_rep import _cube_log, _cube_pow, _run_limit
 
 
 def bernoullian_dS(m: int, w: Iterable[complex]) -> complex:
@@ -101,32 +108,146 @@ def d2_fast_path(kind: FastPathKind | str, p: BarnesParams,
     kind = FastPathKind(kind)
     a = p.a
     w1, w2 = p.w
-    Ms = _effective_schedule(cfg, 2)
+    sched = cfg.limit_M_schedule
     lsum = cmath.log(w1 + w2)
     l1 = lsum - cmath.log(w1)   # log((w1+w2)/w1)
     l2 = lsum - cmath.log(w2)
     lprod = lsum - cmath.log(w1) - cmath.log(w2)   # log((w1+w2)/(w1*w2))
+    # each rung: (M, edge terms, cube sum and its summed term size), the
+    # edge terms counted by their own sizes
     if kind is FastPathKind.FP2:
-        brackets = [
-            -math.log(M) / (w1 * w2) + _cube_pow(a, p.w, M, 2, False) for M in Ms
-        ]
+        rungs = [(M, [-math.log(M) / (w1 * w2)], c, m)
+                 for M, c, m in _cube_pow(a, p.w, sched, 2, False)]
         const = (-1 + lprod) / (w1 * w2)
     elif kind is FastPathKind.FP1:
         slope = l1 / w2 + l2 / w1
         coef = ((w1 + w2) / 2 - a) / (w1 * w2)
-        brackets = [
-            -slope * M - coef * math.log(M) + _cube_pow(a, p.w, M, 1, False) for M in Ms
-        ]
+        rungs = [(M, [-slope * M, -coef * math.log(M)], c, m)
+                 for M, c, m in _cube_pow(a, p.w, sched, 1, False)]
         const = coef * lprod
     else:
         quad = a * a - (w1 + w2) * a + ((w1 + w2) ** 2 + w1 * w2) / 6
         c2 = w1 / (2 * w2) * l1 + w2 / (2 * w1) * l2 + lsum - 1.5
         c1 = (2 * a - w1 - w2) / (2 * w2) * l1 + (2 * a - w1 - w2) / (2 * w1) * l2
         c0 = quad / (2 * w1 * w2)
-        brackets = [
-            (M * M) * math.log(M) + c2 * (M * M) + c1 * M - c0 * math.log(M)
-            - _cube_log(a, p.w, M, False)
-            for M in Ms
-        ]
+        rungs = [(M, [(M * M) * math.log(M), c2 * (M * M), c1 * M, -c0 * math.log(M)], -c, m)
+                 for M, c, m in _cube_log(a, p.w, sched, False)]
         const = c0 * lprod
-    return _run_limit(brackets, const, cfg, Ms, 2)
+    return _run_limit([(M, sum(edge) + c, sum(map(abs, edge)) + m) for M, edge, c, m in rungs],
+                      const, cfg, 2)
+
+
+def _masked(n: Sequence[int], v: Sequence[int], idx: tuple[int, ...]) -> tuple[int, ...]:
+    out = list(n)
+    for i in idx:
+        out[i] += v[i]
+    return tuple(out)
+
+
+def bracket_sum(
+    u: Callable[[tuple[int, ...]], complex],
+    n: Sequence[int],
+    v: Sequence[int],
+) -> complex:
+    """Lattice bracket [u(n)]_v: alternating sum over masked additions of v.
+
+    [u(n)]_v = sum over all S of (-1)^{d-|S|} u(n + v restricted to S).
+    """
+    n = tuple(int(x) for x in n)
+    v = tuple(int(x) for x in v)
+    if len(n) != len(v):
+        raise DomainError("n and v must have the same length")
+    d = len(n)
+    if d < 1 or d > MAX_DIM:
+        raise DomainError(f"dimension must be in 1..{MAX_DIM}")
+    acc = CompensatedSum()
+    for idx in subset_index_lists(d, include_empty=True):
+        sign = -1.0 if (d - len(idx)) % 2 else 1.0
+        try:
+            val = u(_masked(n, v, idx))
+        except Exception as exc:
+            raise EvaluationError(
+                f"lattice function failed at subset {idx}", subset=idx
+            ) from exc
+        acc.add(sign * complex(val))
+    return acc.value
+
+
+def shell_indices(k: int, d: int) -> Iterator[tuple[int, ...]]:
+    """Lattice points with max coordinate exactly k, lexicographic order."""
+    if k < 0:
+        raise DomainError("shell index must be >= 0")
+    if k == 0:
+        yield (0,) * d
+        return
+    for point in product(range(k + 1), repeat=d):
+        if max(point) == k:
+            yield point
+
+
+def cube_indices(M: int, d: int, exclude_origin: bool = False) -> Iterator[tuple[int, ...]]:
+    """All points of {0..M}^d, grouped in hypercubic shells S_0, S_1, ...
+
+    Within each shell the order is lexicographic, so iteration is fully
+    deterministic.  With exclude_origin the single point of S_0 is skipped.
+    """
+    if M < 0:
+        raise DomainError("M must be >= 0")
+    if d < 1 or d > MAX_DIM:
+        raise DomainError(f"dimension must be in 1..{MAX_DIM}")
+    for k in range(M + 1):
+        if k == 0 and exclude_origin:
+            continue
+        yield from shell_indices(k, d)
+
+
+@dataclass(frozen=True)
+class CubeBracketSum:
+    """Both sides of the telescoping identity; `value` is the closed side."""
+
+    rhs: complex
+    lhs: complex | None
+
+    @property
+    def value(self) -> complex:
+        return self.rhs
+
+
+def cube_bracket_sum(
+    u: Callable[[tuple[int, ...]], complex],
+    M: int,
+    d: int,
+    explicit: bool = True,
+    budget: int = 2_000_000,
+) -> CubeBracketSum:
+    """sum_{n in C_M} [u(n)]_1 together with its closed form [u(0)]_{(M+1)1}.
+
+    The left side is the explicit telescoping sum over (M+1)^d lattice
+    points (kept for testing); the right side is a single bracket at the
+    far corner.  ResourceError if the explicit side would exceed `budget`.
+    Neighbouring brackets share corners, so the explicit side evaluates u
+    once per point of {0..M+1}^d.
+    """
+    if M < 0:
+        raise DomainError("M must be >= 0")
+    ones = (1,) * d
+    rhs = bracket_sum(u, (0,) * d, ((M + 1),) * d)
+    lhs: complex | None = None
+    if explicit:
+        npoints = (M + 1) ** d
+        if npoints > budget:
+            raise ResourceError(
+                f"explicit cube sum needs {npoints} points, budget is {budget}"
+            )
+        seen: dict[tuple[int, ...], complex] = {}
+
+        def u_once(n):
+            if n not in seen:
+                seen[n] = u(n)
+            return seen[n]
+
+        acc = CompensatedSum()
+        for point in cube_indices(M, d):
+            acc.add(bracket_sum(u_once, point, ones))
+        lhs = acc.value
+    return CubeBracketSum(rhs=rhs, lhs=lhs)

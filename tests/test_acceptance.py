@@ -18,7 +18,6 @@ from barneszeta import (
     residue,
     residue_bh,
 )
-from barneszeta.combinatorics import cube_bracket_sum
 from barneszeta.foundations import harmonic
 from barneszeta.integral_rep import (
     _residue_core,
@@ -40,7 +39,7 @@ from barneszeta.series_rep import (
 )
 
 from conftest import neville_to_zero, rel_err, scaled_err
-from references import d2_fast_path, g_symbol
+from references import cube_bracket_sum, d2_fast_path, g_symbol
 
 EULER_GAMMA = 0.57721566490153286
 LOG_2PI = math.log(2 * math.pi)

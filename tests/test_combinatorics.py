@@ -12,17 +12,16 @@ from barneszeta import (
     ResourceError,
     direct_sum,
 )
-from barneszeta.combinatorics import (
-    bracket_sum,
-    cube_bracket_sum,
-    cube_indices,
-    f_symbol,
-    shell_indices,
-)
 from barneszeta import combinatorics
-from barneszeta.combinatorics import CompensatedSum, neville_in_reciprocal, shell_values
+from barneszeta.combinatorics import (
+    CompensatedSum,
+    f_symbol,
+    neville_diagonal,
+    neville_in_reciprocal,
+    shell_values,
+)
 
-from references import g_symbol
+from references import bracket_sum, cube_bracket_sum, cube_indices, g_symbol, shell_indices
 
 complex_small = st.complex_numbers(
     min_magnitude=0.1, max_magnitude=3.0, allow_nan=False, allow_infinity=False
@@ -294,6 +293,26 @@ class TestNeville:
 
     def test_single_value_has_infinite_estimate(self):
         assert neville_in_reciprocal((10,), [1.5]) == (1.5, float("inf"))
+
+    LADDER = (64, 96, 128, 192, 256)
+
+    @pytest.mark.parametrize("degree", [0, 2, 4])
+    def test_diagonal_exact_on_polynomials_in_reciprocal(self, degree):
+        coeffs = [2.5, -3.0, 7.0, -11.0, 13.0][:degree + 1]
+        vals = [sum(c / m**j for j, c in enumerate(coeffs)) for m in self.LADDER]
+        diag, _ = neville_diagonal(self.LADDER, vals)
+        assert len(diag) == len(self.LADDER)
+        # every entry through at least degree + 1 nodes is the constant term
+        for entry in diag[degree:]:
+            assert abs(entry - 2.5) <= 1e-11
+
+    def test_lebesgue_constant_of_the_nodes(self):
+        # l_i(0) is row 0 of the inverse Vandermonde matrix in x = 1/M
+        xs = 1.0 / np.array(self.LADDER, dtype=float)
+        basis_at_0 = np.linalg.inv(np.vander(xs, increasing=True))[0]
+        _, lebesgue = neville_diagonal(self.LADDER, [0.0] * len(xs))
+        assert lebesgue == pytest.approx(np.sum(np.abs(basis_at_0)), rel=1e-9)
+        assert lebesgue > 1.0
 
 
 class TestCompensatedSum:

@@ -76,7 +76,7 @@ class TestEvalConfig:
     def test_defaults(self):
         cfg = EvalConfig()
         assert cfg.rel_tol == 1e-10
-        assert cfg.limit_M_schedule == (1000, 2000, 4000)
+        assert cfg.limit_M_schedule == (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(DomainError):

@@ -1,13 +1,25 @@
+import cmath
 import math
+import random
 
+import numpy as np
 import pytest
 
 from barneszeta import (
     BarnesParams,
     ConvergenceError,
     EvalConfig,
+    ResourceError,
 )
+from barneszeta import limit_rep
+from barneszeta.bernoulli import ds_values
 from barneszeta.foundations import DimensionError
+from barneszeta.integral_rep import (
+    deriv0_barnes_integral,
+    deriv0_bh_integral,
+    fp_barnes_integral,
+    fp_bh_integral,
+)
 from barneszeta.limit_rep import deriv0_barnes_limit, deriv0_bh_limit, fp_barnes_limit, fp_bh_limit
 from barneszeta.oracles import log_gamma_ref
 from barneszeta.series_rep import deriv0_barnes_series, fp_bh_series
@@ -62,21 +74,35 @@ class TestDerivative:
 
 class TestDiagnostics:
     def test_schedule_and_raw_values_recorded(self):
-        cfg = EvalConfig(limit_M_schedule=(500, 1000, 2000))
-        res = fp_barnes_limit(1, BarnesParams(1.0, (1.0,)), config=cfg)
-        assert res.diagnostics["M_values"] == [500, 1000, 2000]
-        assert len(res.diagnostics["raw_values"]) == 3
+        res = fp_barnes_limit(1, BarnesParams(1.0, (1.0,)))
+        assert res.diagnostics["M_values"] == [64, 96, 128, 192, 256]
+        assert len(res.diagnostics["raw_values"]) == 5
         assert "monotone" in res.diagnostics
 
     def test_est_error_is_extrapolant_gap(self):
         res = deriv0_bh_limit((1.0, 1.0))
         assert res.abs_error_estimate >= 0
 
-    def test_d3_schedule_rescaled(self, d3_params):
-        res = fp_barnes_limit(1, d3_params)
-        Ms = res.diagnostics["M_values"]
-        assert max(Ms) ** 3 <= 3.3e7
-        assert Ms == sorted(Ms)
+    def test_schedule_cut_rule(self):
+        # the five largest rungs of the default ladder whose cube fits the budget
+        kept = {1: (64, 96, 128, 192, 256), 2: (64, 96, 128, 192, 256),
+                3: (24, 32, 48, 64, 96), 4: (8, 12, 16, 24, 32), 5: (4, 6, 8, 12, 16)}
+        for d, Ms in kept.items():
+            assert limit_rep._rungs_kept(EvalConfig().limit_M_schedule, d) == Ms
+            assert max(Ms) ** d <= limit_rep._CUBE_POINTS
+        # a configured schedule is cut the same way
+        assert limit_rep._rungs_kept((10, 100, 1000, 2000), 2) == (10, 100, 1000)
+        with pytest.raises(ResourceError):
+            limit_rep._rungs_kept((2000, 4000), 2)
+
+    def test_edge_size_counts_every_subset_term(self, d2_params):
+        # the largest term of F[t^2 log t] at x = M*w is the full subset,
+        # t = a + M*(w1 + w2), with weight dS_0/2!
+        p, M = d2_params, 256
+        dS = ds_values(p.w, 3)
+        value, size = limit_rep._edge(0, p.a, p.w, M, dS, False)
+        t = p.a + M * sum(p.w)
+        assert size >= abs(dS[0] / 2 * t**2 * cmath.log(t)) > abs(value)
 
     def test_unusable_schedule_raises(self):
         cfg = EvalConfig(limit_M_schedule=(1, 2, 3))
@@ -114,3 +140,83 @@ class TestFastPath:
         fast = d2_fast_path("deriv0", d2_params, cfg)
         generic = deriv0_barnes_limit(d2_params, config=cfg)
         assert scaled_err(fast.value, generic.value) <= 1e-8
+
+
+EPS = float(np.finfo(float).eps)
+
+
+class TestPrefixWalk:
+    """One walk of the shells gives the cube sum at every kept M."""
+
+    SCHEDULE = (2, 3, 5, 8)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("homog", [False, True])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_matches_explicit_cube(self, d, homog, q):
+        w = (1.0, 1.3, 0.7, 2.1)[:d]
+        a = 0j if homog else 0.45
+        if q:
+            rungs = limit_rep._cube_pow(a, w, self.SCHEDULE, q, homog)
+        else:
+            rungs = limit_rep._cube_log(a, w, self.SCHEDULE, homog)
+        assert [M for M, _, _ in rungs] == list(self.SCHEDULE)
+        for M, total, mass in rungs:
+            n = np.indices((M,) * d).reshape(d, -1)
+            y = a.real + np.asarray(w) @ n
+            if homog:
+                y = y[n.any(axis=0)]
+            terms = np.log(y) if q == 0 else y ** -float(q)
+            assert mass == pytest.approx(np.sum(np.abs(terms)), rel=1e-12)
+            assert abs(total - math.fsum(terms)) <= EPS * mass
+
+
+def _limit_vs_integral(p: BarnesParams):
+    """(name, limit route, integral route) of every finite part and of the
+    derivative at zero, both forms."""
+    cases = []
+    for q in range(1, p.d + 1):
+        cases.append((f"fp{q}", lambda q=q: fp_barnes_limit(q, p), lambda q=q: fp_barnes_integral(q, p)))
+        cases.append((f"fp_bh{q}", lambda q=q: fp_bh_limit(q, p.w), lambda q=q: fp_bh_integral(q, p.w)))
+    cases.append(("deriv0", lambda: deriv0_barnes_limit(p), lambda: deriv0_barnes_integral(p)))
+    cases.append(("deriv0_bh", lambda: deriv0_bh_limit(p.w), lambda: deriv0_bh_integral(p.w)))
+    return cases
+
+
+def _worst_honest_error(p: BarnesParams) -> float:
+    """Worst |limit - integral| / (1 + |v|) over every case; each must lie
+    within the two routes' estimates plus 8 ulp."""
+    worst = 0.0
+    for name, limit, integral in _limit_vs_integral(p):
+        ref, got = integral(), limit()
+        err = abs(got.value - ref.value)
+        bound = got.abs_error_estimate + ref.abs_error_estimate + 8 * EPS * (1 + abs(ref.value))
+        assert err <= bound, (name, p, err, got.abs_error_estimate)
+        worst = max(worst, err / (1 + abs(ref.value)))
+    return worst
+
+
+class TestHonesty:
+    """The limit route against the integral route: every value returned and
+    honest, and the worst error below what the three-point (1000, 2000,
+    4000) tableau reached on the same lattices."""
+
+    @pytest.mark.parametrize("p, worst", [
+        (BarnesParams(0.7, (1.0, 2 ** 0.5)), 7.3e-8),
+        (BarnesParams(0.9, (1.0, 2 ** 0.5, math.pi / 4)), 2.6e-7),
+        (BarnesParams(1.0, (1.0, 1.3, 1.7, 2.1)), 4.7e-6),
+        (BarnesParams(0.8 + 0.1j, (1 + 0.2j, 1.5 - 0.1j)), 2.7e-7),
+        (BarnesParams(0.7, (1.0, 50.0)), 1e-4),   # the d <= 2 accept bound
+    ], ids=["D2", "D3", "d4", "complex", "w1_50"])
+    def test_matrix(self, p, worst):
+        assert _worst_honest_error(p) <= worst
+
+    @pytest.mark.parametrize("d, count", [(2, 20), (3, 4)])
+    def test_seeded_anisotropic(self, d, count):
+        # w = s * (1, n_2, ...) with n_i in 1..8, as in the benchmark lattices;
+        # at d = 2 every n comes up
+        rng = random.Random(d)
+        for i in range(count):
+            s, a = rng.uniform(0.5, 2.0), rng.uniform(0.3, 2.5)
+            n = [1 + i % 8] if d == 2 else [rng.randint(1, 8) for _ in range(d - 1)]
+            _worst_honest_error(BarnesParams(a, tuple(s * x for x in [1, *n])))

@@ -42,20 +42,18 @@ def test_traced_best_call_counts_every_layer():
 
 
 # Every registry entry once, on a lattice that every route accepts: w = (1, 2)
-# has a reduction, alpha = 6.5 is inside the direct sum's region, and a short
-# M schedule keeps the limit routes' cubes small.  The first lines of CODE
-# install the shim.
+# has a reduction and alpha = 6.5 is inside the direct sum's region.  The
+# first lines of CODE install the shim.
 EVERY_ROUTE = CODE.split("from barneszeta")[0] + """
-from barneszeta import ROUTES, BarnesParams, EvalConfig
+from barneszeta import ROUTES, BarnesParams
 p = BarnesParams(0.7, (1.0, 2.0))
-cfg = EvalConfig(limit_M_schedule=(100, 200, 400))
 at = {"zeta": 6.5, "fp": 1, "deriv0": None}
 for quantity, forms in ROUTES.items():
     for homog, routes in forms.items():
         params = p.w if homog else p
         args = (params,) if at[quantity] is None else (at[quantity], params)
         for fn in routes.values():
-            fn(*args, config=cfg)
+            fn(*args)
 print(json.dumps(tracer.metrics()))
 """
 
