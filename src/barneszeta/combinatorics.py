@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .foundations import DomainError, EvaluationError, as_weights, narrow
+from .foundations import DomainError, EvaluationError, as_weights, narrow, narrow_weights
 
 MAX_DIM = 16
 _GRID_POINTS = 2 ** 16     # shells with (k+1)^d <= this come from the cached grid
@@ -174,9 +174,11 @@ def _shell_grid(d: int, k: int) -> np.ndarray:
     return grid[:, k ** d:(k + 1) ** d]
 
 
-def shell_values(a: complex, w: Sequence[complex], k: int, skip_origin: bool = False) -> np.ndarray:
+def shell_values(a: complex, w: Sequence[complex] | np.ndarray, k: int,
+                 skip_origin: bool = False) -> np.ndarray:
     """Values a + n.w on the shell S_k as a flat array, float64 when a and
-    every w_i are real, else complex128.
+    every w_i are real, else complex128.  w is the weights, or the array
+    `narrow_weights` makes of them, which a shell walk builds once.
 
     S_k splits into d disjoint faces by the first coordinate that equals k:
     the coordinates before it run over 0..k-1, those after it over 0..k.
@@ -192,13 +194,13 @@ def shell_values(a: complex, w: Sequence[complex], k: int, skip_origin: bool = F
     by face in a few numpy calls each: their cost is the points themselves,
     and a grid for them would hold megabytes that are read once.
     """
-    wt = [narrow(x) for x in w]
+    wt = w if isinstance(w, np.ndarray) else narrow_weights(w)
     a = narrow(a)
     if k == 0:
-        return np.array([] if skip_origin else [a], dtype=np.result_type(a, *wt))
+        return np.array([] if skip_origin else [a], dtype=np.result_type(a, wt))
     d = len(wt)
     if (k + 1) ** d <= _GRID_POINTS:
-        return a + np.array(wt) @ _shell_grid(d, k)
+        return a + wt @ _shell_grid(d, k)
     n = np.arange(k + 1.0)
     # before[i]: coordinates 0..i-1, each in 0..k-1; after[j]: the last j, each in 0..k
     before, after = [np.zeros(1)], [np.zeros(1)]

@@ -203,6 +203,13 @@ def narrow(z: complex) -> complex | float:
     return z.real if z.imag == 0 else z
 
 
+def narrow_weights(w: Iterable[complex]) -> np.ndarray:
+    """The weights as one array of narrowed values: float64 when every w_i
+    is real, else complex128.  A shell walk builds it once and hands it to
+    every `shell_values` call."""
+    return np.array([narrow(x) for x in w])
+
+
 def horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray | float:
     """sum_m coeffs[m] * x^m by Horner's rule, in place, in the wider dtype
     of coeffs and x; 0 for no coefficients."""

@@ -45,6 +45,7 @@ from .foundations import (
     Method,
     ResourceError,
     harmonic_float,
+    narrow_weights,
     validate_params,
     validate_weights,
 )
@@ -75,8 +76,9 @@ def _is_monotone(vals: Sequence[complex]) -> bool:
 def _cube_chunks(a0: complex, w: tuple[complex, ...], M: int, homog: bool):
     """Yield the values a0 + n.w on the shells S_0..S_{M-1} of {0..M-1}^d,
     one array per shell; the homogeneous S_0 is empty (origin dropped)."""
+    weights = narrow_weights(w)
     for k in range(M):
-        yield shell_values(a0, w, k, skip_origin=homog)
+        yield shell_values(a0, weights, k, skip_origin=homog)
 
 
 def _prefix_sums(a0: complex, w: tuple[complex, ...], schedule: tuple[int, ...], homog: bool,

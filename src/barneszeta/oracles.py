@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .bernoulli import classical_bernoulli
-from .combinatorics import CompensatedSum, neville_in_reciprocal, shell_values
+from .combinatorics import CompensatedSum, shell_values
 from .foundations import (
     BarnesParams,
     ConvergenceError,
@@ -29,6 +29,7 @@ from .foundations import (
     PoleError,
     check_pole,
     narrow,
+    narrow_weights,
     rising_factorial,
     validate_params,
     validate_weights,
@@ -116,25 +117,6 @@ def hurwitz_zeta_ds(s: complex, a: complex, controls: EulerMaclaurinControls | N
     return acc.value
 
 
-def digamma_ref(a: complex, controls: EulerMaclaurinControls | None = None) -> complex:
-    """Digamma by the shifted Euler-Maclaurin expansion (reference only)."""
-    ctl = controls or _DEFAULT_EM
-    a = complex(a)
-    if not a.real > 0:
-        raise DomainError("digamma_ref requires Re(a) > 0")
-    N, J = ctl.shift_N, ctl.bernoulli_terms
-    x = a + N
-    acc = CompensatedSum()
-    acc.add(cmath.log(x))
-    acc.add(-0.5 / x)
-    bern = classical_bernoulli(2 * J)
-    for j in range(1, J + 1):
-        acc.add(-float(bern[2 * j]) / (2 * j) * x ** (-2 * j))
-    for n in range(N):
-        acc.add(-1.0 / (a + n))
-    return acc.value
-
-
 def log_gamma_ref(a: complex) -> complex:
     """log Gamma(a) from the s-derivative of Hurwitz zeta at s = 0."""
     a = complex(a)
@@ -178,10 +160,11 @@ def _direct_shells(alpha, a, w, cfg, skip_origin):
         )
     wmin = min(wi.real for wi in w)
     a_re = max(complex(a).real, 0.0)
+    weights = narrow_weights(w)
     acc = CompensatedSum()
     points = 0
     for k in range(cfg.max_shells + 1):
-        y = shell_values(a, w, k, skip_origin=skip_origin)
+        y = shell_values(a, weights, k, skip_origin=skip_origin)
         if y.size:
             acc.add(complex(np.sum(y ** -narrow(alpha))))
             points += int(y.size)
@@ -299,91 +282,3 @@ def _reduction_eval(alpha: complex, p: BarnesParams, *,
             "reduction method needs equal weights or d = 2 with w = (1, n), n a positive integer"
         )
     return EvalResult(value, 1e-13 * (1 + abs(value)), Method.REDUCTION, {})
-
-
-@dataclass(frozen=True)
-class LogGammaRepReport:
-    """Three routes to log Gamma(a) plus the Lerch-based reference value."""
-
-    series: complex
-    limit: complex
-    hurwitz_series: complex
-    reference: complex
-
-
-def _gamma_series_coeff(j: int) -> float:
-    """Coefficient of y^(-j) in the expansion of (y+1/2)log(1+1/y) - 1."""
-    return (-1.0) ** j * (j - 1) / (2.0 * j * (j + 1))
-
-
-def _log_gamma_series(a: complex, n_terms: int = 2000, tail_orders: int = 14) -> complex:
-    """Stirling-type series for log Gamma: closed head plus a lattice series.
-
-    The summand (a+n+1/2)log(1+1/(a+n)) - 1 decays only like n^(-2), so the
-    partial sum is completed with its exact asymptotic tail, each power
-    summed by the Euler-Maclaurin Hurwitz oracle.
-    """
-    a = complex(a)
-    n = np.arange(n_terms, dtype=np.float64)
-    y = a + n
-    terms = (y + 0.5) * np.log1p(1.0 / y) - 1.0
-    acc = CompensatedSum()
-    acc.add(complex(np.sum(terms)))
-    for j in range(2, tail_orders + 1):
-        acc.add(_gamma_series_coeff(j) * hurwitz_zeta(j, a + n_terms))
-    head = a * (cmath.log(a) - 1) + 0.5 * (LOG_2PI - cmath.log(a))
-    return head + acc.value
-
-
-def _log_gamma_limit(a: complex, schedule: Sequence[int] = (1000, 2000, 4000, 8000)) -> complex:
-    """Limit form: -M + (a+M-1/2)log(a+M) - sum log(a+n), extrapolated in 1/M.
-
-    The bracket tends to log Gamma(a) + a - log(2*pi)/2, so those constants
-    are restored after Richardson extrapolation.
-    """
-    a = complex(a)
-    vals = []
-    for M in schedule:
-        n = np.arange(M, dtype=np.float64)
-        logs = complex(np.sum(np.log(a + n)))
-        vals.append(-M + (a + M - 0.5) * cmath.log(a + M) - logs)
-    ext, _ = neville_in_reciprocal(schedule, vals)
-    return 0.5 * LOG_2PI - a + ext
-
-
-def _log_gamma_hurwitz_series(a: complex, max_terms: int = 400) -> complex:
-    """Expansion of the logarithm termwise: a pure Hurwitz-zeta series.
-
-    For |a| > 1 the series sum_k c_k * zeta_H(k, a) applies directly; for
-    |a| <= 1 the n = 0 term is split off first, shifting the argument to
-    a + 1 to restore geometric convergence.
-    """
-    a = complex(a)
-    head = a * (cmath.log(a) - 1) + 0.5 * (LOG_2PI - cmath.log(a))
-    if abs(a) > 1:
-        shift = a
-        extra = complex(0.0)
-    else:
-        shift = a + 1
-        extra = (a + 0.5) * cmath.log(1 + 1 / a) - 1
-    acc = CompensatedSum()
-    scale = max(1.0, abs(head))
-    for k in range(2, max_terms + 1):
-        term = _gamma_series_coeff(k) * hurwitz_zeta(k, shift)
-        acc.add(term)
-        if abs(term) < 1e-17 * scale:
-            return head + extra + acc.value
-    raise ConvergenceError("Hurwitz-series route for log Gamma did not converge")
-
-
-def log_gamma_rep_checks(a: complex, config: EvalConfig | None = None) -> LogGammaRepReport:
-    """Evaluate the three log Gamma representations next to the reference."""
-    a = complex(a)
-    if not a.real > 0:
-        raise DomainError("log_gamma_rep_checks requires Re(a) > 0")
-    return LogGammaRepReport(
-        series=_log_gamma_series(a),
-        limit=_log_gamma_limit(a),
-        hurwitz_series=_log_gamma_hurwitz_series(a),
-        reference=log_gamma_ref(a),
-    )

@@ -21,8 +21,11 @@ G composes the d forward differences with steps w_1..w_d, so by the
 telescoping lemma the ladder part G[f](y), f(z) = z^e0 (P(1/z) + log z
 P_log(1/z)), sums over the box {0..j}^d to its far corners, C(j) =
 sum_S (-1)^(d-|S|) f(a + (j+1) sigma_S).  Shell j costs base(y) + const per
-point and one ladder call on 2^d corners, C(j) - C(j-1).  The points run in
-float64 on a real lattice, the corners when a, w and alpha are all real.
+point, plus C(j) - C(j-1).  The corner sums come a block of _CORNER_BLOCK
+shells at a time, from one ladder call on the block's 2^d far corners per
+shell; those past the shell where the sum stops are discarded.  The points
+run in float64 on a real lattice, the corners when a, w and alpha are all
+real.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .foundations import (
     Method,
     check_pole,
     harmonic_float,
+    narrow_weights,
     validate_params,
     validate_weights,
 )
@@ -64,6 +68,9 @@ _GROWTH_CAP_DIGITS = 8.0
 
 # Consecutive shells that must all pass the stopping rule.
 _STOP_COUNT = 3
+
+# Shells whose corner sums C(j) come from one ladder call.
+_CORNER_BLOCK = 8
 
 
 def _k_growth_limit(y_min: float) -> int:
@@ -193,16 +200,19 @@ def _stack(plan: _Plan, a0: complex, w: tuple[complex, ...]) -> tuple[np.ndarray
     first), the subset sums, the plain and the log-flagged ladder
     coefficients with trailing zeros dropped, then e0, base_expo and const;
     float64 when a, w and the plan are real, else complex128."""
-    subsets = subset_terms(w, include_empty=True)
-    flags = np.array(plan.logflags)
-    parts = [np.asarray(v, dtype=np.complex128) for v in (
-        [s for _, s, _ in subsets], [x for _, _, x in subsets],
-        np.where(flags, 0, plan.coeffs), np.where(flags, plan.coeffs, 0),
-        plan.e_start, plan.base_expo, plan.const)]
-    if complex(a0).imag == 0 and not any(v.imag.any() for v in parts):
-        parts = [v.real.copy() for v in parts]
-    parts[2:4] = [np.trim_zeros(v, "b") for v in parts[2:4]]
-    return tuple(parts)
+    _, signs, sigmas = zip(*subset_terms(w, include_empty=True))
+    flagged = list(zip(plan.coeffs, plan.logflags))
+    plain = [0 if log else c for c, log in flagged]
+    logc = [c if log else 0 for c, log in flagged]
+    for row in (plain, logc):
+        while row and row[-1] == 0:
+            row.pop()
+    rows = (signs, sigmas, plain, logc, plan.e_start, plan.base_expo, plan.const)
+    if any(complex(v).imag for v in (a0, *signs, *sigmas, *plain, *logc, *rows[4:])):
+        return tuple(np.array(r, np.complex128) for r in rows)
+    real = [[complex(v).real for v in r] if isinstance(r, tuple | list) else complex(r).real
+            for r in rows]
+    return tuple(np.array(r, np.float64) for r in real)
 
 
 def _ladder(stack: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
@@ -217,15 +227,19 @@ def _ladder(stack: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _corner_sum(stack: tuple[np.ndarray, ...], a0: complex, j: int, homog: bool) -> complex:
-    """C(j), the ladder part of the box {0..j}^d; the homogeneous forms drop
-    the empty subset, whose f(0) is the same in every C(j).  A non-finite C(j)
-    is left to the caller's check on the shell total."""
+def _corner_sums(stack: tuple[np.ndarray, ...], a0: complex, j0: int, count: int,
+                 homog: bool) -> np.ndarray:
+    """C(j0), ..., C(j0 + count - 1), the ladder parts of the boxes {0..j}^d,
+    from one ladder call on their count * 2^d far corners; the homogeneous
+    forms drop the empty subset, whose f(0) is the same in every C(j).  A
+    non-finite C(j) is left to the caller's check on the shell total."""
     signs, sigmas = stack[:2]
     a0 = complex(a0).real if sigmas.dtype == np.float64 else complex(a0)
     lo = 1 if homog else 0
+    steps = np.arange(j0 + 1.0, j0 + count + 1.0)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        return complex(signs[lo:] @ _ladder(stack, a0 + (j + 1) * sigmas[lo:]))
+        corners = _ladder(stack, (a0 + steps * sigmas[lo:]).ravel())
+        return corners.reshape(count, -1) @ signs[lo:]
 
 
 def _eval_shell(plan: _Plan, stack: tuple[np.ndarray, ...], y: np.ndarray) -> tuple[complex, float]:
@@ -252,6 +266,7 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
     differences.  Homogeneous forms pass only their constant: the F-symbol
     part of their closed term is C(0), which the shells subtract again."""
     stack = _stack(plan, a0, w)
+    weights = narrow_weights(w)
     acc = CompensatedSum()
     recent: deque[float] = deque(maxlen=_STOP_COUNT)
     recent_noise: deque[float] = deque(maxlen=_STOP_COUNT)
@@ -259,8 +274,10 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
     first = prev = 0.0
     diag = {"shells": 0, "points": 0, "k": plan.k_used}
     for j in range(cfg.max_shells + 1):
-        corner = _corner_sum(stack, a0, j, homog)
-        y = shell_values(a0, w, j, skip_origin=homog)
+        if j % _CORNER_BLOCK == 0:
+            corners = _corner_sums(stack, a0, j, min(_CORNER_BLOCK, cfg.max_shells + 1 - j), homog)
+        corner = complex(corners[j % _CORNER_BLOCK])
+        y = shell_values(a0, weights, j, skip_origin=homog)
         diag["shells"] = j + 1
         if y.size:
             part, noise = _eval_shell(plan, stack, y)

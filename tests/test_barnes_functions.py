@@ -19,10 +19,11 @@ from barneszeta import (
 )
 from barneszeta.barnes_functions import ROUTES, evaluate
 from barneszeta.foundations import harmonic
-from barneszeta.oracles import digamma_ref, log_gamma_ref
+from barneszeta.oracles import log_gamma_ref
 from barneszeta.series_rep import fp_barnes_series
 
 from conftest import scaled_err
+from references import digamma_ref
 
 EULER_GAMMA = 0.57721566490153286
 LOG_2PI = math.log(2 * math.pi)

@@ -107,6 +107,33 @@ class TestExpSinhRule:
             quad_semiinfinite(QuadratureProblem(f, 0.0, 1.0, 1e-12))
         assert len(calls) == 1
 
+    @staticmethod
+    def nan_at_level_three(calls):
+        """exp(-t), NaN at the level-3 nodes of the first call.  That call
+        holds levels 0-3, 8n + 1 nodes at x = x_lo + r h/8, r = 0..8n (decay
+        rate 1, so x = asinh(log t / (pi/2))); level 3 is the odd r."""
+        def f(t):
+            out = np.exp(-t)
+            if not calls:
+                x = np.arcsinh(np.log(t) / (math.pi / 2))
+                r = np.rint((x - x.min()) * (t.size - 1) / (x.max() - x.min()))
+                out[r % 2 == 1] = np.nan
+            calls.append(t.size)
+            return out
+        return f
+
+    def test_unconsumed_level_may_be_non_finite(self):
+        calls = []
+        v, e, n = quad_semiinfinite(QuadratureProblem(self.nan_at_level_three(calls), 0.0, 1.0, 1e-2))
+        assert len(calls) == 1 and n == calls[0] and n % 8 == 1
+        assert abs(v - 1.0) <= e <= 1e-2
+
+    def test_consumed_level_that_is_non_finite_raises(self):
+        calls = []
+        with pytest.raises(QuadratureError):
+            quad_semiinfinite(QuadratureProblem(self.nan_at_level_three(calls), 0.0, 1.0, 1e-12))
+        assert len(calls) == 1
+
 
 class TestContinuation:
     def test_unit_d2_at_5(self):

@@ -17,14 +17,13 @@ from barneszeta import (
 from barneszeta.combinatorics import CompensatedSum, shell_values
 from barneszeta.oracles import (
     EulerMaclaurinControls,
-    digamma_ref,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     log_gamma_ref,
-    log_gamma_rep_checks,
 )
 
 from conftest import rel_err
+from references import digamma_ref, log_gamma_rep_checks
 
 EULER_GAMMA = 0.57721566490153286
 LOG_2PI = math.log(2 * math.pi)

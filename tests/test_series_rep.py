@@ -21,7 +21,7 @@ from barneszeta.series_rep import (
     zeta_bh_series,
 )
 from barneszeta import series_rep as sr
-from barneszeta.combinatorics import shell_values, subset_terms
+from barneszeta.combinatorics import CompensatedSum, shell_values, subset_terms
 
 from conftest import neville_to_zero, rel_err, scaled_err
 
@@ -202,7 +202,8 @@ def kernel_shell(plan, a0, w, j, homog):
     stack = sr._stack(plan, a0, w)
     y = shell_values(a0, w, j, skip_origin=homog)
     part, noise = sr._eval_shell(plan, stack, y if y.imag.any() else y.real)
-    corners = sr._corner_sum(stack, a0, j, homog) - sr._corner_sum(stack, a0, j - 1, homog)
+    before, at = sr._corner_sums(stack, a0, j - 1, 2, homog)
+    corners = at - before
     return part + corners, noise
 
 
@@ -295,16 +296,79 @@ class TestBoxIdentity:
                 total, _, sz = reference_shell(plan, subsets, y, base=False)
                 want, size = want + total, size + sz
         stack = sr._stack(plan, a0, w)
-        got = sr._corner_sum(stack, a0, J, homog)
-        if homog:
-            got -= sr._corner_sum(stack, a0, 0, homog)
+        corners = sr._corner_sums(stack, a0, 0, J + 1, homog)
+        got = corners[J] - corners[0] if homog else corners[J]
         assert abs(want) >= 100 * 1e-13 * size
         assert abs(got - want) <= 1e-13 * size
 
 
+def corner_sum(stack, a0, j, homog):
+    """C(j) on its own, one ladder call on the far corners of {0..j}^d, and
+    the summed size of its terms c_m z^(e0-m) (log z)."""
+    signs, sigmas, plain, logc, e0 = stack[:5]
+    a0 = complex(a0).real if sigmas.dtype == np.float64 else complex(a0)
+    lo = 1 if homog else 0
+    z = a0 + (j + 1) * sigmas[lo:]
+    zc = z.astype(np.complex128)
+    powers = np.abs(np.power(zc, e0)[:, None] * np.power(1.0 / zc[:, None], np.arange(plain.size + logc.size)))
+    size = np.sum(powers[:, :plain.size] @ np.abs(plain))
+    size += np.sum(np.abs(np.log(zc)) * (powers[:, :logc.size] @ np.abs(logc)))
+    return complex(signs[lo:] @ sr._ladder(stack, z)), float(size)
+
+
+W6 = (1.0, 1.3, 1.7, 2.1, 2.6, 3.1)
+W6C = (1.0, 1.2 + 0.2j, 0.8, 1.5 - 0.1j, 2.0, 1.1 + 0.3j)
+
+
+class TestBlockedCorners:
+    """One ladder call gives the corner sums of a block of shells; each must
+    match C(j) formed on its own, shell by shell."""
+
+    PLANS = {
+        "pow": lambda w: sr._plan_generic(0.5 + 1j, w, 2),
+        "fp": lambda w: sr._plan_fp(1, w, 2),
+        "neglog": lambda w: sr._plan_deriv0(w, 2),
+    }
+
+    @pytest.mark.parametrize("homog", [False, True], ids=["inhomogeneous", "homogeneous"])
+    @pytest.mark.parametrize("w, a0", [(W6, 0.8), (W6C, 0.6 + 0.1j)], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_block_matches_each_shell(self, d, w, a0, homog):
+        w, a0 = w[:d], 0.0 if homog else a0
+        for make in self.PLANS.values():
+            stack = sr._stack(make(w), a0, w)
+            for j0, count in ((0, 8), (8, 8), (16, 5)):
+                got = sr._corner_sums(stack, a0, j0, count, homog)
+                assert got.shape == (count,)
+                for i, j in enumerate(range(j0, j0 + count)):
+                    want, size = corner_sum(stack, a0, j, homog)
+                    assert abs(got[i] - want) <= 1e-13 * size
+
+    @pytest.mark.parametrize("w, k, shells", [(W6[:4], 1, 21), (W6[:5], 1, 10)], ids=["d4", "d5"])
+    def test_walk_into_face_built_shells(self, w, k, shells):
+        """A walk past the shells of the cached grid, (k+1)^d > 2^16, whose
+        last shells are built face by face, against the shell-by-shell sum
+        of its per-point parts plus the last C(j) formed on its own."""
+        res = zeta_bh_series(0.5, w, k=k, config=EvalConfig(max_shells=2 * shells))
+        assert res.diagnostics["shells"] == shells and shells ** len(w) > 2 ** 16
+        plan = sr._plan_generic(0.5, w, k)
+        stack = sr._stack(plan, 0.0, w)
+        parts = CompensatedSum()
+        points = 0
+        for j in range(shells):
+            y = shell_values(0.0, w, j, skip_origin=True)
+            if y.size:
+                parts.add(sr._eval_shell(plan, stack, y)[0])
+                points += y.size
+        corner, size = corner_sum(stack, 0.0, shells - 1, True)
+        assert res.diagnostics["points"] == points
+        assert abs(res.value - (parts.value + corner)) <= 1e-13 * size
+
+
 class TestLadderWork:
-    """The ladder runs on the 2^d far corners of each shell, never per point,
-    and the per-point part of a real lattice stays real at complex alpha."""
+    """The ladder runs on the 2^d far corners of each shell, one call per
+    block of shells, never per point, and the per-point part of a real
+    lattice stays real at complex alpha."""
 
     def test_at_most_two_to_the_d_per_shell(self, monkeypatch):
         sizes = []
@@ -315,9 +379,12 @@ class TestLadderWork:
             return ladder(stack, z)
 
         monkeypatch.setattr(sr, "_ladder", counted)
-        diag = deriv0_bh_series(D4W).diagnostics
+        diag = deriv0_bh_series(D4W, config=EvalConfig(max_shells=16)).diagnostics
         assert diag["points"] == 4095
-        assert len(sizes) <= diag["shells"] and max(sizes) <= 2 ** 4
+        block = sr._CORNER_BLOCK
+        assert len(sizes) <= -(-diag["shells"] // block)
+        assert max(sizes) <= 2 ** 4 * block
+        assert sum(sizes) <= 2 ** 4 * (diag["shells"] + block)
 
     def test_real_lattice_points_stay_float64(self, monkeypatch):
         dtypes = set()
