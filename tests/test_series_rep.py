@@ -310,7 +310,8 @@ def corner_sum(stack, a0, j, homog):
     lo = 1 if homog else 0
     z = a0 + (j + 1) * sigmas[lo:]
     zc = z.astype(np.complex128)
-    powers = np.abs(np.power(zc, e0)[:, None] * np.power(1.0 / zc[:, None], np.arange(plain.size + logc.size)))
+    m = np.arange(max(plain.size, logc.size))
+    powers = np.abs(np.power(zc, e0)[:, None] * np.power(1.0 / zc[:, None], m))
     size = np.sum(powers[:, :plain.size] @ np.abs(plain))
     size += np.sum(np.abs(np.log(zc)) * (powers[:, :logc.size] @ np.abs(logc)))
     return complex(signs[lo:] @ sr._ladder(stack, z)), float(size)
