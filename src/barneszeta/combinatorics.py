@@ -66,16 +66,6 @@ class CompensatedSum:
         return complex(self._sr + self._cr, self._si + self._ci)
 
 
-def neville_in_reciprocal(Ms: Sequence[int], vals: Sequence[complex]) -> tuple[complex, float]:
-    """Extrapolate vals(1/M) to 1/M = 0 with a Neville tableau.
-
-    Returns the extrapolant and the gap between the last two diagonal
-    entries (inf for a single value) as its error estimate.
-    """
-    diag, _ = neville_diagonal(Ms, vals)
-    return diag[-1], abs(diag[-1] - diag[-2]) if len(diag) >= 2 else float("inf")
-
-
 def neville_diagonal(Ms: Sequence[int], vals: Sequence[complex]) -> tuple[list[complex], float]:
     """The diagonal of the Neville tableau of vals(1/M) at 1/M = 0, and the
     Lebesgue constant of its nodes.

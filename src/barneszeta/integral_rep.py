@@ -90,7 +90,7 @@ class QuadratureProblem:
 
 _H0 = 0.5          # step of the first level in x
 _LEVELS = 8        # levels h0, h0/2, ..., h0/2^7 before QuadratureError
-_FIRST_LEVELS = 4  # levels evaluated together in the first integrand call
+_FIRST_LEVELS = 5  # levels evaluated together in the first integrand call
 _EPS = 2.0 ** -52
 _NOISE = 32 * _EPS         # rounding floor per unit of summed |w_k f(t_k)|
 
@@ -109,15 +109,20 @@ def quad_semiinfinite(prob: QuadratureProblem) -> QuadratureOutcome:
     x runs from where (decay_rate t)^(small_t_order + 1) = eps * rel_tol to
     T_max, where the decay has paid for -log(rel_tol) + 5 e-folds on top of
     t^poly_growth.  Each level halves the step and adds only its new nodes.
-    The first integrand call evaluates the nodes of the first _FIRST_LEVELS
-    levels together (8n + 1 of them), since nearly every integral of the
-    routes needs them all; each later level is one call.  The rule consumes
-    the levels one at a time and stops when two agree to rel_tol or to the
-    rounding floor 32 eps h sum|w_k f(t_k)|.  The estimate is the last level
-    difference (and the one before it, when the floor stopped the rule) plus
-    that floor plus the remainders beyond both ends.  A non-finite value in
-    a level the rule consumes, or no agreement after _LEVELS levels, raises
-    QuadratureError; `evaluations` counts every node evaluated.
+    The first integrand call evaluates the first _FIRST_LEVELS = 5 levels as
+    one grid of step h/16 (16n + 1 nodes), since nearly every integral of
+    the routes needs level 4: level 0 is every 16th node, level l >= 1 the
+    odd multiples of 16 >> l, and each level's sums are read from that
+    strided view.  The steps differ by powers of two, so these are the nodes
+    a level would add on its own, bit for bit.  Each later level is one
+    call.  The rule consumes the levels one at a time and stops when two
+    agree to rel_tol or to the rounding floor 32 eps h sum|w_k f(t_k)|.  The
+    estimate is the last level difference (and the one before it, when the
+    floor stopped the rule) plus that floor plus the remainders beyond both
+    ends.  A running mass sum|w_k f(t_k)| that is not finite, checked as
+    each level is consumed (a non-finite value, or finite values whose sums
+    overflow), or no agreement after _LEVELS levels, raises QuadratureError;
+    `evaluations` counts every node evaluated, consumed or not.
     """
     lam = prob.decay_rate
     target = -math.log(prob.rel_tol) + 5.0
@@ -130,49 +135,47 @@ def quad_semiinfinite(prob: QuadratureProblem) -> QuadratureOutcome:
     n = math.ceil((x_hi - x_lo) / _H0)
     step = h = (x_hi - x_lo) / n
 
-    def nodes(level: int) -> np.ndarray:
-        """x of the nodes that level adds: all n + 1 at level 0, then the odd
-        multiples of h / 2^level."""
-        if level == 0:
-            return x_lo + step * np.arange(n + 1)
-        return x_lo + (step / 2 ** level) * np.arange(1, n << level, 2)
-
     def weighted(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """t(x) and w(x) f(t(x)) with w = dt/dx."""
         t = np.exp(_HALF_PI * np.sinh(x)) / lam
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return t, prob.integrand(t) * (_HALF_PI * np.cosh(x) * t)
 
-    first = [nodes(level) for level in range(_FIRST_LEVELS)]
-    t, g = weighted(np.concatenate(first))
-    ends = np.cumsum([x.size for x in first])[:-1]
-    pending = list(zip(np.split(t, ends), np.split(g, ends)))
-    evals = t.size
-
-    def level_values(level: int) -> np.ndarray:
-        """The weighted values of a level's new nodes, checked finite as the
-        rule consumes them."""
-        nonlocal evals
-        if level < _FIRST_LEVELS:
-            t, g = pending[level]
-        else:
-            t, g = weighted(nodes(level))
-            evals += g.size
-        if not np.all(np.isfinite(g)):
-            raise QuadratureError(f"integrand is not finite at t = {t[~np.isfinite(g)][0]:.3e}")
-        return g
-
-    g = level_values(0)
+    # Levels 0.._FIRST_LEVELS-1 as one grid of step h/top (top = 16); level 0
+    # is every top-th node, level l >= 1 the odd multiples of top >> l.
+    top = 1 << (_FIRST_LEVELS - 1)
+    t, g = weighted(x_lo + (step / top) * np.arange(n * top + 1))
+    evals = g.size
     remainder = float(abs(g[0]) / (_HALF_PI * math.cosh(x_lo) * s1)
                       + abs(g[-1]) / (_HALF_PI * math.cosh(x_hi) * lam * t_max))
     g[[0, -1]] *= 0.5
-    total, mass = complex(g.sum()), float(np.abs(g).sum())
+    views = [slice(None, None, top)] + [slice(top >> l, None, top >> (l - 1))
+                                        for l in range(1, _FIRST_LEVELS)]
+
+    total, mass = 0j, 0.0
+
+    def consume(level: int) -> None:
+        """Add a level's new nodes to the running sum and mass sum|g|, checked
+        finite as the rule consumes them; each level past the grid is one call
+        on the odd multiples of h / 2^level."""
+        nonlocal evals, total, mass
+        if level < _FIRST_LEVELS:
+            tl, gl = t[views[level]], g[views[level]]
+        else:
+            tl, gl = weighted(x_lo + (step / 2 ** level) * np.arange(1, n << level, 2))
+            evals += gl.size
+        total += complex(gl.sum())
+        mass += float(np.abs(gl).sum())
+        if not math.isfinite(mass):
+            bad = tl[~np.isfinite(gl)]
+            raise QuadratureError(f"integrand is not finite at t = {bad[0]:.3e}" if bad.size
+                                  else "the rule's sums overflow a double")
+
+    consume(0)
     value, diff = h * total, math.inf
     for level in range(1, _LEVELS):
         h *= 0.5
-        g = level_values(level)
-        total += complex(g.sum())
-        mass += float(np.abs(g).sum())
+        consume(level)
         prev, diff, value = diff, abs(h * total - value), h * total
         floor = _NOISE * h * mass
         if diff <= prob.rel_tol * abs(value):

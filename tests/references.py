@@ -17,6 +17,9 @@ test compares against.
   `log_gamma_rep_checks` three more routes to log Gamma(a) (a Stirling-type
   lattice series, a limit in 1/M and a Hurwitz-zeta series), next to the
   package's `oracles.log_gamma_ref`.
+* `neville_in_reciprocal` extrapolates in 1/M to 0 with the gap between the
+  last two diagonal entries of `combinatorics.neville_diagonal` as its
+  estimate, for the limit form of log Gamma.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from barneszeta.combinatorics import (
     MAX_DIM,
     CompensatedSum,
     f_symbol,
-    neville_in_reciprocal,
+    neville_diagonal,
     subset_index_lists,
 )
 from barneszeta.foundations import (
@@ -324,6 +327,16 @@ def _log_gamma_series(a: complex, n_terms: int = 2000, tail_orders: int = 14) ->
         acc.add(_gamma_series_coeff(j) * hurwitz_zeta(j, a + n_terms))
     head = a * (cmath.log(a) - 1) + 0.5 * (LOG_2PI - cmath.log(a))
     return head + acc.value
+
+
+def neville_in_reciprocal(Ms: Sequence[int], vals: Sequence[complex]) -> tuple[complex, float]:
+    """Extrapolate vals(1/M) to 1/M = 0 with a Neville tableau.
+
+    Returns the extrapolant and the gap between the last two diagonal
+    entries (inf for a single value) as its error estimate.
+    """
+    diag, _ = neville_diagonal(Ms, vals)
+    return diag[-1], abs(diag[-1] - diag[-2]) if len(diag) >= 2 else float("inf")
 
 
 def _log_gamma_limit(a: complex, schedule: Sequence[int] = (1000, 2000, 4000, 8000)) -> complex:

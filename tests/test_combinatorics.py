@@ -17,11 +17,17 @@ from barneszeta.combinatorics import (
     CompensatedSum,
     f_symbol,
     neville_diagonal,
-    neville_in_reciprocal,
     shell_values,
 )
 
-from references import bracket_sum, cube_bracket_sum, cube_indices, g_symbol, shell_indices
+from references import (
+    bracket_sum,
+    cube_bracket_sum,
+    cube_indices,
+    g_symbol,
+    neville_in_reciprocal,
+    shell_indices,
+)
 
 complex_small = st.complex_numbers(
     min_magnitude=0.1, max_magnitude=3.0, allow_nan=False, allow_infinity=False

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import math
@@ -107,32 +108,126 @@ class TestExpSinhRule:
             quad_semiinfinite(QuadratureProblem(f, 0.0, 1.0, 1e-12))
         assert len(calls) == 1
 
+    def test_sums_that_overflow_raise(self):
+        # Every value is finite, but their sum passes the largest double.
+        def f(t):
+            return np.where((t > 0.3) & (t < 1.0), 1e308, 0.0)
+
+        with np.errstate(over="ignore"), pytest.raises(QuadratureError, match="overflow"):
+            quad_semiinfinite(QuadratureProblem(f, 0.0, 1.0, 1e-12))
+
     @staticmethod
-    def nan_at_level_three(calls):
-        """exp(-t), NaN at the level-3 nodes of the first call.  That call
-        holds levels 0-3, 8n + 1 nodes at x = x_lo + r h/8, r = 0..8n (decay
-        rate 1, so x = asinh(log t / (pi/2))); level 3 is the odd r."""
+    def nan_at_level(level, calls):
+        """exp(-t), NaN at the level-`level` nodes of the first call.  That
+        call holds levels 0-4 as one grid of 16n + 1 nodes at x = x_lo + r h/16,
+        r = 0..16n (decay rate 1, so x = asinh(log t / (pi/2))); level l >= 1
+        is the r that are odd multiples of 16 >> l."""
+        off = 16 >> level
+
         def f(t):
             out = np.exp(-t)
             if not calls:
                 x = np.arcsinh(np.log(t) / (math.pi / 2))
                 r = np.rint((x - x.min()) * (t.size - 1) / (x.max() - x.min()))
-                out[r % 2 == 1] = np.nan
+                out[r % (2 * off) == off] = np.nan
             calls.append(t.size)
             return out
         return f
 
     def test_unconsumed_level_may_be_non_finite(self):
         calls = []
-        v, e, n = quad_semiinfinite(QuadratureProblem(self.nan_at_level_three(calls), 0.0, 1.0, 1e-2))
-        assert len(calls) == 1 and n == calls[0] and n % 8 == 1
+        v, e, n = quad_semiinfinite(QuadratureProblem(self.nan_at_level(3, calls), 0.0, 1.0, 1e-2))
+        assert len(calls) == 1 and n == calls[0] and n % 16 == 1
         assert abs(v - 1.0) <= e <= 1e-2
 
     def test_consumed_level_that_is_non_finite_raises(self):
         calls = []
         with pytest.raises(QuadratureError):
-            quad_semiinfinite(QuadratureProblem(self.nan_at_level_three(calls), 0.0, 1.0, 1e-12))
+            quad_semiinfinite(QuadratureProblem(self.nan_at_level(3, calls), 0.0, 1.0, 1e-12))
         assert len(calls) == 1
+
+    def test_unconsumed_level_four_may_be_non_finite(self):
+        # exp(-t) settles at level 3 for rel_tol 1e-8 and needs level 4 for 1e-12.
+        calls = []
+        v, e, n = quad_semiinfinite(QuadratureProblem(self.nan_at_level(4, calls), 0.0, 1.0, 1e-8))
+        assert len(calls) == 1 and n == calls[0] and n % 16 == 1
+        assert abs(v - 1.0) <= e <= 1e-8
+
+    def test_consumed_level_four_that_is_non_finite_raises(self):
+        calls = []
+        with pytest.raises(QuadratureError):
+            quad_semiinfinite(QuadratureProblem(self.nan_at_level(4, calls), 0.0, 1.0, 1e-12))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("order, rate, rel_tol, growth", [
+        (0.0, 1.0, 1e-12, 0.0), (-0.9, 0.3, 1e-8, 2.0), (2.5, 4.0, 1e-14, 5.0)])
+    def test_first_call_views_are_the_levels_bit_for_bit(self, monkeypatch, order, rate,
+                                                        rel_tol, growth):
+        """Each level's strided view of the first call's grid holds, bit for
+        bit, the nodes that level gets when every level is its own call."""
+        first_levels = integral_rep._FIRST_LEVELS
+
+        def node_calls(first):
+            monkeypatch.setattr(integral_rep, "_FIRST_LEVELS", first)
+            calls = []
+
+            def f(t):
+                calls.append(t.copy())
+                return np.full(t.shape, (-4.0) ** len(calls))   # no two calls agree
+
+            with contextlib.suppress(QuadratureError):
+                quad_semiinfinite(QuadratureProblem(f, order, rate, rel_tol, growth))
+            return calls
+
+        grid = node_calls(first_levels)[0]
+        own = node_calls(1)
+        top = 1 << (first_levels - 1)
+        views = [grid[::top]] + [grid[top >> l::top >> (l - 1)] for l in range(1, first_levels)]
+        assert len(own) >= first_levels and grid.size == sum(v.size for v in views)
+        for view, nodes in zip(views, own):
+            assert view.tobytes() == nodes.tobytes()
+
+    def test_unit_weighted_integrand_is_the_span_in_x(self):
+        """With w(x) f(t(x)) = 1 every level's trapezoidal sum is the span
+        x_hi - x_lo of the nodes, but only with the endpoints halved."""
+        xs = []
+
+        def f(t):
+            u = np.log(t) / (math.pi / 2)      # sinh x at decay rate 1
+            xs.append(np.arcsinh(u))
+            return 1.0 / ((math.pi / 2) * np.sqrt(1.0 + u * u) * t)
+
+        v, e, n = quad_semiinfinite(QuadratureProblem(f, 0.0, 1.0, 1e-12))
+        span = xs[0].max() - xs[0].min()
+        assert abs(v - span) <= 1e-12 * span
+
+
+class TestOneCallPerQuadrature:
+    """Every finite-part and derivative quadrature of the integral route on
+    these lattices settles within the levels of the first integrand call."""
+
+    @pytest.mark.parametrize("params", ["d2_params", "d3_params", None], ids=["D2", "D3", "d4"])
+    def test_fp_and_deriv0(self, params, request, monkeypatch):
+        p = (request.getfixturevalue(params) if params
+             else BarnesParams(1.0, (1.0, 1.3, 1.7, 2.1)))
+        calls = []
+        quad = integral_rep.quad_semiinfinite
+
+        def counted(prob):
+            calls.append(0)
+
+            def integrand(t):
+                calls[-1] += 1
+                return prob.integrand(t)
+            return quad(dataclasses.replace(prob, integrand=integrand))
+
+        monkeypatch.setattr(integral_rep, "quad_semiinfinite", counted)
+        for q in range(1, p.d + 1):
+            fp_barnes_integral(q, p)
+            fp_bh_integral(q, p.w)
+        deriv0_barnes_integral(p)
+        deriv0_bh_integral(p.w)
+        assert calls == [1] * (2 * p.d + 2)
 
 
 class TestContinuation:

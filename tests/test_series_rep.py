@@ -396,8 +396,11 @@ class TestLadderWork:
             return eval_shell(plan, stack, y)
 
         monkeypatch.setattr(sr, "_eval_shell", seen)
-        barnes_zeta_series(0.5 + 3j, BarnesParams(0.7, D2W))
-        zeta_bh_series(0.5 + 3j, D3W)
+        # They need 9 and 12 shells; the cap turns a broken stopping rule
+        # into a ConvergenceError instead of a long walk.
+        cfg = EvalConfig(max_shells=16)
+        barnes_zeta_series(0.5 + 3j, BarnesParams(0.7, D2W), config=cfg)
+        zeta_bh_series(0.5 + 3j, D3W, config=cfg)
         assert dtypes == {np.dtype(np.float64)}
 
 
@@ -409,16 +412,18 @@ class TestPointCounts:
     D4 = BarnesParams(1.0, D4W)
 
     @pytest.mark.parametrize("call, shells, points", [
-        (lambda c: barnes_zeta_series(0.5, c.D2), 9, 81),
-        (lambda c: zeta_bh_series(0.5 + 3j, D2W), 11, 120),
-        (lambda c: fp_barnes_series(1, c.D3), 11, 1331),
-        (lambda c: fp_bh_series(2, D3W), 13, 2196),
-        (lambda c: barnes_zeta_series(-1.5, c.D4), 5, 625),
-        (lambda c: deriv0_barnes_series(c.D4), 7, 2401),
-        (lambda c: deriv0_bh_series(D4W), 8, 4095),
+        (lambda c, cfg: barnes_zeta_series(0.5, c.D2, config=cfg), 9, 81),
+        (lambda c, cfg: zeta_bh_series(0.5 + 3j, D2W, config=cfg), 11, 120),
+        (lambda c, cfg: fp_barnes_series(1, c.D3, config=cfg), 11, 1331),
+        (lambda c, cfg: fp_bh_series(2, D3W, config=cfg), 13, 2196),
+        (lambda c, cfg: barnes_zeta_series(-1.5, c.D4, config=cfg), 5, 625),
+        (lambda c, cfg: deriv0_barnes_series(c.D4, config=cfg), 7, 2401),
+        (lambda c, cfg: deriv0_bh_series(D4W, config=cfg), 8, 4095),
     ])
     def test_points(self, call, shells, points):
-        diag = call(self).diagnostics
+        # A few shells above the need: a broken stopping rule raises
+        # ConvergenceError instead of walking on.
+        diag = call(self, EvalConfig(max_shells=shells + 4)).diagnostics
         assert (diag["shells"], diag["points"]) == (shells, points)
 
 
