@@ -30,6 +30,7 @@ from .foundations import (
     EvalConfig,
     EvalResult,
     Method,
+    check_order,
     harmonic_float,
     validate_params,
     validate_weights,
@@ -171,8 +172,7 @@ def psi_B(q: int, p: BarnesParams, method: Method | str = "best",
           config: EvalConfig | None = None) -> EvalResult:
     """Generalized digamma value Psi^(q)(a|w), q = 1..d, from the finite part."""
     validate_params(p)
-    if not 1 <= q <= p.d:
-        raise DomainError(f"psi_B is defined through the poles q = 1..{p.d}, got {q}")
+    check_order(q, p.d)
     return _from_finite_part(q, p, (-1.0) ** q, method, config, False)
 
 
@@ -180,8 +180,7 @@ def gamma_dq(q: int, w, method: Method | str = "best",
              config: EvalConfig | None = None) -> EvalResult:
     """q-th gamma modular form, from the homogeneous finite part at q."""
     wt = validate_weights(w)
-    if not 1 <= q <= len(wt):
-        raise DomainError(f"gamma_dq is defined for q = 1..{len(wt)}, got {q}")
+    check_order(q, len(wt))
     return _from_finite_part(q, wt, (-1.0) ** (q - 1), method, config, True)
 
 

@@ -9,10 +9,17 @@ and B_k(w) = B_k(0|w).  (Some references rescale these objects by
 prod_i w_i; that convention is *not* used here.)
 Tables are numpy convolutions of cached B_n/n! arrays scaled by w_i^n, in
 float64 when every w_i (and, for the polynomials, a) is real.
+
+The pole expansion of the lattice zeta at alpha = q, q = 1..d, and at
+alpha = 0 (its derivative there, the member q = 0) is one Laurent row c_m
+of these numbers (Ruijsenaars, Adv. Math. 156, 2000); `pole_coeffs` and
+`pole_term` give it and its closed term, which every route of the finite
+parts and of the derivative at zero shares.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .foundations import DomainError, TruncationError, as_weights, narrow
+from .combinatorics import CompensatedSum
+from .foundations import DomainError, TruncationError, as_weights, harmonic_float, narrow
 
 MAX_TABLE = 170            # 171! no longer fits in a float
 _CLASSICAL_CAP = 320
@@ -136,3 +144,28 @@ def ds_values(w: Sequence[complex], count: int) -> list[complex]:
     wt = as_weights(w)
     pw = math.prod(wt)
     return [b / pw for b in bernoulli_numbers(wt, count - 1).numbers]
+
+
+def pole_coeffs(q: int, d: int, dS: Sequence[complex]) -> list[complex]:
+    """The row c_m = s dS_m / (m! e!), e = d - q - m, m = 0..d-q, of the pole
+    expansion at alpha = q, with s = (-1)^q/(q-1)!; q = 0 is the derivative
+    at zero, with s = 1.  dS is the caller's `ds_values` table."""
+    s = (-1.0) ** q / factorial(q - 1) if q else 1.0
+    return [s * dS[m] / (factorial(m) * factorial(d - q - m)) for m in range(d - q + 1)]
+
+
+def pole_term(q: int, a: complex, d: int, dS: Sequence[complex], log: bool = True) -> CompensatedSum:
+    """The closed term (-1)^(d+1) sum_m c_m a^e (log a - H_e + H_(q-1)) of
+    the finite part at alpha = q, or of the derivative at zero for q = 0
+    (with H_(-1) = 0), as an accumulator whose `mass` callers keep for their
+    estimates; log=False drops the log a part.  At a = 0 only e = 0 is left:
+    the homogeneous constant (-1)^(d+1) c_(d-q) H_(q-1) = -H_(q-1) residue_bh(q)."""
+    hq = harmonic_float(q - 1) if q else 0.0
+    la = cmath.log(a) if log and a else 0.0
+    sign = 1.0 if d % 2 else -1.0
+    acc = CompensatedSum()
+    row = pole_coeffs(q, d, dS)
+    for m in range(d - q + 1) if a else (d - q,):
+        e = d - q - m
+        acc.add(sign * row[m] * a ** e * (la - harmonic_float(e) + hq))
+    return acc

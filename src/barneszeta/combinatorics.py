@@ -112,18 +112,10 @@ def subset_terms(w: tuple[complex, ...], include_empty: bool):
     return terms
 
 
-def f_symbol(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) -> complex:
-    """Alternating subset sum F[f(a+x)]_{x=w} over nonempty subsets.
-
-    sum over nonempty S of (-1)^{d-|S|} f(a + sum_{i in S} w_i), evaluated
-    in subset-size-then-lexicographic order with compensated accumulation.
-    """
-    return f_symbol_sum(f, a, w).value
-
-
 def f_symbol_sum(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) -> CompensatedSum:
-    """The accumulator of `f_symbol`: its `value` is F[f(a+x)]_{x=w}, its
-    `mass` the summed size of the 2^d - 1 terms."""
+    """F[f(a+x)]_{x=w} = sum over nonempty S of (-1)^{d-|S|} f(a + sigma_S),
+    added in subset-size-then-lexicographic order: the accumulator's `value`
+    is the sum, its `mass` the summed size of the 2^d - 1 terms."""
     wt = as_weights(w)
     a = complex(a)
     acc = CompensatedSum()

@@ -59,10 +59,6 @@ class ResourceError(BarnesZetaError, RuntimeError):
     """An explicit enumeration would exceed its configured budget."""
 
 
-class DimensionError(BarnesZetaError, ValueError):
-    """Operation restricted to a specific dimension was called outside it."""
-
-
 class EvaluationError(BarnesZetaError, RuntimeError):
     """A user-supplied callable failed; carries the offending subset."""
 
@@ -126,6 +122,12 @@ def check_pole(alpha: complex, d: int, what: str = "lattice zeta") -> None:
         q = int(alpha.real)
         if 1 <= q <= d:
             raise PoleError(f"{what} has a pole at alpha = {q}", q=q)
+
+
+def check_order(q: int, d: int) -> None:
+    """Raise DomainError unless q is one of the poles 1..d of the lattice zeta."""
+    if not 1 <= q <= d:
+        raise DomainError(f"poles sit at q = 1..{d}, got {q}")
 
 
 def validate_params(p: BarnesParams) -> None:

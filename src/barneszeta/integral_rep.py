@@ -7,7 +7,9 @@ integrand into O(t^{M+1-d}) at the origin; the subtracted terms are
 reinstated in closed form through Gamma-factor prefactors.  All Gamma
 ratios appearing in the prefactors are evaluated in exact rational-in-alpha
 form, so the individually divergent terms of the naive expression never
-arise.
+arise.  The finite part at q and the derivative at zero are one form, q = 0
+being the derivative: the closed `pole_term` plus a t^(q-1)-weighted line
+integral at subtraction order M = d - q.
 
 Below a threshold t0 (a fixed fraction of the expansion radius
 2*pi/max|w_i|) the regularized integrand is evaluated from its own tail
@@ -37,7 +39,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bernoulli import bernoulli_numbers, bernoulli_poly, bernoulli_taylor
+from .bernoulli import (
+    bernoulli_numbers, bernoulli_poly, bernoulli_taylor, ds_values, pole_coeffs, pole_term,
+)
 from .combinatorics import CompensatedSum, subset_terms
 from .foundations import (
     BarnesParams,
@@ -47,8 +51,8 @@ from .foundations import (
     EvalResult,
     Method,
     QuadratureError,
+    check_order,
     check_pole,
-    harmonic_float,
     horner,
     narrow,
     rising_factorial,
@@ -373,67 +377,50 @@ def barnes_zeta_integral(alpha: complex, p: BarnesParams, *, config: EvalConfig 
                       {"M": M, "quad_evals": evals})
 
 
-def fp_barnes_integral(q: int, p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
-    """Finite part at alpha = q: closed polynomial-log term + I_{d-q}(q)."""
-    cfg = config or DEFAULT_CONFIG
-    validate_params(p)
-    d = p.d
-    if not 1 <= q <= d:
-        raise DomainError(f"finite parts exist for q = 1..{d}, got {q}")
+def _pole_integral(q: int, a: complex, w: tuple[complex, ...], cfg: EvalConfig,
+                   homog: bool) -> EvalResult:
+    """The finite part at alpha = q, or the derivative at zero for q = 0:
+    the closed `pole_term` plus I_(d-q)(q)/(q-1)!, the line integral of
+    t^(q-1) times the bracket of subtraction order M = d - q (and e^(-at)
+    when inhomogeneous).  At q = 0, 1/Gamma(alpha) = alpha + O(alpha^2), so
+    the integral term contributes its own value at zero, the t^(-1)-weighted
+    line integral, and 1/(q-1)! -> 1.  The homogeneous form, with the c = 1
+    regulator, adds the regulator's part (-1)^(q+j+1) c_j/(d-q-j), j < d-q."""
+    d = len(w)
     M = d - q
-    numbers = bernoulli_numbers(p.w, M).numbers
-    pw = math.prod(p.w)
-    la = cmath.log(p.a)
-    closed = CompensatedSum()
-    s = (-1.0) ** (d - q) / (pw * factorial(q - 1))
-    for k in range(M + 1):
-        closed.add(s * p.a ** (d - q - k) * numbers[k] / (factorial(k) * factorial(d - q - k))
-                   * (harmonic_float(d - q - k) - harmonic_float(q - 1) - la))
-    bracket = _inhom_bracket(p.w, M)
-    a = narrow(p.a)
+    dS = ds_values(w, M + 1)
+    closed = pole_term(q, a, d, dS)
+    if homog:
+        for j, c in enumerate(pole_coeffs(q, d, dS)[:-1]):
+            closed.add((-1.0) ** (q + j + 1) * c / (M - j))
+        bracket, decay = _homog_bracket(w, M, 1.0 + 0j), min(min(wi.real for wi in w), 1.0)
+    else:
+        bracket, decay = _inhom_bracket(w, M), a.real
+    a = narrow(a)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(-a * t) * t ** (q - 1) * bracket(t)
+        tq = t ** (q - 1)
+        return (tq if homog else np.exp(-a * t) * tq) * bracket(t)
 
     integral, err, evals = quad_semiinfinite(QuadratureProblem(
-        integrand, small_t_order=float(q + M - d), decay_rate=p.a.real,
-        rel_tol=cfg.quad_rel_tol, poly_growth=float(q - 1 + M)))
-    rg = 1.0 / factorial(q - 1)
+        integrand, small_t_order=0.0, decay_rate=decay,
+        rel_tol=cfg.quad_rel_tol, poly_growth=float(max(q - 1, 0) + M)))
+    rg = 1.0 / factorial(q - 1) if q else 1.0
     return EvalResult(closed.value + rg * integral, rg * err + _EPS * closed.mass,
                       Method.INTEGRAL, {"M": M, "quad_evals": evals})
 
 
-def deriv0_barnes_integral(p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
-    """Derivative at alpha = 0: closed polynomial-log term + I_d(0).
-
-    With subtraction order M = d the prefactor holds only the k <= d terms,
-    whose alpha-derivatives at zero give the closed sum of
-    (-1)^d B_k(w) a^(d-k) (H_(d-k) - log a) / (prod w k! (d-k)!); since
-    1/Gamma(alpha) = alpha + O(alpha^2), the integral term contributes its
-    own value at zero, the t^(-1)-weighted line integral.
-    """
-    cfg = config or DEFAULT_CONFIG
+def fp_barnes_integral(q: int, p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
+    """Finite part at alpha = q: closed polynomial-log term + I_{d-q}(q)."""
     validate_params(p)
-    d = p.d
-    numbers = bernoulli_numbers(p.w, d).numbers
-    pw = math.prod(p.w)
-    la = cmath.log(p.a)
-    closed = CompensatedSum()
-    s = (-1.0) ** d / pw
-    for k in range(d + 1):
-        closed.add(s * numbers[k] * p.a ** (d - k) / (factorial(k) * factorial(d - k))
-                   * (harmonic_float(d - k) - la))
-    bracket = _inhom_bracket(p.w, d)
-    a = narrow(p.a)
+    check_order(q, p.d)
+    return _pole_integral(q, p.a, p.w, config or DEFAULT_CONFIG, False)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(-a * t) * bracket(t) / t
 
-    integral, err, evals = quad_semiinfinite(QuadratureProblem(
-        integrand, small_t_order=0.0, decay_rate=p.a.real,
-        rel_tol=cfg.quad_rel_tol, poly_growth=float(d)))
-    return EvalResult(closed.value + integral, err + _EPS * closed.mass, Method.INTEGRAL,
-                      {"M": d, "quad_evals": evals})
+def deriv0_barnes_integral(p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
+    """Derivative at alpha = 0: closed polynomial-log term + I_d(0)."""
+    validate_params(p)
+    return _pole_integral(0, p.a, p.w, config or DEFAULT_CONFIG, False)
 
 
 def zeta_bh_integral(alpha: complex, w: Sequence[complex], *, config: EvalConfig | None = None,
@@ -484,62 +471,15 @@ def zeta_bh_integral(alpha: complex, w: Sequence[complex], *, config: EvalConfig
 
 
 def fp_bh_integral(q: int, w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
-    """Homogeneous finite part at alpha = q, with the c = 1 regulator.
-
-    Closed part uses the binomially simplified coefficients: the H_{q-1}
-    term carries B_{d-q}(w) and the j-sum carries B_j(w)/(j!(d-q-j)!(d-q-j)).
-    """
-    cfg = config or DEFAULT_CONFIG
+    """Homogeneous finite part at alpha = q, with the c = 1 regulator."""
     wt = validate_weights(w)
-    d = len(wt)
-    if not 1 <= q <= d:
-        raise DomainError(f"finite parts exist for q = 1..{d}, got {q}")
-    M = d - q
-    numbers = bernoulli_numbers(wt, max(M, 0)).numbers
-    pw = math.prod(wt)
-    closed = CompensatedSum()
-    lead = 1.0 / (pw * factorial(q - 1))
-    closed.add(lead * (-1.0) ** (d - q + 1) * numbers[d - q] * harmonic_float(q - 1)
-               / factorial(d - q))
-    for j in range(d - q):
-        closed.add(lead * (-1.0) ** (j + 1) * numbers[j]
-                   / (factorial(j) * factorial(d - q - j) * (d - q - j)))
-    bracket = _homog_bracket(wt, M, 1.0 + 0j)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return t ** (q - 1) * bracket(t)
-
-    decay = min(min(wi.real for wi in wt), 1.0)
-    integral, err, evals = quad_semiinfinite(QuadratureProblem(
-        integrand, small_t_order=float(q + M - d), decay_rate=decay,
-        rel_tol=cfg.quad_rel_tol, poly_growth=float(q - 1 + M)))
-    rg = 1.0 / factorial(q - 1)
-    return EvalResult(closed.value + rg * integral, rg * err + _EPS * closed.mass,
-                      Method.INTEGRAL, {"M": M, "quad_evals": evals})
+    check_order(q, len(wt))
+    return _pole_integral(q, 0.0, wt, config or DEFAULT_CONFIG, True)
 
 
 def deriv0_bh_integral(w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
     """Homogeneous derivative at zero: closed Bernoulli sum + t^{-1} integral."""
-    cfg = config or DEFAULT_CONFIG
-    wt = validate_weights(w)
-    d = len(wt)
-    numbers = bernoulli_numbers(wt, d).numbers
-    pw = math.prod(wt)
-    closed = CompensatedSum()
-    for j in range(d):
-        closed.add((-1.0) ** (j + 1) * numbers[j]
-                   / (pw * factorial(j) * factorial(d - j) * (d - j)))
-    bracket = _homog_bracket(wt, d, 1.0 + 0j)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return bracket(t) / t
-
-    decay = min(min(wi.real for wi in wt), 1.0)
-    integral, err, evals = quad_semiinfinite(QuadratureProblem(
-        integrand, small_t_order=0.0, decay_rate=decay,
-        rel_tol=cfg.quad_rel_tol, poly_growth=float(d)))
-    return EvalResult(closed.value + integral, err + _EPS * closed.mass, Method.INTEGRAL,
-                      {"M": d, "quad_evals": evals})
+    return _pole_integral(0, 0.0, validate_weights(w), config or DEFAULT_CONFIG, True)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +488,7 @@ def deriv0_bh_integral(w: Sequence[complex], *, config: EvalConfig | None = None
 
 def _residue_core(q: int, a: complex, w: tuple[complex, ...]) -> complex:
     d = len(w)
-    if not 1 <= q <= d:
-        raise DomainError(f"poles sit at q = 1..{d}, got {q}")
+    check_order(q, d)
     return ((-1.0) ** (d - q) * bernoulli_poly(d - q, a, w)
             / (factorial(q - 1) * factorial(d - q) * math.prod(w)))
 

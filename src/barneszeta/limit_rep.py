@@ -2,8 +2,12 @@
 derivative at zero, for the inhomogeneous and the homogeneous function.
 
 Each quantity is written as  lim_M [ edge terms at x = M*w + cube sum over
-{0..M-1}^d ] + closed constant.  The bracket is evaluated on a short
-geometric ladder of M and extrapolated to 1/M -> 0 with a Neville tableau.
+{0..M-1}^d ] + closed constant.  The finite part at q and the derivative
+at zero are one form, q = 0 being the derivative: the edge terms read the
+pole row of `pole_coeffs`, and the closed constant is `pole_term` without
+its log a part, which the edge terms carry.  The bracket is evaluated on a
+short geometric ladder of M and extrapolated to 1/M -> 0 with a Neville
+tableau.
 The cube {0..M-1}^d is the shells S_0..S_{M-1}, so one walk of the shells
 up to the largest M gives the cube sum at every rung as a running sum.
 
@@ -28,22 +32,21 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bernoulli import ds_values
+from .bernoulli import ds_values, pole_coeffs, pole_term
 from .combinatorics import CompensatedSum, f_symbol_sum, neville_diagonal, shell_values
 from .foundations import (
     BarnesParams,
     ConvergenceError,
     DEFAULT_CONFIG,
-    DomainError,
     EvalConfig,
     EvalResult,
     Method,
     ResourceError,
+    check_order,
     harmonic_float,
     narrow_weights,
     validate_params,
@@ -112,32 +115,31 @@ def _cube_log(a0: complex, w: tuple[complex, ...], schedule: tuple[int, ...],
 # Edge terms
 
 
-def _edge(q: int, a: complex, w: tuple[complex, ...], M: int, dS,
+def _edge(q: int, a: complex, w: tuple[complex, ...], M: int,
           homog: bool) -> tuple[complex, float]:
     """Edge terms at x = M*w of the finite part at q, or of the derivative at
-    zero for q = 0: sum_m s dS_m / (m! e!) F[t^e log t], e = d - q - m, with
-    s = (-1)^q/(q-1)! (1 for the derivative).  The homogeneous forms scale
-    F[...](0|w) by M^e and add the log M term of the origin.  Returns the sum
+    zero for q = 0: sum_m c_m F[t^e log t], e = d - q - m, over the row c_m
+    of `pole_coeffs`.  The homogeneous forms scale F[...](0|w) by M^e and add
+    the log M term of the origin, (-1)^(d+1) c_(d-q) log M.  Returns the sum
     and its summed term size, each F symbol counted by its own terms."""
     d = len(w)
-    qf = factorial(q - 1) if q else 1
-    s = (-1.0) ** q / qf
+    row = pole_coeffs(q, d, ds_values(w, d + 1))
     mw = tuple(M * wi for wi in w)
     terms = []   # (value, summed term size)
     if q == 0:
         lead = float(M) ** d * ((math.log(M) if homog else 0.0) - harmonic_float(d))
         terms.append((lead, abs(lead)))
-    for m in range(d - q + 1):
+    for m, c in enumerate(row):
         e = d - q - m
 
         def f(t, e=e):
             return t**e * cmath.log(t)
 
-        scale = s * dS[m] / (factorial(m) * factorial(e)) * (float(M) ** e if homog else 1.0)
+        scale = c * (float(M) ** e if homog else 1.0)
         F = f_symbol_sum(f, 0.0, w) if homog else f_symbol_sum(f, a, mw)
         terms.append((scale * F.value, abs(scale) * F.mass))
     if homog:
-        tail = dS[d - q] * (-1.0) ** (d + q + 1) / (qf * factorial(d - q)) * math.log(M)
+        tail = (1.0 if d % 2 else -1.0) * row[-1] * math.log(M)
         terms.append((tail, abs(tail)))
     acc = CompensatedSum()
     for value, _ in terms:
@@ -145,7 +147,7 @@ def _edge(q: int, a: complex, w: tuple[complex, ...], M: int, dS,
     return acc.value, sum(size for _, size in terms)
 
 
-def _rungs(q: int, a: complex, w: tuple[complex, ...], dS, homog: bool,
+def _rungs(q: int, a: complex, w: tuple[complex, ...], homog: bool,
            cfg: EvalConfig) -> list[tuple[int, complex, float]]:
     """(M, bracket, summed term size) of each rung: the edge terms at M*w
     plus the cube sum of (a + n.w)^-q, or minus the cube log sum for q = 0."""
@@ -155,7 +157,7 @@ def _rungs(q: int, a: complex, w: tuple[complex, ...], dS, homog: bool,
         cube, sign = _cube_log(a, w, cfg.limit_M_schedule, homog), -1.0
     out = []
     for M, c, c_mass in cube:
-        e, e_mass = _edge(q, a, w, M, dS, homog)
+        e, e_mass = _edge(q, a, w, M, homog)
         out.append((M, e + sign * c, e_mass + c_mass))
     return out
 
@@ -190,53 +192,36 @@ def _run_limit(rungs: Sequence[tuple[int, complex, float]], const: complex, cfg:
     return EvalResult(value, est, Method.LIMIT, diag)
 
 
+def _pole_limit(q: int, a: complex, w: tuple[complex, ...], homog: bool,
+                cfg: EvalConfig) -> EvalResult:
+    """The finite part at alpha = q, or the derivative at zero for q = 0: the
+    extrapolated rungs plus the closed `pole_term` without its log a part,
+    which the edge terms carry."""
+    d = len(w)
+    const = pole_term(q, a, d, ds_values(w, d + 1), log=False).value
+    return _run_limit(_rungs(q, a, w, homog, cfg), const, cfg, d)
+
+
 def fp_barnes_limit(q: int, p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
     """Finite part at alpha = q by edge terms at M*w plus a cube sum."""
-    cfg = config or DEFAULT_CONFIG
     validate_params(p)
-    d = p.d
-    if not 1 <= q <= d:
-        raise DomainError(f"finite parts exist for q = 1..{d}, got {q}")
-    dS = ds_values(p.w, d + 1)
-    s1 = (-1.0) ** (d - q + 1) / factorial(q - 1)
-    const = CompensatedSum()
-    for m in range(d - q + 1):
-        const.add(s1 * dS[m] * p.a ** (d - q - m) / (factorial(m) * factorial(d - q - m))
-                  * (harmonic_float(q - 1) - harmonic_float(d - q - m)))
-    return _run_limit(_rungs(q, p.a, p.w, dS, False, cfg), const.value, cfg, d)
+    check_order(q, p.d)
+    return _pole_limit(q, p.a, p.w, False, config or DEFAULT_CONFIG)
 
 
 def deriv0_barnes_limit(p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
     """Derivative at zero by edge terms at M*w plus a cube log sum."""
-    cfg = config or DEFAULT_CONFIG
     validate_params(p)
-    d = p.d
-    dS = ds_values(p.w, d + 1)
-    sign_d = -1.0 if d % 2 else 1.0
-    const = CompensatedSum()
-    for m in range(d + 1):
-        const.add(sign_d * dS[m] * harmonic_float(d - m) * p.a ** (d - m)
-                  / (factorial(m) * factorial(d - m)))
-    return _run_limit(_rungs(0, p.a, p.w, dS, False, cfg), const.value, cfg, d)
+    return _pole_limit(0, p.a, p.w, False, config or DEFAULT_CONFIG)
 
 
 def fp_bh_limit(q: int, w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
     """Homogeneous finite part at alpha = q in limit form (origin excluded)."""
-    cfg = config or DEFAULT_CONFIG
     wt = validate_weights(w)
-    d = len(wt)
-    if not 1 <= q <= d:
-        raise DomainError(f"finite parts exist for q = 1..{d}, got {q}")
-    dS = ds_values(wt, d + 1)
-    const = (dS[d - q] * (-1.0) ** (d + q + 1) / (factorial(q - 1) * factorial(d - q))
-             * harmonic_float(q - 1))
-    return _run_limit(_rungs(q, 0j, wt, dS, True, cfg), const, cfg, d)
+    check_order(q, len(wt))
+    return _pole_limit(q, 0j, wt, True, config or DEFAULT_CONFIG)
 
 
 def deriv0_bh_limit(w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
     """Homogeneous derivative at zero in limit form (origin excluded)."""
-    cfg = config or DEFAULT_CONFIG
-    wt = validate_weights(w)
-    d = len(wt)
-    dS = ds_values(wt, d + 1)
-    return _run_limit(_rungs(0, 0j, wt, dS, True, cfg), 0.0, cfg, d)
+    return _pole_limit(0, 0j, validate_weights(w), True, config or DEFAULT_CONFIG)

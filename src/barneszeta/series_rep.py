@@ -15,7 +15,10 @@ value of the analytic continuation is independent of k.
 
 At the poles alpha = q and at alpha = 0 the removable singularities of the
 ladder are expanded analytically (log-weighted G symbols and harmonic
-numbers); the 0*inf products are never formed numerically.
+numbers); the 0*inf products are never formed numerically.  The finite part
+at q and the derivative at zero are one form, q = 0 being the derivative:
+one plan, whose log-weighted terms are the pole row of `pole_coeffs`, and
+one closed term, `pole_term`.
 
 G composes the d forward differences with steps w_1..w_d, so by the
 telescoping lemma the ladder part G[f](y), f(z) = z^e0 (P(1/z) + log z
@@ -39,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bernoulli import ds_values
+from .bernoulli import ds_values, pole_coeffs, pole_term
 from .combinatorics import CompensatedSum, shell_values, subset_terms
 from .foundations import (
     BarnesParams,
@@ -49,6 +52,7 @@ from .foundations import (
     EvalConfig,
     EvalResult,
     Method,
+    check_order,
     check_pole,
     harmonic_float,
     narrow_weights,
@@ -148,51 +152,38 @@ def _plan_generic(alpha: complex, w: tuple[complex, ...], k: int) -> _Plan:
     )
 
 
-def _plan_fp(q: int, w: tuple[complex, ...], k: int) -> _Plan:
+def _plan_pole(q: int, w: tuple[complex, ...], k: int) -> _Plan:
+    """The finite part at alpha = q, or the derivative at zero for q = 0:
+    the pole row c_m of `pole_coeffs` as log-weighted G symbols for
+    m <= d - q, then the plain ladder terms -dS_m/m! (-1)^(m-d)
+    (q+m-d-1)!/(q-1)!, with (q-1)! -> 1 at q = 0, the Gamma ratio at alpha = q
+    (for q = 0, its alpha-derivative at zero)."""
     d = len(w)
     dS = ds_values(w, k + d)
-    coeffs: list[complex] = []
-    logflags: list[bool] = []
-    sq = (-1.0) ** q / factorial(q - 1)
-    for m in range(k + d):
-        if m <= d - q:
-            coeffs.append(sq * dS[m] / (factorial(m) * factorial(d - q - m)))
-            logflags.append(True)
-        else:
-            coeffs.append(-(dS[m] / factorial(m)) * _gamma_ratio(complex(q), d, m))
-            logflags.append(False)
+    row = pole_coeffs(q, d, dS)
+    qf = factorial(q - 1) if q else 1
+    plain = [-(dS[m] / factorial(m)) * ((-1.0) ** (m - d) * (factorial(q + m - d - 1) / qf))
+             for m in range(d - q + 1, k + d)]
     return _Plan(
         d=d,
         e_start=d - q,
-        coeffs=tuple(coeffs),
-        logflags=tuple(logflags),
-        base="pow",
-        base_expo=complex(q),
+        coeffs=(*row, *plain),
+        logflags=(True,) * len(row) + (False,) * len(plain),
+        base="pow" if q else "neglog",
+        base_expo=q,
+        const=0.0 if q else -harmonic_float(d),
         k_used=k,
     )
 
 
-def _plan_deriv0(w: tuple[complex, ...], k: int) -> _Plan:
-    d = len(w)
-    dS = ds_values(w, k + d)
-    coeffs: list[complex] = []
-    logflags: list[bool] = []
-    for m in range(k + d):
-        if m <= d:
-            coeffs.append(dS[m] / (factorial(m) * factorial(d - m)))
-            logflags.append(True)
-        else:
-            coeffs.append(-(dS[m] / factorial(m)) * (-1.0) ** (m - d) * factorial(m - d - 1))
-            logflags.append(False)
-    return _Plan(
-        d=d,
-        e_start=complex(d),
-        coeffs=tuple(coeffs),
-        logflags=tuple(logflags),
-        base="neglog",
-        const=-harmonic_float(d),
-        k_used=k,
-    )
+def _plain_closed(plan: _Plan, a: complex, closed: CompensatedSum) -> complex:
+    """The inhomogeneous closed term: closed plus the plain ladder terms
+    -(-1)^d c_m a^(e0-m)."""
+    sign_d = -1.0 if plan.d % 2 else 1.0
+    for m, (coeff, log) in enumerate(zip(plan.coeffs, plan.logflags)):
+        if not log:
+            closed.add(-sign_d * coeff * a ** (plan.e_start - m))
+    return closed.value
 
 
 def _stack(plan: _Plan, a0: complex, w: tuple[complex, ...]) -> tuple[np.ndarray, ...]:
@@ -339,11 +330,24 @@ def barnes_zeta_series(alpha: complex, p: BarnesParams, *, config: EvalConfig | 
     if not alpha.real > -k:
         raise DomainError(f"series representation needs Re(alpha) > -k = {-k}")
     plan = _plan_generic(alpha, p.w, k)
-    closed = CompensatedSum()
-    sign_d = -1.0 if d % 2 else 1.0
-    for m, coeff in enumerate(plan.coeffs):
-        closed.add(-sign_d * coeff * p.a ** (d - alpha - m))
-    return _sum_shells(plan, p.a, p.w, cfg, False, closed.value)
+    return _sum_shells(plan, p.a, p.w, cfg, False, _plain_closed(plan, p.a, CompensatedSum()))
+
+
+def _pole_series(q: int, a0: complex, w: tuple[complex, ...], cfg: EvalConfig, k: int | None,
+                 homog: bool) -> EvalResult:
+    """The finite part at alpha = q, or the derivative at zero for q = 0: the
+    closed `pole_term`, plus the plain ladder terms (inhomogeneous) or the
+    origin's per-point constant (homogeneous), and the lattice sum."""
+    d = len(w)
+    keff = k if k is not None else _auto_k_fixed(q, d, _min_abs_lattice(a0, w, homog))
+    if keff < 1 - q:
+        raise DomainError(f"shift parameter k = {keff} must be >= 1 - q = {1 - q}")
+    plan = _plan_pole(q, w, keff)
+    closed = pole_term(q, a0, d, ds_values(w, keff + d))
+    if homog:
+        closed.add(plan.const)
+        return _sum_shells(plan, a0, w, cfg, True, closed.value)
+    return _sum_shells(plan, a0, w, cfg, False, _plain_closed(plan, a0, closed))
 
 
 def fp_barnes_series(q: int, p: BarnesParams, *, config: EvalConfig | None = None,
@@ -355,56 +359,16 @@ def fp_barnes_series(q: int, p: BarnesParams, *, config: EvalConfig | None = Non
     closed term collects the matching a^(d-q-m)(log a - H_(d-q-m) + H_(q-1))
     polynomial.
     """
-    cfg = config or DEFAULT_CONFIG
     validate_params(p)
-    d = p.d
-    if not 1 <= q <= d:
-        raise DomainError(f"finite parts exist for q = 1..{d}, got {q}")
-    keff = k if k is not None else _auto_k_fixed(q, d, _min_abs_lattice(p.a, p.w, False))
-    if keff < 1 - q:
-        raise DomainError(f"shift parameter k = {keff} must be >= 1 - q")
-    plan = _plan_fp(q, p.w, keff)
-    la = cmath.log(p.a)
-    closed = CompensatedSum()
-    dS = ds_values(p.w, keff + d)
-    s1 = (-1.0) ** (d - q + 1) / factorial(q - 1)
-    hq1 = harmonic_float(q - 1)
-    for m in range(d - q + 1):
-        closed.add(
-            s1 * dS[m] * p.a ** (d - q - m) / (factorial(m) * factorial(d - q - m))
-            * (la - harmonic_float(d - q - m) + hq1)
-        )
-    sign_d = -1.0 if d % 2 else 1.0
-    for m in range(d - q + 1, keff + d):
-        closed.add(sign_d * (dS[m] / factorial(m)) * _gamma_ratio(complex(q), d, m)
-                   * p.a ** (d - q - m))
-    return _sum_shells(plan, p.a, p.w, cfg, False, closed.value)
+    check_order(q, p.d)
+    return _pole_series(q, p.a, p.w, config or DEFAULT_CONFIG, k, False)
 
 
 def deriv0_barnes_series(p: BarnesParams, *, config: EvalConfig | None = None,
                          k: int | None = None) -> EvalResult:
     """alpha-derivative at zero of the lattice zeta, in series form."""
-    cfg = config or DEFAULT_CONFIG
     validate_params(p)
-    d = p.d
-    keff = k if k is not None else _auto_k_fixed(0, d, _min_abs_lattice(p.a, p.w, False))
-    if keff < 1:
-        raise DomainError("the derivative form needs k >= 1")
-    plan = _plan_deriv0(p.w, keff)
-    la = cmath.log(p.a)
-    closed = CompensatedSum()
-    dS = ds_values(p.w, keff + d)
-    s1 = -1.0 if (d + 1) % 2 else 1.0
-    for m in range(d + 1):
-        closed.add(
-            s1 * dS[m] * p.a ** (d - m) / (factorial(m) * factorial(d - m))
-            * (la - harmonic_float(d - m))
-        )
-    sign_d = -1.0 if d % 2 else 1.0
-    for m in range(d + 1, keff + d):
-        closed.add(sign_d * (dS[m] / factorial(m)) * (-1.0) ** (m - d)
-                   * factorial(m - d - 1) * p.a ** (d - m))
-    return _sum_shells(plan, p.a, p.w, cfg, False, closed.value)
+    return _pole_series(0, p.a, p.w, config or DEFAULT_CONFIG, k, False)
 
 
 # ---------------------------------------------------------------------------
@@ -432,29 +396,12 @@ def zeta_bh_series(alpha: complex, w: Sequence[complex], *, config: EvalConfig |
 def fp_bh_series(q: int, w: Sequence[complex], *, config: EvalConfig | None = None,
                  k: int | None = None) -> EvalResult:
     """Finite part of the homogeneous lattice zeta at alpha = q, series form."""
-    cfg = config or DEFAULT_CONFIG
     wt = validate_weights(w)
-    d = len(wt)
-    if not 1 <= q <= d:
-        raise DomainError(f"finite parts exist for q = 1..{d}, got {q}")
-    keff = k if k is not None else _auto_k_fixed(q, d, _min_abs_lattice(0, wt, True))
-    if keff < 1 - q:
-        raise DomainError(f"shift parameter k = {keff} must be >= 1 - q")
-    plan = _plan_fp(q, wt, keff)
-    dS = ds_values(wt, keff + d)
-    hq_const = (dS[d - q] * (-1.0) ** (d + q + 1) / (factorial(q - 1) * factorial(d - q))
-                * harmonic_float(q - 1))
-    return _sum_shells(plan, 0.0, wt, cfg, True, hq_const)
+    check_order(q, len(wt))
+    return _pole_series(q, 0.0, wt, config or DEFAULT_CONFIG, k, True)
 
 
 def deriv0_bh_series(w: Sequence[complex], *, config: EvalConfig | None = None,
                      k: int | None = None) -> EvalResult:
     """alpha-derivative at zero of the homogeneous lattice zeta, series form."""
-    cfg = config or DEFAULT_CONFIG
-    wt = validate_weights(w)
-    d = len(wt)
-    keff = k if k is not None else _auto_k_fixed(0, d, _min_abs_lattice(0, wt, True))
-    if keff < 1:
-        raise DomainError("the derivative form needs k >= 1")
-    plan = _plan_deriv0(wt, keff)
-    return _sum_shells(plan, 0.0, wt, cfg, True, -harmonic_float(d))
+    return _pole_series(0, 0.0, validate_weights(w), config or DEFAULT_CONFIG, k, True)

@@ -6,7 +6,9 @@ test compares against.
   `bernoullian_dS_closed` is the closed form B_m(w)/prod(w_i) of
   `bernoulli.ds_values` that it must collapse to.
 * `g_symbol` is the G symbol, the d-fold forward difference, whose
-  identities the tests check against `combinatorics.f_symbol`.
+  identities the tests check against `f_symbol`, the alternating sum over
+  nonempty subsets (the value of `combinatorics.f_symbol_sum`).
+* `DimensionError` is what `d2_fast_path` raises off d = 2.
 * `d2_fast_path` holds the explicit d = 2 limit formulas, a cross-check of
   the generic limit route on the same cached cube sums.
 * `bracket_sum` is the lattice bracket [u(n)]_v, and `cube_bracket_sum`
@@ -38,15 +40,15 @@ from barneszeta.bernoulli import bernoulli_numbers, classical_bernoulli, ds_valu
 from barneszeta.combinatorics import (
     MAX_DIM,
     CompensatedSum,
-    f_symbol,
+    f_symbol_sum,
     neville_diagonal,
     subset_index_lists,
 )
 from barneszeta.foundations import (
     DEFAULT_CONFIG,
     BarnesParams,
+    BarnesZetaError,
     ConvergenceError,
-    DimensionError,
     DomainError,
     EvalConfig,
     EvalResult,
@@ -91,6 +93,19 @@ def bernoullian_dS(m: int, w: Iterable[complex]) -> complex:
 def bernoullian_dS_closed(m: int, w: Iterable[complex]) -> complex:
     """Closed form B_m(w)/prod(w_i) that bernoullian_dS must collapse to."""
     return ds_values(w, m + 1)[m]
+
+
+class DimensionError(BarnesZetaError, ValueError):
+    """Operation restricted to a specific dimension was called outside it."""
+
+
+def f_symbol(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) -> complex:
+    """Alternating subset sum F[f(a+x)]_{x=w} over nonempty subsets.
+
+    sum over nonempty S of (-1)^{d-|S|} f(a + sum_{i in S} w_i), evaluated
+    in subset-size-then-lexicographic order with compensated accumulation.
+    """
+    return f_symbol_sum(f, a, w).value
 
 
 def g_symbol(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) -> complex:

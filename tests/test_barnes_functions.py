@@ -16,6 +16,7 @@ from barneszeta import (
     multiple_gamma,
     psi_B,
     residue,
+    residue_bh,
 )
 from barneszeta.barnes_functions import ROUTES, evaluate
 from barneszeta.foundations import harmonic
@@ -122,6 +123,25 @@ class TestMultipleGamma:
         s = multiple_gamma(a, 2, Method.SERIES).value
         i = multiple_gamma(a, 2, Method.INTEGRAL).value
         assert scaled_err(s, i) <= 1e-6
+
+
+class TestOrderGuard:
+    """q outside the poles 1..d raises DomainError on every finite-part
+    route, on the residues and on the Gamma family built on them; q = 0 in
+    particular, which the shared route bodies read as the derivative at zero."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("offset", [0, -1, "d+1"])
+    def test_raises(self, d, offset):
+        q = d + 1 if offset == "d+1" else offset
+        p = BarnesParams(0.7, (1.0, 2 ** 0.5, math.pi / 4)[:d])
+        for homog, params in ((False, p), (True, p.w)):
+            for route in ROUTES["fp"][homog].values():
+                with pytest.raises(DomainError):
+                    route(q, params)
+        for fn, params in ((residue, p), (residue_bh, p.w), (psi_B, p), (gamma_dq, p.w)):
+            with pytest.raises(DomainError):
+                fn(q, params)
 
 
 class TestEvaluate:

@@ -9,6 +9,7 @@ from barneszeta import (
     TruncationError,
     log_gamma_B,
     psi_B,
+    residue_bh,
 )
 from barneszeta import bernoulli
 from barneszeta.bernoulli import (
@@ -17,7 +18,9 @@ from barneszeta.bernoulli import (
     bernoulli_taylor,
     classical_bernoulli,
     ds_values,
+    pole_term,
 )
+from barneszeta.foundations import harmonic_float
 
 from references import bernoullian_dS, bernoullian_dS_closed
 
@@ -218,3 +221,61 @@ class TestTableAgainstMpmath:
                 assert abs(table.scaled[n] - want[n]) <= bound, n
                 assert abs(table.numbers[n] - want[n] * mpmath.factorial(n)) <= bound * mpmath.factorial(n), n
         assert all(isinstance(x, float if kind == "real" else complex) for x in table.numbers)
+
+
+class TestPoleTerm:
+    """The closed term (-1)^(d+1) sum_m c_m a^e (log a - H_e + H_(q-1)),
+    e = d - q - m, that every finite-part and derivative route shares."""
+
+    CASES = {
+        "D2": (0.7, (1.0, 2 ** 0.5)),
+        "D3": (0.9, (1.0, 2 ** 0.5, math.pi / 4)),
+        "d4": (0.6, (1.0, 1.3, 1.7, 2.1)),
+        "complex": (1.0 + 0.3j, (1.0, 1.2 + 0.2j)),
+    }
+
+    @staticmethod
+    def _mp_term(mpmath, q, a, w, log):
+        """The same sum at 40 digits, from B_m(w) as a 40-digit Cauchy product."""
+        d = len(w)
+        with mpmath.workdps(40):
+            mpc = lambda z: mpmath.mpc(complex(z).real, complex(z).imag)
+            scaled = [mpmath.mpf(1)] + [mpmath.mpf(0)] * d
+            for wi in w:
+                row = [mpmath.bernoulli(n) / mpmath.factorial(n) * mpc(wi) ** n for n in range(d + 1)]
+                scaled = [mpmath.fsum(scaled[l] * row[n - l] for l in range(n + 1)) for n in range(d + 1)]
+            pw = mpmath.fprod(mpc(wi) for wi in w)
+            s = mpmath.mpf(-1) ** q / mpmath.factorial(q - 1) if q else mpmath.mpf(1)
+            hq = mpmath.harmonic(q - 1) if q else 0
+            la = mpmath.log(mpc(a)) if log else 0
+            total = 0
+            for m in range(d - q + 1):
+                e = d - q - m
+                c = s * scaled[m] / (pw * mpmath.factorial(e))
+                total += c * mpc(a) ** e * (la - mpmath.harmonic(e) + hq)
+            return complex((-1) ** (d + 1) * total)
+
+    @pytest.mark.parametrize("log", [True, False])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_against_mpmath(self, name, log):
+        mpmath = pytest.importorskip("mpmath")
+        a, w = self.CASES[name]
+        d = len(w)
+        dS = ds_values(w, d + 1)
+        for q in range(d + 1):
+            got = pole_term(q, a, d, dS, log=log)
+            want = self._mp_term(mpmath, q, a, w, log)
+            assert abs(got.value - want) <= 1e-14 * got.mass, (q, got.value, want)
+            assert got.mass * (1 + 1e-14) >= abs(want)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_homogeneous_constant(self, name):
+        # At a = 0 only e = 0 is left: -H_(q-1) times the homogeneous residue,
+        # and 0 for the derivative at zero.
+        _, w = self.CASES[name]
+        d = len(w)
+        dS = ds_values(w, d + 1)
+        assert pole_term(0, 0.0, d, dS).value == 0
+        for q in range(1, d + 1):
+            want = -harmonic_float(q - 1) * residue_bh(q, w)
+            assert abs(pole_term(q, 0.0, d, dS).value - want) <= 1e-15 * (1 + abs(want)), q

@@ -120,6 +120,13 @@ class TestFpDerivGamma:
         assert code == 0
         assert json.loads(out)["value"][0] == pytest.approx(0.5772157, abs=1e-6)
 
+    @pytest.mark.parametrize("method", ["series", "integral", "limit", "best"])
+    def test_fp_at_zero_is_a_usage_error(self, run, method):
+        # q = 0 is not a pole: no finite part, and no derivative at zero either
+        code, out, err = run(["fp", "--q", "0", "--a", "1", "--w", "1,1", "--method", method])
+        assert code == 2
+        assert "poles sit at q = 1..2, got 0" in err and out == ""
+
     def test_multigamma(self, run):
         code, out, err = run(["gamma", "--fn", "multigamma", "--a", "3", "--d", "1", "--json"])
         assert code == 0

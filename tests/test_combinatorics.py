@@ -15,7 +15,6 @@ from barneszeta import (
 from barneszeta import combinatorics
 from barneszeta.combinatorics import (
     CompensatedSum,
-    f_symbol,
     neville_diagonal,
     shell_values,
 )
@@ -24,6 +23,7 @@ from references import (
     bracket_sum,
     cube_bracket_sum,
     cube_indices,
+    f_symbol,
     g_symbol,
     neville_in_reciprocal,
     shell_indices,

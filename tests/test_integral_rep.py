@@ -230,6 +230,24 @@ class TestOneCallPerQuadrature:
         assert calls == [1] * (2 * p.d + 2)
 
 
+class TestQuadEvals:
+    """The nodes each finite-part and derivative quadrature evaluates: fp
+    grows like t^(q-1+M) = t^(d-1) at infinity and the derivative at zero
+    like t^d, which widens its tail."""
+
+    @pytest.mark.parametrize("params, fp_evals, deriv0_evals", [
+        ("d2_params", 193, 193),
+        ("d3_params", 193, 209),
+    ])
+    def test_counts(self, params, fp_evals, deriv0_evals, request):
+        p = request.getfixturevalue(params)
+        for q in range(1, p.d + 1):
+            assert fp_barnes_integral(q, p).diagnostics["quad_evals"] == fp_evals
+            assert fp_bh_integral(q, p.w).diagnostics["quad_evals"] == fp_evals
+        assert deriv0_barnes_integral(p).diagnostics["quad_evals"] == deriv0_evals
+        assert deriv0_bh_integral(p.w).diagnostics["quad_evals"] == deriv0_evals
+
+
 class TestContinuation:
     def test_unit_d2_at_5(self):
         res = barnes_zeta_integral(5.0, BarnesParams(1.0, (1.0, 1.0)), M=0)

@@ -223,14 +223,14 @@ class TestStackedKernel:
         "pow negative alpha": (lambda: sr._plan_generic(-3.5, D3W, 5), 0.9, D3W, 2, False, True),
         "pow complex lattice": (lambda: sr._plan_generic(2.5, CPLXW, 1), 1 + 0.3j, CPLXW, 3, False, False),
         "pow homogeneous": (lambda: sr._plan_generic(-1.5, D3W, 3), 0.0, D3W, 2, True, True),
-        "fp q=1 real": (lambda: sr._plan_fp(1, D3W, 1), 0.9, D3W, 2, False, True),
-        "fp q=2 complex lattice": (lambda: sr._plan_fp(2, CPLXW, 1), 1 + 0.3j, CPLXW, 3, False, False),
-        "fp homogeneous": (lambda: sr._plan_fp(2, D3W, 2), 0.0, D3W, 1, True, True),
-        "neglog real": (lambda: sr._plan_deriv0(D2W, 2), 0.7, D2W, 2, False, True),
-        "neglog complex lattice": (lambda: sr._plan_deriv0(CPLXW, 1), 1 + 0.3j, CPLXW, 2, False, False),
+        "fp q=1 real": (lambda: sr._plan_pole(1, D3W, 1), 0.9, D3W, 2, False, True),
+        "fp q=2 complex lattice": (lambda: sr._plan_pole(2, CPLXW, 1), 1 + 0.3j, CPLXW, 3, False, False),
+        "fp homogeneous": (lambda: sr._plan_pole(2, D3W, 2), 0.0, D3W, 1, True, True),
+        "neglog real": (lambda: sr._plan_pole(0, D2W, 2), 0.7, D2W, 2, False, True),
+        "neglog complex lattice": (lambda: sr._plan_pole(0, CPLXW, 1), 1 + 0.3j, CPLXW, 2, False, False),
         "d4 pow, several blocks": (lambda: sr._plan_generic(0.5, D4W, 0), 0.3, D4W, 7, False, True),
-        "d4 fp, several blocks": (lambda: sr._plan_fp(2, D4W, -1), 0.3, D4W, 7, False, True),
-        "d4 fp complex, several blocks": (lambda: sr._plan_fp(2, D4CW, -1), 0.0, D4CW, 7, True, False),
+        "d4 fp, several blocks": (lambda: sr._plan_pole(2, D4W, -1), 0.3, D4W, 7, False, True),
+        "d4 fp complex, several blocks": (lambda: sr._plan_pole(2, D4CW, -1), 0.0, D4CW, 7, True, False),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -252,7 +252,7 @@ class TestStackedKernel:
         assert {v.dtype for v in stack} == {np.dtype(want)}
 
     def test_trailing_zeros_dropped(self):
-        signs, sigmas, plain, logc, *_ = sr._stack(sr._plan_fp(2, D3W, 8), 0.9, D3W)
+        signs, sigmas, plain, logc, *_ = sr._stack(sr._plan_pole(2, D3W, 8), 0.9, D3W)
         assert len(logc) == 3 - 2 + 1
         assert len(plain) == 8 + 3 and plain[: len(logc)].tolist() == [0.0] * len(logc)
         assert signs.shape == sigmas.shape == (8,)
@@ -270,18 +270,18 @@ class TestBoxIdentity:
     # (plan, a0, w, J, homogeneous)
     CASES = {
         "d1 pow real": (lambda: sr._plan_generic(0.5, D1W, 2), 0.3, D1W, 9, False),
-        "d1 neglog homogeneous": (lambda: sr._plan_deriv0(D1W, 2), 0.0, D1W, 9, True),
-        "d1 fp complex lattice": (lambda: sr._plan_fp(1, (1.1 + 0.4j,), 1), 0.6 + 0.2j, (1.1 + 0.4j,), 9, False),
+        "d1 neglog homogeneous": (lambda: sr._plan_pole(0, D1W, 2), 0.0, D1W, 9, True),
+        "d1 fp complex lattice": (lambda: sr._plan_pole(1, (1.1 + 0.4j,), 1), 0.6 + 0.2j, (1.1 + 0.4j,), 9, False),
         "d2 pow complex alpha homogeneous": (lambda: sr._plan_generic(0.5 + 3j, D2W, 2), 0.0, D2W, 6, True),
-        "d2 fp complex lattice": (lambda: sr._plan_fp(1, CPLXW, 1), 1 + 0.3j, CPLXW, 6, False),
-        "d2 neglog real": (lambda: sr._plan_deriv0(D2W, 2), 0.7, D2W, 6, False),
+        "d2 fp complex lattice": (lambda: sr._plan_pole(1, CPLXW, 1), 1 + 0.3j, CPLXW, 6, False),
+        "d2 neglog real": (lambda: sr._plan_pole(0, D2W, 2), 0.7, D2W, 6, False),
         "d3 pow complex lattice": (lambda: sr._plan_generic(-1.5, D3CW, 3), 0.9 + 0.1j, D3CW, 5, False),
-        "d3 fp homogeneous": (lambda: sr._plan_fp(2, D3W, 2), 0.0, D3W, 5, True),
-        "d3 neglog complex homogeneous": (lambda: sr._plan_deriv0(D3CW, 2), 0.0, D3CW, 5, True),
+        "d3 fp homogeneous": (lambda: sr._plan_pole(2, D3W, 2), 0.0, D3W, 5, True),
+        "d3 neglog complex homogeneous": (lambda: sr._plan_pole(0, D3CW, 2), 0.0, D3CW, 5, True),
         "d4 pow real": (lambda: sr._plan_generic(0.5, D4W, 0), 0.3, D4W, 7, False),
-        "d4 fp real": (lambda: sr._plan_fp(2, D4W, -1), 0.3, D4W, 7, False),
-        "d4 fp complex homogeneous": (lambda: sr._plan_fp(2, D4CW, -1), 0.0, D4CW, 7, True),
-        "d4 neglog complex lattice": (lambda: sr._plan_deriv0(D4CW, 1), 0.5 + 0.2j, D4CW, 5, False),
+        "d4 fp real": (lambda: sr._plan_pole(2, D4W, -1), 0.3, D4W, 7, False),
+        "d4 fp complex homogeneous": (lambda: sr._plan_pole(2, D4CW, -1), 0.0, D4CW, 7, True),
+        "d4 neglog complex lattice": (lambda: sr._plan_pole(0, D4CW, 1), 0.5 + 0.2j, D4CW, 5, False),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -327,8 +327,8 @@ class TestBlockedCorners:
 
     PLANS = {
         "pow": lambda w: sr._plan_generic(0.5 + 1j, w, 2),
-        "fp": lambda w: sr._plan_fp(1, w, 2),
-        "neglog": lambda w: sr._plan_deriv0(w, 2),
+        "fp": lambda w: sr._plan_pole(1, w, 2),
+        "neglog": lambda w: sr._plan_pole(0, w, 2),
     }
 
     @pytest.mark.parametrize("homog", [False, True], ids=["inhomogeneous", "homogeneous"])
@@ -419,6 +419,8 @@ class TestPointCounts:
         (lambda c, cfg: barnes_zeta_series(-1.5, c.D4, config=cfg), 5, 625),
         (lambda c, cfg: deriv0_barnes_series(c.D4, config=cfg), 7, 2401),
         (lambda c, cfg: deriv0_bh_series(D4W, config=cfg), 8, 4095),
+        (lambda c, cfg: fp_barnes_series(2, BarnesParams(1 + 0.3j, CPLXW), config=cfg), 10, 100),
+        (lambda c, cfg: deriv0_bh_series(D2W, config=cfg), 10, 99),
     ])
     def test_points(self, call, shells, points):
         # A few shells above the need: a broken stopping rule raises
