@@ -4,15 +4,16 @@ three mutually cross-checking representations (series, limit, integral).
 
 `evaluate` reaches every quantity by every route of the `ROUTES` registry;
 the route functions themselves live in `series_rep`, `limit_rep`,
-`integral_rep` and `oracles`.
+`integral_rep` and `oracles`, and each serves the inhomogeneous function
+(params a BarnesParams) and the homogeneous one (params the weights).
 """
 
 from .foundations import (
     BarnesParams, BarnesZetaError, ConvergenceError, DomainError, EvalConfig, EvalResult,
     EvaluationError, Method, PoleError, QuadratureError, ResourceError, TruncationError,
 )
-from .integral_rep import residue, residue_bh
-from .oracles import direct_sum, direct_sum_bh, isotropic_reduction, rational_d2_reduction
+from .integral_rep import residue
+from .oracles import direct_sum, isotropic_reduction, rational_d2_reduction
 from .barnes_functions import (
     ROUTES, evaluate, gamma_dq, log_gamma_B, log_rho, multiple_gamma, psi_B,
 )
@@ -21,9 +22,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "evaluate", "ROUTES", "log_gamma_B", "log_rho", "multiple_gamma", "psi_B", "gamma_dq",
-    "residue", "residue_bh",
+    "residue",
     "BarnesParams", "EvalConfig", "EvalResult", "Method",
     "BarnesZetaError", "ConvergenceError", "DomainError", "EvaluationError", "PoleError",
     "QuadratureError", "ResourceError", "TruncationError",
-    "direct_sum", "direct_sum_bh", "isotropic_reduction", "rational_d2_reduction",
+    "direct_sum", "isotropic_reduction", "rational_d2_reduction",
 ]

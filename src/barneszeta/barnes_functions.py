@@ -1,9 +1,11 @@
 """The route registry and the derived Gamma-family functions.
 
 ROUTES maps each quantity (the zeta function, its finite parts at the
-poles, its derivative at zero), inhomogeneous or homogeneous, and each
-route name to its route function; `evaluate` is the one dispatch path
-through it, for the Gamma family below and for the command-line interface.
+poles, its derivative at zero) and each route name to its route function,
+which reads the form from its params: a BarnesParams for the inhomogeneous
+function, the weights for the homogeneous one.  `evaluate` is the one
+dispatch path through it, for the Gamma family below and for the
+command-line interface.
 
 The Gamma family -- log of the lattice Gamma function, multiple Gamma, the
 generalized digamma family, the gamma modular forms -- are thin
@@ -30,82 +32,49 @@ from .foundations import (
     EvalConfig,
     EvalResult,
     Method,
-    check_order,
     harmonic_float,
     validate_params,
     validate_weights,
 )
-from .integral_rep import (
-    barnes_zeta_integral,
-    deriv0_barnes_integral,
-    deriv0_bh_integral,
-    fp_barnes_integral,
-    fp_bh_integral,
-    residue,
-    residue_bh,
-    zeta_bh_integral,
-)
-from .limit_rep import (
-    deriv0_barnes_limit,
-    deriv0_bh_limit,
-    fp_barnes_limit,
-    fp_bh_limit,
-)
-from .oracles import _reduction_eval, direct_sum, direct_sum_bh
-from .series_rep import (
-    barnes_zeta_series,
-    deriv0_barnes_series,
-    deriv0_bh_series,
-    fp_barnes_series,
-    fp_bh_series,
-    zeta_bh_series,
-)
+from .integral_rep import deriv0_integral, fp_integral, residue, zeta_integral
+from .limit_rep import deriv0_limit, fp_limit
+from .oracles import direct_sum, reduction
+from .series_rep import deriv0_series, fp_series, zeta_series
 
 
 _ULP8 = 8 * 2.0 ** -52     # rounding slack of the best-route agreement test
 
 
-# Every route of every quantity: ROUTES[quantity][homogeneous][route].  A
-# route takes (alpha, params) for "zeta", (q, params) for "fp" and (params,)
-# for "deriv0", where params is a BarnesParams, or the weights when
-# homogeneous, and then only keywords: `config=`, and any knob of its own
-# (the series shift k, the integral's subtraction order M and regulator c),
-# which `evaluate` never passes.
+# Every route of every quantity: ROUTES[quantity][route].  A route takes
+# (alpha, params) for "zeta", (q, params) for "fp" and (params,) for
+# "deriv0", where params is a BarnesParams, or the weights for the
+# homogeneous function (a = 0, origin excluded), and then only keywords:
+# `config=`, and any knob of its own (the series shift k, the integral's
+# subtraction order M and, for the homogeneous function, its regulator c),
+# which `evaluate` never passes.  Every route serves both forms, except the
+# reduction, which the homogeneous function does not have.
 ROUTES = {
-    "zeta": {
-        False: {"series": barnes_zeta_series, "integral": barnes_zeta_integral,
-                "direct": direct_sum, "reduction": _reduction_eval},
-        True: {"series": zeta_bh_series, "integral": zeta_bh_integral,
-               "direct": direct_sum_bh},
-    },
-    "fp": {
-        False: {"series": fp_barnes_series, "integral": fp_barnes_integral,
-                "limit": fp_barnes_limit},
-        True: {"series": fp_bh_series, "integral": fp_bh_integral, "limit": fp_bh_limit},
-    },
-    "deriv0": {
-        False: {"series": deriv0_barnes_series, "integral": deriv0_barnes_integral,
-                "limit": deriv0_barnes_limit},
-        True: {"series": deriv0_bh_series, "integral": deriv0_bh_integral,
-               "limit": deriv0_bh_limit},
-    },
+    "zeta": {"series": zeta_series, "integral": zeta_integral, "direct": direct_sum,
+             "reduction": reduction},
+    "fp": {"series": fp_series, "integral": fp_integral, "limit": fp_limit},
+    "deriv0": {"series": deriv0_series, "integral": deriv0_integral, "limit": deriv0_limit},
 }
 
 
 def evaluate(quantity: str, params, at=None, method: Method | str = "best",
-             config: EvalConfig | None = None, *, homogeneous: bool = False) -> EvalResult:
+             config: EvalConfig | None = None) -> EvalResult:
     """Evaluate a quantity of the ROUTES registry by one of its routes.
 
     quantity is "zeta" (at = alpha), "fp" (at = q) or "deriv0" (no `at`);
-    params is a BarnesParams, or the weights when homogeneous; method is a
-    Method or its name.  The method "best" (the default) runs the series and
-    the integral route and returns the one whose own error estimate is
-    smaller, with that estimate and that route's method; diagnostics add
-    `cross_check_delta` = |series - integral| and `best_route`.  If the two
-    values differ by more than the sum of their estimates plus 8 ulp of
-    (1 + |value|), at least one estimate is dishonest and ConvergenceError is
-    raised with both values.  A combination that is not in the registry
-    raises DomainError.
+    params is a BarnesParams, or the weights for the homogeneous function;
+    method is a Method or its name.  The method "best" (the default) runs
+    the series and the integral route and returns the one whose own error
+    estimate is smaller, with that estimate and that route's method;
+    diagnostics add `cross_check_delta` = |series - integral| and
+    `best_route`.  If the two values differ by more than the sum of their
+    estimates plus 8 ulp of (1 + |value|), at least one estimate is
+    dishonest and ConvergenceError is raised with both values.  A
+    combination that is not in the registry raises DomainError.
     """
     cfg = config or DEFAULT_CONFIG
     route = method.value if isinstance(method, Method) else method
@@ -113,7 +82,7 @@ def evaluate(quantity: str, params, at=None, method: Method | str = "best",
         raise DomainError(f"unknown quantity {quantity!r}; expected one of {sorted(ROUTES)}")
     if (at is None) != (quantity == "deriv0"):
         raise DomainError(f"{quantity} needs {'no' if at is not None else 'an'} evaluation point")
-    routes = ROUTES[quantity][bool(homogeneous)]
+    routes = ROUTES[quantity]
     args = (params,) if at is None else (at, params)
     if route == "best":
         runs = {name: routes[name](*args, config=cfg) for name in ("series", "integral")}
@@ -130,9 +99,6 @@ def evaluate(quantity: str, params, at=None, method: Method | str = "best",
                                    f"{delta:.3e}, beyond their estimates ({claimed:.3e})", diag)
         return EvalResult(best.value, best.abs_error_estimate, best.method, diag)
     if route not in routes:
-        if route in ROUTES[quantity][not homogeneous]:
-            kind = "inhomogeneous" if homogeneous else "homogeneous"
-            raise DomainError(f"{route} method applies to the {kind} function")
         raise DomainError(f"{quantity} has no route {route!r}; expected one of "
                           f"{[*routes, 'best']}")
     return routes[route](*args, config=cfg)
@@ -141,7 +107,7 @@ def evaluate(quantity: str, params, at=None, method: Method | str = "best",
 def log_rho(w, method: Method | str = "best",
             config: EvalConfig | None = None) -> EvalResult:
     """Log of the modular constant: -(homogeneous derivative at zero)."""
-    res = evaluate("deriv0", validate_weights(w), None, method, config, homogeneous=True)
+    res = evaluate("deriv0", validate_weights(w), None, method, config)
     return EvalResult(-res.value, res.abs_error_estimate, res.method, res.diagnostics)
 
 
@@ -157,11 +123,11 @@ def log_gamma_B(p: BarnesParams, method: Method | str = "best",
 
 
 def _from_finite_part(q: int, params, sign: float, method: Method | str,
-                      config: EvalConfig | None, homogeneous: bool) -> EvalResult:
+                      config: EvalConfig | None) -> EvalResult:
     """sign (q-1)! (FP at q + H_(q-1) * residue at q), the form shared by
-    psi_B and gamma_dq."""
-    fp = evaluate("fp", params, q, method, config, homogeneous=homogeneous)
-    res = residue_bh(q, params) if homogeneous else residue(q, params)
+    psi_B and gamma_dq; the fp route rejects a q off the poles."""
+    fp = evaluate("fp", params, q, method, config)
+    res = residue(q, params)
     scale = sign * factorial(q - 1)
     value = scale * (fp.value + harmonic_float(q - 1) * res)
     return EvalResult(value, abs(scale) * fp.abs_error_estimate, fp.method,
@@ -172,16 +138,13 @@ def psi_B(q: int, p: BarnesParams, method: Method | str = "best",
           config: EvalConfig | None = None) -> EvalResult:
     """Generalized digamma value Psi^(q)(a|w), q = 1..d, from the finite part."""
     validate_params(p)
-    check_order(q, p.d)
-    return _from_finite_part(q, p, (-1.0) ** q, method, config, False)
+    return _from_finite_part(q, p, (-1.0) ** q, method, config)
 
 
 def gamma_dq(q: int, w, method: Method | str = "best",
              config: EvalConfig | None = None) -> EvalResult:
     """q-th gamma modular form, from the homogeneous finite part at q."""
-    wt = validate_weights(w)
-    check_order(q, len(wt))
-    return _from_finite_part(q, wt, (-1.0) ** (q - 1), method, config, True)
+    return _from_finite_part(q, validate_weights(w), (-1.0) ** (q - 1), method, config)
 
 
 def multiple_gamma(a: complex, d: int, method: Method | str = "best",

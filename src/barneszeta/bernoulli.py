@@ -159,7 +159,7 @@ def pole_term(q: int, a: complex, d: int, dS: Sequence[complex], log: bool = Tru
     the finite part at alpha = q, or of the derivative at zero for q = 0
     (with H_(-1) = 0), as an accumulator whose `mass` callers keep for their
     estimates; log=False drops the log a part.  At a = 0 only e = 0 is left:
-    the homogeneous constant (-1)^(d+1) c_(d-q) H_(q-1) = -H_(q-1) residue_bh(q)."""
+    the homogeneous constant (-1)^(d+1) c_(d-q) H_(q-1) = -H_(q-1) residue(q, w)."""
     hq = harmonic_float(q - 1) if q else 0.0
     la = cmath.log(a) if log and a else 0.0
     sign = 1.0 if d % 2 else -1.0

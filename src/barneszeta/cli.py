@@ -2,17 +2,20 @@
 CSV, and run cross-representation comparison reports.
 
 Dispatch: `eval`, `fp` and `deriv0` are one handler that builds the config
-and resolves --a / --homogeneous once, then calls
-`barnes_functions.evaluate`; `table` and `compare` loop over the same
-`barnes_functions.ROUTES` registry, and every --method choice list is read
-from it, plus "best".  No route function is imported here.
+and the params once (the weights when --homogeneous, else a BarnesParams),
+then calls `barnes_functions.evaluate`; `table` and `compare` loop over the
+same `barnes_functions.ROUTES[quantity][route]` registry, and every
+--method choice list is read from it, plus "best".  No route function is
+imported here.
 
 Conventions:
   * complex scalars are written RE or RE,IM (e.g. --alpha 2.5,1);
   * weights are a comma list of reals (e.g. --w 1,1.41421356);
   * floats print with 17 significant digits, CSV uses LF line endings,
     JSON is emitted with sorted keys so output round-trips byte for byte;
-  * BARNES_ZETA_TOL overrides the default tolerance, flags override both.
+  * BARNES_ZETA_TOL overrides the default tolerance, flags override both;
+    the tolerance moves the series, limit and direct routes, not the
+    integral route's quadrature.
 
 Exit codes: 0 ok, 1 comparison failure, 2 usage, 3 convergence/quadrature
 failure, 4 pole.
@@ -37,7 +40,6 @@ from .barnes_functions import (
     multiple_gamma,
     psi_B,
     residue,
-    residue_bh,
 )
 from .foundations import (
     BarnesParams,
@@ -127,10 +129,7 @@ def _pole_hint(exc: PoleError, args) -> str:
     if q is None:
         return str(exc)
     try:
-        if getattr(args, "homogeneous", False):
-            res = residue_bh(q, args.w)
-        else:
-            res = residue(q, BarnesParams(args.a, args.w))
+        res = residue(q, _params(args))
         return f"{exc} (hint: residue at alpha = {q} is {fmt17(res.real)}{res.imag:+.17g}j)"
     except Exception:
         return str(exc)
@@ -138,8 +137,7 @@ def _pole_hint(exc: PoleError, args) -> str:
 
 def _methods(*quantities: str) -> list[str]:
     """Route names of the registry for these quantities, in registry order."""
-    return list(dict.fromkeys(route for q in quantities for homog in (False, True)
-                              for route in ROUTES[q][homog]))
+    return list(dict.fromkeys(route for q in quantities for route in ROUTES[q]))
 
 
 def _params(args):
@@ -161,8 +159,7 @@ def _params(args):
 def cmd_eval(args) -> int:
     """eval, fp and deriv0: one quantity by one route of the registry."""
     cfg = build_config(args)
-    res = evaluate(args.quantity, _params(args), args.at, args.method, cfg,
-                   homogeneous=args.homogeneous)
+    res = evaluate(args.quantity, _params(args), args.at, args.method, cfg)
     emit_result(res, args.json)
     return EXIT_OK
 
@@ -237,14 +234,14 @@ class ComparisonReport:
 
 
 def _compare_quantities(p: BarnesParams):
-    """(name, quantity, at, params, homogeneous) of every finite part and of
-    both derivatives at zero."""
+    """(name, quantity, at, params) of every finite part and of both
+    derivatives at zero; params are the weights for the homogeneous ones."""
     spec = []
     for q in range(1, p.d + 1):
-        spec.append((f"fp_q{q}", "fp", q, p, False))
-        spec.append((f"fp_bh_q{q}", "fp", q, p.w, True))
-    spec.append(("deriv0", "deriv0", None, p, False))
-    spec.append(("deriv0_bh", "deriv0", None, p.w, True))
+        spec.append((f"fp_q{q}", "fp", q, p))
+        spec.append((f"fp_bh_q{q}", "fp", q, p.w))
+    spec.append(("deriv0", "deriv0", None, p))
+    spec.append(("deriv0_bh", "deriv0", None, p.w))
     return spec
 
 
@@ -257,10 +254,10 @@ def cmd_compare(args) -> int:
     quantities = []
     agreement = {}
     passed = True
-    for name, quantity, at, params, homog in _compare_quantities(p):
+    for name, quantity, at, params in _compare_quantities(p):
         values = {}
-        for route in ROUTES[quantity][homog]:
-            res = evaluate(quantity, params, at, route, cfg, homogeneous=homog)
+        for route in ROUTES[quantity]:
+            res = evaluate(quantity, params, at, route, cfg)
             values[route] = res.value
             quantities.append({
                 "name": name,
@@ -318,8 +315,7 @@ def cmd_table(args) -> int:
     for ar in alphas:
         alpha = complex(ar, args.alpha_im)
         try:
-            res = evaluate("zeta", params, alpha, args.method, cfg,
-                           homogeneous=args.homogeneous)
+            res = evaluate("zeta", params, alpha, args.method, cfg)
             rows.append((alpha, res.value, res.abs_error_estimate, res.method.value))
         except PoleError:
             saw_pole = True
@@ -360,7 +356,9 @@ def _add_common(sub, quantity: str):
     _add_method(sub, quantity)
     sub.add_argument("--homogeneous", action="store_true",
                      help="evaluate the a = 0, origin-excluded variant")
-    sub.add_argument("--tol", type=float, default=None, help="relative tolerance")
+    sub.add_argument("--tol", type=float, default=None,
+                     help="relative tolerance of the series, limit and direct routes "
+                          "(the integral route's quadrature keeps its own)")
 
 
 def build_parser() -> argparse.ArgumentParser:

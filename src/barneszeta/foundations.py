@@ -137,20 +137,30 @@ def validate_params(p: BarnesParams) -> None:
     validate_weights(p.w)
 
 
+def lattice(params) -> tuple[complex, tuple[complex, ...], bool]:
+    """(a, w, homogeneous) of a route's params, validated: a BarnesParams is
+    the lattice a + n.w, anything else the weights of the homogeneous one
+    (a = 0, origin excluded)."""
+    if isinstance(params, BarnesParams):
+        validate_params(params)
+        return params.a, params.w, False
+    return 0.0, validate_weights(params), True
+
+
 @dataclass(frozen=True)
 class EvalConfig:
-    """Tolerances and budgets shared by the evaluation routes."""
+    """Tolerances and budgets shared by the evaluation routes.  rel_tol moves
+    the series, limit and direct routes; the integral route's quadrature
+    keeps its own fixed tolerance."""
 
     rel_tol: float = 1e-10
     max_shells: int = 100_000
     limit_M_schedule: tuple[int, ...] = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
-    quad_rel_tol: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "limit_M_schedule", tuple(int(m) for m in self.limit_M_schedule))
-        for name in ("rel_tol", "quad_rel_tol"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"EvalConfig.{name} must be positive")
+        if not self.rel_tol > 0:
+            raise DomainError("EvalConfig.rel_tol must be positive")
         if self.max_shells < 1:
             raise DomainError("EvalConfig.max_shells must be at least 1")
         sched = self.limit_M_schedule

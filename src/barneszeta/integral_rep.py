@@ -26,7 +26,8 @@ exponential tail, so the domain is never split.  The error estimate of a
 route is its quadrature estimate, scaled by the route's Gamma factor, plus
 the rounding of its closed Bernoulli sum (eps times the summed term sizes).
 The brackets run in float64 when w (and c) are real, the integrands when a
-and alpha are real as well.
+and alpha are real as well.  The rule's tolerance is the fixed _QUAD_REL_TOL;
+EvalConfig does not move it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,6 @@ from .bernoulli import (
 )
 from .combinatorics import CompensatedSum, subset_terms
 from .foundations import (
-    BarnesParams,
-    DEFAULT_CONFIG,
     DomainError,
     EvalConfig,
     EvalResult,
@@ -54,16 +53,16 @@ from .foundations import (
     check_order,
     check_pole,
     horner,
+    lattice,
     narrow,
     rising_factorial,
-    validate_params,
-    validate_weights,
 )
 from .oracles import log_gamma_ref
 
 _SERIES_EXTRA = 60          # tail-series terms kept in the small-t branch
 _SMALL_T_FRACTION = 0.35    # threshold t0 as a fraction of the expansion radius
 _HALF_PI = 0.5 * math.pi
+_QUAD_REL_TOL = 1e-12       # tolerance of every route's exp-sinh rule
 
 
 @dataclass(frozen=True)
@@ -336,49 +335,78 @@ def _subtraction_order(M: int | None, alpha: complex, d: int) -> int:
     return M
 
 
-def barnes_zeta_integral(alpha: complex, p: BarnesParams, *, config: EvalConfig | None = None,
-                         M: int | None = None) -> EvalResult:
+def _line_integral(a: complex, w: tuple[complex, ...], homog: bool, alpha: complex, M: int,
+                   c: complex) -> QuadratureOutcome:
+    """The line integral of t^(alpha-1) times the bracket of subtraction
+    order M, with e^(-at) when inhomogeneous and the regulator c when
+    homogeneous, by the exp-sinh rule at the fixed _QUAD_REL_TOL."""
+    d = len(w)
+    if homog:
+        bracket, decay = _homog_bracket(w, M, c), min(min(wi.real for wi in w), c.real)
+    else:
+        bracket, decay = _inhom_bracket(w, M), a.real
+    a, expo = narrow(a), narrow(alpha - 1)
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        tq = t ** expo
+        return (tq if homog else np.exp(-a * t) * tq) * bracket(t)
+
+    return quad_semiinfinite(QuadratureProblem(
+        integrand, small_t_order=alpha.real + M - d, decay_rate=decay,
+        rel_tol=_QUAD_REL_TOL, poly_growth=max(0.0, alpha.real - 1.0) + M))
+
+
+def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None,
+                  M: int | None = None, c: complex | None = None) -> EvalResult:
     """Analytic continuation of the lattice zeta by prefactor + line integral.
 
     Valid for Re(alpha) > d - M - 1 under Re(a) > 0, Re(w_i) > 0, where the
     subtraction order M (M >= 0) defaults to two above the least such.  At
     non-positive integer alpha the integral term carries the factor
     1/Gamma(alpha) = 0 and the prefactor alone gives the (regular) value.
+    The homogeneous function takes the regulator e^{ct} (any Re(c) > 0,
+    default c = 1), which makes the origin subtraction possible with a = 0;
+    its value is independent of c.  `config` does not move the quadrature's
+    tolerance.
     """
+    a, w, homog = lattice(params)
     if M is not None and M < 0:
         raise DomainError("subtraction order M must be >= 0")
-    cfg = config or DEFAULT_CONFIG
-    validate_params(p)
+    if c is not None and not homog:
+        raise DomainError("the regulator c applies to the homogeneous function")
+    c = complex(1.0 if c is None else c)
+    if not c.real > 0:
+        raise DomainError("regulator constant must have Re(c) > 0")
     alpha = complex(alpha)
-    d = p.d
+    d = len(w)
     check_pole(alpha, d)
     M = _subtraction_order(M, alpha, d)
-    numbers = bernoulli_numbers(p.w, M).numbers
-    pw = math.prod(p.w)
+    pw = math.prod(w)
     pref = CompensatedSum()
-    for k in range(M + 1):
-        pref.add((-1.0) ** k * numbers[k] * _rho_ratio(alpha, d, k)
-                 * p.a ** (d - k - alpha) / (factorial(k) * pw))
+    if homog:
+        taylor = bernoulli_taylor(-c, w, M)
+        for k in range(M + 1):
+            pref.add((-1.0) ** k * taylor[k] * _rho_ratio(alpha, d, k)
+                     * c ** (d - k - alpha) / pw)
+        for k in range(M - d + 1):
+            pref.add(-(c ** (-alpha)) * rising_factorial(alpha, k) / factorial(k))
+        diag = {"M": M, "c": [c.real, c.imag]}
+    else:
+        numbers = bernoulli_numbers(w, M).numbers
+        for k in range(M + 1):
+            pref.add((-1.0) ** k * numbers[k] * _rho_ratio(alpha, d, k)
+                     * a ** (d - k - alpha) / (factorial(k) * pw))
+        diag = {"M": M}
     rg = _reciprocal_gamma(alpha)
     if rg == 0:
         return EvalResult(pref.value, _EPS * pref.mass, Method.INTEGRAL,
-                          {"M": M, "quad_evals": 0, "integral_skipped": True})
-    bracket = _inhom_bracket(p.w, M)
-    a, expo = narrow(p.a), narrow(alpha - 1)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(-a * t) * t ** expo * bracket(t)
-
-    integral, err, evals = quad_semiinfinite(QuadratureProblem(
-        integrand, small_t_order=alpha.real + M - d, decay_rate=p.a.real,
-        rel_tol=cfg.quad_rel_tol, poly_growth=max(0.0, alpha.real - 1.0) + M))
-    value = pref.value + rg * integral
-    return EvalResult(value, abs(rg) * err + _EPS * pref.mass, Method.INTEGRAL,
-                      {"M": M, "quad_evals": evals})
+                          {**diag, "quad_evals": 0, "integral_skipped": True})
+    integral, err, evals = _line_integral(a, w, homog, alpha, M, c)
+    return EvalResult(pref.value + rg * integral, abs(rg) * err + _EPS * pref.mass,
+                      Method.INTEGRAL, {**diag, "quad_evals": evals})
 
 
-def _pole_integral(q: int, a: complex, w: tuple[complex, ...], cfg: EvalConfig,
-                   homog: bool) -> EvalResult:
+def _pole_integral(q: int, a: complex, w: tuple[complex, ...], homog: bool) -> EvalResult:
     """The finite part at alpha = q, or the derivative at zero for q = 0:
     the closed `pole_term` plus I_(d-q)(q)/(q-1)!, the line integral of
     t^(q-1) times the bracket of subtraction order M = d - q (and e^(-at)
@@ -393,113 +421,34 @@ def _pole_integral(q: int, a: complex, w: tuple[complex, ...], cfg: EvalConfig,
     if homog:
         for j, c in enumerate(pole_coeffs(q, d, dS)[:-1]):
             closed.add((-1.0) ** (q + j + 1) * c / (M - j))
-        bracket, decay = _homog_bracket(w, M, 1.0 + 0j), min(min(wi.real for wi in w), 1.0)
-    else:
-        bracket, decay = _inhom_bracket(w, M), a.real
-    a = narrow(a)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        tq = t ** (q - 1)
-        return (tq if homog else np.exp(-a * t) * tq) * bracket(t)
-
-    integral, err, evals = quad_semiinfinite(QuadratureProblem(
-        integrand, small_t_order=0.0, decay_rate=decay,
-        rel_tol=cfg.quad_rel_tol, poly_growth=float(max(q - 1, 0) + M)))
+    integral, err, evals = _line_integral(a, w, homog, complex(q), M, 1.0 + 0j)
     rg = 1.0 / factorial(q - 1) if q else 1.0
     return EvalResult(closed.value + rg * integral, rg * err + _EPS * closed.mass,
                       Method.INTEGRAL, {"M": M, "quad_evals": evals})
 
 
-def fp_barnes_integral(q: int, p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
+def fp_integral(q: int, params, *, config: EvalConfig | None = None) -> EvalResult:
     """Finite part at alpha = q: closed polynomial-log term + I_{d-q}(q)."""
-    validate_params(p)
-    check_order(q, p.d)
-    return _pole_integral(q, p.a, p.w, config or DEFAULT_CONFIG, False)
+    a, w, homog = lattice(params)
+    check_order(q, len(w))
+    return _pole_integral(q, a, w, homog)
 
 
-def deriv0_barnes_integral(p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
+def deriv0_integral(params, *, config: EvalConfig | None = None) -> EvalResult:
     """Derivative at alpha = 0: closed polynomial-log term + I_d(0)."""
-    validate_params(p)
-    return _pole_integral(0, p.a, p.w, config or DEFAULT_CONFIG, False)
-
-
-def zeta_bh_integral(alpha: complex, w: Sequence[complex], *, config: EvalConfig | None = None,
-                     M: int | None = None, c: complex = 1.0 + 0.0j) -> EvalResult:
-    """Homogeneous lattice zeta by regulated prefactors + line integral.
-
-    The regulator e^{ct} (any Re(c) > 0, default c = 1) makes the origin
-    subtraction possible with a = 0; the continuation is valid for
-    Re(alpha) > d - M - 1 and the value is independent of c.
-    """
-    c = complex(c)
-    if M is not None and M < 0:
-        raise DomainError("subtraction order M must be >= 0")
-    if not c.real > 0:
-        raise DomainError("regulator constant must have Re(c) > 0")
-    cfg = config or DEFAULT_CONFIG
-    wt = validate_weights(w)
-    alpha = complex(alpha)
-    d = len(wt)
-    check_pole(alpha, d)
-    M = _subtraction_order(M, alpha, d)
-    pw = math.prod(wt)
-    taylor = bernoulli_taylor(-c, wt, M)
-    pref = CompensatedSum()
-    for k in range(M + 1):
-        pref.add((-1.0) ** k * taylor[k] * _rho_ratio(alpha, d, k)
-                 * c ** (d - k - alpha) / pw)
-    for k in range(M - d + 1):
-        pref.add(-(c ** (-alpha)) * rising_factorial(alpha, k) / factorial(k))
-    rg = _reciprocal_gamma(alpha)
-    if rg == 0:
-        return EvalResult(pref.value, _EPS * pref.mass, Method.INTEGRAL,
-                          {"M": M, "c": [c.real, c.imag], "quad_evals": 0,
-                           "integral_skipped": True})
-    bracket = _homog_bracket(wt, M, c)
-    expo = narrow(alpha - 1)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return t ** expo * bracket(t)
-
-    decay = min(min(wi.real for wi in wt), c.real)
-    integral, err, evals = quad_semiinfinite(QuadratureProblem(
-        integrand, small_t_order=alpha.real + M - d, decay_rate=decay,
-        rel_tol=cfg.quad_rel_tol, poly_growth=max(0.0, alpha.real - 1.0) + M))
-    value = pref.value + rg * integral
-    return EvalResult(value, abs(rg) * err + _EPS * pref.mass, Method.INTEGRAL,
-                      {"M": M, "c": [c.real, c.imag], "quad_evals": evals})
-
-
-def fp_bh_integral(q: int, w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
-    """Homogeneous finite part at alpha = q, with the c = 1 regulator."""
-    wt = validate_weights(w)
-    check_order(q, len(wt))
-    return _pole_integral(q, 0.0, wt, config or DEFAULT_CONFIG, True)
-
-
-def deriv0_bh_integral(w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
-    """Homogeneous derivative at zero: closed Bernoulli sum + t^{-1} integral."""
-    return _pole_integral(0, 0.0, validate_weights(w), config or DEFAULT_CONFIG, True)
+    a, w, homog = lattice(params)
+    return _pole_integral(0, a, w, homog)
 
 
 # ---------------------------------------------------------------------------
 # Residues
 
 
-def _residue_core(q: int, a: complex, w: tuple[complex, ...]) -> complex:
+def residue(q: int, params) -> complex:
+    """Residue at alpha = q: (-1)^(d-q) B_(d-q)(a|w) / ((q-1)!(d-q)! prod w),
+    with a = 0 when params are the weights of the homogeneous function."""
+    a, w, _ = lattice(params)
     d = len(w)
     check_order(q, d)
     return ((-1.0) ** (d - q) * bernoulli_poly(d - q, a, w)
             / (factorial(q - 1) * factorial(d - q) * math.prod(w)))
-
-
-def residue(q: int, p: BarnesParams) -> complex:
-    """Residue at alpha = q: (-1)^(d-q) B_(d-q)(a|w) / ((q-1)!(d-q)! prod w)."""
-    validate_params(p)
-    return _residue_core(q, p.a, p.w)
-
-
-def residue_bh(q: int, w: Sequence[complex]) -> complex:
-    """Homogeneous residue: the a = 0 specialization of `residue`."""
-    wt = validate_weights(w)
-    return _residue_core(q, 0.0, wt)

@@ -39,7 +39,6 @@ import numpy as np
 from .bernoulli import ds_values, pole_coeffs, pole_term
 from .combinatorics import CompensatedSum, f_symbol_sum, neville_diagonal, shell_values
 from .foundations import (
-    BarnesParams,
     ConvergenceError,
     DEFAULT_CONFIG,
     EvalConfig,
@@ -48,9 +47,8 @@ from .foundations import (
     ResourceError,
     check_order,
     harmonic_float,
+    lattice,
     narrow_weights,
-    validate_params,
-    validate_weights,
 )
 
 _CUBE_POINTS = 2 ** 20   # largest cube {0..M-1}^d a rung may hold
@@ -115,15 +113,22 @@ def _cube_log(a0: complex, w: tuple[complex, ...], schedule: tuple[int, ...],
 # Edge terms
 
 
-def _edge(q: int, a: complex, w: tuple[complex, ...], M: int,
-          homog: bool) -> tuple[complex, float]:
+def _log_power(e: int) -> Callable[[complex], complex]:
+    """t -> t^e log t, the function of the edge terms' F symbols."""
+    return lambda t: t**e * cmath.log(t)
+
+
+def _edge(q: int, a: complex, w: tuple[complex, ...], M: int, row: Sequence[complex],
+          symbols: Sequence[CompensatedSum] | None) -> tuple[complex, float]:
     """Edge terms at x = M*w of the finite part at q, or of the derivative at
     zero for q = 0: sum_m c_m F[t^e log t], e = d - q - m, over the row c_m
-    of `pole_coeffs`.  The homogeneous forms scale F[...](0|w) by M^e and add
-    the log M term of the origin, (-1)^(d+1) c_(d-q) log M.  Returns the sum
-    and its summed term size, each F symbol counted by its own terms."""
+    of `pole_coeffs`.  The homogeneous forms pass the symbols F[t^e log t](0|w),
+    which do not depend on M, scale them by M^e and add the log M term of
+    the origin, (-1)^(d+1) c_(d-q) log M; the inhomogeneous forms pass None.
+    Returns the sum and its summed term size, each F symbol counted by its
+    own terms."""
     d = len(w)
-    row = pole_coeffs(q, d, ds_values(w, d + 1))
+    homog = symbols is not None
     mw = tuple(M * wi for wi in w)
     terms = []   # (value, summed term size)
     if q == 0:
@@ -131,12 +136,8 @@ def _edge(q: int, a: complex, w: tuple[complex, ...], M: int,
         terms.append((lead, abs(lead)))
     for m, c in enumerate(row):
         e = d - q - m
-
-        def f(t, e=e):
-            return t**e * cmath.log(t)
-
         scale = c * (float(M) ** e if homog else 1.0)
-        F = f_symbol_sum(f, 0.0, w) if homog else f_symbol_sum(f, a, mw)
+        F = symbols[m] if homog else f_symbol_sum(_log_power(e), a, mw)
         terms.append((scale * F.value, abs(scale) * F.mass))
     if homog:
         tail = (1.0 if d % 2 else -1.0) * row[-1] * math.log(M)
@@ -147,17 +148,23 @@ def _edge(q: int, a: complex, w: tuple[complex, ...], M: int,
     return acc.value, sum(size for _, size in terms)
 
 
-def _rungs(q: int, a: complex, w: tuple[complex, ...], homog: bool,
+def _rungs(q: int, a: complex, w: tuple[complex, ...], dS: Sequence[complex], homog: bool,
            cfg: EvalConfig) -> list[tuple[int, complex, float]]:
     """(M, bracket, summed term size) of each rung: the edge terms at M*w
-    plus the cube sum of (a + n.w)^-q, or minus the cube log sum for q = 0."""
+    plus the cube sum of (a + n.w)^-q, or minus the cube log sum for q = 0.
+    The row of `pole_coeffs` and the homogeneous F symbols are built once,
+    for every rung."""
     if q:
         cube, sign = _cube_pow(a, w, cfg.limit_M_schedule, q, homog), 1.0
     else:
         cube, sign = _cube_log(a, w, cfg.limit_M_schedule, homog), -1.0
+    d = len(w)
+    row = pole_coeffs(q, d, dS)
+    symbols = ([f_symbol_sum(_log_power(d - q - m), 0.0, w) for m in range(len(row))]
+               if homog else None)
     out = []
     for M, c, c_mass in cube:
-        e, e_mass = _edge(q, a, w, M, homog)
+        e, e_mass = _edge(q, a, w, M, row, symbols)
         out.append((M, e + sign * c, e_mass + c_mass))
     return out
 
@@ -198,30 +205,21 @@ def _pole_limit(q: int, a: complex, w: tuple[complex, ...], homog: bool,
     extrapolated rungs plus the closed `pole_term` without its log a part,
     which the edge terms carry."""
     d = len(w)
-    const = pole_term(q, a, d, ds_values(w, d + 1), log=False).value
-    return _run_limit(_rungs(q, a, w, homog, cfg), const, cfg, d)
+    dS = ds_values(w, d + 1)
+    const = pole_term(q, a, d, dS, log=False).value
+    return _run_limit(_rungs(q, a, w, dS, homog, cfg), const, cfg, d)
 
 
-def fp_barnes_limit(q: int, p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
-    """Finite part at alpha = q by edge terms at M*w plus a cube sum."""
-    validate_params(p)
-    check_order(q, p.d)
-    return _pole_limit(q, p.a, p.w, False, config or DEFAULT_CONFIG)
+def fp_limit(q: int, params, *, config: EvalConfig | None = None) -> EvalResult:
+    """Finite part at alpha = q by edge terms at M*w plus a cube sum (origin
+    excluded for the homogeneous function)."""
+    a, w, homog = lattice(params)
+    check_order(q, len(w))
+    return _pole_limit(q, a, w, homog, config or DEFAULT_CONFIG)
 
 
-def deriv0_barnes_limit(p: BarnesParams, *, config: EvalConfig | None = None) -> EvalResult:
-    """Derivative at zero by edge terms at M*w plus a cube log sum."""
-    validate_params(p)
-    return _pole_limit(0, p.a, p.w, False, config or DEFAULT_CONFIG)
-
-
-def fp_bh_limit(q: int, w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
-    """Homogeneous finite part at alpha = q in limit form (origin excluded)."""
-    wt = validate_weights(w)
-    check_order(q, len(wt))
-    return _pole_limit(q, 0j, wt, True, config or DEFAULT_CONFIG)
-
-
-def deriv0_bh_limit(w: Sequence[complex], *, config: EvalConfig | None = None) -> EvalResult:
-    """Homogeneous derivative at zero in limit form (origin excluded)."""
-    return _pole_limit(0, 0j, validate_weights(w), True, config or DEFAULT_CONFIG)
+def deriv0_limit(params, *, config: EvalConfig | None = None) -> EvalResult:
+    """Derivative at zero by edge terms at M*w plus a cube log sum (origin
+    excluded for the homogeneous function)."""
+    a, w, homog = lattice(params)
+    return _pole_limit(0, a, w, homog, config or DEFAULT_CONFIG)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .bernoulli import classical_bernoulli
 from .combinatorics import CompensatedSum, shell_values
 from .foundations import (
-    BarnesParams,
     ConvergenceError,
     DomainError,
     EvalConfig,
@@ -28,32 +26,14 @@ from .foundations import (
     Method,
     PoleError,
     check_pole,
+    lattice,
     narrow,
     narrow_weights,
     rising_factorial,
-    validate_params,
-    validate_weights,
 )
 
 TWO_PI = 2.0 * math.pi
 LOG_2PI = math.log(TWO_PI)
-
-
-@dataclass(frozen=True)
-class EulerMaclaurinControls:
-    """Shift length and number of even-index correction terms."""
-
-    shift_N: int = 20
-    bernoulli_terms: int = 12
-
-    def __post_init__(self):
-        if self.shift_N < 1:
-            raise DomainError("shift_N must be >= 1")
-        if self.bernoulli_terms < 1:
-            raise DomainError("bernoulli_terms must be >= 1")
-
-
-_DEFAULT_EM = EulerMaclaurinControls()
 
 
 def _poch_ds(s: complex, n: int) -> complex:
@@ -68,16 +48,25 @@ def _poch_ds(s: complex, n: int) -> complex:
     return total
 
 
-def hurwitz_zeta(s: complex, a: complex, controls: EulerMaclaurinControls | None = None) -> complex:
-    """Hurwitz zeta via Euler-Maclaurin: head sum, integral term, corrections."""
-    ctl = controls or _DEFAULT_EM
+def _check_controls(shift_N: int, bernoulli_terms: int) -> None:
+    if shift_N < 1:
+        raise DomainError("shift_N must be >= 1")
+    if bernoulli_terms < 1:
+        raise DomainError("bernoulli_terms must be >= 1")
+
+
+def hurwitz_zeta(s: complex, a: complex, *, shift_N: int = 20,
+                 bernoulli_terms: int = 12) -> complex:
+    """Hurwitz zeta via Euler-Maclaurin: the head sum of shift_N terms, the
+    integral term and bernoulli_terms even-index corrections."""
+    _check_controls(shift_N, bernoulli_terms)
     s = complex(s)
     a = complex(a)
     if not a.real > 0:
         raise DomainError("hurwitz_zeta requires Re(a) > 0")
     if s == 1:
         raise PoleError("hurwitz zeta has its pole at s = 1", q=1)
-    N, J = ctl.shift_N, ctl.bernoulli_terms
+    N, J = shift_N, bernoulli_terms
     acc = CompensatedSum()
     for n in range(N):
         acc.add((a + n) ** (-s))
@@ -91,16 +80,17 @@ def hurwitz_zeta(s: complex, a: complex, controls: EulerMaclaurinControls | None
     return acc.value
 
 
-def hurwitz_zeta_ds(s: complex, a: complex, controls: EulerMaclaurinControls | None = None) -> complex:
+def hurwitz_zeta_ds(s: complex, a: complex, *, shift_N: int = 20,
+                    bernoulli_terms: int = 12) -> complex:
     """d/ds of hurwitz_zeta, differentiating the Euler-Maclaurin formula termwise."""
-    ctl = controls or _DEFAULT_EM
+    _check_controls(shift_N, bernoulli_terms)
     s = complex(s)
     a = complex(a)
     if not a.real > 0:
         raise DomainError("hurwitz_zeta_ds requires Re(a) > 0")
     if s == 1:
         raise PoleError("hurwitz zeta has its pole at s = 1", q=1)
-    N, J = ctl.shift_N, ctl.bernoulli_terms
+    N, J = shift_N, bernoulli_terms
     acc = CompensatedSum()
     for n in range(N):
         y = a + n
@@ -125,33 +115,20 @@ def log_gamma_ref(a: complex) -> complex:
     return hurwitz_zeta_ds(0.0, a) + 0.5 * LOG_2PI
 
 
-def direct_sum(alpha: complex, p: BarnesParams, *,
-               config: EvalConfig | None = None) -> EvalResult:
-    """Brute-force lattice sum sum_n (a + n.w)^(-alpha), shell by shell.
+_DIRECT_POINT_BUDGET = 30_000_000
+_DIRECT_WORST_REL = 1e-2
+
+
+def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
+    """Brute-force lattice sum sum_n (a + n.w)^(-alpha), shell by shell; the
+    origin is left out when params are the weights of the homogeneous function.
 
     Requires Re(alpha) > d + 0.5 for a practical tail; stops once the
     rigorous integral tail bound drops below rel_tol of the partial sum.
     """
     cfg = config or DEFAULT_CONFIG
-    validate_params(p)
+    a, w, homog = lattice(params)
     alpha = complex(alpha)
-    return _direct_shells(alpha, p.a, p.w, cfg, skip_origin=False)
-
-
-def direct_sum_bh(alpha: complex, w: Sequence[complex], *,
-                  config: EvalConfig | None = None) -> EvalResult:
-    """Homogeneous counterpart of direct_sum (origin excluded, a = 0)."""
-    cfg = config or DEFAULT_CONFIG
-    wt = validate_weights(w)
-    alpha = complex(alpha)
-    return _direct_shells(alpha, 0.0, wt, cfg, skip_origin=True)
-
-
-_DIRECT_POINT_BUDGET = 30_000_000
-_DIRECT_WORST_REL = 1e-2
-
-
-def _direct_shells(alpha, a, w, cfg, skip_origin):
     d = len(w)
     check_pole(alpha, d)
     if alpha.real <= d + 0.5:
@@ -164,7 +141,7 @@ def _direct_shells(alpha, a, w, cfg, skip_origin):
     acc = CompensatedSum()
     points = 0
     for k in range(cfg.max_shells + 1):
-        y = shell_values(a, weights, k, skip_origin=skip_origin)
+        y = shell_values(a, weights, k, skip_origin=homog)
         if y.size:
             acc.add(complex(np.sum(y ** -narrow(alpha))))
             points += int(y.size)
@@ -262,21 +239,23 @@ def rational_d2_reduction(alpha: complex, a: complex, n: int) -> complex:
     return n ** (-alpha) * total
 
 
-def _reduction_eval(alpha: complex, p: BarnesParams, *,
-                    config: EvalConfig | None = None) -> EvalResult:
+def reduction(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
     """The lattice zeta by whichever exact reduction applies to the weights.
 
     Equal weights go through isotropic_reduction, d = 2 with w = (1, n)
-    through rational_d2_reduction.  `config` is accepted so that every
-    route shares one signature; the reductions have no tolerance.
+    through rational_d2_reduction; the homogeneous function has none.
+    `config` is accepted so that every route shares one signature; the
+    reductions have no tolerance.
     """
-    validate_params(p)
-    check_pole(complex(alpha), p.d)
-    w = p.w
+    a, w, homog = lattice(params)
+    if homog:
+        raise DomainError("reduction method applies to the inhomogeneous function")
+    d = len(w)
+    check_pole(complex(alpha), d)
     if all(wi == w[0] for wi in w):
-        value = isotropic_reduction(alpha, p.a, w[0], p.d)
-    elif p.d == 2 and w[0] == 1 and w[1].imag == 0 and float(w[1].real).is_integer() and w[1].real >= 1:
-        value = rational_d2_reduction(alpha, p.a, int(w[1].real))
+        value = isotropic_reduction(alpha, a, w[0], d)
+    elif d == 2 and w[0] == 1 and w[1].imag == 0 and float(w[1].real).is_integer() and w[1].real >= 1:
+        value = rational_d2_reduction(alpha, a, int(w[1].real))
     else:
         raise DomainError(
             "reduction method needs equal weights or d = 2 with w = (1, n), n a positive integer"

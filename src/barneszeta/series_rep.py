@@ -38,14 +38,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from math import factorial
-from typing import Sequence
-
 import numpy as np
 
 from .bernoulli import ds_values, pole_coeffs, pole_term
 from .combinatorics import CompensatedSum, shell_values, subset_terms
 from .foundations import (
-    BarnesParams,
     ConvergenceError,
     DEFAULT_CONFIG,
     DomainError,
@@ -55,9 +52,8 @@ from .foundations import (
     check_order,
     check_pole,
     harmonic_float,
+    lattice,
     narrow_weights,
-    validate_params,
-    validate_weights,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -308,29 +304,31 @@ def _min_abs_lattice(a0: complex, w: tuple[complex, ...], homog: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Inhomogeneous operations
+# Operations: params is a BarnesParams, or the weights of the homogeneous
+# function (a = 0, origin excluded from the lattice)
 
 
-def barnes_zeta_series(alpha: complex, p: BarnesParams, *, config: EvalConfig | None = None,
-                       k: int | None = None) -> EvalResult:
+def zeta_series(alpha: complex, params, *, config: EvalConfig | None = None,
+                k: int | None = None) -> EvalResult:
     """Analytic continuation of the lattice zeta by the shifted series.
 
     Valid for Re(alpha) > -k off the poles alpha = 1..d; the closed term
     outside the lattice sum carries the whole pole structure.
     """
     cfg = config or DEFAULT_CONFIG
-    validate_params(p)
+    a, w, homog = lattice(params)
     alpha = complex(alpha)
-    d = p.d
-    check_pole(alpha, d)
+    d = len(w)
+    check_pole(alpha, d, "homogeneous lattice zeta" if homog else "lattice zeta")
     if k is None:
-        k = _auto_k(alpha.real, d, _min_abs_lattice(p.a, p.w, False))
+        k = _auto_k(alpha.real, d, _min_abs_lattice(a, w, homog))
     if k <= -d:
         raise DomainError(f"shift parameter k = {k} must exceed -d = {-d}")
     if not alpha.real > -k:
         raise DomainError(f"series representation needs Re(alpha) > -k = {-k}")
-    plan = _plan_generic(alpha, p.w, k)
-    return _sum_shells(plan, p.a, p.w, cfg, False, _plain_closed(plan, p.a, CompensatedSum()))
+    plan = _plan_generic(alpha, w, k)
+    closed = 0.0 if homog else _plain_closed(plan, a, CompensatedSum())
+    return _sum_shells(plan, a, w, cfg, homog, closed)
 
 
 def _pole_series(q: int, a0: complex, w: tuple[complex, ...], cfg: EvalConfig, k: int | None,
@@ -346,12 +344,12 @@ def _pole_series(q: int, a0: complex, w: tuple[complex, ...], cfg: EvalConfig, k
     closed = pole_term(q, a0, d, ds_values(w, keff + d))
     if homog:
         closed.add(plan.const)
-        return _sum_shells(plan, a0, w, cfg, True, closed.value)
-    return _sum_shells(plan, a0, w, cfg, False, _plain_closed(plan, a0, closed))
+    return _sum_shells(plan, a0, w, cfg, homog,
+                       closed.value if homog else _plain_closed(plan, a0, closed))
 
 
-def fp_barnes_series(q: int, p: BarnesParams, *, config: EvalConfig | None = None,
-                     k: int | None = None) -> EvalResult:
+def fp_series(q: int, params, *, config: EvalConfig | None = None,
+              k: int | None = None) -> EvalResult:
     """Finite part at the pole alpha = q, 1 <= q <= d, in series form.
 
     The ladder terms with m <= d-q are the log-weighted G symbols arising
@@ -359,49 +357,13 @@ def fp_barnes_series(q: int, p: BarnesParams, *, config: EvalConfig | None = Non
     closed term collects the matching a^(d-q-m)(log a - H_(d-q-m) + H_(q-1))
     polynomial.
     """
-    validate_params(p)
-    check_order(q, p.d)
-    return _pole_series(q, p.a, p.w, config or DEFAULT_CONFIG, k, False)
+    a, w, homog = lattice(params)
+    check_order(q, len(w))
+    return _pole_series(q, a, w, config or DEFAULT_CONFIG, k, homog)
 
 
-def deriv0_barnes_series(p: BarnesParams, *, config: EvalConfig | None = None,
-                         k: int | None = None) -> EvalResult:
+def deriv0_series(params, *, config: EvalConfig | None = None,
+                  k: int | None = None) -> EvalResult:
     """alpha-derivative at zero of the lattice zeta, in series form."""
-    validate_params(p)
-    return _pole_series(0, p.a, p.w, config or DEFAULT_CONFIG, k, False)
-
-
-# ---------------------------------------------------------------------------
-# Homogeneous operations (a = 0, origin excluded from the lattice)
-
-
-def zeta_bh_series(alpha: complex, w: Sequence[complex], *, config: EvalConfig | None = None,
-                   k: int | None = None) -> EvalResult:
-    """Analytic continuation of the homogeneous lattice zeta in series form."""
-    cfg = config or DEFAULT_CONFIG
-    wt = validate_weights(w)
-    alpha = complex(alpha)
-    d = len(wt)
-    check_pole(alpha, d, "homogeneous lattice zeta")
-    if k is None:
-        k = _auto_k(alpha.real, d, _min_abs_lattice(0, wt, True))
-    if k <= -d:
-        raise DomainError(f"shift parameter k = {k} must exceed -d = {-d}")
-    if not alpha.real > -k:
-        raise DomainError(f"series representation needs Re(alpha) > -k = {-k}")
-    plan = _plan_generic(alpha, wt, k)
-    return _sum_shells(plan, 0.0, wt, cfg, True, 0.0)
-
-
-def fp_bh_series(q: int, w: Sequence[complex], *, config: EvalConfig | None = None,
-                 k: int | None = None) -> EvalResult:
-    """Finite part of the homogeneous lattice zeta at alpha = q, series form."""
-    wt = validate_weights(w)
-    check_order(q, len(wt))
-    return _pole_series(q, 0.0, wt, config or DEFAULT_CONFIG, k, True)
-
-
-def deriv0_bh_series(w: Sequence[complex], *, config: EvalConfig | None = None,
-                     k: int | None = None) -> EvalResult:
-    """alpha-derivative at zero of the homogeneous lattice zeta, series form."""
-    return _pole_series(0, 0.0, validate_weights(w), config or DEFAULT_CONFIG, k, True)
+    a, w, homog = lattice(params)
+    return _pole_series(0, a, w, config or DEFAULT_CONFIG, k, homog)

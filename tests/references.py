@@ -59,9 +59,7 @@ from barneszeta.foundations import (
 )
 from barneszeta.limit_rep import _cube_log, _cube_pow, _run_limit
 from barneszeta.oracles import (
-    _DEFAULT_EM,
     LOG_2PI,
-    EulerMaclaurinControls,
     hurwitz_zeta,
     log_gamma_ref,
 )
@@ -291,13 +289,12 @@ def cube_bracket_sum(
     return CubeBracketSum(rhs=rhs, lhs=lhs)
 
 
-def digamma_ref(a: complex, controls: EulerMaclaurinControls | None = None) -> complex:
+def digamma_ref(a: complex, *, shift_N: int = 20, bernoulli_terms: int = 12) -> complex:
     """Digamma by the shifted Euler-Maclaurin expansion (reference only)."""
-    ctl = controls or _DEFAULT_EM
     a = complex(a)
     if not a.real > 0:
         raise DomainError("digamma_ref requires Re(a) > 0")
-    N, J = ctl.shift_N, ctl.bernoulli_terms
+    N, J = shift_N, bernoulli_terms
     x = a + N
     acc = CompensatedSum()
     acc.add(cmath.log(x))

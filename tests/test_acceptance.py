@@ -10,33 +10,13 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from barneszeta import (
-    BarnesParams,
-    EvalConfig,
-    gamma_dq,
-    rational_d2_reduction,
-    residue,
-    residue_bh,
-)
+from barneszeta import BarnesParams, EvalConfig, gamma_dq, rational_d2_reduction, residue
+from barneszeta.bernoulli import bernoulli_poly
 from barneszeta.foundations import harmonic
-from barneszeta.integral_rep import (
-    _residue_core,
-    barnes_zeta_integral,
-    deriv0_barnes_integral,
-    deriv0_bh_integral,
-    fp_barnes_integral,
-    fp_bh_integral,
-    zeta_bh_integral,
-)
-from barneszeta.limit_rep import deriv0_barnes_limit, deriv0_bh_limit, fp_barnes_limit, fp_bh_limit
+from barneszeta.integral_rep import deriv0_integral, fp_integral, zeta_integral
+from barneszeta.limit_rep import deriv0_limit, fp_limit
 from barneszeta.oracles import hurwitz_zeta, log_gamma_ref
-from barneszeta.series_rep import (
-    barnes_zeta_series,
-    deriv0_barnes_series,
-    deriv0_bh_series,
-    fp_barnes_series,
-    fp_bh_series,
-)
+from barneszeta.series_rep import deriv0_series, fp_series, zeta_series
 
 from conftest import neville_to_zero, rel_err, scaled_err
 from references import cube_bracket_sum, d2_fast_path, g_symbol, log_gamma_rep_checks
@@ -63,8 +43,8 @@ def test_criterion_01_hurwitz_collapse():
         for a in avals:
             p = BarnesParams(a, (1.0,))
             want = hurwitz_zeta(alpha, a)
-            got_s = barnes_zeta_series(alpha, p, config=cfg).value
-            got_i = barnes_zeta_integral(alpha, p, config=cfg).value
+            got_s = zeta_series(alpha, p, config=cfg).value
+            got_i = zeta_integral(alpha, p, config=cfg).value
             worst = max(worst, rel_err(got_s, want), rel_err(got_i, want))
             assert rel_err(got_s, want) <= 1e-10
             assert rel_err(got_i, want) <= 1e-10
@@ -82,12 +62,12 @@ def test_criterion_02_cross_representation_agreement():
         d = p.d
         quantities = []
         for q in range(1, d + 1):
-            quantities.append((fp_barnes_series(q, p), fp_barnes_integral(q, p),
-                               fp_barnes_limit(q, p)))
-            quantities.append((fp_bh_series(q, w), fp_bh_integral(q, w), fp_bh_limit(q, w)))
-        quantities.append((deriv0_barnes_series(p), deriv0_barnes_integral(p),
-                           deriv0_barnes_limit(p)))
-        quantities.append((deriv0_bh_series(w), deriv0_bh_integral(w), deriv0_bh_limit(w)))
+            quantities.append((fp_series(q, p), fp_integral(q, p),
+                               fp_limit(q, p)))
+            quantities.append((fp_series(q, w), fp_integral(q, w), fp_limit(q, w)))
+        quantities.append((deriv0_series(p), deriv0_integral(p),
+                           deriv0_limit(p)))
+        quantities.append((deriv0_series(w), deriv0_integral(w), deriv0_limit(w)))
         for s, i, l in quantities:
             dsi = scaled_err(i.value, s.value)
             dsl = scaled_err(l.value, s.value)
@@ -109,9 +89,9 @@ def test_criterion_03_d2_fast_path():
     for _ in range(20):
         p = BarnesParams(rng.uniform(0.3, 2.5),
                          (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)))
-        for kind, generic in (("fp1", lambda: fp_barnes_limit(1, p, config=cfg)),
-                              ("fp2", lambda: fp_barnes_limit(2, p, config=cfg)),
-                              ("deriv0", lambda: deriv0_barnes_limit(p, config=cfg))):
+        for kind, generic in (("fp1", lambda: fp_limit(1, p, config=cfg)),
+                              ("fp2", lambda: fp_limit(2, p, config=cfg)),
+                              ("deriv0", lambda: deriv0_limit(p, config=cfg))):
             fast = d2_fast_path(kind, p, cfg).value
             gen = generic().value
             worst = max(worst, scaled_err(fast, gen))
@@ -175,19 +155,19 @@ def test_criterion_06_representation_parameter_invariance():
     for alpha in (0.5, -1.25, 2.5 + 1j):
         for p in (BarnesParams(1.0, (1.0, 1.0)), D2):
             k0 = max(1, math.ceil(-complex(alpha).real) + 1) + 6
-            v1 = barnes_zeta_series(alpha, p, k=k0).value
-            v2 = barnes_zeta_series(alpha, p, k=k0 + 2).value
+            v1 = zeta_series(alpha, p, k=k0).value
+            v2 = zeta_series(alpha, p, k=k0 + 2).value
             worst_k = max(worst_k, rel_err(v1, v2))
             assert rel_err(v1, v2) <= 1e-9
     # integral subtraction order and regulator constant
     worst_m = worst_c = 0.0
     for alpha in (0.5, 3.5):
-        v1 = barnes_zeta_integral(alpha, D2, M=3).value
-        v2 = barnes_zeta_integral(alpha, D2, M=5).value
+        v1 = zeta_integral(alpha, D2, M=3).value
+        v2 = zeta_integral(alpha, D2, M=5).value
         worst_m = max(worst_m, rel_err(v1, v2))
         assert rel_err(v1, v2) <= 1e-8
-        u1 = zeta_bh_integral(alpha, D2.w, M=3, c=1.0).value
-        u2 = zeta_bh_integral(alpha, D2.w, M=3, c=2.0).value
+        u1 = zeta_integral(alpha, D2.w, M=3, c=1.0).value
+        u2 = zeta_integral(alpha, D2.w, M=3, c=2.0).value
         worst_c = max(worst_c, rel_err(u1, u2))
         assert rel_err(u1, u2) <= 1e-8
     _report(6, f"parameter invariance: k {worst_k:.2e}, M {worst_m:.2e}, c {worst_c:.2e}")
@@ -200,15 +180,18 @@ def test_criterion_07_residues():
             want = residue(q, p)
             extraps = []
             for eps in (1e-2, 1e-3):
-                plus = eps * barnes_zeta_integral(q + eps, p).value
-                minus = -eps * barnes_zeta_integral(q - eps, p).value
+                plus = eps * zeta_integral(q + eps, p).value
+                minus = -eps * zeta_integral(q - eps, p).value
                 extraps.append(0.5 * (plus + minus))
             got = neville_to_zero((1e-4, 1e-6), extraps)  # symmetric average is O(eps^2)
             worst = max(worst, rel_err(got, want))
             assert rel_err(got, want) <= 1e-5
         # homogeneous residues are the exact a = 0 specialization
-        for q in range(1, p.d + 1):
-            assert residue_bh(q, p.w) == _residue_core(q, 0.0, p.w)
+        d, pw = p.d, math.prod(p.w)
+        for q in range(1, d + 1):
+            at_zero = ((-1.0) ** (d - q) * bernoulli_poly(d - q, 0.0, p.w)
+                       / (factorial(q - 1) * factorial(d - q) * pw))
+            assert residue(q, p.w) == at_zero
     _report(7, f"residue extraction, worst rel err {worst:.2e}")
 
 
@@ -276,9 +259,9 @@ def test_criterion_09_log_gamma_representations():
 def test_criterion_10_named_constants():
     g11 = gamma_dq(1, (1.0,), "series").value
     assert abs(g11 - 0.5772156649) <= 1e-8
-    d0 = deriv0_bh_series((1.0,)).value
+    d0 = deriv0_series((1.0,)).value
     assert abs(d0 - (-0.9189385332)) <= 1e-8
-    fp = fp_barnes_series(1, BarnesParams(1.0, (1.0,))).value
+    fp = fp_series(1, BarnesParams(1.0, (1.0,))).value
     assert abs(fp - EULER_GAMMA) <= 1e-8
     _report(10, "named constants (Euler constant, -log(2 pi)/2) reproduced")
 
@@ -287,7 +270,7 @@ def test_criterion_11_rational_weight_oracle():
     worst = 0.0
     for n in (2, 3):
         for alpha in (0.5, 3.5, -0.5):
-            got = barnes_zeta_series(alpha, BarnesParams(1.0, (1.0, float(n)))).value
+            got = zeta_series(alpha, BarnesParams(1.0, (1.0, float(n)))).value
             want = rational_d2_reduction(alpha, 1.0, n)
             worst = max(worst, rel_err(got, want))
             assert rel_err(got, want) <= 1e-9

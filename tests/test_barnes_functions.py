@@ -16,12 +16,11 @@ from barneszeta import (
     multiple_gamma,
     psi_B,
     residue,
-    residue_bh,
 )
 from barneszeta.barnes_functions import ROUTES, evaluate
 from barneszeta.foundations import harmonic
-from barneszeta.oracles import log_gamma_ref
-from barneszeta.series_rep import fp_barnes_series
+from barneszeta.oracles import hurwitz_zeta, hurwitz_zeta_ds, log_gamma_ref
+from barneszeta.series_rep import fp_series
 
 from conftest import scaled_err
 from references import digamma_ref
@@ -85,7 +84,7 @@ class TestPsi:
     def test_relation_round_trip(self, d2_params):
         # recombining psi through the finite-part relation reproduces fp exactly
         q = 2
-        fp = fp_barnes_series(q, d2_params).value
+        fp = fp_series(q, d2_params).value
         res = residue(q, d2_params)
         psi = (-1.0) ** q * factorial(q - 1) * (fp + float(harmonic(q - 1)) * res)
         fp_back = (-1.0) ** q / factorial(q - 1) * psi - float(harmonic(q - 1)) * res
@@ -135,11 +134,11 @@ class TestOrderGuard:
     def test_raises(self, d, offset):
         q = d + 1 if offset == "d+1" else offset
         p = BarnesParams(0.7, (1.0, 2 ** 0.5, math.pi / 4)[:d])
-        for homog, params in ((False, p), (True, p.w)):
-            for route in ROUTES["fp"][homog].values():
+        for params in (p, p.w):
+            for route in ROUTES["fp"].values():
                 with pytest.raises(DomainError):
                     route(q, params)
-        for fn, params in ((residue, p), (residue_bh, p.w), (psi_B, p), (gamma_dq, p.w)):
+        for fn, params in ((residue, p), (residue, p.w), (psi_B, p), (gamma_dq, p.w)):
             with pytest.raises(DomainError):
                 fn(q, params)
 
@@ -147,58 +146,87 @@ class TestOrderGuard:
 class TestEvaluate:
     def test_every_route_is_reachable(self, d2_params):
         for quantity, at in (("zeta", 0.5), ("fp", 1), ("deriv0", None)):
-            for homog, params in ((False, d2_params), (True, d2_params.w)):
-                for route in ROUTES[quantity][homog]:
+            for params in (d2_params, d2_params.w):
+                for route in ROUTES[quantity]:
                     if route == "reduction":
                         continue      # needs equal weights or w = (1, n)
                     point = 5.0 if route == "direct" else at   # direct needs Re(alpha) > d
-                    res = evaluate(quantity, params, point, route, homogeneous=homog)
+                    res = evaluate(quantity, params, point, route)
                     assert res.method.value == route
 
     def test_matches_route_function(self, d2_params):
         got = evaluate("fp", d2_params, 2, "series").value
-        assert got == fp_barnes_series(2, d2_params).value
+        assert got == fp_series(2, d2_params).value
 
     def test_method_member_or_name(self, d2_params):
         by_member = evaluate("zeta", d2_params, 0.5, Method.SERIES)
         by_name = evaluate("zeta", d2_params, 0.5, "series")
         assert by_member == by_name
 
+    # Every route of the registry once per form, the reduction only for a
+    # BarnesParams; w = (1, 2) has a reduction and alpha = 6.5 is inside the
+    # direct sum's region.
     @pytest.mark.parametrize("quantity, homog, route", [
-        (q, h, r) for q in ROUTES for h in (False, True) for r in ROUTES[q][h]])
+        (q, h, r) for q in ROUTES for h in (False, True) for r in ROUTES[q]
+        if not (h and r == "reduction")])
     def test_one_route_signature(self, quantity, homog, route):
-        params = inspect.signature(ROUTES[quantity][homog][route]).parameters
+        fn = ROUTES[quantity][route]
+        params = inspect.signature(fn).parameters
         positional = [p for p in params.values() if p.kind is p.POSITIONAL_OR_KEYWORD]
         assert len(positional) == (1 if quantity == "deriv0" else 2)
         config = params["config"]
         assert config.kind is config.KEYWORD_ONLY and config.default is None
         rest = [p for p in params.values() if p not in positional]
         assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty for p in rest)
+        p = BarnesParams(0.7, (1.0, 2.0))
+        at = {"zeta": (6.5,), "fp": (1,), "deriv0": ()}[quantity]
+        assert fn(*at, p.w if homog else p).method.value == route
 
     def test_reduction_route(self):
         res = evaluate("zeta", BarnesParams(1.0, (1.0, 2.0)), 5.0, "reduction")
         assert res.method.value == "reduction"
+        with pytest.raises(DomainError, match="applies to the inhomogeneous function"):
+            ROUTES["zeta"]["reduction"](5.0, (1.0, 2.0))
 
-    @pytest.mark.parametrize("quantity, params, at, method, homog", [
-        ("zeta", (1.0, 1.0), 5.0, "reduction", True),
-        ("fp", BarnesParams(1.0, (1.0,)), 1, "direct", False),
-        ("deriv0", (1.0,), None, "bogus", True),
-        ("theta", (1.0,), None, "series", True),
-        ("fp", BarnesParams(1.0, (1.0,)), None, "series", False),
-        ("deriv0", BarnesParams(1.0, (1.0,)), 0.5, "series", False),
+    def test_weights_are_the_homogeneous_function(self):
+        # Origin-excluded sum over n.w, w = (w1, w2): the terms with n1 >= 1
+        # are the lattice at a = w1, those with n1 = 0 are w2^-alpha zeta(alpha).
+        w = (1.0, 2 ** 0.5)
+        for alpha in (0.5, 2.5 + 1j, -1.5):
+            got = evaluate("zeta", w, alpha).value
+            want = (evaluate("zeta", BarnesParams(w[0], w), alpha).value
+                    + w[1] ** -alpha * hurwitz_zeta(alpha, 1.0))
+            assert scaled_err(got, want) <= 1e-9
+        got = evaluate("deriv0", w).value
+        want = (evaluate("deriv0", BarnesParams(w[0], w)).value
+                + 0.5 * math.log(w[1]) + hurwitz_zeta_ds(0.0, 1.0))
+        assert scaled_err(got, want) <= 1e-9
+
+    def test_no_homogeneous_flag(self):
+        # the form is read from the params, so no flag can disagree with them
+        for fn in (evaluate, log_rho, log_gamma_B, psi_B, gamma_dq, multiple_gamma):
+            assert "homogeneous" not in inspect.signature(fn).parameters
+
+    @pytest.mark.parametrize("quantity, params, at, method", [
+        ("zeta", (1.0, 1.0), 5.0, "reduction"),
+        ("fp", BarnesParams(1.0, (1.0,)), 1, "direct"),
+        ("deriv0", (1.0,), None, "bogus"),
+        ("theta", (1.0,), None, "series"),
+        ("fp", BarnesParams(1.0, (1.0,)), None, "series"),
+        ("deriv0", BarnesParams(1.0, (1.0,)), 0.5, "series"),
     ])
-    def test_unknown_combination_is_domain_error(self, quantity, params, at, method, homog):
+    def test_unknown_combination_is_domain_error(self, quantity, params, at, method):
         with pytest.raises(DomainError):
-            evaluate(quantity, params, at, method, homogeneous=homog)
+            evaluate(quantity, params, at, method)
 
     def test_best_raises_when_routes_disagree(self, d2_params, monkeypatch):
-        honest = ROUTES["zeta"][False]["integral"]
+        honest = ROUTES["zeta"]["integral"]
 
         def wrong(alpha, p, config=None):
             res = honest(alpha, p, config=config)
             return EvalResult(res.value + 1e-6, 1e-15, Method.INTEGRAL, res.diagnostics)
 
-        monkeypatch.setitem(ROUTES["zeta"][False], "integral", wrong)
+        monkeypatch.setitem(ROUTES["zeta"], "integral", wrong)
         with pytest.raises(ConvergenceError) as exc:
             evaluate("zeta", d2_params, 0.5)
         diag = exc.value.diagnostics
@@ -210,10 +238,10 @@ class TestEvaluate:
     def test_best_returns_the_integral_value(self, params, request):
         p = request.getfixturevalue(params)
         calls = [("zeta", 0.5)] + [("fp", q) for q in range(1, p.d + 1)] + [("deriv0", None)]
-        for homog, arg in ((False, p), (True, p.w)):
+        for arg in (p, p.w):
             for quantity, at in calls:
-                best = evaluate(quantity, arg, at, homogeneous=homog)
-                integral = evaluate(quantity, arg, at, "integral", homogeneous=homog)
+                best = evaluate(quantity, arg, at)
+                integral = evaluate(quantity, arg, at, "integral")
                 assert best.diagnostics["best_route"] == "integral"
                 assert best.method is Method.INTEGRAL
                 assert best.value == integral.value

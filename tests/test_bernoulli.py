@@ -9,7 +9,7 @@ from barneszeta import (
     TruncationError,
     log_gamma_B,
     psi_B,
-    residue_bh,
+    residue,
 )
 from barneszeta import bernoulli
 from barneszeta.bernoulli import (
@@ -277,5 +277,5 @@ class TestPoleTerm:
         dS = ds_values(w, d + 1)
         assert pole_term(0, 0.0, d, dS).value == 0
         for q in range(1, d + 1):
-            want = -harmonic_float(q - 1) * residue_bh(q, w)
+            want = -harmonic_float(q - 1) * residue(q, w)
             assert abs(pole_term(q, 0.0, d, dS).value - want) <= 1e-15 * (1 + abs(want)), q

@@ -267,8 +267,7 @@ class TestMethodChoices:
     def _routes(*quantities):
         out = []
         for q in quantities:
-            for homog in (False, True):
-                out += [r for r in ROUTES[q][homog] if r not in out]
+            out += [r for r in ROUTES[q] if r not in out]
         return out
 
     @pytest.mark.parametrize("command, quantity", [

@@ -89,6 +89,10 @@ class TestEvalConfig:
     def test_has_no_alpha_step(self):
         assert not hasattr(EvalConfig(), "alpha_step")
 
+    def test_has_no_quad_rel_tol(self):
+        # the integral route's quadrature tolerance is a constant of its module
+        assert not hasattr(EvalConfig(), "quad_rel_tol")
+
     def test_negative_error_estimate_rejected(self):
         with pytest.raises(DomainError):
             EvalResult(1.0, -1.0, Method.SERIES)

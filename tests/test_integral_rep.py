@@ -16,23 +16,19 @@ from barneszeta import (
     PoleError,
     QuadratureError,
     residue,
-    residue_bh,
 )
 from barneszeta.integral_rep import (
     QuadratureProblem,
-    barnes_zeta_integral,
-    deriv0_barnes_integral,
-    deriv0_bh_integral,
-    fp_barnes_integral,
-    fp_bh_integral,
+    deriv0_integral,
+    fp_integral,
     quad_semiinfinite,
-    zeta_bh_integral,
+    zeta_integral,
 )
 from barneszeta.oracles import hurwitz_zeta
 from barneszeta import integral_rep
 from barneszeta.bernoulli import bernoulli_poly
 from barneszeta.integral_rep import _homog_bracket, _inhom_bracket, _reciprocal_gamma
-from barneszeta.series_rep import deriv0_barnes_series
+from barneszeta.series_rep import deriv0_series
 
 from conftest import rel_err, scaled_err
 
@@ -223,10 +219,10 @@ class TestOneCallPerQuadrature:
 
         monkeypatch.setattr(integral_rep, "quad_semiinfinite", counted)
         for q in range(1, p.d + 1):
-            fp_barnes_integral(q, p)
-            fp_bh_integral(q, p.w)
-        deriv0_barnes_integral(p)
-        deriv0_bh_integral(p.w)
+            fp_integral(q, p)
+            fp_integral(q, p.w)
+        deriv0_integral(p)
+        deriv0_integral(p.w)
         assert calls == [1] * (2 * p.d + 2)
 
 
@@ -242,98 +238,102 @@ class TestQuadEvals:
     def test_counts(self, params, fp_evals, deriv0_evals, request):
         p = request.getfixturevalue(params)
         for q in range(1, p.d + 1):
-            assert fp_barnes_integral(q, p).diagnostics["quad_evals"] == fp_evals
-            assert fp_bh_integral(q, p.w).diagnostics["quad_evals"] == fp_evals
-        assert deriv0_barnes_integral(p).diagnostics["quad_evals"] == deriv0_evals
-        assert deriv0_bh_integral(p.w).diagnostics["quad_evals"] == deriv0_evals
+            assert fp_integral(q, p).diagnostics["quad_evals"] == fp_evals
+            assert fp_integral(q, p.w).diagnostics["quad_evals"] == fp_evals
+        assert deriv0_integral(p).diagnostics["quad_evals"] == deriv0_evals
+        assert deriv0_integral(p.w).diagnostics["quad_evals"] == deriv0_evals
 
 
 class TestContinuation:
     def test_unit_d2_at_5(self):
-        res = barnes_zeta_integral(5.0, BarnesParams(1.0, (1.0, 1.0)), M=0)
+        res = zeta_integral(5.0, BarnesParams(1.0, (1.0, 1.0)), M=0)
         assert rel_err(res.value, ZETA4) <= 1e-11
 
     def test_below_abscissa(self):
-        res = barnes_zeta_integral(0.5, BarnesParams(1.0, (1.0, 1.0)), M=2)
+        res = zeta_integral(0.5, BarnesParams(1.0, (1.0, 1.0)), M=2)
         assert rel_err(res.value, hurwitz_zeta(-0.5, 1.0)) <= 1e-11
 
     def test_hurwitz_collapse(self):
-        res = barnes_zeta_integral(-1.5, BarnesParams(0.3, (1.0,)), M=3)
+        res = zeta_integral(-1.5, BarnesParams(0.3, (1.0,)), M=3)
         assert rel_err(res.value, hurwitz_zeta(-1.5, 0.3)) <= 1e-10
 
     def test_pole(self):
         with pytest.raises(PoleError):
-            barnes_zeta_integral(1.0, BarnesParams(1.0, (1.0, 1.0)))
+            zeta_integral(1.0, BarnesParams(1.0, (1.0, 1.0)))
 
     def test_region_guard(self):
         with pytest.raises(DomainError):
-            barnes_zeta_integral(-0.5, BarnesParams(1.0, (1.0,)), M=0)
+            zeta_integral(-0.5, BarnesParams(1.0, (1.0,)), M=0)
 
     def test_M_independence(self, d2_params):
-        v1 = barnes_zeta_integral(0.5, d2_params, M=2).value
-        v2 = barnes_zeta_integral(0.5, d2_params, M=4).value
+        v1 = zeta_integral(0.5, d2_params, M=2).value
+        v2 = zeta_integral(0.5, d2_params, M=4).value
         assert rel_err(v1, v2) <= 1e-9
 
     def test_nonpositive_integer_alpha_prefactor_only(self):
         # at alpha = 0 the 1/Gamma factor kills the integral and the
         # prefactor carries the exact value: zeta_H(0, a) = 1/2 - a
-        res = barnes_zeta_integral(0.0, BarnesParams(0.7, (1.0,)), M=4)
+        res = zeta_integral(0.0, BarnesParams(0.7, (1.0,)), M=4)
         assert res.diagnostics.get("integral_skipped") is True
         assert abs(res.value - (0.5 - 0.7)) <= 1e-12
 
 
 class TestHomogeneous:
     def test_unit_d2_at_5(self):
-        res = zeta_bh_integral(5.0, (1.0, 1.0), M=0)
+        res = zeta_integral(5.0, (1.0, 1.0), M=0)
         assert rel_err(res.value, ZETA4 + ZETA5) <= 1e-10
 
     def test_d1_is_riemann(self):
-        res = zeta_bh_integral(2.0, (1.0,), M=0)
+        res = zeta_integral(2.0, (1.0,), M=0)
         assert rel_err(res.value, ZETA2) <= 1e-12
 
     def test_c_independence(self):
-        v1 = zeta_bh_integral(0.5, (1.0, 1.0), M=2, c=1.0).value
-        v2 = zeta_bh_integral(0.5, (1.0, 1.0), M=2, c=2.0).value
+        v1 = zeta_integral(0.5, (1.0, 1.0), M=2, c=1.0).value
+        v2 = zeta_integral(0.5, (1.0, 1.0), M=2, c=2.0).value
         assert rel_err(v1, v2) <= 1e-8
 
     def test_regulator_domain(self):
         with pytest.raises(DomainError):
-            zeta_bh_integral(0.5, (1.0, 1.0), c=-1.0)
+            zeta_integral(0.5, (1.0, 1.0), c=-1.0)
+
+    def test_regulator_is_homogeneous_only(self):
+        with pytest.raises(DomainError, match="homogeneous"):
+            zeta_integral(0.5, BarnesParams(1.0, (1.0, 1.0)), c=1.0)
 
 
 class TestFiniteParts:
     def test_d1_euler(self):
-        res = fp_barnes_integral(1, BarnesParams(1.0, (1.0,)))
+        res = fp_integral(1, BarnesParams(1.0, (1.0,)))
         assert abs(res.value - EULER_GAMMA) <= 1e-12
 
     def test_d2_reduction(self):
-        res = fp_barnes_integral(2, BarnesParams(1.0, (1.0, 1.0)))
+        res = fp_integral(2, BarnesParams(1.0, (1.0, 1.0)))
         assert abs(res.value - EULER_GAMMA) <= 1e-12
 
     def test_homogeneous_d1(self):
-        res = fp_bh_integral(1, (1.0,))
+        res = fp_integral(1, (1.0,))
         assert abs(res.value - EULER_GAMMA) <= 1e-12
 
     def test_homogeneous_d2(self):
-        res = fp_bh_integral(2, (1.0, 1.0))
+        res = fp_integral(2, (1.0, 1.0))
         assert abs(res.value - (EULER_GAMMA + ZETA2)) <= 1e-12
 
 
 class TestDerivative:
     def test_d1_lerch(self):
-        res = deriv0_barnes_integral(BarnesParams(1.0, (1.0,)))
+        res = deriv0_integral(BarnesParams(1.0, (1.0,)))
         assert abs(res.value + 0.5 * LOG_2PI) <= 1e-8
 
     def test_d1_a3(self):
-        res = deriv0_barnes_integral(BarnesParams(3.0, (1.0,)))
+        res = deriv0_integral(BarnesParams(3.0, (1.0,)))
         assert abs(res.value - (math.log(2) - 0.5 * LOG_2PI)) <= 1e-8
 
     def test_homogeneous_d1(self):
-        res = deriv0_bh_integral((1.0,))
+        res = deriv0_integral((1.0,))
         assert abs(res.value + 0.5 * LOG_2PI) <= 1e-10
 
     def test_homogeneous_scaling(self):
-        res = deriv0_bh_integral((2.0,))
+        res = deriv0_integral((2.0,))
         assert abs(res.value - (0.5 * math.log(2) - 0.5 * LOG_2PI)) <= 1e-10
 
     @pytest.mark.parametrize("params", ["d2_params", "d3_params"])
@@ -347,11 +347,11 @@ class TestDerivative:
             return quad(*args, **kwargs)
 
         monkeypatch.setattr(integral_rep, "quad_semiinfinite", counted)
-        res = deriv0_barnes_integral(p)
+        res = deriv0_integral(p)
         assert len(calls) == 1
         assert res.diagnostics["M"] == p.d and res.diagnostics["quad_evals"] > 0
         assert "alpha_step" not in res.diagnostics
-        assert scaled_err(res.value, deriv0_barnes_series(p).value) <= 1e-10
+        assert scaled_err(res.value, deriv0_series(p).value) <= 1e-10
 
 
 class TestResidues:
@@ -370,7 +370,7 @@ class TestResidues:
             pw = w[0] * w[1] * w[2]
             want = ((-1.0) ** (d - q) * bernoulli_poly(d - q, 0.0, w)
                     / (math.factorial(q - 1) * math.factorial(d - q) * pw))
-            assert residue_bh(q, w) == want
+            assert residue(q, w) == want
 
 
 class TestIntegrandRegularity:
@@ -508,7 +508,7 @@ class TestReciprocalGamma:
         with pytest.raises(DomainError):
             _reciprocal_gamma(0.5 + 500j)
         with pytest.raises(DomainError):
-            barnes_zeta_integral(0.5 + 500j, BarnesParams(1.0, (1.0, 1.0)))
+            zeta_integral(0.5 + 500j, BarnesParams(1.0, (1.0, 1.0)))
 
     def test_import_pulls_in_no_scipy(self):
         src = os.path.dirname(os.path.dirname(integral_rep.__file__))
@@ -533,13 +533,13 @@ def _mp_zeta(mpmath, s: complex, a=1):
 
 EXACT_CASES = {
     # name: (integral route, exact value through the Riemann / Hurwitz zeta)
-    "a=1, w=(1,1)": (lambda al: barnes_zeta_integral(al, BarnesParams(1.0, (1.0, 1.0))),
+    "a=1, w=(1,1)": (lambda al: zeta_integral(al, BarnesParams(1.0, (1.0, 1.0))),
                      lambda mp, al: _mp_zeta(mp, al - 1)),
-    "a=1, w=(1,1,1)": (lambda al: barnes_zeta_integral(al, BarnesParams(1.0, (1.0, 1.0, 1.0))),
+    "a=1, w=(1,1,1)": (lambda al: zeta_integral(al, BarnesParams(1.0, (1.0, 1.0, 1.0))),
                        lambda mp, al: (_mp_zeta(mp, al - 2) + _mp_zeta(mp, al - 1)) / 2),
-    "w=(1,1)": (lambda al: zeta_bh_integral(al, (1.0, 1.0)),
+    "w=(1,1)": (lambda al: zeta_integral(al, (1.0, 1.0)),
                 lambda mp, al: _mp_zeta(mp, al - 1) + _mp_zeta(mp, al)),
-    "a=0.3, w=(1,)": (lambda al: barnes_zeta_integral(al, BarnesParams(0.3, (1.0,))),
+    "a=0.3, w=(1,)": (lambda al: zeta_integral(al, BarnesParams(0.3, (1.0,))),
                       lambda mp, al: _mp_zeta(mp, al, mp.mpf("0.3"))),
 }
 
@@ -601,9 +601,9 @@ class TestNoGrind:
 
         monkeypatch.setattr(integral_rep, "quad_semiinfinite", counted)
         if a is None:
-            route = lambda: zeta_bh_integral(alpha, w)
+            route = lambda: zeta_integral(alpha, w)
         else:
-            route = lambda: barnes_zeta_integral(alpha, BarnesParams(a, w))
+            route = lambda: zeta_integral(alpha, BarnesParams(a, w))
         assert_honest_or_raises(route, _mp_zeta2(mpmath, alpha, a or 0.0, w[1]))
         # At most 14 first-level intervals here, doubled at each later level.
         assert 0 < sum(nodes) <= 14 * 2 ** (integral_rep._LEVELS - 1) + 1
@@ -646,9 +646,9 @@ class TestBracketDtype:
 
     def _routes(self, w, a):
         p = BarnesParams(a, w)
-        return [lambda: barnes_zeta_integral(0.5, p), lambda: fp_barnes_integral(1, p),
-                lambda: deriv0_barnes_integral(p), lambda: zeta_bh_integral(-1.5, w),
-                lambda: fp_bh_integral(2, w), lambda: deriv0_bh_integral(w)]
+        return [lambda: zeta_integral(0.5, p), lambda: fp_integral(1, p),
+                lambda: deriv0_integral(p), lambda: zeta_integral(-1.5, w),
+                lambda: fp_integral(2, w), lambda: deriv0_integral(w)]
 
     @pytest.mark.parametrize("i", range(6))
     def test_real_lattice_runs_in_float64(self, i, monkeypatch):
@@ -662,12 +662,12 @@ class TestBracketDtype:
                         "integrand": {np.dtype(np.complex128)}}
 
     def test_complex_c_runs_in_complex128(self, monkeypatch):
-        seen = self._dtypes(monkeypatch, lambda: zeta_bh_integral(
+        seen = self._dtypes(monkeypatch, lambda: zeta_integral(
             0.5, self.W, c=1.0 + 0.5j))
         assert seen == {"bracket": {np.dtype(np.complex128)},
                         "integrand": {np.dtype(np.complex128)}}
 
     def test_complex_alpha_keeps_the_bracket_real(self, monkeypatch):
-        seen = self._dtypes(monkeypatch, lambda: barnes_zeta_integral(
+        seen = self._dtypes(monkeypatch, lambda: zeta_integral(
             0.5 + 3j, BarnesParams(0.7, self.W)))
         assert seen == {"bracket": {np.dtype(np.float64)}, "integrand": {np.dtype(np.complex128)}}

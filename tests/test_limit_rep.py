@@ -12,16 +12,11 @@ from barneszeta import (
     ResourceError,
 )
 from barneszeta import limit_rep
-from barneszeta.bernoulli import ds_values
-from barneszeta.integral_rep import (
-    deriv0_barnes_integral,
-    deriv0_bh_integral,
-    fp_barnes_integral,
-    fp_bh_integral,
-)
-from barneszeta.limit_rep import deriv0_barnes_limit, deriv0_bh_limit, fp_barnes_limit, fp_bh_limit
+from barneszeta.bernoulli import ds_values, pole_coeffs
+from barneszeta.integral_rep import deriv0_integral, fp_integral
+from barneszeta.limit_rep import deriv0_limit, fp_limit
 from barneszeta.oracles import log_gamma_ref
-from barneszeta.series_rep import deriv0_barnes_series, fp_bh_series
+from barneszeta.series_rep import deriv0_series, fp_series
 
 from conftest import scaled_err
 from references import DimensionError, FastPathKind, d2_fast_path
@@ -32,54 +27,54 @@ LOG_2PI = math.log(2 * math.pi)
 
 class TestFiniteParts:
     def test_d1_euler(self):
-        res = fp_barnes_limit(1, BarnesParams(1.0, (1.0,)))
+        res = fp_limit(1, BarnesParams(1.0, (1.0,)))
         assert abs(res.value - EULER_GAMMA) <= 1e-9
 
     def test_d2_reduction(self):
-        res = fp_barnes_limit(2, BarnesParams(1.0, (1.0, 1.0)))
+        res = fp_limit(2, BarnesParams(1.0, (1.0, 1.0)))
         assert abs(res.value - EULER_GAMMA) <= 1e-9
 
     def test_homogeneous_d1(self):
-        res = fp_bh_limit(1, (1.0,))
+        res = fp_limit(1, (1.0,))
         assert abs(res.value - EULER_GAMMA) <= 1e-9
 
     def test_homogeneous_matches_series(self, d2_params):
-        got = fp_bh_limit(1, d2_params.w)
-        want = fp_bh_series(1, d2_params.w)
+        got = fp_limit(1, d2_params.w)
+        want = fp_series(1, d2_params.w)
         assert scaled_err(got.value, want.value) <= 1e-5
 
 
 class TestDerivative:
     def test_d1_lerch(self):
-        res = deriv0_barnes_limit(BarnesParams(1.0, (1.0,)))
+        res = deriv0_limit(BarnesParams(1.0, (1.0,)))
         assert abs(res.value + 0.5 * LOG_2PI) <= 1e-9
 
     @pytest.mark.parametrize("a", [0.45, 1.7])
     def test_d1_general_a(self, a):
         # the d = 1 limit form evaluates log Gamma(a) - log(2 pi)/2
-        res = deriv0_barnes_limit(BarnesParams(a, (1.0,)))
+        res = deriv0_limit(BarnesParams(a, (1.0,)))
         want = log_gamma_ref(a) - 0.5 * LOG_2PI
         assert abs(res.value - want) <= 1e-9
 
     def test_matches_series(self, d2_params):
-        got = deriv0_barnes_limit(d2_params)
-        want = deriv0_barnes_series(d2_params)
+        got = deriv0_limit(d2_params)
+        want = deriv0_series(d2_params)
         assert scaled_err(got.value, want.value) <= 1e-5
 
     def test_homogeneous_d1(self):
-        res = deriv0_bh_limit((1.0,))
+        res = deriv0_limit((1.0,))
         assert abs(res.value + 0.5 * LOG_2PI) <= 1e-9
 
 
 class TestDiagnostics:
     def test_schedule_and_raw_values_recorded(self):
-        res = fp_barnes_limit(1, BarnesParams(1.0, (1.0,)))
+        res = fp_limit(1, BarnesParams(1.0, (1.0,)))
         assert res.diagnostics["M_values"] == [64, 96, 128, 192, 256]
         assert len(res.diagnostics["raw_values"]) == 5
         assert "monotone" in res.diagnostics
 
     def test_est_error_is_extrapolant_gap(self):
-        res = deriv0_bh_limit((1.0, 1.0))
+        res = deriv0_limit((1.0, 1.0))
         assert res.abs_error_estimate >= 0
 
     def test_schedule_cut_rule(self):
@@ -99,14 +94,29 @@ class TestDiagnostics:
         # t = a + M*(w1 + w2), with weight dS_0/2!
         p, M = d2_params, 256
         dS = ds_values(p.w, 3)
-        value, size = limit_rep._edge(0, p.a, p.w, M, False)
+        value, size = limit_rep._edge(0, p.a, p.w, M, pole_coeffs(0, 2, dS), None)
         t = p.a + M * sum(p.w)
         assert size >= abs(dS[0] / 2 * t**2 * cmath.log(t)) > abs(value)
+
+    @pytest.mark.parametrize("w", [(1.0, 2**0.5), (1.0, 2**0.5, math.pi / 4)])
+    def test_homogeneous_symbols_once_per_call(self, w, monkeypatch):
+        # F[t^e log t](0|w) does not depend on M: one symbol per entry of the
+        # pole row, d + 1 for the derivative at zero, not one per rung
+        calls = []
+        real = limit_rep.f_symbol_sum
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(limit_rep, "f_symbol_sum", counted)
+        deriv0_limit(w)
+        assert len(calls) == len(w) + 1
 
     def test_unusable_schedule_raises(self):
         cfg = EvalConfig(limit_M_schedule=(1, 2, 3))
         with pytest.raises(ConvergenceError):
-            deriv0_barnes_limit(BarnesParams(0.7, (1.0, 2**0.5)), config=cfg)
+            deriv0_limit(BarnesParams(0.7, (1.0, 2**0.5)), config=cfg)
 
 
 class TestHomogeneousBridgeLimitForm:
@@ -114,9 +124,9 @@ class TestHomogeneousBridgeLimitForm:
         # [fp(q=1, a) - 1/a] extrapolated to a -> 0 against the homogeneous value
         w = d2_params.w
         avals = (1e-2, 1e-3)
-        vals = [fp_barnes_limit(1, BarnesParams(a, w)).value - 1.0 / a for a in avals]
+        vals = [fp_limit(1, BarnesParams(a, w)).value - 1.0 / a for a in avals]
         ext = (avals[0] * vals[1] - avals[1] * vals[0]) / (avals[0] - avals[1])
-        target = fp_bh_limit(1, w).value
+        target = fp_limit(1, w).value
         assert abs(ext - target) <= 1e-4 * (1 + abs(target))
 
 
@@ -137,7 +147,7 @@ class TestFastPath:
     def test_deriv0_matches_generic(self, d2_params):
         cfg = EvalConfig(limit_M_schedule=(30, 60, 120, 240, 480))
         fast = d2_fast_path("deriv0", d2_params, cfg)
-        generic = deriv0_barnes_limit(d2_params, config=cfg)
+        generic = deriv0_limit(d2_params, config=cfg)
         assert scaled_err(fast.value, generic.value) <= 1e-8
 
 
@@ -175,10 +185,10 @@ def _limit_vs_integral(p: BarnesParams):
     derivative at zero, both forms."""
     cases = []
     for q in range(1, p.d + 1):
-        cases.append((f"fp{q}", lambda q=q: fp_barnes_limit(q, p), lambda q=q: fp_barnes_integral(q, p)))
-        cases.append((f"fp_bh{q}", lambda q=q: fp_bh_limit(q, p.w), lambda q=q: fp_bh_integral(q, p.w)))
-    cases.append(("deriv0", lambda: deriv0_barnes_limit(p), lambda: deriv0_barnes_integral(p)))
-    cases.append(("deriv0_bh", lambda: deriv0_bh_limit(p.w), lambda: deriv0_bh_integral(p.w)))
+        cases.append((f"fp{q}", lambda q=q: fp_limit(q, p), lambda q=q: fp_integral(q, p)))
+        cases.append((f"fp_bh{q}", lambda q=q: fp_limit(q, p.w), lambda q=q: fp_integral(q, p.w)))
+    cases.append(("deriv0", lambda: deriv0_limit(p), lambda: deriv0_integral(p)))
+    cases.append(("deriv0_bh", lambda: deriv0_limit(p.w), lambda: deriv0_integral(p.w)))
     return cases
 
 

@@ -12,14 +12,7 @@ from barneszeta import (
     residue,
 )
 from barneszeta.oracles import hurwitz_zeta
-from barneszeta.series_rep import (
-    barnes_zeta_series,
-    deriv0_barnes_series,
-    deriv0_bh_series,
-    fp_barnes_series,
-    fp_bh_series,
-    zeta_bh_series,
-)
+from barneszeta.series_rep import deriv0_series, fp_series, zeta_series
 from barneszeta import series_rep as sr
 from barneszeta.combinatorics import CompensatedSum, shell_values, subset_terms
 
@@ -34,93 +27,93 @@ ZETA5 = 1.0369277551433699
 
 class TestContinuation:
     def test_unit_d2_at_5(self):
-        res = barnes_zeta_series(5.0, BarnesParams(1.0, (1.0, 1.0)))
+        res = zeta_series(5.0, BarnesParams(1.0, (1.0, 1.0)))
         assert rel_err(res.value, ZETA4) <= 1e-11
 
     def test_unit_d2_below_abscissa(self):
-        res = barnes_zeta_series(0.5, BarnesParams(1.0, (1.0, 1.0)))
+        res = zeta_series(0.5, BarnesParams(1.0, (1.0, 1.0)))
         assert rel_err(res.value, hurwitz_zeta(-0.5, 1.0)) <= 1e-11
 
     def test_hurwitz_collapse_negative_alpha(self):
-        res = barnes_zeta_series(-1.5, BarnesParams(0.3, (1.0,)))
+        res = zeta_series(-1.5, BarnesParams(0.3, (1.0,)))
         assert rel_err(res.value, hurwitz_zeta(-1.5, 0.3)) <= 1e-10
 
     def test_pole_raises(self):
         with pytest.raises(PoleError):
-            barnes_zeta_series(2.0, BarnesParams(1.0, (1.0, 1.0)))
+            zeta_series(2.0, BarnesParams(1.0, (1.0, 1.0)))
 
     def test_region_guard(self):
         with pytest.raises(DomainError):
-            barnes_zeta_series(-0.5, BarnesParams(1.0, (1.0,)), k=0)
+            zeta_series(-0.5, BarnesParams(1.0, (1.0,)), k=0)
 
     @pytest.mark.parametrize("alpha", [0.5, -1.25, 2.5 + 1j])
     def test_k_independence(self, alpha):
         p = BarnesParams(0.7, (1.0, 2**0.5))
         base = max(1, math.ceil(-alpha.real if isinstance(alpha, complex) else -alpha) + 1) + 6
-        v1 = barnes_zeta_series(alpha, p, k=base).value
-        v2 = barnes_zeta_series(alpha, p, k=base + 2).value
+        v1 = zeta_series(alpha, p, k=base).value
+        v2 = zeta_series(alpha, p, k=base + 2).value
         assert rel_err(v1, v2) <= 1e-9
 
 
 class TestHomogeneous:
     def test_unit_d2_at_5(self):
-        res = zeta_bh_series(5.0, (1.0, 1.0))
+        res = zeta_series(5.0, (1.0, 1.0))
         assert rel_err(res.value, ZETA4 + ZETA5) <= 1e-11
 
     def test_d1_is_riemann(self):
-        res = zeta_bh_series(2.0, (1.0,))
+        res = zeta_series(2.0, (1.0,))
         assert rel_err(res.value, ZETA2) <= 1e-12
 
     def test_below_abscissa_reduction(self):
         # sum_{n>=1}(n+1)n^(-alpha) = zeta(alpha-1) + zeta(alpha)
         want = hurwitz_zeta(-0.5, 1.0) + hurwitz_zeta(0.5, 1.0)
-        res = zeta_bh_series(0.5, (1.0, 1.0))
+        res = zeta_series(0.5, (1.0, 1.0))
         assert rel_err(res.value, want) <= 1e-11
 
 
 class TestFiniteParts:
     def test_d1_euler_constant(self):
-        res = fp_barnes_series(1, BarnesParams(1.0, (1.0,)))
+        res = fp_series(1, BarnesParams(1.0, (1.0,)))
         assert abs(res.value - EULER_GAMMA) <= 1e-12
 
     def test_d2_reduction_to_euler(self):
-        res = fp_barnes_series(2, BarnesParams(1.0, (1.0, 1.0)))
+        res = fp_series(2, BarnesParams(1.0, (1.0, 1.0)))
         assert abs(res.value - EULER_GAMMA) <= 1e-11
 
     def test_q_range(self):
         with pytest.raises(DomainError):
-            fp_barnes_series(3, BarnesParams(1.0, (1.0, 1.0)))
+            fp_series(3, BarnesParams(1.0, (1.0, 1.0)))
 
     def test_homogeneous_d1(self):
-        res = fp_bh_series(1, (1.0,))
+        res = fp_series(1, (1.0,))
         assert abs(res.value - EULER_GAMMA) <= 1e-12
 
     def test_homogeneous_d2(self):
-        res = fp_bh_series(2, (1.0, 1.0))
+        res = fp_series(2, (1.0, 1.0))
         assert abs(res.value - (EULER_GAMMA + ZETA2)) <= 1e-11
 
     def test_k_independence(self):
         p = BarnesParams(0.7, (1.0, 2**0.5))
-        v1 = fp_barnes_series(1, p, k=6).value
-        v2 = fp_barnes_series(1, p, k=8).value
+        v1 = fp_series(1, p, k=6).value
+        v2 = fp_series(1, p, k=8).value
         assert scaled_err(v1, v2) <= 1e-9
 
 
 class TestDerivativeAtZero:
     def test_d1_lerch(self):
-        res = deriv0_barnes_series(BarnesParams(1.0, (1.0,)))
+        res = deriv0_series(BarnesParams(1.0, (1.0,)))
         assert abs(res.value + 0.5 * LOG_2PI) <= 1e-12
 
     def test_d1_a3(self):
-        res = deriv0_barnes_series(BarnesParams(3.0, (1.0,)))
+        res = deriv0_series(BarnesParams(3.0, (1.0,)))
         assert abs(res.value - (math.log(2) - 0.5 * LOG_2PI)) <= 1e-12
 
     def test_homogeneous_d1(self):
-        res = deriv0_bh_series((1.0,))
+        res = deriv0_series((1.0,))
         assert abs(res.value + 0.5 * LOG_2PI) <= 1e-12
 
     def test_homogeneous_scaling(self):
-        res = deriv0_bh_series((2.0,))
+        res = deriv0_series((2.0,))
         want = 0.5 * math.log(2) - 0.5 * LOG_2PI
         assert abs(res.value - want) <= 1e-12
 
@@ -130,7 +123,7 @@ class TestPoleFactorCancellation:
     def test_scaled_series_approaches_residue(self, q, d2_params):
         res = residue(q, d2_params)
         eps = (1e-2, 1e-3)
-        vals = [barnes_zeta_series(q + e, d2_params).value * e for e in eps]
+        vals = [zeta_series(q + e, d2_params).value * e for e in eps]
         ext = neville_to_zero(eps, vals)
         assert abs(ext - res) <= 1e-4 * (1 + abs(res))
 
@@ -145,21 +138,21 @@ class TestHomogeneousBridges:
     def test_fp_bridge(self, q, d2_params):
         w = d2_params.w
         vals = [
-            fp_barnes_series(q, BarnesParams(a, w), config=self.CFG).value - a ** (-q)
+            fp_series(q, BarnesParams(a, w), config=self.CFG).value - a ** (-q)
             for a in self.AVALS
         ]
         ext = neville_to_zero(self.AVALS, vals)
-        target = fp_bh_series(q, w).value
+        target = fp_series(q, w).value
         assert abs(ext - target) <= 1e-5 * (1 + abs(target))
 
     def test_deriv_bridge(self, d2_params):
         w = d2_params.w
         vals = [
-            deriv0_barnes_series(BarnesParams(a, w), config=self.CFG).value + math.log(a)
+            deriv0_series(BarnesParams(a, w), config=self.CFG).value + math.log(a)
             for a in self.AVALS
         ]
         ext = neville_to_zero(self.AVALS, vals)
-        target = deriv0_bh_series(w).value
+        target = deriv0_series(w).value
         assert abs(ext - target) <= 1e-5 * (1 + abs(target))
 
 
@@ -350,7 +343,7 @@ class TestBlockedCorners:
         """A walk past the shells of the cached grid, (k+1)^d > 2^16, whose
         last shells are built face by face, against the shell-by-shell sum
         of its per-point parts plus the last C(j) formed on its own."""
-        res = zeta_bh_series(0.5, w, k=k, config=EvalConfig(max_shells=2 * shells))
+        res = zeta_series(0.5, w, k=k, config=EvalConfig(max_shells=2 * shells))
         assert res.diagnostics["shells"] == shells and shells ** len(w) > 2 ** 16
         plan = sr._plan_generic(0.5, w, k)
         stack = sr._stack(plan, 0.0, w)
@@ -380,7 +373,7 @@ class TestLadderWork:
             return ladder(stack, z)
 
         monkeypatch.setattr(sr, "_ladder", counted)
-        diag = deriv0_bh_series(D4W, config=EvalConfig(max_shells=16)).diagnostics
+        diag = deriv0_series(D4W, config=EvalConfig(max_shells=16)).diagnostics
         assert diag["points"] == 4095
         block = sr._CORNER_BLOCK
         assert len(sizes) <= -(-diag["shells"] // block)
@@ -399,8 +392,8 @@ class TestLadderWork:
         # They need 9 and 12 shells; the cap turns a broken stopping rule
         # into a ConvergenceError instead of a long walk.
         cfg = EvalConfig(max_shells=16)
-        barnes_zeta_series(0.5 + 3j, BarnesParams(0.7, D2W), config=cfg)
-        zeta_bh_series(0.5 + 3j, D3W, config=cfg)
+        zeta_series(0.5 + 3j, BarnesParams(0.7, D2W), config=cfg)
+        zeta_series(0.5 + 3j, D3W, config=cfg)
         assert dtypes == {np.dtype(np.float64)}
 
 
@@ -412,15 +405,15 @@ class TestPointCounts:
     D4 = BarnesParams(1.0, D4W)
 
     @pytest.mark.parametrize("call, shells, points", [
-        (lambda c, cfg: barnes_zeta_series(0.5, c.D2, config=cfg), 9, 81),
-        (lambda c, cfg: zeta_bh_series(0.5 + 3j, D2W, config=cfg), 11, 120),
-        (lambda c, cfg: fp_barnes_series(1, c.D3, config=cfg), 11, 1331),
-        (lambda c, cfg: fp_bh_series(2, D3W, config=cfg), 13, 2196),
-        (lambda c, cfg: barnes_zeta_series(-1.5, c.D4, config=cfg), 5, 625),
-        (lambda c, cfg: deriv0_barnes_series(c.D4, config=cfg), 7, 2401),
-        (lambda c, cfg: deriv0_bh_series(D4W, config=cfg), 8, 4095),
-        (lambda c, cfg: fp_barnes_series(2, BarnesParams(1 + 0.3j, CPLXW), config=cfg), 10, 100),
-        (lambda c, cfg: deriv0_bh_series(D2W, config=cfg), 10, 99),
+        (lambda c, cfg: zeta_series(0.5, c.D2, config=cfg), 9, 81),
+        (lambda c, cfg: zeta_series(0.5 + 3j, D2W, config=cfg), 11, 120),
+        (lambda c, cfg: fp_series(1, c.D3, config=cfg), 11, 1331),
+        (lambda c, cfg: fp_series(2, D3W, config=cfg), 13, 2196),
+        (lambda c, cfg: zeta_series(-1.5, c.D4, config=cfg), 5, 625),
+        (lambda c, cfg: deriv0_series(c.D4, config=cfg), 7, 2401),
+        (lambda c, cfg: deriv0_series(D4W, config=cfg), 8, 4095),
+        (lambda c, cfg: fp_series(2, BarnesParams(1 + 0.3j, CPLXW), config=cfg), 10, 100),
+        (lambda c, cfg: deriv0_series(D2W, config=cfg), 10, 99),
     ])
     def test_points(self, call, shells, points):
         # A few shells above the need: a broken stopping rule raises
@@ -434,10 +427,10 @@ class TestNonFiniteShell:
 
     def test_inhomogeneous(self):
         with pytest.raises(ConvergenceError) as exc:
-            barnes_zeta_series(0.5 + 1e300j, BarnesParams(1.0, (1.0, 1.0)))
+            zeta_series(0.5 + 1e300j, BarnesParams(1.0, (1.0, 1.0)))
         assert exc.value.diagnostics == {"shells": 1, "points": 1, "k": 11}
 
     def test_homogeneous(self):
         with pytest.raises(ConvergenceError) as exc:
-            zeta_bh_series(0.5 + 1e300j, (1.0, 1.0))
+            zeta_series(0.5 + 1e300j, (1.0, 1.0))
         assert exc.value.diagnostics == {"shells": 2, "points": 3, "k": 11}

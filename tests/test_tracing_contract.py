@@ -6,11 +6,14 @@ route diagnostics and `quad_semiinfinite`'s outcome.  A change under src/ that
 breaks either would otherwise show only in the benchmark's own tests.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from barneszeta import ROUTES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,19 +44,18 @@ def test_traced_best_call_counts_every_layer():
     assert metrics["combinatorics.shell_points"] == metrics["series_rep.points"]
 
 
-# Every registry entry once, on a lattice that every route accepts: w = (1, 2)
-# has a reduction and alpha = 6.5 is inside the direct sum's region.  The
-# first lines of CODE install the shim.
+# Every registry entry once per form, on a lattice that every route accepts:
+# w = (1, 2) has a reduction and alpha = 6.5 is inside the direct sum's
+# region; the reduction has no homogeneous form.  The first lines of CODE
+# install the shim.
 EVERY_ROUTE = CODE.split("from barneszeta")[0] + """
 from barneszeta import ROUTES, BarnesParams
 p = BarnesParams(0.7, (1.0, 2.0))
-at = {"zeta": 6.5, "fp": 1, "deriv0": None}
-for quantity, forms in ROUTES.items():
-    for homog, routes in forms.items():
-        params = p.w if homog else p
-        args = (params,) if at[quantity] is None else (at[quantity], params)
-        for fn in routes.values():
-            fn(*args)
+at = {"zeta": (6.5,), "fp": (1,), "deriv0": ()}
+for quantity, routes in ROUTES.items():
+    for name, fn in routes.items():
+        for params in (p,) if name == "reduction" else (p, p.w):
+            fn(*at[quantity], params)
 print(json.dumps(tracer.metrics()))
 """
 
@@ -69,3 +71,17 @@ def test_traced_call_of_every_route():
     for layer in ("series_rep", "integral_rep", "limit_rep", "oracles"):
         assert metrics[f"{layer}.calls"] > 0, layer
     assert metrics["oracles.direct_points"] > 0
+
+
+def test_every_route_is_a_public_function_of_a_traced_layer():
+    # The shim wraps the public functions of the layers it lists; a route
+    # outside them would run untraced.
+    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "bench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for quantity, routes in ROUTES.items():
+        for name, fn in routes.items():
+            module = fn.__module__.rpartition(".")[2]
+            assert module in layertrace.LAYERS, (quantity, name, module)
+            assert not fn.__name__.startswith("_"), (quantity, name)
+            assert getattr(sys.modules[fn.__module__], fn.__name__) is fn, (quantity, name)
