@@ -33,8 +33,7 @@ from .foundations import (
     EvalResult,
     Method,
     harmonic_float,
-    validate_params,
-    validate_weights,
+    lattice,
 )
 from .integral_rep import deriv0_integral, fp_integral, residue, zeta_integral
 from .limit_rep import deriv0_limit, fp_limit
@@ -104,17 +103,26 @@ def evaluate(quantity: str, params, at=None, method: Method | str = "best",
     return routes[route](*args, config=cfg)
 
 
+def _of_form(params, homogeneous: bool, name: str):
+    """params validated, or a DomainError when they name the other form."""
+    _, w, homog = lattice(params)
+    if homog != homogeneous:
+        raise DomainError(f"{name} takes {'weights' if homogeneous else 'BarnesParams'}, "
+                          f"got {type(params).__name__}")
+    return w if homog else params
+
+
 def log_rho(w, method: Method | str = "best",
             config: EvalConfig | None = None) -> EvalResult:
     """Log of the modular constant: -(homogeneous derivative at zero)."""
-    res = evaluate("deriv0", validate_weights(w), None, method, config)
+    res = evaluate("deriv0", _of_form(w, True, "log_rho"), None, method, config)
     return EvalResult(-res.value, res.abs_error_estimate, res.method, res.diagnostics)
 
 
 def log_gamma_B(p: BarnesParams, method: Method | str = "best",
                 config: EvalConfig | None = None) -> EvalResult:
     """log Gamma_B(a|w) = zeta'(0,a|w) + log rho(w) (Barnes normalization)."""
-    validate_params(p)
+    _of_form(p, False, "log_gamma_B")
     dv = evaluate("deriv0", p, None, method, config)
     lr = log_rho(p.w, method, config)
     return EvalResult(dv.value + lr.value,
@@ -137,14 +145,14 @@ def _from_finite_part(q: int, params, sign: float, method: Method | str,
 def psi_B(q: int, p: BarnesParams, method: Method | str = "best",
           config: EvalConfig | None = None) -> EvalResult:
     """Generalized digamma value Psi^(q)(a|w), q = 1..d, from the finite part."""
-    validate_params(p)
-    return _from_finite_part(q, p, (-1.0) ** q, method, config)
+    return _from_finite_part(q, _of_form(p, False, "psi_B"), (-1.0) ** q, method, config)
 
 
 def gamma_dq(q: int, w, method: Method | str = "best",
              config: EvalConfig | None = None) -> EvalResult:
     """q-th gamma modular form, from the homogeneous finite part at q."""
-    return _from_finite_part(q, validate_weights(w), (-1.0) ** (q - 1), method, config)
+    return _from_finite_part(q, _of_form(w, True, "gamma_dq"), (-1.0) ** (q - 1),
+                             method, config)
 
 
 def multiple_gamma(a: complex, d: int, method: Method | str = "best",

@@ -48,25 +48,22 @@ def _poch_ds(s: complex, n: int) -> complex:
     return total
 
 
-def _check_controls(shift_N: int, bernoulli_terms: int) -> None:
+_SHIFT_N = 20
+_BERNOULLI_TERMS = 12
+
+
+def hurwitz_zeta(s: complex, a: complex, *, shift_N: int = _SHIFT_N) -> complex:
+    """Hurwitz zeta via Euler-Maclaurin: the head sum of shift_N terms, the
+    integral term and _BERNOULLI_TERMS even-index corrections."""
     if shift_N < 1:
         raise DomainError("shift_N must be >= 1")
-    if bernoulli_terms < 1:
-        raise DomainError("bernoulli_terms must be >= 1")
-
-
-def hurwitz_zeta(s: complex, a: complex, *, shift_N: int = 20,
-                 bernoulli_terms: int = 12) -> complex:
-    """Hurwitz zeta via Euler-Maclaurin: the head sum of shift_N terms, the
-    integral term and bernoulli_terms even-index corrections."""
-    _check_controls(shift_N, bernoulli_terms)
     s = complex(s)
     a = complex(a)
     if not a.real > 0:
         raise DomainError("hurwitz_zeta requires Re(a) > 0")
     if s == 1:
         raise PoleError("hurwitz zeta has its pole at s = 1", q=1)
-    N, J = shift_N, bernoulli_terms
+    N, J = shift_N, _BERNOULLI_TERMS
     acc = CompensatedSum()
     for n in range(N):
         acc.add((a + n) ** (-s))
@@ -80,17 +77,15 @@ def hurwitz_zeta(s: complex, a: complex, *, shift_N: int = 20,
     return acc.value
 
 
-def hurwitz_zeta_ds(s: complex, a: complex, *, shift_N: int = 20,
-                    bernoulli_terms: int = 12) -> complex:
+def hurwitz_zeta_ds(s: complex, a: complex) -> complex:
     """d/ds of hurwitz_zeta, differentiating the Euler-Maclaurin formula termwise."""
-    _check_controls(shift_N, bernoulli_terms)
     s = complex(s)
     a = complex(a)
     if not a.real > 0:
         raise DomainError("hurwitz_zeta_ds requires Re(a) > 0")
     if s == 1:
         raise PoleError("hurwitz zeta has its pole at s = 1", q=1)
-    N, J = shift_N, bernoulli_terms
+    N, J = _SHIFT_N, _BERNOULLI_TERMS
     acc = CompensatedSum()
     for n in range(N):
         y = a + n

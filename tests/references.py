@@ -59,6 +59,8 @@ from barneszeta.foundations import (
 )
 from barneszeta.limit_rep import _cube_log, _cube_pow, _run_limit
 from barneszeta.oracles import (
+    _BERNOULLI_TERMS,
+    _SHIFT_N,
     LOG_2PI,
     hurwitz_zeta,
     log_gamma_ref,
@@ -289,12 +291,12 @@ def cube_bracket_sum(
     return CubeBracketSum(rhs=rhs, lhs=lhs)
 
 
-def digamma_ref(a: complex, *, shift_N: int = 20, bernoulli_terms: int = 12) -> complex:
+def digamma_ref(a: complex) -> complex:
     """Digamma by the shifted Euler-Maclaurin expansion (reference only)."""
     a = complex(a)
     if not a.real > 0:
         raise DomainError("digamma_ref requires Re(a) > 0")
-    N, J = shift_N, bernoulli_terms
+    N, J = _SHIFT_N, _BERNOULLI_TERMS
     x = a + N
     acc = CompensatedSum()
     acc.add(cmath.log(x))

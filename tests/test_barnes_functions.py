@@ -219,6 +219,16 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(quantity, params, at, method)
 
+    @pytest.mark.parametrize("call", [
+        lambda p: psi_B(1, p.w),
+        lambda p: log_gamma_B(p.w),
+        lambda p: gamma_dq(1, p),
+        lambda p: log_rho(p),
+    ], ids=["psi_B", "log_gamma_B", "gamma_dq", "log_rho"])
+    def test_gamma_family_wrong_form_is_domain_error(self, call, d2_params):
+        with pytest.raises(DomainError):
+            call(d2_params)
+
     def test_best_raises_when_routes_disagree(self, d2_params, monkeypatch):
         honest = ROUTES["zeta"]["integral"]
 
