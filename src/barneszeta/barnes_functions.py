@@ -50,8 +50,7 @@ _ULP8 = 8 * 2.0 ** -52     # rounding slack of the best-route agreement test
 # homogeneous function (a = 0, origin excluded), and then only keywords:
 # `config=`, and any knob of its own (the series shift k, the integral's
 # subtraction order M and, for the homogeneous function, its regulator c),
-# which `evaluate` never passes.  Every route serves both forms, except the
-# reduction, which the homogeneous function does not have.
+# which `evaluate` never passes.  Every route serves both forms.
 ROUTES = {
     "zeta": {"series": zeta_series, "integral": zeta_integral, "direct": direct_sum,
              "reduction": reduction},

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,19 +63,12 @@ def classical_bernoulli(n: int) -> tuple[Fraction, ...]:
     return tuple(out[: n + 1])
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
+class BernoulliTable(NamedTuple):
     """Pure function of (sorted w, N): the numbers B_0(w)..B_N(w), and B_n(w)/n!;
     floats when every w_i is real."""
 
-    w: tuple[complex, ...]
-    N: int
     numbers: tuple[complex, ...]
     scaled: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.numbers) != self.N + 1 or len(self.scaled) != self.N + 1:
-            raise DomainError("table length must be N + 1")
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +98,7 @@ def _table_cached(w: tuple[complex, ...], N: int) -> BernoulliTable:
             scaled = np.convolve(scaled, row)[: N + 2]
         scaled = scaled[:-1]
         numbers = scaled * fact
-    return BernoulliTable(w=w, N=N, numbers=tuple(numbers.tolist()), scaled=tuple(scaled.tolist()))
+    return BernoulliTable(tuple(numbers.tolist()), tuple(scaled.tolist()))
 
 
 def bernoulli_numbers(w: Iterable[complex], N: int) -> BernoulliTable:

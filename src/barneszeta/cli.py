@@ -29,7 +29,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .barnes_functions import (
     ROUTES,
@@ -192,47 +191,6 @@ def cmd_gamma(args) -> int:
 # compare
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Cross-representation agreement for all finite parts and derivatives."""
-
-    params: dict
-    quantities: list
-    agreement_matrix: dict
-    tolerance: float
-    passed: bool = field(default=False)
-
-    def to_json(self) -> str:
-        return canonical_json({
-            "params": self.params,
-            "quantities": self.quantities,
-            "agreement_matrix": self.agreement_matrix,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        })
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        routes = _methods("fp", "deriv0")
-        writer.writerow(["quantity", *(f"{r}_{part}" for r in routes for part in ("re", "im")),
-                         "max_delta", "pass"])
-        by_name: dict[str, dict[str, complex]] = {}
-        for item in self.quantities:
-            by_name.setdefault(item["name"], {})[item["route"]] = complex(*item["value"])
-        for name, values in by_name.items():
-            delta = self.agreement_matrix[name]
-            scale = 1.0 + abs(values.get("series", 0.0))
-            row = [name]
-            for route in routes:
-                v = values.get(route)
-                row.extend(["", ""] if v is None else [fmt17(v.real), fmt17(v.imag)])
-            row.append(fmt17(delta))
-            row.append(str(delta <= self.tolerance * scale).lower())
-            writer.writerow(row)
-        return buf.getvalue()
-
-
 def _compare_quantities(p: BarnesParams):
     """(name, quantity, at, params) of every finite part and of both
     derivatives at zero; params are the weights for the homogeneous ones."""
@@ -251,9 +209,14 @@ def cmd_compare(args) -> int:
     p = BarnesParams(args.a, wt)
     validate_params(p)
     tol = args.tol_cmp if args.tol_cmp is not None else (1e-5 if p.d <= 2 else 1e-4)
+    routes = _methods("fp", "deriv0")
     quantities = []
     agreement = {}
     passed = True
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["quantity", *(f"{r}_{part}" for r in routes for part in ("re", "im")),
+                     "max_delta", "pass"])
     for name, quantity, at, params in _compare_quantities(p):
         values = {}
         for route in ROUTES[quantity]:
@@ -268,24 +231,25 @@ def cmd_compare(args) -> int:
         vals = list(values.values())
         delta = max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:])
         agreement[name] = delta
-        scale = 1.0 + abs(values["series"])
-        passed = passed and delta <= tol * scale
-    report = ComparisonReport(
-        params={"a": [p.a.real, p.a.imag], "w": [[wi.real, wi.imag] for wi in wt]},
-        quantities=quantities,
-        agreement_matrix=agreement,
-        tolerance=tol,
-        passed=passed,
-    )
+        ok = delta <= tol * (1.0 + abs(values["series"]))
+        passed = passed and ok
+        row = [name]
+        for route in routes:
+            v = values.get(route)
+            row.extend(["", ""] if v is None else [fmt17(v.real), fmt17(v.imag)])
+        writer.writerow([*row, fmt17(delta), str(ok).lower()])
+    params = {"a": [p.a.real, p.a.imag], "w": [[wi.real, wi.imag] for wi in wt]}
+    report = canonical_json({"params": params, "quantities": quantities, "agreement_matrix": agreement,
+                             "tolerance": tol, "pass": passed}) + "\n"
     if args.out:
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
         with open(stem + ".json", "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(report)
         with open(stem + ".csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.to_csv())
+            fh.write(buf.getvalue())
     else:
-        sys.stdout.write(report.to_json() + "\n")
-        sys.stdout.write(report.to_csv())
+        sys.stdout.write(report)
+        sys.stdout.write(buf.getvalue())
     return EXIT_OK if passed else EXIT_COMPARISON
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from .foundations import DomainError, EvaluationError, as_weights, narrow, narrow_weights
 
 MAX_DIM = 16
+MAX_SHELLS = 100_000      # shells S_0..S_MAX_SHELLS a lattice walk may visit
 _GRID_POINTS = 2 ** 16     # shells with (k+1)^d <= this come from the cached grid
 _GRIDS: dict[int, tuple[np.ndarray, int]] = {}   # d -> (grid, shells written)
 

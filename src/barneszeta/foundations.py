@@ -56,7 +56,7 @@ class TruncationError(BarnesZetaError, ValueError):
 
 
 class ResourceError(BarnesZetaError, RuntimeError):
-    """An explicit enumeration would exceed its configured budget."""
+    """An explicit enumeration would exceed its budget."""
 
 
 class EvaluationError(BarnesZetaError, RuntimeError):
@@ -149,25 +149,15 @@ def lattice(params) -> tuple[complex, tuple[complex, ...], bool]:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Tolerances and budgets shared by the evaluation routes.  rel_tol moves
-    the series, limit and direct routes; the integral route's quadrature
-    keeps its own fixed tolerance."""
+    """The relative tolerance of the series, limit and direct routes (the
+    integral route's quadrature keeps its own); how far a route walks, its
+    shell cap or its ladder of M, is a constant of that route."""
 
     rel_tol: float = 1e-10
-    max_shells: int = 100_000
-    limit_M_schedule: tuple[int, ...] = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 
     def __post_init__(self):
-        object.__setattr__(self, "limit_M_schedule", tuple(int(m) for m in self.limit_M_schedule))
         if not self.rel_tol > 0:
             raise DomainError("EvalConfig.rel_tol must be positive")
-        if self.max_shells < 1:
-            raise DomainError("EvalConfig.max_shells must be at least 1")
-        sched = self.limit_M_schedule
-        if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
-            raise DomainError("EvalConfig.limit_M_schedule must be nonempty and strictly increasing")
-        if sched[0] < 1:
-            raise DomainError("EvalConfig.limit_M_schedule entries must be >= 1")
 
 
 DEFAULT_CONFIG = EvalConfig()

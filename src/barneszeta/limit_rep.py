@@ -11,9 +11,9 @@ tableau.
 The cube {0..M-1}^d is the shells S_0..S_{M-1}, so one walk of the shells
 up to the largest M gives the cube sum at every rung as a running sum.
 
-Of EvalConfig.limit_M_schedule the route keeps the _RUNGS largest rungs
-whose cube holds at most _CUBE_POINTS points; the default ladder gives
-M = 64..256 at d <= 2, 24..96 at d = 3, 8..32 at d = 4 and 4..16 at d = 5.
+Of its ladder _SCHEDULE the route keeps the _RUNGS largest rungs whose
+cube holds at most _CUBE_POINTS points: M = 64..256 at d <= 2, 24..96 at
+d = 3, 8..32 at d = 4, 4..16 at d = 5, and none from d = 11 on.
 Smaller rungs are further from the asymptotic regime and spoil the tableau
 on anisotropic weights.  The bracket holds terms of size M^d log M that cancel to an O(1)
 result, so each rung carries a rounding error of about eps times its summed
@@ -22,7 +22,7 @@ its nodes 1/M.  The reported est_error is the larger of the last two gaps
 along the tableau's diagonal, built from the largest M down, plus that
 rounding term.
 
-Cube sums are cached by (a, w, schedule), so two routes comparing the same
+Cube sums are cached by (a, w, rungs), so two routes comparing the same
 parameters share bit-identical lattice contributions and differ only in
 their edge-term algebra.
 """
@@ -51,23 +51,18 @@ from .foundations import (
     narrow_weights,
 )
 
+_SCHEDULE = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)   # the ladder of M
 _CUBE_POINTS = 2 ** 20   # largest cube {0..M-1}^d a rung may hold
 _RUNGS = 5               # rungs kept: the largest that fit
 
 
-def _rungs_kept(schedule: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """The last _RUNGS entries of the schedule whose cube fits in _CUBE_POINTS."""
-    Ms = tuple(M for M in schedule if M ** d <= _CUBE_POINTS)[-_RUNGS:]
+def _rungs_kept(d: int) -> tuple[int, ...]:
+    """The last _RUNGS entries of _SCHEDULE whose cube fits in _CUBE_POINTS."""
+    Ms = tuple(M for M in _SCHEDULE if M ** d <= _CUBE_POINTS)[-_RUNGS:]
     if not Ms:
         raise ResourceError(f"no M of the limit schedule has a cube of at most "
                             f"{_CUBE_POINTS} points at d = {d}")
     return Ms
-
-
-def _is_monotone(vals: Sequence[complex]) -> bool:
-    diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
-    scale = max((abs(v) for v in vals), default=1.0)
-    return all(d2 <= d1 + 1e-12 * (1.0 + scale) for d1, d2 in zip(diffs, diffs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +77,10 @@ def _cube_chunks(a0: complex, w: tuple[complex, ...], M: int, homog: bool):
         yield shell_values(a0, weights, k, skip_origin=homog)
 
 
-def _prefix_sums(a0: complex, w: tuple[complex, ...], schedule: tuple[int, ...], homog: bool,
+def _prefix_sums(a0: complex, w: tuple[complex, ...], Ms: tuple[int, ...], homog: bool,
                  term: Callable[[np.ndarray], np.ndarray]) -> tuple[tuple[int, complex, float], ...]:
     """(M, sum, summed term size) of term(a0 + n.w) over {0..M-1}^d for each
-    kept rung M, from one walk of the shells up to the largest."""
-    Ms = _rungs_kept(schedule, len(w))
+    rung M of the increasing Ms, from one walk of the shells up to the largest."""
     acc, mass, out = CompensatedSum(), 0.0, []
     for k, y in enumerate(_cube_chunks(a0, w, Ms[-1], homog)):
         t = term(y)
@@ -98,15 +92,15 @@ def _prefix_sums(a0: complex, w: tuple[complex, ...], schedule: tuple[int, ...],
 
 
 @lru_cache(maxsize=512)
-def _cube_pow(a0: complex, w: tuple[complex, ...], schedule: tuple[int, ...], q: int,
+def _cube_pow(a0: complex, w: tuple[complex, ...], Ms: tuple[int, ...], q: int,
               homog: bool) -> tuple[tuple[int, complex, float], ...]:
-    return _prefix_sums(a0, w, schedule, homog, lambda y: y ** -q)
+    return _prefix_sums(a0, w, Ms, homog, lambda y: y ** -q)
 
 
 @lru_cache(maxsize=512)
-def _cube_log(a0: complex, w: tuple[complex, ...], schedule: tuple[int, ...],
+def _cube_log(a0: complex, w: tuple[complex, ...], Ms: tuple[int, ...],
               homog: bool) -> tuple[tuple[int, complex, float], ...]:
-    return _prefix_sums(a0, w, schedule, homog, np.log)
+    return _prefix_sums(a0, w, Ms, homog, np.log)
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +142,17 @@ def _edge(q: int, a: complex, w: tuple[complex, ...], M: int, row: Sequence[comp
     return acc.value, sum(size for _, size in terms)
 
 
-def _rungs(q: int, a: complex, w: tuple[complex, ...], dS: Sequence[complex], homog: bool,
-           cfg: EvalConfig) -> list[tuple[int, complex, float]]:
+def _rungs(q: int, a: complex, w: tuple[complex, ...], dS: Sequence[complex],
+           homog: bool) -> list[tuple[int, complex, float]]:
     """(M, bracket, summed term size) of each rung: the edge terms at M*w
     plus the cube sum of (a + n.w)^-q, or minus the cube log sum for q = 0.
     The row of `pole_coeffs` and the homogeneous F symbols are built once,
     for every rung."""
-    if q:
-        cube, sign = _cube_pow(a, w, cfg.limit_M_schedule, q, homog), 1.0
-    else:
-        cube, sign = _cube_log(a, w, cfg.limit_M_schedule, homog), -1.0
     d = len(w)
+    if q:
+        cube, sign = _cube_pow(a, w, _rungs_kept(d), q, homog), 1.0
+    else:
+        cube, sign = _cube_log(a, w, _rungs_kept(d), homog), -1.0
     row = pole_coeffs(q, d, dS)
     symbols = ([f_symbol_sum(_log_power(d - q - m), 0.0, w) for m in range(len(row))]
                if homog else None)
@@ -173,7 +167,7 @@ def _rungs(q: int, a: complex, w: tuple[complex, ...], dS: Sequence[complex], ho
 # Shared assembly
 
 
-def _run_limit(rungs: Sequence[tuple[int, complex, float]], const: complex, cfg: EvalConfig,
+def _run_limit(rungs: Sequence[tuple[int, complex, float]], const: complex, rel_tol: float,
                d: int) -> EvalResult:
     Ms = [M for M, _, _ in rungs]
     approx = [b + const for _, b, _ in rungs]
@@ -187,7 +181,7 @@ def _run_limit(rungs: Sequence[tuple[int, complex, float]], const: complex, cfg:
     # d = 3 on, where the cubes that fit are smaller and the rungs less
     # asymptotic.
     floor = 1e-5 if d <= 2 else 1e-3
-    tol = 10.0 * max(cfg.rel_tol, floor) * (1.0 + abs(value))
+    tol = 10.0 * max(rel_tol, floor) * (1.0 + abs(value))
     diag = {"M_values": Ms, "raw_values": [[v.real, v.imag] for v in approx],
             "extrapolated": [value.real, value.imag], "est_error": est}
     if est > tol:
@@ -195,7 +189,6 @@ def _run_limit(rungs: Sequence[tuple[int, complex, float]], const: complex, cfg:
             f"limit extrapolants disagree by {est:.3e} (allowed {tol:.3e})",
             diagnostics=diag,
         )
-    diag["monotone"] = _is_monotone(approx)
     return EvalResult(value, est, Method.LIMIT, diag)
 
 
@@ -207,7 +200,7 @@ def _pole_limit(q: int, a: complex, w: tuple[complex, ...], homog: bool,
     d = len(w)
     dS = ds_values(w, d + 1)
     const = pole_term(q, a, d, dS, log=False).value
-    return _run_limit(_rungs(q, a, w, dS, homog, cfg), const, cfg, d)
+    return _run_limit(_rungs(q, a, w, dS, homog), const, cfg.rel_tol, d)
 
 
 def fp_limit(q: int, params, *, config: EvalConfig | None = None) -> EvalResult:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bernoulli import classical_bernoulli
-from .combinatorics import CompensatedSum, shell_values
+from .combinatorics import MAX_SHELLS, CompensatedSum, shell_values
 from .foundations import (
     ConvergenceError,
     DomainError,
@@ -135,7 +135,7 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
     weights = narrow_weights(w)
     acc = CompensatedSum()
     points = 0
-    for k in range(cfg.max_shells + 1):
+    for k in range(MAX_SHELLS + 1):
         y = shell_values(a, weights, k, skip_origin=homog)
         if y.size:
             acc.add(complex(np.sum(y ** -narrow(alpha))))
@@ -165,8 +165,8 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
                 diagnostics={"shells": k + 1, "points": points, "tail_bound": bound},
             )
     raise ConvergenceError(
-        "direct summation hit max_shells before meeting the tail bound",
-        diagnostics={"shells": cfg.max_shells, "points": points},
+        "direct summation hit MAX_SHELLS before meeting the tail bound",
+        diagnostics={"shells": MAX_SHELLS, "points": points},
     )
 
 
@@ -234,25 +234,28 @@ def rational_d2_reduction(alpha: complex, a: complex, n: int) -> complex:
     return n ** (-alpha) * total
 
 
-def reduction(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
-    """The lattice zeta by whichever exact reduction applies to the weights.
+def _reduce(alpha: complex, a: complex, w: tuple[complex, ...]) -> complex:
+    """zeta(alpha, a | w) by its exact reduction: isotropic_reduction for equal
+    weights, rational_d2_reduction for d = 2 with w = (1, n)."""
+    d = len(w)
+    if all(wi == w[0] for wi in w):
+        return isotropic_reduction(alpha, a, w[0], d)
+    if d == 2 and w[0] == 1 and w[1].imag == 0 and float(w[1].real).is_integer() and w[1].real >= 1:
+        return rational_d2_reduction(alpha, a, int(w[1].real))
+    raise DomainError("reduction method needs equal weights or d = 2 with w = (1, n), "
+                      "n a positive integer")
 
-    Equal weights go through isotropic_reduction, d = 2 with w = (1, n)
-    through rational_d2_reduction; the homogeneous function has none.
-    `config` is accepted so that every route shares one signature; the
-    reductions have no tolerance.
-    """
+
+def reduction(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
+    """The lattice zeta by exact reductions to Hurwitz zetas; the homogeneous
+    one, its points split by their first nonzero coordinate, as the sum of
+    zeta(alpha, w_i | w_i, ..., w_d), i = 1..d.  `config` is accepted so that
+    every route shares one signature; the reductions have no tolerance."""
     a, w, homog = lattice(params)
-    if homog:
-        raise DomainError("reduction method applies to the inhomogeneous function")
     d = len(w)
     check_pole(complex(alpha), d)
-    if all(wi == w[0] for wi in w):
-        value = isotropic_reduction(alpha, a, w[0], d)
-    elif d == 2 and w[0] == 1 and w[1].imag == 0 and float(w[1].real).is_integer() and w[1].real >= 1:
-        value = rational_d2_reduction(alpha, a, int(w[1].real))
+    if homog:
+        value = sum(_reduce(alpha, w[i], w[i:]) for i in range(d))
     else:
-        raise DomainError(
-            "reduction method needs equal weights or d = 2 with w = (1, n), n a positive integer"
-        )
+        value = _reduce(alpha, a, w)
     return EvalResult(value, 1e-13 * (1 + abs(value)), Method.REDUCTION, {})

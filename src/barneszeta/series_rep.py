@@ -41,7 +41,7 @@ from math import factorial
 import numpy as np
 
 from .bernoulli import ds_values, pole_coeffs, pole_term
-from .combinatorics import CompensatedSum, shell_values, subset_terms
+from .combinatorics import MAX_SHELLS, CompensatedSum, shell_values, subset_terms
 from .foundations import (
     ConvergenceError,
     DEFAULT_CONFIG,
@@ -260,9 +260,9 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
     noise_total = 0.0
     first = prev = 0.0
     diag = {"shells": 0, "points": 0, "k": plan.k_used}
-    for j in range(cfg.max_shells + 1):
+    for j in range(MAX_SHELLS + 1):
         if j % _CORNER_BLOCK == 0:
-            corners = _corner_sums(stack, a0, j, min(_CORNER_BLOCK, cfg.max_shells + 1 - j), homog)
+            corners = _corner_sums(stack, a0, j, min(_CORNER_BLOCK, MAX_SHELLS + 1 - j), homog)
         corner = complex(corners[j % _CORNER_BLOCK])
         y = shell_values(a0, weights, j, skip_origin=homog)
         diag["shells"] = j + 1
@@ -292,7 +292,7 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
                 return EvalResult(acc.value + corner + closed, sum(recent) + noise_total,
                                   Method.SERIES, diag)
     raise ConvergenceError(
-        "shell summation hit max_shells without meeting the stopping rule",
+        "shell summation hit MAX_SHELLS without meeting the stopping rule",
         diagnostics=diag,
     )
 

@@ -57,7 +57,7 @@ from barneszeta.foundations import (
     as_weights,
     validate_params,
 )
-from barneszeta.limit_rep import _cube_log, _cube_pow, _run_limit
+from barneszeta.limit_rep import _cube_log, _cube_pow, _rungs_kept, _run_limit
 from barneszeta.oracles import (
     _BERNOULLI_TERMS,
     _SHIFT_N,
@@ -132,21 +132,19 @@ class FastPathKind(str, Enum):
     DERIV0 = "deriv0"
 
 
-def d2_fast_path(kind: FastPathKind | str, p: BarnesParams,
-                 config: EvalConfig | None = None) -> EvalResult:
+def d2_fast_path(kind: FastPathKind | str, p: BarnesParams) -> EvalResult:
     """Specialized two-dimensional limit formulas (must match the generic ops).
 
-    The cube sums are shared (cached) with the generic operations, so on a
-    common M schedule the two routes differ only in their edge-term algebra.
+    The cube sums are shared (cached) with the generic operations, on the
+    route's own rungs, so the two differ only in their edge-term algebra.
     """
-    cfg = config or DEFAULT_CONFIG
     validate_params(p)
     if p.d != 2:
         raise DimensionError(f"fast path is d = 2 only, got d = {p.d}")
     kind = FastPathKind(kind)
     a = p.a
     w1, w2 = p.w
-    sched = cfg.limit_M_schedule
+    Ms = _rungs_kept(2)
     lsum = cmath.log(w1 + w2)
     l1 = lsum - cmath.log(w1)   # log((w1+w2)/w1)
     l2 = lsum - cmath.log(w2)
@@ -155,13 +153,13 @@ def d2_fast_path(kind: FastPathKind | str, p: BarnesParams,
     # edge terms counted by their own sizes
     if kind is FastPathKind.FP2:
         rungs = [(M, [-math.log(M) / (w1 * w2)], c, m)
-                 for M, c, m in _cube_pow(a, p.w, sched, 2, False)]
+                 for M, c, m in _cube_pow(a, p.w, Ms, 2, False)]
         const = (-1 + lprod) / (w1 * w2)
     elif kind is FastPathKind.FP1:
         slope = l1 / w2 + l2 / w1
         coef = ((w1 + w2) / 2 - a) / (w1 * w2)
         rungs = [(M, [-slope * M, -coef * math.log(M)], c, m)
-                 for M, c, m in _cube_pow(a, p.w, sched, 1, False)]
+                 for M, c, m in _cube_pow(a, p.w, Ms, 1, False)]
         const = coef * lprod
     else:
         quad = a * a - (w1 + w2) * a + ((w1 + w2) ** 2 + w1 * w2) / 6
@@ -169,10 +167,10 @@ def d2_fast_path(kind: FastPathKind | str, p: BarnesParams,
         c1 = (2 * a - w1 - w2) / (2 * w2) * l1 + (2 * a - w1 - w2) / (2 * w1) * l2
         c0 = quad / (2 * w1 * w2)
         rungs = [(M, [(M * M) * math.log(M), c2 * (M * M), c1 * M, -c0 * math.log(M)], -c, m)
-                 for M, c, m in _cube_log(a, p.w, sched, False)]
+                 for M, c, m in _cube_log(a, p.w, Ms, False)]
         const = c0 * lprod
     return _run_limit([(M, sum(edge) + c, sum(map(abs, edge)) + m) for M, edge, c, m in rungs],
-                      const, cfg, 2)
+                      const, DEFAULT_CONFIG.rel_tol, 2)
 
 
 def _masked(n: Sequence[int], v: Sequence[int], idx: tuple[int, ...]) -> tuple[int, ...]:

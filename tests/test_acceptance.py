@@ -84,15 +84,14 @@ def test_criterion_02_cross_representation_agreement():
 def test_criterion_03_d2_fast_path():
     """Explicit d = 2 formulas against the generic limit operations."""
     rng = random.Random(12345)
-    cfg = EvalConfig(limit_M_schedule=(30, 60, 120, 240, 480))
     worst = 0.0
     for _ in range(20):
         p = BarnesParams(rng.uniform(0.3, 2.5),
                          (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)))
-        for kind, generic in (("fp1", lambda: fp_limit(1, p, config=cfg)),
-                              ("fp2", lambda: fp_limit(2, p, config=cfg)),
-                              ("deriv0", lambda: deriv0_limit(p, config=cfg))):
-            fast = d2_fast_path(kind, p, cfg).value
+        for kind, generic in (("fp1", lambda: fp_limit(1, p)),
+                              ("fp2", lambda: fp_limit(2, p)),
+                              ("deriv0", lambda: deriv0_limit(p))):
+            fast = d2_fast_path(kind, p).value
             gen = generic().value
             worst = max(worst, scaled_err(fast, gen))
             assert scaled_err(fast, gen) <= 1e-8

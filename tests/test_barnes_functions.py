@@ -20,7 +20,7 @@ from barneszeta import (
 from barneszeta.barnes_functions import ROUTES, evaluate
 from barneszeta.foundations import harmonic
 from barneszeta.oracles import hurwitz_zeta, hurwitz_zeta_ds, log_gamma_ref
-from barneszeta.series_rep import fp_series
+from barneszeta.series_rep import fp_series, zeta_series
 
 from conftest import scaled_err
 from references import digamma_ref
@@ -163,12 +163,10 @@ class TestEvaluate:
         by_name = evaluate("zeta", d2_params, 0.5, "series")
         assert by_member == by_name
 
-    # Every route of the registry once per form, the reduction only for a
-    # BarnesParams; w = (1, 2) has a reduction and alpha = 6.5 is inside the
-    # direct sum's region.
+    # Every route of the registry once per form; w = (1, 2) has a reduction
+    # and alpha = 6.5 is inside the direct sum's region.
     @pytest.mark.parametrize("quantity, homog, route", [
-        (q, h, r) for q in ROUTES for h in (False, True) for r in ROUTES[q]
-        if not (h and r == "reduction")])
+        (q, h, r) for q in ROUTES for h in (False, True) for r in ROUTES[q]])
     def test_one_route_signature(self, quantity, homog, route):
         fn = ROUTES[quantity][route]
         params = inspect.signature(fn).parameters
@@ -183,10 +181,21 @@ class TestEvaluate:
         assert fn(*at, p.w if homog else p).method.value == route
 
     def test_reduction_route(self):
-        res = evaluate("zeta", BarnesParams(1.0, (1.0, 2.0)), 5.0, "reduction")
-        assert res.method.value == "reduction"
-        with pytest.raises(DomainError, match="applies to the inhomogeneous function"):
-            ROUTES["zeta"]["reduction"](5.0, (1.0, 2.0))
+        for params in (BarnesParams(1.0, (1.0, 2.0)), (1.0, 2.0)):
+            res = evaluate("zeta", params, 5.0, "reduction")
+            assert res.method.value == "reduction"
+        # the first homogeneous piece, zeta(alpha, 1 | 1, sqrt 2), has no reduction
+        with pytest.raises(DomainError, match="needs equal weights"):
+            ROUTES["zeta"]["reduction"](5.0, (1.0, 2 ** 0.5))
+
+    @pytest.mark.parametrize("w", [(1.0, 1.0), (2.0, 2.0, 2.0), (1.0, 3.0)])
+    @pytest.mark.parametrize("alpha", [0.5, 2.5 + 1j, -1.5, 5.0])
+    def test_homogeneous_reduction_matches_series(self, w, alpha):
+        # the sum of the pieces zeta(alpha, w_i | w_i, ..., w_d) against the
+        # homogeneous series, within the series' own estimate
+        got = evaluate("zeta", w, alpha, "reduction").value
+        want = zeta_series(alpha, w)
+        assert abs(got - want.value) <= want.abs_error_estimate
 
     def test_weights_are_the_homogeneous_function(self):
         # Origin-excluded sum over n.w, w = (w1, w2): the terms with n1 >= 1
@@ -208,7 +217,7 @@ class TestEvaluate:
             assert "homogeneous" not in inspect.signature(fn).parameters
 
     @pytest.mark.parametrize("quantity, params, at, method", [
-        ("zeta", (1.0, 1.0), 5.0, "reduction"),
+        ("zeta", (1.0, 2 ** 0.5), 5.0, "reduction"),
         ("fp", BarnesParams(1.0, (1.0,)), 1, "direct"),
         ("deriv0", (1.0,), None, "bogus"),
         ("theta", (1.0,), None, "series"),

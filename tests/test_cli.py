@@ -187,12 +187,16 @@ class TestTable:
         assert len(rows) == 4
         assert "nan" in rows[2]
 
-    def test_homogeneous_reduction_is_usage_error(self, run):
-        code, out, err = run(["table", "--alpha-grid", "3:5:3", "--w", "1,1",
-                              "--homogeneous", "--method", "reduction"])
-        assert code == 2
-        assert err.startswith("error:") and "Traceback" not in err
-        assert out == ""
+    def test_homogeneous_reduction(self, run):
+        argv = ["table", "--alpha-grid", "3:5:3", "--w", "1,1", "--homogeneous"]
+        code, out, err = run([*argv, "--method", "reduction"])
+        _, out_s, _ = run([*argv, "--method", "series"])
+        assert code == 0 and err == ""
+        rows, rows_s = out.splitlines()[1:], out_s.splitlines()[1:]
+        assert len(rows) == len(rows_s) == 3
+        for lr, ls in zip(rows, rows_s):
+            assert lr.endswith(",reduction")
+            assert abs(float(lr.split(",")[2]) - float(ls.split(",")[2])) <= 1e-10
 
     def test_missing_a_is_usage_error(self, run):
         code, out, err = run(["table", "--alpha-grid", "3:5:3", "--w", "1,1",

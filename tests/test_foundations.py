@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -76,15 +77,14 @@ class TestEvalConfig:
     def test_defaults(self):
         cfg = EvalConfig()
         assert cfg.rel_tol == 1e-10
-        assert cfg.limit_M_schedule == (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(DomainError):
             EvalConfig(rel_tol=0.0)
 
-    def test_non_increasing_schedule_rejected(self):
-        with pytest.raises(DomainError):
-            EvalConfig(limit_M_schedule=(1000, 1000, 2000))
+    def test_only_field_is_rel_tol(self):
+        # the shell cap and the limit ladder are constants of their routes
+        assert [f.name for f in dataclasses.fields(EvalConfig)] == ["rel_tol"]
 
     def test_has_no_alpha_step(self):
         assert not hasattr(EvalConfig(), "alpha_step")

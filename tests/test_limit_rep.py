@@ -5,12 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from barneszeta import (
-    BarnesParams,
-    ConvergenceError,
-    EvalConfig,
-    ResourceError,
-)
+from barneszeta import BarnesParams, ResourceError
 from barneszeta import limit_rep
 from barneszeta.bernoulli import ds_values, pole_coeffs
 from barneszeta.integral_rep import deriv0_integral, fp_integral
@@ -71,7 +66,6 @@ class TestDiagnostics:
         res = fp_limit(1, BarnesParams(1.0, (1.0,)))
         assert res.diagnostics["M_values"] == [64, 96, 128, 192, 256]
         assert len(res.diagnostics["raw_values"]) == 5
-        assert "monotone" in res.diagnostics
 
     def test_est_error_is_extrapolant_gap(self):
         res = deriv0_limit((1.0, 1.0))
@@ -82,12 +76,8 @@ class TestDiagnostics:
         kept = {1: (64, 96, 128, 192, 256), 2: (64, 96, 128, 192, 256),
                 3: (24, 32, 48, 64, 96), 4: (8, 12, 16, 24, 32), 5: (4, 6, 8, 12, 16)}
         for d, Ms in kept.items():
-            assert limit_rep._rungs_kept(EvalConfig().limit_M_schedule, d) == Ms
+            assert limit_rep._rungs_kept(d) == Ms
             assert max(Ms) ** d <= limit_rep._CUBE_POINTS
-        # a configured schedule is cut the same way
-        assert limit_rep._rungs_kept((10, 100, 1000, 2000), 2) == (10, 100, 1000)
-        with pytest.raises(ResourceError):
-            limit_rep._rungs_kept((2000, 4000), 2)
 
     def test_edge_size_counts_every_subset_term(self, d2_params):
         # the largest term of F[t^2 log t] at x = M*w is the full subset,
@@ -114,9 +104,10 @@ class TestDiagnostics:
         assert len(calls) == len(w) + 1
 
     def test_unusable_schedule_raises(self):
-        cfg = EvalConfig(limit_M_schedule=(1, 2, 3))
-        with pytest.raises(ConvergenceError):
-            deriv0_limit(BarnesParams(0.7, (1.0, 2**0.5)), config=cfg)
+        # from d = 11 on not even M = 4 has a cube of at most 2^20 points
+        assert limit_rep._rungs_kept(10) == (4,)
+        with pytest.raises(ResourceError):
+            deriv0_limit(BarnesParams(0.7, (1.0,) * 11))
 
 
 class TestHomogeneousBridgeLimitForm:
@@ -145,9 +136,8 @@ class TestFastPath:
         assert abs(res.value + 0.5) <= 1e-9
 
     def test_deriv0_matches_generic(self, d2_params):
-        cfg = EvalConfig(limit_M_schedule=(30, 60, 120, 240, 480))
-        fast = d2_fast_path("deriv0", d2_params, cfg)
-        generic = deriv0_limit(d2_params, config=cfg)
+        fast = d2_fast_path("deriv0", d2_params)
+        generic = deriv0_limit(d2_params)
         assert scaled_err(fast.value, generic.value) <= 1e-8
 
 

@@ -339,11 +339,12 @@ class TestBlockedCorners:
                     assert abs(got[i] - want) <= 1e-13 * size
 
     @pytest.mark.parametrize("w, k, shells", [(W6[:4], 1, 21), (W6[:5], 1, 10)], ids=["d4", "d5"])
-    def test_walk_into_face_built_shells(self, w, k, shells):
+    def test_walk_into_face_built_shells(self, w, k, shells, monkeypatch):
         """A walk past the shells of the cached grid, (k+1)^d > 2^16, whose
         last shells are built face by face, against the shell-by-shell sum
         of its per-point parts plus the last C(j) formed on its own."""
-        res = zeta_series(0.5, w, k=k, config=EvalConfig(max_shells=2 * shells))
+        monkeypatch.setattr(sr, "MAX_SHELLS", 2 * shells)
+        res = zeta_series(0.5, w, k=k)
         assert res.diagnostics["shells"] == shells and shells ** len(w) > 2 ** 16
         plan = sr._plan_generic(0.5, w, k)
         stack = sr._stack(plan, 0.0, w)
@@ -373,7 +374,8 @@ class TestLadderWork:
             return ladder(stack, z)
 
         monkeypatch.setattr(sr, "_ladder", counted)
-        diag = deriv0_series(D4W, config=EvalConfig(max_shells=16)).diagnostics
+        monkeypatch.setattr(sr, "MAX_SHELLS", 16)
+        diag = deriv0_series(D4W).diagnostics
         assert diag["points"] == 4095
         block = sr._CORNER_BLOCK
         assert len(sizes) <= -(-diag["shells"] // block)
@@ -391,9 +393,9 @@ class TestLadderWork:
         monkeypatch.setattr(sr, "_eval_shell", seen)
         # They need 9 and 12 shells; the cap turns a broken stopping rule
         # into a ConvergenceError instead of a long walk.
-        cfg = EvalConfig(max_shells=16)
-        zeta_series(0.5 + 3j, BarnesParams(0.7, D2W), config=cfg)
-        zeta_series(0.5 + 3j, D3W, config=cfg)
+        monkeypatch.setattr(sr, "MAX_SHELLS", 16)
+        zeta_series(0.5 + 3j, BarnesParams(0.7, D2W))
+        zeta_series(0.5 + 3j, D3W)
         assert dtypes == {np.dtype(np.float64)}
 
 
@@ -405,20 +407,21 @@ class TestPointCounts:
     D4 = BarnesParams(1.0, D4W)
 
     @pytest.mark.parametrize("call, shells, points", [
-        (lambda c, cfg: zeta_series(0.5, c.D2, config=cfg), 9, 81),
-        (lambda c, cfg: zeta_series(0.5 + 3j, D2W, config=cfg), 11, 120),
-        (lambda c, cfg: fp_series(1, c.D3, config=cfg), 11, 1331),
-        (lambda c, cfg: fp_series(2, D3W, config=cfg), 13, 2196),
-        (lambda c, cfg: zeta_series(-1.5, c.D4, config=cfg), 5, 625),
-        (lambda c, cfg: deriv0_series(c.D4, config=cfg), 7, 2401),
-        (lambda c, cfg: deriv0_series(D4W, config=cfg), 8, 4095),
-        (lambda c, cfg: fp_series(2, BarnesParams(1 + 0.3j, CPLXW), config=cfg), 10, 100),
-        (lambda c, cfg: deriv0_series(D2W, config=cfg), 10, 99),
+        (lambda c: zeta_series(0.5, c.D2), 9, 81),
+        (lambda c: zeta_series(0.5 + 3j, D2W), 11, 120),
+        (lambda c: fp_series(1, c.D3), 11, 1331),
+        (lambda c: fp_series(2, D3W), 13, 2196),
+        (lambda c: zeta_series(-1.5, c.D4), 5, 625),
+        (lambda c: deriv0_series(c.D4), 7, 2401),
+        (lambda c: deriv0_series(D4W), 8, 4095),
+        (lambda c: fp_series(2, BarnesParams(1 + 0.3j, CPLXW)), 10, 100),
+        (lambda c: deriv0_series(D2W), 10, 99),
     ])
-    def test_points(self, call, shells, points):
+    def test_points(self, call, shells, points, monkeypatch):
         # A few shells above the need: a broken stopping rule raises
         # ConvergenceError instead of walking on.
-        diag = call(self, EvalConfig(max_shells=shells + 4)).diagnostics
+        monkeypatch.setattr(sr, "MAX_SHELLS", shells + 4)
+        diag = call(self).diagnostics
         assert (diag["shells"], diag["points"]) == (shells, points)
 
 

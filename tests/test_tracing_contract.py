@@ -46,15 +46,14 @@ def test_traced_best_call_counts_every_layer():
 
 # Every registry entry once per form, on a lattice that every route accepts:
 # w = (1, 2) has a reduction and alpha = 6.5 is inside the direct sum's
-# region; the reduction has no homogeneous form.  The first lines of CODE
-# install the shim.
+# region.  The first lines of CODE install the shim.
 EVERY_ROUTE = CODE.split("from barneszeta")[0] + """
 from barneszeta import ROUTES, BarnesParams
 p = BarnesParams(0.7, (1.0, 2.0))
 at = {"zeta": (6.5,), "fp": (1,), "deriv0": ()}
 for quantity, routes in ROUTES.items():
     for name, fn in routes.items():
-        for params in (p,) if name == "reduction" else (p, p.w):
+        for params in (p, p.w):
             fn(*at[quantity], params)
 print(json.dumps(tracer.metrics()))
 """
