@@ -8,7 +8,9 @@ Convention: B_n(a|w) is the coefficient of z^n/n! in
 and B_k(w) = B_k(0|w).  (Some references rescale these objects by
 prod_i w_i; that convention is *not* used here.)
 Tables are numpy convolutions of cached B_n/n! arrays scaled by w_i^n, in
-float64 when every w_i (and, for the polynomials, a) is real.
+float64 when every w_i (and, for the polynomials, a) is real.  A lattice has
+one table: B_n(w) does not depend on the table size, so a request of any
+size N <= _TABLE_MIN reads the first N + 1 entries of the same build.
 
 The pole expansion of the lattice zeta at alpha = q, q = 1..d, and at
 alpha = 0 (its derivative there, the member q = 0) is one Laurent row c_m
@@ -32,6 +34,11 @@ from .combinatorics import CompensatedSum
 from .foundations import DomainError, TruncationError, as_weights, harmonic_float, narrow
 
 MAX_TABLE = 170            # 171! no longer fits in a float
+# The smallest table built.  It holds the integral brackets' M + 60 terms at
+# every subtraction order M <= 6 of the finite parts and the derivative at
+# zero, so the series plan, the brackets and the closed terms of one
+# Gamma-family call up to d = 6 read one build.
+_TABLE_MIN = 66
 _CLASSICAL_CAP = 320
 
 
@@ -58,14 +65,15 @@ def classical_bernoulli(n: int) -> tuple[Fraction, ...]:
             continue
         acc = Fraction(0)
         for r in range(m):
-            acc += comb(m + 1, r) * out[r]
+            if out[r]:
+                acc += comb(m + 1, r) * out[r]
         out.append(-acc / (m + 1))
     return tuple(out[: n + 1])
 
 
 class BernoulliTable(NamedTuple):
-    """Pure function of (sorted w, N): the numbers B_0(w)..B_N(w), and B_n(w)/n!;
-    floats when every w_i is real."""
+    """The numbers B_0(w)..B_N(w), and B_n(w)/n!, a prefix of the one table
+    of the lattice (sorted w); floats when every w_i is real."""
 
     numbers: tuple[complex, ...]
     scaled: tuple[complex, ...]
@@ -103,7 +111,9 @@ def _table_cached(w: tuple[complex, ...], N: int) -> BernoulliTable:
 
 def bernoulli_numbers(w: Iterable[complex], N: int) -> BernoulliTable:
     """Table of higher-order Bernoulli numbers B_0(w)..B_N(w), one per lattice:
-    the weights are sorted first, so every order of them gets the same table.
+    the weights are sorted first, so every order of them gets the same table,
+    and an N below _TABLE_MIN reads the first N + 1 entries of the table of
+    size _TABLE_MIN, bit for bit the table of size N.
 
     Computed as the Cauchy product of the d classical one-weight expansions:
     each is the cached B_n/n! times w_i^n, and the product is d - 1 calls of
@@ -112,14 +122,22 @@ def bernoulli_numbers(w: Iterable[complex], N: int) -> BernoulliTable:
         raise DomainError("N must be >= 0")
     if N > MAX_TABLE:
         raise TruncationError(f"Bernoulli table size capped at N = {MAX_TABLE}")
-    return _table_cached(tuple(sorted(as_weights(w), key=lambda z: (z.real, z.imag))), N)
+    table = _table_cached(tuple(sorted(as_weights(w), key=lambda z: (z.real, z.imag))),
+                          max(N, _TABLE_MIN))
+    if N >= _TABLE_MIN:
+        return table
+    return BernoulliTable(table.numbers[:N + 1], table.scaled[:N + 1])
 
 
 def bernoulli_taylor(a: complex, w: Iterable[complex], N: int) -> np.ndarray:
     """B_n(a|w)/n!, n = 0..N: one table of B_n(w)/n! in one convolution with
     the e^{az} coefficients a^l/l!, the Taylor coefficients of the generating
-    function; float64 when a and w are real."""
+    function; float64 when a and w are real.  At a = 0 the convolution with
+    (1, 0, 0, ...) is skipped: the table's row comes back, plus 0.0, which
+    turns a -0.0 entry into the 0.0 that the convolution's 0 * B_0 term gives."""
     scaled = bernoulli_numbers(w, N).scaled
+    if a == 0:
+        return np.array(scaled) + 0.0
     exp_a = narrow(a) ** np.arange(N + 1) / _unit_series(N)[1]
     return np.convolve(exp_a, scaled)[: N + 1]
 

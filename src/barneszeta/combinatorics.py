@@ -32,6 +32,7 @@ from .foundations import DomainError, EvaluationError, as_weights, narrow, narro
 
 MAX_DIM = 16
 MAX_SHELLS = 100_000      # shells S_0..S_MAX_SHELLS a lattice walk may visit
+MAX_POINTS = 30_000_000   # lattice points a walk may sum before it gives up
 _GRID_POINTS = 2 ** 16     # shells with (k+1)^d <= this come from the cached grid
 _GRIDS: dict[int, tuple[np.ndarray, int]] = {}   # d -> (grid, shells written)
 
@@ -169,7 +170,8 @@ def shell_values(a: complex, w: Sequence[complex] | np.ndarray, k: int,
     C order, so the output ordering is reproducible bit for bit.
 
     While (k+1)^d <= _GRID_POINTS the values are one product w @ G_k of the
-    weights with the shell's cached integer grid (see `_shell_grid`), so
+    weights with the shell's cached integer grid (see `_shell_grid`), read
+    straight from the cache once the shell is written there, so
     each dimension's cache holds at most 2^16 points, 2^16 * d bytes.  The
     grid pays where the call overhead of the face build dominates, on the
     many small shells of the series; larger shells -- the long d = 2 walks
@@ -182,6 +184,9 @@ def shell_values(a: complex, w: Sequence[complex] | np.ndarray, k: int,
     if k == 0:
         return np.array([] if skip_origin else [a], dtype=np.result_type(a, wt))
     d = len(wt)
+    grid, written = _GRIDS.get(d, (None, 0))
+    if k < written:
+        return a + wt @ grid[:, k ** d:(k + 1) ** d]
     if (k + 1) ** d <= _GRID_POINTS:
         return a + wt @ _shell_grid(d, k)
     n = np.arange(k + 1.0)

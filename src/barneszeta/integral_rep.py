@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import Callable, NamedTuple
 
@@ -247,6 +248,15 @@ def _inhom_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.
     return bracket
 
 
+@lru_cache(maxsize=64)
+def _exp_row(c: complex, start: int, count: int) -> np.ndarray:
+    """c^k/k!, k = start .. start + count - 1, the Taylor coefficients of
+    e^(ct); the same for every lattice."""
+    row = np.array([c ** k / factorial(k) for k in range(start, start + count)])
+    row.flags.writeable = False
+    return row
+
+
 def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.ndarray], np.ndarray]:
     """Regularized homogeneous integrand bracket; O(t^{M+1-d}) at the origin.
 
@@ -261,13 +271,12 @@ def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.n
     _, signs, sigmas = zip(*subset_terms(w, include_empty=False))
     sigmas, signs = np.array(sigmas), (-1.0) ** (d + 1) * np.array(signs)
     n_exp = M - d   # highest k of the counter-exponential partial sum
-    partial = np.array([c ** k / factorial(k) for k in range(n_exp + 1)])
+    partial = _exp_row(c, 0, n_exp + 1)
     # Below t0 both series carry e^{-ct} t^(M+1-d); for M >= d the
     # counter-exponential tail c^(M+1-d+j)/(M+1-d+j)! folds into one tail row.
     tail = coeffs[M + 1:] / pw
     if n_exp >= 0:
-        tail = tail - np.array([c ** (n_exp + 1 + j) / factorial(n_exp + 1 + j)
-                                for j in range(_SERIES_EXTRA)])
+        tail = tail - _exp_row(c, n_exp + 1, _SERIES_EXTRA)
 
     def bracket(t: np.ndarray) -> np.ndarray:
         out = np.empty(t.shape, dtype=coeffs.dtype)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bernoulli import classical_bernoulli
-from .combinatorics import MAX_SHELLS, CompensatedSum, shell_values
+from .combinatorics import MAX_POINTS, MAX_SHELLS, CompensatedSum, shell_values
 from .foundations import (
     ConvergenceError,
     DomainError,
@@ -110,7 +110,6 @@ def log_gamma_ref(a: complex) -> complex:
     return hurwitz_zeta_ds(0.0, a) + 0.5 * LOG_2PI
 
 
-_DIRECT_POINT_BUDGET = 30_000_000
 _DIRECT_WORST_REL = 1e-2
 
 
@@ -151,7 +150,7 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
         # Near the abscissa the bound decays like k^(d - Re alpha) and the
         # requested tolerance may be out of reach; stop at the point budget
         # and report the honest bound instead of grinding on.
-        out_of_budget = k >= 1 and points >= _DIRECT_POINT_BUDGET
+        out_of_budget = k >= 1 and points >= MAX_POINTS
         if done or out_of_budget:
             if not done and bound > _DIRECT_WORST_REL * max(total, 1e-300):
                 raise ConvergenceError(

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
 from math import factorial
 import numpy as np
 
 from .bernoulli import ds_values, pole_coeffs, pole_term
-from .combinatorics import MAX_SHELLS, CompensatedSum, shell_values, subset_terms
+from .combinatorics import MAX_POINTS, MAX_SHELLS, CompensatedSum, shell_values, subset_terms
 from .foundations import (
     ConvergenceError,
     DEFAULT_CONFIG,
@@ -65,9 +64,6 @@ _K_TARGET = 13
 # Cap on |y_min|^(1-k): larger k inflates the intermediate ladder terms at
 # the innermost lattice points like |y_min|^(1-k), which is pure cancellation.
 _GROWTH_CAP_DIGITS = 8.0
-
-# Consecutive shells that must all pass the stopping rule.
-_STOP_COUNT = 3
 
 # Shells whose corner sums C(j) come from one ladder call.
 _CORNER_BLOCK = 8
@@ -231,18 +227,19 @@ def _corner_sums(stack: tuple[np.ndarray, ...], a0: complex, j0: int, count: int
 
 def _eval_shell(plan: _Plan, stack: tuple[np.ndarray, ...], y: np.ndarray) -> tuple[complex, float]:
     """Per-point part of one shell: the sum of base(y) + const, and the noise
-    estimate eps * sum |y^e0|.  On a real lattice y arrives as float64: a
-    complex alpha then costs one complex exp per point, and |y^e0| = y^Re(e0)."""
+    estimate eps * sum |y^e0|.  On a real lattice y arrives as float64 and
+    positive: a complex alpha then costs one complex exp per point, and
+    |y^e0| = y^Re(e0) needs no abs."""
     e0, base_expo, const = stack[4:]
     real = y.dtype == np.float64
     if plan.base == "neglog":
-        t = -np.log(y)
+        total = -np.log(y).sum()
     elif real and base_expo.dtype == np.complex128:
-        t = np.exp(-base_expo * np.log(y))
+        total = np.exp(-base_expo * np.log(y)).sum()
     else:
-        t = np.power(y, -base_expo)
-    noise = np.abs(np.power(y, e0.real if real else e0))
-    return complex(np.sum(t) + const * y.size), _EPS * float(np.sum(noise))
+        total = np.power(y, -base_expo).sum()
+    noise = np.power(y, e0.real).sum() if real else np.abs(np.power(y, e0)).sum()
+    return complex(total + const * y.size), _EPS * float(noise)
 
 
 def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfig,
@@ -251,49 +248,60 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
     shell j adds its per-point part and C(j) - C(j-1).  The value is the
     compensated per-point sum plus the last C(j), never a running sum of corner
     differences.  Homogeneous forms pass only their constant: the F-symbol
-    part of their closed term is C(0), which the shells subtract again."""
+    part of their closed term is C(0), which the shells subtract again.
+
+    The walk stops once three consecutive shells pass the stopping rule, and
+    raises ConvergenceError past MAX_SHELLS shells or MAX_POINTS points."""
     stack = _stack(plan, a0, w)
     weights = narrow_weights(w)
     acc = CompensatedSum()
-    recent: deque[float] = deque(maxlen=_STOP_COUNT)
-    recent_noise: deque[float] = deque(maxlen=_STOP_COUNT)
+    # The last three shells' |total| and noise, oldest first.
+    r0 = r1 = r2 = n0 = n1 = n2 = 0.0
+    filled = points = 0
     noise_total = 0.0
     first = prev = 0.0
-    diag = {"shells": 0, "points": 0, "k": plan.k_used}
+
+    def diag(j: int) -> dict:
+        return {"shells": j + 1, "points": points, "k": plan.k_used}
+
     for j in range(MAX_SHELLS + 1):
         if j % _CORNER_BLOCK == 0:
-            corners = _corner_sums(stack, a0, j, min(_CORNER_BLOCK, MAX_SHELLS + 1 - j), homog)
-        corner = complex(corners[j % _CORNER_BLOCK])
+            corners = _corner_sums(stack, a0, j, min(_CORNER_BLOCK, MAX_SHELLS + 1 - j),
+                                   homog).astype(np.complex128).tolist()
+        corner = corners[j % _CORNER_BLOCK]
         y = shell_values(a0, weights, j, skip_origin=homog)
-        diag["shells"] = j + 1
         if y.size:
             part, noise = _eval_shell(plan, stack, y)
             s = part + (corner - prev)
-            diag["points"] += int(y.size)
+            points += y.size
             if not cmath.isfinite(s):
                 raise ConvergenceError(f"shell {j} sums to {s}; the series cannot converge",
-                                       diagnostics=diag)
+                                       diagnostics=diag(j))
             acc.add(part)
             noise_total += noise
-            recent.append(abs(s))
-            recent_noise.append(noise)
+            r0, r1, r2 = r1, r2, abs(s)
+            n0, n1, n2 = n1, n2, noise
+            filled += 1
         else:
             first = corner
         prev = corner
-        if j >= _STOP_COUNT and len(recent) == _STOP_COUNT:
+        if j >= 3 and filled >= 3:
             scale = max(abs(acc.value + (corner - first)), abs(closed + first), 1e-300)
             # Below 4x the per-shell rounding noise further shells add no
             # information; stop there even if rel_tol has not been reached.
             # eps * sum|y^e0| is the rounding a per-point ladder would leave;
             # the corner sums leave far less, so it is a conservative
             # stand-in, kept so that the stopping rule does not move.
-            floor = 4.0 * max(recent_noise)
-            if max(recent) <= max(cfg.rel_tol * scale, floor):
-                return EvalResult(acc.value + corner + closed, sum(recent) + noise_total,
-                                  Method.SERIES, diag)
+            if max(r0, r1, r2) <= max(cfg.rel_tol * scale, 4.0 * max(n0, n1, n2)):
+                return EvalResult(acc.value + corner + closed, r0 + r1 + r2 + noise_total,
+                                  Method.SERIES, diag(j))
+        if points >= MAX_POINTS:
+            raise ConvergenceError(f"shell summation spent its budget of {MAX_POINTS} points "
+                                   f"in {j + 1} shells without meeting the stopping rule",
+                                   diagnostics=diag(j))
     raise ConvergenceError(
         "shell summation hit MAX_SHELLS without meeting the stopping rule",
-        diagnostics=diag,
+        diagnostics=diag(MAX_SHELLS),
     )
 
 

@@ -1,18 +1,22 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from barneszeta import (
     BarnesParams,
     TruncationError,
+    gamma_dq,
     log_gamma_B,
+    log_rho,
     psi_B,
     residue,
 )
 from barneszeta import bernoulli
 from barneszeta.bernoulli import (
+    MAX_TABLE,
     bernoulli_numbers,
     bernoulli_poly,
     bernoulli_taylor,
@@ -187,8 +191,44 @@ class TestOneTable:
         BarnesParams(0.9, (1.0, 2 ** 0.5, math.pi / 4)),
     ])
     def test_cold_gamma_family_builds_few_tables(self, params):
-        assert _table_misses(lambda: log_gamma_B(params, "best")) <= 3
-        assert _table_misses(lambda: psi_B(1, params, "best")) <= 3
+        # The series plan, the closed terms, the integral brackets and the
+        # residue of one call all read the lattice's one table.
+        assert _table_misses(lambda: log_gamma_B(params, "best")) == 1
+        assert _table_misses(lambda: psi_B(1, params, "best")) == 1
+        assert _table_misses(lambda: gamma_dq(2, params.w, "best")) == 1
+        assert _table_misses(lambda: log_rho(params.w, "best")) == 1
+
+    W = {"real": (1.0, 2 ** 0.5, math.pi / 4, 2.7, 0.35, 1.9),
+         "complex": (1.0 + 0.3j, 1.9 - 0.4j, 0.6, 2.2 + 1j, 0.8 + 0.05j, 1.4 - 0.7j)}
+
+    @pytest.mark.parametrize("kind", W)
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_smaller_tables_are_prefixes(self, d, kind):
+        # B_n(w) must not depend on the table size: a table of any size N is
+        # the first N + 1 entries of the largest one, bit for bit, so one
+        # build can serve every size a lattice asks for.
+        w = self.W[kind][:d]
+        key = tuple(sorted(w, key=lambda z: (z.real, z.imag)))
+        full = bernoulli_numbers(w, MAX_TABLE)
+        bits = lambda xs: np.array(xs).tobytes()
+        for N in range(MAX_TABLE + 1):
+            for table in (bernoulli._table_cached(key, N), bernoulli_numbers(w, N)):
+                assert bits(table.numbers) == bits(full.numbers[:N + 1])
+                assert bits(table.scaled) == bits(full.scaled[:N + 1])
+        bernoulli._table_cached.cache_clear()
+
+    @pytest.mark.parametrize("kind", W)
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_taylor_at_zero_is_the_table(self, d, kind):
+        # At a = 0 the row comes back without the convolution with
+        # e^(az) = 1, and must equal what that convolution gives.
+        w = self.W[kind][:d]
+        for N in (0, 1, 7, 66, 90):
+            scaled = bernoulli_numbers(w, N).scaled
+            convolved = np.convolve(0.0 ** np.arange(N + 1) / bernoulli._unit_series(N)[1],
+                                    scaled)[:N + 1]
+            got = bernoulli_taylor(0.0, w, N)
+            assert got.dtype == convolved.dtype and got.tobytes() == convolved.tobytes()
 
 
 class TestTableAgainstMpmath:

@@ -280,6 +280,21 @@ class TestShellValues:
             assert grid.shape == (d, combinatorics._GRID_POINTS) and written ** d <= grid.shape[1]
             assert grid.nbytes <= combinatorics._GRID_POINTS * d * (2 if d == 1 else 1)
 
+    @pytest.mark.parametrize("w, a", [((1.0, 2 ** 0.5, 0.7, 1.3, 2.9, 0.45), 0.35),
+                                      ((1.0 + 0.2j, 1.3, 0.8 - 0.1j, 2.0, 1.1 + 0.3j, 0.6), 0.5 + 0.1j)],
+                             ids=["real", "complex"])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_written_shell_reads_back_bit_for_bit(self, d, w, a):
+        # A shell already in the grid is read straight from it; the values
+        # must be those of the call that wrote it.  The first 40 shells and
+        # the last grid shell, except at d = 1, whose 65,535 grid shells
+        # take a second to write.
+        combinatorics._GRIDS.pop(d, None)
+        w = w[:d]
+        last = self.last_grid_shell(d) if d > 1 else 40
+        first = {k: shell_values(a, w, k).tobytes() for k in sorted({*range(min(last, 40)), last})}
+        for k, values in first.items():
+            assert shell_values(a, w, k).tobytes() == values
 
     def test_complex_a_on_real_weights_is_complex(self):
         assert shell_values(0.5 + 0.1j, (1.0, 2.0), 2).dtype == np.complex128

@@ -292,6 +292,23 @@ class TestHomogeneous:
         v2 = zeta_integral(0.5, (1.0, 1.0), M=2, c=2.0).value
         assert rel_err(v1, v2) <= 1e-8
 
+    @pytest.mark.parametrize("alpha", [0.5, -1.5, 2.5 + 1j])
+    @pytest.mark.parametrize("w", [(1.0, 2 ** 0.5), (1.0, 2 ** 0.5, math.pi / 4)],
+                             ids=["d2", "d3"])
+    def test_regulators_agree_within_estimates(self, w, alpha):
+        # The rows c^k/k! of the bracket come from a cache keyed on c: each
+        # regulator must get its own, and c = 1 the same bits before and
+        # after the others.  At 0.5 and -1.5 the default M is at least d, so
+        # the counter-exponential rows are in use.
+        ref = zeta_integral(alpha, w)
+        for c in (2.0, 1.0 + 0.5j):
+            res = zeta_integral(alpha, w, c=c)
+            slack = 8 * 2.0 ** -52 * (1 + abs(ref.value))
+            assert abs(res.value - ref.value) <= (res.abs_error_estimate
+                                                  + ref.abs_error_estimate + slack)
+        again = zeta_integral(alpha, w)
+        assert (again.value, again.abs_error_estimate) == (ref.value, ref.abs_error_estimate)
+
     def test_regulator_domain(self):
         with pytest.raises(DomainError):
             zeta_integral(0.5, (1.0, 1.0), c=-1.0)

@@ -13,6 +13,7 @@ from barneszeta import (
     isotropic_reduction,
     rational_d2_reduction,
 )
+from barneszeta import combinatorics, oracles
 from barneszeta.combinatorics import CompensatedSum, shell_values
 from barneszeta.oracles import hurwitz_zeta, hurwitz_zeta_ds, log_gamma_ref
 
@@ -86,6 +87,15 @@ class TestDirectSum:
     def test_near_abscissa_rejected(self):
         with pytest.raises(ConvergenceError):
             direct_sum(2.4, BarnesParams(1.0, (1.0, 1.0)))
+
+    def test_point_budget(self, monkeypatch):
+        # The walk stops at the package's point budget, which the series
+        # walk shares, and raises while the tail bound is still above 1e-2.
+        assert oracles.MAX_POINTS == combinatorics.MAX_POINTS == 30_000_000
+        monkeypatch.setattr(oracles, "MAX_POINTS", 200)
+        with pytest.raises(ConvergenceError, match="point budget") as exc:
+            direct_sum(3.0, BarnesParams(1.0, (1.0, 1.0)), config=EvalConfig(rel_tol=1e-6))
+        assert (exc.value.diagnostics["shells"], exc.value.diagnostics["points"]) == (15, 225)
 
     def test_homogeneous(self):
         res = direct_sum(4.0, (1.0,), config=EvalConfig(rel_tol=1e-12))

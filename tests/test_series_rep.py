@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -249,6 +250,72 @@ class TestStackedKernel:
         assert len(logc) == 3 - 2 + 1
         assert len(plain) == 8 + 3 and plain[: len(logc)].tolist() == [0.0] * len(logc)
         assert signs.shape == sigmas.shape == (8,)
+
+
+class TestKernelBits:
+    """The shell kernel, bit for bit against its reference expressions:
+    complex(np.sum(t) + const * n) for the per-point part, with t the
+    summand base(y), and eps * np.sum(np.abs(np.power(y, e0))) for the noise,
+    whose exponent on a real lattice is Re(e0)."""
+
+    PLANS = {
+        "pow": lambda w: sr._plan_generic(0.5, w, 2),
+        "pow negative alpha": lambda w: sr._plan_generic(-3.5, w, 5),
+        "pow complex alpha": lambda w: sr._plan_generic(0.5 + 3j, w, 2),
+        "fp": lambda w: sr._plan_pole(1, w, 2),
+        "neglog": lambda w: sr._plan_pole(0, w, 2),
+    }
+
+    @staticmethod
+    def reference(stack, plan, y):
+        e0, base_expo, const = stack[4:]
+        real = y.dtype == np.float64
+        if plan.base == "neglog":
+            t = -np.log(y)
+        elif real and base_expo.dtype == np.complex128:
+            t = np.exp(-base_expo * np.log(y))
+        else:
+            t = np.power(y, -base_expo)
+        noise = np.abs(np.power(y, e0.real if real else e0))
+        return complex(np.sum(t) + const * y.size), sr._EPS * float(np.sum(noise))
+
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("homog", [False, True], ids=["inhomogeneous", "homogeneous"])
+    @pytest.mark.parametrize("w, a0", [(D3W, 0.9), (CPLXW, 1 + 0.3j)], ids=["real", "complex"])
+    def test_matches_reference(self, w, a0, homog, plan):
+        a0 = 0.0 if homog else a0
+        made = self.PLANS[plan](w)
+        stack = sr._stack(made, a0, w)
+        for j in range(1, 9):
+            y = shell_values(a0, w, j, skip_origin=homog)
+            # repr tells every float apart, -0.0 from 0.0 included
+            assert repr(sr._eval_shell(made, stack, y)) == repr(self.reference(stack, made, y))
+
+
+class TestPointBudget:
+    """The walk raises ConvergenceError once it has summed MAX_POINTS points
+    without meeting the stopping rule."""
+
+    @pytest.mark.parametrize("alpha", [0.5, -1.5])
+    def test_tiny_weights_raise_in_time(self, alpha):
+        # On these weights the stopping rule is out of reach; without the
+        # budget the walk was still running after 20 s.
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="budget") as exc:
+            zeta_series(alpha, (1e-6, 1e-6, 3e-6))
+        assert time.perf_counter() - t0 < 3.0
+        diag = exc.value.diagnostics
+        # The walk stops at the first shell that takes it past the budget.
+        assert diag["points"] >= sr.MAX_POINTS > diag["points"] - 6 * diag["shells"] ** 2
+
+    def test_budget_counts_points(self, monkeypatch):
+        # The homogeneous finite part at 2 on D3's weights needs 13 shells,
+        # 2196 points; a budget of 1000 stops the walk after shell 10, the
+        # first to take the points past it: 11^3 - 1 = 1330.
+        monkeypatch.setattr(sr, "MAX_POINTS", 1000)
+        with pytest.raises(ConvergenceError, match="budget") as exc:
+            fp_series(2, D3W)
+        assert exc.value.diagnostics == {"shells": 11, "points": 1330, "k": 8}
 
 
 D1W = (1.3,)
