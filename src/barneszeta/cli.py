@@ -1,12 +1,13 @@
 """Command-line interface: evaluate any quantity by any route, emit JSON or
 CSV, and run cross-representation comparison reports.
 
-Dispatch: `eval`, `fp` and `deriv0` are one handler that builds the config
-and the params once (the weights when --homogeneous, else a BarnesParams),
-then calls `barnes_functions.evaluate`; `table` and `compare` loop over the
-same `barnes_functions.ROUTES[quantity][route]` registry, and every
---method choice list is read from it, plus "best".  No route function is
-imported here.
+Dispatch: `eval`, `fp` and `deriv0` are one handler that passes the params
+(the weights when --homogeneous, else a BarnesParams) to
+`barnes_functions.evaluate`, whose routes validate them; `gamma` calls the
+Gamma family; `table` and `compare` loop over the same
+`barnes_functions.ROUTES[quantity][route]` registry, and every --method
+choice list is read from it, plus "best".  No route function is imported
+here.  Every output, stdout or a file of --out, goes through `_write`.
 
 Conventions:
   * complex scalars are written RE or RE,IM (e.g. --alpha 2.5,1);
@@ -27,37 +28,25 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
-from .barnes_functions import (
-    ROUTES,
-    evaluate,
-    gamma_dq,
-    log_gamma_B,
-    log_rho,
-    multiple_gamma,
-    psi_B,
-    residue,
-)
-from .foundations import (
-    BarnesParams,
-    BarnesZetaError,
-    ConvergenceError,
-    DomainError,
-    EvalConfig,
-    EvalResult,
-    PoleError,
-    QuadratureError,
-    validate_params,
-    validate_weights,
-)
+from .barnes_functions import (ROUTES, evaluate, gamma_dq, log_gamma_B, log_rho, multiple_gamma,
+                               psi_B, residue)
+from .foundations import (BarnesParams, BarnesZetaError, ConvergenceError, DomainError, EvalConfig,
+                          EvalResult, PoleError, QuadratureError, validate_weights)
 
 EXIT_OK = 0
 EXIT_COMPARISON = 1
 EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_POLE = 4
+
+# The flags each `gamma --fn` needs beyond --w, named in its usage error.
+_GAMMA_NEEDS = {"multigamma": "ad", "gammadq": "q", "loggammaB": "a", "psiB": "aq"}
+_TOL_HELP = ("relative tolerance of the series, limit and direct routes "
+             "(the integral route's quadrature keeps its own)")
 
 
 def fmt17(x: float) -> str:
@@ -66,11 +55,9 @@ def fmt17(x: float) -> str:
 
 def parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    return complex(*map(float, parts))
 
 
 def parse_weights(text: str) -> tuple[complex, ...]:
@@ -94,44 +81,45 @@ def canonical_json(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ": "))
 
 
-def result_payload(res: EvalResult) -> dict:
-    return {
-        "value": [res.value.real, res.value.imag],
-        "est_error": res.abs_error_estimate,
-        "method": res.method.value,
-        "diagnostics": _jsonable(res.diagnostics),
-    }
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
-def emit_result(res: EvalResult, as_json: bool, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _write(path: str | None, text: str) -> None:
+    """text to the file at path, or to stdout when there is none."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def emit_result(res: EvalResult, as_json: bool) -> None:
+    v, est, method = res.value, res.abs_error_estimate, res.method.value
     if as_json:
-        out.write(canonical_json(result_payload(res)) + "\n")
+        _write(None, canonical_json({"value": [v.real, v.imag], "est_error": est,
+                                     "method": method, "diagnostics": res.diagnostics}) + "\n")
     else:
-        v = res.value
-        out.write(f"value = {fmt17(v.real)} {'+' if v.imag >= 0 else '-'} {fmt17(abs(v.imag))}j"
-                  f"  (est_error={res.abs_error_estimate:.3e}, method={res.method.value})\n")
+        _write(None, f"value = {fmt17(v.real)} {'+' if v.imag >= 0 else '-'} {fmt17(abs(v.imag))}j"
+                     f"  (est_error={est:.3e}, method={method})\n")
 
 
 def build_config(args) -> EvalConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        env = os.environ.get("BARNES_ZETA_TOL")
-        tol = float(env) if env else None
-    if tol is None:
-        return EvalConfig()
-    return EvalConfig(rel_tol=tol)
+    env = os.environ.get("BARNES_ZETA_TOL")
+    tol = args.tol if args.tol is not None else (float(env) if env else None)
+    return EvalConfig() if tol is None else EvalConfig(rel_tol=tol)
 
 
 def _pole_hint(exc: PoleError, args) -> str:
-    q = exc.q
-    if q is None:
+    if exc.q is None:
         return str(exc)
     try:
-        res = residue(q, _params(args))
-        return f"{exc} (hint: residue at alpha = {q} is {fmt17(res.real)}{res.imag:+.17g}j)"
+        res = residue(exc.q, _params(args))
     except Exception:
         return str(exc)
+    return f"{exc} (hint: residue at alpha = {exc.q} is {fmt17(res.real)}{res.imag:+.17g}j)"
 
 
 def _methods(*quantities: str) -> list[str]:
@@ -140,15 +128,14 @@ def _methods(*quantities: str) -> list[str]:
 
 
 def _params(args):
-    """The params argument of a route: the weights when --homogeneous, else (a, w)."""
+    """The params argument of a route: the weights when --homogeneous, else
+    (a, w); the weights are checked first, the route checks the rest."""
     wt = validate_weights(args.w)
     if args.homogeneous:
         return wt
     if args.a is None:
         raise DomainError("--a is required unless --homogeneous is given")
-    p = BarnesParams(args.a, wt)
-    validate_params(p)
-    return p
+    return BarnesParams(args.a, wt)
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +145,25 @@ def _params(args):
 def cmd_eval(args) -> int:
     """eval, fp and deriv0: one quantity by one route of the registry."""
     cfg = build_config(args)
-    res = evaluate(args.quantity, _params(args), args.at, args.method, cfg)
-    emit_result(res, args.json)
+    emit_result(evaluate(args.quantity, _params(args), args.at, args.method, cfg), args.json)
     return EXIT_OK
 
 
 def cmd_gamma(args) -> int:
     cfg = build_config(args)
+    needs = _GAMMA_NEEDS.get(args.fn, "")
+    if any(getattr(args, flag) is None for flag in needs):
+        raise DomainError(f"{args.fn} needs " + " and ".join(f"--{flag}" for flag in needs))
     if args.fn == "multigamma":
-        if args.a is None or args.d is None:
-            raise DomainError("multigamma needs --a and --d")
         res = multiple_gamma(args.a, args.d, args.method, cfg)
     elif args.fn == "logrho":
-        res = log_rho(validate_weights(args.w), args.method, cfg)
+        res = log_rho(args.w, args.method, cfg)
     elif args.fn == "gammadq":
-        if args.q is None:
-            raise DomainError("gammadq needs --q")
-        res = gamma_dq(args.q, validate_weights(args.w), args.method, cfg)
-    elif args.fn == "loggammaB":
-        if args.a is None:
-            raise DomainError("loggammaB needs --a")
-        res = log_gamma_B(BarnesParams(args.a, validate_weights(args.w)), args.method, cfg)
-    else:  # psiB
-        if args.a is None or args.q is None:
-            raise DomainError("psiB needs --a and --q")
-        res = psi_B(args.q, BarnesParams(args.a, validate_weights(args.w)), args.method, cfg)
+        res = gamma_dq(args.q, args.w, args.method, cfg)
+    else:  # loggammaB, psiB: the weights are checked before a
+        p = BarnesParams(args.a, validate_weights(args.w))
+        res = (log_gamma_B(p, args.method, cfg) if args.fn == "loggammaB"
+               else psi_B(args.q, p, args.method, cfg))
     emit_result(res, args.json)
     return EXIT_OK
 
@@ -191,65 +172,38 @@ def cmd_gamma(args) -> int:
 # compare
 
 
-def _compare_quantities(p: BarnesParams):
-    """(name, quantity, at, params) of every finite part and of both
-    derivatives at zero; params are the weights for the homogeneous ones."""
-    spec = []
-    for q in range(1, p.d + 1):
-        spec.append((f"fp_q{q}", "fp", q, p))
-        spec.append((f"fp_bh_q{q}", "fp", q, p.w))
-    spec.append(("deriv0", "deriv0", None, p))
-    spec.append(("deriv0_bh", "deriv0", None, p.w))
-    return spec
-
-
 def cmd_compare(args) -> int:
+    """Every finite part and both derivatives at zero, of the lattice and of
+    its homogeneous companion (the weights alone), by every registry route."""
     cfg = build_config(args)
-    wt = validate_weights(args.w)
-    p = BarnesParams(args.a, wt)
-    validate_params(p)
+    p = BarnesParams(args.a, validate_weights(args.w))
     tol = args.tol_cmp if args.tol_cmp is not None else (1e-5 if p.d <= 2 else 1e-4)
-    routes = _methods("fp", "deriv0")
-    quantities = []
-    agreement = {}
-    passed = True
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quantity", *(f"{r}_{part}" for r in routes for part in ("re", "im")),
-                     "max_delta", "pass"])
-    for name, quantity, at, params in _compare_quantities(p):
-        values = {}
-        for route in ROUTES[quantity]:
-            res = evaluate(quantity, params, at, route, cfg)
-            values[route] = res.value
-            quantities.append({
-                "name": name,
-                "route": route,
-                "value": [res.value.real, res.value.imag],
-                "est_error": res.abs_error_estimate,
-            })
-        vals = list(values.values())
-        delta = max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:])
-        agreement[name] = delta
-        ok = delta <= tol * (1.0 + abs(values["series"]))
+    spec = [(f"fp{bh}_q{q}", "fp", q, params)
+            for q in range(1, p.d + 1) for bh, params in (("", p), ("_bh", p.w))]
+    spec += [("deriv0", "deriv0", None, p), ("deriv0_bh", "deriv0", None, p.w)]
+    routes = _methods("fp", "deriv0")      # fp and deriv0 have the same three routes
+    rows = [["quantity", *(f"{r}_{part}" for r in routes for part in ("re", "im")),
+             "max_delta", "pass"]]
+    quantities, agreement, passed = [], {}, True
+    for name, quantity, at, params in spec:
+        runs = {route: evaluate(quantity, params, at, route, cfg) for route in routes}
+        quantities += [{"name": name, "route": route, "value": [r.value.real, r.value.imag],
+                        "est_error": r.abs_error_estimate} for route, r in runs.items()]
+        vals = [r.value for r in runs.values()]
+        delta = agreement[name] = max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:])
+        ok = delta <= tol * (1.0 + abs(runs["series"].value))
         passed = passed and ok
-        row = [name]
-        for route in routes:
-            v = values.get(route)
-            row.extend(["", ""] if v is None else [fmt17(v.real), fmt17(v.imag)])
-        writer.writerow([*row, fmt17(delta), str(ok).lower()])
-    params = {"a": [p.a.real, p.a.imag], "w": [[wi.real, wi.imag] for wi in wt]}
-    report = canonical_json({"params": params, "quantities": quantities, "agreement_matrix": agreement,
-                             "tolerance": tol, "pass": passed}) + "\n"
+        rows.append([name, *(fmt17(x) for v in vals for x in (v.real, v.imag)), fmt17(delta),
+                     str(ok).lower()])
+    report = canonical_json({"params": {"a": p.a, "w": p.w}, "quantities": quantities,
+                             "agreement_matrix": agreement, "tolerance": tol,
+                             "pass": passed}) + "\n"
     if args.out:
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
-        with open(stem + ".json", "w", encoding="utf-8") as fh:
-            fh.write(report)
-        with open(stem + ".csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+        _write(stem + ".json", report)
+        _write(stem + ".csv", _csv(rows))
     else:
-        sys.stdout.write(report)
-        sys.stdout.write(buf.getvalue())
+        _write(None, report + _csv(rows))
     return EXIT_OK if passed else EXIT_COMPARISON
 
 
@@ -269,40 +223,26 @@ def parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def cmd_table(args) -> int:
+    """The zeta function over an alpha grid; a row whose route raises a pole
+    or a convergence failure reads nan, and sets the exit code."""
     cfg = build_config(args)
     params = _params(args)
     start, stop, num = args.alpha_grid
     alphas = [start] if num == 1 else [start + i * (stop - start) / (num - 1) for i in range(num)]
-    rows = []
-    saw_pole = False
-    saw_convergence = False
+    rows = [["alpha_re", "alpha_im", "value_re", "value_im", "est_error", "method"]]
+    codes = set()
     for ar in alphas:
         alpha = complex(ar, args.alpha_im)
         try:
             res = evaluate("zeta", params, alpha, args.method, cfg)
-            rows.append((alpha, res.value, res.abs_error_estimate, res.method.value))
-        except PoleError:
-            saw_pole = True
-            rows.append((alpha, complex(float("nan"), float("nan")), float("nan"), args.method))
-        except (ConvergenceError, QuadratureError):
-            saw_convergence = True
-            rows.append((alpha, complex(float("nan"), float("nan")), float("nan"), args.method))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["alpha_re", "alpha_im", "value_re", "value_im", "est_error", "method"])
-    for alpha, value, est, method in rows:
-        writer.writerow([fmt17(alpha.real), fmt17(alpha.imag), fmt17(value.real),
-                         fmt17(value.imag), fmt17(est), method])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-    if saw_convergence:
-        return EXIT_CONVERGENCE
-    if saw_pole:
-        return EXIT_POLE
-    return EXIT_OK
+            value, est, method = res.value, res.abs_error_estimate, res.method.value
+        except (PoleError, ConvergenceError, QuadratureError) as exc:
+            codes.add(EXIT_POLE if isinstance(exc, PoleError) else EXIT_CONVERGENCE)
+            value, est, method = complex(math.nan, math.nan), math.nan, args.method
+        rows.append([fmt17(alpha.real), fmt17(alpha.imag), fmt17(value.real),
+                     fmt17(value.imag), fmt17(est), method])
+    _write(args.out, _csv(rows))
+    return min(codes, default=EXIT_OK)    # a convergence failure (3) outranks a pole (4)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +260,7 @@ def _add_common(sub, quantity: str):
     _add_method(sub, quantity)
     sub.add_argument("--homogeneous", action="store_true",
                      help="evaluate the a = 0, origin-excluded variant")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="relative tolerance of the series, limit and direct routes "
-                          "(the integral route's quadrature keeps its own)")
+    sub.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_g.add_argument("--w", type=parse_weights, default=(1.0 + 0j,))
     p_g.add_argument("--a", type=parse_complex, default=None)
     _add_method(p_g, "fp", "deriv0")
-    p_g.add_argument("--tol", type=float, default=None)
+    p_g.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     p_g.add_argument("--json", action="store_true")
     p_g.set_defaults(func=cmd_gamma)
 
@@ -366,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--a", type=parse_complex, required=True)
     p_cmp.add_argument("--w", type=parse_weights, required=True)
     p_cmp.add_argument("--tol", dest="tol_cmp", type=float, default=None,
-                       help="agreement tolerance (default 1e-5 for d<=2, 1e-4 for d=3)")
+                       help="agreement tolerance (default 1e-5 for d<=2, 1e-4 for d>=3)")
     p_cmp.add_argument("--out", default=None, help="output stem; writes .json and .csv")
     p_cmp.set_defaults(func=cmd_compare, tol=None)
 

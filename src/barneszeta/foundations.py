@@ -46,10 +46,6 @@ class QuadratureError(BarnesZetaError, ArithmeticError):
     """The quadrature rule did not settle within its level cap, or met a
     non-finite integrand value."""
 
-    def __init__(self, message: str, achieved: float = float("inf")):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class TruncationError(BarnesZetaError, ValueError):
     """A coefficient table was requested beyond its hard cap."""

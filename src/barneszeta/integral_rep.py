@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Callable, NamedTuple
@@ -66,29 +65,6 @@ _HALF_PI = 0.5 * math.pi
 _QUAD_REL_TOL = 1e-12       # tolerance of every route's exp-sinh rule
 
 
-@dataclass(frozen=True)
-class QuadratureProblem:
-    """A semi-infinite integral with known origin behavior and decay rate.
-
-    poly_growth is the degree of the polynomial factor riding on the
-    exponential decay at infinity; it widens the tail truncation point.
-    """
-
-    integrand: Callable[[np.ndarray], np.ndarray]
-    small_t_order: float
-    decay_rate: float
-    rel_tol: float
-    poly_growth: float = 0.0
-
-    def __post_init__(self):
-        if not self.decay_rate > 0:
-            raise DomainError("decay_rate must be positive")
-        if not self.small_t_order > -1:
-            raise DomainError("small_t_order must exceed -1 for the integral to converge")
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be positive")
-
-
 # ---------------------------------------------------------------------------
 # Exp-sinh quadrature on (0, inf)
 
@@ -105,10 +81,14 @@ class QuadratureOutcome(NamedTuple):
     evaluations: int
 
 
-def quad_semiinfinite(prob: QuadratureProblem) -> QuadratureOutcome:
-    """Integrate prob.integrand over (0, inf) by the exp-sinh rule
+def quad_semiinfinite(integrand: Callable[[np.ndarray], np.ndarray], small_t_order: float,
+                      decay_rate: float, rel_tol: float,
+                      poly_growth: float = 0.0) -> QuadratureOutcome:
+    """Integrate integrand over (0, inf) by the exp-sinh rule
     (Takahasi and Mori, Publ. RIMS 9, 1974): trapezoidal sums in x, with
-    t = exp((pi/2) sinh x)/decay_rate and dt/dx as weight.
+    t = exp((pi/2) sinh x)/decay_rate and dt/dx as weight.  The integrand
+    behaves as t^small_t_order at the origin (small_t_order > -1) and as
+    t^poly_growth e^(-decay_rate t) at infinity (decay_rate > 0).
 
     x runs from where (decay_rate t)^(small_t_order + 1) = eps * rel_tol to
     T_max, where the decay has paid for -log(rel_tol) + 5 e-folds on top of
@@ -128,13 +108,19 @@ def quad_semiinfinite(prob: QuadratureProblem) -> QuadratureOutcome:
     overflow), or no agreement after _LEVELS levels, raises QuadratureError;
     `evaluations` counts every node evaluated, consumed or not.
     """
-    lam = prob.decay_rate
-    target = -math.log(prob.rel_tol) + 5.0
+    if not decay_rate > 0:
+        raise DomainError("decay_rate must be positive")
+    if not small_t_order > -1:
+        raise DomainError("small_t_order must exceed -1 for the integral to converge")
+    if not rel_tol > 0:
+        raise DomainError("rel_tol must be positive")
+    lam = decay_rate
+    target = -math.log(rel_tol) + 5.0
     t_max = target / lam
     for _ in range(4):
-        t_max = (target + prob.poly_growth * math.log(max(t_max, 2.0))) / lam
-    s1 = prob.small_t_order + 1.0
-    x_lo = math.asinh(math.log(_EPS * prob.rel_tol) / (s1 * _HALF_PI))
+        t_max = (target + poly_growth * math.log(max(t_max, 2.0))) / lam
+    s1 = small_t_order + 1.0
+    x_lo = math.asinh(math.log(_EPS * rel_tol) / (s1 * _HALF_PI))
     x_hi = math.asinh(math.log(lam * t_max) / _HALF_PI)
     n = math.ceil((x_hi - x_lo) / _H0)
     step = h = (x_hi - x_lo) / n
@@ -143,7 +129,7 @@ def quad_semiinfinite(prob: QuadratureProblem) -> QuadratureOutcome:
         """t(x) and w(x) f(t(x)) with w = dt/dx."""
         t = np.exp(_HALF_PI * np.sinh(x)) / lam
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return t, prob.integrand(t) * (_HALF_PI * np.cosh(x) * t)
+            return t, integrand(t) * (_HALF_PI * np.cosh(x) * t)
 
     # Levels 0.._FIRST_LEVELS-1 as one grid of step h/top (top = 16); level 0
     # is every top-th node, level l >= 1 the odd multiples of top >> l.
@@ -182,7 +168,7 @@ def quad_semiinfinite(prob: QuadratureProblem) -> QuadratureOutcome:
         consume(level)
         prev, diff, value = diff, abs(h * total - value), h * total
         floor = _NOISE * h * mass
-        if diff <= prob.rel_tol * abs(value):
+        if diff <= rel_tol * abs(value):
             return QuadratureOutcome(value, diff + floor + remainder, evals)
         if diff <= floor:
             # Noise regime: diff is one sample of the integrand's rounding
@@ -190,7 +176,7 @@ def quad_semiinfinite(prob: QuadratureProblem) -> QuadratureOutcome:
             # another, and bounds the discretization error of its level.
             return QuadratureOutcome(value, diff + prev + floor + remainder, evals)
     raise QuadratureError(f"exp-sinh rule did not settle in {_LEVELS} levels "
-                          f"(last difference {diff:.3e})", achieved=diff)
+                          f"(last difference {diff:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +289,11 @@ def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.n
 
 def _rho_ratio(alpha: complex, d: int, k: int) -> complex:
     """Gamma(alpha - d + k)/Gamma(alpha): poles only at alpha = 1..d-k."""
-    if k <= d:
-        out = complex(1.0)
-        for i in range(1, d - k + 1):
-            out /= alpha - i
-        return out
+    if k > d:
+        return rising_factorial(alpha, k - d)
     out = complex(1.0)
-    for j in range(k - d):
-        out *= alpha + j
+    for i in range(1, d - k + 1):
+        out /= alpha - i
     return out
 
 
@@ -360,9 +343,8 @@ def _line_integral(a: complex, w: tuple[complex, ...], homog: bool, alpha: compl
         tq = t ** expo
         return (tq if homog else np.exp(-a * t) * tq) * bracket(t)
 
-    return quad_semiinfinite(QuadratureProblem(
-        integrand, small_t_order=alpha.real + M - d, decay_rate=decay,
-        rel_tol=_QUAD_REL_TOL, poly_growth=max(0.0, alpha.real - 1.0) + M))
+    return quad_semiinfinite(integrand, alpha.real + M - d, decay, _QUAD_REL_TOL,
+                             max(0.0, alpha.real - 1.0) + M)
 
 
 def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None,

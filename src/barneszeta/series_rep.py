@@ -53,6 +53,7 @@ from .foundations import (
     harmonic_float,
     lattice,
     narrow_weights,
+    rising_factorial,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -105,10 +106,7 @@ def _gamma_ratio(alpha: complex, d: int, m: int) -> complex:
     prod_{j=1}^{m-d}(1-alpha-j).
     """
     if m <= d:
-        denom = complex(1.0)
-        for j in range(d - m):
-            denom *= 1 - alpha + j
-        return 1.0 / denom
+        return 1.0 / rising_factorial(1 - alpha, d - m)
     out = complex(1.0)
     for j in range(1, m - d + 1):
         out *= 1 - alpha - j

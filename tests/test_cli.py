@@ -127,6 +127,33 @@ class TestFpDerivGamma:
         assert code == 2
         assert "poles sit at q = 1..2, got 0" in err and out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--fn", "multigamma", "--a", "3"], "multigamma needs --a and --d"),
+        (["--fn", "multigamma", "--d", "2"], "multigamma needs --a and --d"),
+        (["--fn", "gammadq", "--w", "1,2"], "gammadq needs --q"),
+        (["--fn", "loggammaB", "--w", "1,2"], "loggammaB needs --a"),
+        (["--fn", "psiB", "--q", "1", "--w", "1,2"], "psiB needs --a and --q"),
+        (["--fn", "psiB", "--a", "1", "--w", "1,2"], "psiB needs --a and --q"),
+    ])
+    def test_gamma_missing_flag_is_usage_error(self, run, argv, message):
+        code, out, err = run(["gamma", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--alpha", "0.5"], ["fp", "--q", "1"], ["deriv0"],
+        ["table", "--alpha-grid", "1:3:3"], ["compare"],
+        ["gamma", "--fn", "loggammaB"], ["gamma", "--fn", "psiB", "--q", "1"],
+    ])
+    def test_bad_weight_is_named_before_bad_offset(self, run, argv):
+        code, out, err = run([*argv, "--a=-1", "--w=1,-2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: weight w_2 = (-2+0j) must be finite")
+
+    def test_bad_offset_is_named_before_the_pole(self, run):
+        code, out, err = run(["eval", "--alpha", "1", "--a=-1", "--w", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: parameter a = (-1+0j) must be finite")
+
     def test_multigamma(self, run):
         code, out, err = run(["gamma", "--fn", "multigamma", "--a", "3", "--d", "1", "--json"])
         assert code == 0
@@ -150,6 +177,14 @@ class TestCompare:
         csv_text = (tmp_path / "report.csv").read_text()
         assert csv_text.startswith("quantity,series_re")
         assert "\r" not in csv_text
+
+    def test_report_files_hold_the_stdout_bytes(self, run, tmp_path):
+        argv = ["compare", "--a", "0.7", "--w", "1,1.5"]
+        _, out, _ = run(argv)
+        code, _, _ = run([*argv, "--out", str(tmp_path / "report.json")])
+        assert code == 0
+        files = [(tmp_path / f"report.{ext}").read_bytes() for ext in ("json", "csv")]
+        assert b"".join(files) == out.encode()
 
     def test_failure_exit_code(self, run):
         code, out, err = run(["compare", "--a", "1", "--w", "1", "--tol", "1e-30"])
@@ -210,6 +245,13 @@ class TestTable:
                               "--method", "series", "--json"])
         assert code == 2
         assert out == ""
+
+    def test_out_file_holds_the_stdout_bytes(self, run, tmp_path):
+        argv = ["table", "--alpha-grid", "1.5:2.5:3", "--a", "1", "--w", "1,1"]
+        _, out, _ = run(argv)
+        code, printed, _ = run([*argv, "--out", str(tmp_path / "t.csv")])
+        assert code == 4 and printed == ""
+        assert (tmp_path / "t.csv").read_bytes() == out.encode()
 
     def test_float_formatting_17_digits(self, run):
         code, out, err = run(["table", "--alpha-grid", "5:5:1", "--a", "1", "--w", "1,1",
@@ -281,6 +323,11 @@ class TestMethodChoices:
         choices, default = self._choices(command)
         assert choices == self._routes(quantity) + ["best"]
         assert default == "series"
+
+    @pytest.mark.parametrize("command", ["eval", "fp", "deriv0", "gamma", "compare", "table"])
+    def test_tol_has_help(self, command):
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        assert next(a for a in sub._actions if "--tol" in a.option_strings).help
 
     def test_gamma_choices(self):
         choices, default = self._choices("gamma")

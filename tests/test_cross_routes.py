@@ -1,12 +1,15 @@
 """Cross-route agreement beyond the acceptance parameter sets: complex
-offsets and weights, and a four-dimensional case."""
+offsets and weights, a four-dimensional case, and the homogeneous function
+as the sum of its inhomogeneous pieces."""
 
 import math
 
 import pytest
 
 from barneszeta import (
+    ROUTES,
     BarnesParams,
+    evaluate,
     isotropic_reduction,
 )
 from barneszeta.integral_rep import deriv0_integral, fp_integral, zeta_integral
@@ -73,3 +76,59 @@ class TestFourDimensions:
         want = (EULER_GAMMA + 3 * ZETA2 + 2 * ZETA3) / 6
         res = fp_limit(4, self.P4)
         assert abs(res.value - want) <= 1e-4
+
+
+# Weights of the piece-sum oracle: D2's, D3's, d = 4, d = 5 and two complex sets.
+PIECE_WEIGHTS = {
+    "D2": (1.0, 2 ** 0.5),
+    "D3": (1.0, 2 ** 0.5, math.pi / 4),
+    "d4": (1.0, 1.3, 1.7, 2.1),
+    "d5": (1.0, 1.3, 1.7, 2.1, 2.6),
+    "c2": (1.0, 1.2 + 0.2j),
+    "c3": (1.0, 1.3 - 0.1j, 0.9 + 0.05j),
+}
+
+
+def assert_sum_of_pieces(quantity, w, at, route):
+    """The homogeneous value by `route` against the sum of its pieces
+    zeta(alpha, w_i | w_i, ..., w_d), i = 1..d (the lattice points split by
+    their first nonzero coordinate), each by the same route, within the
+    summed estimates plus 8 ulp of (1 + |v|).  At alpha = q a piece of
+    dimension below q is regular and adds its zeta value, which the integral
+    route gives when `route` has no zeta route."""
+    whole = evaluate(quantity, w, at, route)
+    parts = []
+    for i in range(len(w)):
+        piece = BarnesParams(w[i], w[i:])
+        if quantity == "fp" and piece.d < at:
+            parts.append(evaluate("zeta", piece, at,
+                                  route if route in ROUTES["zeta"] else "integral"))
+        else:
+            parts.append(evaluate(quantity, piece, at, route))
+    err = abs(whole.value - sum(r.value for r in parts))
+    bound = (whole.abs_error_estimate + sum(r.abs_error_estimate for r in parts)
+             + 8 * 2.0 ** -52 * (1.0 + abs(whole.value)))
+    assert err <= bound, (quantity, at, route, err, bound)
+
+
+def _piece_cases():
+    for route in ("series", "integral", "limit"):
+        for name, w in PIECE_WEIGHTS.items():
+            # d = 5 is left out of the limit route: its small cubes are known
+            # to under-report there on anisotropic weights.
+            if route == "limit" and len(w) > 4:
+                continue
+            for quantity in ("zeta", "fp", "deriv0"):
+                if route in ROUTES[quantity]:
+                    yield pytest.param(quantity, w, route, id=f"{route}-{name}-{quantity}")
+
+
+class TestHomogeneousAsPieces:
+    """zeta_h(alpha | w) = sum_i zeta(alpha, w_i | w_i, ..., w_d): every
+    homogeneous route against its own inhomogeneous pieces."""
+
+    @pytest.mark.parametrize("quantity, w, route", _piece_cases())
+    def test_sum_of_pieces(self, quantity, w, route):
+        points = {"zeta": [0.5, 2.5 + 1j, -1.5], "fp": range(1, len(w) + 1), "deriv0": [None]}
+        for at in points[quantity]:
+            assert_sum_of_pieces(quantity, w, at, route)

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import functools
 import math
 import os
@@ -18,7 +17,6 @@ from barneszeta import (
     residue,
 )
 from barneszeta.integral_rep import (
-    QuadratureProblem,
     deriv0_integral,
     fp_integral,
     quad_semiinfinite,
@@ -41,30 +39,27 @@ ZETA5 = 1.0369277551433699
 
 class TestQuadEngine:
     def test_exponential(self):
-        prob = QuadratureProblem(lambda t: np.exp(-t), 0.0, 1.0, 1e-12)
-        v, e, _ = quad_semiinfinite(prob)
+        v, e, _ = quad_semiinfinite(lambda t: np.exp(-t), 0.0, 1.0, 1e-12)
         assert rel_err(v, 1.0) <= 1e-12
 
     def test_gamma_two_scaled(self):
-        prob = QuadratureProblem(lambda t: t * np.exp(-2 * t), 1.0, 2.0, 1e-12, poly_growth=1)
-        v, e, _ = quad_semiinfinite(prob)
+        v, e, _ = quad_semiinfinite(lambda t: t * np.exp(-2 * t), 1.0, 2.0, 1e-12, poly_growth=1)
         assert rel_err(v, 0.25) <= 1e-12
 
     def test_half_power(self):
-        prob = QuadratureProblem(lambda t: np.sqrt(t) * np.exp(-t), 0.5, 1.0, 1e-12,
-                                 poly_growth=0.5)
-        v, e, _ = quad_semiinfinite(prob)
+        v, e, _ = quad_semiinfinite(lambda t: np.sqrt(t) * np.exp(-t), 0.5, 1.0, 1e-12,
+                                    poly_growth=0.5)
         assert rel_err(v, math.sqrt(math.pi) / 2) <= 1e-11
 
     def test_invalid_decay(self):
         with pytest.raises(DomainError):
-            QuadratureProblem(lambda t: t, 0.0, 0.0, 1e-10)
+            quad_semiinfinite(lambda t: t, 0.0, 0.0, 1e-10)
 
 
 class TestExpSinhRule:
     def test_divergent_origin_order_is_domain_error(self):
         with pytest.raises(DomainError):
-            QuadratureProblem(lambda t: 1 / t, -1.0, 1.0, 1e-12)
+            quad_semiinfinite(lambda t: 1 / t, -1.0, 1.0, 1e-12)
 
     def test_each_level_is_one_call_on_new_nodes(self):
         sizes = []
@@ -73,7 +68,7 @@ class TestExpSinhRule:
             sizes.append(t.size)
             return np.exp(-t) * np.cos(t)
 
-        v, e, n = quad_semiinfinite(QuadratureProblem(f, 0.0, 1.0, 1e-12))
+        v, e, n = quad_semiinfinite(f, 0.0, 1.0, 1e-12)
         assert abs(v - 0.5) <= e <= 1e-11
         assert n == sum(sizes)
         assert all(b == 2 * a for a, b in zip(sizes[1:], sizes[2:]))
@@ -81,17 +76,15 @@ class TestExpSinhRule:
 
     def test_near_divergent_origin(self):
         # t^(-0.9) e^(-t) integrates to Gamma(0.1)
-        prob = QuadratureProblem(lambda t: t ** -0.9 * np.exp(-t), -0.9, 1.0, 1e-12)
-        v, e, _ = quad_semiinfinite(prob)
+        v, e, _ = quad_semiinfinite(lambda t: t ** -0.9 * np.exp(-t), -0.9, 1.0, 1e-12)
         want = math.gamma(0.1)
         assert abs(v - want) <= e + 8 * 2.0 ** -52 * want
         assert e <= 1e-10 * want
 
     def test_level_cap_raises(self):
         # A cusp at t = 1 defeats the double-exponential decay of the error.
-        prob = QuadratureProblem(lambda t: np.abs(t - 1.0) * np.exp(-t), 0.0, 1.0, 1e-14)
         with pytest.raises(QuadratureError):
-            quad_semiinfinite(prob)
+            quad_semiinfinite(lambda t: np.abs(t - 1.0) * np.exp(-t), 0.0, 1.0, 1e-14)
 
     def test_non_finite_integrand_raises_at_once(self):
         calls = []
@@ -101,7 +94,7 @@ class TestExpSinhRule:
             return np.where(t > 3.0, np.inf, np.exp(-t))
 
         with pytest.raises(QuadratureError):
-            quad_semiinfinite(QuadratureProblem(f, 0.0, 1.0, 1e-12))
+            quad_semiinfinite(f, 0.0, 1.0, 1e-12)
         assert len(calls) == 1
 
     def test_sums_that_overflow_raise(self):
@@ -110,7 +103,7 @@ class TestExpSinhRule:
             return np.where((t > 0.3) & (t < 1.0), 1e308, 0.0)
 
         with np.errstate(over="ignore"), pytest.raises(QuadratureError, match="overflow"):
-            quad_semiinfinite(QuadratureProblem(f, 0.0, 1.0, 1e-12))
+            quad_semiinfinite(f, 0.0, 1.0, 1e-12)
 
     @staticmethod
     def nan_at_level(level, calls):
@@ -132,27 +125,27 @@ class TestExpSinhRule:
 
     def test_unconsumed_level_may_be_non_finite(self):
         calls = []
-        v, e, n = quad_semiinfinite(QuadratureProblem(self.nan_at_level(3, calls), 0.0, 1.0, 1e-2))
+        v, e, n = quad_semiinfinite(self.nan_at_level(3, calls), 0.0, 1.0, 1e-2)
         assert len(calls) == 1 and n == calls[0] and n % 16 == 1
         assert abs(v - 1.0) <= e <= 1e-2
 
     def test_consumed_level_that_is_non_finite_raises(self):
         calls = []
         with pytest.raises(QuadratureError):
-            quad_semiinfinite(QuadratureProblem(self.nan_at_level(3, calls), 0.0, 1.0, 1e-12))
+            quad_semiinfinite(self.nan_at_level(3, calls), 0.0, 1.0, 1e-12)
         assert len(calls) == 1
 
     def test_unconsumed_level_four_may_be_non_finite(self):
         # exp(-t) settles at level 3 for rel_tol 1e-8 and needs level 4 for 1e-12.
         calls = []
-        v, e, n = quad_semiinfinite(QuadratureProblem(self.nan_at_level(4, calls), 0.0, 1.0, 1e-8))
+        v, e, n = quad_semiinfinite(self.nan_at_level(4, calls), 0.0, 1.0, 1e-8)
         assert len(calls) == 1 and n == calls[0] and n % 16 == 1
         assert abs(v - 1.0) <= e <= 1e-8
 
     def test_consumed_level_four_that_is_non_finite_raises(self):
         calls = []
         with pytest.raises(QuadratureError):
-            quad_semiinfinite(QuadratureProblem(self.nan_at_level(4, calls), 0.0, 1.0, 1e-12))
+            quad_semiinfinite(self.nan_at_level(4, calls), 0.0, 1.0, 1e-12)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("order, rate, rel_tol, growth", [
@@ -172,7 +165,7 @@ class TestExpSinhRule:
                 return np.full(t.shape, (-4.0) ** len(calls))   # no two calls agree
 
             with contextlib.suppress(QuadratureError):
-                quad_semiinfinite(QuadratureProblem(f, order, rate, rel_tol, growth))
+                quad_semiinfinite(f, order, rate, rel_tol, growth)
             return calls
 
         grid = node_calls(first_levels)[0]
@@ -193,7 +186,7 @@ class TestExpSinhRule:
             xs.append(np.arcsinh(u))
             return 1.0 / ((math.pi / 2) * np.sqrt(1.0 + u * u) * t)
 
-        v, e, n = quad_semiinfinite(QuadratureProblem(f, 0.0, 1.0, 1e-12))
+        v, e, n = quad_semiinfinite(f, 0.0, 1.0, 1e-12)
         span = xs[0].max() - xs[0].min()
         assert abs(v - span) <= 1e-12 * span
 
@@ -209,13 +202,13 @@ class TestOneCallPerQuadrature:
         calls = []
         quad = integral_rep.quad_semiinfinite
 
-        def counted(prob):
+        def counted(f, *rest):
             calls.append(0)
 
             def integrand(t):
                 calls[-1] += 1
-                return prob.integrand(t)
-            return quad(dataclasses.replace(prob, integrand=integrand))
+                return f(t)
+            return quad(integrand, *rest)
 
         monkeypatch.setattr(integral_rep, "quad_semiinfinite", counted)
         for q in range(1, p.d + 1):
@@ -610,11 +603,11 @@ class TestNoGrind:
         nodes = []
         quad = integral_rep.quad_semiinfinite
 
-        def counted(prob):
+        def counted(f, *rest):
             def integrand(t):
                 nodes.append(t.size)
-                return prob.integrand(t)
-            return quad(dataclasses.replace(prob, integrand=integrand))
+                return f(t)
+            return quad(integrand, *rest)
 
         monkeypatch.setattr(integral_rep, "quad_semiinfinite", counted)
         if a is None:
@@ -648,12 +641,12 @@ class TestBracketDtype:
                 return watched_bracket
             return build
 
-        def counted(prob):
+        def counted(f, *rest):
             def integrand(t):
-                out = prob.integrand(t)
+                out = f(t)
                 seen["integrand"].add(out.dtype)
                 return out
-            return quad(dataclasses.replace(prob, integrand=integrand))
+            return quad(integrand, *rest)
 
         monkeypatch.setattr(integral_rep, "_inhom_bracket", watched(_inhom_bracket))
         monkeypatch.setattr(integral_rep, "_homog_bracket", watched(_homog_bracket))
