@@ -164,17 +164,18 @@ def pole_coeffs(q: int, d: int, dS: Sequence[complex]) -> list[complex]:
     return [s * dS[m] / (factorial(m) * factorial(d - q - m)) for m in range(d - q + 1)]
 
 
-def pole_term(q: int, a: complex, d: int, dS: Sequence[complex], log: bool = True) -> CompensatedSum:
+def pole_term(q: int, a: complex, row: Sequence[complex], log: bool = True) -> CompensatedSum:
     """The closed term (-1)^(d+1) sum_m c_m a^e (log a - H_e + H_(q-1)) of
     the finite part at alpha = q, or of the derivative at zero for q = 0
-    (with H_(-1) = 0), as an accumulator whose `mass` callers keep for their
-    estimates; log=False drops the log a part.  At a = 0 only e = 0 is left:
-    the homogeneous constant (-1)^(d+1) c_(d-q) H_(q-1) = -H_(q-1) residue(q, w)."""
+    (with H_(-1) = 0), over the caller's `pole_coeffs` row, d = q + len(row) - 1,
+    as an accumulator whose `mass` callers keep for their estimates;
+    log=False drops the log a part.  At a = 0 only e = 0 is left: the
+    homogeneous constant (-1)^(d+1) c_(d-q) H_(q-1) = -H_(q-1) residue(q, w)."""
+    d = q + len(row) - 1
     hq = harmonic_float(q - 1) if q else 0.0
     la = cmath.log(a) if log and a else 0.0
     sign = 1.0 if d % 2 else -1.0
     acc = CompensatedSum()
-    row = pole_coeffs(q, d, dS)
     for m in range(d - q + 1) if a else (d - q,):
         e = d - q - m
         acc.add(sign * row[m] * a ** e * (la - harmonic_float(e) + hq))

@@ -108,7 +108,10 @@ def emit_result(res: EvalResult, as_json: bool) -> None:
 
 def build_config(args) -> EvalConfig:
     env = os.environ.get("BARNES_ZETA_TOL")
-    tol = args.tol if args.tol is not None else (float(env) if env else None)
+    try:
+        tol = args.tol if args.tol is not None else (float(env) if env else None)
+    except ValueError:
+        raise DomainError(f"BARNES_ZETA_TOL = {env!r} is not a number") from None
     return EvalConfig() if tol is None else EvalConfig(rel_tol=tol)
 
 
@@ -309,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare, tol=None)
 
     p_tab = subs.add_parser("table", help="CSV table over an alpha grid")
-    p_tab.add_argument("--alpha-grid", type=parse_grid, required=True, metavar="START:STOP:N")
+    p_tab.add_argument("--alpha-grid", type=parse_grid, required=True, metavar="START:STOP:N",
+                       help="N alphas, START to STOP; START < 0 needs --alpha-grid=START:STOP:N")
     p_tab.add_argument("--alpha-im", type=float, default=0.0)
     _add_common(p_tab, "zeta")
     p_tab.add_argument("--out", default=None)

@@ -110,14 +110,15 @@ class BarnesParams:
         return len(self.w)
 
 
-def check_pole(alpha: complex, d: int, what: str = "lattice zeta") -> None:
-    """Raise DomainError for a non-finite alpha and PoleError at the poles 1..d."""
+def check_pole(alpha: complex, d: int, homog: bool) -> None:
+    """Raise DomainError for a non-finite alpha and PoleError at the poles 1..d of the form."""
     if not cmath.isfinite(alpha):
         raise DomainError(f"alpha = {alpha} is not finite")
     if alpha.imag == 0 and float(alpha.real).is_integer():
         q = int(alpha.real)
         if 1 <= q <= d:
-            raise PoleError(f"{what} has a pole at alpha = {q}", q=q)
+            form = "homogeneous lattice zeta" if homog else "lattice zeta"
+            raise PoleError(f"{form} has a pole at alpha = {q}", q=q)
 
 
 def check_order(q: int, d: int) -> None:

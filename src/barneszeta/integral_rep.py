@@ -370,7 +370,7 @@ def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None,
         raise DomainError("regulator constant must have Re(c) > 0")
     alpha = complex(alpha)
     d = len(w)
-    check_pole(alpha, d)
+    check_pole(alpha, d, homog)
     M = _subtraction_order(M, alpha, d)
     pw = math.prod(w)
     pref = CompensatedSum()
@@ -407,10 +407,10 @@ def _pole_integral(q: int, a: complex, w: tuple[complex, ...], homog: bool) -> E
     regulator, adds the regulator's part (-1)^(q+j+1) c_j/(d-q-j), j < d-q."""
     d = len(w)
     M = d - q
-    dS = ds_values(w, M + 1)
-    closed = pole_term(q, a, d, dS)
+    row = pole_coeffs(q, d, ds_values(w, M + 1))
+    closed = pole_term(q, a, row)
     if homog:
-        for j, c in enumerate(pole_coeffs(q, d, dS)[:-1]):
+        for j, c in enumerate(row[:-1]):
             closed.add((-1.0) ** (q + j + 1) * c / (M - j))
     integral, err, evals = _line_integral(a, w, homog, complex(q), M, 1.0 + 0j)
     rg = 1.0 / factorial(q - 1) if q else 1.0

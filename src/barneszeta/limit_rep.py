@@ -142,18 +142,17 @@ def _edge(q: int, a: complex, w: tuple[complex, ...], M: int, row: Sequence[comp
     return acc.value, sum(size for _, size in terms)
 
 
-def _rungs(q: int, a: complex, w: tuple[complex, ...], dS: Sequence[complex],
+def _rungs(q: int, a: complex, w: tuple[complex, ...], row: Sequence[complex],
            homog: bool) -> list[tuple[int, complex, float]]:
     """(M, bracket, summed term size) of each rung: the edge terms at M*w
     plus the cube sum of (a + n.w)^-q, or minus the cube log sum for q = 0.
-    The row of `pole_coeffs` and the homogeneous F symbols are built once,
-    for every rung."""
+    The caller's `pole_coeffs` row and the homogeneous F symbols, built once,
+    serve every rung."""
     d = len(w)
     if q:
         cube, sign = _cube_pow(a, w, _rungs_kept(d), q, homog), 1.0
     else:
         cube, sign = _cube_log(a, w, _rungs_kept(d), homog), -1.0
-    row = pole_coeffs(q, d, dS)
     symbols = ([f_symbol_sum(_log_power(d - q - m), 0.0, w) for m in range(len(row))]
                if homog else None)
     out = []
@@ -198,9 +197,9 @@ def _pole_limit(q: int, a: complex, w: tuple[complex, ...], homog: bool,
     extrapolated rungs plus the closed `pole_term` without its log a part,
     which the edge terms carry."""
     d = len(w)
-    dS = ds_values(w, d + 1)
-    const = pole_term(q, a, d, dS, log=False).value
-    return _run_limit(_rungs(q, a, w, dS, homog), const, cfg.rel_tol, d)
+    row = pole_coeffs(q, d, ds_values(w, d + 1))
+    const = pole_term(q, a, row, log=False).value
+    return _run_limit(_rungs(q, a, w, row, homog), const, cfg.rel_tol, d)
 
 
 def fp_limit(q: int, params, *, config: EvalConfig | None = None) -> EvalResult:

@@ -124,7 +124,7 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
     a, w, homog = lattice(params)
     alpha = complex(alpha)
     d = len(w)
-    check_pole(alpha, d)
+    check_pole(alpha, d, homog)
     if alpha.real <= d + 0.5:
         raise ConvergenceError(
             f"direct summation needs Re(alpha) > d + 0.5 = {d + 0.5}, got {alpha.real}"
@@ -252,7 +252,7 @@ def reduction(alpha: complex, params, *, config: EvalConfig | None = None) -> Ev
     every route shares one signature; the reductions have no tolerance."""
     a, w, homog = lattice(params)
     d = len(w)
-    check_pole(complex(alpha), d)
+    check_pole(complex(alpha), d, homog)
     if homog:
         value = sum(_reduce(alpha, w[i], w[i:]) for i in range(d))
     else:

@@ -28,15 +28,18 @@ point, plus C(j) - C(j-1).  The corner sums come a block of _CORNER_BLOCK
 shells at a time, from one ladder call on the block's 2^d far corners per
 shell; those past the shell where the sum stops are discarded.  The points
 run in float64 on a real lattice, the corners when a, w and alpha are all
-real.
+real.  Each call builds one plan, the kernel's only input, and its closed
+term; the walk checks each shell's known size against the point budget
+before building it, so MAX_POINTS bounds memory as well as time.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
+
 import numpy as np
 
 from .bernoulli import ds_values, pole_coeffs, pole_term
@@ -113,135 +116,119 @@ def _gamma_ratio(alpha: complex, d: int, m: int) -> complex:
     return out
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """One shell summand: base(y) + const + sum_m coeff_m * G_m(y)."""
+class _Plan(NamedTuple):
+    """The kernel's input: the subset signs (empty subset first) and sums, the
+    plain and log-weighted ladder rows less trailing zeros, a, e0, base_expo
+    and const, float64 when all are real, else complex128; whether base(y) is
+    -log y rather than y^-base_expo; and the shift k."""
 
-    d: int
-    e_start: complex            # ladder exponent at m = 0; steps down by 1
-    coeffs: tuple[complex, ...]
-    logflags: tuple[bool, ...]
-    base: str                   # "pow" or "neglog"
-    base_expo: complex = 0.0
-    const: complex = 0.0        # added once per lattice point
-    k_used: int = 0
+    signs: np.ndarray
+    sigmas: np.ndarray
+    plain: np.ndarray
+    logc: np.ndarray
+    a: np.ndarray
+    e0: np.ndarray
+    base_expo: np.ndarray
+    const: np.ndarray
+    neglog: bool
+    k: int
 
 
-def _plan_generic(alpha: complex, w: tuple[complex, ...], k: int) -> _Plan:
+def _plan(a0: complex, w: tuple[complex, ...], homog: bool, k: int, e0: complex,
+          row: list[complex], plain: list[complex], neglog: bool, base_expo: complex,
+          const: complex, closed: CompensatedSum | None) -> tuple[_Plan, complex]:
+    """The plan of the ladder `row` (log-weighted) then `plain`, and the closed
+    term: `closed`, plus the inhomogeneous plain ladder terms -(-1)^d c_m
+    a^(e0-m) summed before the rows are trimmed; 0.0 without an accumulator."""
+    sign = 1.0 if len(w) % 2 else -1.0
+    for m, c in enumerate([] if homog else plain, len(row)):
+        closed.add(sign * c * a0 ** (e0 - m))
+    _, signs, sigmas = zip(*subset_terms(w, include_empty=True))
+    plain, logc = [0] * len(row) + plain, list(row)
+    for r in (plain, logc):
+        while r and r[-1] == 0:
+            r.pop()
+    rows = [np.array(r, np.complex128)
+            for r in (signs, sigmas, plain, logc, a0, e0, base_expo, const)]
+    if not any(r.imag.any() for r in rows):
+        rows = [r.real.copy() for r in rows]
+    return _Plan(*rows, neglog, k), 0.0 if closed is None else closed.value
+
+
+def _plan_generic(alpha: complex, a0: complex, w: tuple[complex, ...], k: int,
+                  homog: bool) -> tuple[_Plan, complex]:
+    """The zeta summand: the plain ladder -dS_m/m! Gamma(1-alpha)/Gamma(d-alpha-m+1)."""
     d = len(w)
     dS = ds_values(w, k + d)
-    coeffs = tuple(-(dS[m] / factorial(m)) * _gamma_ratio(alpha, d, m) for m in range(k + d))
-    return _Plan(
-        d=d,
-        e_start=d - alpha,
-        coeffs=coeffs,
-        logflags=(False,) * (k + d),
-        base="pow",
-        base_expo=alpha,
-        k_used=k,
-    )
+    plain = [-(dS[m] / factorial(m)) * _gamma_ratio(alpha, d, m) for m in range(k + d)]
+    return _plan(a0, w, homog, k, d - alpha, [], plain, False, alpha, 0.0,
+                 None if homog else CompensatedSum())
 
 
-def _plan_pole(q: int, w: tuple[complex, ...], k: int) -> _Plan:
+def _plan_pole(q: int, a0: complex, w: tuple[complex, ...], k: int,
+               homog: bool) -> tuple[_Plan, complex]:
     """The finite part at alpha = q, or the derivative at zero for q = 0:
     the pole row c_m of `pole_coeffs` as log-weighted G symbols for
     m <= d - q, then the plain ladder terms -dS_m/m! (-1)^(m-d)
     (q+m-d-1)!/(q-1)!, with (q-1)! -> 1 at q = 0, the Gamma ratio at alpha = q
-    (for q = 0, its alpha-derivative at zero)."""
+    (for q = 0, its alpha-derivative at zero).  The closed term is
+    `pole_term`, plus the origin's per-point constant when homogeneous."""
     d = len(w)
     dS = ds_values(w, k + d)
     row = pole_coeffs(q, d, dS)
     qf = factorial(q - 1) if q else 1
     plain = [-(dS[m] / factorial(m)) * ((-1.0) ** (m - d) * (factorial(q + m - d - 1) / qf))
              for m in range(d - q + 1, k + d)]
-    return _Plan(
-        d=d,
-        e_start=d - q,
-        coeffs=(*row, *plain),
-        logflags=(True,) * len(row) + (False,) * len(plain),
-        base="pow" if q else "neglog",
-        base_expo=q,
-        const=0.0 if q else -harmonic_float(d),
-        k_used=k,
-    )
+    const = 0.0 if q else -harmonic_float(d)
+    closed = pole_term(q, a0, row)
+    if homog:
+        closed.add(const)
+    return _plan(a0, w, homog, k, d - q, row, plain, not q, q, const, closed)
 
 
-def _plain_closed(plan: _Plan, a: complex, closed: CompensatedSum) -> complex:
-    """The inhomogeneous closed term: closed plus the plain ladder terms
-    -(-1)^d c_m a^(e0-m)."""
-    sign_d = -1.0 if plan.d % 2 else 1.0
-    for m, (coeff, log) in enumerate(zip(plan.coeffs, plan.logflags)):
-        if not log:
-            closed.add(-sign_d * coeff * a ** (plan.e_start - m))
-    return closed.value
-
-
-def _stack(plan: _Plan, a0: complex, w: tuple[complex, ...]) -> tuple[np.ndarray, ...]:
-    """Kernel inputs, built once per call: the subset signs (empty subset
-    first), the subset sums, the plain and the log-flagged ladder
-    coefficients with trailing zeros dropped, then e0, base_expo and const;
-    float64 when a, w and the plan are real, else complex128."""
-    _, signs, sigmas = zip(*subset_terms(w, include_empty=True))
-    flagged = list(zip(plan.coeffs, plan.logflags))
-    plain = [0 if log else c for c, log in flagged]
-    logc = [c if log else 0 for c, log in flagged]
-    for row in (plain, logc):
-        while row and row[-1] == 0:
-            row.pop()
-    rows = (signs, sigmas, plain, logc, plan.e_start, plan.base_expo, plan.const)
-    if any(complex(v).imag for v in (a0, *signs, *sigmas, *plain, *logc, *rows[4:])):
-        return tuple(np.array(r, np.complex128) for r in rows)
-    real = [[complex(v).real for v in r] if isinstance(r, tuple | list) else complex(r).real
-            for r in rows]
-    return tuple(np.array(r, np.float64) for r in real)
-
-
-def _ladder(stack: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
+def _ladder(plan: _Plan, z: np.ndarray) -> np.ndarray:
     """The ladder f(z) = sum_m c_m z^(e0-m) (log z) at every entry of z, from
     one table of the powers z^e0 (1/z)^m and one product per coefficient row."""
-    _, _, plain, logc, e0, _, _ = stack
+    plain, logc = plan.plain, plan.logc
     m = np.arange(max(plain.size, logc.size))
-    zp = np.power(z, e0)[:, None] * np.power(1.0 / z[:, None], m)
+    zp = np.power(z, plan.e0)[:, None] * np.power(1.0 / z[:, None], m)
     out = zp[:, :plain.size] @ plain
     if logc.size:
         out = out + np.log(z) * (zp[:, :logc.size] @ logc)
     return out
 
 
-def _corner_sums(stack: tuple[np.ndarray, ...], a0: complex, j0: int, count: int,
-                 homog: bool) -> np.ndarray:
+def _corner_sums(plan: _Plan, j0: int, count: int, homog: bool) -> np.ndarray:
     """C(j0), ..., C(j0 + count - 1), the ladder parts of the boxes {0..j}^d,
     from one ladder call on their count * 2^d far corners; the homogeneous
     forms drop the empty subset, whose f(0) is the same in every C(j).  A
     non-finite C(j) is left to the caller's check on the shell total."""
-    signs, sigmas = stack[:2]
-    a0 = complex(a0).real if sigmas.dtype == np.float64 else complex(a0)
     lo = 1 if homog else 0
     steps = np.arange(j0 + 1.0, j0 + count + 1.0)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        corners = _ladder(stack, (a0 + steps * sigmas[lo:]).ravel())
-        return corners.reshape(count, -1) @ signs[lo:]
+        corners = _ladder(plan, (plan.a + steps * plan.sigmas[lo:]).ravel())
+        return corners.reshape(count, -1) @ plan.signs[lo:]
 
 
-def _eval_shell(plan: _Plan, stack: tuple[np.ndarray, ...], y: np.ndarray) -> tuple[complex, float]:
+def _eval_shell(plan: _Plan, y: np.ndarray) -> tuple[complex, float]:
     """Per-point part of one shell: the sum of base(y) + const, and the noise
     estimate eps * sum |y^e0|.  On a real lattice y arrives as float64 and
     positive: a complex alpha then costs one complex exp per point, and
     |y^e0| = y^Re(e0) needs no abs."""
-    e0, base_expo, const = stack[4:]
+    e0, base_expo = plan.e0, plan.base_expo
     real = y.dtype == np.float64
-    if plan.base == "neglog":
+    if plan.neglog:
         total = -np.log(y).sum()
     elif real and base_expo.dtype == np.complex128:
         total = np.exp(-base_expo * np.log(y)).sum()
     else:
         total = np.power(y, -base_expo).sum()
     noise = np.power(y, e0.real).sum() if real else np.abs(np.power(y, e0)).sum()
-    return complex(total + const * y.size), _EPS * float(noise)
+    return complex(total + plan.const * y.size), _EPS * float(noise)
 
 
-def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfig,
-                homog: bool, closed: complex) -> EvalResult:
+def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: bool,
+                closed: complex) -> EvalResult:
     """Lattice sum of the plan's summand plus the closed term, shell by shell:
     shell j adds its per-point part and C(j) - C(j-1).  The value is the
     compensated per-point sum plus the last C(j), never a running sum of corner
@@ -249,8 +236,9 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
     part of their closed term is C(0), which the shells subtract again.
 
     The walk stops once three consecutive shells pass the stopping rule, and
-    raises ConvergenceError past MAX_SHELLS shells or MAX_POINTS points."""
-    stack = _stack(plan, a0, w)
+    raises ConvergenceError past MAX_SHELLS shells, or before a shell that
+    would take it past MAX_POINTS points."""
+    d = len(w)
     weights = narrow_weights(w)
     acc = CompensatedSum()
     # The last three shells' |total| and noise, oldest first.
@@ -260,16 +248,20 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
     first = prev = 0.0
 
     def diag(j: int) -> dict:
-        return {"shells": j + 1, "points": points, "k": plan.k_used}
+        return {"shells": j + 1, "points": points, "k": plan.k}
 
     for j in range(MAX_SHELLS + 1):
+        if points + (j + 1) ** d - j ** d - (homog and j == 0) > MAX_POINTS:
+            raise ConvergenceError(f"shell {j} would take the shell summation past its budget "
+                                   f"of {MAX_POINTS} points without meeting the stopping rule",
+                                   diagnostics=diag(j - 1))
         if j % _CORNER_BLOCK == 0:
-            corners = _corner_sums(stack, a0, j, min(_CORNER_BLOCK, MAX_SHELLS + 1 - j),
+            corners = _corner_sums(plan, j, min(_CORNER_BLOCK, MAX_SHELLS + 1 - j),
                                    homog).astype(np.complex128).tolist()
         corner = corners[j % _CORNER_BLOCK]
-        y = shell_values(a0, weights, j, skip_origin=homog)
+        y = shell_values(plan.a, weights, j, skip_origin=homog)
         if y.size:
-            part, noise = _eval_shell(plan, stack, y)
+            part, noise = _eval_shell(plan, y)
             s = part + (corner - prev)
             points += y.size
             if not cmath.isfinite(s):
@@ -293,10 +285,6 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
             if max(r0, r1, r2) <= max(cfg.rel_tol * scale, 4.0 * max(n0, n1, n2)):
                 return EvalResult(acc.value + corner + closed, r0 + r1 + r2 + noise_total,
                                   Method.SERIES, diag(j))
-        if points >= MAX_POINTS:
-            raise ConvergenceError(f"shell summation spent its budget of {MAX_POINTS} points "
-                                   f"in {j + 1} shells without meeting the stopping rule",
-                                   diagnostics=diag(j))
     raise ConvergenceError(
         "shell summation hit MAX_SHELLS without meeting the stopping rule",
         diagnostics=diag(MAX_SHELLS),
@@ -304,9 +292,7 @@ def _sum_shells(plan: _Plan, a0: complex, w: tuple[complex, ...], cfg: EvalConfi
 
 
 def _min_abs_lattice(a0: complex, w: tuple[complex, ...], homog: bool) -> float:
-    if homog:
-        return min(abs(wi) for wi in w)
-    return abs(a0)
+    return min(abs(wi) for wi in w) if homog else abs(a0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,37 +307,29 @@ def zeta_series(alpha: complex, params, *, config: EvalConfig | None = None,
     Valid for Re(alpha) > -k off the poles alpha = 1..d; the closed term
     outside the lattice sum carries the whole pole structure.
     """
-    cfg = config or DEFAULT_CONFIG
     a, w, homog = lattice(params)
     alpha = complex(alpha)
     d = len(w)
-    check_pole(alpha, d, "homogeneous lattice zeta" if homog else "lattice zeta")
+    check_pole(alpha, d, homog)
     if k is None:
         k = _auto_k(alpha.real, d, _min_abs_lattice(a, w, homog))
     if k <= -d:
         raise DomainError(f"shift parameter k = {k} must exceed -d = {-d}")
     if not alpha.real > -k:
         raise DomainError(f"series representation needs Re(alpha) > -k = {-k}")
-    plan = _plan_generic(alpha, w, k)
-    closed = 0.0 if homog else _plain_closed(plan, a, CompensatedSum())
-    return _sum_shells(plan, a, w, cfg, homog, closed)
+    plan, closed = _plan_generic(alpha, a, w, k, homog)
+    return _sum_shells(plan, w, config or DEFAULT_CONFIG, homog, closed)
 
 
 def _pole_series(q: int, a0: complex, w: tuple[complex, ...], cfg: EvalConfig, k: int | None,
                  homog: bool) -> EvalResult:
     """The finite part at alpha = q, or the derivative at zero for q = 0: the
-    closed `pole_term`, plus the plain ladder terms (inhomogeneous) or the
-    origin's per-point constant (homogeneous), and the lattice sum."""
-    d = len(w)
-    keff = k if k is not None else _auto_k_fixed(q, d, _min_abs_lattice(a0, w, homog))
+    closed term of `_plan_pole` and the lattice sum."""
+    keff = k if k is not None else _auto_k_fixed(q, len(w), _min_abs_lattice(a0, w, homog))
     if keff < 1 - q:
         raise DomainError(f"shift parameter k = {keff} must be >= 1 - q = {1 - q}")
-    plan = _plan_pole(q, w, keff)
-    closed = pole_term(q, a0, d, ds_values(w, keff + d))
-    if homog:
-        closed.add(plan.const)
-    return _sum_shells(plan, a0, w, cfg, homog,
-                       closed.value if homog else _plain_closed(plan, a0, closed))
+    plan, closed = _plan_pole(q, a0, w, keff, homog)
+    return _sum_shells(plan, w, cfg, homog, closed)
 
 
 def fp_series(q: int, params, *, config: EvalConfig | None = None,

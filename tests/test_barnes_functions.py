@@ -10,6 +10,7 @@ from barneszeta import (
     DomainError,
     EvalResult,
     Method,
+    PoleError,
     gamma_dq,
     log_gamma_B,
     log_rho,
@@ -153,6 +154,17 @@ class TestEvaluate:
                     point = 5.0 if route == "direct" else at   # direct needs Re(alpha) > d
                     res = evaluate(quantity, params, point, route)
                     assert res.method.value == route
+
+    # w = (1, 2) has a reduction in both forms, so every route reaches its
+    # pole check.
+    @pytest.mark.parametrize("homog", [False, True], ids=["inhomogeneous", "homogeneous"])
+    @pytest.mark.parametrize("route", [*ROUTES["zeta"], "best"])
+    def test_pole_message_names_the_form(self, route, homog):
+        params = (1.0, 2.0) if homog else BarnesParams(0.7, (1.0, 2.0))
+        with pytest.raises(PoleError) as exc:
+            evaluate("zeta", params, 2, route)
+        form = "homogeneous lattice zeta" if homog else "lattice zeta"
+        assert str(exc.value) == f"{form} has a pole at alpha = 2" and exc.value.q == 2
 
     def test_matches_route_function(self, d2_params):
         got = evaluate("fp", d2_params, 2, "series").value

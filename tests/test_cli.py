@@ -294,6 +294,11 @@ class TestEnvironment:
         est = [[float(row.split(",")[4]) for row in out.splitlines()[1:]] for out in (loose, tight)]
         assert all(t < l for l, t in zip(*est))
 
+    def test_bad_env_tolerance_names_itself(self, run, monkeypatch):
+        monkeypatch.setenv("BARNES_ZETA_TOL", "bad")
+        code, out, err = run(["eval", "--alpha", "4", "--a", "1", "--w", "1,1"])
+        assert (code, out, err) == (2, "", "error: BARNES_ZETA_TOL = 'bad' is not a number\n")
+
     def test_flag_overrides_env(self, run, monkeypatch):
         monkeypatch.setenv("BARNES_ZETA_TOL", "1e-3")
         code, out, err = run(["eval", "--alpha", "4", "--a", "1", "--w", "1,1",

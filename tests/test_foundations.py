@@ -114,16 +114,19 @@ class TestSmallHelpers:
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     def test_pole_check_raises_at_poles(self, alpha):
-        with pytest.raises(PoleError) as exc:
-            check_pole(complex(alpha), 3)
-        assert exc.value.q == alpha
+        for homog, form in ((False, "lattice zeta"), (True, "homogeneous lattice zeta")):
+            with pytest.raises(PoleError) as exc:
+                check_pole(complex(alpha), 3, homog)
+            assert exc.value.q == alpha
+            assert str(exc.value) == f"{form} has a pole at alpha = {alpha}"
 
     @pytest.mark.parametrize("alpha", [0, 4, 1.5, complex(2, 1e-9), -1])
     def test_pole_check_passes_elsewhere(self, alpha):
-        check_pole(complex(alpha), 3)
+        check_pole(complex(alpha), 3, False)
+        check_pole(complex(alpha), 3, True)
 
     @pytest.mark.parametrize("alpha", [float("inf"), float("-inf"), float("nan"),
                                        complex(0.5, float("inf")), complex(float("nan"), 1.0)])
     def test_pole_check_rejects_non_finite(self, alpha):
         with pytest.raises(DomainError, match="not finite"):
-            check_pole(complex(alpha), 3)
+            check_pole(complex(alpha), 3, False)

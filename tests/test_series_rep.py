@@ -164,20 +164,22 @@ def reference_shell(plan, subsets, y, base=True):
     of the absolute values of every term added, the scale of the rounding.
     With base=False the total is the ladder part sum_y G[f](y) alone.
     """
-    t = np.power(y, -plan.base_expo) if plan.base == "pow" else -np.log(y)
+    t = -np.log(y) if plan.neglog else np.power(y, -plan.base_expo)
     t = t + plan.const if base else np.zeros_like(t)
     size = np.abs(t)
     noise = None
     for _, sign, sigma in subsets:
         z = y + sigma
         logz = np.log(z)
-        zp = np.power(z, plan.e_start)
+        zp = np.power(z, plan.e0)
         if noise is None:
             noise = np.finfo(np.float64).eps * float(np.sum(np.abs(zp)))
-        for coeff, islog in zip(plan.coeffs, plan.logflags):
-            term = (sign * coeff) * (zp * logz if islog else zp)
-            t = t + term
-            size = size + np.abs(term)
+        for m in range(max(plan.plain.size, plan.logc.size)):
+            for row, factor in ((plan.plain, 1.0), (plan.logc, logz)):
+                if m < row.size:
+                    term = (sign * row[m]) * (zp * factor)
+                    t = t + term
+                    size = size + np.abs(term)
             zp = zp / z
     return complex(np.sum(t)), noise, float(np.sum(size))
 
@@ -189,14 +191,23 @@ CPLXW = (1.0, 1.2 + 0.2j)
 D4CW = (1.0, 1.3, 1.7, 2.1 + 0.4j)
 
 
+def generic(alpha, k):
+    """Plans of the zeta summand at alpha and shift k, by lattice: (a0, w, homog) -> plan."""
+    return lambda a0, w, homog: sr._plan_generic(alpha, a0, w, k, homog)[0]
+
+
+def pole(q, k):
+    """Plans of the finite part at q (q = 0: the derivative at zero), by lattice."""
+    return lambda a0, w, homog: sr._plan_pole(q, a0, w, k, homog)[0]
+
+
 def kernel_shell(plan, a0, w, j, homog):
     """Shell total as the series sums it: the per-point part plus C(j) - C(j-1).
 
     A shell with no imaginary part goes through the float64 per-point path."""
-    stack = sr._stack(plan, a0, w)
     y = shell_values(a0, w, j, skip_origin=homog)
-    part, noise = sr._eval_shell(plan, stack, y if y.imag.any() else y.real)
-    before, at = sr._corner_sums(stack, a0, j - 1, 2, homog)
+    part, noise = sr._eval_shell(plan, y if y.imag.any() else y.real)
+    before, at = sr._corner_sums(plan, j - 1, 2, homog)
     corners = at - before
     return part + corners, noise
 
@@ -210,27 +221,27 @@ class TestStackedKernel:
     fails.  The d = 4 shells hold over a thousand points each.
     """
 
-    # (plan, a0, w, shell index, homogeneous, corner kernel runs in float64)
+    # (plan builder, a0, w, shell index, homogeneous, kernel runs in float64)
     CASES = {
-        "pow real": (lambda: sr._plan_generic(0.5, D2W, 2), 0.7, D2W, 2, False, True),
-        "pow complex alpha": (lambda: sr._plan_generic(0.5 + 3j, D2W, 2), 0.7, D2W, 2, False, False),
-        "pow negative alpha": (lambda: sr._plan_generic(-3.5, D3W, 5), 0.9, D3W, 2, False, True),
-        "pow complex lattice": (lambda: sr._plan_generic(2.5, CPLXW, 1), 1 + 0.3j, CPLXW, 3, False, False),
-        "pow homogeneous": (lambda: sr._plan_generic(-1.5, D3W, 3), 0.0, D3W, 2, True, True),
-        "fp q=1 real": (lambda: sr._plan_pole(1, D3W, 1), 0.9, D3W, 2, False, True),
-        "fp q=2 complex lattice": (lambda: sr._plan_pole(2, CPLXW, 1), 1 + 0.3j, CPLXW, 3, False, False),
-        "fp homogeneous": (lambda: sr._plan_pole(2, D3W, 2), 0.0, D3W, 1, True, True),
-        "neglog real": (lambda: sr._plan_pole(0, D2W, 2), 0.7, D2W, 2, False, True),
-        "neglog complex lattice": (lambda: sr._plan_pole(0, CPLXW, 1), 1 + 0.3j, CPLXW, 2, False, False),
-        "d4 pow, several blocks": (lambda: sr._plan_generic(0.5, D4W, 0), 0.3, D4W, 7, False, True),
-        "d4 fp, several blocks": (lambda: sr._plan_pole(2, D4W, -1), 0.3, D4W, 7, False, True),
-        "d4 fp complex, several blocks": (lambda: sr._plan_pole(2, D4CW, -1), 0.0, D4CW, 7, True, False),
+        "pow real": (generic(0.5, 2), 0.7, D2W, 2, False, True),
+        "pow complex alpha": (generic(0.5 + 3j, 2), 0.7, D2W, 2, False, False),
+        "pow negative alpha": (generic(-3.5, 5), 0.9, D3W, 2, False, True),
+        "pow complex lattice": (generic(2.5, 1), 1 + 0.3j, CPLXW, 3, False, False),
+        "pow homogeneous": (generic(-1.5, 3), 0.0, D3W, 2, True, True),
+        "fp q=1 real": (pole(1, 1), 0.9, D3W, 2, False, True),
+        "fp q=2 complex lattice": (pole(2, 1), 1 + 0.3j, CPLXW, 3, False, False),
+        "fp homogeneous": (pole(2, 2), 0.0, D3W, 1, True, True),
+        "neglog real": (pole(0, 2), 0.7, D2W, 2, False, True),
+        "neglog complex lattice": (pole(0, 1), 1 + 0.3j, CPLXW, 2, False, False),
+        "d4 pow, several blocks": (generic(0.5, 0), 0.3, D4W, 7, False, True),
+        "d4 fp, several blocks": (pole(2, -1), 0.3, D4W, 7, False, True),
+        "d4 fp complex, several blocks": (pole(2, -1), 0.0, D4CW, 7, True, False),
     }
 
     @pytest.mark.parametrize("name", CASES)
     def test_matches_loop(self, name):
         make, a0, w, j, homog, _ = self.CASES[name]
-        plan = make()
+        plan = make(a0, w, homog)
         got, noise = kernel_shell(plan, a0, w, j, homog)
         y = shell_values(a0, w, j, skip_origin=homog)
         want, want_noise, size = reference_shell(plan, subset_terms(w, include_empty=True), y)
@@ -240,13 +251,13 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("name", CASES)
     def test_dtype_follows_data(self, name):
-        make, a0, w, _, _, real = self.CASES[name]
-        stack = sr._stack(make(), a0, w)
+        make, a0, w, _, homog, real = self.CASES[name]
+        arrays = make(a0, w, homog)[:8]
         want = np.float64 if real else np.complex128
-        assert {v.dtype for v in stack} == {np.dtype(want)}
+        assert {v.dtype for v in arrays} == {np.dtype(want)}
 
     def test_trailing_zeros_dropped(self):
-        signs, sigmas, plain, logc, *_ = sr._stack(sr._plan_pole(2, D3W, 8), 0.9, D3W)
+        signs, sigmas, plain, logc, *_ = pole(2, 8)(0.9, D3W, False)
         assert len(logc) == 3 - 2 + 1
         assert len(plain) == 8 + 3 and plain[: len(logc)].tolist() == [0.0] * len(logc)
         assert signs.shape == sigmas.shape == (8,)
@@ -259,18 +270,18 @@ class TestKernelBits:
     whose exponent on a real lattice is Re(e0)."""
 
     PLANS = {
-        "pow": lambda w: sr._plan_generic(0.5, w, 2),
-        "pow negative alpha": lambda w: sr._plan_generic(-3.5, w, 5),
-        "pow complex alpha": lambda w: sr._plan_generic(0.5 + 3j, w, 2),
-        "fp": lambda w: sr._plan_pole(1, w, 2),
-        "neglog": lambda w: sr._plan_pole(0, w, 2),
+        "pow": generic(0.5, 2),
+        "pow negative alpha": generic(-3.5, 5),
+        "pow complex alpha": generic(0.5 + 3j, 2),
+        "fp": pole(1, 2),
+        "neglog": pole(0, 2),
     }
 
     @staticmethod
-    def reference(stack, plan, y):
-        e0, base_expo, const = stack[4:]
+    def reference(plan, y):
+        e0, base_expo, const = plan.e0, plan.base_expo, plan.const
         real = y.dtype == np.float64
-        if plan.base == "neglog":
+        if plan.neglog:
             t = -np.log(y)
         elif real and base_expo.dtype == np.complex128:
             t = np.exp(-base_expo * np.log(y))
@@ -284,17 +295,17 @@ class TestKernelBits:
     @pytest.mark.parametrize("w, a0", [(D3W, 0.9), (CPLXW, 1 + 0.3j)], ids=["real", "complex"])
     def test_matches_reference(self, w, a0, homog, plan):
         a0 = 0.0 if homog else a0
-        made = self.PLANS[plan](w)
-        stack = sr._stack(made, a0, w)
+        made = self.PLANS[plan](a0, w, homog)
         for j in range(1, 9):
             y = shell_values(a0, w, j, skip_origin=homog)
             # repr tells every float apart, -0.0 from 0.0 included
-            assert repr(sr._eval_shell(made, stack, y)) == repr(self.reference(stack, made, y))
+            assert repr(sr._eval_shell(made, y)) == repr(self.reference(made, y))
 
 
 class TestPointBudget:
-    """The walk raises ConvergenceError once it has summed MAX_POINTS points
-    without meeting the stopping rule."""
+    """The walk raises ConvergenceError before a shell that would take it past
+    MAX_POINTS points without meeting the stopping rule: the budget bounds
+    the points it ever holds, not only those it has summed."""
 
     @pytest.mark.parametrize("alpha", [0.5, -1.5])
     def test_tiny_weights_raise_in_time(self, alpha):
@@ -305,17 +316,32 @@ class TestPointBudget:
             zeta_series(alpha, (1e-6, 1e-6, 3e-6))
         assert time.perf_counter() - t0 < 3.0
         diag = exc.value.diagnostics
-        # The walk stops at the first shell that takes it past the budget.
-        assert diag["points"] >= sr.MAX_POINTS > diag["points"] - 6 * diag["shells"] ** 2
+        # The walk stops before the first shell that would take it past the
+        # budget: shell j = diag["shells"] holds (j+1)^3 - j^3 points.
+        j = diag["shells"]
+        assert diag["points"] == j ** 3 - 1
+        assert diag["points"] <= sr.MAX_POINTS < diag["points"] + (j + 1) ** 3 - j ** 3
 
     def test_budget_counts_points(self, monkeypatch):
         # The homogeneous finite part at 2 on D3's weights needs 13 shells,
-        # 2196 points; a budget of 1000 stops the walk after shell 10, the
-        # first to take the points past it: 11^3 - 1 = 1330.
+        # 2196 points; a budget of 1000 stops the walk before shell 10, the
+        # first that would take the points past it: 10^3 - 1 = 999 summed,
+        # 11^3 - 1 = 1330 with it.
         monkeypatch.setattr(sr, "MAX_POINTS", 1000)
-        with pytest.raises(ConvergenceError, match="budget") as exc:
+        with pytest.raises(ConvergenceError, match="shell 10 would .* budget") as exc:
             fp_series(2, D3W)
-        assert exc.value.diagnostics == {"shells": 11, "points": 1330, "k": 8}
+        assert exc.value.diagnostics == {"shells": 10, "points": 999, "k": 8}
+
+    @pytest.mark.parametrize("homog", [False, True], ids=["inhomogeneous", "homogeneous"])
+    def test_budget_exactly_met(self, homog, monkeypatch):
+        # A walk may end its summing exactly at the budget: with a budget of
+        # 10^3 (10^3 - 1 homogeneous) points, ten shells fit and the eleventh
+        # does not.
+        monkeypatch.setattr(sr, "MAX_POINTS", 1000 - homog)
+        params = D3W if homog else BarnesParams(0.9, D3W)
+        with pytest.raises(ConvergenceError, match="shell 10 would") as exc:
+            fp_series(2, params, k=0)
+        assert exc.value.diagnostics == {"shells": 10, "points": 1000 - homog, "k": 0}
 
 
 D1W = (1.3,)
@@ -327,27 +353,27 @@ class TestBoxIdentity:
     shell up to J, summed point by point, is C(J) (less C(0) for the
     homogeneous forms, which skip the origin)."""
 
-    # (plan, a0, w, J, homogeneous)
+    # (plan builder, a0, w, J, homogeneous)
     CASES = {
-        "d1 pow real": (lambda: sr._plan_generic(0.5, D1W, 2), 0.3, D1W, 9, False),
-        "d1 neglog homogeneous": (lambda: sr._plan_pole(0, D1W, 2), 0.0, D1W, 9, True),
-        "d1 fp complex lattice": (lambda: sr._plan_pole(1, (1.1 + 0.4j,), 1), 0.6 + 0.2j, (1.1 + 0.4j,), 9, False),
-        "d2 pow complex alpha homogeneous": (lambda: sr._plan_generic(0.5 + 3j, D2W, 2), 0.0, D2W, 6, True),
-        "d2 fp complex lattice": (lambda: sr._plan_pole(1, CPLXW, 1), 1 + 0.3j, CPLXW, 6, False),
-        "d2 neglog real": (lambda: sr._plan_pole(0, D2W, 2), 0.7, D2W, 6, False),
-        "d3 pow complex lattice": (lambda: sr._plan_generic(-1.5, D3CW, 3), 0.9 + 0.1j, D3CW, 5, False),
-        "d3 fp homogeneous": (lambda: sr._plan_pole(2, D3W, 2), 0.0, D3W, 5, True),
-        "d3 neglog complex homogeneous": (lambda: sr._plan_pole(0, D3CW, 2), 0.0, D3CW, 5, True),
-        "d4 pow real": (lambda: sr._plan_generic(0.5, D4W, 0), 0.3, D4W, 7, False),
-        "d4 fp real": (lambda: sr._plan_pole(2, D4W, -1), 0.3, D4W, 7, False),
-        "d4 fp complex homogeneous": (lambda: sr._plan_pole(2, D4CW, -1), 0.0, D4CW, 7, True),
-        "d4 neglog complex lattice": (lambda: sr._plan_pole(0, D4CW, 1), 0.5 + 0.2j, D4CW, 5, False),
+        "d1 pow real": (generic(0.5, 2), 0.3, D1W, 9, False),
+        "d1 neglog homogeneous": (pole(0, 2), 0.0, D1W, 9, True),
+        "d1 fp complex lattice": (pole(1, 1), 0.6 + 0.2j, (1.1 + 0.4j,), 9, False),
+        "d2 pow complex alpha homogeneous": (generic(0.5 + 3j, 2), 0.0, D2W, 6, True),
+        "d2 fp complex lattice": (pole(1, 1), 1 + 0.3j, CPLXW, 6, False),
+        "d2 neglog real": (pole(0, 2), 0.7, D2W, 6, False),
+        "d3 pow complex lattice": (generic(-1.5, 3), 0.9 + 0.1j, D3CW, 5, False),
+        "d3 fp homogeneous": (pole(2, 2), 0.0, D3W, 5, True),
+        "d3 neglog complex homogeneous": (pole(0, 2), 0.0, D3CW, 5, True),
+        "d4 pow real": (generic(0.5, 0), 0.3, D4W, 7, False),
+        "d4 fp real": (pole(2, -1), 0.3, D4W, 7, False),
+        "d4 fp complex homogeneous": (pole(2, -1), 0.0, D4CW, 7, True),
+        "d4 neglog complex lattice": (pole(0, 1), 0.5 + 0.2j, D4CW, 5, False),
     }
 
     @pytest.mark.parametrize("name", CASES)
     def test_box_sum_is_far_corner(self, name):
         make, a0, w, J, homog = self.CASES[name]
-        plan = make()
+        plan = make(a0, w, homog)
         subsets = subset_terms(w, include_empty=True)
         want = size = 0.0
         for j in range(J + 1):
@@ -355,18 +381,16 @@ class TestBoxIdentity:
             if y.size:
                 total, _, sz = reference_shell(plan, subsets, y, base=False)
                 want, size = want + total, size + sz
-        stack = sr._stack(plan, a0, w)
-        corners = sr._corner_sums(stack, a0, 0, J + 1, homog)
+        corners = sr._corner_sums(plan, 0, J + 1, homog)
         got = corners[J] - corners[0] if homog else corners[J]
         assert abs(want) >= 100 * 1e-13 * size
         assert abs(got - want) <= 1e-13 * size
 
 
-def corner_sum(stack, a0, j, homog):
+def corner_sum(plan, j, homog):
     """C(j) on its own, one ladder call on the far corners of {0..j}^d, and
     the summed size of its terms c_m z^(e0-m) (log z)."""
-    signs, sigmas, plain, logc, e0 = stack[:5]
-    a0 = complex(a0).real if sigmas.dtype == np.float64 else complex(a0)
+    signs, sigmas, plain, logc, a0, e0 = plan[:6]
     lo = 1 if homog else 0
     z = a0 + (j + 1) * sigmas[lo:]
     zc = z.astype(np.complex128)
@@ -374,7 +398,7 @@ def corner_sum(stack, a0, j, homog):
     powers = np.abs(np.power(zc, e0)[:, None] * np.power(1.0 / zc[:, None], m))
     size = np.sum(powers[:, :plain.size] @ np.abs(plain))
     size += np.sum(np.abs(np.log(zc)) * (powers[:, :logc.size] @ np.abs(logc)))
-    return complex(signs[lo:] @ sr._ladder(stack, z)), float(size)
+    return complex(signs[lo:] @ sr._ladder(plan, z)), float(size)
 
 
 W6 = (1.0, 1.3, 1.7, 2.1, 2.6, 3.1)
@@ -386,9 +410,9 @@ class TestBlockedCorners:
     match C(j) formed on its own, shell by shell."""
 
     PLANS = {
-        "pow": lambda w: sr._plan_generic(0.5 + 1j, w, 2),
-        "fp": lambda w: sr._plan_pole(1, w, 2),
-        "neglog": lambda w: sr._plan_pole(0, w, 2),
+        "pow": generic(0.5 + 1j, 2),
+        "fp": pole(1, 2),
+        "neglog": pole(0, 2),
     }
 
     @pytest.mark.parametrize("homog", [False, True], ids=["inhomogeneous", "homogeneous"])
@@ -397,12 +421,12 @@ class TestBlockedCorners:
     def test_block_matches_each_shell(self, d, w, a0, homog):
         w, a0 = w[:d], 0.0 if homog else a0
         for make in self.PLANS.values():
-            stack = sr._stack(make(w), a0, w)
+            plan = make(a0, w, homog)
             for j0, count in ((0, 8), (8, 8), (16, 5)):
-                got = sr._corner_sums(stack, a0, j0, count, homog)
+                got = sr._corner_sums(plan, j0, count, homog)
                 assert got.shape == (count,)
                 for i, j in enumerate(range(j0, j0 + count)):
-                    want, size = corner_sum(stack, a0, j, homog)
+                    want, size = corner_sum(plan, j, homog)
                     assert abs(got[i] - want) <= 1e-13 * size
 
     @pytest.mark.parametrize("w, k, shells", [(W6[:4], 1, 21), (W6[:5], 1, 10)], ids=["d4", "d5"])
@@ -413,16 +437,15 @@ class TestBlockedCorners:
         monkeypatch.setattr(sr, "MAX_SHELLS", 2 * shells)
         res = zeta_series(0.5, w, k=k)
         assert res.diagnostics["shells"] == shells and shells ** len(w) > 2 ** 16
-        plan = sr._plan_generic(0.5, w, k)
-        stack = sr._stack(plan, 0.0, w)
+        plan = generic(0.5, k)(0.0, w, True)
         parts = CompensatedSum()
         points = 0
         for j in range(shells):
             y = shell_values(0.0, w, j, skip_origin=True)
             if y.size:
-                parts.add(sr._eval_shell(plan, stack, y)[0])
+                parts.add(sr._eval_shell(plan, y)[0])
                 points += y.size
-        corner, size = corner_sum(stack, 0.0, shells - 1, True)
+        corner, size = corner_sum(plan, shells - 1, True)
         assert res.diagnostics["points"] == points
         assert abs(res.value - (parts.value + corner)) <= 1e-13 * size
 
@@ -436,9 +459,9 @@ class TestLadderWork:
         sizes = []
         ladder = sr._ladder
 
-        def counted(stack, z):
+        def counted(plan, z):
             sizes.append(z.size)
-            return ladder(stack, z)
+            return ladder(plan, z)
 
         monkeypatch.setattr(sr, "_ladder", counted)
         monkeypatch.setattr(sr, "MAX_SHELLS", 16)
@@ -453,9 +476,9 @@ class TestLadderWork:
         dtypes = set()
         eval_shell = sr._eval_shell
 
-        def seen(plan, stack, y):
+        def seen(plan, y):
             dtypes.add(y.dtype)
-            return eval_shell(plan, stack, y)
+            return eval_shell(plan, y)
 
         monkeypatch.setattr(sr, "_eval_shell", seen)
         # They need 9 and 12 shells; the cap turns a broken stopping rule
