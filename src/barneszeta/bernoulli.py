@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .combinatorics import CompensatedSum
-from .foundations import DomainError, TruncationError, as_weights, harmonic_float, narrow
+from .foundations import ConvergenceError, DomainError, as_weights, harmonic_float, narrow
 
 MAX_TABLE = 170            # 171! no longer fits in a float
 # The smallest table built.  It holds the integral brackets' M + 60 terms at
@@ -57,7 +57,7 @@ def classical_bernoulli(n: int) -> tuple[Fraction, ...]:
     if n < 0:
         raise DomainError("n must be >= 0")
     if n > _CLASSICAL_CAP:
-        raise TruncationError(f"classical Bernoulli table capped at {_CLASSICAL_CAP}")
+        raise ConvergenceError(f"classical Bernoulli table capped at {_CLASSICAL_CAP}")
     out = _CLASSICAL
     for m in range(len(out), n + 1):
         if m > 2 and m % 2 == 1:
@@ -121,7 +121,7 @@ def bernoulli_numbers(w: Iterable[complex], N: int) -> BernoulliTable:
     if N < 0:
         raise DomainError("N must be >= 0")
     if N > MAX_TABLE:
-        raise TruncationError(f"Bernoulli table size capped at N = {MAX_TABLE}")
+        raise ConvergenceError(f"Bernoulli table size capped at N = {MAX_TABLE}")
     table = _table_cached(tuple(sorted(as_weights(w), key=lambda z: (z.real, z.imag))),
                           max(N, _TABLE_MIN))
     if N >= _TABLE_MIN:

@@ -18,8 +18,8 @@ Conventions:
     the tolerance moves the series, limit and direct routes, not the
     integral route's quadrature.
 
-Exit codes: 0 ok, 1 comparison failure, 2 usage, 3 convergence/quadrature
-failure, 4 pole.
+Exit codes: 0 ok, 1 comparison failure, 2 usage, 3 convergence failure (a
+route past a budget or a cap) or quadrature failure, 4 pole.
 """
 
 from __future__ import annotations
@@ -107,12 +107,21 @@ def emit_result(res: EvalResult, as_json: bool) -> None:
 
 
 def build_config(args) -> EvalConfig:
+    """The config of --tol, else of BARNES_ZETA_TOL; a bad value names its source."""
     env = os.environ.get("BARNES_ZETA_TOL")
+    if args.tol is not None:
+        source, tol = "--tol", args.tol
+    elif env:
+        try:
+            source, tol = "BARNES_ZETA_TOL", float(env)
+        except ValueError:
+            raise DomainError(f"BARNES_ZETA_TOL = {env!r} is not a number") from None
+    else:
+        return EvalConfig()
     try:
-        tol = args.tol if args.tol is not None else (float(env) if env else None)
-    except ValueError:
-        raise DomainError(f"BARNES_ZETA_TOL = {env!r} is not a number") from None
-    return EvalConfig() if tol is None else EvalConfig(rel_tol=tol)
+        return EvalConfig(rel_tol=tol)
+    except DomainError:
+        raise DomainError(f"{source} = {tol} is not a finite positive tolerance") from None
 
 
 def _pole_hint(exc: PoleError, args) -> str:
@@ -336,7 +345,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, QuadratureError) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CONVERGENCE
-    except (DomainError, BarnesZetaError, ValueError) as exc:
+    except (BarnesZetaError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

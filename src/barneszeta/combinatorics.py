@@ -22,13 +22,12 @@ in float64 when a and every w_i are real.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .foundations import DomainError, EvaluationError, as_weights, narrow, narrow_weights
+from .foundations import DomainError, as_weights, narrow, narrow_weights
 
 MAX_DIM = 16
 MAX_SHELLS = 100_000      # shells S_0..S_MAX_SHELLS a lattice walk may visit
@@ -92,43 +91,26 @@ def neville_diagonal(Ms: Sequence[int], vals: Sequence[complex]) -> tuple[list[c
     return [row[0] for row in rows], lebesgue
 
 
-@lru_cache(maxsize=64)
-def subset_index_lists(d: int, include_empty: bool) -> tuple[tuple[int, ...], ...]:
-    """All subsets of {0..d-1}, ordered by size then lexicographically."""
-    if d < 1 or d > MAX_DIM:
-        raise DomainError(f"dimension must be in 1..{MAX_DIM}")
-    out: list[tuple[int, ...]] = []
-    start = 0 if include_empty else 1
-    for size in range(start, d + 1):
-        out.extend(combinations(range(d), size))
-    return tuple(out)
-
-
-def subset_terms(w: tuple[complex, ...], include_empty: bool):
-    """Triples (idx, sign, sigma) with sign = (-1)^{d-|S|}, sigma = sum of w over S."""
+def subset_table(w: Sequence[complex]) -> tuple[list[float], list[complex]]:
+    """The signs (-1)^{d-|S|} and sums sigma_S of w over S, one entry per
+    subset S: the empty subset first, then by size, then lexicographically,
+    each sum taken left to right from 0.0."""
     d = len(w)
-    terms = []
-    for idx in subset_index_lists(d, include_empty):
-        sign = -1.0 if (d - len(idx)) % 2 else 1.0
-        terms.append((idx, sign, sum((w[i] for i in idx), 0.0)))
-    return terms
+    if d > MAX_DIM:
+        raise DomainError(f"dimension must be in 1..{MAX_DIM}")
+    subsets = [s for size in range(d + 1) for s in combinations(w, size)]
+    return [-1.0 if (d - len(s)) % 2 else 1.0 for s in subsets], [sum(s, 0.0) for s in subsets]
 
 
 def f_symbol_sum(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) -> CompensatedSum:
     """F[f(a+x)]_{x=w} = sum over nonempty S of (-1)^{d-|S|} f(a + sigma_S),
-    added in subset-size-then-lexicographic order: the accumulator's `value`
-    is the sum, its `mass` the summed size of the 2^d - 1 terms."""
-    wt = as_weights(w)
+    added in the order of `subset_table`: the accumulator's `value` is the
+    sum, its `mass` the summed size of the 2^d - 1 terms."""
     a = complex(a)
     acc = CompensatedSum()
-    for idx, sign, sigma in subset_terms(wt, include_empty=False):
-        try:
-            val = f(a + sigma)
-        except Exception as exc:
-            raise EvaluationError(
-                f"function evaluation failed at subset {idx}", subset=idx
-            ) from exc
-        acc.add(sign * complex(val))
+    signs, sigmas = subset_table(as_weights(w))
+    for sign, sigma in zip(signs[1:], sigmas[1:]):
+        acc.add(sign * complex(f(a + sigma)))
     return acc
 
 

@@ -1,5 +1,10 @@
 """Shared domain types, parameter validation, and small numeric helpers.
 
+Every error the package raises is a BarnesZetaError: DomainError for a bad
+parameter, PoleError at a pole, ConvergenceError when a route runs past a
+budget or cap (a series, limit, table or cube), and QuadratureError when the
+quadrature rule does not settle.
+
 Branch convention used throughout the package: every logarithm and power is
 taken on the principal branch, arg z in (-pi, pi], with z**s defined as
 exp(s*log z) for z != 0.  All parameters live in the right half-plane
@@ -35,7 +40,8 @@ class PoleError(BarnesZetaError, ArithmeticError):
 
 
 class ConvergenceError(BarnesZetaError, ArithmeticError):
-    """A series, limit, or lattice sum failed to converge within budget."""
+    """A series, limit, or lattice sum failed to converge within budget, or
+    a route needs a table or cube beyond its cap."""
 
     def __init__(self, message: str, diagnostics: Mapping | None = None):
         super().__init__(message)
@@ -45,22 +51,6 @@ class ConvergenceError(BarnesZetaError, ArithmeticError):
 class QuadratureError(BarnesZetaError, ArithmeticError):
     """The quadrature rule did not settle within its level cap, or met a
     non-finite integrand value."""
-
-
-class TruncationError(BarnesZetaError, ValueError):
-    """A coefficient table was requested beyond its hard cap."""
-
-
-class ResourceError(BarnesZetaError, RuntimeError):
-    """An explicit enumeration would exceed its budget."""
-
-
-class EvaluationError(BarnesZetaError, RuntimeError):
-    """A user-supplied callable failed; carries the offending subset."""
-
-    def __init__(self, message: str, subset: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.subset = subset
 
 
 class Method(str, Enum):
@@ -153,8 +143,8 @@ class EvalConfig:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError("EvalConfig.rel_tol must be positive")
+        if not (self.rel_tol > 0 and cmath.isfinite(self.rel_tol)):
+            raise DomainError("EvalConfig.rel_tol must be finite and positive")
 
 
 DEFAULT_CONFIG = EvalConfig()

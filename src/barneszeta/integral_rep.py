@@ -43,7 +43,7 @@ import numpy as np
 from .bernoulli import (
     bernoulli_numbers, bernoulli_poly, bernoulli_taylor, ds_values, pole_coeffs, pole_term,
 )
-from .combinatorics import CompensatedSum, subset_terms
+from .combinatorics import CompensatedSum, subset_table
 from .foundations import (
     DomainError,
     EvalConfig,
@@ -254,8 +254,8 @@ def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.n
     pw = math.prod(w)
     coeffs = _alternating_bernoulli_coeffs(w, -c, M + _SERIES_EXTRA)
     t0 = _small_t_threshold(w)
-    _, signs, sigmas = zip(*subset_terms(w, include_empty=False))
-    sigmas, signs = np.array(sigmas), (-1.0) ** (d + 1) * np.array(signs)
+    signs, sigmas = subset_table(w)
+    sigmas, signs = np.array(sigmas[1:]), (-1.0) ** (d + 1) * np.array(signs[1:])
     n_exp = M - d   # highest k of the counter-exponential partial sum
     partial = _exp_row(c, 0, n_exp + 1)
     # Below t0 both series carry e^{-ct} t^(M+1-d); for M >= d the

@@ -44,7 +44,6 @@ from .foundations import (
     EvalConfig,
     EvalResult,
     Method,
-    ResourceError,
     check_order,
     harmonic_float,
     lattice,
@@ -60,8 +59,8 @@ def _rungs_kept(d: int) -> tuple[int, ...]:
     """The last _RUNGS entries of _SCHEDULE whose cube fits in _CUBE_POINTS."""
     Ms = tuple(M for M in _SCHEDULE if M ** d <= _CUBE_POINTS)[-_RUNGS:]
     if not Ms:
-        raise ResourceError(f"no M of the limit schedule has a cube of at most "
-                            f"{_CUBE_POINTS} points at d = {d}")
+        raise ConvergenceError(f"no M of the limit schedule has a cube of at most "
+                               f"{_CUBE_POINTS} points at d = {d}")
     return Ms
 
 

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bernoulli import ds_values, pole_coeffs, pole_term
-from .combinatorics import MAX_POINTS, MAX_SHELLS, CompensatedSum, shell_values, subset_terms
+from .combinatorics import MAX_POINTS, MAX_SHELLS, CompensatedSum, shell_values, subset_table
 from .foundations import (
     ConvergenceError,
     DEFAULT_CONFIG,
@@ -143,7 +143,7 @@ def _plan(a0: complex, w: tuple[complex, ...], homog: bool, k: int, e0: complex,
     sign = 1.0 if len(w) % 2 else -1.0
     for m, c in enumerate([] if homog else plain, len(row)):
         closed.add(sign * c * a0 ** (e0 - m))
-    _, signs, sigmas = zip(*subset_terms(w, include_empty=True))
+    signs, sigmas = subset_table(w)
     plain, logc = [0] * len(row) + plain, list(row)
     for r in (plain, logc):
         while r and r[-1] == 0:

@@ -125,6 +125,36 @@ class TestMultipleGamma:
         assert scaled_err(s, i) <= 1e-6
 
 
+class TestExactIdentities:
+    """Identities that hold exactly at every d, so each route is checked
+    against a value it does not compute, within its own estimates."""
+
+    ULP = 2.0 ** -52
+
+    @pytest.mark.parametrize("method", ["best", "series", "integral"])
+    @pytest.mark.parametrize("w", [(1.0, 2 ** 0.5), (1.0, 2 ** 0.5, math.pi / 4),
+                                   (1.0, 1.3, 1.7, 2.1)], ids=["d2", "d3", "d4"])
+    @pytest.mark.parametrize("a", [0.7, 0.3 + 0.2j])
+    def test_barnes_functional_equation(self, a, w, method):
+        # log Gamma_B(a|w) - log Gamma_B(a + w_1|w) = zeta'_(d-1)(0, a|w_2..w_d):
+        # the lattice points with n_1 = 0; log rho cancels
+        lhs = [log_gamma_B(BarnesParams(b, w), method) for b in (a, a + w[0])]
+        rhs = evaluate("deriv0", BarnesParams(a, w[1:]), None, method)
+        gap = abs(lhs[0].value - lhs[1].value - rhs.value)
+        est = sum(r.abs_error_estimate for r in (*lhs, rhs))
+        assert gap <= est + 8 * self.ULP * (1 + abs(rhs.value))
+
+    @pytest.mark.parametrize("method", [*ROUTES["deriv0"], "best"])
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.7, 0.5 + 0.4j])
+    def test_unit_d2_derivative_is_hurwitz(self, a, method):
+        # zeta_2(s, a|1, 1) = sum_m (m + 1)(a + m)^-s = zeta(s - 1, a) + (1 - a) zeta(s, a)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = complex(mpmath.zeta(-1, a, 1) + (1 - mpmath.mpmathify(a)) * mpmath.zeta(0, a, 1))
+        res = evaluate("deriv0", BarnesParams(a, (1.0, 1.0)), None, method)
+        assert abs(res.value - want) <= res.abs_error_estimate + 8 * self.ULP * (1 + abs(want))
+
+
 class TestOrderGuard:
     """q outside the poles 1..d raises DomainError on every finite-part
     route, on the residues and on the Gamma family built on them; q = 0 in

@@ -71,12 +71,21 @@ class TestEval:
         assert code == 2
 
     @pytest.mark.parametrize("extra", [["--a", "1"], ["--homogeneous"]])
-    def test_table_cap_is_usage_error(self, run, extra):
-        # alpha = -110.5 needs a Bernoulli table beyond N = 170
+    def test_table_cap_is_convergence_error(self, run, extra):
+        # alpha = -110.5 needs a Bernoulli table beyond N = 170: a valid
+        # input past the route's cap, not a usage error
         code, out, err = run(["eval", "--alpha=-110.5", "--w", "1,1",
                               "--method", "integral", *extra])
-        assert code == 2
-        assert err.startswith("error:") and "Traceback" not in err
+        assert code == 3
+        assert "capped at N = 170" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_limit_without_rung_is_convergence_error(self, run):
+        # from d = 11 on no M of the limit schedule has a cube that fits
+        code, out, err = run(["deriv0", "--a", "1", "--w", ",".join(["1"] * 11),
+                              "--method", "limit"])
+        assert code == 3
+        assert "d = 11" in err and "Traceback" not in err
         assert out == ""
 
 
@@ -222,6 +231,19 @@ class TestTable:
         assert len(rows) == 4
         assert "nan" in rows[2]
 
+    def test_capped_rows_are_nan_and_the_rest_computed(self, run):
+        # below alpha ~ d - 109 the integral route needs a Bernoulli table
+        # past its cap: those rows read nan, the last row is still computed
+        code, out, err = run(["table", "--alpha-grid=-160.5:-0.5:3", "--a", "1", "--w", "1,1",
+                              "--method", "integral"])
+        assert code == 3 and err == ""
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["-160.5", "-80.5", "-0.5"]
+        assert all(row[2:5] == ["nan"] * 3 for row in rows[:2])
+        _, single, _ = run(["eval", "--alpha=-0.5", "--a", "1", "--w", "1,1",
+                            "--method", "integral", "--json"])
+        assert float(rows[2][2]) == json.loads(single)["value"][0]
+
     def test_homogeneous_reduction(self, run):
         argv = ["table", "--alpha-grid", "3:5:3", "--w", "1,1", "--homogeneous"]
         code, out, err = run([*argv, "--method", "reduction"])
@@ -298,6 +320,19 @@ class TestEnvironment:
         monkeypatch.setenv("BARNES_ZETA_TOL", "bad")
         code, out, err = run(["eval", "--alpha", "4", "--a", "1", "--w", "1,1"])
         assert (code, out, err) == (2, "", "error: BARNES_ZETA_TOL = 'bad' is not a number\n")
+
+    @pytest.mark.parametrize("tol", ["-1", "inf", "0"])
+    def test_bad_flag_tolerance_names_itself(self, run, tol):
+        code, out, err = run(["eval", "--alpha", "5", "--a", "1", "--w", "1,1", f"--tol={tol}"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --tol = ") and "finite positive" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+    def test_bad_env_tolerance_value_names_itself(self, run, monkeypatch, tol):
+        monkeypatch.setenv("BARNES_ZETA_TOL", tol)
+        code, out, err = run(["eval", "--alpha", "5", "--a", "1", "--w", "1,1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: BARNES_ZETA_TOL = ") and "finite positive" in err
 
     def test_flag_overrides_env(self, run, monkeypatch):
         monkeypatch.setenv("BARNES_ZETA_TOL", "1e-3")

@@ -5,21 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barneszeta import (
-    BarnesParams,
-    DomainError,
-    EvaluationError,
-    ResourceError,
-    direct_sum,
-)
+from barneszeta import BarnesParams, DomainError, direct_sum
 from barneszeta import combinatorics
 from barneszeta.combinatorics import (
     CompensatedSum,
+    f_symbol_sum,
     neville_diagonal,
     shell_values,
 )
 
 from references import (
+    BudgetError,
     bracket_sum,
     cube_bracket_sum,
     cube_indices,
@@ -47,27 +43,39 @@ def prod(w):
 
 
 class TestFSymbol:
+    """combinatorics.f_symbol_sum, against the identities and the reference."""
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_constant_one(self, d):
         w = tuple(0.5 + 0.25 * i for i in range(d))
-        assert f_symbol(lambda x: 1.0, 0.3, w) == pytest.approx((-1.0) ** (d - 1))
+        assert f_symbol_sum(lambda x: 1.0, 0.3, w).value == pytest.approx((-1.0) ** (d - 1))
 
     @pytest.mark.parametrize("d,l", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
     def test_monomials_vanish(self, d, l):
         w = tuple(0.4 + 0.3 * i for i in range(d))
         scale = sum(abs(x) for x in w) ** l
-        assert abs(f_symbol(lambda x: x**l, 0.0, w)) <= 1e-12 * scale
+        assert abs(f_symbol_sum(lambda x: x**l, 0.0, w).value) <= 1e-12 * scale
 
     def test_single_weight(self):
-        assert f_symbol(lambda x: x * x, 2.0, (3.0,)) == 25.0
+        assert f_symbol_sum(lambda x: x * x, 2.0, (3.0,)).value == 25.0
 
-    def test_failure_carries_subset(self):
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_reference(self, d):
+        w = tuple(0.4 + 0.3 * i + 0.1j * (i % 2) for i in range(d))
+        f = lambda z: z ** 2.5 * cmath.log(z)
+        acc = f_symbol_sum(f, 0.7, w)
+        assert abs(acc.value - f_symbol(f, 0.7, w)) <= 1e-15 * acc.mass
+
+    def test_failure_propagates_unchanged(self):
+        class Boom(Exception):
+            pass
+
         def bad(x):
-            raise ValueError("boom")
+            raise Boom(x)
 
-        with pytest.raises(EvaluationError) as err:
-            f_symbol(bad, 0.0, (1.0, 2.0))
-        assert err.value.subset == (0,)
+        with pytest.raises(Boom) as err:
+            f_symbol_sum(bad, 0.0, (1.0, 2.0))
+        assert err.value.args == (1.0 + 0j,)
 
 
 class TestGSymbol:
@@ -138,7 +146,7 @@ class TestCubeBracket:
         assert abs(res.lhs - res.rhs) <= 1e-12 * (1 + abs(res.rhs))
 
     def test_budget(self):
-        with pytest.raises(ResourceError):
+        with pytest.raises(BudgetError):
             cube_bracket_sum(lambda n: 1.0, 1000, 3, budget=100)
 
     def test_explicit_side_evaluates_each_point_once(self):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from barneszeta import BarnesParams, ResourceError
+from barneszeta import BarnesParams, ConvergenceError
 from barneszeta import limit_rep
 from barneszeta.bernoulli import ds_values, pole_coeffs
 from barneszeta.integral_rep import deriv0_integral, fp_integral
@@ -106,7 +106,7 @@ class TestDiagnostics:
     def test_unusable_schedule_raises(self):
         # from d = 11 on not even M = 4 has a cube of at most 2^20 points
         assert limit_rep._rungs_kept(10) == (4,)
-        with pytest.raises(ResourceError):
+        with pytest.raises(ConvergenceError):
             deriv0_limit(BarnesParams(0.7, (1.0,) * 11))
 
 
