@@ -31,7 +31,6 @@ from .foundations import (
     DomainError,
     EvalConfig,
     EvalResult,
-    Method,
     harmonic_float,
     lattice,
 )
@@ -59,15 +58,16 @@ ROUTES = {
 }
 
 
-def evaluate(quantity: str, params, at=None, method: Method | str = "best",
+def evaluate(quantity: str, params, at=None, method: str = "best",
              config: EvalConfig | None = None) -> EvalResult:
     """Evaluate a quantity of the ROUTES registry by one of its routes.
 
     quantity is "zeta" (at = alpha), "fp" (at = q) or "deriv0" (no `at`);
     params is a BarnesParams, or the weights for the homogeneous function;
-    method is a Method or its name.  The method "best" (the default) runs
-    the series and the integral route and returns the one whose own error
-    estimate is smaller, with that estimate and that route's method;
+    method is a route's key in ROUTES[quantity], which the result carries
+    as its `method`.  The method "best" (the default) runs the series and
+    the integral route and returns the one whose own error estimate is
+    smaller, with that estimate and that route's key;
     diagnostics add `cross_check_delta` = |series - integral| and
     `best_route`.  If the two values differ by more than the sum of their
     estimates plus 8 ulp of (1 + |value|), at least one estimate is
@@ -75,14 +75,13 @@ def evaluate(quantity: str, params, at=None, method: Method | str = "best",
     combination that is not in the registry raises DomainError.
     """
     cfg = config or DEFAULT_CONFIG
-    route = method.value if isinstance(method, Method) else method
     if quantity not in ROUTES:
         raise DomainError(f"unknown quantity {quantity!r}; expected one of {sorted(ROUTES)}")
     if (at is None) != (quantity == "deriv0"):
         raise DomainError(f"{quantity} needs {'no' if at is not None else 'an'} evaluation point")
     routes = ROUTES[quantity]
     args = (params,) if at is None else (at, params)
-    if route == "best":
+    if method == "best":
         runs = {name: routes[name](*args, config=cfg) for name in ("series", "integral")}
         name = min(runs, key=lambda r: runs[r].abs_error_estimate)
         best = runs[name]
@@ -96,10 +95,10 @@ def evaluate(quantity: str, params, at=None, method: Method | str = "best",
             raise ConvergenceError(f"{quantity}: series and integral routes differ by "
                                    f"{delta:.3e}, beyond their estimates ({claimed:.3e})", diag)
         return EvalResult(best.value, best.abs_error_estimate, best.method, diag)
-    if route not in routes:
-        raise DomainError(f"{quantity} has no route {route!r}; expected one of "
+    if method not in routes:
+        raise DomainError(f"{quantity} has no route {method!r}; expected one of "
                           f"{[*routes, 'best']}")
-    return routes[route](*args, config=cfg)
+    return routes[method](*args, config=cfg)
 
 
 def _of_form(params, homogeneous: bool, name: str):
@@ -111,14 +110,14 @@ def _of_form(params, homogeneous: bool, name: str):
     return w if homog else params
 
 
-def log_rho(w, method: Method | str = "best",
+def log_rho(w, method: str = "best",
             config: EvalConfig | None = None) -> EvalResult:
     """Log of the modular constant: -(homogeneous derivative at zero)."""
     res = evaluate("deriv0", _of_form(w, True, "log_rho"), None, method, config)
     return EvalResult(-res.value, res.abs_error_estimate, res.method, res.diagnostics)
 
 
-def log_gamma_B(p: BarnesParams, method: Method | str = "best",
+def log_gamma_B(p: BarnesParams, method: str = "best",
                 config: EvalConfig | None = None) -> EvalResult:
     """log Gamma_B(a|w) = zeta'(0,a|w) + log rho(w) (Barnes normalization)."""
     _of_form(p, False, "log_gamma_B")
@@ -129,7 +128,7 @@ def log_gamma_B(p: BarnesParams, method: Method | str = "best",
                       dv.method, {"deriv0": dv.diagnostics, "log_rho": lr.diagnostics})
 
 
-def _from_finite_part(q: int, params, sign: float, method: Method | str,
+def _from_finite_part(q: int, params, sign: float, method: str,
                       config: EvalConfig | None) -> EvalResult:
     """sign (q-1)! (FP at q + H_(q-1) * residue at q), the form shared by
     psi_B and gamma_dq; the fp route rejects a q off the poles."""
@@ -141,20 +140,20 @@ def _from_finite_part(q: int, params, sign: float, method: Method | str,
                       {"fp": fp.diagnostics, "residue": [res.real, res.imag]})
 
 
-def psi_B(q: int, p: BarnesParams, method: Method | str = "best",
+def psi_B(q: int, p: BarnesParams, method: str = "best",
           config: EvalConfig | None = None) -> EvalResult:
     """Generalized digamma value Psi^(q)(a|w), q = 1..d, from the finite part."""
     return _from_finite_part(q, _of_form(p, False, "psi_B"), (-1.0) ** q, method, config)
 
 
-def gamma_dq(q: int, w, method: Method | str = "best",
+def gamma_dq(q: int, w, method: str = "best",
              config: EvalConfig | None = None) -> EvalResult:
     """q-th gamma modular form, from the homogeneous finite part at q."""
     return _from_finite_part(q, _of_form(w, True, "gamma_dq"), (-1.0) ** (q - 1),
                              method, config)
 
 
-def multiple_gamma(a: complex, d: int, method: Method | str = "best",
+def multiple_gamma(a: complex, d: int, method: str = "best",
                    config: EvalConfig | None = None) -> EvalResult:
     """log of the multiple Gamma function: log Gamma_B with unit weights."""
     if d < 1:

@@ -97,7 +97,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def emit_result(res: EvalResult, as_json: bool) -> None:
-    v, est, method = res.value, res.abs_error_estimate, res.method.value
+    v, est, method = res.value, res.abs_error_estimate, res.method
     if as_json:
         _write(None, canonical_json({"value": [v.real, v.imag], "est_error": est,
                                      "method": method, "diagnostics": res.diagnostics}) + "\n")
@@ -247,7 +247,7 @@ def cmd_table(args) -> int:
         alpha = complex(ar, args.alpha_im)
         try:
             res = evaluate("zeta", params, alpha, args.method, cfg)
-            value, est, method = res.value, res.abs_error_estimate, res.method.value
+            value, est, method = res.value, res.abs_error_estimate, res.method
         except (PoleError, ConvergenceError, QuadratureError) as exc:
             codes.add(EXIT_POLE if isinstance(exc, PoleError) else EXIT_CONVERGENCE)
             value, est, method = complex(math.nan, math.nan), math.nan, args.method

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -51,17 +50,6 @@ class ConvergenceError(BarnesZetaError, ArithmeticError):
 class QuadratureError(BarnesZetaError, ArithmeticError):
     """The quadrature rule did not settle within its level cap, or met a
     non-finite integrand value."""
-
-
-class Method(str, Enum):
-    """A computational route: the one `evaluate` runs, and the one that
-    produced a value (`EvalResult.method`)."""
-
-    SERIES = "series"
-    LIMIT = "limit"
-    INTEGRAL = "integral"
-    DIRECT = "direct"
-    REDUCTION = "reduction"
 
 
 def as_weights(w: Iterable[complex]) -> tuple[complex, ...]:
@@ -152,11 +140,12 @@ DEFAULT_CONFIG = EvalConfig()
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A computed complex value with an error estimate and route diagnostics."""
+    """A computed complex value with an error estimate and route diagnostics;
+    `method` is the route's key in the `ROUTES` registry."""
 
     value: complex
     abs_error_estimate: float
-    method: Method
+    method: str
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -178,11 +167,14 @@ def harmonic_float(k: int) -> float:
     return float(harmonic(k))
 
 
-def rising_factorial(s: complex, n: int) -> complex:
-    """Pochhammer symbol s(s+1)...(s+n-1)."""
+def gamma_ratio(x: complex, n: int) -> complex:
+    """Gamma(x + n)/Gamma(x) for any integer n, in closed rational form with
+    no Gamma evaluated: x(x+1)...(x+n-1) for n >= 0, else 1/(x-1)/.../(x+n)."""
     out = complex(1.0)
     for i in range(n):
-        out *= s + i
+        out *= x + i
+    for j in range(1, 1 - n):
+        out /= x - j
     return out
 
 

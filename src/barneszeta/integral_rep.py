@@ -40,22 +40,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bernoulli import (
-    bernoulli_numbers, bernoulli_poly, bernoulli_taylor, ds_values, pole_coeffs, pole_term,
-)
+from .bernoulli import bernoulli_poly, bernoulli_taylor, ds_values, pole_coeffs, pole_term
 from .combinatorics import CompensatedSum, subset_table
 from .foundations import (
+    ConvergenceError,
     DomainError,
     EvalConfig,
     EvalResult,
-    Method,
     QuadratureError,
     check_order,
     check_pole,
+    gamma_ratio,
     horner,
     lattice,
     narrow,
-    rising_factorial,
 )
 from .oracles import log_gamma_ref
 
@@ -284,17 +282,7 @@ def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.n
 
 
 # ---------------------------------------------------------------------------
-# Gamma-ratio prefactors (exact rational form, no Gamma evaluations)
-
-
-def _rho_ratio(alpha: complex, d: int, k: int) -> complex:
-    """Gamma(alpha - d + k)/Gamma(alpha): poles only at alpha = 1..d-k."""
-    if k > d:
-        return rising_factorial(alpha, k - d)
-    out = complex(1.0)
-    for i in range(1, d - k + 1):
-        out /= alpha - i
-    return out
+# Operations
 
 
 def _reciprocal_gamma(alpha: complex) -> complex:
@@ -311,10 +299,6 @@ def _reciprocal_gamma(alpha: complex) -> complex:
         return sin_pi / math.pi * cmath.exp(log_gamma_ref(1 - alpha))
     except OverflowError:
         raise DomainError(f"1/Gamma(alpha) overflows a double at alpha = {alpha}") from None
-
-
-# ---------------------------------------------------------------------------
-# Operations
 
 
 def _subtraction_order(M: int | None, alpha: complex, d: int) -> int:
@@ -358,7 +342,13 @@ def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None,
     The homogeneous function takes the regulator e^{ct} (any Re(c) > 0,
     default c = 1), which makes the origin subtraction possible with a = 0;
     its value is independent of c.  `config` does not move the quadrature's
-    tolerance.
+    tolerance.  Both forms share one prefactor,
+
+        sum_k (-1)^k B_k(s|w)/k! Gamma(alpha-d+k)/Gamma(alpha) b^(d-k-alpha)/prod(w),
+
+    with (s, b) = (0, a), or (-c, c) plus the regulator's part
+    -c^(-alpha) sum_(k <= M-d) (alpha)_k/k! when homogeneous; a prefactor
+    that overflows a double raises ConvergenceError.
     """
     a, w, homog = lattice(params)
     if M is not None and M < 0:
@@ -372,29 +362,31 @@ def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None,
     d = len(w)
     check_pole(alpha, d, homog)
     M = _subtraction_order(M, alpha, d)
+    # The line integral runs first: its Bernoulli table is the larger, so a
+    # capped table raises before the prefactor is summed.
+    rg = _reciprocal_gamma(alpha)
+    integral, err, evals = _line_integral(a, w, homog, alpha, M, c) if rg else (0j, 0.0, 0)
+    base, shift = (c, -c) if homog else (a, 0.0)
+    taylor = bernoulli_taylor(shift, w, M)
     pw = math.prod(w)
     pref = CompensatedSum()
-    if homog:
-        taylor = bernoulli_taylor(-c, w, M)
-        for k in range(M + 1):
-            pref.add((-1.0) ** k * taylor[k] * _rho_ratio(alpha, d, k)
-                     * c ** (d - k - alpha) / pw)
-        for k in range(M - d + 1):
-            pref.add(-(c ** (-alpha)) * rising_factorial(alpha, k) / factorial(k))
-        diag = {"M": M, "c": [c.real, c.imag]}
-    else:
-        numbers = bernoulli_numbers(w, M).numbers
-        for k in range(M + 1):
-            pref.add((-1.0) ** k * numbers[k] * _rho_ratio(alpha, d, k)
-                     * a ** (d - k - alpha) / (factorial(k) * pw))
-        diag = {"M": M}
-    rg = _reciprocal_gamma(alpha)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(M + 1):
+                pref.add((-1.0) ** k * taylor[k] * gamma_ratio(alpha, k - d)
+                         * base ** (d - k - alpha) / pw)
+            for k in range(M - d + 1 if homog else 0):
+                pref.add(-(c ** (-alpha)) * gamma_ratio(alpha, k) / factorial(k))
+    except OverflowError:       # a complex power past the largest double
+        pref.add(math.inf)
+    if not math.isfinite(pref.mass):
+        raise ConvergenceError(f"the prefactor at alpha = {alpha} overflows a double")
+    diag = {"M": M, "c": [c.real, c.imag]} if homog else {"M": M}
     if rg == 0:
-        return EvalResult(pref.value, _EPS * pref.mass, Method.INTEGRAL,
+        return EvalResult(pref.value, _EPS * pref.mass, "integral",
                           {**diag, "quad_evals": 0, "integral_skipped": True})
-    integral, err, evals = _line_integral(a, w, homog, alpha, M, c)
     return EvalResult(pref.value + rg * integral, abs(rg) * err + _EPS * pref.mass,
-                      Method.INTEGRAL, {**diag, "quad_evals": evals})
+                      "integral", {**diag, "quad_evals": evals})
 
 
 def _pole_integral(q: int, a: complex, w: tuple[complex, ...], homog: bool) -> EvalResult:
@@ -415,7 +407,7 @@ def _pole_integral(q: int, a: complex, w: tuple[complex, ...], homog: bool) -> E
     integral, err, evals = _line_integral(a, w, homog, complex(q), M, 1.0 + 0j)
     rg = 1.0 / factorial(q - 1) if q else 1.0
     return EvalResult(closed.value + rg * integral, rg * err + _EPS * closed.mass,
-                      Method.INTEGRAL, {"M": M, "quad_evals": evals})
+                      "integral", {"M": M, "quad_evals": evals})
 
 
 def fp_integral(q: int, params, *, config: EvalConfig | None = None) -> EvalResult:

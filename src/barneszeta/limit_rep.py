@@ -43,7 +43,6 @@ from .foundations import (
     DEFAULT_CONFIG,
     EvalConfig,
     EvalResult,
-    Method,
     check_order,
     harmonic_float,
     lattice,
@@ -187,7 +186,7 @@ def _run_limit(rungs: Sequence[tuple[int, complex, float]], const: complex, rel_
             f"limit extrapolants disagree by {est:.3e} (allowed {tol:.3e})",
             diagnostics=diag,
         )
-    return EvalResult(value, est, Method.LIMIT, diag)
+    return EvalResult(value, est, "limit", diag)
 
 
 def _pole_limit(q: int, a: complex, w: tuple[complex, ...], homog: bool,

@@ -23,83 +23,68 @@ from .foundations import (
     EvalConfig,
     EvalResult,
     DEFAULT_CONFIG,
-    Method,
     PoleError,
     check_pole,
     lattice,
     narrow,
     narrow_weights,
-    rising_factorial,
 )
 
 TWO_PI = 2.0 * math.pi
 LOG_2PI = math.log(TWO_PI)
 
 
-def _poch_ds(s: complex, n: int) -> complex:
-    """d/ds of the rising factorial, as a sum of products (division-free)."""
-    total = complex(0.0)
-    for i in range(n):
-        prod = complex(1.0)
-        for l in range(n):
-            if l != i:
-                prod *= s + l
-        total += prod
-    return total
-
-
 _SHIFT_N = 20
 _BERNOULLI_TERMS = 12
 
 
-def hurwitz_zeta(s: complex, a: complex, *, shift_N: int = _SHIFT_N) -> complex:
-    """Hurwitz zeta via Euler-Maclaurin: the head sum of shift_N terms, the
-    integral term and _BERNOULLI_TERMS even-index corrections."""
-    if shift_N < 1:
-        raise DomainError("shift_N must be >= 1")
+def _euler_maclaurin(s: complex, a: complex, N: int) -> tuple[complex, complex]:
+    """Hurwitz zeta and its s-derivative from one Euler-Maclaurin sum: the
+    head sum of N terms, the integral term and _BERNOULLI_TERMS even-index
+    corrections, each differentiated termwise; the correction j carries the
+    Pochhammer symbol (s)_(2j-1), whose derivative follows by the product rule."""
     s = complex(s)
     a = complex(a)
     if not a.real > 0:
-        raise DomainError("hurwitz_zeta requires Re(a) > 0")
+        raise DomainError("the Hurwitz zeta requires Re(a) > 0")
     if s == 1:
         raise PoleError("hurwitz zeta has its pole at s = 1", q=1)
-    N, J = shift_N, _BERNOULLI_TERMS
-    acc = CompensatedSum()
+    zeta, dzeta = CompensatedSum(), CompensatedSum()
     for n in range(N):
-        acc.add((a + n) ** (-s))
+        y = a + n
+        p = y ** (-s)
+        zeta.add(p)
+        dzeta.add(-cmath.log(y) * p)
     x = a + N
-    acc.add(x ** (1 - s) / (s - 1))
-    acc.add(0.5 * x ** (-s))
-    bern = classical_bernoulli(2 * J)
-    for j in range(1, J + 1):
+    lx = cmath.log(x)
+    p = x ** (1 - s)
+    zeta.add(p / (s - 1))
+    dzeta.add(-lx * p / (s - 1) - p / (s - 1) / (s - 1))
+    p = x ** (-s)
+    zeta.add(0.5 * p)
+    dzeta.add(-0.5 * lx * p)
+    bern = classical_bernoulli(2 * _BERNOULLI_TERMS)
+    poch, dpoch = complex(1.0), complex(0.0)
+    for j in range(1, _BERNOULLI_TERMS + 1):
+        for i in range(max(0, 2 * j - 3), 2 * j - 1):
+            poch, dpoch = poch * (s + i), dpoch * (s + i) + poch
         coeff = float(bern[2 * j]) / math.factorial(2 * j)
-        acc.add(coeff * rising_factorial(s, 2 * j - 1) * x ** (-s - 2 * j + 1))
-    return acc.value
+        p = x ** (-s - 2 * j + 1)
+        zeta.add(coeff * poch * p)
+        dzeta.add(coeff * (dpoch - poch * lx) * p)
+    return zeta.value, dzeta.value
+
+
+def hurwitz_zeta(s: complex, a: complex, *, shift_N: int = _SHIFT_N) -> complex:
+    """Hurwitz zeta by Euler-Maclaurin with a head sum of shift_N terms."""
+    if shift_N < 1:
+        raise DomainError("shift_N must be >= 1")
+    return _euler_maclaurin(s, a, shift_N)[0]
 
 
 def hurwitz_zeta_ds(s: complex, a: complex) -> complex:
     """d/ds of hurwitz_zeta, differentiating the Euler-Maclaurin formula termwise."""
-    s = complex(s)
-    a = complex(a)
-    if not a.real > 0:
-        raise DomainError("hurwitz_zeta_ds requires Re(a) > 0")
-    if s == 1:
-        raise PoleError("hurwitz zeta has its pole at s = 1", q=1)
-    N, J = _SHIFT_N, _BERNOULLI_TERMS
-    acc = CompensatedSum()
-    for n in range(N):
-        y = a + n
-        acc.add(-cmath.log(y) * y ** (-s))
-    x = a + N
-    lx = cmath.log(x)
-    acc.add(-lx * x ** (1 - s) / (s - 1) - x ** (1 - s) / (s - 1) ** 2)
-    acc.add(-0.5 * lx * x ** (-s))
-    bern = classical_bernoulli(2 * J)
-    for j in range(1, J + 1):
-        coeff = float(bern[2 * j]) / math.factorial(2 * j)
-        n = 2 * j - 1
-        acc.add(coeff * (_poch_ds(s, n) - rising_factorial(s, n) * lx) * x ** (-s - n))
-    return acc.value
+    return _euler_maclaurin(s, a, _SHIFT_N)[1]
 
 
 def log_gamma_ref(a: complex) -> complex:
@@ -118,7 +103,8 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
     origin is left out when params are the weights of the homogeneous function.
 
     Requires Re(alpha) > d + 0.5 for a practical tail; stops once the
-    rigorous integral tail bound drops below rel_tol of the partial sum.
+    rigorous integral tail bound drops below rel_tol of the partial sum, or
+    before a shell that would take it past MAX_POINTS points.
     """
     cfg = config or DEFAULT_CONFIG
     a, w, homog = lattice(params)
@@ -133,8 +119,22 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
     a_re = max(complex(a).real, 0.0)
     weights = narrow_weights(w)
     acc = CompensatedSum()
-    points = 0
+    points, bound = 0, math.inf
+
+    def diag(k: int) -> dict:
+        return {"shells": k + 1, "points": points, "tail_bound": bound}
+
     for k in range(MAX_SHELLS + 1):
+        # Near the abscissa the bound decays like k^(d - Re alpha) and the
+        # requested tolerance may be out of reach; stop at the point budget,
+        # checked as the series walk does, and report the honest bound.
+        if points + (k + 1) ** d - k ** d - (homog and k == 0) > MAX_POINTS:
+            if bound > _DIRECT_WORST_REL * max(abs(acc.value), 1e-300):
+                raise ConvergenceError(
+                    f"tail bound {bound:.3e} still too large at the point budget",
+                    diagnostics=diag(k - 1),
+                )
+            return EvalResult(acc.value, bound, "direct", diag(k - 1))
         y = shell_values(a, weights, k, skip_origin=homog)
         if y.size:
             acc.add(complex(np.sum(y ** -narrow(alpha))))
@@ -145,24 +145,8 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
         u_k = a_re + (k + 1) * wmin
         kappa = 1.0 / wmin + 2.0 / u_k
         bound = d * kappa ** (d - 1) * u_k ** (d - alpha.real) / ((alpha.real - d) * wmin)
-        total = abs(acc.value)
-        done = k >= 1 and bound <= cfg.rel_tol * max(total, 1e-300)
-        # Near the abscissa the bound decays like k^(d - Re alpha) and the
-        # requested tolerance may be out of reach; stop at the point budget
-        # and report the honest bound instead of grinding on.
-        out_of_budget = k >= 1 and points >= MAX_POINTS
-        if done or out_of_budget:
-            if not done and bound > _DIRECT_WORST_REL * max(total, 1e-300):
-                raise ConvergenceError(
-                    f"tail bound {bound:.3e} still too large at the point budget",
-                    diagnostics={"shells": k + 1, "points": points, "tail_bound": bound},
-                )
-            return EvalResult(
-                value=acc.value,
-                abs_error_estimate=bound,
-                method=Method.DIRECT,
-                diagnostics={"shells": k + 1, "points": points, "tail_bound": bound},
-            )
+        if k >= 1 and bound <= cfg.rel_tol * max(abs(acc.value), 1e-300):
+            return EvalResult(acc.value, bound, "direct", diag(k))
     raise ConvergenceError(
         "direct summation hit MAX_SHELLS before meeting the tail bound",
         diagnostics={"shells": MAX_SHELLS, "points": points},
@@ -257,4 +241,4 @@ def reduction(alpha: complex, params, *, config: EvalConfig | None = None) -> Ev
         value = sum(_reduce(alpha, w[i], w[i:]) for i in range(d))
     else:
         value = _reduce(alpha, a, w)
-    return EvalResult(value, 1e-13 * (1 + abs(value)), Method.REDUCTION, {})
+    return EvalResult(value, 1e-13 * (1 + abs(value)), "reduction", {})

@@ -50,13 +50,12 @@ from .foundations import (
     DomainError,
     EvalConfig,
     EvalResult,
-    Method,
     check_order,
     check_pole,
+    gamma_ratio,
     harmonic_float,
     lattice,
     narrow_weights,
-    rising_factorial,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -101,21 +100,6 @@ def _auto_k_fixed(q_like: int, d: int, y_min: float) -> int:
     return boosted
 
 
-def _gamma_ratio(alpha: complex, d: int, m: int) -> complex:
-    """Gamma(1-alpha)/Gamma(d-alpha-m+1) in closed rational form.
-
-    For m <= d this is 1/prod_{j=0}^{d-m-1}(1-alpha+j), with poles exactly
-    at alpha = 1..d-m; for m > d it is the polynomial
-    prod_{j=1}^{m-d}(1-alpha-j).
-    """
-    if m <= d:
-        return 1.0 / rising_factorial(1 - alpha, d - m)
-    out = complex(1.0)
-    for j in range(1, m - d + 1):
-        out *= 1 - alpha - j
-    return out
-
-
 class _Plan(NamedTuple):
     """The kernel's input: the subset signs (empty subset first) and sums, the
     plain and log-weighted ladder rows less trailing zeros, a, e0, base_expo
@@ -157,10 +141,13 @@ def _plan(a0: complex, w: tuple[complex, ...], homog: bool, k: int, e0: complex,
 
 def _plan_generic(alpha: complex, a0: complex, w: tuple[complex, ...], k: int,
                   homog: bool) -> tuple[_Plan, complex]:
-    """The zeta summand: the plain ladder -dS_m/m! Gamma(1-alpha)/Gamma(d-alpha-m+1)."""
+    """The zeta summand: the plain ladder -dS_m/m! Gamma(1-alpha)/Gamma(d-alpha-m+1),
+    the Gamma ratio by reflection (-1)^(m-d) Gamma(alpha+m-d)/Gamma(alpha): poles
+    at alpha = 1..d-m, zeros at the integers alpha <= 0 when m > d."""
     d = len(w)
     dS = ds_values(w, k + d)
-    plain = [-(dS[m] / factorial(m)) * _gamma_ratio(alpha, d, m) for m in range(k + d)]
+    plain = [-(dS[m] / factorial(m)) * ((-1.0) ** (m - d) * gamma_ratio(alpha, m - d))
+             for m in range(k + d)]
     return _plan(a0, w, homog, k, d - alpha, [], plain, False, alpha, 0.0,
                  None if homog else CompensatedSum())
 
@@ -284,7 +271,7 @@ def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: boo
             # stand-in, kept so that the stopping rule does not move.
             if max(r0, r1, r2) <= max(cfg.rel_tol * scale, 4.0 * max(n0, n1, n2)):
                 return EvalResult(acc.value + corner + closed, r0 + r1 + r2 + noise_total,
-                                  Method.SERIES, diag(j))
+                                  "series", diag(j))
     raise ConvergenceError(
         "shell summation hit MAX_SHELLS without meeting the stopping rule",
         diagnostics=diag(MAX_SHELLS),

@@ -9,6 +9,9 @@ test compares against.
   `combinatorics.f_symbol_sum` from an enumeration of its own, and
   `g_symbol` the G symbol, the d-fold forward difference, whose identities
   the tests check.
+* `bernoulli_poly_exact` is B_n(a|w) as an exact rational for rational a
+  and w, from its generating function with a Bernoulli recurrence of its
+  own.
 * `DimensionError` is what `d2_fast_path` raises off d = 2.
 * `d2_fast_path` holds the explicit d = 2 limit formulas, a cross-check of
   the generic limit route on the same cached cube sums.
@@ -32,6 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -87,6 +91,19 @@ def bernoullian_dS(m: int, w: Iterable[complex]) -> complex:
 def bernoullian_dS_closed(m: int, w: Iterable[complex]) -> complex:
     """Closed form B_m(w)/prod(w_i) that bernoullian_dS must collapse to."""
     return ds_values(w, m + 1)[m]
+
+
+def bernoulli_poly_exact(n: int, a, w: Sequence) -> Fraction:
+    """B_n(a|w), the coefficient of z^n/n! in z^d e^(az) prod_i w_i/(e^(w_i z) - 1),
+    as the Cauchy product of e^(az) and the d series sum_k B_k w_i^k z^k/k!."""
+    bern = [Fraction(1)]
+    for m in range(1, n + 1):
+        bern.append(-sum(comb(m + 1, r) * bern[r] for r in range(m)) / (m + 1))
+    series = [Fraction(a) ** k / factorial(k) for k in range(n + 1)]
+    for wi in w:
+        row = [bern[k] * Fraction(wi) ** k / factorial(k) for k in range(n + 1)]
+        series = [sum(series[i] * row[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    return series[n] * factorial(n)
 
 
 class DimensionError(BarnesZetaError, ValueError):

@@ -9,7 +9,6 @@ from barneszeta import (
     ConvergenceError,
     DomainError,
     EvalResult,
-    Method,
     PoleError,
     gamma_dq,
     log_gamma_B,
@@ -32,28 +31,28 @@ LOG_2PI = math.log(2 * math.pi)
 
 class TestLogRho:
     def test_unit_weight(self):
-        assert abs(log_rho((1.0,), Method.SERIES).value - 0.5 * LOG_2PI) <= 1e-12
+        assert abs(log_rho((1.0,), "series").value - 0.5 * LOG_2PI) <= 1e-12
 
     def test_scaled_weight(self):
-        assert abs(log_rho((2.0,), Method.SERIES).value - 0.5 * math.log(math.pi)) <= 1e-12
+        assert abs(log_rho((2.0,), "series").value - 0.5 * math.log(math.pi)) <= 1e-12
 
     def test_routes_agree_d2(self):
-        s = log_rho((1.0, 1.0), Method.SERIES).value
-        i = log_rho((1.0, 1.0), Method.INTEGRAL).value
+        s = log_rho((1.0, 1.0), "series").value
+        i = log_rho((1.0, 1.0), "integral").value
         assert scaled_err(s, i) <= 1e-6
 
 
 class TestLogGammaB:
     def test_d1_at_one(self):
-        assert abs(log_gamma_B(BarnesParams(1.0, (1.0,)), Method.SERIES).value) <= 1e-12
+        assert abs(log_gamma_B(BarnesParams(1.0, (1.0,)), "series").value) <= 1e-12
 
     def test_d1_at_three(self):
-        got = log_gamma_B(BarnesParams(3.0, (1.0,)), Method.SERIES).value
+        got = log_gamma_B(BarnesParams(3.0, (1.0,)), "series").value
         assert abs(got - math.log(2)) <= 1e-12
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 3.7])
     def test_d1_collapse_to_reference(self, a):
-        got = log_gamma_B(BarnesParams(a, (1.0,)), Method.SERIES).value
+        got = log_gamma_B(BarnesParams(a, (1.0,)), "series").value
         assert abs(got - log_gamma_ref(a)) <= 1e-9
 
     def test_best_route_carries_cross_check(self):
@@ -63,22 +62,22 @@ class TestLogGammaB:
 
 class TestPsi:
     def test_digamma_at_one(self):
-        got = psi_B(1, BarnesParams(1.0, (1.0,)), Method.SERIES).value
+        got = psi_B(1, BarnesParams(1.0, (1.0,)), "series").value
         assert abs(got + EULER_GAMMA) <= 1e-12
 
     def test_digamma_at_half(self):
-        got = psi_B(1, BarnesParams(0.5, (1.0,)), Method.SERIES).value
+        got = psi_B(1, BarnesParams(0.5, (1.0,)), "series").value
         assert abs(got - (-EULER_GAMMA - 2 * math.log(2))) <= 1e-12
 
     @pytest.mark.parametrize("a", [0.5, 1.3, 2.2])
     def test_d1_matches_termwise_digamma(self, a):
-        got = psi_B(1, BarnesParams(a, (1.0,)), Method.SERIES).value
+        got = psi_B(1, BarnesParams(a, (1.0,)), "series").value
         assert abs(got - digamma_ref(a)) <= 1e-9
 
     def test_routes_agree(self, d2_params):
-        s = psi_B(2, d2_params, Method.SERIES).value
-        i = psi_B(2, d2_params, Method.INTEGRAL).value
-        l = psi_B(2, d2_params, Method.LIMIT).value
+        s = psi_B(2, d2_params, "series").value
+        i = psi_B(2, d2_params, "integral").value
+        l = psi_B(2, d2_params, "limit").value
         assert scaled_err(s, i) <= 1e-6
         assert scaled_err(s, l) <= 1e-4
 
@@ -98,30 +97,30 @@ class TestPsi:
 
 class TestGammaModularForms:
     def test_euler_constant(self):
-        got = gamma_dq(1, (1.0,), Method.SERIES).value
+        got = gamma_dq(1, (1.0,), "series").value
         assert abs(got - EULER_GAMMA) <= 1e-12
 
     def test_scaled_weight(self):
-        got = gamma_dq(1, (2.0,), Method.SERIES).value
+        got = gamma_dq(1, (2.0,), "series").value
         assert abs(got - (EULER_GAMMA - math.log(2)) / 2) <= 1e-12
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_routes_agree_d2(self, q):
-        s = gamma_dq(q, (1.0, 1.0), Method.SERIES).value
-        i = gamma_dq(q, (1.0, 1.0), Method.INTEGRAL).value
+        s = gamma_dq(q, (1.0, 1.0), "series").value
+        i = gamma_dq(q, (1.0, 1.0), "integral").value
         assert scaled_err(s, i) <= 1e-6
 
 
 class TestMultipleGamma:
     def test_d1_is_ordinary_gamma(self):
-        assert abs(multiple_gamma(3.0, 1, Method.SERIES).value - math.log(2)) <= 1e-12
-        got = multiple_gamma(0.5, 1, Method.SERIES).value
+        assert abs(multiple_gamma(3.0, 1, "series").value - math.log(2)) <= 1e-12
+        got = multiple_gamma(0.5, 1, "series").value
         assert abs(got - 0.5 * math.log(math.pi)) <= 1e-12
 
     @pytest.mark.parametrize("a", [1.0, 2.0])
     def test_d2_routes_agree(self, a):
-        s = multiple_gamma(a, 2, Method.SERIES).value
-        i = multiple_gamma(a, 2, Method.INTEGRAL).value
+        s = multiple_gamma(a, 2, "series").value
+        i = multiple_gamma(a, 2, "integral").value
         assert scaled_err(s, i) <= 1e-6
 
 
@@ -183,7 +182,7 @@ class TestEvaluate:
                         continue      # needs equal weights or w = (1, n)
                     point = 5.0 if route == "direct" else at   # direct needs Re(alpha) > d
                     res = evaluate(quantity, params, point, route)
-                    assert res.method.value == route
+                    assert res.method == route
 
     # w = (1, 2) has a reduction in both forms, so every route reaches its
     # pole check.
@@ -200,11 +199,6 @@ class TestEvaluate:
         got = evaluate("fp", d2_params, 2, "series").value
         assert got == fp_series(2, d2_params).value
 
-    def test_method_member_or_name(self, d2_params):
-        by_member = evaluate("zeta", d2_params, 0.5, Method.SERIES)
-        by_name = evaluate("zeta", d2_params, 0.5, "series")
-        assert by_member == by_name
-
     # Every route of the registry once per form; w = (1, 2) has a reduction
     # and alpha = 6.5 is inside the direct sum's region.
     @pytest.mark.parametrize("quantity, homog, route", [
@@ -220,12 +214,28 @@ class TestEvaluate:
         assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty for p in rest)
         p = BarnesParams(0.7, (1.0, 2.0))
         at = {"zeta": (6.5,), "fp": (1,), "deriv0": ()}[quantity]
-        assert fn(*at, p.w if homog else p).method.value == route
+        assert fn(*at, p.w if homog else p).method == route
+
+    # A route has one name, its registry key, which labels every result it
+    # returns, called directly or through `evaluate`; "best" takes the label
+    # of the route it returns.
+    @pytest.mark.parametrize("homog", [False, True], ids=["inhomogeneous", "homogeneous"])
+    @pytest.mark.parametrize("quantity", list(ROUTES))
+    def test_route_labels_are_registry_keys(self, quantity, homog):
+        p = BarnesParams(0.7, (1.0, 2.0))
+        params = p.w if homog else p
+        at = {"zeta": 6.5, "fp": 1, "deriv0": None}[quantity]
+        args = (params,) if at is None else (at, params)
+        for name, fn in ROUTES[quantity].items():
+            assert fn(*args).method == name
+            assert evaluate(quantity, params, at, name).method == name
+        best = evaluate(quantity, params, at)
+        assert best.method == best.diagnostics["best_route"] in ("series", "integral")
 
     def test_reduction_route(self):
         for params in (BarnesParams(1.0, (1.0, 2.0)), (1.0, 2.0)):
             res = evaluate("zeta", params, 5.0, "reduction")
-            assert res.method.value == "reduction"
+            assert res.method == "reduction"
         # the first homogeneous piece, zeta(alpha, 1 | 1, sqrt 2), has no reduction
         with pytest.raises(DomainError, match="needs equal weights"):
             ROUTES["zeta"]["reduction"](5.0, (1.0, 2 ** 0.5))
@@ -285,7 +295,7 @@ class TestEvaluate:
 
         def wrong(alpha, p, config=None):
             res = honest(alpha, p, config=config)
-            return EvalResult(res.value + 1e-6, 1e-15, Method.INTEGRAL, res.diagnostics)
+            return EvalResult(res.value + 1e-6, 1e-15, "integral", res.diagnostics)
 
         monkeypatch.setitem(ROUTES["zeta"], "integral", wrong)
         with pytest.raises(ConvergenceError) as exc:
@@ -304,7 +314,7 @@ class TestEvaluate:
                 best = evaluate(quantity, arg, at)
                 integral = evaluate(quantity, arg, at, "integral")
                 assert best.diagnostics["best_route"] == "integral"
-                assert best.method is Method.INTEGRAL
+                assert best.method == "integral"
                 assert best.value == integral.value
                 assert best.abs_error_estimate == integral.abs_error_estimate <= 1e-12
                 assert "cross_check_delta" in best.diagnostics

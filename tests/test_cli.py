@@ -80,6 +80,19 @@ class TestEval:
         assert "capped at N = 170" in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha, message", [("-150", "prefactor"),
+                                                ("-150.5", "capped at N = 170")])
+    def test_strongly_negative_alpha_is_convergence_error(self, run, alpha, message):
+        # At alpha = -150 the homogeneous value on w = (1, 50), -1.9e398,
+        # overflows a double; at -150.5 the line integral's table is past its
+        # cap, which the route finds before it sums the prefactor.  Both exit
+        # 3 without a warning.
+        code, out, err = run(["eval", f"--alpha={alpha}", "--w", "1,50", "--homogeneous",
+                              "--method", "integral"])
+        assert code == 3
+        assert message in err and "Warning" not in err and out == ""
+
     def test_limit_without_rung_is_convergence_error(self, run):
         # from d = 11 on no M of the limit schedule has a cube that fits
         code, out, err = run(["deriv0", "--a", "1", "--w", ",".join(["1"] * 11),

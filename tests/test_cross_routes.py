@@ -9,6 +9,7 @@ import pytest
 from barneszeta import (
     ROUTES,
     BarnesParams,
+    BarnesZetaError,
     evaluate,
     isotropic_reduction,
 )
@@ -111,6 +112,28 @@ def assert_sum_of_pieces(quantity, w, at, route):
     assert err <= bound, (quantity, at, route, err, bound)
 
 
+def assert_shift_relation(quantity, a, w, at, route):
+    """zeta(alpha, a | w) - zeta(alpha, a + w_1 | w) = zeta(alpha, a | w_2, ..., w_d),
+    each side by `route`, within the three estimates plus 8 ulp of (1 + |v|);
+    the finite parts and the derivative at zero inherit it.  At alpha = q = d
+    the right side is regular and adds its zeta value, which the integral
+    route gives when `route` has no zeta route.  A call that raises a
+    BarnesZetaError passes: the contract is honest or raise."""
+    right_quantity, right_route = quantity, route
+    if quantity == "fp" and at == len(w):
+        right_quantity, right_route = "zeta", route if route in ROUTES["zeta"] else "integral"
+    try:
+        left = evaluate(quantity, BarnesParams(a, w), at, route)
+        shifted = evaluate(quantity, BarnesParams(a + w[0], w), at, route)
+        right = evaluate(right_quantity, BarnesParams(a, w[1:]), at, right_route)
+    except BarnesZetaError:
+        return
+    err = abs(left.value - shifted.value - right.value)
+    bound = (left.abs_error_estimate + shifted.abs_error_estimate + right.abs_error_estimate
+             + 8 * 2.0 ** -52 * (1.0 + abs(left.value)))
+    assert err <= bound, (quantity, at, route, err, bound)
+
+
 def _piece_cases():
     for route in ("series", "integral", "limit"):
         for name, w in PIECE_WEIGHTS.items():
@@ -132,3 +155,29 @@ class TestHomogeneousAsPieces:
         points = {"zeta": [0.5, 2.5 + 1j, -1.5], "fp": range(1, len(w) + 1), "deriv0": [None]}
         for at in points[quantity]:
             assert_sum_of_pieces(quantity, w, at, route)
+
+
+# Weights of the shift relation: the prefixes (1, 1.3), (1, 1.3, 1.7) and
+# (1, 1.3, 1.7, 2.1) of the d = 6 weights of the series tests, and a complex set.
+SHIFT_WEIGHTS = {"d2": (1.0, 1.3), "d3": (1.0, 1.3, 1.7), "d4": (1.0, 1.3, 1.7, 2.1),
+                 "c3": (1.0, 1.2 + 0.2j, 1.3 - 0.1j)}
+
+
+def _shift_cases():
+    for route in ("series", "integral", "limit"):
+        for name, w in SHIFT_WEIGHTS.items():
+            for quantity in ("zeta", "fp", "deriv0"):
+                if route in ROUTES[quantity]:
+                    yield pytest.param(quantity, w, route, id=f"{route}-{name}-{quantity}")
+
+
+class TestShiftRelation:
+    """zeta(alpha, a | w) - zeta(alpha, a + w_1 | w) = zeta(alpha, a | w_2, ..., w_d):
+    the points with n_1 = 0 form the (d-1)-dimensional lattice.  Every route
+    against itself, one dimension down."""
+
+    @pytest.mark.parametrize("quantity, w, route", _shift_cases())
+    def test_shift_relation(self, quantity, w, route):
+        points = {"zeta": [0.5, 2.5 + 1j, -1.5], "fp": range(1, len(w) + 1), "deriv0": [None]}
+        for at in points[quantity]:
+            assert_shift_relation(quantity, 0.7, w, at, route)

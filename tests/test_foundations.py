@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,14 +11,13 @@ from barneszeta import (
     DomainError,
     EvalConfig,
     EvalResult,
-    Method,
     PoleError,
 )
 from barneszeta.foundations import (
     check_pole,
+    gamma_ratio,
     harmonic,
     horner,
-    rising_factorial,
     validate_params,
     validate_weights,
 )
@@ -95,14 +95,25 @@ class TestEvalConfig:
 
     def test_negative_error_estimate_rejected(self):
         with pytest.raises(DomainError):
-            EvalResult(1.0, -1.0, Method.SERIES)
+            EvalResult(1.0, -1.0, "series")
 
 
 class TestSmallHelpers:
-    def test_rising_factorial(self):
-        assert rising_factorial(3.0, 0) == 1
-        assert rising_factorial(3.0, 4) == 3 * 4 * 5 * 6
-        assert rising_factorial(-2.0, 3) == 0
+    def test_gamma_ratio(self):
+        # Gamma(x + n)/Gamma(x): the rising product for n >= 0, one over the
+        # product (x-1)...(x+n) for n < 0, and an exact zero at a pole of Gamma(x)
+        assert gamma_ratio(3.0, 0) == gamma_ratio(3.0, -0) == 1
+        assert gamma_ratio(3.0, 4) == 3 * 4 * 5 * 6
+        assert gamma_ratio(-2.0, 3) == 0
+        assert gamma_ratio(7.0, -3) == pytest.approx(1 / (6 * 5 * 4), rel=1e-15)
+        for x in (0.3, 2.5, -4.25):
+            for n in range(-6, 7):
+                want = math.gamma(x + n) / math.gamma(x)
+                assert gamma_ratio(x, n) == pytest.approx(want, rel=1e-13)
+        x = 1.5 - 2j
+        for n in range(-6, 7):
+            assert gamma_ratio(x, n + 1) == pytest.approx(gamma_ratio(x, n) * (x + n), rel=1e-14)
+            assert gamma_ratio(x, n) * gamma_ratio(x + n, -n) == pytest.approx(1, rel=1e-14)
 
     @pytest.mark.parametrize("coeffs", [[2.0, -1.0, 0.5], [1 + 2j, 0.0, -3j, 0.25]])
     def test_horner_matches_polyval(self, coeffs):

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from barneszeta import (
     BarnesParams,
     BarnesZetaError,
+    ConvergenceError,
     DomainError,
     PoleError,
     QuadratureError,
@@ -29,6 +32,7 @@ from barneszeta.integral_rep import _homog_bracket, _inhom_bracket, _reciprocal_
 from barneszeta.series_rep import deriv0_series
 
 from conftest import rel_err, scaled_err
+from references import bernoulli_poly_exact
 
 EULER_GAMMA = 0.57721566490153286
 LOG_2PI = math.log(2 * math.pi)
@@ -269,6 +273,30 @@ class TestContinuation:
         res = zeta_integral(0.0, BarnesParams(0.7, (1.0,)), M=4)
         assert res.diagnostics.get("integral_skipped") is True
         assert abs(res.value - (0.5 - 0.7)) <= 1e-12
+
+
+class TestStronglyNegativeIntegerAlpha:
+    """At alpha = -n the prefactor alone is the value, read as B_k(w)/k! in
+    both forms; one that overflows a double raises ConvergenceError."""
+
+    @pytest.mark.parametrize("n, w", [(150, (1, 1)), (100, (1, 50))])
+    def test_closed_form(self, n, w):
+        # zeta(-n, a | w) = (-1)^d n!/(d+n)! B_(d+n)(a|w)/prod(w), here with a = 1
+        d = len(w)
+        exact = ((-1) ** d * Fraction(factorial(n), factorial(d + n))
+                 * bernoulli_poly_exact(d + n, 1, w) / math.prod(w))
+        res = zeta_integral(-n, BarnesParams(1.0, w))
+        assert res.diagnostics["integral_skipped"] is True
+        err = abs(Fraction(res.value.real) - exact)
+        assert res.value.imag == 0
+        assert err <= Fraction(res.abs_error_estimate + ULP8 * (1 + abs(res.value)))
+        if w == (1, 1):
+            assert float(exact) == pytest.approx(8.1952152e+143, rel=1e-8)
+
+    def test_prefactor_overflow_raises(self):
+        # the homogeneous value at alpha = -150 on w = (1, 50) is -1.9e398
+        with pytest.raises(ConvergenceError, match="overflows a double"):
+            zeta_integral(-150, (1.0, 50.0))
 
 
 class TestHomogeneous:

@@ -22,6 +22,7 @@ from references import digamma_ref, log_gamma_rep_checks
 
 EULER_GAMMA = 0.57721566490153286
 LOG_2PI = math.log(2 * math.pi)
+ZETA5 = 1.0369277551433699263
 
 
 class TestHurwitz:
@@ -89,13 +90,32 @@ class TestDirectSum:
             direct_sum(2.4, BarnesParams(1.0, (1.0, 1.0)))
 
     def test_point_budget(self, monkeypatch):
-        # The walk stops at the package's point budget, which the series
-        # walk shares, and raises while the tail bound is still above 1e-2.
+        # The walk stops before the shell that would take it past the
+        # package's point budget, which the series walk shares, and raises
+        # while the tail bound is still above 1e-2: shell 14 would take the
+        # 14^2 = 196 points summed to 225 > 200.
         assert oracles.MAX_POINTS == combinatorics.MAX_POINTS == 30_000_000
         monkeypatch.setattr(oracles, "MAX_POINTS", 200)
         with pytest.raises(ConvergenceError, match="point budget") as exc:
             direct_sum(3.0, BarnesParams(1.0, (1.0, 1.0)), config=EvalConfig(rel_tol=1e-6))
-        assert (exc.value.diagnostics["shells"], exc.value.diagnostics["points"]) == (15, 225)
+        assert (exc.value.diagnostics["shells"], exc.value.diagnostics["points"]) == (14, 196)
+
+    @pytest.mark.parametrize("homog", [False, True], ids=["inhomogeneous", "homogeneous"])
+    def test_budget_exactly_met(self, homog, monkeypatch):
+        # A walk may end its summing exactly at the budget: with a budget of
+        # 10^2 (10^2 - 1 homogeneous) points, ten shells fit and the eleventh
+        # does not; the tail bound is then below 1e-2, so the value returns
+        # with that bound.
+        monkeypatch.setattr(oracles, "MAX_POINTS", 100 - homog)
+        params = (1.0, 1.0) if homog else BarnesParams(1.0, (1.0, 1.0))
+        res = direct_sum(6.0, params, config=EvalConfig(rel_tol=1e-15))
+        diag = res.diagnostics
+        assert (diag["shells"], diag["points"]) == (10, 100 - homog)
+        assert res.abs_error_estimate == diag["tail_bound"] <= 1e-2 * abs(res.value)
+        # sum over m = n1 + n2 of (m + 1)(1 + m)^-6 = zeta(5), and of (m + 1) m^-6,
+        # m >= 1, = zeta(5) + zeta(6) without the origin
+        want = ZETA5 + (math.pi ** 6 / 945 if homog else 0.0)
+        assert abs(res.value - want) <= res.abs_error_estimate
 
     def test_homogeneous(self):
         res = direct_sum(4.0, (1.0,), config=EvalConfig(rel_tol=1e-12))
