@@ -1,5 +1,5 @@
-"""Higher-order Bernoulli numbers B_k(w), polynomials B_n(a|w), and the
-derivative values of the associated Bernoullian functions at zero.
+"""Higher-order Bernoulli numbers B_k(w) and polynomials B_n(a|w), in one
+normalization: the Taylor coefficients B_n(a|w)/n!.
 
 Convention: B_n(a|w) is the coefficient of z^n/n! in
 
@@ -7,10 +7,11 @@ Convention: B_n(a|w) is the coefficient of z^n/n! in
 
 and B_k(w) = B_k(0|w).  (Some references rescale these objects by
 prod_i w_i; that convention is *not* used here.)
-Tables are numpy convolutions of cached B_n/n! arrays scaled by w_i^n, in
-float64 when every w_i (and, for the polynomials, a) is real.  A lattice has
-one table: B_n(w) does not depend on the table size, so a request of any
-size N <= _TABLE_MIN reads the first N + 1 entries of the same build.
+`bernoulli_taylor` reads them from the lattice's one table of B_n(w)/n!,
+the Cauchy product (d - 1 calls of np.convolve) of cached B_n/n! arrays
+scaled by w_i^n, in float64 when every w_i (and a) is real.  The table does
+not depend on its size, so a request of any size N <= _TABLE_MIN reads the
+first N + 1 entries of the same build.
 
 The pole expansion of the lattice zeta at alpha = q, q = 1..d, and at
 alpha = 0 (its derivative there, the member q = 0) is one Laurent row c_m
@@ -26,7 +27,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,14 +72,6 @@ def classical_bernoulli(n: int) -> tuple[Fraction, ...]:
     return tuple(out[: n + 1])
 
 
-class BernoulliTable(NamedTuple):
-    """The numbers B_0(w)..B_N(w), and B_n(w)/n!, a prefix of the one table
-    of the lattice (sorted w); floats when every w_i is real."""
-
-    numbers: tuple[complex, ...]
-    scaled: tuple[complex, ...]
-
-
 @lru_cache(maxsize=None)
 def _unit_series(N: int) -> tuple[np.ndarray, np.ndarray]:
     """B_n/n! and n!, n = 0..N, each rounded once from its exact value; the
@@ -91,77 +84,58 @@ def _unit_series(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=512)
-def _table_cached(w: tuple[complex, ...], N: int) -> BernoulliTable:
+def _table_cached(w: tuple[complex, ...], N: int) -> np.ndarray:
     # Rows w_i z/(e^{w_i z}-1) = sum B_n w_i^n z^n/n!.  A trailing zero keeps the
     # kept entries on the leading ramp of np.convolve, whose summation order
-    # depends on n alone, so B_n(w) is the same in every table size N.  Huge
+    # depends on n alone, so B_n(w)/n! is the same in every table size N.  Huge
     # weights overflow to inf silently; a route fed such a table raises.
-    unit, fact = _unit_series(N)
     wa = np.array([narrow(x) for x in w])
     rows = np.zeros((len(w), N + 2), dtype=wa.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows[:, :-1] = unit * wa[:, None] ** np.arange(N + 1)
-        scaled = rows[0]
+        rows[:, :-1] = _unit_series(N)[0] * wa[:, None] ** np.arange(N + 1)
+        table = rows[0]
         for row in rows[1:]:
-            scaled = np.convolve(scaled, row)[: N + 2]
-        scaled = scaled[:-1]
-        numbers = scaled * fact
-    return BernoulliTable(tuple(numbers.tolist()), tuple(scaled.tolist()))
+            table = np.convolve(table, row)[: N + 2]
+    table.flags.writeable = False
+    return table[:-1]
 
 
-def bernoulli_numbers(w: Iterable[complex], N: int) -> BernoulliTable:
-    """Table of higher-order Bernoulli numbers B_0(w)..B_N(w), one per lattice:
-    the weights are sorted first, so every order of them gets the same table,
-    and an N below _TABLE_MIN reads the first N + 1 entries of the table of
-    size _TABLE_MIN, bit for bit the table of size N.
-
-    Computed as the Cauchy product of the d classical one-weight expansions:
-    each is the cached B_n/n! times w_i^n, and the product is d - 1 calls of
-    np.convolve, in float64 when every w_i is real."""
+def bernoulli_taylor(a: complex, w: Iterable[complex], N: int) -> np.ndarray:
+    """B_n(a|w)/n!, n = 0..N, from the one table of the sorted weights;
+    float64 when a and w are real.  A nonzero a adds one convolution with
+    the e^{az} coefficients a^l/l!; at a = 0 the table comes back plus 0.0,
+    which turns a -0.0 entry into the 0.0 that the convolution would give."""
     if N < 0:
         raise DomainError("N must be >= 0")
     if N > MAX_TABLE:
         raise ConvergenceError(f"Bernoulli table size capped at N = {MAX_TABLE}")
-    table = _table_cached(tuple(sorted(as_weights(w), key=lambda z: (z.real, z.imag))),
-                          max(N, _TABLE_MIN))
-    if N >= _TABLE_MIN:
-        return table
-    return BernoulliTable(table.numbers[:N + 1], table.scaled[:N + 1])
-
-
-def bernoulli_taylor(a: complex, w: Iterable[complex], N: int) -> np.ndarray:
-    """B_n(a|w)/n!, n = 0..N: one table of B_n(w)/n! in one convolution with
-    the e^{az} coefficients a^l/l!, the Taylor coefficients of the generating
-    function; float64 when a and w are real.  At a = 0 the convolution with
-    (1, 0, 0, ...) is skipped: the table's row comes back, plus 0.0, which
-    turns a -0.0 entry into the 0.0 that the convolution's 0 * B_0 term gives."""
-    scaled = bernoulli_numbers(w, N).scaled
+    key = tuple(sorted(as_weights(w), key=lambda z: (z.real, z.imag)))
+    table = _table_cached(key, max(N, _TABLE_MIN))[:N + 1]
     if a == 0:
-        return np.array(scaled) + 0.0
+        return table + 0.0
     exp_a = narrow(a) ** np.arange(N + 1) / _unit_series(N)[1]
-    return np.convolve(exp_a, scaled)[: N + 1]
+    return np.convolve(exp_a, table)[: N + 1]
 
 
-def bernoulli_poly(n: int, a: complex, w: Iterable[complex]) -> complex:
-    """Higher-order Bernoulli polynomial B_n(a|w), degree n in a."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    return complex(factorial(n) * bernoulli_taylor(a, w, n)[n])
+def bernoulli_taylor_over_prod(w: Sequence[complex], N: int) -> list[complex]:
+    """B_m(w)/(m! prod w_i), m = 0..N, the Taylor coefficients of
+    z^d / prod_i (e^{w_i z} - 1), from one table."""
+    pw = math.prod(as_weights(w))
+    return [b / pw for b in bernoulli_taylor(0.0, w, N).tolist()]
 
 
 def ds_values(w: Sequence[complex], count: int) -> list[complex]:
-    """Bernoullian derivative values B_m(w)/prod(w_i), m = 0..count-1, from one table."""
-    wt = as_weights(w)
-    pw = math.prod(wt)
-    return [b / pw for b in bernoulli_numbers(wt, count - 1).numbers]
+    """B_m(w)/prod(w_i), m = 0..count-1, the normalization before B_n(a|w)/n!,
+    kept under its name for callers outside the package; no route reads it."""
+    return [b * factorial(m) for m, b in enumerate(bernoulli_taylor_over_prod(w, count - 1))]
 
 
-def pole_coeffs(q: int, d: int, dS: Sequence[complex]) -> list[complex]:
-    """The row c_m = s dS_m / (m! e!), e = d - q - m, m = 0..d-q, of the pole
-    expansion at alpha = q, with s = (-1)^q/(q-1)!; q = 0 is the derivative
-    at zero, with s = 1.  dS is the caller's `ds_values` table."""
+def pole_coeffs(q: int, d: int, bw: Sequence[complex]) -> list[complex]:
+    """The row c_m = s bw_m / e!, e = d - q - m, m = 0..d-q, of the pole
+    expansion at alpha = q, from the caller's `bernoulli_taylor_over_prod` row
+    bw; s = (-1)^q/(q-1)!, and s = 1 for q = 0, the derivative at zero."""
     s = (-1.0) ** q / factorial(q - 1) if q else 1.0
-    return [s * dS[m] / (factorial(m) * factorial(d - q - m)) for m in range(d - q + 1)]
+    return [s * bw[m] / factorial(d - q - m) for m in range(d - q + 1)]
 
 
 def pole_term(q: int, a: complex, row: Sequence[complex], log: bool = True) -> CompensatedSum:
@@ -170,13 +144,17 @@ def pole_term(q: int, a: complex, row: Sequence[complex], log: bool = True) -> C
     (with H_(-1) = 0), over the caller's `pole_coeffs` row, d = q + len(row) - 1,
     as an accumulator whose `mass` callers keep for their estimates;
     log=False drops the log a part.  At a = 0 only e = 0 is left: the
-    homogeneous constant (-1)^(d+1) c_(d-q) H_(q-1) = -H_(q-1) residue(q, w)."""
+    homogeneous constant (-1)^(d+1) c_(d-q) H_(q-1) = -H_(q-1) residue(q, w).
+    A power a^e past the largest double raises ConvergenceError."""
     d = q + len(row) - 1
     hq = harmonic_float(q - 1) if q else 0.0
     la = cmath.log(a) if log and a else 0.0
     sign = 1.0 if d % 2 else -1.0
     acc = CompensatedSum()
-    for m in range(d - q + 1) if a else (d - q,):
-        e = d - q - m
-        acc.add(sign * row[m] * a ** e * (la - harmonic_float(e) + hq))
+    try:
+        for m in range(d - q + 1) if a else (d - q,):
+            e = d - q - m
+            acc.add(sign * row[m] * a ** e * (la - harmonic_float(e) + hq))
+    except OverflowError:
+        raise ConvergenceError(f"closed term at alpha = {q} overflows a double") from None
     return acc

@@ -1,8 +1,8 @@
 """Semi-infinite line-integral representations and their quadrature engine.
 
 The analytic continuations subtract the first M + 1 terms of the small-t
-expansion of the lattice heat kernel 1/prod(1 - e^{-w_i t}) (an expansion
-whose coefficients are the higher-order Bernoulli numbers), turning the
+expansion of the lattice heat kernel 1/prod(1 - e^{-w_i t}), whose
+coefficients are the B_k(w)/k! that `bernoulli_taylor` reads, turning the
 integrand into O(t^{M+1-d}) at the origin; the subtracted terms are
 reinstated in closed form through Gamma-factor prefactors.  All Gamma
 ratios appearing in the prefactors are evaluated in exact rational-in-alpha
@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bernoulli import bernoulli_poly, bernoulli_taylor, ds_values, pole_coeffs, pole_term
+from .bernoulli import bernoulli_taylor, bernoulli_taylor_over_prod, pole_coeffs, pole_term
 from .combinatorics import CompensatedSum, subset_table
 from .foundations import (
     ConvergenceError,
@@ -301,16 +301,6 @@ def _reciprocal_gamma(alpha: complex) -> complex:
         raise DomainError(f"1/Gamma(alpha) overflows a double at alpha = {alpha}") from None
 
 
-def _subtraction_order(M: int | None, alpha: complex, d: int) -> int:
-    """The subtraction order: M as given, or by default two above the
-    smallest order whose continuation reaches alpha."""
-    if M is None:
-        M = max(0, math.ceil(d - alpha.real - 1)) + 2
-    if not alpha.real > d - M - 1:
-        raise DomainError(f"need Re(alpha) > d - M - 1 = {d - M - 1}; increase M")
-    return M
-
-
 def _line_integral(a: complex, w: tuple[complex, ...], homog: bool, alpha: complex, M: int,
                    c: complex) -> QuadratureOutcome:
     """The line integral of t^(alpha-1) times the bracket of subtraction
@@ -361,7 +351,10 @@ def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None,
     alpha = complex(alpha)
     d = len(w)
     check_pole(alpha, d, homog)
-    M = _subtraction_order(M, alpha, d)
+    if M is None:
+        M = max(0, math.ceil(d - alpha.real - 1)) + 2
+    if not alpha.real > d - M - 1:
+        raise DomainError(f"need Re(alpha) > d - M - 1 = {d - M - 1}; increase M")
     # The line integral runs first: its Bernoulli table is the larger, so a
     # capped table raises before the prefactor is summed.
     rg = _reciprocal_gamma(alpha)
@@ -399,7 +392,7 @@ def _pole_integral(q: int, a: complex, w: tuple[complex, ...], homog: bool) -> E
     regulator, adds the regulator's part (-1)^(q+j+1) c_j/(d-q-j), j < d-q."""
     d = len(w)
     M = d - q
-    row = pole_coeffs(q, d, ds_values(w, M + 1))
+    row = pole_coeffs(q, d, bernoulli_taylor_over_prod(w, M))
     closed = pole_term(q, a, row)
     if homog:
         for j, c in enumerate(row[:-1]):
@@ -428,10 +421,10 @@ def deriv0_integral(params, *, config: EvalConfig | None = None) -> EvalResult:
 
 
 def residue(q: int, params) -> complex:
-    """Residue at alpha = q: (-1)^(d-q) B_(d-q)(a|w) / ((q-1)!(d-q)! prod w),
+    """Residue at alpha = q: (-1)^(d-q) [B_(d-q)(a|w)/(d-q)!] / ((q-1)! prod w),
     with a = 0 when params are the weights of the homogeneous function."""
     a, w, _ = lattice(params)
     d = len(w)
     check_order(q, d)
-    return ((-1.0) ** (d - q) * bernoulli_poly(d - q, a, w)
-            / (factorial(q - 1) * factorial(d - q) * math.prod(w)))
+    return ((-1.0) ** (d - q) * complex(bernoulli_taylor(a, w, d - q)[d - q])
+            / (factorial(q - 1) * math.prod(w)))

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bernoulli import ds_values, pole_coeffs, pole_term
+from .bernoulli import bernoulli_taylor_over_prod, pole_coeffs, pole_term
 from .combinatorics import CompensatedSum, f_symbol_sum, neville_diagonal, shell_values
 from .foundations import (
     ConvergenceError,
@@ -195,7 +195,7 @@ def _pole_limit(q: int, a: complex, w: tuple[complex, ...], homog: bool,
     extrapolated rungs plus the closed `pole_term` without its log a part,
     which the edge terms carry."""
     d = len(w)
-    row = pole_coeffs(q, d, ds_values(w, d + 1))
+    row = pole_coeffs(q, d, bernoulli_taylor_over_prod(w, d))
     const = pole_term(q, a, row, log=False).value
     return _run_limit(_rungs(q, a, w, row, homog), const, cfg.rel_tol, d)
 

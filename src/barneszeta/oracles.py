@@ -233,7 +233,8 @@ def reduction(alpha: complex, params, *, config: EvalConfig | None = None) -> Ev
     """The lattice zeta by exact reductions to Hurwitz zetas; the homogeneous
     one, its points split by their first nonzero coordinate, as the sum of
     zeta(alpha, w_i | w_i, ..., w_d), i = 1..d.  `config` is accepted so that
-    every route shares one signature; the reductions have no tolerance."""
+    every route shares one signature; the reductions have no tolerance.  A
+    value past the largest double raises ConvergenceError."""
     a, w, homog = lattice(params)
     d = len(w)
     check_pole(complex(alpha), d, homog)
@@ -241,4 +242,6 @@ def reduction(alpha: complex, params, *, config: EvalConfig | None = None) -> Ev
         value = sum(_reduce(alpha, w[i], w[i:]) for i in range(d))
     else:
         value = _reduce(alpha, a, w)
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"the reduction at alpha = {alpha} gives {value}")
     return EvalResult(value, 1e-13 * (1 + abs(value)), "reduction", {})

@@ -6,12 +6,12 @@ The engine sums, over hypercubic shells, terms of the form
 
     base(y) + sum_m c_m * G[(y+x)^{e0 - m} (log(y+x))]_{x=w},   y = a + n.w,
 
-where the subtraction ladder c_m is built from Bernoullian derivative
-values and the Gamma-factor ratio Gamma(1-alpha)/Gamma(d-alpha-m+1), kept
-in its exact rational-in-alpha form so no Gamma function is ever evaluated
-near a pole.  The shift parameter k controls how many ladder terms are
-subtracted: the summand then decays like |y|^(-Re(alpha)-k-d), and the
-value of the analytic continuation is independent of k.
+where the ladder c_m is built from b_m = B_m(w)/(m! prod w_i) and the
+Gamma-factor ratio Gamma(1-alpha)/Gamma(d-alpha-m+1), kept in its exact
+rational-in-alpha form so no Gamma function is ever evaluated near a pole.
+The shift parameter k controls how many ladder terms are subtracted: the
+summand then decays like |y|^(-Re(alpha)-k-d), and the value of the
+analytic continuation is independent of k.
 
 At the poles alpha = q and at alpha = 0 the removable singularities of the
 ladder are expanded analytically (log-weighted G symbols and harmonic
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bernoulli import ds_values, pole_coeffs, pole_term
+from .bernoulli import bernoulli_taylor_over_prod, pole_coeffs, pole_term
 from .combinatorics import MAX_POINTS, MAX_SHELLS, CompensatedSum, shell_values, subset_table
 from .foundations import (
     ConvergenceError,
@@ -94,10 +94,7 @@ def _auto_k_fixed(q_like: int, d: int, y_min: float) -> int:
     """
     minimal = 1 - q_like
     boosted = max(minimal, _K_TARGET - d - q_like)
-    if y_min < 1.0:
-        cap = 1 - q_like + int(_GROWTH_CAP_DIGITS / (-math.log10(y_min)))
-        return min(boosted, max(minimal, cap))
-    return boosted
+    return min(boosted, max(minimal, _k_growth_limit(y_min) - q_like))
 
 
 class _Plan(NamedTuple):
@@ -125,8 +122,11 @@ def _plan(a0: complex, w: tuple[complex, ...], homog: bool, k: int, e0: complex,
     term: `closed`, plus the inhomogeneous plain ladder terms -(-1)^d c_m
     a^(e0-m) summed before the rows are trimmed; 0.0 without an accumulator."""
     sign = 1.0 if len(w) % 2 else -1.0
-    for m, c in enumerate([] if homog else plain, len(row)):
-        closed.add(sign * c * a0 ** (e0 - m))
+    try:
+        for m, c in enumerate([] if homog else plain, len(row)):
+            closed.add(sign * c * a0 ** (e0 - m))
+    except OverflowError:
+        raise ConvergenceError(f"closed term at alpha = {base_expo} overflows a double") from None
     signs, sigmas = subset_table(w)
     plain, logc = [0] * len(row) + plain, list(row)
     for r in (plain, logc):
@@ -141,13 +141,12 @@ def _plan(a0: complex, w: tuple[complex, ...], homog: bool, k: int, e0: complex,
 
 def _plan_generic(alpha: complex, a0: complex, w: tuple[complex, ...], k: int,
                   homog: bool) -> tuple[_Plan, complex]:
-    """The zeta summand: the plain ladder -dS_m/m! Gamma(1-alpha)/Gamma(d-alpha-m+1),
+    """The zeta summand: the plain ladder -b_m Gamma(1-alpha)/Gamma(d-alpha-m+1),
     the Gamma ratio by reflection (-1)^(m-d) Gamma(alpha+m-d)/Gamma(alpha): poles
     at alpha = 1..d-m, zeros at the integers alpha <= 0 when m > d."""
     d = len(w)
-    dS = ds_values(w, k + d)
-    plain = [-(dS[m] / factorial(m)) * ((-1.0) ** (m - d) * gamma_ratio(alpha, m - d))
-             for m in range(k + d)]
+    bw = bernoulli_taylor_over_prod(w, k + d - 1)
+    plain = [-bw[m] * ((-1.0) ** (m - d) * gamma_ratio(alpha, m - d)) for m in range(k + d)]
     return _plan(a0, w, homog, k, d - alpha, [], plain, False, alpha, 0.0,
                  None if homog else CompensatedSum())
 
@@ -156,15 +155,15 @@ def _plan_pole(q: int, a0: complex, w: tuple[complex, ...], k: int,
                homog: bool) -> tuple[_Plan, complex]:
     """The finite part at alpha = q, or the derivative at zero for q = 0:
     the pole row c_m of `pole_coeffs` as log-weighted G symbols for
-    m <= d - q, then the plain ladder terms -dS_m/m! (-1)^(m-d)
-    (q+m-d-1)!/(q-1)!, with (q-1)! -> 1 at q = 0, the Gamma ratio at alpha = q
-    (for q = 0, its alpha-derivative at zero).  The closed term is
-    `pole_term`, plus the origin's per-point constant when homogeneous."""
+    m <= d - q, then the plain ladder terms -b_m (-1)^(m-d) (q+m-d-1)!/(q-1)!,
+    with (q-1)! -> 1 at q = 0, the Gamma ratio at alpha = q (for q = 0, its
+    alpha-derivative at zero).  The closed term is `pole_term`, plus the
+    origin's per-point constant when homogeneous."""
     d = len(w)
-    dS = ds_values(w, k + d)
-    row = pole_coeffs(q, d, dS)
+    bw = bernoulli_taylor_over_prod(w, k + d - 1)
+    row = pole_coeffs(q, d, bw)
     qf = factorial(q - 1) if q else 1
-    plain = [-(dS[m] / factorial(m)) * ((-1.0) ** (m - d) * (factorial(q + m - d - 1) / qf))
+    plain = [-bw[m] * ((-1.0) ** (m - d) * (factorial(q + m - d - 1) / qf))
              for m in range(d - q + 1, k + d)]
     const = 0.0 if q else -harmonic_float(d)
     closed = pole_term(q, a0, row)
@@ -270,8 +269,10 @@ def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: boo
             # the corner sums leave far less, so it is a conservative
             # stand-in, kept so that the stopping rule does not move.
             if max(r0, r1, r2) <= max(cfg.rel_tol * scale, 4.0 * max(n0, n1, n2)):
-                return EvalResult(acc.value + corner + closed, r0 + r1 + r2 + noise_total,
-                                  "series", diag(j))
+                value = acc.value + corner + closed
+                if not cmath.isfinite(value):
+                    raise ConvergenceError(f"the series sums to {value}", diagnostics=diag(j))
+                return EvalResult(value, r0 + r1 + r2 + noise_total, "series", diag(j))
     raise ConvergenceError(
         "shell summation hit MAX_SHELLS without meeting the stopping rule",
         diagnostics=diag(MAX_SHELLS),

@@ -2,9 +2,10 @@
 value that the package computes another way, kept here as the thing its
 test compares against.
 
-* `bernoullian_dS` differentiates B_(m+d-1)(a|w) d - 1 times at a = 0;
-  `bernoullian_dS_closed` is the closed form B_m(w)/prod(w_i) of
-  `bernoulli.ds_values` that it must collapse to.
+* `bernoullian_dS` differentiates B_(m+d-1)(a|w) d - 1 times at a = 0, from
+  the exact coefficients of `bernoulli_poly_exact`;
+  `bernoullian_dS_closed` is the closed form B_m(w)/(m! prod(w_i)) of
+  `bernoulli.bernoulli_taylor_over_prod` that it must collapse to.
 * `f_symbol` is the alternating sum over nonempty subsets, the value of
   `combinatorics.f_symbol_sum` from an enumeration of its own, and
   `g_symbol` the G symbol, the d-fold forward difference, whose identities
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from barneszeta.bernoulli import bernoulli_numbers, classical_bernoulli, ds_values
+from barneszeta.bernoulli import bernoulli_taylor_over_prod, classical_bernoulli
 from barneszeta.combinatorics import MAX_DIM, CompensatedSum, neville_diagonal
 from barneszeta.foundations import (
     DEFAULT_CONFIG,
@@ -66,31 +67,36 @@ from barneszeta.oracles import (
 
 
 def bernoullian_dS(m: int, w: Iterable[complex]) -> complex:
-    """The d-th derivative at zero of the m-th Bernoullian function.
+    """The d-th derivative at zero of the m-th Bernoullian function, over m!.
 
     The Bernoullian functions S are pinned down by S'(a) being a known
     multiple of B_{m+d-1}(a|w); differentiating that relation d-1 more
     times in a (term by term on the polynomial coefficients, using
     d/da B_n = n B_{n-1}) and evaluating at a = 0 yields this value.
-    It collapses algebraically to B_m(w)/prod(w_i), the value ds_values
-    returns; this path is the reference the test suite checks that against.
+    The coefficients are the exact rationals of `bernoulli_poly_exact`, so
+    this path does not read the engine it checks; the weights must be real.
+    It collapses algebraically to B_m(w)/(m! prod(w_i)), the value
+    bernoulli_taylor_over_prod returns; this path is the reference the test
+    suite checks that against.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    wt = as_weights(w)
+    if any(x.imag for x in as_weights(w)):
+        raise DomainError("the exact reference takes real weights")
+    wt = [Fraction(x.real) for x in as_weights(w)]
     d = len(wt)
     n = m + d - 1
-    numbers = bernoulli_numbers(wt, n).numbers
-    coeffs = [comb(n, l) * numbers[n - l] for l in range(n + 1)]   # B_n(a|w) in powers of a
+    # B_n(a|w) in powers of a
+    coeffs = [comb(n, l) * bernoulli_poly_exact(n - l, 0, wt) for l in range(n + 1)]
     for _ in range(d - 1):
         coeffs = [l * c for l, c in enumerate(coeffs)][1:]
-    value_at_0 = coeffs[0] if coeffs else complex(0.0)
-    return factorial(m) / factorial(n) / math.prod(wt) * value_at_0
+    value_at_0 = coeffs[0] if coeffs else Fraction(0)
+    return complex(value_at_0 / factorial(n) / math.prod(wt))
 
 
 def bernoullian_dS_closed(m: int, w: Iterable[complex]) -> complex:
-    """Closed form B_m(w)/prod(w_i) that bernoullian_dS must collapse to."""
-    return ds_values(w, m + 1)[m]
+    """Closed form B_m(w)/(m! prod(w_i)) that bernoullian_dS must collapse to."""
+    return bernoulli_taylor_over_prod(w, m)[m]
 
 
 def bernoulli_poly_exact(n: int, a, w: Sequence) -> Fraction:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import factorial
 
 from barneszeta import BarnesParams, EvalConfig, gamma_dq, rational_d2_reduction, residue
-from barneszeta.bernoulli import bernoulli_poly
+from barneszeta.bernoulli import bernoulli_taylor
 from barneszeta.foundations import harmonic
 from barneszeta.integral_rep import deriv0_integral, fp_integral, zeta_integral
 from barneszeta.limit_rep import deriv0_limit, fp_limit
@@ -188,8 +188,8 @@ def test_criterion_07_residues():
         # homogeneous residues are the exact a = 0 specialization
         d, pw = p.d, math.prod(p.w)
         for q in range(1, d + 1):
-            at_zero = ((-1.0) ** (d - q) * bernoulli_poly(d - q, 0.0, p.w)
-                       / (factorial(q - 1) * factorial(d - q) * pw))
+            at_zero = ((-1.0) ** (d - q) * complex(bernoulli_taylor(0.0, p.w, d - q)[d - q])
+                       / (factorial(q - 1) * pw))
             assert residue(q, p.w) == at_zero
     _report(7, f"residue extraction, worst rel err {worst:.2e}")
 

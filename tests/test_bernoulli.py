@@ -17,17 +17,15 @@ from barneszeta import (
 from barneszeta import bernoulli
 from barneszeta.bernoulli import (
     MAX_TABLE,
-    bernoulli_numbers,
-    bernoulli_poly,
     bernoulli_taylor,
+    bernoulli_taylor_over_prod,
     classical_bernoulli,
-    ds_values,
     pole_coeffs,
     pole_term,
 )
 from barneszeta.foundations import harmonic_float
 
-from references import bernoullian_dS, bernoullian_dS_closed
+from references import bernoulli_poly_exact, bernoullian_dS, bernoullian_dS_closed
 
 weights = st.lists(
     st.floats(min_value=0.2, max_value=3.0).map(lambda x: complex(round(x, 3))),
@@ -75,68 +73,80 @@ class TestClassicalTable:
 
 
 class TestNumbers:
+    """B_n(w)/n!, the a = 0 row of `bernoulli_taylor`."""
+
     def test_single_weight_matches_classical(self):
-        t = bernoulli_numbers((1.0,), 2)
-        assert t.numbers == (1, -0.5, pytest.approx(1 / 6))
+        t = bernoulli_taylor(0.0, (1.0,), 2)
+        assert t.tolist() == [1, -0.5, pytest.approx(1 / 12)]
 
     def test_two_unit_weights(self):
-        t = bernoulli_numbers((1.0, 1.0), 1)
-        assert t.numbers[0] == 1
-        assert t.numbers[1] == pytest.approx(-1.0)
+        t = bernoulli_taylor(0.0, (1.0, 1.0), 1)
+        assert t[0] == 1
+        assert t[1] == pytest.approx(-1.0)
 
     def test_constant_term(self):
-        assert bernoulli_numbers((0.3, 2.7, 1.1), 0).numbers == (1,)
+        assert bernoulli_taylor(0.0, (0.3, 2.7, 1.1), 0).tolist() == [1]
 
     def test_cap(self):
         with pytest.raises(ConvergenceError):
-            bernoulli_numbers((1.0,), 257)
+            bernoulli_taylor(0.0, (1.0,), 257)
 
     @pytest.mark.parametrize("N", [171, 256])
     def test_cap_below_old_limit(self, N):
-        # 171! does not fit in a float; the cap must say so, not overflow
-        with pytest.raises(ConvergenceError):
-            bernoulli_numbers((1.0, 1.0), N)
+        # 171! does not fit in a float; the cap must say so, not overflow,
+        # at a = 0 and where the e^(az) row divides by l!
+        for a in (0.0, 0.5):
+            with pytest.raises(ConvergenceError):
+                bernoulli_taylor(a, (1.0, 1.0), N)
 
     def test_largest_table(self):
-        numbers = bernoulli_numbers((1.0,), 170).numbers
-        assert numbers[170] == pytest.approx(float(classical_bernoulli(170)[170]), rel=1e-12)
+        taylor = bernoulli_taylor(0.0, (1.0,), 170)
+        want = float(classical_bernoulli(170)[170] / math.factorial(170))
+        assert taylor[170] == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
-    @given(weights)
-    def test_permutation_symmetry(self, w):
-        t1 = bernoulli_numbers(tuple(w), 6).numbers
-        t2 = bernoulli_numbers(tuple(reversed(w)), 6).numbers
-        for a, b in zip(t1, t2):
-            assert abs(a - b) <= 1e-14 * (1 + abs(b))
+    @given(weights, st.complex_numbers(max_magnitude=3.0))
+    def test_permutation_symmetry(self, w, a):
+        for shift in (0.0, a):
+            t1 = bernoulli_taylor(shift, tuple(w), 6)
+            t2 = bernoulli_taylor(shift, tuple(reversed(w)), 6)
+            for x, y in zip(t1, t2):
+                assert abs(x - y) <= 1e-14 * (1 + abs(y))
 
     @settings(max_examples=30, deadline=None)
     @given(weights, st.floats(min_value=0.5, max_value=2.0))
     def test_scaling(self, w, lam):
+        # B_n(lam a | lam w) = lam^n B_n(a|w); the bound is that on B_n, over n!
         a = 0.8 + 0.1j
+        lhs = bernoulli_taylor(lam * a, tuple(lam * x for x in w), 4)
+        rhs = bernoulli_taylor(a, tuple(w), 4)
         for n in range(5):
-            lhs = bernoulli_poly(n, lam * a, tuple(lam * x for x in w))
-            rhs = lam**n * bernoulli_poly(n, a, tuple(w))
-            assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
+            want = lam**n * rhs[n]
+            assert abs(lhs[n] - want) <= 1e-12 * (1 / math.factorial(n) + abs(want))
 
 
 class TestPoly:
+    """B_n(a|w)/n!, the Taylor coefficients at a nonzero a."""
+
     def test_degree_zero(self):
-        assert bernoulli_poly(0, 3.7 + 2j, (0.4, 1.9)) == 1
+        assert bernoulli_taylor(3.7 + 2j, (0.4, 1.9), 0)[0] == 1
 
     def test_degree_one_closed_form(self):
         w = (0.7, 1.9)
         for a in (0.3, 1.0 + 0.5j, 2.4):
             expected = a - (w[0] + w[1]) / 2
-            assert bernoulli_poly(1, a, w) == pytest.approx(expected)
+            assert bernoulli_taylor(a, w, 1)[1] == pytest.approx(expected)
 
     def test_degree_one_vanishes(self):
-        assert bernoulli_poly(1, 1.0, (1.0, 1.0)) == 0
+        assert bernoulli_taylor(1.0, (1.0, 1.0), 1)[1] == 0
 
     def test_numbers_equal_poly_at_zero(self):
+        # B_n(w) is B_n(0|w): the a = 0 row against the exact polynomial at 0
         w = (0.6, 1.3, 2.1)
-        nums = bernoulli_numbers(w, 6).numbers
+        row = bernoulli_taylor(0.0, w, 6)
         for n in range(7):
-            assert bernoulli_poly(n, 0.0, w) == nums[n]
+            want = float(bernoulli_poly_exact(n, 0, w) / math.factorial(n))
+            assert abs(row[n] - want) <= 1e-14 * (1 / math.factorial(n) + abs(want))
 
 
 class TestBernoullianDerivatives:
@@ -157,10 +167,11 @@ class TestBernoullianDerivatives:
     @settings(max_examples=30, deadline=None)
     @given(weights, st.integers(min_value=0, max_value=6))
     def test_collapse_to_closed_form(self, w, m):
-        # derivation-path value must equal B_m(w)/prod(w)
+        # the exact derivation-path value must equal B_m(w)/(m! prod(w)) of
+        # the engine; the bound is that on B_m(w)/prod(w), over m!
         got = bernoullian_dS(m, tuple(w))
         want = bernoullian_dS_closed(m, tuple(w))
-        assert abs(got - want) <= 1e-13 * (1 + abs(want))
+        assert abs(got - want) <= 1e-13 * (1 / math.factorial(m) + abs(want))
 
 
 def _table_misses(fn) -> int:
@@ -173,17 +184,29 @@ class TestOneTable:
     @settings(max_examples=30, deadline=None)
     @given(weights, st.complex_numbers(max_magnitude=3.0))
     def test_taylor_matches_binomial_expansion(self, w, a):
+        # B_n(a|w)/n! = sum_l a^l/l! B_(n-l)(w)/(n-l)!
         taylor = bernoulli_taylor(a, tuple(w), 8)
-        numbers = bernoulli_numbers(tuple(w), 8).numbers
+        numbers = bernoulli_taylor(0.0, tuple(w), 8)
         for n in range(9):
-            terms = [math.comb(n, l) * a**l * numbers[n - l] for l in range(n + 1)]
+            terms = [a**l / math.factorial(l) * numbers[n - l] for l in range(n + 1)]
             # both sides cancel the same terms, so the error scales with their size
             scale = sum(abs(t) for t in terms)
-            assert abs(taylor[n] * math.factorial(n) - sum(terms)) <= 1e-13 * scale + 1e-300
+            assert abs(taylor[n] - sum(terms)) <= 1e-13 * scale + 1e-300
 
     def test_ds_values_is_one_lookup(self):
+        # The old name keeps its old values, B_m(w)/prod(w), from one table read.
         bernoulli._table_cached.cache_clear()
-        ds_values((1.0, 2 ** 0.5, 0.3), 12)
+        w = (1.0, 2 ** 0.5, 0.3)
+        got = bernoulli.ds_values(w, 12)
+        info = bernoulli._table_cached.cache_info()
+        assert info.hits + info.misses == 1
+        for m in range(12):
+            want = float(bernoulli_poly_exact(m, 0, w)) / prod(w)
+            assert abs(got[m] - want) <= 1e-13 * (1 + abs(want))
+
+    def test_over_prod_is_one_lookup(self):
+        bernoulli._table_cached.cache_clear()
+        bernoulli_taylor_over_prod((1.0, 2 ** 0.5, 0.3), 11)
         info = bernoulli._table_cached.cache_info()
         assert info.hits + info.misses == 1
 
@@ -205,37 +228,37 @@ class TestOneTable:
     @pytest.mark.parametrize("kind", W)
     @pytest.mark.parametrize("d", range(1, 7))
     def test_smaller_tables_are_prefixes(self, d, kind):
-        # B_n(w) must not depend on the table size: a table of any size N is
-        # the first N + 1 entries of the largest one, bit for bit, so one
+        # B_n(w)/n! must not depend on the table size: a table of any size N
+        # is the first N + 1 entries of the largest one, bit for bit, so one
         # build can serve every size a lattice asks for.
         w = self.W[kind][:d]
         key = tuple(sorted(w, key=lambda z: (z.real, z.imag)))
-        full = bernoulli_numbers(w, MAX_TABLE)
-        bits = lambda xs: np.array(xs).tobytes()
+        full = bernoulli._table_cached(key, MAX_TABLE)
+        row = bernoulli_taylor(0.0, w, MAX_TABLE)
+        assert not full.flags.writeable
+        assert np.array_equal(row, full)      # at a = 0 the row is the table
         for N in range(MAX_TABLE + 1):
-            for table in (bernoulli._table_cached(key, N), bernoulli_numbers(w, N)):
-                assert bits(table.numbers) == bits(full.numbers[:N + 1])
-                assert bits(table.scaled) == bits(full.scaled[:N + 1])
+            assert bernoulli._table_cached(key, N).tobytes() == full[:N + 1].tobytes()
+            assert bernoulli_taylor(0.0, w, N).tobytes() == row[:N + 1].tobytes()
         bernoulli._table_cached.cache_clear()
 
     @pytest.mark.parametrize("kind", W)
     @pytest.mark.parametrize("d", range(1, 7))
     def test_taylor_at_zero_is_the_table(self, d, kind):
         # At a = 0 the row comes back without the convolution with
-        # e^(az) = 1, and must equal what that convolution gives.
+        # e^(az) = 1, and must be what that convolution gives: a fixed point
+        # of it, bit for bit, so no -0.0 the convolution would turn to 0.0.
         w = self.W[kind][:d]
         for N in (0, 1, 7, 66, 90):
-            scaled = bernoulli_numbers(w, N).scaled
-            convolved = np.convolve(0.0 ** np.arange(N + 1) / bernoulli._unit_series(N)[1],
-                                    scaled)[:N + 1]
             got = bernoulli_taylor(0.0, w, N)
+            convolved = np.convolve(np.eye(1, N + 1)[0], got)[:N + 1]
             assert got.dtype == convolved.dtype and got.tobytes() == convolved.tobytes()
 
 
 class TestTableAgainstMpmath:
-    """Every entry of a 64-term table against the same Cauchy product at 50
-    digits, bounded by 1e-14 of the summed term sizes: the product of the d
-    series of |B_n w_i^n/n!|."""
+    """Every entry of a 64-term table of B_n(w)/n! against the same Cauchy
+    product at 50 digits, bounded by 1e-14 of the summed term sizes: the
+    product of the d series of |B_n w_i^n/n!|."""
 
     W = {"real": (1.0, 2 ** 0.5, math.pi / 4, 2.7), "complex": (1.0 + 0.3j, 1.9 - 0.4j, 0.6, 2.2 + 1j)}
 
@@ -251,17 +274,15 @@ class TestTableAgainstMpmath:
     def test_entries(self, kind, d):
         mpmath = pytest.importorskip("mpmath")
         N, w = 64, self.W[kind][:d]
-        table = bernoulli_numbers(w, N)
+        table = bernoulli_taylor(0.0, w, N)
         with mpmath.workdps(50):
             unit = [mpmath.bernoulli(n) / mpmath.factorial(n) for n in range(N + 1)]
             series = [[unit[n] * mpmath.mpc(wi) ** n for n in range(N + 1)] for wi in w]
             want = self._cauchy(mpmath, series, N)
             size = self._cauchy(mpmath, [[abs(c) for c in s] for s in series], N)
             for n in range(N + 1):
-                bound = 1e-14 * size[n]
-                assert abs(table.scaled[n] - want[n]) <= bound, n
-                assert abs(table.numbers[n] - want[n] * mpmath.factorial(n)) <= bound * mpmath.factorial(n), n
-        assert all(isinstance(x, float if kind == "real" else complex) for x in table.numbers)
+                assert abs(table[n] - want[n]) <= 1e-14 * size[n], n
+        assert table.dtype == (np.float64 if kind == "real" else np.complex128)
 
 
 class TestPoleTerm:
@@ -302,9 +323,9 @@ class TestPoleTerm:
         mpmath = pytest.importorskip("mpmath")
         a, w = self.CASES[name]
         d = len(w)
-        dS = ds_values(w, d + 1)
+        bw = bernoulli_taylor_over_prod(w, d)
         for q in range(d + 1):
-            got = pole_term(q, a, pole_coeffs(q, d, dS), log=log)
+            got = pole_term(q, a, pole_coeffs(q, d, bw), log=log)
             want = self._mp_term(mpmath, q, a, w, log)
             assert abs(got.value - want) <= 1e-14 * got.mass, (q, got.value, want)
             assert got.mass * (1 + 1e-14) >= abs(want)
@@ -315,9 +336,9 @@ class TestPoleTerm:
         # and 0 for the derivative at zero.
         _, w = self.CASES[name]
         d = len(w)
-        dS = ds_values(w, d + 1)
-        assert pole_term(0, 0.0, pole_coeffs(0, d, dS)).value == 0
+        bw = bernoulli_taylor_over_prod(w, d)
+        assert pole_term(0, 0.0, pole_coeffs(0, d, bw)).value == 0
         for q in range(1, d + 1):
             want = -harmonic_float(q - 1) * residue(q, w)
-            got = pole_term(q, 0.0, pole_coeffs(q, d, dS)).value
+            got = pole_term(q, 0.0, pole_coeffs(q, d, bw)).value
             assert abs(got - want) <= 1e-15 * (1 + abs(want)), q

@@ -93,6 +93,28 @@ class TestEval:
         assert code == 3
         assert message in err and "Warning" not in err and out == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--alpha=-60", "--a", "100000", "--w", "1,1", "--method", "series"],
+         "closed term"),
+        (["eval", "--alpha=-150", "--a", "0.7", "--w", "1,50", "--method", "reduction"],
+         "reduction"),
+        *[([cmd, *at, "--a", "1e200", "--w", w, "--method", method], "closed term")
+          for cmd, at, w in (("deriv0", [], "1,1"), ("fp", ["--q", "1"], "1,1,1"))
+          for method in ("series", "integral", "limit")],
+    ])
+    def test_overflow_is_convergence_error(self, run, argv, message):
+        # At alpha = -60 the series' closed term a^(d - alpha - m) at a = 1e5
+        # is past the largest double, and so is the reduction's value at
+        # alpha = -150 on w = (1, 50); the closed term a^(d - q - m) of the
+        # derivative at zero and of the finite parts, which every route of
+        # theirs shares, is past it at a = 1e200 once d - q >= 2.  All exit 3,
+        # without a traceback or a warning; a closed term raises before its
+        # route sums over the lattice.
+        code, out, err = run(argv)
+        assert code == 3
+        assert message in err and "Traceback" not in err and out == ""
+
     def test_limit_without_rung_is_convergence_error(self, run):
         # from d = 11 on no M of the limit schedule has a cube that fits
         code, out, err = run(["deriv0", "--a", "1", "--w", ",".join(["1"] * 11),

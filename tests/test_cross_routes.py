@@ -181,3 +181,55 @@ class TestShiftRelation:
         points = {"zeta": [0.5, 2.5 + 1j, -1.5], "fp": range(1, len(w) + 1), "deriv0": [None]}
         for at in points[quantity]:
             assert_shift_relation(quantity, 0.7, w, at, route)
+
+
+def assert_permutation_symmetric(quantity, params, reordered, at, route):
+    """The lattice does not depend on the order of its weights: `route` on
+    params and on reordered agrees within both estimates plus 8 ulp of
+    (1 + |v|), or both sides raise a BarnesZetaError."""
+    outcomes = []
+    for p in (params, reordered):
+        try:
+            outcomes.append(evaluate(quantity, p, at, route))
+        except BarnesZetaError as exc:
+            outcomes.append(exc)
+    first, second = outcomes
+    raised = [isinstance(r, BarnesZetaError) for r in outcomes]
+    assert raised[0] == raised[1], (quantity, at, route, first, second)
+    if raised[0]:
+        return
+    err = abs(first.value - second.value)
+    bound = (first.abs_error_estimate + second.abs_error_estimate
+             + 8 * 2.0 ** -52 * (1.0 + abs(first.value)))
+    assert err <= bound, (quantity, at, route, err, bound)
+
+
+# Weights of the permutation oracle, each against its reverse.
+PERMUTED_WEIGHTS = {"d3": (1.0, 1.3, 1.7), "d4": (1.0, 1.3, 1.7, 2.1),
+                    "c3": (1.0, 1.2 + 0.2j, 1.3 - 0.1j)}
+
+
+def _permutation_cases():
+    for quantity, routes in ROUTES.items():
+        for route in routes:
+            for name, w in PERMUTED_WEIGHTS.items():
+                for form in ("inhomogeneous", "homogeneous"):
+                    yield pytest.param(quantity, w, route, form,
+                                       id=f"{route}-{name}-{quantity}-{form}")
+
+
+class TestPermutationSymmetry:
+    """zeta(alpha, a | w) = zeta(alpha, a | reversed(w)), in both forms: every
+    route of every quantity against itself on the reversed weights, which
+    read the same Bernoulli table under a different product order."""
+
+    @pytest.mark.parametrize("quantity, w, route, form", _permutation_cases())
+    def test_reversed_weights(self, quantity, w, route, form):
+        reordered = tuple(reversed(w))
+        if form == "inhomogeneous":
+            params, reordered = BarnesParams(0.7, w), BarnesParams(0.7, reordered)
+        else:
+            params = w
+        points = {"zeta": [0.5, 2.5 + 1j, -1.5], "fp": range(1, len(w) + 1), "deriv0": [None]}
+        for at in points[quantity]:
+            assert_permutation_symmetric(quantity, params, reordered, at, route)

@@ -27,7 +27,7 @@ from barneszeta.integral_rep import (
 )
 from barneszeta.oracles import hurwitz_zeta
 from barneszeta import integral_rep
-from barneszeta.bernoulli import bernoulli_poly
+from barneszeta.bernoulli import bernoulli_taylor
 from barneszeta.integral_rep import _homog_bracket, _inhom_bracket, _reciprocal_gamma
 from barneszeta.series_rep import deriv0_series
 
@@ -406,8 +406,8 @@ class TestResidues:
         d = len(w)
         for q in range(1, d + 1):
             pw = w[0] * w[1] * w[2]
-            want = ((-1.0) ** (d - q) * bernoulli_poly(d - q, 0.0, w)
-                    / (math.factorial(q - 1) * math.factorial(d - q) * pw))
+            want = ((-1.0) ** (d - q) * complex(bernoulli_taylor(0.0, w, d - q)[d - q])
+                    / (math.factorial(q - 1) * pw))
             assert residue(q, w) == want
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from barneszeta import BarnesParams, ConvergenceError
 from barneszeta import limit_rep
-from barneszeta.bernoulli import ds_values, pole_coeffs
+from barneszeta.bernoulli import bernoulli_taylor_over_prod, pole_coeffs
 from barneszeta.integral_rep import deriv0_integral, fp_integral
 from barneszeta.limit_rep import deriv0_limit, fp_limit
 from barneszeta.oracles import log_gamma_ref
@@ -81,12 +81,12 @@ class TestDiagnostics:
 
     def test_edge_size_counts_every_subset_term(self, d2_params):
         # the largest term of F[t^2 log t] at x = M*w is the full subset,
-        # t = a + M*(w1 + w2), with weight dS_0/2!
+        # t = a + M*(w1 + w2), with weight b_0/2!, b_0 = B_0(w)/prod(w)
         p, M = d2_params, 256
-        dS = ds_values(p.w, 3)
-        value, size = limit_rep._edge(0, p.a, p.w, M, pole_coeffs(0, 2, dS), None)
+        bw = bernoulli_taylor_over_prod(p.w, 2)
+        value, size = limit_rep._edge(0, p.a, p.w, M, pole_coeffs(0, 2, bw), None)
         t = p.a + M * sum(p.w)
-        assert size >= abs(dS[0] / 2 * t**2 * cmath.log(t)) > abs(value)
+        assert size >= abs(bw[0] / 2 * t**2 * cmath.log(t)) > abs(value)
 
     @pytest.mark.parametrize("w", [(1.0, 2**0.5), (1.0, 2**0.5, math.pi / 4)])
     def test_homogeneous_symbols_once_per_call(self, w, monkeypatch):

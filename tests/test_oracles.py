@@ -178,6 +178,13 @@ class TestReductions:
         direct = direct_sum(alpha, BarnesParams(a, (1.0, 1.0, 1.0)), config=EvalConfig(rel_tol=1e-12)).value
         assert rel_err(iso, direct) <= 1e-11
 
+    @pytest.mark.parametrize("params", [BarnesParams(0.7, (1.0, 50.0)), (1.0, 50.0)])
+    def test_value_past_a_double_is_convergence_error(self, params):
+        # At alpha = -150 the Hurwitz combination on w = (1, 50) overflows to
+        # inf in both forms; the route raises instead of returning it.
+        with pytest.raises(ConvergenceError, match="inf"):
+            oracles.reduction(-150, params)
+
 
 class TestLogGammaReps:
     def test_at_one_all_near_zero(self):
