@@ -19,7 +19,6 @@ from .foundations import (
     PoleError, QuadratureError,
 )
 from .integral_rep import residue
-from .oracles import direct_sum, isotropic_reduction, rational_d2_reduction
 from .barnes_functions import (
     ROUTES, evaluate, gamma_dq, log_gamma_B, log_rho, multiple_gamma, psi_B,
 )
@@ -31,5 +30,4 @@ __all__ = [
     "residue",
     "BarnesParams", "EvalConfig", "EvalResult",
     "BarnesZetaError", "ConvergenceError", "DomainError", "PoleError", "QuadratureError",
-    "direct_sum", "isotropic_reduction", "rational_d2_reduction",
 ]

@@ -41,6 +41,7 @@ from .series_rep import deriv0_series, fp_series, zeta_series
 
 
 _ULP8 = 8 * 2.0 ** -52     # rounding slack of the best-route agreement test
+_EST_CAP = 1e-3            # evaluate returns no estimate past _EST_CAP * (1 + |value|)
 
 
 # Every route of every quantity: ROUTES[quantity][route].  A route takes
@@ -71,8 +72,11 @@ def evaluate(quantity: str, params, at=None, method: str = "best",
     diagnostics add `cross_check_delta` = |series - integral| and
     `best_route`.  If the two values differ by more than the sum of their
     estimates plus 8 ulp of (1 + |value|), at least one estimate is
-    dishonest and ConvergenceError is raised with both values.  A
-    combination that is not in the registry raises DomainError.
+    dishonest and ConvergenceError is raised with both values.  A result
+    whose estimate exceeds _EST_CAP * (1 + |value|) raises ConvergenceError;
+    "best" skips a route past that cap and returns the other one, not
+    cross-checked (`cross_check_delta` None, `skipped_route` the skipped
+    key).  A combination that is not in the registry raises DomainError.
     """
     cfg = config or DEFAULT_CONFIG
     if quantity not in ROUTES:
@@ -83,22 +87,35 @@ def evaluate(quantity: str, params, at=None, method: str = "best",
     args = (params,) if at is None else (at, params)
     if method == "best":
         runs = {name: routes[name](*args, config=cfg) for name in ("series", "integral")}
-        name = min(runs, key=lambda r: runs[r].abs_error_estimate)
+        capped = [r for r, res in runs.items() if _past_cap(res)]
+        name = min(runs, key=lambda r: (r in capped, runs[r].abs_error_estimate))
         best = runs[name]
         delta = abs(runs["series"].value - runs["integral"].value)
         diag = {**best.diagnostics, "cross_check_delta": delta, "best_route": name}
         claimed = sum(r.abs_error_estimate for r in runs.values())
-        if delta > claimed + _ULP8 * (1.0 + abs(best.value)):
+        if len(capped) == 1:
+            diag.update(cross_check_delta=None, skipped_route=capped[0])
+        elif delta > claimed + _ULP8 * (1.0 + abs(best.value)):
             for r, res in runs.items():
                 diag[r] = {"value": [res.value.real, res.value.imag],
                            "abs_error_estimate": res.abs_error_estimate}
             raise ConvergenceError(f"{quantity}: series and integral routes differ by "
                                    f"{delta:.3e}, beyond their estimates ({claimed:.3e})", diag)
-        return EvalResult(best.value, best.abs_error_estimate, best.method, diag)
-    if method not in routes:
+        result = EvalResult(best.value, best.abs_error_estimate, best.method, diag)
+    elif method not in routes:
         raise DomainError(f"{quantity} has no route {method!r}; expected one of "
                           f"{[*routes, 'best']}")
-    return routes[method](*args, config=cfg)
+    else:
+        result = routes[method](*args, config=cfg)
+    if _past_cap(result):
+        raise ConvergenceError(f"{quantity} by {result.method}: error estimate "
+                               f"{result.abs_error_estimate:.3e} is past the cap "
+                               f"{_EST_CAP:g} * (1 + |value|)", result.diagnostics)
+    return result
+
+
+def _past_cap(res: EvalResult) -> bool:
+    return not res.abs_error_estimate <= _EST_CAP * (1.0 + abs(res.value))
 
 
 def _of_form(params, homogeneous: bool, name: str):

@@ -69,7 +69,7 @@ _K_TARGET = 13
 _GROWTH_CAP_DIGITS = 8.0
 
 # Shells whose corner sums C(j) come from one ladder call.
-_CORNER_BLOCK = 8
+_CORNER_BLOCK = 16
 
 
 def _k_growth_limit(y_min: float) -> int:

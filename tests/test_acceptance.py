@@ -10,12 +10,12 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from barneszeta import BarnesParams, EvalConfig, gamma_dq, rational_d2_reduction, residue
+from barneszeta import BarnesParams, EvalConfig, gamma_dq, residue
 from barneszeta.bernoulli import bernoulli_taylor
 from barneszeta.foundations import harmonic
 from barneszeta.integral_rep import deriv0_integral, fp_integral, zeta_integral
 from barneszeta.limit_rep import deriv0_limit, fp_limit
-from barneszeta.oracles import hurwitz_zeta, log_gamma_ref
+from barneszeta.oracles import hurwitz_zeta, log_gamma_ref, rational_d2_reduction
 from barneszeta.series_rep import deriv0_series, fp_series, zeta_series
 
 from conftest import neville_to_zero, rel_err, scaled_err

@@ -17,7 +17,7 @@ from barneszeta import (
     psi_B,
     residue,
 )
-from barneszeta.barnes_functions import ROUTES, evaluate
+from barneszeta.barnes_functions import _EST_CAP, ROUTES, evaluate
 from barneszeta.foundations import harmonic
 from barneszeta.oracles import hurwitz_zeta, hurwitz_zeta_ds, log_gamma_ref
 from barneszeta.series_rep import fp_series, zeta_series
@@ -304,6 +304,42 @@ class TestEvaluate:
         assert set(diag["series"]) == {"value", "abs_error_estimate"}
         want = complex(*diag["series"]["value"]) - complex(*diag["integral"]["value"])
         assert diag["cross_check_delta"] == pytest.approx(abs(want))
+
+    # Stub routes whose values differ by just more or just less than the
+    # sum of their estimates plus 8 ulp of (1 + |value|); the series, with
+    # the smaller estimate, is returned at value 0, so the slack is 8 ulp.
+    @pytest.mark.parametrize("side", [1 + 1e-9, 1 - 1e-9], ids=["above", "below"])
+    def test_best_agreement_slack(self, d2_params, monkeypatch, side):
+        est_s, est_i = 1e-13, 2e-13
+        delta = side * (est_s + est_i + 8 * 2.0 ** -52)
+
+        def stub(value, est, name):
+            return lambda alpha, p, config=None: EvalResult(value, est, name, {})
+
+        monkeypatch.setitem(ROUTES["zeta"], "series", stub(0j, est_s, "series"))
+        monkeypatch.setitem(ROUTES["zeta"], "integral", stub(complex(delta), est_i, "integral"))
+        if side > 1:
+            with pytest.raises(ConvergenceError, match="routes differ"):
+                evaluate("zeta", d2_params, 0.5)
+        else:
+            res = evaluate("zeta", d2_params, 0.5)
+            assert res.value == 0 and res.diagnostics["cross_check_delta"] == delta
+
+    def test_best_skips_a_partner_past_the_cap(self):
+        # On w = s (1, 8) the series stops on its noise floor, with an
+        # estimate past the cap: "best" returns the integral route and says
+        # that it was not cross-checked, and the series alone raises.
+        p = BarnesParams(0.591179185, (1.8203125, 8 * 1.8203125))
+        series, integral = (ROUTES["fp"][r](1, p) for r in ("series", "integral"))
+        assert series.abs_error_estimate > _EST_CAP * (1.0 + abs(series.value))
+        best = evaluate("fp", p, 1)
+        assert (best.value, best.abs_error_estimate) == (integral.value,
+                                                         integral.abs_error_estimate)
+        assert best.method == best.diagnostics["best_route"] == "integral"
+        assert best.diagnostics["skipped_route"] == "series"
+        assert best.diagnostics["cross_check_delta"] is None
+        with pytest.raises(ConvergenceError, match="past the cap"):
+            evaluate("fp", p, 1, "series")
 
     @pytest.mark.parametrize("params", ["d2_params", "d3_params"])
     def test_best_returns_the_integral_value(self, params, request):

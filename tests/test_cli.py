@@ -115,6 +115,25 @@ class TestEval:
         assert code == 3
         assert message in err and "Traceback" not in err and out == ""
 
+    # Each route returns a value whose own estimate is past the cap of
+    # 1e-3 (1 + |value|): the series at 2.5 on w = (1, 50) (1476 for a true
+    # 2.9078), at strongly negative alpha and at 0.5+100i, and the line
+    # integral at 0.5+40i, where "best" has no route left within the cap.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha, a, w, method", [
+        ("2.5", "0.7", "1,50", "series"),
+        ("-20.5", "1", "1,1", "series"),
+        ("-150.5", "1", "1,1", "series"),
+        ("0.5,100", "1", "1,1", "series"),
+        ("0.5,40", "1", "1,1", "integral"),
+        ("0.5,40", "1", "1,1", "best"),
+    ])
+    def test_estimate_past_the_cap_is_convergence_error(self, run, alpha, a, w, method):
+        code, out, err = run(["eval", f"--alpha={alpha}", "--a", a, "--w", w,
+                              "--method", method])
+        assert code == 3
+        assert "past the cap" in err and "Traceback" not in err and out == ""
+
     def test_limit_without_rung_is_convergence_error(self, run):
         # from d = 11 on no M of the limit schedule has a cube that fits
         code, out, err = run(["deriv0", "--a", "1", "--w", ",".join(["1"] * 11),

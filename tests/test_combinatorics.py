@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barneszeta import BarnesParams, DomainError, direct_sum
+from barneszeta import BarnesParams, DomainError
 from barneszeta import combinatorics
 from barneszeta.combinatorics import (
     CompensatedSum,
@@ -13,6 +13,7 @@ from barneszeta.combinatorics import (
     neville_diagonal,
     shell_values,
 )
+from barneszeta.oracles import direct_sum
 
 from references import (
     BudgetError,

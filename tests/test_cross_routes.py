@@ -11,10 +11,10 @@ from barneszeta import (
     BarnesParams,
     BarnesZetaError,
     evaluate,
-    isotropic_reduction,
 )
 from barneszeta.integral_rep import deriv0_integral, fp_integral, zeta_integral
 from barneszeta.limit_rep import fp_limit
+from barneszeta.oracles import isotropic_reduction
 from barneszeta.series_rep import deriv0_series, fp_series, zeta_series
 
 from conftest import rel_err, scaled_err
@@ -77,6 +77,16 @@ class TestFourDimensions:
         want = (EULER_GAMMA + 3 * ZETA2 + 2 * ZETA3) / 6
         res = fp_limit(4, self.P4)
         assert abs(res.value - want) <= 1e-4
+
+    def test_series_finite_part_within_its_estimate(self):
+        # On the homogeneous w = (1, 3, 1, 7) the series is off from the line
+        # integral by 0.95 of its own estimate (15 shells, default k), so an
+        # estimate half as large would not cover its error.
+        w = (1.0, 3.0, 1.0, 7.0)
+        s, i = fp_series(3, w), fp_integral(3, w)
+        bound = (s.abs_error_estimate + i.abs_error_estimate
+                 + 8 * 2.0 ** -52 * (1.0 + abs(i.value)))
+        assert abs(s.value - i.value) <= bound
 
 
 # Weights of the piece-sum oracle: D2's, D3's, d = 4, d = 5 and two complex sets.

@@ -9,13 +9,17 @@ from barneszeta import (
     DomainError,
     EvalConfig,
     PoleError,
-    direct_sum,
-    isotropic_reduction,
-    rational_d2_reduction,
 )
 from barneszeta import combinatorics, oracles
 from barneszeta.combinatorics import CompensatedSum, shell_values
-from barneszeta.oracles import hurwitz_zeta, hurwitz_zeta_ds, log_gamma_ref
+from barneszeta.oracles import (
+    direct_sum,
+    hurwitz_zeta,
+    hurwitz_zeta_ds,
+    isotropic_reduction,
+    log_gamma_ref,
+    rational_d2_reduction,
+)
 
 from conftest import rel_err
 from references import digamma_ref, log_gamma_rep_checks
