@@ -29,6 +29,7 @@ from .foundations import (
     ConvergenceError,
     DEFAULT_CONFIG,
     DomainError,
+    EPS,
     EvalConfig,
     EvalResult,
     harmonic_float,
@@ -40,17 +41,17 @@ from .oracles import direct_sum, reduction
 from .series_rep import deriv0_series, fp_series, zeta_series
 
 
-_ULP8 = 8 * 2.0 ** -52     # rounding slack of the best-route agreement test
+_ULP8 = 8 * EPS            # rounding slack of the best-route agreement test
 _EST_CAP = 1e-3            # evaluate returns no estimate past _EST_CAP * (1 + |value|)
 
 
 # Every route of every quantity: ROUTES[quantity][route].  A route takes
 # (alpha, params) for "zeta", (q, params) for "fp" and (params,) for
 # "deriv0", where params is a BarnesParams, or the weights for the
-# homogeneous function (a = 0, origin excluded), and then only keywords:
-# `config=`, and any knob of its own (the series shift k, the integral's
-# subtraction order M and, for the homogeneous function, its regulator c),
-# which `evaluate` never passes.  Every route serves both forms.
+# homogeneous function (a = 0, origin excluded), and then only the keyword
+# `config=`; it chooses its own representation parameters (the series
+# shift k, the integral's subtraction order M and regulator c).  Every
+# route serves both forms.
 ROUTES = {
     "zeta": {"series": zeta_series, "integral": zeta_integral, "direct": direct_sum,
              "reduction": reduction},
@@ -76,7 +77,8 @@ def evaluate(quantity: str, params, at=None, method: str = "best",
     whose estimate exceeds _EST_CAP * (1 + |value|) raises ConvergenceError;
     "best" skips a route past that cap and returns the other one, not
     cross-checked (`cross_check_delta` None, `skipped_route` the skipped
-    key).  A combination that is not in the registry raises DomainError.
+    key), and with both past it raises with both values and estimates.  A
+    combination that is not in the registry raises DomainError.
     """
     cfg = config or DEFAULT_CONFIG
     if quantity not in ROUTES:
@@ -95,12 +97,15 @@ def evaluate(quantity: str, params, at=None, method: str = "best",
         claimed = sum(r.abs_error_estimate for r in runs.values())
         if len(capped) == 1:
             diag.update(cross_check_delta=None, skipped_route=capped[0])
-        elif delta > claimed + _ULP8 * (1.0 + abs(best.value)):
+        elif capped or delta > claimed + _ULP8 * (1.0 + abs(best.value)):
             for r, res in runs.items():
                 diag[r] = {"value": [res.value.real, res.value.imag],
                            "abs_error_estimate": res.abs_error_estimate}
-            raise ConvergenceError(f"{quantity}: series and integral routes differ by "
-                                   f"{delta:.3e}, beyond their estimates ({claimed:.3e})", diag)
+            why = (f"are both past the cap {_EST_CAP:g} * (1 + |value|): " + ", ".join(
+                f"{r} {res.value:.6g} with error estimate {res.abs_error_estimate:.3e}"
+                for r, res in runs.items()) if capped else
+                f"differ by {delta:.3e}, beyond their estimates ({claimed:.3e})")
+            raise ConvergenceError(f"{quantity}: series and integral routes {why}", diag)
         result = EvalResult(best.value, best.abs_error_estimate, best.method, diag)
     elif method not in routes:
         raise DomainError(f"{quantity} has no route {method!r}; expected one of "

@@ -21,6 +21,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+EPS = 2.0 ** -52    # the rounding unit of every estimate: a double's machine epsilon
+
 
 class BarnesZetaError(Exception):
     """Base class for every error raised by this package."""

@@ -45,6 +45,7 @@ from .combinatorics import CompensatedSum, subset_table
 from .foundations import (
     ConvergenceError,
     DomainError,
+    EPS,
     EvalConfig,
     EvalResult,
     QuadratureError,
@@ -61,6 +62,8 @@ _SERIES_EXTRA = 60          # tail-series terms kept in the small-t branch
 _SMALL_T_FRACTION = 0.35    # threshold t0 as a fraction of the expansion radius
 _HALF_PI = 0.5 * math.pi
 _QUAD_REL_TOL = 1e-12       # tolerance of every route's exp-sinh rule
+_M_MARGIN = 2               # zeta_integral's M above the least order that converges
+_REGULATOR = 1.0 + 0j       # c of the homogeneous e^(-ct); the pole forms' closed part takes c = 1
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +72,7 @@ _QUAD_REL_TOL = 1e-12       # tolerance of every route's exp-sinh rule
 _H0 = 0.5          # step of the first level in x
 _LEVELS = 8        # levels h0, h0/2, ..., h0/2^7 before QuadratureError
 _FIRST_LEVELS = 5  # levels evaluated together in the first integrand call
-_EPS = 2.0 ** -52
-_NOISE = 32 * _EPS         # rounding floor per unit of summed |w_k f(t_k)|
+_NOISE = 32 * EPS          # rounding floor per unit of summed |w_k f(t_k)|
 
 
 class QuadratureOutcome(NamedTuple):
@@ -118,7 +120,7 @@ def quad_semiinfinite(integrand: Callable[[np.ndarray], np.ndarray], small_t_ord
     for _ in range(4):
         t_max = (target + poly_growth * math.log(max(t_max, 2.0))) / lam
     s1 = small_t_order + 1.0
-    x_lo = math.asinh(math.log(_EPS * rel_tol) / (s1 * _HALF_PI))
+    x_lo = math.asinh(math.log(EPS * rel_tol) / (s1 * _HALF_PI))
     x_hi = math.asinh(math.log(lam * t_max) / _HALF_PI)
     n = math.ceil((x_hi - x_lo) / _H0)
     step = h = (x_hi - x_lo) / n
@@ -241,13 +243,13 @@ def _exp_row(c: complex, start: int, count: int) -> np.ndarray:
     return row
 
 
-def _homog_bracket(w: tuple[complex, ...], M: int, c: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """Regularized homogeneous integrand bracket; O(t^{M+1-d}) at the origin.
+def _homog_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Regularized homogeneous bracket at c = _REGULATOR; O(t^{M+1-d}) at the origin.
 
         1/prod(1-e^{-w t}) - 1 - t^{-d}e^{-ct}/prod(w) * [first M+1 terms]
         + e^{-ct} * sum_{k=0}^{M-d} (ct)^k/k!
     """
-    w, c = tuple(map(narrow, w)), narrow(c)
+    w, c = tuple(map(narrow, w)), narrow(_REGULATOR)
     d = len(w)
     pw = math.prod(w)
     coeffs = _alternating_bernoulli_coeffs(w, -c, M + _SERIES_EXTRA)
@@ -301,14 +303,14 @@ def _reciprocal_gamma(alpha: complex) -> complex:
         raise DomainError(f"1/Gamma(alpha) overflows a double at alpha = {alpha}") from None
 
 
-def _line_integral(a: complex, w: tuple[complex, ...], homog: bool, alpha: complex, M: int,
-                   c: complex) -> QuadratureOutcome:
+def _line_integral(a: complex, w: tuple[complex, ...], homog: bool, alpha: complex,
+                   M: int) -> QuadratureOutcome:
     """The line integral of t^(alpha-1) times the bracket of subtraction
-    order M, with e^(-at) when inhomogeneous and the regulator c when
-    homogeneous, by the exp-sinh rule at the fixed _QUAD_REL_TOL."""
+    order M, with e^(-at) when inhomogeneous and the regulator _REGULATOR
+    when homogeneous, by the exp-sinh rule at the fixed _QUAD_REL_TOL."""
     d = len(w)
     if homog:
-        bracket, decay = _homog_bracket(w, M, c), min(min(wi.real for wi in w), c.real)
+        bracket, decay = _homog_bracket(w, M), min(min(wi.real for wi in w), _REGULATOR.real)
     else:
         bracket, decay = _inhom_bracket(w, M), a.real
     a, expo = narrow(a), narrow(alpha - 1)
@@ -321,18 +323,17 @@ def _line_integral(a: complex, w: tuple[complex, ...], homog: bool, alpha: compl
                              max(0.0, alpha.real - 1.0) + M)
 
 
-def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None,
-                  M: int | None = None, c: complex | None = None) -> EvalResult:
+def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
     """Analytic continuation of the lattice zeta by prefactor + line integral.
 
-    Valid for Re(alpha) > d - M - 1 under Re(a) > 0, Re(w_i) > 0, where the
-    subtraction order M (M >= 0) defaults to two above the least such.  At
+    Valid for Re(alpha) > d - M - 1 under Re(a) > 0, Re(w_i) > 0, at the
+    subtraction order M that is _M_MARGIN above the least such M >= 0.  At
     non-positive integer alpha the integral term carries the factor
     1/Gamma(alpha) = 0 and the prefactor alone gives the (regular) value.
-    The homogeneous function takes the regulator e^{ct} (any Re(c) > 0,
-    default c = 1), which makes the origin subtraction possible with a = 0;
-    its value is independent of c.  `config` does not move the quadrature's
-    tolerance.  Both forms share one prefactor,
+    The homogeneous function takes the regulator e^{ct}, c = _REGULATOR, which
+    makes the origin subtraction possible with a = 0; its value is independent
+    of c.  `config` does not move the quadrature's tolerance.  Both forms share
+    one prefactor,
 
         sum_k (-1)^k B_k(s|w)/k! Gamma(alpha-d+k)/Gamma(alpha) b^(d-k-alpha)/prod(w),
 
@@ -341,24 +342,15 @@ def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None,
     that overflows a double raises ConvergenceError.
     """
     a, w, homog = lattice(params)
-    if M is not None and M < 0:
-        raise DomainError("subtraction order M must be >= 0")
-    if c is not None and not homog:
-        raise DomainError("the regulator c applies to the homogeneous function")
-    c = complex(1.0 if c is None else c)
-    if not c.real > 0:
-        raise DomainError("regulator constant must have Re(c) > 0")
+    c = _REGULATOR
     alpha = complex(alpha)
     d = len(w)
     check_pole(alpha, d, homog)
-    if M is None:
-        M = max(0, math.ceil(d - alpha.real - 1)) + 2
-    if not alpha.real > d - M - 1:
-        raise DomainError(f"need Re(alpha) > d - M - 1 = {d - M - 1}; increase M")
+    M = max(0, math.ceil(d - alpha.real - 1)) + _M_MARGIN
     # The line integral runs first: its Bernoulli table is the larger, so a
     # capped table raises before the prefactor is summed.
     rg = _reciprocal_gamma(alpha)
-    integral, err, evals = _line_integral(a, w, homog, alpha, M, c) if rg else (0j, 0.0, 0)
+    integral, err, evals = _line_integral(a, w, homog, alpha, M) if rg else (0j, 0.0, 0)
     base, shift = (c, -c) if homog else (a, 0.0)
     taylor = bernoulli_taylor(shift, w, M)
     pw = math.prod(w)
@@ -376,9 +368,9 @@ def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None,
         raise ConvergenceError(f"the prefactor at alpha = {alpha} overflows a double")
     diag = {"M": M, "c": [c.real, c.imag]} if homog else {"M": M}
     if rg == 0:
-        return EvalResult(pref.value, _EPS * pref.mass, "integral",
+        return EvalResult(pref.value, EPS * pref.mass, "integral",
                           {**diag, "quad_evals": 0, "integral_skipped": True})
-    return EvalResult(pref.value + rg * integral, abs(rg) * err + _EPS * pref.mass,
+    return EvalResult(pref.value + rg * integral, abs(rg) * err + EPS * pref.mass,
                       "integral", {**diag, "quad_evals": evals})
 
 
@@ -388,8 +380,8 @@ def _pole_integral(q: int, a: complex, w: tuple[complex, ...], homog: bool) -> E
     t^(q-1) times the bracket of subtraction order M = d - q (and e^(-at)
     when inhomogeneous).  At q = 0, 1/Gamma(alpha) = alpha + O(alpha^2), so
     the integral term contributes its own value at zero, the t^(-1)-weighted
-    line integral, and 1/(q-1)! -> 1.  The homogeneous form, with the c = 1
-    regulator, adds the regulator's part (-1)^(q+j+1) c_j/(d-q-j), j < d-q."""
+    line integral, and 1/(q-1)! -> 1.  The homogeneous form, with the
+    regulator _REGULATOR = 1, adds its part (-1)^(q+j+1) c_j/(d-q-j), j < d-q."""
     d = len(w)
     M = d - q
     row = pole_coeffs(q, d, bernoulli_taylor_over_prod(w, M))
@@ -397,9 +389,9 @@ def _pole_integral(q: int, a: complex, w: tuple[complex, ...], homog: bool) -> E
     if homog:
         for j, c in enumerate(row[:-1]):
             closed.add((-1.0) ** (q + j + 1) * c / (M - j))
-    integral, err, evals = _line_integral(a, w, homog, complex(q), M, 1.0 + 0j)
+    integral, err, evals = _line_integral(a, w, homog, complex(q), M)
     rg = 1.0 / factorial(q - 1) if q else 1.0
-    return EvalResult(closed.value + rg * integral, rg * err + _EPS * closed.mass,
+    return EvalResult(closed.value + rg * integral, rg * err + EPS * closed.mass,
                       "integral", {"M": M, "quad_evals": evals})
 
 

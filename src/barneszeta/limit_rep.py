@@ -41,6 +41,7 @@ from .combinatorics import CompensatedSum, f_symbol_sum, neville_diagonal, shell
 from .foundations import (
     ConvergenceError,
     DEFAULT_CONFIG,
+    EPS,
     EvalConfig,
     EvalResult,
     check_order,
@@ -172,7 +173,7 @@ def _run_limit(rungs: Sequence[tuple[int, complex, float]], const: complex, rel_
     tableau, lebesgue = neville_diagonal(Ms[::-1], approx[::-1])
     value = tableau[-1]
     gaps = [abs(tableau[j] - tableau[j - 1]) for j in range(max(1, len(tableau) - 2), len(tableau))]
-    rounding = float(np.finfo(float).eps) * max(m for _, _, m in rungs) * lebesgue
+    rounding = EPS * max(m for _, _, m in rungs) * lebesgue
     est = max(gaps, default=math.inf) + rounding
     # Raise above 10x a floor of 1e-5 relative for d <= 2, and of 1e-3 from
     # d = 3 on, where the cubes that fit are smaller and the rungs less

@@ -75,11 +75,9 @@ def _euler_maclaurin(s: complex, a: complex, N: int) -> tuple[complex, complex]:
     return zeta.value, dzeta.value
 
 
-def hurwitz_zeta(s: complex, a: complex, *, shift_N: int = _SHIFT_N) -> complex:
-    """Hurwitz zeta by Euler-Maclaurin with a head sum of shift_N terms."""
-    if shift_N < 1:
-        raise DomainError("shift_N must be >= 1")
-    return _euler_maclaurin(s, a, shift_N)[0]
+def hurwitz_zeta(s: complex, a: complex) -> complex:
+    """Hurwitz zeta by Euler-Maclaurin with a head sum of _SHIFT_N terms."""
+    return _euler_maclaurin(s, a, _SHIFT_N)[0]
 
 
 def hurwitz_zeta_ds(s: complex, a: complex) -> complex:

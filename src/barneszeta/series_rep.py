@@ -11,7 +11,8 @@ Gamma-factor ratio Gamma(1-alpha)/Gamma(d-alpha-m+1), kept in its exact
 rational-in-alpha form so no Gamma function is ever evaluated near a pole.
 The shift parameter k controls how many ladder terms are subtracted: the
 summand then decays like |y|^(-Re(alpha)-k-d), and the value of the
-analytic continuation is independent of k.
+analytic continuation is independent of k.  Each route chooses its own k
+(`_auto_k`, `_auto_k_fixed`), always inside the region Re(alpha) > -k.
 
 At the poles alpha = q and at alpha = 0 the removable singularities of the
 ladder are expanded analytically (log-weighted G symbols and harmonic
@@ -47,7 +48,7 @@ from .combinatorics import MAX_POINTS, MAX_SHELLS, CompensatedSum, shell_values,
 from .foundations import (
     ConvergenceError,
     DEFAULT_CONFIG,
-    DomainError,
+    EPS,
     EvalConfig,
     EvalResult,
     check_order,
@@ -57,8 +58,6 @@ from .foundations import (
     lattice,
     narrow_weights,
 )
-
-_EPS = float(np.finfo(np.float64).eps)
 
 # Decay exponent Re(alpha) + k + d targeted by the automatic k choice; at
 # this rate a few tens of shells reach ~1e-12 tails in double precision.
@@ -210,7 +209,7 @@ def _eval_shell(plan: _Plan, y: np.ndarray) -> tuple[complex, float]:
     else:
         total = np.power(y, -base_expo).sum()
     noise = np.power(y, e0.real).sum() if real else np.abs(np.power(y, e0)).sum()
-    return complex(total + plan.const * y.size), _EPS * float(noise)
+    return complex(total + plan.const * y.size), EPS * float(noise)
 
 
 def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: bool,
@@ -288,40 +287,30 @@ def _min_abs_lattice(a0: complex, w: tuple[complex, ...], homog: bool) -> float:
 # function (a = 0, origin excluded from the lattice)
 
 
-def zeta_series(alpha: complex, params, *, config: EvalConfig | None = None,
-                k: int | None = None) -> EvalResult:
-    """Analytic continuation of the lattice zeta by the shifted series.
-
-    Valid for Re(alpha) > -k off the poles alpha = 1..d; the closed term
-    outside the lattice sum carries the whole pole structure.
+def zeta_series(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
+    """Analytic continuation of the lattice zeta by the shifted series, off
+    the poles alpha = 1..d, at the shift k = `_auto_k` > -Re(alpha); the
+    closed term outside the lattice sum carries the whole pole structure.
     """
     a, w, homog = lattice(params)
     alpha = complex(alpha)
     d = len(w)
     check_pole(alpha, d, homog)
-    if k is None:
-        k = _auto_k(alpha.real, d, _min_abs_lattice(a, w, homog))
-    if k <= -d:
-        raise DomainError(f"shift parameter k = {k} must exceed -d = {-d}")
-    if not alpha.real > -k:
-        raise DomainError(f"series representation needs Re(alpha) > -k = {-k}")
+    k = _auto_k(alpha.real, d, _min_abs_lattice(a, w, homog))
     plan, closed = _plan_generic(alpha, a, w, k, homog)
     return _sum_shells(plan, w, config or DEFAULT_CONFIG, homog, closed)
 
 
-def _pole_series(q: int, a0: complex, w: tuple[complex, ...], cfg: EvalConfig, k: int | None,
+def _pole_series(q: int, a0: complex, w: tuple[complex, ...], cfg: EvalConfig,
                  homog: bool) -> EvalResult:
     """The finite part at alpha = q, or the derivative at zero for q = 0: the
-    closed term of `_plan_pole` and the lattice sum."""
-    keff = k if k is not None else _auto_k_fixed(q, len(w), _min_abs_lattice(a0, w, homog))
-    if keff < 1 - q:
-        raise DomainError(f"shift parameter k = {keff} must be >= 1 - q = {1 - q}")
-    plan, closed = _plan_pole(q, a0, w, keff, homog)
+    closed term of `_plan_pole` and the lattice sum, at k = `_auto_k_fixed`."""
+    k = _auto_k_fixed(q, len(w), _min_abs_lattice(a0, w, homog))
+    plan, closed = _plan_pole(q, a0, w, k, homog)
     return _sum_shells(plan, w, cfg, homog, closed)
 
 
-def fp_series(q: int, params, *, config: EvalConfig | None = None,
-              k: int | None = None) -> EvalResult:
+def fp_series(q: int, params, *, config: EvalConfig | None = None) -> EvalResult:
     """Finite part at the pole alpha = q, 1 <= q <= d, in series form.
 
     The ladder terms with m <= d-q are the log-weighted G symbols arising
@@ -331,11 +320,10 @@ def fp_series(q: int, params, *, config: EvalConfig | None = None,
     """
     a, w, homog = lattice(params)
     check_order(q, len(w))
-    return _pole_series(q, a, w, config or DEFAULT_CONFIG, k, homog)
+    return _pole_series(q, a, w, config or DEFAULT_CONFIG, homog)
 
 
-def deriv0_series(params, *, config: EvalConfig | None = None,
-                  k: int | None = None) -> EvalResult:
+def deriv0_series(params, *, config: EvalConfig | None = None) -> EvalResult:
     """alpha-derivative at zero of the lattice zeta, in series form."""
     a, w, homog = lattice(params)
-    return _pole_series(0, a, w, config or DEFAULT_CONFIG, k, homog)
+    return _pole_series(0, a, w, config or DEFAULT_CONFIG, homog)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 
@@ -22,6 +24,37 @@ def neville_to_zero(xs, vals):
             nxt.append((x0 * prev[i + 1] - x1 * prev[i]) / (x0 - x1))
         rows.append(nxt)
     return rows[-1][0]
+
+
+def series_at(monkeypatch, k, route, *args):
+    """route(*args), a series route, at the shift k in place of the one the
+    route chooses, set through the two private functions that choose it."""
+    from barneszeta import series_rep
+
+    with monkeypatch.context() as m:
+        m.setattr(series_rep, "_auto_k", lambda *_: k)
+        m.setattr(series_rep, "_auto_k_fixed", lambda *_: k)
+        res = route(*args)
+    assert res.diagnostics["k"] == k
+    return res
+
+
+def integral_at(monkeypatch, alpha, params, M=None, c=1.0):
+    """zeta_integral(alpha, params) at the subtraction order M (the route's
+    own when None) and the homogeneous regulator c, set through the private
+    constants that choose them: M is _M_MARGIN above the least order."""
+    from barneszeta import BarnesParams, integral_rep
+
+    d, c = len(params.w if isinstance(params, BarnesParams) else params), complex(c)
+    with monkeypatch.context() as m:
+        if M is not None:
+            least = max(0, math.ceil(d - complex(alpha).real - 1))
+            m.setattr(integral_rep, "_M_MARGIN", M - least)
+        m.setattr(integral_rep, "_REGULATOR", c)
+        res = integral_rep.zeta_integral(alpha, params)
+    assert M is None or res.diagnostics["M"] == M
+    assert res.diagnostics.get("c", [c.real, c.imag]) == [c.real, c.imag]
+    return res
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from barneszeta.limit_rep import deriv0_limit, fp_limit
 from barneszeta.oracles import hurwitz_zeta, log_gamma_ref, rational_d2_reduction
 from barneszeta.series_rep import deriv0_series, fp_series, zeta_series
 
-from conftest import neville_to_zero, rel_err, scaled_err
+from conftest import integral_at, neville_to_zero, rel_err, scaled_err, series_at
 from references import cube_bracket_sum, d2_fast_path, g_symbol, log_gamma_rep_checks
 
 EULER_GAMMA = 0.57721566490153286
@@ -148,25 +148,25 @@ def test_criterion_05_g_symbol_identities():
     _report(5, f"G-symbol identities, worst low {worst_low:.2e}, top {worst_top:.2e}")
 
 
-def test_criterion_06_representation_parameter_invariance():
+def test_criterion_06_representation_parameter_invariance(monkeypatch):
     # series shift parameter
     worst_k = 0.0
     for alpha in (0.5, -1.25, 2.5 + 1j):
         for p in (BarnesParams(1.0, (1.0, 1.0)), D2):
             k0 = max(1, math.ceil(-complex(alpha).real) + 1) + 6
-            v1 = zeta_series(alpha, p, k=k0).value
-            v2 = zeta_series(alpha, p, k=k0 + 2).value
+            v1 = series_at(monkeypatch, k0, zeta_series, alpha, p).value
+            v2 = series_at(monkeypatch, k0 + 2, zeta_series, alpha, p).value
             worst_k = max(worst_k, rel_err(v1, v2))
             assert rel_err(v1, v2) <= 1e-9
     # integral subtraction order and regulator constant
     worst_m = worst_c = 0.0
     for alpha in (0.5, 3.5):
-        v1 = zeta_integral(alpha, D2, M=3).value
-        v2 = zeta_integral(alpha, D2, M=5).value
+        v1 = integral_at(monkeypatch, alpha, D2, M=3).value
+        v2 = integral_at(monkeypatch, alpha, D2, M=5).value
         worst_m = max(worst_m, rel_err(v1, v2))
         assert rel_err(v1, v2) <= 1e-8
-        u1 = zeta_integral(alpha, D2.w, M=3, c=1.0).value
-        u2 = zeta_integral(alpha, D2.w, M=3, c=2.0).value
+        u1 = integral_at(monkeypatch, alpha, D2.w, M=3, c=1.0).value
+        u2 = integral_at(monkeypatch, alpha, D2.w, M=3, c=2.0).value
         worst_c = max(worst_c, rel_err(u1, u2))
         assert rel_err(u1, u2) <= 1e-8
     _report(6, f"parameter invariance: k {worst_k:.2e}, M {worst_m:.2e}, c {worst_c:.2e}")

@@ -199,19 +199,21 @@ class TestEvaluate:
         got = evaluate("fp", d2_params, 2, "series").value
         assert got == fp_series(2, d2_params).value
 
-    # Every route of the registry once per form; w = (1, 2) has a reduction
-    # and alpha = 6.5 is inside the direct sum's region.
+    # Every route of the registry once per form, with exactly the signature
+    # (alpha | q, params, *, config=None), or (params, *, config=None) for
+    # the derivative at zero: a route chooses its own representation
+    # parameters, so no knob of its own is a keyword.  w = (1, 2) has a
+    # reduction and alpha = 6.5 is inside the direct sum's region.
     @pytest.mark.parametrize("quantity, homog, route", [
         (q, h, r) for q in ROUTES for h in (False, True) for r in ROUTES[q]])
     def test_one_route_signature(self, quantity, homog, route):
         fn = ROUTES[quantity][route]
         params = inspect.signature(fn).parameters
-        positional = [p for p in params.values() if p.kind is p.POSITIONAL_OR_KEYWORD]
-        assert len(positional) == (1 if quantity == "deriv0" else 2)
+        point = {"zeta": ["alpha"], "fp": ["q"], "deriv0": []}[quantity]
+        assert list(params) == [*point, "params", "config"]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in list(params.values())[:-1])
         config = params["config"]
         assert config.kind is config.KEYWORD_ONLY and config.default is None
-        rest = [p for p in params.values() if p not in positional]
-        assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty for p in rest)
         p = BarnesParams(0.7, (1.0, 2.0))
         at = {"zeta": (6.5,), "fp": (1,), "deriv0": ()}[quantity]
         assert fn(*at, p.w if homog else p).method == route
@@ -340,6 +342,18 @@ class TestEvaluate:
         assert best.diagnostics["cross_check_delta"] is None
         with pytest.raises(ConvergenceError, match="past the cap"):
             evaluate("fp", p, 1, "series")
+
+    def test_best_raises_with_both_routes_past_the_cap(self):
+        # At 0.5+40i on (1; 1, 1) both estimates are past the cap (the series
+        # 8.2e-3, the integral 9.5e12): "best" names both routes, with their
+        # values and estimates, in its message and its diagnostics.
+        with pytest.raises(ConvergenceError, match="both past the cap") as exc:
+            evaluate("zeta", BarnesParams(1.0, (1.0, 1.0)), 0.5 + 40j)
+        diag = exc.value.diagnostics
+        for route in ("series", "integral"):
+            value, est = complex(*diag[route]["value"]), diag[route]["abs_error_estimate"]
+            assert est > _EST_CAP * (1.0 + abs(value))
+            assert f"{route} {value:.6g} with error estimate {est:.3e}" in str(exc.value)
 
     @pytest.mark.parametrize("params", ["d2_params", "d3_params"])
     def test_best_returns_the_integral_value(self, params, request):

@@ -133,6 +133,8 @@ class TestEval:
                               "--method", method])
         assert code == 3
         assert "past the cap" in err and "Traceback" not in err and out == ""
+        if method == "best":    # both routes are past the cap, and both are named
+            assert "series" in err and "integral" in err
 
     def test_limit_without_rung_is_convergence_error(self, run):
         # from d = 11 on no M of the limit schedule has a cube that fits
