@@ -67,18 +67,10 @@ def parse_weights(text: str) -> tuple[complex, ...]:
         raise argparse.ArgumentTypeError(f"bad weight list {text!r}") from exc
 
 
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ": "))
+    def pair(z):    # a complex as [re, im]; any other type json cannot write: TypeError
+        return [z.real, z.imag] if isinstance(z, complex) else json.JSONEncoder().default(z)
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), default=pair)
 
 
 def _csv(rows) -> str:
@@ -99,7 +91,7 @@ def _write(path: str | None, text: str) -> None:
 def emit_result(res: EvalResult, as_json: bool) -> None:
     v, est, method = res.value, res.abs_error_estimate, res.method
     if as_json:
-        _write(None, canonical_json({"value": [v.real, v.imag], "est_error": est,
+        _write(None, canonical_json({"value": v, "est_error": est,
                                      "method": method, "diagnostics": res.diagnostics}) + "\n")
     else:
         _write(None, f"value = {fmt17(v.real)} {'+' if v.imag >= 0 else '-'} {fmt17(abs(v.imag))}j"
@@ -199,7 +191,7 @@ def cmd_compare(args) -> int:
     quantities, agreement, passed = [], {}, True
     for name, quantity, at, params in spec:
         runs = {route: evaluate(quantity, params, at, route, cfg) for route in routes}
-        quantities += [{"name": name, "route": route, "value": [r.value.real, r.value.imag],
+        quantities += [{"name": name, "route": route, "value": r.value,
                         "est_error": r.abs_error_estimate} for route, r in runs.items()]
         vals = [r.value for r in runs.values()]
         delta = agreement[name] = max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:])

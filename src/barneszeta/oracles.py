@@ -145,10 +145,8 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
         bound = d * kappa ** (d - 1) * u_k ** (d - alpha.real) / ((alpha.real - d) * wmin)
         if k >= 1 and bound <= cfg.rel_tol * max(abs(acc.value), 1e-300):
             return EvalResult(acc.value, bound, "direct", diag(k))
-    raise ConvergenceError(
-        "direct summation hit MAX_SHELLS before meeting the tail bound",
-        diagnostics={"shells": MAX_SHELLS, "points": points},
-    )
+    raise ConvergenceError("direct summation hit MAX_SHELLS before meeting the tail bound",
+                           diagnostics=diag(MAX_SHELLS))
 
 
 def _poly_from_roots(shifts: Sequence[complex]) -> list[complex]:

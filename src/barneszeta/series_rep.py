@@ -11,8 +11,8 @@ Gamma-factor ratio Gamma(1-alpha)/Gamma(d-alpha-m+1), kept in its exact
 rational-in-alpha form so no Gamma function is ever evaluated near a pole.
 The shift parameter k controls how many ladder terms are subtracted: the
 summand then decays like |y|^(-Re(alpha)-k-d), and the value of the
-analytic continuation is independent of k.  Each route chooses its own k
-(`_auto_k`, `_auto_k_fixed`), always inside the region Re(alpha) > -k.
+analytic continuation is independent of k.  Each route chooses its own k >
+-Re(alpha) by `_auto_k`; the pole forms take its k at alpha = 0, less q.
 
 At the poles alpha = q and at alpha = 0 the removable singularities of the
 ladder are expanded analytically (log-weighted G symbols and harmonic
@@ -84,16 +84,11 @@ def _auto_k(re_alpha: float, d: int, y_min: float) -> int:
     return min(boosted, max(base, _k_growth_limit(y_min)))
 
 
-def _auto_k_fixed(q_like: int, d: int, y_min: float) -> int:
-    """k choice for the finite-part (q_like = q) and derivative (q_like = 0) forms.
-
-    For small |a| the ladder's innermost term grows like |a|^(1-q-k) in
-    absolute size; keep that below ~1e8 so the O(1) part of the result
-    survives the cancellation.
-    """
-    minimal = 1 - q_like
-    boosted = max(minimal, _K_TARGET - d - q_like)
-    return min(boosted, max(minimal, _k_growth_limit(y_min) - q_like))
+def _auto_k_fixed(q: int, d: int, y_min: float) -> int:
+    """k for the finite part at q and the derivative at zero (q = 0): the
+    ladder's decay |y|^-(q+k+d) and its inner growth |a|^(1-q-k) depend on
+    q + k alone, which is the zeta series' k at alpha = 0."""
+    return _auto_k(0.0, d, y_min) - q
 
 
 class _Plan(NamedTuple):
@@ -116,10 +111,10 @@ class _Plan(NamedTuple):
 
 def _plan(a0: complex, w: tuple[complex, ...], homog: bool, k: int, e0: complex,
           row: list[complex], plain: list[complex], neglog: bool, base_expo: complex,
-          const: complex, closed: CompensatedSum | None) -> tuple[_Plan, complex]:
+          const: complex, closed: CompensatedSum) -> tuple[_Plan, complex]:
     """The plan of the ladder `row` (log-weighted) then `plain`, and the closed
     term: `closed`, plus the inhomogeneous plain ladder terms -(-1)^d c_m
-    a^(e0-m) summed before the rows are trimmed; 0.0 without an accumulator."""
+    a^(e0-m) summed before the rows are trimmed."""
     sign = 1.0 if len(w) % 2 else -1.0
     try:
         for m, c in enumerate([] if homog else plain, len(row)):
@@ -135,7 +130,7 @@ def _plan(a0: complex, w: tuple[complex, ...], homog: bool, k: int, e0: complex,
             for r in (signs, sigmas, plain, logc, a0, e0, base_expo, const)]
     if not any(r.imag.any() for r in rows):
         rows = [r.real.copy() for r in rows]
-    return _Plan(*rows, neglog, k), 0.0 if closed is None else closed.value
+    return _Plan(*rows, neglog, k), closed.value
 
 
 def _plan_generic(alpha: complex, a0: complex, w: tuple[complex, ...], k: int,
@@ -146,8 +141,7 @@ def _plan_generic(alpha: complex, a0: complex, w: tuple[complex, ...], k: int,
     d = len(w)
     bw = bernoulli_taylor_over_prod(w, k + d - 1)
     plain = [-bw[m] * ((-1.0) ** (m - d) * gamma_ratio(alpha, m - d)) for m in range(k + d)]
-    return _plan(a0, w, homog, k, d - alpha, [], plain, False, alpha, 0.0,
-                 None if homog else CompensatedSum())
+    return _plan(a0, w, homog, k, d - alpha, [], plain, False, alpha, 0.0, CompensatedSum())
 
 
 def _plan_pole(q: int, a0: complex, w: tuple[complex, ...], k: int,
@@ -226,9 +220,9 @@ def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: boo
     d = len(w)
     weights = narrow_weights(w)
     acc = CompensatedSum()
-    # The last three shells' |total| and noise, oldest first.
+    # The last three shells' |total| and noise, oldest first: only shell 0 can be empty.
     r0 = r1 = r2 = n0 = n1 = n2 = 0.0
-    filled = points = 0
+    points = 0
     noise_total = 0.0
     first = prev = 0.0
 
@@ -256,11 +250,10 @@ def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: boo
             noise_total += noise
             r0, r1, r2 = r1, r2, abs(s)
             n0, n1, n2 = n1, n2, noise
-            filled += 1
         else:
             first = corner
         prev = corner
-        if j >= 3 and filled >= 3:
+        if j >= 3:
             scale = max(abs(acc.value + (corner - first)), abs(closed + first), 1e-300)
             # Below 4x the per-shell rounding noise further shells add no
             # information; stop there even if rel_tol has not been reached.

@@ -213,10 +213,14 @@ class TestOneTable:
     @pytest.mark.parametrize("params", [
         BarnesParams(0.7, (1.0, 2 ** 0.5)),
         BarnesParams(0.9, (1.0, 2 ** 0.5, math.pi / 4)),
+        BarnesParams(0.8, (1.0, 1.3, 1.7, 2.1, 2.6, 3.1)),
     ])
     def test_cold_gamma_family_builds_few_tables(self, params):
         # The series plan, the closed terms, the integral brackets and the
-        # residue of one call all read the lattice's one table.
+        # residue of one call all read the lattice's one table.  At d = 6 the
+        # integral route's derivative at zero reads M + _SERIES_EXTRA = 6 + 60
+        # entries, just bernoulli._TABLE_MIN = 66: one more tail term takes
+        # log_gamma_B and log_rho into a second table.
         assert _table_misses(lambda: log_gamma_B(params, "best")) == 1
         assert _table_misses(lambda: psi_B(1, params, "best")) == 1
         assert _table_misses(lambda: gamma_dq(2, params.w, "best")) == 1

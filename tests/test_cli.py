@@ -1,8 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
+from barneszeta import BarnesParams, log_gamma_B, log_rho
 from barneszeta.barnes_functions import ROUTES
 from barneszeta.cli import build_parser, canonical_json, main
 
@@ -40,6 +42,14 @@ class TestEval:
         assert payload["method"] == "integral"
         # byte-identical round trip
         assert canonical_json(payload) + "\n" == out
+
+    @pytest.mark.parametrize("bad", [{1, 2}, object(), b"1", Fraction(1, 2)])
+    def test_canonical_json_rejects_other_types(self, bad):
+        # complex values are written [re, im] at any depth; any other type
+        # JSON has no form for is a TypeError
+        assert canonical_json({"z": (1 + 2j, [3j])}) == '{"z": [[1.0,2.0],[[0.0,3.0]]]}'
+        with pytest.raises(TypeError):
+            canonical_json({"value": [bad]})
 
     def test_homogeneous(self, run):
         code, out, err = run(["eval", "--alpha", "5", "--w", "1,1",
@@ -144,6 +154,14 @@ class TestEval:
         assert "d = 11" in err and "Traceback" not in err
         assert out == ""
 
+    def test_limit_disagreement_is_convergence_error(self, run):
+        # at d = 6 the rungs that fit do not agree within the limit's floor
+        code, out, err = run(["fp", "--q", "1", "--a", "0.8", "--w", "1,1.3,1.7,2.1,2.6,3.1",
+                              "--method", "limit"])
+        assert code == 3
+        assert "limit extrapolants disagree" in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("argv", [
@@ -218,6 +236,20 @@ class TestFpDerivGamma:
         code, out, err = run(["eval", "--alpha", "1", "--a=-1", "--w", "1"])
         assert code == 2 and out == ""
         assert err.startswith("error: parameter a = (-1+0j) must be finite")
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--fn", "logrho", "--w", "1,2"], lambda: log_rho((1.0, 2.0), "series")),
+        (["--fn", "loggammaB", "--a", "0.7", "--w", "1,2"],
+         lambda: log_gamma_B(BarnesParams(0.7, (1.0, 2.0)), "series")),
+    ])
+    def test_gamma_matches_the_library(self, run, argv, want):
+        # the CLI's default method is the series: the same bits as the call
+        code, out, err = run(["gamma", *argv, "--json"])
+        assert code == 0 and err == ""
+        res = want()
+        payload = json.loads(out)
+        assert [x.hex() for x in payload["value"]] == [res.value.real.hex(), res.value.imag.hex()]
+        assert payload["est_error"] == res.abs_error_estimate and payload["method"] == "series"
 
     def test_multigamma(self, run):
         code, out, err = run(["gamma", "--fn", "multigamma", "--a", "3", "--d", "1", "--json"])

@@ -103,6 +103,16 @@ class TestDiagnostics:
         deriv0_limit(w)
         assert len(calls) == len(w) + 1
 
+    @pytest.mark.parametrize("route", [lambda p: fp_limit(1, p), deriv0_limit],
+                             ids=["fp1", "deriv0"])
+    @pytest.mark.parametrize("homog", [False, True], ids=["inhomogeneous", "homogeneous"])
+    def test_extrapolants_disagree_at_d6(self, route, homog):
+        # At d = 6 only the cubes M = 4, 6, 8 fit the budget, and their
+        # rungs are too far from the limit to agree within the d >= 3 floor.
+        w = (1.0, 1.3, 1.7, 2.1, 2.6, 3.1)
+        with pytest.raises(ConvergenceError, match="limit extrapolants disagree"):
+            route(w if homog else BarnesParams(0.8, w))
+
     def test_unusable_schedule_raises(self):
         # from d = 11 on not even M = 4 has a cube of at most 2^20 points
         assert limit_rep._rungs_kept(10) == (4,)

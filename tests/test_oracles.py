@@ -117,6 +117,17 @@ class TestDirectSum:
         want = ZETA5 + (math.pi ** 6 / 945 if homog else 0.0)
         assert abs(res.value - want) <= res.abs_error_estimate
 
+    def test_shell_cap_diagnostics(self, monkeypatch):
+        # Past MAX_SHELLS the sum raises with the shells it summed, 0..5,
+        # their 6^2 points and the tail bound after the last, as its other
+        # exits report them.
+        monkeypatch.setattr(oracles, "MAX_SHELLS", 5)
+        with pytest.raises(ConvergenceError, match="hit MAX_SHELLS") as exc:
+            direct_sum(6.5, BarnesParams(0.7, (1.0, 2.0)))
+        diag = exc.value.diagnostics
+        assert (diag["shells"], diag["points"]) == (6, 36)
+        assert math.isfinite(diag["tail_bound"])
+
     def test_homogeneous(self):
         res = direct_sum(4.0, (1.0,), config=EvalConfig(rel_tol=1e-12))
         assert rel_err(res.value, math.pi**4 / 90) <= 1e-11

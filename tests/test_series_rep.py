@@ -45,6 +45,18 @@ class TestContinuation:
         with pytest.raises(PoleError):
             zeta_series(2.0, BarnesParams(1.0, (1.0, 1.0)))
 
+    @pytest.mark.parametrize("a, alpha", [(2.5, -10.5), (0.7, -7.5)])
+    def test_estimate_is_honest_at_negative_alpha(self, a, alpha):
+        # Against the 40-digit closed form zeta_H(alpha - 1, a) + (1 - a)
+        # zeta_H(alpha, a) on w = (1, 1): the errors are 0.086 and 0.056 of
+        # the bound, and the estimate without its rounding term fails both.
+        mpmath = pytest.importorskip("mpmath")
+        res = zeta_series(alpha, BarnesParams(a, (1.0, 1.0)))
+        with mpmath.workdps(40):
+            want = complex(mpmath.zeta(alpha - 1, a) + (1 - a) * mpmath.zeta(alpha, a))
+        slack = 8 * EPS * (1 + abs(want))
+        assert abs(res.value - want) <= res.abs_error_estimate + slack
+
     @pytest.mark.parametrize("alpha", [0.5, -1.25, 2.5 + 1j])
     def test_k_independence(self, alpha, monkeypatch):
         p = BarnesParams(0.7, (1.0, 2**0.5))
@@ -342,6 +354,13 @@ class TestPointBudget:
         with pytest.raises(ConvergenceError, match="shell 10 would") as exc:
             series_at(monkeypatch, 0, fp_series, 2, params)
         assert exc.value.diagnostics == {"shells": 10, "points": 1000 - homog, "k": 0}
+
+    def test_shell_cap_raises(self, monkeypatch):
+        # Past MAX_SHELLS the walk raises with the shells it summed, 0..2.
+        monkeypatch.setattr(sr, "MAX_SHELLS", 2)
+        with pytest.raises(ConvergenceError, match="hit MAX_SHELLS") as exc:
+            zeta_series(0.5, BarnesParams(0.7, (1.0, 2.0)))
+        assert exc.value.diagnostics == {"shells": 3, "points": 9, "k": 11}
 
 
 D1W = (1.3,)
