@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .foundations import DomainError, as_weights, narrow, narrow_weights
+from .foundations import ConvergenceError, DomainError, as_weights, narrow, narrow_weights
 
 MAX_DIM = 16
 MAX_SHELLS = 100_000      # shells S_0..S_MAX_SHELLS a lattice walk may visit
@@ -179,3 +179,24 @@ def shell_values(a: complex, w: Sequence[complex] | np.ndarray, k: int,
         after.append((wt[d - 1 - i] * n[:, None] + after[-1]).ravel())
     return np.concatenate([((a + k * wt[i]) + before[i][:, None] + after[d - 1 - i]).ravel()
                            for i in range(d)])
+
+
+def walk_shells(a: complex, w: Sequence[complex], skip_origin: bool,
+                diag: Callable[[int, int], dict]) -> Iterator[tuple[int, np.ndarray, int]]:
+    """(k, the `shell_values` of S_k, the points through S_k) for the shells
+    S_0, S_1, ... of the lattice a + n.w; the homogeneous S_0 (skip_origin)
+    holds none.  S_k holds (k+1)^d - k^d points, known before it is built:
+    the walk ends quietly before a shell that would take the count past
+    MAX_POINTS, so the budget bounds memory as well as time.  After
+    S_MAX_SHELLS it raises ConvergenceError with the caller's diagnostics
+    diag(MAX_SHELLS, points)."""
+    weights = narrow_weights(w)
+    d, points = len(weights), 0
+    for k in range(MAX_SHELLS + 1):
+        if points + (k + 1) ** d - k ** d - (skip_origin and k == 0) > MAX_POINTS:
+            return
+        y = shell_values(a, weights, k, skip_origin)
+        points += y.size
+        yield k, y, points
+    raise ConvergenceError(f"the lattice walk hit MAX_SHELLS = {MAX_SHELLS} shells",
+                           diagnostics=diag(MAX_SHELLS, points))

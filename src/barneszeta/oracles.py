@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bernoulli import classical_bernoulli
-from .combinatorics import MAX_POINTS, MAX_SHELLS, CompensatedSum, shell_values
+from .combinatorics import CompensatedSum, walk_shells
 from .foundations import (
     ConvergenceError,
     DomainError,
@@ -27,7 +27,6 @@ from .foundations import (
     check_pole,
     lattice,
     narrow,
-    narrow_weights,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -97,12 +96,13 @@ _DIRECT_WORST_REL = 1e-2
 
 
 def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
-    """Brute-force lattice sum sum_n (a + n.w)^(-alpha), shell by shell; the
-    origin is left out when params are the weights of the homogeneous function.
+    """Brute-force lattice sum sum_n (a + n.w)^(-alpha) over `walk_shells`;
+    the origin is left out when params are the weights of the homogeneous function.
 
     Requires Re(alpha) > d + 0.5 for a practical tail; stops once the
     rigorous integral tail bound drops below rel_tol of the partial sum, or
-    before a shell that would take it past MAX_POINTS points.
+    where the walk ends first, with that bound if it is within
+    _DIRECT_WORST_REL of the sum.
     """
     cfg = config or DEFAULT_CONFIG
     a, w, homog = lattice(params)
@@ -115,38 +115,31 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
         )
     wmin = min(wi.real for wi in w)
     a_re = max(complex(a).real, 0.0)
-    weights = narrow_weights(w)
+    # |y^-alpha| = |y|^-Re(alpha) e^(Im(alpha) arg y), and arg y lies in the
+    # cone of the args of a (inhomogeneous) and of the w_i.
+    cone = math.exp(max(0.0, *(alpha.imag * cmath.phase(z) for z in (w if homog else (a, *w)))))
     acc = CompensatedSum()
-    points, bound = 0, math.inf
+    k, points, bound = -1, 0, math.inf
 
-    def diag(k: int) -> dict:
+    def diag(k: int, points: int) -> dict:
         return {"shells": k + 1, "points": points, "tail_bound": bound}
 
-    for k in range(MAX_SHELLS + 1):
-        # Near the abscissa the bound decays like k^(d - Re alpha) and the
-        # requested tolerance may be out of reach; stop at the point budget,
-        # checked as the series walk does, and report the honest bound.
-        if points + (k + 1) ** d - k ** d - (homog and k == 0) > MAX_POINTS:
-            if bound > _DIRECT_WORST_REL * max(abs(acc.value), 1e-300):
-                raise ConvergenceError(
-                    f"tail bound {bound:.3e} still too large at the point budget",
-                    diagnostics=diag(k - 1),
-                )
-            return EvalResult(acc.value, bound, "direct", diag(k - 1))
-        y = shell_values(a, weights, k, skip_origin=homog)
+    for k, y, points in walk_shells(a, w, homog, diag):
         if y.size:
             acc.add(complex(np.sum(y ** -narrow(alpha))))
-            points += int(y.size)
         # Tail bound:  sum_{j>k} (count of S_j) * (min |y| on S_j)^(-Re alpha)
         # with count <= d*(j+1)^(d-1) and |y| >= a_re + j*wmin, compared
-        # against the integral of the continuous envelope.
+        # against the integral of the continuous envelope, times `cone`.
         u_k = a_re + (k + 1) * wmin
         kappa = 1.0 / wmin + 2.0 / u_k
-        bound = d * kappa ** (d - 1) * u_k ** (d - alpha.real) / ((alpha.real - d) * wmin)
+        bound = cone * d * kappa ** (d - 1) * u_k ** (d - alpha.real) / ((alpha.real - d) * wmin)
         if k >= 1 and bound <= cfg.rel_tol * max(abs(acc.value), 1e-300):
-            return EvalResult(acc.value, bound, "direct", diag(k))
-    raise ConvergenceError("direct summation hit MAX_SHELLS before meeting the tail bound",
-                           diagnostics=diag(MAX_SHELLS))
+            return EvalResult(acc.value, bound, "direct", diag(k, points))
+    # The walk met its point budget: near the abscissa rel_tol may be out of reach.
+    if bound > _DIRECT_WORST_REL * max(abs(acc.value), 1e-300):
+        raise ConvergenceError(f"tail bound {bound:.3e} still too large at the point budget",
+                               diagnostics=diag(k, points))
+    return EvalResult(acc.value, bound, "direct", diag(k, points))
 
 
 def _poly_from_roots(shifts: Sequence[complex]) -> list[complex]:

@@ -30,8 +30,7 @@ shells at a time, from one ladder call on the block's 2^d far corners per
 shell; those past the shell where the sum stops are discarded.  The points
 run in float64 on a real lattice, the corners when a, w and alpha are all
 real.  Each call builds one plan, the kernel's only input, and its closed
-term; the walk checks each shell's known size against the point budget
-before building it, so MAX_POINTS bounds memory as well as time.
+term, and takes its shells from `combinatorics.walk_shells`.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bernoulli import bernoulli_taylor_over_prod, pole_coeffs, pole_term
-from .combinatorics import MAX_POINTS, MAX_SHELLS, CompensatedSum, shell_values, subset_table
+from .combinatorics import CompensatedSum, subset_table, walk_shells
 from .foundations import (
     ConvergenceError,
     DEFAULT_CONFIG,
@@ -56,7 +55,6 @@ from .foundations import (
     gamma_ratio,
     harmonic_float,
     lattice,
-    narrow_weights,
 )
 
 # Decay exponent Re(alpha) + k + d targeted by the automatic k choice; at
@@ -208,44 +206,33 @@ def _eval_shell(plan: _Plan, y: np.ndarray) -> tuple[complex, float]:
 
 def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: bool,
                 closed: complex) -> EvalResult:
-    """Lattice sum of the plan's summand plus the closed term, shell by shell:
-    shell j adds its per-point part and C(j) - C(j-1).  The value is the
-    compensated per-point sum plus the last C(j), never a running sum of corner
-    differences.  Homogeneous forms pass only their constant: the F-symbol
-    part of their closed term is C(0), which the shells subtract again.
-
-    The walk stops once three consecutive shells pass the stopping rule, and
-    raises ConvergenceError past MAX_SHELLS shells, or before a shell that
-    would take it past MAX_POINTS points."""
-    d = len(w)
-    weights = narrow_weights(w)
+    """Lattice sum of the plan's summand plus the closed term, over the shells
+    of `walk_shells`: shell j adds its per-point part and C(j) - C(j-1).  The
+    value is the compensated per-point sum plus the last C(j), never a running
+    sum of corner differences.  Homogeneous forms pass only their constant:
+    the F-symbol part of their closed term is C(0), which the shells subtract
+    again.  The walk stops once three consecutive shells pass the stopping
+    rule, and raises ConvergenceError if it ends first."""
     acc = CompensatedSum()
     # The last three shells' |total| and noise, oldest first: only shell 0 can be empty.
     r0 = r1 = r2 = n0 = n1 = n2 = 0.0
-    points = 0
+    j, points = -1, 0
     noise_total = 0.0
     first = prev = 0.0
 
-    def diag(j: int) -> dict:
+    def diag(j: int, points: int) -> dict:
         return {"shells": j + 1, "points": points, "k": plan.k}
 
-    for j in range(MAX_SHELLS + 1):
-        if points + (j + 1) ** d - j ** d - (homog and j == 0) > MAX_POINTS:
-            raise ConvergenceError(f"shell {j} would take the shell summation past its budget "
-                                   f"of {MAX_POINTS} points without meeting the stopping rule",
-                                   diagnostics=diag(j - 1))
+    for j, y, points in walk_shells(plan.a, w, homog, diag):
         if j % _CORNER_BLOCK == 0:
-            corners = _corner_sums(plan, j, min(_CORNER_BLOCK, MAX_SHELLS + 1 - j),
-                                   homog).astype(np.complex128).tolist()
+            corners = _corner_sums(plan, j, _CORNER_BLOCK, homog).astype(np.complex128).tolist()
         corner = corners[j % _CORNER_BLOCK]
-        y = shell_values(plan.a, weights, j, skip_origin=homog)
         if y.size:
             part, noise = _eval_shell(plan, y)
             s = part + (corner - prev)
-            points += y.size
             if not cmath.isfinite(s):
                 raise ConvergenceError(f"shell {j} sums to {s}; the series cannot converge",
-                                       diagnostics=diag(j))
+                                       diagnostics=diag(j, points))
             acc.add(part)
             noise_total += noise
             r0, r1, r2 = r1, r2, abs(s)
@@ -263,12 +250,11 @@ def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: boo
             if max(r0, r1, r2) <= max(cfg.rel_tol * scale, 4.0 * max(n0, n1, n2)):
                 value = acc.value + corner + closed
                 if not cmath.isfinite(value):
-                    raise ConvergenceError(f"the series sums to {value}", diagnostics=diag(j))
-                return EvalResult(value, r0 + r1 + r2 + noise_total, "series", diag(j))
-    raise ConvergenceError(
-        "shell summation hit MAX_SHELLS without meeting the stopping rule",
-        diagnostics=diag(MAX_SHELLS),
-    )
+                    raise ConvergenceError(f"the series sums to {value}",
+                                           diagnostics=diag(j, points))
+                return EvalResult(value, r0 + r1 + r2 + noise_total, "series", diag(j, points))
+    raise ConvergenceError(f"shell {j + 1} would take the shell summation past its point "
+                           "budget without meeting the stopping rule", diagnostics=diag(j, points))
 
 
 def _min_abs_lattice(a0: complex, w: tuple[complex, ...], homog: bool) -> float:

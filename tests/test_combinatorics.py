@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barneszeta import BarnesParams, DomainError
+from barneszeta import BarnesParams, ConvergenceError, DomainError
 from barneszeta import combinatorics
 from barneszeta.combinatorics import (
     CompensatedSum,
@@ -308,6 +308,58 @@ class TestShellValues:
     def test_complex_a_on_real_weights_is_complex(self):
         assert shell_values(0.5 + 0.1j, (1.0, 2.0), 2).dtype == np.complex128
         assert shell_values(0.5 + 0j, (1.0 + 0j, 2.0), 2).dtype == np.float64
+
+
+class TestWalkShells:
+    """`walk_shells`, the one walk of the series and the direct sum: the
+    shells in order with running point counts, the quiet end at the point
+    budget and the raise past the shell cap."""
+
+    @staticmethod
+    def diag(k, points):
+        return {"shells": k + 1, "points": points}
+
+    @pytest.mark.parametrize("skip_origin", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_yields_the_shells_in_order(self, d, skip_origin):
+        a, w = (0.0 if skip_origin else 0.375 + 0.125j), (1.0 + 0.5j, 0.75, 2.5)[:d]
+        walk = combinatorics.walk_shells(a, w, skip_origin, self.diag)
+        points = 0
+        for want_k, (k, y, count) in zip(range(7), walk):
+            want = shell_values(a, w, want_k, skip_origin=skip_origin)
+            points += want.size
+            assert (k, count) == (want_k, points)
+            assert y.dtype == want.dtype and y.tobytes() == want.tobytes()
+        assert (k, points) == (6, 7 ** d - skip_origin)
+
+    @pytest.mark.parametrize("skip_origin", [False, True])
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_ends_before_the_shell_past_the_budget(self, over, skip_origin, monkeypatch):
+        # Shells 0..9 of a d = 2 walk hold 10^2 points, 10^2 - 1 without
+        # the origin; shell 10 would take them to 11^2 (- 1).  A budget met
+        # exactly keeps shell 9, and one point less ends after shell 8.
+        monkeypatch.setattr(combinatorics, "MAX_POINTS", 100 - skip_origin - over)
+        walk = list(combinatorics.walk_shells(0.5, (1.0, 2.0), skip_origin, self.diag))
+        last = 9 - over
+        assert [k for k, _, _ in walk] == list(range(last + 1))
+        assert walk[-1][2] == (last + 1) ** 2 - skip_origin
+
+    def test_empty_origin_counts_nothing(self, monkeypatch):
+        # With no points to spare, the homogeneous walk still yields its
+        # empty S_0 and ends before S_1; the inhomogeneous one yields nothing.
+        monkeypatch.setattr(combinatorics, "MAX_POINTS", 0)
+        walk = list(combinatorics.walk_shells(0.0, (1.0, 2.0), True, self.diag))
+        assert [(k, y.size, points) for k, y, points in walk] == [(0, 0, 0)]
+        assert list(combinatorics.walk_shells(0.5, (1.0, 2.0), False, self.diag)) == []
+
+    @pytest.mark.parametrize("skip_origin", [False, True])
+    def test_raises_past_the_shell_cap(self, skip_origin, monkeypatch):
+        monkeypatch.setattr(combinatorics, "MAX_SHELLS", 3)
+        walk = combinatorics.walk_shells(0.5, (1.0, 2.0), skip_origin, self.diag)
+        with pytest.raises(ConvergenceError, match="hit MAX_SHELLS = 3") as exc:
+            for k, _, _ in walk:
+                assert k <= 3
+        assert exc.value.diagnostics == {"shells": 4, "points": 16 - skip_origin}
 
 
 class TestNeville:

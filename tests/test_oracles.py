@@ -12,6 +12,7 @@ from barneszeta import (
 )
 from barneszeta import combinatorics, oracles
 from barneszeta.combinatorics import CompensatedSum, shell_values
+from barneszeta.integral_rep import zeta_integral
 from barneszeta.oracles import (
     direct_sum,
     hurwitz_zeta,
@@ -94,8 +95,8 @@ class TestDirectSum:
         # package's point budget, which the series walk shares, and raises
         # while the tail bound is still above 1e-2: shell 14 would take the
         # 14^2 = 196 points summed to 225 > 200.
-        assert oracles.MAX_POINTS == combinatorics.MAX_POINTS == 30_000_000
-        monkeypatch.setattr(oracles, "MAX_POINTS", 200)
+        assert combinatorics.MAX_POINTS == 30_000_000
+        monkeypatch.setattr(combinatorics, "MAX_POINTS", 200)
         with pytest.raises(ConvergenceError, match="point budget") as exc:
             direct_sum(3.0, BarnesParams(1.0, (1.0, 1.0)), config=EvalConfig(rel_tol=1e-6))
         assert (exc.value.diagnostics["shells"], exc.value.diagnostics["points"]) == (14, 196)
@@ -106,7 +107,7 @@ class TestDirectSum:
         # 10^2 (10^2 - 1 homogeneous) points, ten shells fit and the eleventh
         # does not; the tail bound is then below 1e-2, so the value returns
         # with that bound.
-        monkeypatch.setattr(oracles, "MAX_POINTS", 100 - homog)
+        monkeypatch.setattr(combinatorics, "MAX_POINTS", 100 - homog)
         params = (1.0, 1.0) if homog else BarnesParams(1.0, (1.0, 1.0))
         res = direct_sum(6.0, params, config=EvalConfig(rel_tol=1e-15))
         diag = res.diagnostics
@@ -121,12 +122,22 @@ class TestDirectSum:
         # Past MAX_SHELLS the sum raises with the shells it summed, 0..5,
         # their 6^2 points and the tail bound after the last, as its other
         # exits report them.
-        monkeypatch.setattr(oracles, "MAX_SHELLS", 5)
+        monkeypatch.setattr(combinatorics, "MAX_SHELLS", 5)
         with pytest.raises(ConvergenceError, match="hit MAX_SHELLS") as exc:
             direct_sum(6.5, BarnesParams(0.7, (1.0, 2.0)))
         diag = exc.value.diagnostics
         assert (diag["shells"], diag["points"]) == (6, 36)
         assert math.isfinite(diag["tail_bound"])
+
+    def test_tail_bound_covers_complex_alpha(self):
+        # On a complex lattice |y^-alpha| = |y|^-Re(alpha) e^(Im(alpha) arg y)
+        # exceeds |y|^-Re(alpha) where Im(alpha) arg y > 0; the bound carries
+        # the largest such factor over the cone of the args of a and the w_i.
+        # Without it this sum stops after 99 shells, off by twice its bound.
+        p = BarnesParams(1 + 0.8j, (1 + 0.9j, 1 + 0.7j))
+        res = direct_sum(6 + 8j, p)
+        want = zeta_integral(6 + 8j, p).value
+        assert abs(res.value - want) <= res.abs_error_estimate + 8 * 2.0 ** -52 * (1 + abs(want))
 
     def test_homogeneous(self):
         res = direct_sum(4.0, (1.0,), config=EvalConfig(rel_tol=1e-12))

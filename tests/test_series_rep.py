@@ -15,7 +15,7 @@ from barneszeta import (
 )
 from barneszeta.oracles import hurwitz_zeta
 from barneszeta.series_rep import deriv0_series, fp_series, zeta_series
-from barneszeta import series_rep as sr
+from barneszeta import combinatorics, series_rep as sr
 from barneszeta.combinatorics import CompensatedSum, shell_values
 from barneszeta.foundations import EPS
 
@@ -332,14 +332,14 @@ class TestPointBudget:
         # budget: shell j = diag["shells"] holds (j+1)^3 - j^3 points.
         j = diag["shells"]
         assert diag["points"] == j ** 3 - 1
-        assert diag["points"] <= sr.MAX_POINTS < diag["points"] + (j + 1) ** 3 - j ** 3
+        assert diag["points"] <= combinatorics.MAX_POINTS < diag["points"] + (j + 1) ** 3 - j ** 3
 
     def test_budget_counts_points(self, monkeypatch):
         # The homogeneous finite part at 2 on D3's weights needs 13 shells,
         # 2196 points; a budget of 1000 stops the walk before shell 10, the
         # first that would take the points past it: 10^3 - 1 = 999 summed,
         # 11^3 - 1 = 1330 with it.
-        monkeypatch.setattr(sr, "MAX_POINTS", 1000)
+        monkeypatch.setattr(combinatorics, "MAX_POINTS", 1000)
         with pytest.raises(ConvergenceError, match="shell 10 would .* budget") as exc:
             fp_series(2, D3W)
         assert exc.value.diagnostics == {"shells": 10, "points": 999, "k": 8}
@@ -349,7 +349,7 @@ class TestPointBudget:
         # A walk may end its summing exactly at the budget: with a budget of
         # 10^3 (10^3 - 1 homogeneous) points, ten shells fit and the eleventh
         # does not.
-        monkeypatch.setattr(sr, "MAX_POINTS", 1000 - homog)
+        monkeypatch.setattr(combinatorics, "MAX_POINTS", 1000 - homog)
         params = D3W if homog else BarnesParams(0.9, D3W)
         with pytest.raises(ConvergenceError, match="shell 10 would") as exc:
             series_at(monkeypatch, 0, fp_series, 2, params)
@@ -357,7 +357,7 @@ class TestPointBudget:
 
     def test_shell_cap_raises(self, monkeypatch):
         # Past MAX_SHELLS the walk raises with the shells it summed, 0..2.
-        monkeypatch.setattr(sr, "MAX_SHELLS", 2)
+        monkeypatch.setattr(combinatorics, "MAX_SHELLS", 2)
         with pytest.raises(ConvergenceError, match="hit MAX_SHELLS") as exc:
             zeta_series(0.5, BarnesParams(0.7, (1.0, 2.0)))
         assert exc.value.diagnostics == {"shells": 3, "points": 9, "k": 11}
@@ -452,7 +452,7 @@ class TestBlockedCorners:
         """A walk past the shells of the cached grid, (k+1)^d > 2^16, whose
         last shells are built face by face, against the shell-by-shell sum
         of its per-point parts plus the last C(j) formed on its own."""
-        monkeypatch.setattr(sr, "MAX_SHELLS", 2 * shells)
+        monkeypatch.setattr(combinatorics, "MAX_SHELLS", 2 * shells)
         res = series_at(monkeypatch, k, zeta_series, 0.5, w)
         assert res.diagnostics["shells"] == shells and shells ** len(w) > 2 ** 16
         plan = generic(0.5, k)(0.0, w, True)
@@ -482,7 +482,7 @@ class TestLadderWork:
             return ladder(plan, z)
 
         monkeypatch.setattr(sr, "_ladder", counted)
-        monkeypatch.setattr(sr, "MAX_SHELLS", 16)
+        monkeypatch.setattr(combinatorics, "MAX_SHELLS", 16)
         diag = deriv0_series(D4W).diagnostics
         assert diag["points"] == 4095
         block = sr._CORNER_BLOCK
@@ -501,7 +501,7 @@ class TestLadderWork:
         monkeypatch.setattr(sr, "_eval_shell", seen)
         # They need 9 and 12 shells; the cap turns a broken stopping rule
         # into a ConvergenceError instead of a long walk.
-        monkeypatch.setattr(sr, "MAX_SHELLS", 16)
+        monkeypatch.setattr(combinatorics, "MAX_SHELLS", 16)
         zeta_series(0.5 + 3j, BarnesParams(0.7, D2W))
         zeta_series(0.5 + 3j, D3W)
         assert dtypes == {np.dtype(np.float64)}
@@ -528,7 +528,7 @@ class TestPointCounts:
     def test_points(self, call, shells, points, monkeypatch):
         # A few shells above the need: a broken stopping rule raises
         # ConvergenceError instead of walking on.
-        monkeypatch.setattr(sr, "MAX_SHELLS", shells + 4)
+        monkeypatch.setattr(combinatorics, "MAX_SHELLS", shells + 4)
         diag = call(self).diagnostics
         assert (diag["shells"], diag["points"]) == (shells, points)
 
