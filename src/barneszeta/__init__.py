@@ -9,14 +9,14 @@ and every `EvalResult.method` carries.  The route functions themselves live
 in `series_rep`, `limit_rep`, `integral_rep` and `oracles`, and each serves
 the inhomogeneous function (params a BarnesParams) and the homogeneous one
 (params the weights).
-A route returns an honest value or raises one of the four subclasses of
-BarnesZetaError: DomainError, PoleError, ConvergenceError (a budget or cap
-reached, a series or limit unsettled) or QuadratureError.
+A route returns an honest value or raises one of the three subclasses of
+BarnesZetaError: DomainError, PoleError or ConvergenceError (a budget or cap
+reached, a series, limit or quadrature unsettled, or a value past the
+largest double).
 """
 
 from .foundations import (
-    BarnesParams, BarnesZetaError, ConvergenceError, DomainError, EvalConfig, EvalResult,
-    PoleError, QuadratureError,
+    BarnesParams, BarnesZetaError, ConvergenceError, DomainError, EvalConfig, EvalResult, PoleError,
 )
 from .integral_rep import residue
 from .barnes_functions import (
@@ -29,5 +29,5 @@ __all__ = [
     "evaluate", "ROUTES", "log_gamma_B", "log_rho", "multiple_gamma", "psi_B", "gamma_dq",
     "residue",
     "BarnesParams", "EvalConfig", "EvalResult",
-    "BarnesZetaError", "ConvergenceError", "DomainError", "PoleError", "QuadratureError",
+    "BarnesZetaError", "ConvergenceError", "DomainError", "PoleError",
 ]

@@ -19,7 +19,7 @@ Conventions:
     integral route's quadrature.
 
 Exit codes: 0 ok, 1 comparison failure, 2 usage, 3 convergence failure (a
-route past a budget or a cap) or quadrature failure, 4 pole.
+route past a budget, a cap or the largest double), 4 pole.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import sys
 from .barnes_functions import (ROUTES, evaluate, gamma_dq, log_gamma_B, log_rho, multiple_gamma,
                                psi_B, residue)
 from .foundations import (BarnesParams, BarnesZetaError, ConvergenceError, DomainError, EvalConfig,
-                          EvalResult, PoleError, QuadratureError, validate_weights)
+                          EvalResult, PoleError, validate_weights)
 
 EXIT_OK = 0
 EXIT_COMPARISON = 1
@@ -182,6 +182,8 @@ def cmd_compare(args) -> int:
     cfg = build_config(args)
     p = BarnesParams(args.a, validate_weights(args.w))
     tol = args.tol_cmp if args.tol_cmp is not None else (1e-5 if p.d <= 2 else 1e-4)
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise DomainError(f"--tol = {tol} is not a finite nonnegative tolerance")
     spec = [(f"fp{bh}_q{q}", "fp", q, params)
             for q in range(1, p.d + 1) for bh, params in (("", p), ("_bh", p.w))]
     spec += [("deriv0", "deriv0", None, p), ("deriv0_bh", "deriv0", None, p.w)]
@@ -240,7 +242,7 @@ def cmd_table(args) -> int:
         try:
             res = evaluate("zeta", params, alpha, args.method, cfg)
             value, est, method = res.value, res.abs_error_estimate, res.method
-        except (PoleError, ConvergenceError, QuadratureError) as exc:
+        except (PoleError, ConvergenceError) as exc:
             codes.add(EXIT_POLE if isinstance(exc, PoleError) else EXIT_CONVERGENCE)
             value, est, method = complex(math.nan, math.nan), math.nan, args.method
         rows.append([fmt17(alpha.real), fmt17(alpha.imag), fmt17(value.real),
@@ -334,7 +336,7 @@ def main(argv=None) -> int:
     except PoleError as exc:
         sys.stderr.write(_pole_hint(exc, args) + "\n")
         return EXIT_POLE
-    except (ConvergenceError, QuadratureError) as exc:
+    except ConvergenceError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CONVERGENCE
     except (BarnesZetaError, ValueError) as exc:

@@ -1,9 +1,9 @@
 """Shared domain types, parameter validation, and small numeric helpers.
 
 Every error the package raises is a BarnesZetaError: DomainError for a bad
-parameter, PoleError at a pole, ConvergenceError when a route runs past a
-budget or cap (a series, limit, table or cube), and QuadratureError when the
-quadrature rule does not settle.
+parameter, PoleError at a pole, and ConvergenceError for a valid input a
+route cannot reach: a budget or cap (a series, limit, table or cube), a
+quadrature rule that does not settle, or a value past the largest double.
 
 Branch convention used throughout the package: every logarithm and power is
 taken on the principal branch, arg z in (-pi, pi], with z**s defined as
@@ -41,17 +41,13 @@ class PoleError(BarnesZetaError, ArithmeticError):
 
 
 class ConvergenceError(BarnesZetaError, ArithmeticError):
-    """A series, limit, or lattice sum failed to converge within budget, or
-    a route needs a table or cube beyond its cap."""
+    """A series, limit, lattice sum or quadrature failed to converge within
+    budget, a route needs a table or cube beyond its cap, or its value is
+    past the largest double."""
 
     def __init__(self, message: str, diagnostics: Mapping | None = None):
         super().__init__(message)
         self.diagnostics = dict(diagnostics or {})
-
-
-class QuadratureError(BarnesZetaError, ArithmeticError):
-    """The quadrature rule did not settle within its level cap, or met a
-    non-finite integrand value."""
 
 
 def as_weights(w: Iterable[complex]) -> tuple[complex, ...]:
@@ -143,7 +139,7 @@ DEFAULT_CONFIG = EvalConfig()
 @dataclass(frozen=True)
 class EvalResult:
     """A computed complex value with an error estimate and route diagnostics;
-    `method` is the route's key in the `ROUTES` registry."""
+    `method` is the route's key in `ROUTES`; a non-finite value raises ConvergenceError."""
 
     value: complex
     abs_error_estimate: float
@@ -151,6 +147,9 @@ class EvalResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not cmath.isfinite(self.value):
+            raise ConvergenceError(f"{self.method}: the value {self.value} is past the largest "
+                                   "double", self.diagnostics)
         if not self.abs_error_estimate >= 0:
             raise DomainError("abs_error_estimate must be nonnegative")
 

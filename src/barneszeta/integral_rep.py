@@ -48,7 +48,6 @@ from .foundations import (
     EPS,
     EvalConfig,
     EvalResult,
-    QuadratureError,
     check_order,
     check_pole,
     gamma_ratio,
@@ -70,7 +69,7 @@ _REGULATOR = 1.0 + 0j       # c of the homogeneous e^(-ct); the pole forms' clos
 # Exp-sinh quadrature on (0, inf)
 
 _H0 = 0.5          # step of the first level in x
-_LEVELS = 8        # levels h0, h0/2, ..., h0/2^7 before QuadratureError
+_LEVELS = 8        # levels h0, h0/2, ..., h0/2^7 before ConvergenceError
 _FIRST_LEVELS = 5  # levels evaluated together in the first integrand call
 _NOISE = 32 * EPS          # rounding floor per unit of summed |w_k f(t_k)|
 
@@ -105,7 +104,7 @@ def quad_semiinfinite(integrand: Callable[[np.ndarray], np.ndarray], small_t_ord
     floor stopped the rule) plus that floor plus the remainders beyond both
     ends.  A running mass sum|w_k f(t_k)| that is not finite, checked as
     each level is consumed (a non-finite value, or finite values whose sums
-    overflow), or no agreement after _LEVELS levels, raises QuadratureError;
+    overflow), or no agreement after _LEVELS levels, raises ConvergenceError;
     `evaluations` counts every node evaluated, consumed or not.
     """
     if not decay_rate > 0:
@@ -158,8 +157,8 @@ def quad_semiinfinite(integrand: Callable[[np.ndarray], np.ndarray], small_t_ord
         mass += float(np.abs(gl).sum())
         if not math.isfinite(mass):
             bad = tl[~np.isfinite(gl)]
-            raise QuadratureError(f"integrand is not finite at t = {bad[0]:.3e}" if bad.size
-                                  else "the rule's sums overflow a double")
+            raise ConvergenceError(f"integrand is not finite at t = {bad[0]:.3e}" if bad.size
+                                   else "the rule's sums overflow a double")
 
     consume(0)
     value, diff = h * total, math.inf
@@ -175,8 +174,8 @@ def quad_semiinfinite(integrand: Callable[[np.ndarray], np.ndarray], small_t_ord
             # noise; the previous difference, which exceeded the floor, is
             # another, and bounds the discretization error of its level.
             return QuadratureOutcome(value, diff + prev + floor + remainder, evals)
-    raise QuadratureError(f"exp-sinh rule did not settle in {_LEVELS} levels "
-                          f"(last difference {diff:.3e})")
+    raise ConvergenceError(f"exp-sinh rule did not settle in {_LEVELS} levels "
+                           f"(last difference {diff:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +288,8 @@ def _homog_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.
 
 def _reciprocal_gamma(alpha: complex) -> complex:
     """1/Gamma(alpha), exactly 0 at alpha = 0, -1, ...; reflected below Re = 1/2
-    with sin(pi alpha) = (-1)^k sin(pi (alpha - k)), k the nearest integer."""
+    with sin(pi alpha) = (-1)^k sin(pi (alpha - k)), k the nearest integer; one
+    past the largest double raises ConvergenceError."""
     alpha = complex(alpha)
     k = round(alpha.real)
     if alpha == k and k <= 0:
@@ -300,7 +300,7 @@ def _reciprocal_gamma(alpha: complex) -> complex:
         sin_pi = (-1) ** k * cmath.sin(math.pi * (alpha - k))
         return sin_pi / math.pi * cmath.exp(log_gamma_ref(1 - alpha))
     except OverflowError:
-        raise DomainError(f"1/Gamma(alpha) overflows a double at alpha = {alpha}") from None
+        raise ConvergenceError(f"1/Gamma(alpha) overflows a double at alpha = {alpha}") from None
 
 
 def _line_integral(a: complex, w: tuple[complex, ...], homog: bool, alpha: complex,

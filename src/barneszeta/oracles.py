@@ -95,6 +95,7 @@ def log_gamma_ref(a: complex) -> complex:
 _DIRECT_WORST_REL = 1e-2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
     """Brute-force lattice sum sum_n (a + n.w)^(-alpha) over `walk_shells`;
     the origin is left out when params are the weights of the homogeneous function.
@@ -102,7 +103,8 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
     Requires Re(alpha) > d + 0.5 for a practical tail; stops once the
     rigorous integral tail bound drops below rel_tol of the partial sum, or
     where the walk ends first, with that bound if it is within
-    _DIRECT_WORST_REL of the sum.
+    _DIRECT_WORST_REL of the sum.  A power past the largest double leaves a
+    sum that EvalResult refuses, with no RuntimeWarning on the way.
     """
     cfg = config or DEFAULT_CONFIG
     a, w, homog = lattice(params)
@@ -227,10 +229,8 @@ def reduction(alpha: complex, params, *, config: EvalConfig | None = None) -> Ev
     a, w, homog = lattice(params)
     d = len(w)
     check_pole(complex(alpha), d, homog)
-    if homog:
-        value = sum(_reduce(alpha, w[i], w[i:]) for i in range(d))
-    else:
-        value = _reduce(alpha, a, w)
-    if not cmath.isfinite(value):
-        raise ConvergenceError(f"the reduction at alpha = {alpha} gives {value}")
-    return EvalResult(value, 1e-13 * (1 + abs(value)), "reduction", {})
+    try:
+        value = sum(_reduce(alpha, w[i], w[i:]) for i in range(d)) if homog else _reduce(alpha, a, w)
+        return EvalResult(value, 1e-13 * (1 + abs(value)), "reduction", {})
+    except OverflowError:       # a Hurwitz term past the largest double
+        raise ConvergenceError(f"the reduction at alpha = {alpha} overflows a double") from None

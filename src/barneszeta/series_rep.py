@@ -248,11 +248,8 @@ def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: boo
             # the corner sums leave far less, so it is a conservative
             # stand-in, kept so that the stopping rule does not move.
             if max(r0, r1, r2) <= max(cfg.rel_tol * scale, 4.0 * max(n0, n1, n2)):
-                value = acc.value + corner + closed
-                if not cmath.isfinite(value):
-                    raise ConvergenceError(f"the series sums to {value}",
-                                           diagnostics=diag(j, points))
-                return EvalResult(value, r0 + r1 + r2 + noise_total, "series", diag(j, points))
+                return EvalResult(acc.value + corner + closed, r0 + r1 + r2 + noise_total,
+                                  "series", diag(j, points))
     raise ConvergenceError(f"shell {j + 1} would take the shell summation past its point "
                            "budget without meeting the stopping rule", diagnostics=diag(j, points))
 

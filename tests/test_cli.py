@@ -112,13 +112,19 @@ class TestEval:
         *[([cmd, *at, "--a", "1e200", "--w", w, "--method", method], "closed term")
           for cmd, at, w in (("deriv0", [], "1,1"), ("fp", ["--q", "1"], "1,1,1"))
           for method in ("series", "integral", "limit")],
+        *[(["eval", f"--alpha={alpha}", "--a", "1", "--w", "1,1", "--method", "integral"],
+           "1/Gamma") for alpha in ("-175.5", "0.5,800")],
+        (["eval", "--alpha=-400", "--a", "1", "--w", "1,1", "--method", "reduction"],
+         "reduction"),
     ])
     def test_overflow_is_convergence_error(self, run, argv, message):
         # At alpha = -60 the series' closed term a^(d - alpha - m) at a = 1e5
         # is past the largest double, and so is the reduction's value at
         # alpha = -150 on w = (1, 50); the closed term a^(d - q - m) of the
         # derivative at zero and of the finite parts, which every route of
-        # theirs shares, is past it at a = 1e200 once d - q >= 2.  All exit 3,
+        # theirs shares, is past it at a = 1e200 once d - q >= 2.  So is the
+        # integral route's 1/Gamma(alpha) at -175.5 and at 0.5+800i, and a
+        # Hurwitz term of the reduction at -400 on w = (1, 1).  All exit 3,
         # without a traceback or a warning; a closed term raises before its
         # route sums over the lattice.
         code, out, err = run(argv)
@@ -173,6 +179,8 @@ class TestNonFinite:
         ["eval", "--alpha", "inf", "--a", "1", "--w", "1,1", "--method", "direct"],
         ["eval", "--alpha", "nan", "--a", "1", "--w", "1,1", "--method", "reduction"],
         ["deriv0", "--a", "1", "--w", "1,nan", "--method", "series"],
+        ["compare", "--a", "1", "--w", "1", "--tol", "-1"],
+        ["compare", "--a", "1", "--w", "1", "--tol", "nan"],
     ])
     def test_input_is_usage_error(self, run, argv):
         code, out, err = run(argv)
@@ -321,16 +329,19 @@ class TestTable:
 
     def test_capped_rows_are_nan_and_the_rest_computed(self, run):
         # below alpha ~ d - 109 the integral route needs a Bernoulli table
-        # past its cap: those rows read nan, the last row is still computed
-        code, out, err = run(["table", "--alpha-grid=-160.5:-0.5:3", "--a", "1", "--w", "1,1",
-                              "--method", "integral"])
-        assert code == 3 and err == ""
-        rows = [row.split(",") for row in out.splitlines()[1:]]
-        assert [row[0] for row in rows] == ["-160.5", "-80.5", "-0.5"]
-        assert all(row[2:5] == ["nan"] * 3 for row in rows[:2])
+        # past its cap, and below about -171 1/Gamma(alpha) is past the
+        # largest double: those rows read nan, the last row is still computed
         _, single, _ = run(["eval", "--alpha=-0.5", "--a", "1", "--w", "1,1",
                             "--method", "integral", "--json"])
-        assert float(rows[2][2]) == json.loads(single)["value"][0]
+        for grid, alphas in (("-160.5:-0.5:3", ["-160.5", "-80.5", "-0.5"]),
+                             ("-200.5:-0.5:3", ["-200.5", "-100.5", "-0.5"])):
+            code, out, err = run(["table", f"--alpha-grid={grid}", "--a", "1", "--w", "1,1",
+                                  "--method", "integral"])
+            assert code == 3 and err == ""
+            rows = [row.split(",") for row in out.splitlines()[1:]]
+            assert [row[0] for row in rows] == alphas
+            assert all(row[2:5] == ["nan"] * 3 for row in rows[:2])
+            assert float(rows[2][2]) == json.loads(single)["value"][0]
 
     def test_homogeneous_reduction(self, run):
         argv = ["table", "--alpha-grid", "3:5:3", "--w", "1,1", "--homogeneous"]

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from barneszeta import (
     BarnesParams,
+    ConvergenceError,
     DomainError,
     EvalConfig,
     EvalResult,
@@ -96,6 +97,15 @@ class TestEvalConfig:
     def test_negative_error_estimate_rejected(self):
         with pytest.raises(DomainError):
             EvalResult(1.0, -1.0, "series")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_non_finite_value_is_convergence_error(self, value):
+        # Every route returns through EvalResult, so none can return a value
+        # past the largest double; the error names the route and keeps its
+        # diagnostics.
+        with pytest.raises(ConvergenceError, match="series: the value") as exc:
+            EvalResult(value, 0.0, "series", {"shells": 3})
+        assert exc.value.diagnostics == {"shells": 3}
 
 
 class TestSmallHelpers:

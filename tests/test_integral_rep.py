@@ -16,7 +16,6 @@ from barneszeta import (
     ConvergenceError,
     DomainError,
     PoleError,
-    QuadratureError,
     residue,
 )
 from barneszeta.integral_rep import (
@@ -87,7 +86,7 @@ class TestExpSinhRule:
 
     def test_level_cap_raises(self):
         # A cusp at t = 1 defeats the double-exponential decay of the error.
-        with pytest.raises(QuadratureError):
+        with pytest.raises(ConvergenceError, match="did not settle"):
             quad_semiinfinite(lambda t: np.abs(t - 1.0) * np.exp(-t), 0.0, 1.0, 1e-14)
 
     def test_non_finite_integrand_raises_at_once(self):
@@ -97,7 +96,7 @@ class TestExpSinhRule:
             calls.append(t.size)
             return np.where(t > 3.0, np.inf, np.exp(-t))
 
-        with pytest.raises(QuadratureError):
+        with pytest.raises(ConvergenceError, match="not finite"):
             quad_semiinfinite(f, 0.0, 1.0, 1e-12)
         assert len(calls) == 1
 
@@ -106,7 +105,7 @@ class TestExpSinhRule:
         def f(t):
             return np.where((t > 0.3) & (t < 1.0), 1e308, 0.0)
 
-        with np.errstate(over="ignore"), pytest.raises(QuadratureError, match="overflow"):
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="overflow"):
             quad_semiinfinite(f, 0.0, 1.0, 1e-12)
 
     @staticmethod
@@ -135,7 +134,7 @@ class TestExpSinhRule:
 
     def test_consumed_level_that_is_non_finite_raises(self):
         calls = []
-        with pytest.raises(QuadratureError):
+        with pytest.raises(ConvergenceError, match="not finite"):
             quad_semiinfinite(self.nan_at_level(3, calls), 0.0, 1.0, 1e-12)
         assert len(calls) == 1
 
@@ -148,7 +147,7 @@ class TestExpSinhRule:
 
     def test_consumed_level_four_that_is_non_finite_raises(self):
         calls = []
-        with pytest.raises(QuadratureError):
+        with pytest.raises(ConvergenceError, match="not finite"):
             quad_semiinfinite(self.nan_at_level(4, calls), 0.0, 1.0, 1e-12)
         assert len(calls) == 1
 
@@ -168,7 +167,7 @@ class TestExpSinhRule:
                 calls.append(t.copy())
                 return np.full(t.shape, (-4.0) ** len(calls))   # no two calls agree
 
-            with contextlib.suppress(QuadratureError):
+            with contextlib.suppress(ConvergenceError):
                 quad_semiinfinite(f, order, rate, rel_tol, growth)
             return calls
 
@@ -530,10 +529,10 @@ class TestReciprocalGamma:
             assert _reciprocal_gamma(-n) == 0j
             assert _reciprocal_gamma(complex(-n, 0.0)) == 0j
 
-    def test_overflow_is_domain_error(self):
-        with pytest.raises(DomainError):
+    def test_overflow_is_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="overflows a double"):
             _reciprocal_gamma(0.5 + 500j)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConvergenceError, match="overflows a double"):
             zeta_integral(0.5 + 500j, BarnesParams(1.0, (1.0, 1.0)))
 
     def test_import_pulls_in_no_scipy(self):
