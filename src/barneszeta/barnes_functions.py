@@ -43,6 +43,8 @@ from .series_rep import deriv0_series, fp_series, zeta_series
 
 _ULP8 = 8 * EPS            # rounding slack of the best-route agreement test
 _EST_CAP = 1e-3            # evaluate returns no estimate past _EST_CAP * (1 + |value|)
+_CAP = f"the cap {_EST_CAP:g} * (1 + |value|)"
+DEFAULT_METHOD = "best"    # the route of evaluate, the Gamma family and the CLI without one
 
 
 # Every route of every quantity: ROUTES[quantity][route].  A route takes
@@ -60,25 +62,25 @@ ROUTES = {
 }
 
 
-def evaluate(quantity: str, params, at=None, method: str = "best",
+def evaluate(quantity: str, params, at=None, method: str = DEFAULT_METHOD,
              config: EvalConfig | None = None) -> EvalResult:
     """Evaluate a quantity of the ROUTES registry by one of its routes.
 
     quantity is "zeta" (at = alpha), "fp" (at = q) or "deriv0" (no `at`);
     params is a BarnesParams, or the weights for the homogeneous function;
-    method is a route's key in ROUTES[quantity], which the result carries
-    as its `method`.  The method "best" (the default) runs the series and
-    the integral route and returns the one whose own error estimate is
-    smaller, with that estimate and that route's key;
-    diagnostics add `cross_check_delta` = |series - integral| and
-    `best_route`.  If the two values differ by more than the sum of their
-    estimates plus 8 ulp of (1 + |value|), at least one estimate is
-    dishonest and ConvergenceError is raised with both values.  A result
-    whose estimate exceeds _EST_CAP * (1 + |value|) raises ConvergenceError;
-    "best" skips a route past that cap and returns the other one, not
-    cross-checked (`cross_check_delta` None, `skipped_route` the skipped
-    key), and with both past it raises with both values and estimates.  A
-    combination that is not in the registry raises DomainError.
+    method is "best" or a key of ROUTES[quantity], which the result carries
+    as its `method`.  An estimate past _EST_CAP * (1 + |value|) raises
+    ConvergenceError; a combination not in the registry, DomainError.
+
+    "best" runs the series and the integral route and returns the one with
+    the smaller estimate, its own; diagnostics add `best_route`,
+    `cross_check_delta` = |series - integral| and `cross_check_level`, the
+    partner's estimate plus 8 ulp of (1 + |value|), to which an independent
+    route confirms the value; values further apart than both estimates plus
+    that slack raise ConvergenceError.  A route past the cap or raising
+    ConvergenceError is skipped: the other returns unchecked (both
+    cross_check keys None, `skipped_route` and `skipped_reason` set); with
+    both skipped, ConvergenceError names both.
     """
     cfg = config or DEFAULT_CONFIG
     if quantity not in ROUTES:
@@ -88,34 +90,44 @@ def evaluate(quantity: str, params, at=None, method: str = "best",
     routes = ROUTES[quantity]
     args = (params,) if at is None else (at, params)
     if method == "best":
-        runs = {name: routes[name](*args, config=cfg) for name in ("series", "integral")}
-        capped = [r for r, res in runs.items() if _past_cap(res)]
-        name = min(runs, key=lambda r: (r in capped, runs[r].abs_error_estimate))
-        best = runs[name]
-        delta = abs(runs["series"].value - runs["integral"].value)
-        diag = {**best.diagnostics, "cross_check_delta": delta, "best_route": name}
-        claimed = sum(r.abs_error_estimate for r in runs.values())
-        if len(capped) == 1:
-            diag.update(cross_check_delta=None, skipped_route=capped[0])
-        elif capped or delta > claimed + _ULP8 * (1.0 + abs(best.value)):
-            for r, res in runs.items():
-                diag[r] = {"value": [res.value.real, res.value.imag],
-                           "abs_error_estimate": res.abs_error_estimate}
-            why = (f"are both past the cap {_EST_CAP:g} * (1 + |value|): " + ", ".join(
-                f"{r} {res.value:.6g} with error estimate {res.abs_error_estimate:.3e}"
-                for r, res in runs.items()) if capped else
-                f"differ by {delta:.3e}, beyond their estimates ({claimed:.3e})")
-            raise ConvergenceError(f"{quantity}: series and integral routes {why}", diag)
+        runs, why = {}, {}          # why[route]: the reason that route cannot answer
+        for r in ("series", "integral"):
+            try:
+                runs[r] = res = routes[r](*args, config=cfg)
+            except ConvergenceError as exc:
+                why[r] = f"raised: {exc}"
+                continue
+            if _past_cap(res):
+                why[r] = (f"{res.value:.6g} with error estimate {res.abs_error_estimate:.3e}, "
+                          "past the cap")
+        values = {r: {"value": [res.value.real, res.value.imag],
+                      "abs_error_estimate": res.abs_error_estimate} for r, res in runs.items()}
+        if len(why) == 2:
+            head = f"are both past {_CAP}" if len(runs) == 2 else "both fail"
+            raise ConvergenceError(f"{quantity}: series and integral routes {head}: "
+                                   + "; ".join(f"{r} {text}" for r, text in why.items()), values)
+        name = min((r for r in runs if r not in why), key=lambda r: runs[r].abs_error_estimate)
+        best, other = runs[name], "integral" if name == "series" else "series"
+        diag = {**best.diagnostics, "best_route": name}
+        if other in why:
+            diag.update(cross_check_delta=None, cross_check_level=None, skipped_route=other,
+                        skipped_reason=why[other])
+        else:
+            est, slack = runs[other].abs_error_estimate, _ULP8 * (1.0 + abs(best.value))
+            delta, claimed = abs(best.value - runs[other].value), best.abs_error_estimate + est
+            diag.update(cross_check_delta=delta, cross_check_level=est + slack)
+            if delta > claimed + slack:
+                raise ConvergenceError(f"{quantity}: series and integral routes differ by "
+                                       f"{delta:.3e}, beyond their estimates ({claimed:.3e})",
+                                       {**diag, **values})
         result = EvalResult(best.value, best.abs_error_estimate, best.method, diag)
     elif method not in routes:
-        raise DomainError(f"{quantity} has no route {method!r}; expected one of "
-                          f"{[*routes, 'best']}")
+        raise DomainError(f"{quantity} has no route {method!r}; expected one of {[*routes, 'best']}")
     else:
         result = routes[method](*args, config=cfg)
     if _past_cap(result):
         raise ConvergenceError(f"{quantity} by {result.method}: error estimate "
-                               f"{result.abs_error_estimate:.3e} is past the cap "
-                               f"{_EST_CAP:g} * (1 + |value|)", result.diagnostics)
+                               f"{result.abs_error_estimate:.3e} is past {_CAP}", result.diagnostics)
     return result
 
 
@@ -132,14 +144,14 @@ def _of_form(params, homogeneous: bool, name: str):
     return w if homog else params
 
 
-def log_rho(w, method: str = "best",
+def log_rho(w, method: str = DEFAULT_METHOD,
             config: EvalConfig | None = None) -> EvalResult:
     """Log of the modular constant: -(homogeneous derivative at zero)."""
     res = evaluate("deriv0", _of_form(w, True, "log_rho"), None, method, config)
     return EvalResult(-res.value, res.abs_error_estimate, res.method, res.diagnostics)
 
 
-def log_gamma_B(p: BarnesParams, method: str = "best",
+def log_gamma_B(p: BarnesParams, method: str = DEFAULT_METHOD,
                 config: EvalConfig | None = None) -> EvalResult:
     """log Gamma_B(a|w) = zeta'(0,a|w) + log rho(w) (Barnes normalization)."""
     _of_form(p, False, "log_gamma_B")
@@ -162,20 +174,20 @@ def _from_finite_part(q: int, params, sign: float, method: str,
                       {"fp": fp.diagnostics, "residue": [res.real, res.imag]})
 
 
-def psi_B(q: int, p: BarnesParams, method: str = "best",
+def psi_B(q: int, p: BarnesParams, method: str = DEFAULT_METHOD,
           config: EvalConfig | None = None) -> EvalResult:
     """Generalized digamma value Psi^(q)(a|w), q = 1..d, from the finite part."""
     return _from_finite_part(q, _of_form(p, False, "psi_B"), (-1.0) ** q, method, config)
 
 
-def gamma_dq(q: int, w, method: str = "best",
+def gamma_dq(q: int, w, method: str = DEFAULT_METHOD,
              config: EvalConfig | None = None) -> EvalResult:
     """q-th gamma modular form, from the homogeneous finite part at q."""
     return _from_finite_part(q, _of_form(w, True, "gamma_dq"), (-1.0) ** (q - 1),
                              method, config)
 
 
-def multiple_gamma(a: complex, d: int, method: str = "best",
+def multiple_gamma(a: complex, d: int, method: str = DEFAULT_METHOD,
                    config: EvalConfig | None = None) -> EvalResult:
     """log of the multiple Gamma function: log Gamma_B with unit weights."""
     if d < 1:

@@ -14,9 +14,9 @@ Conventions:
   * weights are a comma list of reals (e.g. --w 1,1.41421356);
   * floats print with 17 significant digits, CSV uses LF line endings,
     JSON is emitted with sorted keys so output round-trips byte for byte;
-  * BARNES_ZETA_TOL overrides the default tolerance, flags override both;
-    the tolerance moves the series, limit and direct routes, not the
-    integral route's quadrature.
+  * no --method runs the library's default route, "best"; --tol is the one
+    tolerance source, of the series, limit and direct routes (compare's
+    --tol is its agreement tolerance: its routes run at the library's).
 
 Exit codes: 0 ok, 1 comparison failure, 2 usage, 3 convergence failure (a
 route past a budget, a cap or the largest double), 4 pole.
@@ -29,11 +29,10 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
-from .barnes_functions import (ROUTES, evaluate, gamma_dq, log_gamma_B, log_rho, multiple_gamma,
-                               psi_B, residue)
+from .barnes_functions import (DEFAULT_METHOD, ROUTES, evaluate, gamma_dq, log_gamma_B, log_rho,
+                               multiple_gamma, psi_B, residue)
 from .foundations import (BarnesParams, BarnesZetaError, ConvergenceError, DomainError, EvalConfig,
                           EvalResult, PoleError, validate_weights)
 
@@ -99,21 +98,11 @@ def emit_result(res: EvalResult, as_json: bool) -> None:
 
 
 def build_config(args) -> EvalConfig:
-    """The config of --tol, else of BARNES_ZETA_TOL; a bad value names its source."""
-    env = os.environ.get("BARNES_ZETA_TOL")
-    if args.tol is not None:
-        source, tol = "--tol", args.tol
-    elif env:
-        try:
-            source, tol = "BARNES_ZETA_TOL", float(env)
-        except ValueError:
-            raise DomainError(f"BARNES_ZETA_TOL = {env!r} is not a number") from None
-    else:
-        return EvalConfig()
+    """The config of --tol, else the library's own."""
     try:
-        return EvalConfig(rel_tol=tol)
+        return EvalConfig() if args.tol is None else EvalConfig(rel_tol=args.tol)
     except DomainError:
-        raise DomainError(f"{source} = {tol} is not a finite positive tolerance") from None
+        raise DomainError(f"--tol = {args.tol} is not a finite positive tolerance") from None
 
 
 def _pole_hint(exc: PoleError, args) -> str:
@@ -256,8 +245,8 @@ def cmd_table(args) -> int:
 
 
 def _add_method(sub, *quantities: str) -> None:
-    """--method: the registry routes of these quantities, then "best"."""
-    sub.add_argument("--method", choices=[*_methods(*quantities), "best"], default="series")
+    """--method: the registry routes of these quantities, then "best"; the library's default."""
+    sub.add_argument("--method", choices=[*_methods(*quantities), "best"], default=DEFAULT_METHOD)
 
 
 def _add_common(sub, quantity: str):

@@ -103,8 +103,8 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
     Requires Re(alpha) > d + 0.5 for a practical tail; stops once the
     rigorous integral tail bound drops below rel_tol of the partial sum, or
     where the walk ends first, with that bound if it is within
-    _DIRECT_WORST_REL of the sum.  A power past the largest double leaves a
-    sum that EvalResult refuses, with no RuntimeWarning on the way.
+    _DIRECT_WORST_REL of the sum.  A power past the largest double ends the
+    walk at once: a non-finite sum stays so, and EvalResult refuses it.
     """
     cfg = config or DEFAULT_CONFIG
     a, w, homog = lattice(params)
@@ -135,7 +135,8 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
         u_k = a_re + (k + 1) * wmin
         kappa = 1.0 / wmin + 2.0 / u_k
         bound = cone * d * kappa ** (d - 1) * u_k ** (d - alpha.real) / ((alpha.real - d) * wmin)
-        if k >= 1 and bound <= cfg.rel_tol * max(abs(acc.value), 1e-300):
+        if (not cmath.isfinite(acc.value)
+                or k >= 1 and bound <= cfg.rel_tol * max(abs(acc.value), 1e-300)):
             return EvalResult(acc.value, bound, "direct", diag(k, points))
     # The walk met its point budget: near the abscissa rel_tol may be out of reach.
     if bound > _DIRECT_WORST_REL * max(abs(acc.value), 1e-300):

@@ -17,7 +17,7 @@ from barneszeta import (
     psi_B,
     residue,
 )
-from barneszeta.barnes_functions import _EST_CAP, ROUTES, evaluate
+from barneszeta.barnes_functions import _EST_CAP, _ULP8, DEFAULT_METHOD, ROUTES, evaluate
 from barneszeta.foundations import harmonic
 from barneszeta.oracles import hurwitz_zeta, hurwitz_zeta_ds, log_gamma_ref
 from barneszeta.series_rep import fp_series, zeta_series
@@ -27,6 +27,15 @@ from references import digamma_ref
 
 EULER_GAMMA = 0.57721566490153286
 LOG_2PI = math.log(2 * math.pi)
+
+
+def _stub(name, error=None, est=1e-14):
+    """A zeta route that raises error, or else returns 0.5 with estimate est."""
+    def route(alpha, p, config=None):
+        if error is not None:
+            raise error
+        return EvalResult(0.5 + 0j, est, name, {})
+    return route
 
 
 class TestLogRho:
@@ -326,6 +335,71 @@ class TestEvaluate:
         else:
             res = evaluate("zeta", d2_params, 0.5)
             assert res.value == 0 and res.diagnostics["cross_check_delta"] == delta
+
+    # Stub routes: a partner that raises ConvergenceError is skipped as one
+    # past the cap is, and the other route returns, not cross-checked, with
+    # the skipped route and its message in the diagnostics.
+    @pytest.mark.parametrize("failing, other", [("integral", "series"), ("series", "integral")])
+    def test_best_skips_a_partner_that_raises(self, d2_params, monkeypatch, failing, other):
+        monkeypatch.setitem(ROUTES["zeta"], failing, _stub(failing, ConvergenceError("no settle")))
+        monkeypatch.setitem(ROUTES["zeta"], other, _stub(other))
+        res = evaluate("zeta", d2_params, 0.5)
+        assert (res.value, res.abs_error_estimate, res.method) == (0.5, 1e-14, other)
+        diag = res.diagnostics
+        assert (diag["best_route"], diag["skipped_route"]) == (other, failing)
+        assert diag["skipped_reason"] == "raised: no settle"
+        assert diag["cross_check_delta"] is None and diag["cross_check_level"] is None
+
+    def test_best_raises_with_one_route_raising_and_one_past_the_cap(self, d2_params,
+                                                                     monkeypatch):
+        failing = _stub("series", ConvergenceError("no settle"))
+        monkeypatch.setitem(ROUTES["zeta"], "series", failing)
+        monkeypatch.setitem(ROUTES["zeta"], "integral", _stub("integral", est=1.0))
+        with pytest.raises(ConvergenceError) as exc:
+            evaluate("zeta", d2_params, 0.5)
+        assert str(exc.value) == ("zeta: series and integral routes both fail: series raised: "
+                                  "no settle; integral 0.5+0j with error estimate 1.000e+00, "
+                                  "past the cap")
+        want = {"integral": {"value": [0.5, 0.0], "abs_error_estimate": 1.0}}
+        assert exc.value.diagnostics == want
+
+    # A DomainError or a PoleError of either route is no skip: it propagates.
+    @pytest.mark.parametrize("failing", ["series", "integral"])
+    @pytest.mark.parametrize("error", [DomainError("out of domain"), PoleError("at a pole")],
+                             ids=["domain", "pole"])
+    def test_best_propagates_domain_and_pole_errors(self, d2_params, monkeypatch, failing, error):
+        monkeypatch.setitem(ROUTES["zeta"], failing, _stub(failing, error))
+        with pytest.raises(type(error), match=str(error)):
+            evaluate("zeta", d2_params, 0.5)
+
+    def test_best_skips_the_raising_integral(self):
+        # At alpha = -12.5 on (0.3; 1, 1) the exp-sinh rule does not settle,
+        # and the series holds the value within the cap: "best" returns the
+        # series' bits.  At -15.5 the series is past the cap as well.
+        p = BarnesParams(0.3, (1.0, 1.0))
+        best, series = evaluate("zeta", p, -12.5), zeta_series(-12.5, p)
+        assert (best.value, best.abs_error_estimate) == (series.value, series.abs_error_estimate)
+        assert best.method == "series" and best.diagnostics["skipped_route"] == "integral"
+        assert best.diagnostics["skipped_reason"].startswith("raised: exp-sinh rule")
+        with pytest.raises(ConvergenceError, match="series and integral routes both fail") as exc:
+            evaluate("zeta", p, -15.5)
+        assert "series 1.86299+0j with error estimate" in str(exc.value)
+        assert "integral raised: exp-sinh rule" in str(exc.value)
+
+    def test_best_cross_check_level(self, d2_params):
+        # The level an independent route confirms: the partner's estimate
+        # plus 8 ulp of (1 + |value|), and none when the partner was skipped.
+        best = evaluate("zeta", d2_params, 0.5)
+        partner = "series" if best.method == "integral" else "integral"
+        est = evaluate("zeta", d2_params, 0.5, partner).abs_error_estimate
+        assert best.diagnostics["cross_check_level"] == est + _ULP8 * (1.0 + abs(best.value))
+        skipped = evaluate("zeta", BarnesParams(0.3, (1.0, 1.0)), -12.5)
+        assert skipped.diagnostics["cross_check_level"] is None
+
+    def test_one_default_method(self):
+        # the library and the CLI share one default route
+        for fn in (evaluate, log_rho, log_gamma_B, psi_B, gamma_dq, multiple_gamma):
+            assert inspect.signature(fn).parameters["method"].default is DEFAULT_METHOD == "best"
 
     def test_best_skips_a_partner_past_the_cap(self):
         # On w = s (1, 8) the series stops on its noise floor, with an

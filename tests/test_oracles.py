@@ -129,14 +129,13 @@ class TestDirectSum:
         assert (diag["shells"], diag["points"]) == (6, 36)
         assert math.isfinite(diag["tail_bound"])
 
-    def test_overflow_is_convergence_error(self, monkeypatch):
+    def test_overflow_is_convergence_error(self):
         # At a = 1e-3 the first term 1e-3^-400 is past the largest double and
-        # the sum reads NaN; the walk ends at the budget, after 31^2 points,
-        # and EvalResult refuses the value, with no RuntimeWarning on the way.
-        monkeypatch.setattr(combinatorics, "MAX_POINTS", 1_000)
+        # the sum reads NaN; the walk ends at that first point, and
+        # EvalResult refuses the value, with no RuntimeWarning on the way.
         with pytest.raises(ConvergenceError, match="past the largest double") as exc:
             direct_sum(400, BarnesParams(1e-3, (1.0, 1.0)))
-        assert exc.value.diagnostics["points"] == 961
+        assert exc.value.diagnostics["points"] == 1
 
     def test_tail_bound_covers_complex_alpha(self):
         # On a complex lattice |y^-alpha| = |y|^-Re(alpha) e^(Im(alpha) arg y)
