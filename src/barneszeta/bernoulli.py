@@ -138,17 +138,17 @@ def pole_coeffs(q: int, d: int, bw: Sequence[complex]) -> list[complex]:
     return [s * bw[m] / factorial(d - q - m) for m in range(d - q + 1)]
 
 
-def pole_term(q: int, a: complex, row: Sequence[complex], log: bool = True) -> CompensatedSum:
+def pole_term(q: int, a: complex, row: Sequence[complex]) -> CompensatedSum:
     """The closed term (-1)^(d+1) sum_m c_m a^e (log a - H_e + H_(q-1)) of
     the finite part at alpha = q, or of the derivative at zero for q = 0
     (with H_(-1) = 0), over the caller's `pole_coeffs` row, d = q + len(row) - 1,
-    as an accumulator whose `mass` callers keep for their estimates;
-    log=False drops the log a part.  At a = 0 only e = 0 is left: the
-    homogeneous constant (-1)^(d+1) c_(d-q) H_(q-1) = -H_(q-1) residue(q, w).
+    as an accumulator whose `mass` callers keep for their estimates.  At
+    a = 0 only e = 0 is left: the homogeneous constant
+    (-1)^(d+1) c_(d-q) H_(q-1) = -H_(q-1) residue(q, w).
     A power a^e past the largest double raises ConvergenceError."""
     d = q + len(row) - 1
     hq = harmonic_float(q - 1) if q else 0.0
-    la = cmath.log(a) if log and a else 0.0
+    la = cmath.log(a) if a else 0.0
     sign = 1.0 if d % 2 else -1.0
     acc = CompensatedSum()
     try:

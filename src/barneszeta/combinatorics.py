@@ -1,17 +1,17 @@
-"""Alternating subset symbols, hypercubic shells and extrapolation in 1/M.
+"""Alternating subset tables, hypercubic shells and extrapolation in 1/M.
 
-The F symbol is an alternating sum of a function over nonempty subset sums
-of the weights; G adds the empty subset and is then the composition of the
-d forward-difference operators with steps w_1..w_d, so it annihilates every
-polynomial of degree < d.  On the integer lattice the same alternating
-structure telescopes: its sum over the boxes of the cube {0..M}^d is one
-alternating sum over the 2^d far corners.
+The G symbol is an alternating sum of a function over the subset sums of
+the weights, the composition of the d forward-difference operators with
+steps w_1..w_d, so it annihilates every polynomial of degree < d.  On the
+integer lattice the same alternating structure telescopes: its sum over
+the boxes of the cube {0..M}^d is one alternating sum over the 2^d far
+corners, whose signs and subset sums `subset_table` lists.
 
 Finite differences of smooth functions at a large argument y lose roughly
-d*log10|y| digits to cancellation.  The lattice series forms them only at
-the 2^d far corners of each box, once per shell, and the limit route in its
-edge terms at x = M*w; all scalar accumulations here use
-error-free-transformation (Neumaier) summation.
+d*log10|y| digits to cancellation.  The lattice series, and the limit route
+from its plan, form them only at the 2^d far corners of each box; all
+scalar accumulations here use error-free-transformation (Neumaier)
+summation.
 
 The values a + n.w on a shell S_k (the points with max coordinate k) are one
 product of the weights with the shell's integer coordinate grid, cached per
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .foundations import ConvergenceError, DomainError, as_weights, narrow, narrow_weights
+from .foundations import ConvergenceError, DomainError, narrow, narrow_weights
 
 MAX_DIM = 16
 MAX_SHELLS = 100_000      # shells S_0..S_MAX_SHELLS a lattice walk may visit
@@ -100,18 +100,6 @@ def subset_table(w: Sequence[complex]) -> tuple[list[float], list[complex]]:
         raise DomainError(f"dimension must be in 1..{MAX_DIM}")
     subsets = [s for size in range(d + 1) for s in combinations(w, size)]
     return [-1.0 if (d - len(s)) % 2 else 1.0 for s in subsets], [sum(s, 0.0) for s in subsets]
-
-
-def f_symbol_sum(f: Callable[[complex], complex], a: complex, w: Iterable[complex]) -> CompensatedSum:
-    """F[f(a+x)]_{x=w} = sum over nonempty S of (-1)^{d-|S|} f(a + sigma_S),
-    added in the order of `subset_table`: the accumulator's `value` is the
-    sum, its `mass` the summed size of the 2^d - 1 terms."""
-    a = complex(a)
-    acc = CompensatedSum()
-    signs, sigmas = subset_table(as_weights(w))
-    for sign, sigma in zip(signs[1:], sigmas[1:]):
-        acc.add(sign * complex(f(a + sigma)))
-    return acc
 
 
 def _shell_grid(d: int, k: int) -> np.ndarray:

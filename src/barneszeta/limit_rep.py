@@ -1,43 +1,39 @@
 """Limit (M -> infinity) representations of the finite parts and of the
 derivative at zero, for the inhomogeneous and the homogeneous function.
 
-Each quantity is written as  lim_M [ edge terms at x = M*w + cube sum over
-{0..M-1}^d ] + closed constant.  The finite part at q and the derivative
-at zero are one form, q = 0 being the derivative: the edge terms read the
-pole row of `pole_coeffs`, and the closed constant is `pole_term` without
-its log a part, which the edge terms carry.  The bracket is evaluated on a
-short geometric ladder of M and extrapolated to 1/M -> 0 with a Neville
-tableau.
+By the telescoping lemma the lattice series is the limit of its partial
+sums over the boxes {0..M-1}^d.  At the shift k = 1 - q the series plan of
+the finite part at q, or of the derivative at zero for q = 0, has no plain
+ladder left, only its pole row, so a rung is the plan's far-corner sum
+C(M - 1) at x = M*w, its constant times the box's point count and the cube
+sum of (a + n.w)^-q (minus the cube log sum for q = 0), and the closed
+term is the plan's own.  The rungs are extrapolated to 1/M -> 0 with a
+Neville tableau.
 The cube {0..M-1}^d is the shells S_0..S_{M-1}, so one walk of the shells
 up to the largest M gives the cube sum at every rung as a running sum.
 
 Of its ladder _SCHEDULE the route keeps the _RUNGS largest rungs whose
 cube holds at most _CUBE_POINTS points: M = 64..256 at d <= 2, 24..96 at
-d = 3, 8..32 at d = 4, 4..16 at d = 5, and none from d = 11 on.
+d = 3, 8..32 at d = 4, 4..16 at d = 5, and fewer than two from d = 8 on,
+where it raises before it walks a cube.
 Smaller rungs are further from the asymptotic regime and spoil the tableau
-on anisotropic weights.  The bracket holds terms of size M^d log M that cancel to an O(1)
+on anisotropic weights.  A rung holds terms of size M^d log M that cancel to an O(1)
 result, so each rung carries a rounding error of about eps times its summed
 term size, which the tableau amplifies by at most the Lebesgue constant of
 its nodes 1/M.  The reported est_error is the larger of the last two gaps
 along the tableau's diagonal, built from the largest M down, plus that
 rounding term.
-
-Cube sums are cached by (a, w, rungs), so two routes comparing the same
-parameters share bit-identical lattice contributions and differ only in
-their edge-term algebra.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bernoulli import bernoulli_taylor_over_prod, pole_coeffs, pole_term
-from .combinatorics import CompensatedSum, f_symbol_sum, neville_diagonal, shell_values
+from .combinatorics import CompensatedSum, neville_diagonal, shell_values
 from .foundations import (
     ConvergenceError,
     DEFAULT_CONFIG,
@@ -45,10 +41,10 @@ from .foundations import (
     EvalConfig,
     EvalResult,
     check_order,
-    harmonic_float,
     lattice,
     narrow_weights,
 )
+from .series_rep import _Plan, _corner_sums, _plan_pole
 
 _SCHEDULE = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)   # the ladder of M
 _CUBE_POINTS = 2 ** 20   # largest cube {0..M-1}^d a rung may hold
@@ -58,9 +54,9 @@ _RUNGS = 5               # rungs kept: the largest that fit
 def _rungs_kept(d: int) -> tuple[int, ...]:
     """The last _RUNGS entries of _SCHEDULE whose cube fits in _CUBE_POINTS."""
     Ms = tuple(M for M in _SCHEDULE if M ** d <= _CUBE_POINTS)[-_RUNGS:]
-    if not Ms:
-        raise ConvergenceError(f"no M of the limit schedule has a cube of at most "
-                               f"{_CUBE_POINTS} points at d = {d}")
+    if len(Ms) < 2:
+        fits = f"only M = {Ms[0]} fits" if Ms else "no M fits"
+        raise ConvergenceError(f"the limit needs at least two rungs; {fits} at d = {d}")
     return Ms
 
 
@@ -103,62 +99,53 @@ def _cube_log(a0: complex, w: tuple[complex, ...], Ms: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# Edge terms
+# Rungs
 
 
-def _log_power(e: int) -> Callable[[complex], complex]:
-    """t -> t^e log t, the function of the edge terms' F symbols."""
-    return lambda t: t**e * cmath.log(t)
+def _corners(plan: _Plan, q: int, d: int, Ms: np.ndarray,
+             homog: bool) -> tuple[np.ndarray, np.ndarray]:
+    """C(M - 1) at each M of Ms, and the summed size of its terms.  The
+    inhomogeneous sums are the plan's `_corner_sums`, each term c_m z^e log z,
+    e = d - q - m, counted at z = a + M sigma_S.  The homogeneous ones are
+    split exactly: (M sigma)^e log(M sigma) = M^e sigma^e (log sigma + log M),
+    and the signed sums of sigma_S^e over the nonempty subsets are (-1)^(d+1)
+    at e = 0, 0 for 0 < e < d and d! prod w = 1/c_0 at e = d, so C(M - 1) =
+    sum_m c_m M^e L_m + log M ((-1)^(d+1) c_(d-q) + [q = 0] M^d), with L_m
+    the signed sum of sigma_S^e log sigma_S, each term counted by its size.
+    A non-finite sum is left to `EvalResult`'s check on the value."""
+    c, e = plan.logc, d - q - np.arange(plan.logc.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not homog:
+            z = (plan.a + Ms[:, None] * plan.sigmas).astype(np.complex128)[..., None]
+            sizes = (np.abs(z) ** e * np.abs(np.log(z))).sum(axis=1) @ abs(c)
+            return _corner_sums(plan, Ms, False), sizes
+        t = plan.sigmas[1:, None] ** e * np.log(plan.sigmas[1:, None])
+        log_m = np.log(Ms) * ((1.0 if d % 2 else -1.0) * (c[d - q] if c.size > d - q else 0.0)
+                              + (0.0 if q else Ms ** d))
+        return (Ms[:, None] ** e @ (c * (plan.signs[1:] @ t)) + log_m,
+                Ms[:, None] ** e @ (abs(c) * abs(t).sum(axis=0)) + abs(log_m))
 
 
-def _edge(q: int, a: complex, w: tuple[complex, ...], M: int, row: Sequence[complex],
-          symbols: Sequence[CompensatedSum] | None) -> tuple[complex, float]:
-    """Edge terms at x = M*w of the finite part at q, or of the derivative at
-    zero for q = 0: sum_m c_m F[t^e log t], e = d - q - m, over the row c_m
-    of `pole_coeffs`.  The homogeneous forms pass the symbols F[t^e log t](0|w),
-    which do not depend on M, scale them by M^e and add the log M term of
-    the origin, (-1)^(d+1) c_(d-q) log M; the inhomogeneous forms pass None.
-    Returns the sum and its summed term size, each F symbol counted by its
-    own terms."""
+def _rungs(q: int, a: complex, w: tuple[complex, ...],
+           homog: bool) -> tuple[list[tuple[int, complex, float]], complex]:
+    """(M, rung, summed term size) of each rung, and the closed term: the
+    series of `_plan_pole` at k = 1 - q, where its plain ladder is empty,
+    summed over the box {0..M-1}^d.  A rung is the corner sum C(M - 1), the
+    plan's constant times the box's point count, and the cube sum of
+    (a + n.w)^-q, or minus the cube log sum for q = 0."""
     d = len(w)
-    homog = symbols is not None
-    mw = tuple(M * wi for wi in w)
-    terms = []   # (value, summed term size)
-    if q == 0:
-        lead = float(M) ** d * ((math.log(M) if homog else 0.0) - harmonic_float(d))
-        terms.append((lead, abs(lead)))
-    for m, c in enumerate(row):
-        e = d - q - m
-        scale = c * (float(M) ** e if homog else 1.0)
-        F = symbols[m] if homog else f_symbol_sum(_log_power(e), a, mw)
-        terms.append((scale * F.value, abs(scale) * F.mass))
-    if homog:
-        tail = (1.0 if d % 2 else -1.0) * row[-1] * math.log(M)
-        terms.append((tail, abs(tail)))
-    acc = CompensatedSum()
-    for value, _ in terms:
-        acc.add(value)
-    return acc.value, sum(size for _, size in terms)
-
-
-def _rungs(q: int, a: complex, w: tuple[complex, ...], row: Sequence[complex],
-           homog: bool) -> list[tuple[int, complex, float]]:
-    """(M, bracket, summed term size) of each rung: the edge terms at M*w
-    plus the cube sum of (a + n.w)^-q, or minus the cube log sum for q = 0.
-    The caller's `pole_coeffs` row and the homogeneous F symbols, built once,
-    serve every rung."""
-    d = len(w)
+    kept = _rungs_kept(d)
+    plan, closed = _plan_pole(q, a, w, 1 - q, homog)
+    edges, sizes = _corners(plan, q, d, np.array(kept, float), homog)
     if q:
-        cube, sign = _cube_pow(a, w, _rungs_kept(d), q, homog), 1.0
+        cube, sign = _cube_pow(a, w, kept, q, homog), 1.0
     else:
-        cube, sign = _cube_log(a, w, _rungs_kept(d), homog), -1.0
-    symbols = ([f_symbol_sum(_log_power(d - q - m), 0.0, w) for m in range(len(row))]
-               if homog else None)
-    out = []
-    for M, c, c_mass in cube:
-        e, e_mass = _edge(q, a, w, M, row, symbols)
-        out.append((M, e + sign * c, e_mass + c_mass))
-    return out
+        cube, sign = _cube_log(a, w, kept, homog), -1.0
+    const, rungs = complex(plan.const), []
+    for (M, c, c_mass), e, s in zip(cube, edges.tolist(), sizes.tolist()):
+        n = M ** d - homog      # the box's points, less the homogeneous origin
+        rungs.append((M, e + const * n + sign * c, s + abs(const) * n + c_mass))
+    return rungs, closed
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +180,21 @@ def _run_limit(rungs: Sequence[tuple[int, complex, float]], const: complex, rel_
 def _pole_limit(q: int, a: complex, w: tuple[complex, ...], homog: bool,
                 cfg: EvalConfig) -> EvalResult:
     """The finite part at alpha = q, or the derivative at zero for q = 0: the
-    extrapolated rungs plus the closed `pole_term` without its log a part,
-    which the edge terms carry."""
-    d = len(w)
-    row = pole_coeffs(q, d, bernoulli_taylor_over_prod(w, d))
-    const = pole_term(q, a, row, log=False).value
-    return _run_limit(_rungs(q, a, w, row, homog), const, cfg.rel_tol, d)
+    extrapolated rungs plus the closed term of `_plan_pole`."""
+    rungs, closed = _rungs(q, a, w, homog)
+    return _run_limit(rungs, closed, cfg.rel_tol, len(w))
 
 
 def fp_limit(q: int, params, *, config: EvalConfig | None = None) -> EvalResult:
-    """Finite part at alpha = q by edge terms at M*w plus a cube sum (origin
-    excluded for the homogeneous function)."""
+    """Finite part at alpha = q by the series partial sums at k = 1 - q over
+    {0..M-1}^d (origin excluded for the homogeneous function)."""
     a, w, homog = lattice(params)
     check_order(q, len(w))
     return _pole_limit(q, a, w, homog, config or DEFAULT_CONFIG)
 
 
 def deriv0_limit(params, *, config: EvalConfig | None = None) -> EvalResult:
-    """Derivative at zero by edge terms at M*w plus a cube log sum (origin
-    excluded for the homogeneous function)."""
+    """Derivative at zero by the series partial sums at k = 1 over
+    {0..M-1}^d (origin excluded for the homogeneous function)."""
     a, w, homog = lattice(params)
     return _pole_limit(0, a, w, homog, config or DEFAULT_CONFIG)

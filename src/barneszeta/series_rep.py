@@ -175,16 +175,15 @@ def _ladder(plan: _Plan, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _corner_sums(plan: _Plan, j0: int, count: int, homog: bool) -> np.ndarray:
-    """C(j0), ..., C(j0 + count - 1), the ladder parts of the boxes {0..j}^d,
-    from one ladder call on their count * 2^d far corners; the homogeneous
-    forms drop the empty subset, whose f(0) is the same in every C(j).  A
-    non-finite C(j) is left to the caller's check on the shell total."""
+def _corner_sums(plan: _Plan, steps: np.ndarray, homog: bool) -> np.ndarray:
+    """C(j) at each step j + 1 of `steps`, the ladder parts of the boxes
+    {0..j}^d, from one ladder call on their 2^d far corners per step; the
+    homogeneous forms drop the empty subset, whose f(0) is the same in every
+    C(j).  A non-finite C(j) is left to the caller's check."""
     lo = 1 if homog else 0
-    steps = np.arange(j0 + 1.0, j0 + count + 1.0)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        corners = _ladder(plan, (plan.a + steps * plan.sigmas[lo:]).ravel())
-        return corners.reshape(count, -1) @ plan.signs[lo:]
+        corners = _ladder(plan, (plan.a + steps[:, None] * plan.sigmas[lo:]).ravel())
+        return corners.reshape(steps.size, -1) @ plan.signs[lo:]
 
 
 def _eval_shell(plan: _Plan, y: np.ndarray) -> tuple[complex, float]:
@@ -210,9 +209,9 @@ def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: boo
     of `walk_shells`: shell j adds its per-point part and C(j) - C(j-1).  The
     value is the compensated per-point sum plus the last C(j), never a running
     sum of corner differences.  Homogeneous forms pass only their constant:
-    the F-symbol part of their closed term is C(0), which the shells subtract
-    again.  The walk stops once three consecutive shells pass the stopping
-    rule, and raises ConvergenceError if it ends first."""
+    the nonempty-subset part of their closed term is C(0), which the shells
+    subtract again.  The walk stops once three consecutive shells pass the
+    stopping rule, and raises ConvergenceError if it ends first."""
     acc = CompensatedSum()
     # The last three shells' |total| and noise, oldest first: only shell 0 can be empty.
     r0 = r1 = r2 = n0 = n1 = n2 = 0.0
@@ -225,7 +224,8 @@ def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: boo
 
     for j, y, points in walk_shells(plan.a, w, homog, diag):
         if j % _CORNER_BLOCK == 0:
-            corners = _corner_sums(plan, j, _CORNER_BLOCK, homog).astype(np.complex128).tolist()
+            steps = np.arange(j + 1.0, j + _CORNER_BLOCK + 1.0)
+            corners = _corner_sums(plan, steps, homog).astype(np.complex128).tolist()
         corner = corners[j % _CORNER_BLOCK]
         if y.size:
             part, noise = _eval_shell(plan, y)

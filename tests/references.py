@@ -6,8 +6,9 @@ test compares against.
   the exact coefficients of `bernoulli_poly_exact`;
   `bernoullian_dS_closed` is the closed form B_m(w)/(m! prod(w_i)) of
   `bernoulli.bernoulli_taylor_over_prod` that it must collapse to.
-* `f_symbol` is the alternating sum over nonempty subsets, the value of
-  `combinatorics.f_symbol_sum` from an enumeration of its own, and
+* `f_symbol` is the alternating sum over nonempty subsets, from an
+  enumeration of its own, against which the series' far-corner sums
+  `series_rep._corner_sums` are checked, and
   `g_symbol` the G symbol, the d-fold forward difference, whose identities
   the tests check.
 * `bernoulli_poly_exact` is B_n(a|w) as an exact rational for rational a

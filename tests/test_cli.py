@@ -161,6 +161,15 @@ class TestEval:
         assert "d = 11" in err and "Traceback" not in err
         assert out == ""
 
+    def test_limit_with_one_rung_is_convergence_error(self, run):
+        # at d = 8 only M = 4 has a cube that fits: the route raises before
+        # it walks a cube
+        code, out, err = run(["deriv0", "--a", "1", "--w", ",".join(["1"] * 8),
+                              "--method", "limit"])
+        assert code == 3
+        assert "only M = 4 fits at d = 8" in err and "Traceback" not in err
+        assert out == ""
+
     def test_limit_disagreement_is_convergence_error(self, run):
         # at d = 6 the rungs that fit do not agree within the limit's floor
         code, out, err = run(["fp", "--q", "1", "--a", "0.8", "--w", "1,1.3,1.7,2.1,2.6,3.1",

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from barneszeta import BarnesParams, ConvergenceError, DomainError
-from barneszeta import combinatorics
+from barneszeta import combinatorics, series_rep
 from barneszeta.combinatorics import (
     CompensatedSum,
-    f_symbol_sum,
     neville_diagonal,
     shell_values,
+    subset_table,
 )
 from barneszeta.oracles import direct_sum
 
@@ -44,39 +45,55 @@ def prod(w):
 
 
 class TestFSymbol:
-    """combinatorics.f_symbol_sum, against the identities and the reference."""
+    """The signed sums over the nonempty subsets of `subset_table`: the exact
+    sums of sigma_S^e that the limit route's homogeneous corners rely on,
+    and the series' far-corner kernel against the reference F symbol."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_constant_one(self, d):
+        # e = 0: (-1)^(d+1), exactly; e = d: d! prod w
         w = tuple(0.5 + 0.25 * i for i in range(d))
-        assert f_symbol_sum(lambda x: 1.0, 0.3, w).value == pytest.approx((-1.0) ** (d - 1))
+        signs, sigmas = subset_table(w)
+        assert math.fsum(signs[1:]) == (-1.0) ** (d + 1)
+        top = np.array(signs[1:]) @ np.array(sigmas[1:]) ** d
+        assert top == pytest.approx(math.factorial(d) * math.prod(w), rel=1e-13)
 
     @pytest.mark.parametrize("d,l", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
     def test_monomials_vanish(self, d, l):
         w = tuple(0.4 + 0.3 * i for i in range(d))
+        signs, sigmas = subset_table(w)
         scale = sum(abs(x) for x in w) ** l
-        assert abs(f_symbol_sum(lambda x: x**l, 0.0, w).value) <= 1e-12 * scale
+        assert abs(np.array(signs[1:]) @ np.array(sigmas[1:]) ** l) <= 1e-12 * scale
 
     def test_single_weight(self):
-        assert f_symbol_sum(lambda x: x * x, 2.0, (3.0,)).value == 25.0
+        signs, sigmas = subset_table((3.0,))
+        assert (signs, sigmas) == ([-1.0, 1.0], [0.0, 3.0])
+        assert signs[1] * (2.0 + sigmas[1]) ** 2 == 25.0
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_reference(self, d):
+        # C(j) of a log-row plan, the derivative at zero's at k = 1, is
+        # (-1)^d f(a) plus the F symbol of f at steps (j + 1) w
         w = tuple(0.4 + 0.3 * i + 0.1j * (i % 2) for i in range(d))
-        f = lambda z: z ** 2.5 * cmath.log(z)
-        acc = f_symbol_sum(f, 0.7, w)
-        assert abs(acc.value - f_symbol(f, 0.7, w)) <= 1e-15 * acc.mass
+        plan, _ = series_rep._plan_pole(0, 0.7, w, 1, False)
+        coeffs = plan.logc.tolist()
+        f = lambda z: sum(c * z ** (d - m) for m, c in enumerate(coeffs)) * cmath.log(z)
+        size = lambda z: sum(abs(c * z ** (d - m)) for m, c in enumerate(coeffs)) * abs(cmath.log(z))
+        steps = np.array([1.0, 3.0, 8.0])
+        got = series_rep._corner_sums(plan, steps, False)
+        for s, value in zip(steps, got):
+            ws = tuple(s * x for x in w)
+            want = (-1.0) ** d * f(0.7) + f_symbol(f, 0.7, ws)
+            mass = size(0.7) + sum(size(0.7 + sum(sub)) for n in range(1, d + 1)
+                                   for sub in itertools.combinations(ws, n))
+            assert abs(value - want) <= 1e-15 * mass
 
     def test_failure_propagates_unchanged(self):
-        class Boom(Exception):
-            pass
-
-        def bad(x):
-            raise Boom(x)
-
-        with pytest.raises(Boom) as err:
-            f_symbol_sum(bad, 0.0, (1.0, 2.0))
-        assert err.value.args == (1.0 + 0j,)
+        # a corner past the largest double comes back non-finite, with no
+        # RuntimeWarning, for the caller's check on the shell total
+        plan, _ = series_rep._plan_pole(0, 0.7, (1.0, 2.0), 1, False)
+        got = series_rep._corner_sums(plan, np.array([1.0, 1e200]), False)
+        assert np.isfinite(got[0]) and not np.isfinite(got[1])
 
 
 class TestGSymbol:

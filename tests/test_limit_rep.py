@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from barneszeta import BarnesParams, ConvergenceError
-from barneszeta import limit_rep
-from barneszeta.bernoulli import bernoulli_taylor_over_prod, pole_coeffs
+from barneszeta import limit_rep, series_rep
+from barneszeta.bernoulli import bernoulli_taylor_over_prod
+from barneszeta.combinatorics import CompensatedSum, shell_values
+from barneszeta.foundations import lattice
 from barneszeta.integral_rep import deriv0_integral, fp_integral
 from barneszeta.limit_rep import deriv0_limit, fp_limit
 from barneszeta.oracles import log_gamma_ref
@@ -80,28 +82,29 @@ class TestDiagnostics:
             assert max(Ms) ** d <= limit_rep._CUBE_POINTS
 
     def test_edge_size_counts_every_subset_term(self, d2_params):
-        # the largest term of F[t^2 log t] at x = M*w is the full subset,
-        # t = a + M*(w1 + w2), with weight b_0/2!, b_0 = B_0(w)/prod(w)
-        p, M = d2_params, 256
+        # a rung's summed size holds its largest corner term, c_0 t^2 log t at
+        # the full subset, t = a + M*(w1 + w2), c_0 = b_0/2!, b_0 = B_0(w)/prod(w)
+        p = d2_params
         bw = bernoulli_taylor_over_prod(p.w, 2)
-        value, size = limit_rep._edge(0, p.a, p.w, M, pole_coeffs(0, 2, bw), None)
-        t = p.a + M * sum(p.w)
-        assert size >= abs(bw[0] / 2 * t**2 * cmath.log(t)) > abs(value)
+        rungs, _ = limit_rep._rungs(0, p.a, p.w, False)
+        for M, value, size in rungs:
+            t = p.a + M * sum(p.w)
+            assert size >= abs(bw[0] / 2 * t**2 * cmath.log(t)) > abs(value)
 
     @pytest.mark.parametrize("w", [(1.0, 2**0.5), (1.0, 2**0.5, math.pi / 4)])
     def test_homogeneous_symbols_once_per_call(self, w, monkeypatch):
-        # F[t^e log t](0|w) does not depend on M: one symbol per entry of the
-        # pole row, d + 1 for the derivative at zero, not one per rung
+        # the signed sums L_m do not depend on M: one corner call per route
+        # call serves every rung, not one call per rung
         calls = []
-        real = limit_rep.f_symbol_sum
+        real = limit_rep._corners
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(limit_rep, "f_symbol_sum", counted)
-        deriv0_limit(w)
-        assert len(calls) == len(w) + 1
+        monkeypatch.setattr(limit_rep, "_corners", counted)
+        res = deriv0_limit(w)
+        assert len(calls) == 1 and list(calls[0][3]) == res.diagnostics["M_values"]
 
     @pytest.mark.parametrize("route", [lambda p: fp_limit(1, p), deriv0_limit],
                              ids=["fp1", "deriv0"])
@@ -113,11 +116,46 @@ class TestDiagnostics:
         with pytest.raises(ConvergenceError, match="limit extrapolants disagree"):
             route(w if homog else BarnesParams(0.8, w))
 
-    def test_unusable_schedule_raises(self):
-        # from d = 11 on not even M = 4 has a cube of at most 2^20 points
-        assert limit_rep._rungs_kept(10) == (4,)
-        with pytest.raises(ConvergenceError):
-            deriv0_limit(BarnesParams(0.7, (1.0,) * 11))
+    def test_unusable_schedule_raises(self, monkeypatch):
+        # at d = 8..10 only M = 4 has a cube of at most 2^20 points, and from
+        # d = 11 on none has: the route raises before it walks a cube
+        with pytest.raises(ConvergenceError,
+                           match="the limit needs at least two rungs; only M = 4 fits at d = 10"):
+            limit_rep._rungs_kept(10)
+
+        def walked(*args):
+            raise AssertionError("a cube was walked")
+
+        monkeypatch.setattr(limit_rep, "_cube_chunks", walked)
+        for d in (8, 9, 11):
+            with pytest.raises(ConvergenceError, match=f"at least two rungs; .* at d = {d}"):
+                deriv0_limit(BarnesParams(0.7, (1.0,) * d))
+
+
+class TestRungsArePartialSums:
+    """A rung plus the closed term is the series of `_plan_pole` at
+    k = 1 - q summed through the box {0..M-1}^d: its shells' per-point
+    parts plus the corner sum C(M - 1)."""
+
+    @pytest.mark.parametrize("M", [4, 8])
+    @pytest.mark.parametrize("homog", [False, True], ids=["inhomogeneous", "homogeneous"])
+    @pytest.mark.parametrize("p", [BarnesParams(0.7, (1.0, 2 ** 0.5)),
+                                   BarnesParams(0.9, (1.0, 2 ** 0.5, math.pi / 4))],
+                             ids=["D2", "D3"])
+    def test_rung_is_series_partial_sum(self, p, homog, M, monkeypatch):
+        monkeypatch.setattr(limit_rep, "_rungs_kept", lambda d: (M,))
+        a, w, _ = lattice(p.w if homog else p)
+        for q in range(p.d + 1):
+            [(_, rung, size)], closed = limit_rep._rungs(q, a, w, homog)
+            plan, want = series_rep._plan_pole(q, a, w, 1 - q, homog)
+            assert plan.plain.size == 0
+            parts = CompensatedSum()
+            for j in range(M):
+                y = shell_values(a, w, j, skip_origin=homog)
+                if y.size:
+                    parts.add(series_rep._eval_shell(plan, y)[0])
+            want += parts.value + series_rep._corner_sums(plan, np.array([float(M)]), homog)[0]
+            assert abs(rung + closed - want) <= 1e-13 * (size + abs(closed)), q
 
 
 class TestHomogeneousBridgeLimitForm:

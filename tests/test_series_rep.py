@@ -219,7 +219,7 @@ def kernel_shell(plan, a0, w, j, homog):
     A shell with no imaginary part goes through the float64 per-point path."""
     y = shell_values(a0, w, j, skip_origin=homog)
     part, noise = sr._eval_shell(plan, y if y.imag.any() else y.real)
-    before, at = sr._corner_sums(plan, j - 1, 2, homog)
+    before, at = sr._corner_sums(plan, np.arange(j + 0.0, j + 2.0), homog)
     corners = at - before
     return part + corners, noise
 
@@ -399,7 +399,7 @@ class TestBoxIdentity:
             if y.size:
                 total, _, sz = reference_shell(plan, w, y, base=False)
                 want, size = want + total, size + sz
-        corners = sr._corner_sums(plan, 0, J + 1, homog)
+        corners = sr._corner_sums(plan, np.arange(1.0, J + 2.0), homog)
         got = corners[J] - corners[0] if homog else corners[J]
         assert abs(want) >= 100 * 1e-13 * size
         assert abs(got - want) <= 1e-13 * size
@@ -441,7 +441,7 @@ class TestBlockedCorners:
         for make in self.PLANS.values():
             plan = make(a0, w, homog)
             for j0, count in ((0, 8), (8, 8), (16, 5)):
-                got = sr._corner_sums(plan, j0, count, homog)
+                got = sr._corner_sums(plan, np.arange(j0 + 1.0, j0 + count + 1.0), homog)
                 assert got.shape == (count,)
                 for i, j in enumerate(range(j0, j0 + count)):
                     want, size = corner_sum(plan, j, homog)
