@@ -16,7 +16,7 @@ largest double).
 """
 
 from .foundations import (
-    BarnesParams, BarnesZetaError, ConvergenceError, DomainError, EvalConfig, EvalResult, PoleError,
+    BarnesParams, BarnesZetaError, ConvergenceError, DomainError, EvalResult, PoleError,
 )
 from .integral_rep import residue
 from .barnes_functions import (
@@ -28,6 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "evaluate", "ROUTES", "log_gamma_B", "log_rho", "multiple_gamma", "psi_B", "gamma_dq",
     "residue",
-    "BarnesParams", "EvalConfig", "EvalResult",
+    "BarnesParams", "EvalResult",
     "BarnesZetaError", "ConvergenceError", "DomainError", "PoleError",
 ]

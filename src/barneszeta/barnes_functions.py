@@ -27,11 +27,11 @@ from math import factorial
 from .foundations import (
     BarnesParams,
     ConvergenceError,
-    DEFAULT_CONFIG,
     DomainError,
     EPS,
-    EvalConfig,
     EvalResult,
+    REL_TOL,
+    check_tol,
     harmonic_float,
     lattice,
 )
@@ -51,7 +51,7 @@ DEFAULT_METHOD = "best"    # the route of evaluate, the Gamma family and the CLI
 # (alpha, params) for "zeta", (q, params) for "fp" and (params,) for
 # "deriv0", where params is a BarnesParams, or the weights for the
 # homogeneous function (a = 0, origin excluded), and then only the keyword
-# `config=`; it chooses its own representation parameters (the series
+# `rel_tol=`; it chooses its own representation parameters (the series
 # shift k, the integral's subtraction order M and regulator c).  Every
 # route serves both forms.
 ROUTES = {
@@ -63,14 +63,15 @@ ROUTES = {
 
 
 def evaluate(quantity: str, params, at=None, method: str = DEFAULT_METHOD,
-             config: EvalConfig | None = None) -> EvalResult:
+             rel_tol: float = REL_TOL) -> EvalResult:
     """Evaluate a quantity of the ROUTES registry by one of its routes.
 
     quantity is "zeta" (at = alpha), "fp" (at = q) or "deriv0" (no `at`);
     params is a BarnesParams, or the weights for the homogeneous function;
     method is "best" or a key of ROUTES[quantity], which the result carries
-    as its `method`.  An estimate past _EST_CAP * (1 + |value|) raises
-    ConvergenceError; a combination not in the registry, DomainError.
+    as its `method`.  A rel_tol that is not finite and positive, checked
+    before any dispatch, or a combination not in the registry raises
+    DomainError; an estimate past _EST_CAP * (1 + |value|), ConvergenceError.
 
     "best" runs the series and the integral route and returns the one with
     the smaller estimate, its own; diagnostics add `best_route`,
@@ -82,7 +83,7 @@ def evaluate(quantity: str, params, at=None, method: str = DEFAULT_METHOD,
     cross_check keys None, `skipped_route` and `skipped_reason` set); with
     both skipped, ConvergenceError names both.
     """
-    cfg = config or DEFAULT_CONFIG
+    check_tol(rel_tol)
     if quantity not in ROUTES:
         raise DomainError(f"unknown quantity {quantity!r}; expected one of {sorted(ROUTES)}")
     if (at is None) != (quantity == "deriv0"):
@@ -93,7 +94,7 @@ def evaluate(quantity: str, params, at=None, method: str = DEFAULT_METHOD,
         runs, why = {}, {}          # why[route]: the reason that route cannot answer
         for r in ("series", "integral"):
             try:
-                runs[r] = res = routes[r](*args, config=cfg)
+                runs[r] = res = routes[r](*args, rel_tol=rel_tol)
             except ConvergenceError as exc:
                 why[r] = f"raised: {exc}"
                 continue
@@ -124,7 +125,7 @@ def evaluate(quantity: str, params, at=None, method: str = DEFAULT_METHOD,
     elif method not in routes:
         raise DomainError(f"{quantity} has no route {method!r}; expected one of {[*routes, 'best']}")
     else:
-        result = routes[method](*args, config=cfg)
+        result = routes[method](*args, rel_tol=rel_tol)
     if _past_cap(result):
         raise ConvergenceError(f"{quantity} by {result.method}: error estimate "
                                f"{result.abs_error_estimate:.3e} is past {_CAP}", result.diagnostics)
@@ -144,29 +145,27 @@ def _of_form(params, homogeneous: bool, name: str):
     return w if homog else params
 
 
-def log_rho(w, method: str = DEFAULT_METHOD,
-            config: EvalConfig | None = None) -> EvalResult:
+def log_rho(w, method: str = DEFAULT_METHOD, rel_tol: float = REL_TOL) -> EvalResult:
     """Log of the modular constant: -(homogeneous derivative at zero)."""
-    res = evaluate("deriv0", _of_form(w, True, "log_rho"), None, method, config)
+    res = evaluate("deriv0", _of_form(w, True, "log_rho"), None, method, rel_tol)
     return EvalResult(-res.value, res.abs_error_estimate, res.method, res.diagnostics)
 
 
 def log_gamma_B(p: BarnesParams, method: str = DEFAULT_METHOD,
-                config: EvalConfig | None = None) -> EvalResult:
+                rel_tol: float = REL_TOL) -> EvalResult:
     """log Gamma_B(a|w) = zeta'(0,a|w) + log rho(w) (Barnes normalization)."""
     _of_form(p, False, "log_gamma_B")
-    dv = evaluate("deriv0", p, None, method, config)
-    lr = log_rho(p.w, method, config)
+    dv = evaluate("deriv0", p, None, method, rel_tol)
+    lr = log_rho(p.w, method, rel_tol)
     return EvalResult(dv.value + lr.value,
                       dv.abs_error_estimate + lr.abs_error_estimate,
                       dv.method, {"deriv0": dv.diagnostics, "log_rho": lr.diagnostics})
 
 
-def _from_finite_part(q: int, params, sign: float, method: str,
-                      config: EvalConfig | None) -> EvalResult:
+def _from_finite_part(q: int, params, sign: float, method: str, rel_tol: float) -> EvalResult:
     """sign (q-1)! (FP at q + H_(q-1) * residue at q), the form shared by
     psi_B and gamma_dq; the fp route rejects a q off the poles."""
-    fp = evaluate("fp", params, q, method, config)
+    fp = evaluate("fp", params, q, method, rel_tol)
     res = residue(q, params)
     scale = sign * factorial(q - 1)
     value = scale * (fp.value + harmonic_float(q - 1) * res)
@@ -175,22 +174,20 @@ def _from_finite_part(q: int, params, sign: float, method: str,
 
 
 def psi_B(q: int, p: BarnesParams, method: str = DEFAULT_METHOD,
-          config: EvalConfig | None = None) -> EvalResult:
+          rel_tol: float = REL_TOL) -> EvalResult:
     """Generalized digamma value Psi^(q)(a|w), q = 1..d, from the finite part."""
-    return _from_finite_part(q, _of_form(p, False, "psi_B"), (-1.0) ** q, method, config)
+    return _from_finite_part(q, _of_form(p, False, "psi_B"), (-1.0) ** q, method, rel_tol)
 
 
-def gamma_dq(q: int, w, method: str = DEFAULT_METHOD,
-             config: EvalConfig | None = None) -> EvalResult:
+def gamma_dq(q: int, w, method: str = DEFAULT_METHOD, rel_tol: float = REL_TOL) -> EvalResult:
     """q-th gamma modular form, from the homogeneous finite part at q."""
-    return _from_finite_part(q, _of_form(w, True, "gamma_dq"), (-1.0) ** (q - 1),
-                             method, config)
+    return _from_finite_part(q, _of_form(w, True, "gamma_dq"), (-1.0) ** (q - 1), method, rel_tol)
 
 
 def multiple_gamma(a: complex, d: int, method: str = DEFAULT_METHOD,
-                   config: EvalConfig | None = None) -> EvalResult:
+                   rel_tol: float = REL_TOL) -> EvalResult:
     """log of the multiple Gamma function: log Gamma_B with unit weights."""
     if d < 1:
         raise DomainError("d must be >= 1")
     p = BarnesParams(a=a, w=(1.0,) * d)
-    return log_gamma_B(p, method, config)
+    return log_gamma_B(p, method, rel_tol)

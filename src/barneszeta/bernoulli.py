@@ -23,7 +23,6 @@ parts and of the derivative at zero shares.
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -32,7 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .combinatorics import CompensatedSum
-from .foundations import ConvergenceError, DomainError, as_weights, harmonic_float, narrow
+from .foundations import (ConvergenceError, DomainError, as_weights, harmonic_float, narrow,
+                          weight_product)
 
 MAX_TABLE = 170            # 171! no longer fits in a float
 # The smallest table built.  It holds the integral brackets' M + 60 terms at
@@ -120,7 +120,7 @@ def bernoulli_taylor(a: complex, w: Iterable[complex], N: int) -> np.ndarray:
 def bernoulli_taylor_over_prod(w: Sequence[complex], N: int) -> list[complex]:
     """B_m(w)/(m! prod w_i), m = 0..N, the Taylor coefficients of
     z^d / prod_i (e^{w_i z} - 1), from one table."""
-    pw = math.prod(as_weights(w))
+    pw = weight_product(as_weights(w))
     return [b / pw for b in bernoulli_taylor(0.0, w, N).tolist()]
 
 

@@ -14,9 +14,9 @@ Conventions:
   * weights are a comma list of reals (e.g. --w 1,1.41421356);
   * floats print with 17 significant digits, CSV uses LF line endings,
     JSON is emitted with sorted keys so output round-trips byte for byte;
-  * no --method runs the library's default route, "best"; --tol is the one
-    tolerance source, of the series, limit and direct routes (compare's
-    --tol is its agreement tolerance: its routes run at the library's).
+  * no --method runs the library's default route, "best"; --tol, else REL_TOL,
+    is the tolerance of the series, limit and direct routes (compare's --tol
+    is its agreement tolerance: its routes run at REL_TOL).
 
 Exit codes: 0 ok, 1 comparison failure, 2 usage, 3 convergence failure (a
 route past a budget, a cap or the largest double), 4 pole.
@@ -33,8 +33,8 @@ import sys
 
 from .barnes_functions import (DEFAULT_METHOD, ROUTES, evaluate, gamma_dq, log_gamma_B, log_rho,
                                multiple_gamma, psi_B, residue)
-from .foundations import (BarnesParams, BarnesZetaError, ConvergenceError, DomainError, EvalConfig,
-                          EvalResult, PoleError, validate_weights)
+from .foundations import (REL_TOL, BarnesParams, BarnesZetaError, ConvergenceError, DomainError,
+                          EvalResult, PoleError, check_tol, validate_weights)
 
 EXIT_OK = 0
 EXIT_COMPARISON = 1
@@ -97,14 +97,6 @@ def emit_result(res: EvalResult, as_json: bool) -> None:
                      f"  (est_error={est:.3e}, method={method})\n")
 
 
-def build_config(args) -> EvalConfig:
-    """The config of --tol, else the library's own."""
-    try:
-        return EvalConfig() if args.tol is None else EvalConfig(rel_tol=args.tol)
-    except DomainError:
-        raise DomainError(f"--tol = {args.tol} is not a finite positive tolerance") from None
-
-
 def _pole_hint(exc: PoleError, args) -> str:
     if exc.q is None:
         return str(exc)
@@ -137,26 +129,26 @@ def _params(args):
 
 def cmd_eval(args) -> int:
     """eval, fp and deriv0: one quantity by one route of the registry."""
-    cfg = build_config(args)
-    emit_result(evaluate(args.quantity, _params(args), args.at, args.method, cfg), args.json)
+    check_tol(args.tol, "--tol")
+    emit_result(evaluate(args.quantity, _params(args), args.at, args.method, args.tol), args.json)
     return EXIT_OK
 
 
 def cmd_gamma(args) -> int:
-    cfg = build_config(args)
+    check_tol(args.tol, "--tol")
     needs = _GAMMA_NEEDS.get(args.fn, "")
     if any(getattr(args, flag) is None for flag in needs):
         raise DomainError(f"{args.fn} needs " + " and ".join(f"--{flag}" for flag in needs))
     if args.fn == "multigamma":
-        res = multiple_gamma(args.a, args.d, args.method, cfg)
+        res = multiple_gamma(args.a, args.d, args.method, args.tol)
     elif args.fn == "logrho":
-        res = log_rho(args.w, args.method, cfg)
+        res = log_rho(args.w, args.method, args.tol)
     elif args.fn == "gammadq":
-        res = gamma_dq(args.q, args.w, args.method, cfg)
+        res = gamma_dq(args.q, args.w, args.method, args.tol)
     else:  # loggammaB, psiB: the weights are checked before a
         p = BarnesParams(args.a, validate_weights(args.w))
-        res = (log_gamma_B(p, args.method, cfg) if args.fn == "loggammaB"
-               else psi_B(args.q, p, args.method, cfg))
+        res = (log_gamma_B(p, args.method, args.tol) if args.fn == "loggammaB"
+               else psi_B(args.q, p, args.method, args.tol))
     emit_result(res, args.json)
     return EXIT_OK
 
@@ -168,9 +160,8 @@ def cmd_gamma(args) -> int:
 def cmd_compare(args) -> int:
     """Every finite part and both derivatives at zero, of the lattice and of
     its homogeneous companion (the weights alone), by every registry route."""
-    cfg = build_config(args)
     p = BarnesParams(args.a, validate_weights(args.w))
-    tol = args.tol_cmp if args.tol_cmp is not None else (1e-5 if p.d <= 2 else 1e-4)
+    tol = args.tol if args.tol is not None else (1e-5 if p.d <= 2 else 1e-4)
     if not (tol >= 0 and math.isfinite(tol)):
         raise DomainError(f"--tol = {tol} is not a finite nonnegative tolerance")
     spec = [(f"fp{bh}_q{q}", "fp", q, params)
@@ -181,7 +172,7 @@ def cmd_compare(args) -> int:
              "max_delta", "pass"]]
     quantities, agreement, passed = [], {}, True
     for name, quantity, at, params in spec:
-        runs = {route: evaluate(quantity, params, at, route, cfg) for route in routes}
+        runs = {route: evaluate(quantity, params, at, route) for route in routes}
         quantities += [{"name": name, "route": route, "value": r.value,
                         "est_error": r.abs_error_estimate} for route, r in runs.items()]
         vals = [r.value for r in runs.values()]
@@ -220,7 +211,7 @@ def parse_grid(text: str) -> tuple[float, float, int]:
 def cmd_table(args) -> int:
     """The zeta function over an alpha grid; a row whose route raises a pole
     or a convergence failure reads nan, and sets the exit code."""
-    cfg = build_config(args)
+    check_tol(args.tol, "--tol")
     params = _params(args)
     start, stop, num = args.alpha_grid
     alphas = [start] if num == 1 else [start + i * (stop - start) / (num - 1) for i in range(num)]
@@ -229,7 +220,7 @@ def cmd_table(args) -> int:
     for ar in alphas:
         alpha = complex(ar, args.alpha_im)
         try:
-            res = evaluate("zeta", params, alpha, args.method, cfg)
+            res = evaluate("zeta", params, alpha, args.method, args.tol)
             value, est, method = res.value, res.abs_error_estimate, res.method
         except (PoleError, ConvergenceError) as exc:
             codes.add(EXIT_POLE if isinstance(exc, PoleError) else EXIT_CONVERGENCE)
@@ -255,7 +246,7 @@ def _add_common(sub, quantity: str):
     _add_method(sub, quantity)
     sub.add_argument("--homogeneous", action="store_true",
                      help="evaluate the a = 0, origin-excluded variant")
-    sub.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
+    sub.add_argument("--tol", type=float, default=REL_TOL, help=_TOL_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,17 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_g.add_argument("--w", type=parse_weights, default=(1.0 + 0j,))
     p_g.add_argument("--a", type=parse_complex, default=None)
     _add_method(p_g, "fp", "deriv0")
-    p_g.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
+    p_g.add_argument("--tol", type=float, default=REL_TOL, help=_TOL_HELP)
     p_g.add_argument("--json", action="store_true")
     p_g.set_defaults(func=cmd_gamma)
 
     p_cmp = subs.add_parser("compare", help="cross-representation comparison report")
     p_cmp.add_argument("--a", type=parse_complex, required=True)
     p_cmp.add_argument("--w", type=parse_weights, required=True)
-    p_cmp.add_argument("--tol", dest="tol_cmp", type=float, default=None,
+    p_cmp.add_argument("--tol", type=float, default=None,
                        help="agreement tolerance (default 1e-5 for d<=2, 1e-4 for d>=3)")
     p_cmp.add_argument("--out", default=None, help="output stem; writes .json and .csv")
-    p_cmp.set_defaults(func=cmd_compare, tol=None)
+    p_cmp.set_defaults(func=cmd_compare)
 
     p_tab = subs.add_parser("table", help="CSV table over an alpha grid")
     p_tab.add_argument("--alpha-grid", type=parse_grid, required=True, metavar="START:STOP:N",

@@ -14,6 +14,7 @@ exp(s*log z) for z != 0.  All parameters live in the right half-plane
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 EPS = 2.0 ** -52    # the rounding unit of every estimate: a double's machine epsilon
+REL_TOL = 1e-10     # the default relative tolerance of the series, limit and direct routes
 
 
 class BarnesZetaError(Exception):
@@ -103,6 +105,12 @@ def check_order(q: int, d: int) -> None:
         raise DomainError(f"poles sit at q = 1..{d}, got {q}")
 
 
+def check_tol(rel_tol: float, name: str = "rel_tol") -> None:
+    """Raise DomainError unless the tolerance is finite and positive."""
+    if not (rel_tol > 0 and cmath.isfinite(rel_tol)):
+        raise DomainError(f"{name} = {rel_tol} is not a finite positive tolerance")
+
+
 def validate_params(p: BarnesParams) -> None:
     """Check that a and every w_i are finite with Re > 0; DomainError names the offender."""
     if not (cmath.isfinite(p.a) and p.a.real > 0):
@@ -118,22 +126,6 @@ def lattice(params) -> tuple[complex, tuple[complex, ...], bool]:
         validate_params(params)
         return params.a, params.w, False
     return 0.0, validate_weights(params), True
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """The relative tolerance of the series, limit and direct routes (the
-    integral route's quadrature keeps its own); how far a route walks, its
-    shell cap or its ladder of M, is a constant of that route."""
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and cmath.isfinite(self.rel_tol)):
-            raise DomainError("EvalConfig.rel_tol must be finite and positive")
-
-
-DEFAULT_CONFIG = EvalConfig()
 
 
 @dataclass(frozen=True)
@@ -177,6 +169,14 @@ def gamma_ratio(x: complex, n: int) -> complex:
     for j in range(1, 1 - n):
         out /= x - j
     return out
+
+
+def weight_product(w: tuple[complex, ...]) -> complex | float:
+    """prod w_i, or ConvergenceError when it underflows to 0: the routes divide by it."""
+    pw = math.prod(w)
+    if pw == 0:
+        raise ConvergenceError(f"the weight product underflows to 0 at w = {w}")
+    return pw
 
 
 def narrow(z: complex) -> complex | float:

@@ -27,7 +27,7 @@ route is its quadrature estimate, scaled by the route's Gamma factor, plus
 the rounding of its closed Bernoulli sum (eps times the summed term sizes).
 The brackets run in float64 when w (and c) are real, the integrands when a
 and alpha are real as well.  The rule's tolerance is the fixed _QUAD_REL_TOL;
-EvalConfig does not move it.
+a route's `rel_tol` does not move it.
 """
 
 from __future__ import annotations
@@ -46,14 +46,15 @@ from .foundations import (
     ConvergenceError,
     DomainError,
     EPS,
-    EvalConfig,
     EvalResult,
+    REL_TOL,
     check_order,
     check_pole,
     gamma_ratio,
     horner,
     lattice,
     narrow,
+    weight_product,
 )
 from .oracles import log_gamma_ref
 
@@ -212,7 +213,7 @@ def _inhom_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.
     """1/prod(1-e^{-w t}) minus its first M+1 expansion terms; O(t^{M+1-d})."""
     w = tuple(map(narrow, w))
     d = len(w)
-    pw = math.prod(w)
+    pw = weight_product(w)
     coeffs = _alternating_bernoulli_coeffs(w, 0.0, M + _SERIES_EXTRA)
     tail = coeffs[M + 1:]
     t0 = _small_t_threshold(w)
@@ -250,7 +251,7 @@ def _homog_bracket(w: tuple[complex, ...], M: int) -> Callable[[np.ndarray], np.
     """
     w, c = tuple(map(narrow, w)), narrow(_REGULATOR)
     d = len(w)
-    pw = math.prod(w)
+    pw = weight_product(w)
     coeffs = _alternating_bernoulli_coeffs(w, -c, M + _SERIES_EXTRA)
     t0 = _small_t_threshold(w)
     signs, sigmas = subset_table(w)
@@ -323,7 +324,7 @@ def _line_integral(a: complex, w: tuple[complex, ...], homog: bool, alpha: compl
                              max(0.0, alpha.real - 1.0) + M)
 
 
-def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
+def zeta_integral(alpha: complex, params, *, rel_tol: float = REL_TOL) -> EvalResult:
     """Analytic continuation of the lattice zeta by prefactor + line integral.
 
     Valid for Re(alpha) > d - M - 1 under Re(a) > 0, Re(w_i) > 0, at the
@@ -332,7 +333,7 @@ def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None) -
     1/Gamma(alpha) = 0 and the prefactor alone gives the (regular) value.
     The homogeneous function takes the regulator e^{ct}, c = _REGULATOR, which
     makes the origin subtraction possible with a = 0; its value is independent
-    of c.  `config` does not move the quadrature's tolerance.  Both forms share
+    of c.  rel_tol is unused: the quadrature keeps its own.  Both forms share
     one prefactor,
 
         sum_k (-1)^k B_k(s|w)/k! Gamma(alpha-d+k)/Gamma(alpha) b^(d-k-alpha)/prod(w),
@@ -353,7 +354,7 @@ def zeta_integral(alpha: complex, params, *, config: EvalConfig | None = None) -
     integral, err, evals = _line_integral(a, w, homog, alpha, M) if rg else (0j, 0.0, 0)
     base, shift = (c, -c) if homog else (a, 0.0)
     taylor = bernoulli_taylor(shift, w, M)
-    pw = math.prod(w)
+    pw = weight_product(w)
     pref = CompensatedSum()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -395,15 +396,15 @@ def _pole_integral(q: int, a: complex, w: tuple[complex, ...], homog: bool) -> E
                       "integral", {"M": M, "quad_evals": evals})
 
 
-def fp_integral(q: int, params, *, config: EvalConfig | None = None) -> EvalResult:
-    """Finite part at alpha = q: closed polynomial-log term + I_{d-q}(q)."""
+def fp_integral(q: int, params, *, rel_tol: float = REL_TOL) -> EvalResult:
+    """Finite part at alpha = q: closed polynomial-log term + I_{d-q}(q); rel_tol is unused."""
     a, w, homog = lattice(params)
     check_order(q, len(w))
     return _pole_integral(q, a, w, homog)
 
 
-def deriv0_integral(params, *, config: EvalConfig | None = None) -> EvalResult:
-    """Derivative at alpha = 0: closed polynomial-log term + I_d(0)."""
+def deriv0_integral(params, *, rel_tol: float = REL_TOL) -> EvalResult:
+    """Derivative at alpha = 0: closed polynomial-log term + I_d(0); rel_tol is unused."""
     a, w, homog = lattice(params)
     return _pole_integral(0, a, w, homog)
 
@@ -419,4 +420,4 @@ def residue(q: int, params) -> complex:
     d = len(w)
     check_order(q, d)
     return ((-1.0) ** (d - q) * complex(bernoulli_taylor(a, w, d - q)[d - q])
-            / (factorial(q - 1) * math.prod(w)))
+            / (factorial(q - 1) * weight_product(w)))

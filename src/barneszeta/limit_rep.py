@@ -36,11 +36,11 @@ import numpy as np
 from .combinatorics import CompensatedSum, neville_diagonal, shell_values
 from .foundations import (
     ConvergenceError,
-    DEFAULT_CONFIG,
     EPS,
-    EvalConfig,
     EvalResult,
+    REL_TOL,
     check_order,
+    check_tol,
     lattice,
     narrow_weights,
 )
@@ -178,23 +178,24 @@ def _run_limit(rungs: Sequence[tuple[int, complex, float]], const: complex, rel_
 
 
 def _pole_limit(q: int, a: complex, w: tuple[complex, ...], homog: bool,
-                cfg: EvalConfig) -> EvalResult:
+                rel_tol: float) -> EvalResult:
     """The finite part at alpha = q, or the derivative at zero for q = 0: the
     extrapolated rungs plus the closed term of `_plan_pole`."""
+    check_tol(rel_tol)
     rungs, closed = _rungs(q, a, w, homog)
-    return _run_limit(rungs, closed, cfg.rel_tol, len(w))
+    return _run_limit(rungs, closed, rel_tol, len(w))
 
 
-def fp_limit(q: int, params, *, config: EvalConfig | None = None) -> EvalResult:
+def fp_limit(q: int, params, *, rel_tol: float = REL_TOL) -> EvalResult:
     """Finite part at alpha = q by the series partial sums at k = 1 - q over
     {0..M-1}^d (origin excluded for the homogeneous function)."""
     a, w, homog = lattice(params)
     check_order(q, len(w))
-    return _pole_limit(q, a, w, homog, config or DEFAULT_CONFIG)
+    return _pole_limit(q, a, w, homog, rel_tol)
 
 
-def deriv0_limit(params, *, config: EvalConfig | None = None) -> EvalResult:
+def deriv0_limit(params, *, rel_tol: float = REL_TOL) -> EvalResult:
     """Derivative at zero by the series partial sums at k = 1 over
     {0..M-1}^d (origin excluded for the homogeneous function)."""
     a, w, homog = lattice(params)
-    return _pole_limit(0, a, w, homog, config or DEFAULT_CONFIG)
+    return _pole_limit(0, a, w, homog, rel_tol)

@@ -20,11 +20,11 @@ from .combinatorics import CompensatedSum, walk_shells
 from .foundations import (
     ConvergenceError,
     DomainError,
-    EvalConfig,
     EvalResult,
-    DEFAULT_CONFIG,
     PoleError,
+    REL_TOL,
     check_pole,
+    check_tol,
     lattice,
     narrow,
 )
@@ -96,7 +96,7 @@ _DIRECT_WORST_REL = 1e-2
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
+def direct_sum(alpha: complex, params, *, rel_tol: float = REL_TOL) -> EvalResult:
     """Brute-force lattice sum sum_n (a + n.w)^(-alpha) over `walk_shells`;
     the origin is left out when params are the weights of the homogeneous function.
 
@@ -106,7 +106,7 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
     _DIRECT_WORST_REL of the sum.  A power past the largest double ends the
     walk at once: a non-finite sum stays so, and EvalResult refuses it.
     """
-    cfg = config or DEFAULT_CONFIG
+    check_tol(rel_tol)
     a, w, homog = lattice(params)
     alpha = complex(alpha)
     d = len(w)
@@ -136,7 +136,7 @@ def direct_sum(alpha: complex, params, *, config: EvalConfig | None = None) -> E
         kappa = 1.0 / wmin + 2.0 / u_k
         bound = cone * d * kappa ** (d - 1) * u_k ** (d - alpha.real) / ((alpha.real - d) * wmin)
         if (not cmath.isfinite(acc.value)
-                or k >= 1 and bound <= cfg.rel_tol * max(abs(acc.value), 1e-300)):
+                or k >= 1 and bound <= rel_tol * max(abs(acc.value), 1e-300)):
             return EvalResult(acc.value, bound, "direct", diag(k, points))
     # The walk met its point budget: near the abscissa rel_tol may be out of reach.
     if bound > _DIRECT_WORST_REL * max(abs(acc.value), 1e-300):
@@ -221,10 +221,10 @@ def _reduce(alpha: complex, a: complex, w: tuple[complex, ...]) -> complex:
                       "n a positive integer")
 
 
-def reduction(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
+def reduction(alpha: complex, params, *, rel_tol: float = REL_TOL) -> EvalResult:
     """The lattice zeta by exact reductions to Hurwitz zetas; the homogeneous
     one, its points split by their first nonzero coordinate, as the sum of
-    zeta(alpha, w_i | w_i, ..., w_d), i = 1..d.  `config` is accepted so that
+    zeta(alpha, w_i | w_i, ..., w_d), i = 1..d.  `rel_tol` is accepted so that
     every route shares one signature; the reductions have no tolerance.  A
     value past the largest double raises ConvergenceError."""
     a, w, homog = lattice(params)

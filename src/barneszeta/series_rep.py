@@ -46,12 +46,12 @@ from .bernoulli import bernoulli_taylor_over_prod, pole_coeffs, pole_term
 from .combinatorics import CompensatedSum, subset_table, walk_shells
 from .foundations import (
     ConvergenceError,
-    DEFAULT_CONFIG,
     EPS,
-    EvalConfig,
     EvalResult,
+    REL_TOL,
     check_order,
     check_pole,
+    check_tol,
     gamma_ratio,
     harmonic_float,
     lattice,
@@ -203,7 +203,8 @@ def _eval_shell(plan: _Plan, y: np.ndarray) -> tuple[complex, float]:
     return complex(total + plan.const * y.size), EPS * float(noise)
 
 
-def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: bool,
+@np.errstate(over="ignore", invalid="ignore")
+def _sum_shells(plan: _Plan, w: tuple[complex, ...], rel_tol: float, homog: bool,
                 closed: complex) -> EvalResult:
     """Lattice sum of the plan's summand plus the closed term, over the shells
     of `walk_shells`: shell j adds its per-point part and C(j) - C(j-1).  The
@@ -211,7 +212,9 @@ def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: boo
     sum of corner differences.  Homogeneous forms pass only their constant:
     the nonempty-subset part of their closed term is C(0), which the shells
     subtract again.  The walk stops once three consecutive shells pass the
-    stopping rule, and raises ConvergenceError if it ends first."""
+    stopping rule, and raises ConvergenceError if it ends first, or at a
+    shell past the largest double (numpy's warnings are off for the walk)."""
+    check_tol(rel_tol)
     acc = CompensatedSum()
     # The last three shells' |total| and noise, oldest first: only shell 0 can be empty.
     r0 = r1 = r2 = n0 = n1 = n2 = 0.0
@@ -247,7 +250,7 @@ def _sum_shells(plan: _Plan, w: tuple[complex, ...], cfg: EvalConfig, homog: boo
             # eps * sum|y^e0| is the rounding a per-point ladder would leave;
             # the corner sums leave far less, so it is a conservative
             # stand-in, kept so that the stopping rule does not move.
-            if max(r0, r1, r2) <= max(cfg.rel_tol * scale, 4.0 * max(n0, n1, n2)):
+            if max(r0, r1, r2) <= max(rel_tol * scale, 4.0 * max(n0, n1, n2)):
                 return EvalResult(acc.value + corner + closed, r0 + r1 + r2 + noise_total,
                                   "series", diag(j, points))
     raise ConvergenceError(f"shell {j + 1} would take the shell summation past its point "
@@ -263,7 +266,7 @@ def _min_abs_lattice(a0: complex, w: tuple[complex, ...], homog: bool) -> float:
 # function (a = 0, origin excluded from the lattice)
 
 
-def zeta_series(alpha: complex, params, *, config: EvalConfig | None = None) -> EvalResult:
+def zeta_series(alpha: complex, params, *, rel_tol: float = REL_TOL) -> EvalResult:
     """Analytic continuation of the lattice zeta by the shifted series, off
     the poles alpha = 1..d, at the shift k = `_auto_k` > -Re(alpha); the
     closed term outside the lattice sum carries the whole pole structure.
@@ -274,19 +277,19 @@ def zeta_series(alpha: complex, params, *, config: EvalConfig | None = None) -> 
     check_pole(alpha, d, homog)
     k = _auto_k(alpha.real, d, _min_abs_lattice(a, w, homog))
     plan, closed = _plan_generic(alpha, a, w, k, homog)
-    return _sum_shells(plan, w, config or DEFAULT_CONFIG, homog, closed)
+    return _sum_shells(plan, w, rel_tol, homog, closed)
 
 
-def _pole_series(q: int, a0: complex, w: tuple[complex, ...], cfg: EvalConfig,
+def _pole_series(q: int, a0: complex, w: tuple[complex, ...], rel_tol: float,
                  homog: bool) -> EvalResult:
     """The finite part at alpha = q, or the derivative at zero for q = 0: the
     closed term of `_plan_pole` and the lattice sum, at k = `_auto_k_fixed`."""
     k = _auto_k_fixed(q, len(w), _min_abs_lattice(a0, w, homog))
     plan, closed = _plan_pole(q, a0, w, k, homog)
-    return _sum_shells(plan, w, cfg, homog, closed)
+    return _sum_shells(plan, w, rel_tol, homog, closed)
 
 
-def fp_series(q: int, params, *, config: EvalConfig | None = None) -> EvalResult:
+def fp_series(q: int, params, *, rel_tol: float = REL_TOL) -> EvalResult:
     """Finite part at the pole alpha = q, 1 <= q <= d, in series form.
 
     The ladder terms with m <= d-q are the log-weighted G symbols arising
@@ -296,10 +299,10 @@ def fp_series(q: int, params, *, config: EvalConfig | None = None) -> EvalResult
     """
     a, w, homog = lattice(params)
     check_order(q, len(w))
-    return _pole_series(q, a, w, config or DEFAULT_CONFIG, homog)
+    return _pole_series(q, a, w, rel_tol, homog)
 
 
-def deriv0_series(params, *, config: EvalConfig | None = None) -> EvalResult:
+def deriv0_series(params, *, rel_tol: float = REL_TOL) -> EvalResult:
     """alpha-derivative at zero of the lattice zeta, in series form."""
     a, w, homog = lattice(params)
-    return _pole_series(0, a, w, config or DEFAULT_CONFIG, homog)
+    return _pole_series(0, a, w, rel_tol, homog)

@@ -47,12 +47,11 @@ import numpy as np
 from barneszeta.bernoulli import bernoulli_taylor_over_prod, classical_bernoulli
 from barneszeta.combinatorics import MAX_DIM, CompensatedSum, neville_diagonal
 from barneszeta.foundations import (
-    DEFAULT_CONFIG,
+    REL_TOL,
     BarnesParams,
     BarnesZetaError,
     ConvergenceError,
     DomainError,
-    EvalConfig,
     EvalResult,
     as_weights,
     validate_params,
@@ -203,7 +202,7 @@ def d2_fast_path(kind: FastPathKind | str, p: BarnesParams) -> EvalResult:
                  for M, c, m in _cube_log(a, p.w, Ms, False)]
         const = c0 * lprod
     return _run_limit([(M, sum(edge) + c, sum(map(abs, edge)) + m) for M, edge, c, m in rungs],
-                      const, DEFAULT_CONFIG.rel_tol, 2)
+                      const, REL_TOL, 2)
 
 
 def _masked(n: Sequence[int], v: Sequence[int], idx: tuple[int, ...]) -> tuple[int, ...]:
@@ -416,7 +415,7 @@ def _log_gamma_hurwitz_series(a: complex, max_terms: int = 400) -> complex:
     raise ConvergenceError("Hurwitz-series route for log Gamma did not converge")
 
 
-def log_gamma_rep_checks(a: complex, config: EvalConfig | None = None) -> LogGammaRepReport:
+def log_gamma_rep_checks(a: complex, rel_tol: float = REL_TOL) -> LogGammaRepReport:
     """Evaluate the three log Gamma representations next to the reference."""
     a = complex(a)
     if not a.real > 0:

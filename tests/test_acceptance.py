@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from barneszeta import BarnesParams, EvalConfig, gamma_dq, residue
+from barneszeta import BarnesParams, gamma_dq, residue
 from barneszeta.bernoulli import bernoulli_taylor
 from barneszeta.foundations import harmonic
 from barneszeta.integral_rep import deriv0_integral, fp_integral, zeta_integral
@@ -36,15 +36,15 @@ def test_criterion_01_hurwitz_collapse():
     """d = 1 series and integral routes against the Euler-Maclaurin oracle."""
     alphas = (-1.5, 0.25, 2.5 + 1j)
     avals = (0.3, 1.0, 2.5)
-    cfg = EvalConfig(rel_tol=1e-12)
+    rel_tol = 1e-12
     t0 = time.perf_counter()
     worst = 0.0
     for alpha in alphas:
         for a in avals:
             p = BarnesParams(a, (1.0,))
             want = hurwitz_zeta(alpha, a)
-            got_s = zeta_series(alpha, p, config=cfg).value
-            got_i = zeta_integral(alpha, p, config=cfg).value
+            got_s = zeta_series(alpha, p, rel_tol=rel_tol).value
+            got_i = zeta_integral(alpha, p, rel_tol=rel_tol).value
             worst = max(worst, rel_err(got_s, want), rel_err(got_i, want))
             assert rel_err(got_s, want) <= 1e-10
             assert rel_err(got_i, want) <= 1e-10

@@ -18,8 +18,9 @@ from barneszeta import (
     residue,
 )
 from barneszeta.barnes_functions import _EST_CAP, _ULP8, DEFAULT_METHOD, ROUTES, evaluate
-from barneszeta.foundations import harmonic
-from barneszeta.oracles import hurwitz_zeta, hurwitz_zeta_ds, log_gamma_ref
+from barneszeta.foundations import REL_TOL, harmonic
+from barneszeta.limit_rep import fp_limit
+from barneszeta.oracles import direct_sum, hurwitz_zeta, hurwitz_zeta_ds, log_gamma_ref
 from barneszeta.series_rep import fp_series, zeta_series
 
 from conftest import scaled_err
@@ -31,7 +32,7 @@ LOG_2PI = math.log(2 * math.pi)
 
 def _stub(name, error=None, est=1e-14):
     """A zeta route that raises error, or else returns 0.5 with estimate est."""
-    def route(alpha, p, config=None):
+    def route(alpha, p, rel_tol=REL_TOL):
         if error is not None:
             raise error
         return EvalResult(0.5 + 0j, est, name, {})
@@ -209,7 +210,7 @@ class TestEvaluate:
         assert got == fp_series(2, d2_params).value
 
     # Every route of the registry once per form, with exactly the signature
-    # (alpha | q, params, *, config=None), or (params, *, config=None) for
+    # (alpha | q, params, *, rel_tol=REL_TOL), or (params, *, rel_tol=REL_TOL) for
     # the derivative at zero: a route chooses its own representation
     # parameters, so no knob of its own is a keyword.  w = (1, 2) has a
     # reduction and alpha = 6.5 is inside the direct sum's region.
@@ -219,10 +220,10 @@ class TestEvaluate:
         fn = ROUTES[quantity][route]
         params = inspect.signature(fn).parameters
         point = {"zeta": ["alpha"], "fp": ["q"], "deriv0": []}[quantity]
-        assert list(params) == [*point, "params", "config"]
+        assert list(params) == [*point, "params", "rel_tol"]
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in list(params.values())[:-1])
-        config = params["config"]
-        assert config.kind is config.KEYWORD_ONLY and config.default is None
+        rel_tol = params["rel_tol"]
+        assert rel_tol.kind is rel_tol.KEYWORD_ONLY and rel_tol.default == REL_TOL
         p = BarnesParams(0.7, (1.0, 2.0))
         at = {"zeta": (6.5,), "fp": (1,), "deriv0": ()}[quantity]
         assert fn(*at, p.w if homog else p).method == route
@@ -304,8 +305,8 @@ class TestEvaluate:
     def test_best_raises_when_routes_disagree(self, d2_params, monkeypatch):
         honest = ROUTES["zeta"]["integral"]
 
-        def wrong(alpha, p, config=None):
-            res = honest(alpha, p, config=config)
+        def wrong(alpha, p, rel_tol=REL_TOL):
+            res = honest(alpha, p, rel_tol=rel_tol)
             return EvalResult(res.value + 1e-6, 1e-15, "integral", res.diagnostics)
 
         monkeypatch.setitem(ROUTES["zeta"], "integral", wrong)
@@ -325,7 +326,7 @@ class TestEvaluate:
         delta = side * (est_s + est_i + 8 * 2.0 ** -52)
 
         def stub(value, est, name):
-            return lambda alpha, p, config=None: EvalResult(value, est, name, {})
+            return lambda alpha, p, rel_tol=REL_TOL: EvalResult(value, est, name, {})
 
         monkeypatch.setitem(ROUTES["zeta"], "series", stub(0j, est_s, "series"))
         monkeypatch.setitem(ROUTES["zeta"], "integral", stub(complex(delta), est_i, "integral"))
@@ -446,3 +447,29 @@ class TestEvaluate:
     def test_gamma_family_rejects_unknown_route(self):
         with pytest.raises(DomainError):
             log_rho((1.0,), "direct")
+
+
+# A tolerance that is not finite and positive is a DomainError on every path:
+# evaluate checks it before any dispatch, and the series, the limit route and
+# the direct sum, which read it, check it when called directly.
+_BAD_TOLS = [0.0, -1e-10, math.nan, math.inf]
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("rel_tol", _BAD_TOLS)
+    def test_evaluate_checks_every_route(self, d2_params, rel_tol):
+        at = {"zeta": 6.5, "fp": 1, "deriv0": None}
+        for quantity, routes in ROUTES.items():
+            for method in [*routes, "best"]:
+                with pytest.raises(DomainError, match="rel_tol = .* finite positive"):
+                    evaluate(quantity, d2_params, at[quantity], method, rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", _BAD_TOLS)
+    @pytest.mark.parametrize("route", [
+        lambda p, tol: zeta_series(6.5, p, rel_tol=tol),
+        lambda p, tol: fp_limit(1, p, rel_tol=tol),
+        lambda p, tol: direct_sum(6.5, p, rel_tol=tol),
+    ], ids=["zeta_series", "fp_limit", "direct_sum"])
+    def test_routes_check_when_called_directly(self, d2_params, route, rel_tol):
+        with pytest.raises(DomainError, match="rel_tol = .* finite positive"):
+            route(d2_params, rel_tol)

@@ -203,6 +203,23 @@ class TestNonFinite:
         assert code == 3
         assert "shell 0" in err and out == ""
 
+    # Weights whose product underflows to 0 (every route divides by it), and
+    # weights whose shell powers overflow: exit 3, with no traceback and no
+    # RuntimeWarning (an error in this suite).
+    @pytest.mark.parametrize("argv", [
+        ["deriv0", "--w", "1e-200,1e-200", "--homogeneous"],
+        *(["deriv0", "--w", "1e-200,1e-200", "--homogeneous", "--method", m]
+          for m in ("series", "integral", "limit")),
+        ["fp", "--q", "1", "--a", "1e-200", "--w", "1e-200,1e-200", "--method", "integral"],
+        ["gamma", "--fn", "gammadq", "--q", "1", "--w", "1e-200,1e-200"],
+        ["deriv0", "--w", "1e-170,1e-170", "--homogeneous"],
+        ["deriv0", "--w", "1e200,1e200", "--homogeneous", "--method", "series"],
+    ])
+    def test_extreme_weights_are_convergence_errors(self, run, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+
 
 class TestFpDerivGamma:
     def test_fp_series_euler(self, run):

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -6,22 +6,31 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import barneszeta
 from barneszeta import (
     BarnesParams,
     ConvergenceError,
     DomainError,
-    EvalConfig,
     EvalResult,
     PoleError,
+    evaluate,
+    gamma_dq,
+    log_gamma_B,
+    log_rho,
+    multiple_gamma,
+    psi_B,
 )
 from barneszeta.foundations import (
+    REL_TOL,
     check_pole,
+    check_tol,
     gamma_ratio,
     harmonic,
     horner,
     validate_params,
     validate_weights,
 )
+from barneszeta.integral_rep import zeta_integral
 
 
 class TestValidateParams:
@@ -75,24 +84,35 @@ class TestHarmonic:
 
 
 class TestEvalConfig:
+    """The one tolerance, a float with the default REL_TOL and the rule
+    check_tol, and the checks of EvalResult."""
+
     def test_defaults(self):
-        cfg = EvalConfig()
-        assert cfg.rel_tol == 1e-10
+        assert REL_TOL == 1e-10
 
     def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(DomainError):
-            EvalConfig(rel_tol=0.0)
+        check_tol(REL_TOL)
+        for bad in (0.0, -1e-10, math.nan, math.inf):
+            with pytest.raises(DomainError, match="is not a finite positive tolerance"):
+                check_tol(bad)
+        with pytest.raises(DomainError, match=r"^--tol = 0.0 is not"):
+            check_tol(0.0, "--tol")
 
     def test_only_field_is_rel_tol(self):
-        # the shell cap and the limit ladder are constants of their routes
-        assert [f.name for f in dataclasses.fields(EvalConfig)] == ["rel_tol"]
+        # the shell cap and the limit ladder are constants of their routes:
+        # the tolerance is the one option of evaluate and the Gamma family
+        for fn in (evaluate, log_rho, log_gamma_B, psi_B, gamma_dq, multiple_gamma):
+            param = list(inspect.signature(fn).parameters.values())[-1]
+            assert (param.name, param.default) == ("rel_tol", REL_TOL)
 
     def test_has_no_alpha_step(self):
-        assert not hasattr(EvalConfig(), "alpha_step")
+        assert not any(hasattr(barneszeta, name)
+                       for name in ("alpha_step", "EvalConfig", "DEFAULT_CONFIG"))
 
     def test_has_no_quad_rel_tol(self):
         # the integral route's quadrature tolerance is a constant of its module
-        assert not hasattr(EvalConfig(), "quad_rel_tol")
+        p = BarnesParams(1.0, (1.0, 2.0))
+        assert zeta_integral(0.5, p, rel_tol=1e-3) == zeta_integral(0.5, p, rel_tol=1e-13)
 
     def test_negative_error_estimate_rejected(self):
         with pytest.raises(DomainError):

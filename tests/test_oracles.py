@@ -7,7 +7,6 @@ from barneszeta import (
     BarnesParams,
     ConvergenceError,
     DomainError,
-    EvalConfig,
     PoleError,
 )
 from barneszeta import combinatorics, oracles
@@ -79,11 +78,11 @@ class TestDirectSum:
         assert abs(res.value - math.pi**4 / 90) <= 2 * res.abs_error_estimate
 
     def test_d2_alpha3_within_estimate(self):
-        res = direct_sum(3.0, BarnesParams(1.0, (1.0, 1.0)), config=EvalConfig(rel_tol=1e-6))
+        res = direct_sum(3.0, BarnesParams(1.0, (1.0, 1.0)), rel_tol=1e-6)
         assert abs(res.value - math.pi**2 / 6) <= 2 * res.abs_error_estimate
 
     def test_hurwitz_shift(self):
-        res = direct_sum(4.0, BarnesParams(2.0, (1.0,)), config=EvalConfig(rel_tol=1e-12))
+        res = direct_sum(4.0, BarnesParams(2.0, (1.0,)), rel_tol=1e-12)
         assert rel_err(res.value, math.pi**4 / 90 - 1.0) <= 1e-11
 
     def test_near_abscissa_rejected(self):
@@ -98,7 +97,7 @@ class TestDirectSum:
         assert combinatorics.MAX_POINTS == 30_000_000
         monkeypatch.setattr(combinatorics, "MAX_POINTS", 200)
         with pytest.raises(ConvergenceError, match="point budget") as exc:
-            direct_sum(3.0, BarnesParams(1.0, (1.0, 1.0)), config=EvalConfig(rel_tol=1e-6))
+            direct_sum(3.0, BarnesParams(1.0, (1.0, 1.0)), rel_tol=1e-6)
         assert (exc.value.diagnostics["shells"], exc.value.diagnostics["points"]) == (14, 196)
 
     @pytest.mark.parametrize("homog", [False, True], ids=["inhomogeneous", "homogeneous"])
@@ -109,7 +108,7 @@ class TestDirectSum:
         # with that bound.
         monkeypatch.setattr(combinatorics, "MAX_POINTS", 100 - homog)
         params = (1.0, 1.0) if homog else BarnesParams(1.0, (1.0, 1.0))
-        res = direct_sum(6.0, params, config=EvalConfig(rel_tol=1e-15))
+        res = direct_sum(6.0, params, rel_tol=1e-15)
         diag = res.diagnostics
         assert (diag["shells"], diag["points"]) == (10, 100 - homog)
         assert res.abs_error_estimate == diag["tail_bound"] <= 1e-2 * abs(res.value)
@@ -148,7 +147,7 @@ class TestDirectSum:
         assert abs(res.value - want) <= res.abs_error_estimate + 8 * 2.0 ** -52 * (1 + abs(want))
 
     def test_homogeneous(self):
-        res = direct_sum(4.0, (1.0,), config=EvalConfig(rel_tol=1e-12))
+        res = direct_sum(4.0, (1.0,), rel_tol=1e-12)
         assert rel_err(res.value, math.pi**4 / 90) <= 1e-11
 
     @pytest.mark.parametrize("homog", [False, True])
@@ -190,7 +189,7 @@ class TestReductions:
 
     def test_rational_n2_matches_direct(self):
         got = rational_d2_reduction(6.5, 1.0, 2)
-        res = direct_sum(6.5, BarnesParams(1.0, (1.0, 2.0)), config=EvalConfig(rel_tol=1e-13))
+        res = direct_sum(6.5, BarnesParams(1.0, (1.0, 2.0)), rel_tol=1e-13)
         assert rel_err(got, res.value) <= 1e-12
 
     def test_pairwise_consistency_d2(self):
@@ -198,14 +197,14 @@ class TestReductions:
         alpha, a = 6.5, 0.8
         iso = isotropic_reduction(alpha, a, 1.0, 2)
         rat = rational_d2_reduction(alpha, a, 1)
-        direct = direct_sum(alpha, BarnesParams(a, (1.0, 1.0)), config=EvalConfig(rel_tol=1e-13)).value
+        direct = direct_sum(alpha, BarnesParams(a, (1.0, 1.0)), rel_tol=1e-13).value
         assert rel_err(iso, rat) <= 1e-12
         assert rel_err(iso, direct) <= 1e-12
 
     def test_pairwise_consistency_d3(self):
         alpha, a = 8.5, 1.2
         iso = isotropic_reduction(alpha, a, 1.0, 3)
-        direct = direct_sum(alpha, BarnesParams(a, (1.0, 1.0, 1.0)), config=EvalConfig(rel_tol=1e-12)).value
+        direct = direct_sum(alpha, BarnesParams(a, (1.0, 1.0, 1.0)), rel_tol=1e-12).value
         assert rel_err(iso, direct) <= 1e-11
 
     @pytest.mark.parametrize("a, n", [(0.7, 2), (1.0, 1)])
